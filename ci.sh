@@ -28,9 +28,6 @@ cargo test -q --workspace
 echo "==> cargo test -q (DSV_QUEUE=heap: binary-heap event-queue backend)"
 DSV_QUEUE=heap cargo test -q --workspace
 
-echo "==> cargo test -q (DSV_SHARDS=2: sharded event engine)"
-DSV_SHARDS=2 cargo test -q --workspace
-
 echo "==> audit smoke (oracle self-tests, wheel backend)"
 cargo test -q -p dsv-check --features dsv-check/audit
 
@@ -47,6 +44,9 @@ cargo clippy -p dsv-check -p dsv-integration -p dsv-bench --all-targets \
 echo "==> runner_bench smoke (tiny grid, temp output)"
 DSV_BENCH_SMOKE=1 DSV_CACHE=off ./target/release/runner_bench
 
+echo "==> benchmark smoke (every workload once, every point checked against results/)"
+cargo run --release --manifest-path benchmark/Cargo.toml -- --smoke
+
 echo "==> scenario-schema smoke (parse + compile + run every committed spec)"
 for spec in examples/*.json; do
   ./target/release/dsv run --scenario "$spec" > /dev/null
@@ -60,10 +60,10 @@ DSV_CACHE=off ./target/release/fig17_tcp_smoothing > /dev/null
 DSV_CACHE=off ./target/release/fig18_af_tcp > /dev/null
 git diff --exit-code -- results/
 
-echo "==> transport goldens regeneration gate (backends, shards, cluster modes)"
+echo "==> transport goldens regeneration gate (backends, cluster modes)"
 # The smoothing and AF-TCP goldens must re-simulate byte-for-byte under
-# every engine configuration: both event-queue backends, the sharded
-# engine, and exact clustering vs every point simulated individually.
+# every engine configuration: both event-queue backends, and exact
+# clustering vs every point simulated individually.
 regen_transport_goldens() {
   DSV_REGEN=1 DSV_CACHE=off "$@" cargo test -q -p dsv-integration \
     --test paper_findings_tcp_smoothing --test paper_findings_af_tcp
@@ -71,18 +71,8 @@ regen_transport_goldens() {
 }
 regen_transport_goldens env DSV_QUEUE=wheel
 regen_transport_goldens env DSV_QUEUE=heap
-regen_transport_goldens env DSV_SHARDS=2
 regen_transport_goldens env DSV_CLUSTER=exact
 regen_transport_goldens env DSV_CLUSTER=off
-
-echo "==> sharded regeneration gate (DSV_SHARDS=2, both backends, cache off)"
-for backend in wheel heap; do
-  DSV_SHARDS=2 DSV_QUEUE=$backend DSV_CACHE=off \
-    ./target/release/fig07_qbone_lost > /dev/null
-  DSV_SHARDS=2 DSV_QUEUE=$backend DSV_CACHE=off \
-    ./target/release/fig16_aggregate > /dev/null
-done
-git diff --exit-code -- results/
 
 echo "==> cluster regeneration gate (exact mode vs clustering off, cache off)"
 # Exact clustering's contract is byte-identity: the committed figures must

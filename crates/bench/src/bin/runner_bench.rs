@@ -186,8 +186,6 @@ fn main() {
         dsv_bench::emit_json("BENCH_sweep", &report);
     }
 
-    shard_scaling(&base, &rates, &depths, points, label, &json_shared, smoke);
-
     cluster_bench(threads, smoke);
 
     qoe_bench(&base, &rates, &depths, points, label, smoke);
@@ -384,98 +382,6 @@ fn cluster_bench(threads: usize, smoke: bool) {
         println!("[audit build: BENCH_cluster baseline left untouched]");
     } else {
         dsv_bench::emit_json("BENCH_cluster", &report);
-    }
-}
-
-/// Scaling curve for the sharded event engine: the same serial-runner,
-/// shared-artifact, uncached sweep with every simulation forced to 1, 2
-/// and 4 shards. Byte-identity with the serial baseline is asserted at
-/// every count — the curve prices the engine, it never gets to change
-/// semantics. On a single-core container the expected shape is a modest
-/// slowdown from barrier traffic and domain reassembly; the committed
-/// curve documents that honestly, and gains appear only with real cores.
-fn shard_scaling(
-    base: &QboneConfig,
-    rates: &[u64],
-    depths: &[u32],
-    points: usize,
-    label: &str,
-    baseline_json: &str,
-    smoke: bool,
-) {
-    #[derive(Serialize)]
-    struct ShardPoint {
-        shards: usize,
-        secs: f64,
-        pts_per_sec: f64,
-        event_rate_per_sec: f64,
-        speedup_vs_one_shard: f64,
-    }
-
-    #[derive(Serialize)]
-    struct ShardReport {
-        grid_points: usize,
-        cores: usize,
-        byte_identical: bool,
-        points: Vec<ShardPoint>,
-    }
-
-    println!("\nshard scaling (serial runner, shared artifacts, no result cache):");
-    let mut measured: Vec<(usize, f64, f64)> = Vec::new();
-    for &shards in &[1usize, 2, 4] {
-        dsv_net::shard::set_shards_for_process(shards);
-        let before = profile::snapshot();
-        let t0 = Instant::now();
-        let sweep = Runner::serial().qbone_sweep(base, rates, depths, label);
-        let dt = t0.elapsed().as_secs_f64();
-        let rate = profile::snapshot().since(&before).event_rate_per_sec();
-        dsv_net::shard::set_shards_for_process(0);
-        let json = serde_json::to_string(&sweep).expect("serialize");
-        assert_eq!(
-            baseline_json, &json,
-            "shards={shards} must reproduce the serial output byte for byte"
-        );
-        println!(
-            "  {shards} shard(s)             {dt:7.2} s  ({:.2} pts/s, {:.2} M ev/s)",
-            points as f64 / dt.max(1e-9),
-            rate / 1e6,
-        );
-        measured.push((shards, dt, rate));
-    }
-    println!("  all shard counts byte-identical to serial ✓");
-
-    let one_shard_secs = measured[0].1;
-    let report = ShardReport {
-        grid_points: points,
-        cores: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        byte_identical: true,
-        points: measured
-            .into_iter()
-            .map(|(shards, secs, rate)| ShardPoint {
-                shards,
-                secs,
-                pts_per_sec: points as f64 / secs.max(1e-9),
-                event_rate_per_sec: rate,
-                speedup_vs_one_shard: one_shard_secs / secs.max(1e-9),
-            })
-            .collect(),
-    };
-    if smoke {
-        let path =
-            std::env::temp_dir().join(format!("BENCH_shards-smoke-{}.json", std::process::id()));
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(&report).expect("serialize"),
-        )
-        .expect("write smoke shard report");
-        println!("[smoke shard report written {}]", path.display());
-        let _ = std::fs::remove_file(&path);
-    } else if cfg!(feature = "audit") {
-        println!("[audit build: BENCH_shards baseline left untouched]");
-    } else {
-        dsv_bench::emit_json("BENCH_shards", &report);
     }
 }
 

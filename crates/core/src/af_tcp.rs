@@ -176,10 +176,9 @@ pub fn af_tcp_spec(cfg: &AfTcpConfig) -> ScenarioSpec {
                 rate_bps: 100_000_000,
                 // The per-position microsecond keeps otherwise-identical
                 // pairs out of exact phase: no two access paths are the
-                // same cable, and nanosecond-coincident decisions by
-                // different nodes are the one tie class whose serial
-                // FIFO order the sharded engine's event stamps cannot
-                // reconstruct (see `dsv_sim::stamped`).
+                // same cable. It is part of this experiment's definition —
+                // the committed AF-TCP golden was recorded with it, so
+                // removing it changes the results.
                 propagation_ns: 100_000 + cfg.rtt_extra_ms[p as usize] * 500_000 + p as u64 * 1_000,
             },
         ));

@@ -121,12 +121,12 @@ pub trait Application<P> {
 /// [`Shared`]: read (or mutate) the application's state from outside the
 /// simulation, typically after the run finishes.
 ///
-/// The handle is an `Arc<Mutex<…>>` so a `Shared` application can ride a
-/// network domain onto a worker thread in the sharded engine. The lock is
-/// uncontended by construction — the network never re-enters an
-/// application (commands are buffered), and experiment code reads handles
-/// only after the run — so [`Handle::borrow`] keeps the ergonomics (and
-/// call sites) of the `Rc<RefCell<…>>` it replaced.
+/// The handle is an `Arc<Mutex<…>>` so a network owning a `Shared`
+/// application stays `Send`. The lock is uncontended by construction —
+/// the network never re-enters an application (commands are buffered),
+/// and experiment code reads handles only after the run — so
+/// [`Handle::borrow`] keeps the ergonomics (and call sites) of the
+/// `Rc<RefCell<…>>` it replaced.
 pub struct Handle<T>(std::sync::Arc<std::sync::Mutex<T>>);
 
 impl<T> Handle<T> {

@@ -73,20 +73,6 @@ struct ConformanceBound {
     admitted_bytes: u64,
 }
 
-/// A delivery or drop observed in a domain whose ledger never saw the
-/// matching send (it happened in another domain). Recorded instead of a
-/// violation and reconciled by [`SimAudit::resolve_foreign`] once every
-/// domain ledger has been merged.
-#[derive(Debug)]
-struct ForeignEvent {
-    flow: u32,
-    id: u64,
-    size: u32,
-    node: u32,
-    /// What happened: `"delivered"` or `"dropped"`.
-    kind: &'static str,
-}
-
 /// The audit observer. One per [`crate::network::Network`]; see module docs.
 pub struct SimAudit {
     enabled: bool,
@@ -105,10 +91,6 @@ pub struct SimAudit {
     /// Last packet id delivered per flow.
     flow_last_rx: Vec<(FlowId, u64)>,
     bounds: Vec<ConformanceBound>,
-    /// Sharded-run mode: a terminal lifecycle event with no matching send
-    /// in *this* ledger goes to `foreign` instead of the violation log.
-    distributed: bool,
-    foreign: Vec<ForeignEvent>,
     finished: bool,
 }
 
@@ -129,8 +111,6 @@ impl SimAudit {
             port_last_tx: HashMap::new(),
             flow_last_rx: Vec::new(),
             bounds: Vec::new(),
-            distributed: false,
-            foreign: Vec::new(),
             finished: false,
         }
     }
@@ -245,10 +225,7 @@ impl SimAudit {
         self.checks += 1;
         self.nodes[node.0 as usize].transmits += 1;
 
-        // In-flight integrity: the size must match what was sent. (In a
-        // sharded run a packet sent in another domain is absent from this
-        // ledger and the check is skipped at intermediate hops; the
-        // terminal delivery/drop still verifies the size end to end.)
+        // In-flight integrity: the size must match what was sent.
         if let Some(&sent_size) = self.outstanding.get(&(flow.0, id.0)) {
             if sent_size != size {
                 self.violation(format!(
@@ -303,13 +280,6 @@ impl SimAudit {
         self.flow_entry(flow).delivered += 1;
 
         match self.outstanding.remove(&(flow.0, id.0)) {
-            None if self.distributed => self.foreign.push(ForeignEvent {
-                flow: flow.0,
-                id: id.0,
-                size,
-                node: node.0,
-                kind: "delivered",
-            }),
             None => self.violation(format!(
                 "conservation: packet {} delivered at node {} but never sent, \
                  or delivered twice",
@@ -346,13 +316,6 @@ impl SimAudit {
         self.nodes[node.0 as usize].drops += 1;
         self.flow_entry(flow).dropped += 1;
         match self.outstanding.remove(&(flow.0, id.0)) {
-            None if self.distributed => self.foreign.push(ForeignEvent {
-                flow: flow.0,
-                id: id.0,
-                size,
-                node: node.0,
-                kind: "dropped",
-            }),
             None => self.violation(format!(
                 "conservation: packet {} dropped at node {} but never sent, \
                  or already accounted",
@@ -426,131 +389,6 @@ impl SimAudit {
                  {pool_live} on the wire + {held_total} held at nodes"
             ));
         }
-    }
-
-    /// A domain observer for the sharded engine: same arming and the same
-    /// registered bounds (with zeroed admission counters), flagged as
-    /// *distributed* so a delivery or drop whose send happened in another
-    /// domain is deferred for [`SimAudit::resolve_foreign`] instead of
-    /// being misreported as a conservation violation. Every per-packet
-    /// oracle stays exact inside the domain: a flow's sends all happen at
-    /// one node, its deliveries at one node, and each port lives in
-    /// exactly one domain.
-    pub(crate) fn fork_domain(&self) -> SimAudit {
-        SimAudit {
-            enabled: self.enabled,
-            last_event: SimTime::ZERO,
-            events: 0,
-            checks: 0,
-            total_violations: 0,
-            violations: Vec::new(),
-            flows: Vec::new(),
-            nodes: vec![NodeAudit::default(); self.nodes.len()],
-            outstanding: HashMap::new(),
-            port_last_tx: HashMap::new(),
-            flow_last_rx: Vec::new(),
-            bounds: self
-                .bounds
-                .iter()
-                .map(|b| ConformanceBound {
-                    admitted_bytes: 0,
-                    ..b.clone()
-                })
-                .collect(),
-            distributed: true,
-            foreign: Vec::new(),
-            finished: false,
-        }
-    }
-
-    /// Fold a domain ledger into this one after a sharded run. Counters
-    /// sum; the outstanding sets union (a collision is a genuine
-    /// double-send); per-port transmit cursors are disjoint across
-    /// domains and simply move over; conformance counters sum into the
-    /// matching registered bound. Cross-domain lifecycle stitching is
-    /// deferred to [`SimAudit::resolve_foreign`].
-    pub(crate) fn merge_from(&mut self, other: SimAudit) {
-        if !self.enabled {
-            return;
-        }
-        self.events += other.events;
-        self.checks += other.checks;
-        self.total_violations += other.total_violations;
-        for v in other.violations {
-            if self.violations.len() < MAX_RECORDED {
-                self.violations.push(v);
-            }
-        }
-        self.last_event = self.last_event.max(other.last_event);
-        for (mine, theirs) in self.nodes.iter_mut().zip(other.nodes.iter()) {
-            mine.arrivals += theirs.arrivals;
-            mine.generated += theirs.generated;
-            mine.transmits += theirs.transmits;
-            mine.drops += theirs.drops;
-            mine.delivered += theirs.delivered;
-        }
-        for (flow, theirs) in other.flows {
-            let mine = self.flow_entry(flow);
-            mine.sent += theirs.sent;
-            mine.delivered += theirs.delivered;
-            mine.dropped += theirs.dropped;
-        }
-        for (key, size) in other.outstanding {
-            if self.outstanding.insert(key, size).is_some() {
-                self.violation(format!(
-                    "conservation: flow {} packet id {} sent twice",
-                    key.0, key.1
-                ));
-            }
-        }
-        self.port_last_tx.extend(other.port_last_tx);
-        for (flow, last) in other.flow_last_rx {
-            match self.flow_last_rx.iter_mut().find(|(f, _)| *f == flow) {
-                Some((_, mine)) => *mine = (*mine).max(last),
-                None => self.flow_last_rx.push((flow, last)),
-            }
-        }
-        for b in other.bounds {
-            if let Some(mine) = self.bounds.iter_mut().find(|m| {
-                m.node == b.node
-                    && m.flow == b.flow
-                    && m.rate_bps == b.rate_bps
-                    && m.depth_bytes == b.depth_bytes
-            }) {
-                mine.admitted_bytes += b.admitted_bytes;
-            }
-        }
-        self.foreign.extend(other.foreign);
-    }
-
-    /// Reconcile the terminal lifecycle events whose send was observed in
-    /// a different domain. Must run once, after every domain ledger has
-    /// been merged; afterwards the observer is back in single-ledger mode
-    /// and [`SimAudit::finish`] closes conservation exactly as a serial
-    /// run would.
-    pub(crate) fn resolve_foreign(&mut self) {
-        if !self.enabled {
-            self.foreign.clear();
-            self.distributed = false;
-            return;
-        }
-        let foreign = std::mem::take(&mut self.foreign);
-        for f in foreign {
-            self.checks += 1;
-            match self.outstanding.remove(&(f.flow, f.id)) {
-                None => self.violation(format!(
-                    "conservation: flow {} packet {} {} at node {} but never sent, \
-                     or accounted twice",
-                    f.flow, f.id, f.kind, f.node
-                )),
-                Some(sent_size) if sent_size != f.size => self.violation(format!(
-                    "integrity: flow {} packet {} {} with size {} B, sent with {} B",
-                    f.flow, f.id, f.kind, f.size, sent_size
-                )),
-                Some(_) => {}
-            }
-        }
-        self.distributed = false;
     }
 
     /// Snapshot the audit outcome.

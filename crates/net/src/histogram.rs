@@ -97,18 +97,6 @@ impl DurationHistogram {
         self.total
     }
 
-    /// Fold another histogram's samples into this one. Buckets are fixed
-    /// and identical across instances, so the merge is an element-wise
-    /// sum — exactly the histogram a single collector would have built
-    /// from the union of the samples (the sharded engine merges per-domain
-    /// statistics this way).
-    pub fn merge(&mut self, other: &DurationHistogram) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-    }
-
     /// Approximate quantile `q` in [0, 1]; `None` if empty. Returns the
     /// geometric midpoint of the bucket containing the quantile.
     pub fn quantile(&self, q: f64) -> Option<SimDuration> {

@@ -79,7 +79,7 @@ pub mod prelude {
     pub use crate::qdisc::{
         ef_high_priority, DropTailQueue, EnqueueResult, Qdisc, QueueLimits, StrictPriorityQueue,
     };
-    pub use crate::shard::{partition_nodes, set_shards_for_process, shards_from_env, Partition};
+    pub use crate::shard::{partition_nodes, Partition};
     pub use crate::stats::{DelaySummary, FlowCounters, NetStats, TraceEntry, TraceKind};
     pub use crate::traffic::{CbrSource, CountingSink, OnOffSource, PoissonSource};
     pub use crate::wred::{drop_precedence, WredParams, WredQueue};

@@ -13,12 +13,16 @@
 //! computed once at build time by breadth-first search, so any connected
 //! topology works without manual route entry.
 //!
-//! Every handler is generic over a [`NetSink`] — the serial engine passes
-//! the plain [`EventQueue`], while the sharded engine (see [`crate::shard`])
-//! passes a per-domain sink that stamps events and routes cross-domain
-//! arrivals through boundary batches. The handlers themselves cannot tell
-//! the difference, which is what makes the two engines produce the same
-//! event sequence.
+//! An output port's "finished serializing" wake-up
+//! ([`NetEvent::PortReady`]) is dispatched only when a packet is waiting
+//! for it. Starting a transmission reserves the wake-up's sequence number
+//! in the event queue ([`EventQueue::reserve_seq`]) — exactly where
+//! scheduling it would have — and the port counts as busy while that
+//! reserved `(time, seq)` key is still ahead of the queue. The first
+//! packet that queues behind the transmission files the wake-up under the
+//! reserved key ([`EventQueue::schedule_reserved`]); a wake-up that would
+//! find the port's queue empty is never dispatched at all. Every other
+//! event keeps its exact delivery position (DESIGN.md §6b).
 
 use std::collections::VecDeque;
 
@@ -58,7 +62,9 @@ pub enum NetEvent {
         /// the wire.
         packet: PacketRef,
     },
-    /// An output port finished serializing its current packet.
+    /// An output port finished serializing its current packet and has
+    /// more queued. Filed under the sequence number reserved when the
+    /// transmission began, and only once a packet waits for the port.
     PortReady {
         /// Node owning the port.
         node: NodeId,
@@ -69,58 +75,17 @@ pub enum NetEvent {
     CondPoll(NodeId),
 }
 
-impl NetEvent {
-    /// The node an event is addressed to — the event's *location*, which
-    /// the sharded engine uses both to assign events to domains and to
-    /// stamp the events a dispatch schedules.
-    pub fn node(&self) -> NodeId {
-        match *self {
-            NetEvent::Start(node) | NetEvent::CondPoll(node) => node,
-            NetEvent::Timer { node, .. }
-            | NetEvent::Arrive { node, .. }
-            | NetEvent::PortReady { node, .. } => node,
-        }
-    }
-}
-
-/// Where the network handlers put the events (and boundary packets) they
-/// produce.
-///
-/// The serial engine's sink is the [`EventQueue`] itself: everything is
-/// local and `schedule` is a plain queue insert. The sharded engine's sink
-/// is a per-domain wrapper that stamps each event with a partition-
-/// independent [`dsv_sim::EventStamp`] and diverts packets crossing a
-/// domain boundary into an outbox ([`NetSink::send_remote`]) instead of
-/// the local queue.
-pub trait NetSink<P> {
-    /// Schedule `event` at absolute time `at`.
-    fn schedule(&mut self, at: SimTime, event: NetEvent);
-
-    /// Whether `node` is simulated by this sink's domain. The serial
-    /// engine owns every node.
-    fn is_local(&self, _node: NodeId) -> bool {
-        true
-    }
-
-    /// Hand off a packet whose next arrival happens at a node owned by
-    /// another domain. Only called when [`NetSink::is_local`] returned
-    /// `false` for `dst` — never on the serial path.
-    fn send_remote(&mut self, _at: SimTime, _dst: NodeId, _pkt: Packet<P>) {
-        unreachable!("this sink owns every node; send_remote has no meaning")
-    }
-}
-
-impl<P> NetSink<P> for EventQueue<NetEvent> {
-    fn schedule(&mut self, at: SimTime, event: NetEvent) {
-        EventQueue::schedule(self, at, event);
-    }
-}
-
 struct Port<P> {
     link: Link,
     peer: NodeId,
     qdisc: Box<dyn Qdisc<P> + Send>,
-    busy: bool,
+    /// End of the current (or last) transmission's serialization: when
+    /// the port's [`NetEvent::PortReady`] falls due.
+    free_at: SimTime,
+    /// Queue sequence number reserved for that `PortReady` when the
+    /// transmission began. While busy, the event is filed in the queue
+    /// iff `queued > 0`.
+    ready_seq: u64,
     /// Packets currently inside `qdisc`, mirrored here so the hot paths
     /// (is the port drained? can a packet pass straight through?) answer
     /// without a virtual call. Maintained by the only two call sites that
@@ -151,15 +116,13 @@ struct Node<P> {
     routes: Vec<Option<PortId>>,
 }
 
-/// An empty stand-in occupying a foreign node's slot in a domain network
-/// (and a split-out node's slot in the main network) so `NodeId` indexing
-/// stays global. Placeholders are never the target of an event.
-fn placeholder_node<P>() -> Node<P> {
-    Node {
-        kind: NodeKind::Router,
-        name: String::new(),
-        ports: Vec::new(),
-        routes: Vec::new(),
+impl<P> Port<P> {
+    /// Whether the port is still serializing: its `PortReady` key has not
+    /// been reached by the queue. (A never-used port's `(ZERO, 0)` key is
+    /// behind every dispatched event.)
+    #[inline]
+    fn busy(&self, queue: &EventQueue<NetEvent>) -> bool {
+        queue.is_ahead(self.free_at, self.ready_seq)
     }
 }
 
@@ -248,7 +211,8 @@ impl<P: Send + 'static> NetworkBuilder<P> {
             link: link_ab,
             peer: b,
             qdisc: qdisc_ab,
-            busy: false,
+            free_at: SimTime::ZERO,
+            ready_seq: 0,
             queued: 0,
             direct_cap: cap_ab,
             ser_memo: (0, SimDuration::ZERO),
@@ -257,7 +221,8 @@ impl<P: Send + 'static> NetworkBuilder<P> {
             link: link_ba,
             peer: a,
             qdisc: qdisc_ba,
-            busy: false,
+            free_at: SimTime::ZERO,
+            ready_seq: 0,
             queued: 0,
             direct_cap: cap_ba,
             ser_memo: (0, SimDuration::ZERO),
@@ -355,10 +320,11 @@ impl<P: Send + 'static> NetworkBuilder<P> {
             cond_poll_at: vec![None; node_count],
             stats: NetStats::new(),
             flow_next_id: Vec::new(),
-            // Streaming runs keep at most a few dozen packets on the wire
-            // at once (the in-flight high-water mark reported by
-            // `DSV_PROFILE=1` stays under ~32 across the paper's grids);
-            // pre-size so the pool never reallocates mid-run.
+            // Measured in-flight high-water marks (the benchmark's
+            // `net.pool_high_water`): 8 packets on the paper's QBone grid,
+            // 28 on the aggregate sweep, 165 on the AF-TCP runs. 64 covers
+            // the paper's grids without a mid-run grow; the deep TCP
+            // queues grow the pool a couple of times per run.
             pool: PacketPool::with_capacity(64),
             cmd_buf: Vec::with_capacity(8),
             #[cfg(feature = "audit")]
@@ -390,9 +356,8 @@ pub struct Network<P> {
     /// the run and read counters afterwards).
     pub stats: NetStats,
     /// Next packet id **per flow** (linear scan: a run has a handful of
-    /// flows). Per-flow numbering makes ids independent of how sends from
-    /// different flows interleave globally — the property that lets every
-    /// shard assign ids locally and still match the serial engine.
+    /// flows). Per-flow numbering keeps a flow's ids independent of how
+    /// sends from other flows interleave.
     flow_next_id: Vec<(FlowId, u64)>,
     /// In-flight packets, parked between transmission and arrival so the
     /// event queue carries only [`PacketRef`] handles.
@@ -450,9 +415,13 @@ impl<P: 'static> Network<P> {
         }
     }
 
-    fn dispatch_app<S, F>(&mut self, now: SimTime, node: NodeId, f: F, sink: &mut S)
-    where
-        S: NetSink<P>,
+    fn dispatch_app<F>(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        f: F,
+        queue: &mut EventQueue<NetEvent>,
+    ) where
         F: FnOnce(&mut dyn Application<P>, &mut AppCtx<P>),
     {
         let idx = node.0 as usize;
@@ -468,7 +437,7 @@ impl<P: 'static> Network<P> {
         for cmd in commands.drain(..) {
             match cmd {
                 AppCommand::SetTimer { delay, token } => {
-                    sink.schedule(now + delay, NetEvent::Timer { node, token });
+                    queue.schedule(now + delay, NetEvent::Timer { node, token });
                 }
                 AppCommand::Send(spec) => {
                     let id = self.next_packet_id(spec.flow);
@@ -488,14 +457,20 @@ impl<P: 'static> Network<P> {
                     #[cfg(feature = "audit")]
                     self.audit.on_sent(pkt.flow, pkt.id, pkt.size, node);
                     // Hosts have exactly one port (asserted at build).
-                    self.enqueue_on_port(now, node, PortId(0), pkt, sink);
+                    self.enqueue_on_port(now, node, PortId(0), pkt, queue);
                 }
             }
         }
         self.cmd_buf = commands;
     }
 
-    fn forward<S: NetSink<P>>(&mut self, now: SimTime, node: NodeId, pkt: Packet<P>, sink: &mut S) {
+    fn forward(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        pkt: Packet<P>,
+        queue: &mut EventQueue<NetEvent>,
+    ) {
         let idx = node.0 as usize;
         match self.nodes[idx]
             .routes
@@ -503,7 +478,7 @@ impl<P: 'static> Network<P> {
             .copied()
             .flatten()
         {
-            Some(port) => self.enqueue_on_port(now, node, port, pkt, sink),
+            Some(port) => self.enqueue_on_port(now, node, port, pkt, queue),
             None => {
                 self.stats
                     .on_dropped(now, pkt.flow, pkt.id, pkt.size, node, DropReason::NoRoute);
@@ -513,28 +488,37 @@ impl<P: 'static> Network<P> {
         }
     }
 
-    fn enqueue_on_port<S: NetSink<P>>(
+    fn enqueue_on_port(
         &mut self,
         now: SimTime,
         node: NodeId,
         port: PortId,
         pkt: Packet<P>,
-        sink: &mut S,
+        queue: &mut EventQueue<NetEvent>,
     ) {
         let idx = node.0 as usize;
         let p = &mut self.nodes[idx].ports[port.0 as usize];
+        let busy = p.busy(queue);
         // Idle port, discipline drained and willing: transmit straight
         // through — an enqueue followed by an immediate dequeue would hand
         // the same packet back, so skip both virtual calls.
-        if !p.busy && p.queued == 0 && pkt.size <= p.direct_cap {
-            self.begin_transmit(now, node, port, pkt, sink);
+        if !busy && p.queued == 0 && pkt.size <= p.direct_cap {
+            self.begin_transmit(now, node, port, pkt, queue);
             return;
         }
         match p.qdisc.enqueue(pkt) {
             Ok(()) => {
                 p.queued += 1;
-                if !p.busy {
-                    self.transmit_next(now, node, port, sink);
+                if !busy {
+                    self.transmit_next(now, node, port, queue);
+                } else if p.queued == 1 {
+                    // The first packet to wait behind this transmission:
+                    // file the port's wake-up under its reserved key.
+                    queue.schedule_reserved(
+                        p.free_at,
+                        p.ready_seq,
+                        NetEvent::PortReady { node, port },
+                    );
                 }
             }
             Err(pkt) => {
@@ -552,76 +536,95 @@ impl<P: 'static> Network<P> {
         }
     }
 
-    fn transmit_next<S: NetSink<P>>(
+    fn transmit_next(
         &mut self,
         now: SimTime,
         node: NodeId,
         port: PortId,
-        sink: &mut S,
+        queue: &mut EventQueue<NetEvent>,
     ) {
         let idx = node.0 as usize;
         let p = &mut self.nodes[idx].ports[port.0 as usize];
-        debug_assert!(!p.busy);
+        debug_assert!(!p.busy(queue));
         if p.queued == 0 {
             return;
         }
         if let Some(pkt) = p.qdisc.dequeue() {
             p.queued -= 1;
-            self.begin_transmit(now, node, port, pkt, sink);
+            self.begin_transmit(now, node, port, pkt, queue);
         }
     }
 
-    /// Put `pkt` on the wire out of an idle `port`: mark the port busy and
-    /// schedule its `PortReady` plus the peer's `Arrive` (in that order —
-    /// the event sequence every path through the port logic must produce).
-    fn begin_transmit<S: NetSink<P>>(
+    /// Occupy an idle `port` with a `size`-byte transmission starting at
+    /// `now`; returns the peer and the instant the packet fully arrives
+    /// there.
+    ///
+    /// The port's `PortReady` takes its sequence number here, exactly
+    /// where an eager `schedule` would, so no other event moves. It is
+    /// filed now if packets are already waiting, later by the first packet
+    /// that queues behind this transmission, or never: a wake-up that
+    /// would find the discipline empty has nothing to do, and the port's
+    /// busy state is read off the reserved key instead.
+    fn occupy(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        port: PortId,
+        size: u32,
+        queue: &mut EventQueue<NetEvent>,
+    ) -> (NodeId, SimTime) {
+        let p = &mut self.nodes[node.0 as usize].ports[port.0 as usize];
+        debug_assert!(!p.busy(queue));
+        let ser = if p.ser_memo.0 == size {
+            p.ser_memo.1
+        } else {
+            let ser = p.link.serialization(size);
+            p.ser_memo = (size, ser);
+            ser
+        };
+        p.free_at = now + ser;
+        p.ready_seq = queue.reserve_seq();
+        if p.queued > 0 {
+            queue.schedule_reserved(p.free_at, p.ready_seq, NetEvent::PortReady { node, port });
+        }
+        (p.peer, p.free_at + p.link.propagation)
+    }
+
+    /// Put `pkt` on the wire out of an idle `port`: occupy the port, then
+    /// schedule the peer's `Arrive` (after the port's reserved `PortReady`
+    /// — the sequence every path through the port logic must produce).
+    fn begin_transmit(
         &mut self,
         now: SimTime,
         node: NodeId,
         port: PortId,
         pkt: Packet<P>,
-        sink: &mut S,
+        queue: &mut EventQueue<NetEvent>,
     ) {
         #[cfg(feature = "audit")]
         self.audit
             .on_transmit(now, node, port, pkt.flow, pkt.id, pkt.size);
-        let p = &mut self.nodes[node.0 as usize].ports[port.0 as usize];
-        debug_assert!(!p.busy);
-        p.busy = true;
-        let ser = if p.ser_memo.0 == pkt.size {
-            p.ser_memo.1
-        } else {
-            let ser = p.link.serialization(pkt.size);
-            p.ser_memo = (pkt.size, ser);
-            ser
-        };
-        let arrive = now + ser + p.link.propagation;
-        let peer = p.peer;
-        sink.schedule(now + ser, NetEvent::PortReady { node, port });
-        if sink.is_local(peer) {
-            sink.schedule(
-                arrive,
-                NetEvent::Arrive {
-                    node: peer,
-                    packet: self.pool.insert(pkt),
-                },
-            );
-        } else {
-            sink.send_remote(arrive, peer, pkt);
-        }
+        let (peer, arrive) = self.occupy(now, node, port, pkt.size, queue);
+        queue.schedule(
+            arrive,
+            NetEvent::Arrive {
+                node: peer,
+                packet: self.pool.insert(pkt),
+            },
+        );
     }
 
     /// Like [`Network::begin_transmit`], but for a packet that never left
     /// the pool: the same [`PacketRef`] rides the next `Arrive`, so a
     /// router hop moves a handle instead of the packet body.
-    fn relay_transmit<S: NetSink<P>>(
+    fn relay_transmit(
         &mut self,
         now: SimTime,
         node: NodeId,
         port: PortId,
         size: u32,
         packet: PacketRef,
-        sink: &mut S,
+        queue: &mut EventQueue<NetEvent>,
     ) {
         #[cfg(feature = "audit")]
         if self.audit.enabled() {
@@ -631,27 +634,8 @@ impl<P: 'static> Network<P> {
             };
             self.audit.on_transmit(now, node, port, flow, id, size);
         }
-        let p = &mut self.nodes[node.0 as usize].ports[port.0 as usize];
-        debug_assert!(!p.busy);
-        p.busy = true;
-        let ser = if p.ser_memo.0 == size {
-            p.ser_memo.1
-        } else {
-            let ser = p.link.serialization(size);
-            p.ser_memo = (size, ser);
-            ser
-        };
-        let arrive = now + ser + p.link.propagation;
-        let peer = p.peer;
-        sink.schedule(now + ser, NetEvent::PortReady { node, port });
-        if sink.is_local(peer) {
-            sink.schedule(arrive, NetEvent::Arrive { node: peer, packet });
-        } else {
-            // The relayed packet leaves this domain's pool and crosses the
-            // boundary by value; the receiving domain re-parks it.
-            let pkt = self.pool.take(packet);
-            sink.send_remote(arrive, peer, pkt);
-        }
+        let (peer, arrive) = self.occupy(now, node, port, size, queue);
+        queue.schedule(arrive, NetEvent::Arrive { node: peer, packet });
     }
 
     /// Peak number of simultaneously in-flight packets observed so far
@@ -666,10 +650,11 @@ impl<P: 'static> Network<P> {
     }
 
     /// Every directed link as `(min(a, b), max(a, b), propagation delay)`
-    /// — the weighted graph the sharded engine partitions. Each physical
-    /// link contributes one entry per direction; the partitioner treats
-    /// them as parallel edges and takes the minimum crossing weight, so
-    /// asymmetric propagation delays are handled conservatively.
+    /// — the weighted graph [`crate::shard::partition_nodes`] cuts. Each
+    /// physical link contributes one entry per direction; the partitioner
+    /// treats them as parallel edges and takes the minimum crossing
+    /// weight, so asymmetric propagation delays are handled
+    /// conservatively.
     pub fn link_edges(&self) -> Vec<(u32, u32, SimDuration)> {
         let mut edges = Vec::new();
         for (i, node) in self.nodes.iter().enumerate() {
@@ -680,85 +665,6 @@ impl<P: 'static> Network<P> {
             }
         }
         edges
-    }
-
-    /// The in-flight packet pool (sharded engine: boundary handoff and
-    /// leftover-event reassembly move packets between domain pools).
-    pub(crate) fn pool_mut(&mut self) -> &mut PacketPool<P> {
-        &mut self.pool
-    }
-
-    /// Carve the network into `k` per-domain networks, moving each node
-    /// (with its application and conditioner) into the network of the
-    /// domain that owns it. Every domain network keeps full-length,
-    /// globally-indexed vectors with placeholders in foreign slots, so
-    /// `NodeId`s stay valid everywhere. The main network is left hollow
-    /// until [`Network::absorb_domain`] moves everything back.
-    pub(crate) fn split_domains(&mut self, domain_of: &[u32], k: usize) -> Vec<Network<P>> {
-        let n = self.nodes.len();
-        debug_assert_eq!(domain_of.len(), n);
-        let mut out = Vec::with_capacity(k);
-        for d in 0..k as u32 {
-            let mut nodes = Vec::with_capacity(n);
-            let mut apps = Vec::with_capacity(n);
-            let mut conditioners = Vec::with_capacity(n);
-            for (i, &owner) in domain_of.iter().enumerate() {
-                if owner == d {
-                    nodes.push(std::mem::replace(&mut self.nodes[i], placeholder_node()));
-                    apps.push(self.apps[i].take());
-                    conditioners.push(self.conditioners[i].take());
-                } else {
-                    nodes.push(placeholder_node());
-                    apps.push(None);
-                    conditioners.push(None);
-                }
-            }
-            out.push(Network {
-                nodes,
-                apps,
-                conditioners,
-                cond_poll_at: self.cond_poll_at.clone(),
-                stats: self.stats.fork_registrations(),
-                flow_next_id: self.flow_next_id.clone(),
-                pool: PacketPool::with_capacity(64),
-                cmd_buf: Vec::with_capacity(8),
-                #[cfg(feature = "audit")]
-                audit: self.audit.fork_domain(),
-            });
-        }
-        out
-    }
-
-    /// Reabsorb one domain network after a sharded run: move its owned
-    /// nodes (with all queued packets and conditioner backlog) back into
-    /// place and fold its statistics and audit ledger into the main ones.
-    /// The domain's pool must already be drained (leftover `Arrive`
-    /// packets are transferred during queue reassembly, before this call).
-    pub(crate) fn absorb_domain(&mut self, mut dom: Network<P>, domain: u32, domain_of: &[u32]) {
-        debug_assert_eq!(
-            dom.pool.live(),
-            0,
-            "domain pool must be drained before absorbing"
-        );
-        for (i, &owner) in domain_of.iter().enumerate() {
-            if owner != domain {
-                continue;
-            }
-            self.nodes[i] = std::mem::replace(&mut dom.nodes[i], placeholder_node());
-            self.apps[i] = dom.apps[i].take();
-            self.conditioners[i] = dom.conditioners[i].take();
-            self.cond_poll_at[i] = dom.cond_poll_at[i];
-        }
-        for (flow, next) in dom.flow_next_id {
-            match self.flow_next_id.iter_mut().find(|(f, _)| *f == flow) {
-                Some((_, mine)) => *mine = (*mine).max(next),
-                None => self.flow_next_id.push((flow, next)),
-            }
-        }
-        self.stats.merge_from(dom.stats);
-        self.pool.absorb_high_water(dom.pool.high_water());
-        #[cfg(feature = "audit")]
-        self.audit.merge_from(dom.audit);
     }
 
     /// A packet arrived at a router: condition it, route it, and move it
@@ -772,12 +678,12 @@ impl<P: 'static> Network<P> {
     /// drops, busy ports, full queues) lifts the packet out and follows
     /// the classic store-and-forward path, producing the identical event
     /// sequence it always has.
-    fn router_arrive<S: NetSink<P>>(
+    fn router_arrive(
         &mut self,
         now: SimTime,
         node: NodeId,
         packet: PacketRef,
-        sink: &mut S,
+        queue: &mut EventQueue<NetEvent>,
     ) {
         let idx = node.0 as usize;
         let verdict = match self.conditioners[idx].as_mut() {
@@ -798,11 +704,11 @@ impl<P: 'static> Network<P> {
                 {
                     Some(port) => {
                         let p = &self.nodes[idx].ports[port.0 as usize];
-                        if !p.busy && p.queued == 0 && size <= p.direct_cap {
-                            self.relay_transmit(now, node, port, size, packet, sink);
+                        if !p.busy(queue) && p.queued == 0 && size <= p.direct_cap {
+                            self.relay_transmit(now, node, port, size, packet, queue);
                         } else {
                             let pkt = self.pool.take(packet);
-                            self.enqueue_on_port(now, node, port, pkt, sink);
+                            self.enqueue_on_port(now, node, port, pkt, queue);
                         }
                     }
                     None => {
@@ -829,24 +735,24 @@ impl<P: 'static> Network<P> {
             }
             QuickVerdict::NeedsSubmit => {
                 let pkt = self.pool.take(packet);
-                self.condition_and_forward(now, node, pkt, sink);
+                self.condition_and_forward(now, node, pkt, queue);
             }
         }
     }
 
-    fn condition_and_forward<S: NetSink<P>>(
+    fn condition_and_forward(
         &mut self,
         now: SimTime,
         node: NodeId,
         pkt: Packet<P>,
-        sink: &mut S,
+        queue: &mut EventQueue<NetEvent>,
     ) {
         let idx = node.0 as usize;
         if let Some(mut cond) = self.conditioners[idx].take() {
             let outcome = cond.submit(now, pkt);
             self.conditioners[idx] = Some(cond);
             match outcome {
-                ConditionOutcome::Pass(pkt) => self.forward(now, node, pkt, sink),
+                ConditionOutcome::Pass(pkt) => self.forward(now, node, pkt, queue),
                 ConditionOutcome::Drop(pkt, reason) => {
                     self.stats
                         .on_dropped(now, pkt.flow, pkt.id, pkt.size, node, reason);
@@ -854,29 +760,29 @@ impl<P: 'static> Network<P> {
                     self.audit.on_dropped(pkt.flow, pkt.id, pkt.size, node);
                 }
                 ConditionOutcome::Absorbed { poll_at } => {
-                    self.schedule_cond_poll(node, poll_at.max(now), sink);
+                    self.schedule_cond_poll(node, poll_at.max(now), queue);
                 }
             }
         } else {
-            self.forward(now, node, pkt, sink);
+            self.forward(now, node, pkt, queue);
         }
     }
 
     /// Request a conditioner poll at `at`, skipping the event if an earlier
     /// (or equal) poll is already pending — that one will observe the same
     /// queue head and reschedule as needed.
-    fn schedule_cond_poll<S: NetSink<P>>(&mut self, node: NodeId, at: SimTime, sink: &mut S) {
+    fn schedule_cond_poll(&mut self, node: NodeId, at: SimTime, queue: &mut EventQueue<NetEvent>) {
         let slot = &mut self.cond_poll_at[node.0 as usize];
         match slot {
             Some(pending) if *pending <= at => {}
             _ => {
                 *slot = Some(at);
-                sink.schedule(at, NetEvent::CondPoll(node));
+                queue.schedule(at, NetEvent::CondPoll(node));
             }
         }
     }
 
-    fn poll_conditioner<S: NetSink<P>>(&mut self, now: SimTime, node: NodeId, sink: &mut S) {
+    fn poll_conditioner(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<NetEvent>) {
         let idx = node.0 as usize;
         // This firing satisfies the pending request (if it is the one we
         // tracked); later requests re-arm via `schedule_cond_poll`.
@@ -887,10 +793,10 @@ impl<P: 'static> Network<P> {
             let released = cond.release(now);
             self.conditioners[idx] = Some(cond);
             for pkt in released.packets {
-                self.forward(now, node, pkt, sink);
+                self.forward(now, node, pkt, queue);
             }
             if let Some(next) = released.next_poll {
-                self.schedule_cond_poll(node, next.max(now), sink);
+                self.schedule_cond_poll(node, next.max(now), queue);
             }
         }
     }
@@ -931,32 +837,27 @@ impl<P: 'static> Network<P> {
     }
 }
 
-impl<P: 'static> Network<P> {
-    /// Dispatch one event through any [`NetSink`] — the single handler
-    /// shared by the serial engine ([`World::handle`] passes the event
-    /// queue) and the sharded engine (a per-domain stamping sink).
-    pub fn handle_event<S: NetSink<P>>(&mut self, now: SimTime, event: NetEvent, sink: &mut S) {
+impl<P: 'static> World for Network<P> {
+    type Event = NetEvent;
+
+    fn handle(&mut self, now: SimTime, event: NetEvent, queue: &mut EventQueue<NetEvent>) {
         #[cfg(feature = "audit")]
         self.audit.on_event(now);
         match event {
             NetEvent::Start(node) => {
-                self.dispatch_app(now, node, |app, ctx| app.on_start(ctx), sink);
+                self.dispatch_app(now, node, |app, ctx| app.on_start(ctx), queue);
             }
             NetEvent::Timer { node, token } => {
-                self.dispatch_app(now, node, |app, ctx| app.on_timer(ctx, token), sink);
+                self.dispatch_app(now, node, |app, ctx| app.on_timer(ctx, token), queue);
             }
-            NetEvent::PortReady { node, port } => {
-                let p = &mut self.nodes[node.0 as usize].ports[port.0 as usize];
-                p.busy = false;
-                self.transmit_next(now, node, port, sink);
-            }
-            NetEvent::CondPoll(node) => self.poll_conditioner(now, node, sink),
+            NetEvent::PortReady { node, port } => self.transmit_next(now, node, port, queue),
+            NetEvent::CondPoll(node) => self.poll_conditioner(now, node, queue),
             NetEvent::Arrive { node, packet } => {
                 let idx = node.0 as usize;
                 #[cfg(feature = "audit")]
                 self.audit.on_arrive(node);
                 match self.nodes[idx].kind {
-                    NodeKind::Router => self.router_arrive(now, node, packet, sink),
+                    NodeKind::Router => self.router_arrive(now, node, packet, queue),
                     NodeKind::Host { .. } => {
                         let packet = self.pool.take(packet);
                         if packet.dst == node {
@@ -976,7 +877,7 @@ impl<P: 'static> Network<P> {
                                 now,
                                 node,
                                 |app, ctx| app.on_packet(ctx, packet),
-                                sink,
+                                queue,
                             );
                         } else {
                             // A packet washed up at the wrong host: surface
@@ -1001,14 +902,6 @@ impl<P: 'static> Network<P> {
     }
 }
 
-impl<P: 'static> World for Network<P> {
-    type Event = NetEvent;
-
-    fn handle(&mut self, now: SimTime, event: NetEvent, queue: &mut EventQueue<NetEvent>) {
-        self.handle_event(now, event, queue);
-    }
-}
-
 /// A network bundled with its event queue: the convenient top-level runner.
 pub struct Simulation<P> {
     /// The network world.
@@ -1020,9 +913,10 @@ pub struct Simulation<P> {
 impl<P: Send + 'static> Simulation<P> {
     /// Wrap a built network and schedule host start events.
     pub fn new(net: Network<P>) -> Self {
-        // The paper's grids keep only a few dozen events pending (the
-        // queue high-water mark reported by `DSV_PROFILE=1`); the
-        // capacity covers bursty topologies without a mid-run grow.
+        // Measured pending-event high-water marks (the benchmark's
+        // `sim.queue_high_water`): 10 on the paper's QBone grid, 44 on the
+        // aggregate sweep, 569 on the AF-TCP runs. The capacity covers
+        // all of them without a mid-run grow.
         let mut queue = EventQueue::with_capacity(4096);
         net.schedule_starts(&mut queue);
         Simulation { net, queue }
@@ -1034,20 +928,7 @@ impl<P: Send + 'static> Simulation<P> {
     }
 
     /// Run until `horizon` (inclusive).
-    ///
-    /// With `DSV_SHARDS` > 1 (and a topology that yields a safe parallel
-    /// window) the run is delegated to the sharded engine; otherwise —
-    /// and always by default — the serial dispatch loop runs. Both paths
-    /// produce the same statistics and post-run state.
     pub fn run_until(&mut self, horizon: SimTime) -> dsv_sim::engine::RunStats {
-        let shards = crate::shard::shards_from_env();
-        if shards > 1 {
-            if let Some(stats) =
-                crate::shard::run_sharded(&mut self.net, &mut self.queue, horizon, shards)
-            {
-                return stats;
-            }
-        }
         dsv_sim::run_until(&mut self.net, &mut self.queue, horizon)
     }
 
@@ -1307,5 +1188,197 @@ mod tests {
         assert_eq!(c.tx_packets, 3);
         sim.run();
         assert_eq!(sim.net.stats.flow(FlowId(1)).tx_packets, 10);
+    }
+
+    /// Sends `count` packets of 1000 bytes the moment it starts.
+    struct Burst {
+        dst: NodeId,
+        flow: FlowId,
+        count: u32,
+    }
+
+    impl Application<()> for Burst {
+        fn on_start(&mut self, ctx: &mut AppCtx<()>) {
+            for _ in 0..self.count {
+                ctx.send(SendSpec {
+                    dst: self.dst,
+                    flow: self.flow,
+                    size: 1000,
+                    dscp: Dscp::BEST_EFFORT,
+                    proto: Proto::Udp,
+                    fragment: None,
+                    payload: (),
+                });
+            }
+        }
+        fn on_packet(&mut self, _ctx: &mut AppCtx<()>, _pkt: Packet<()>) {}
+        fn on_timer(&mut self, _ctx: &mut AppCtx<()>, _token: u64) {}
+    }
+
+    /// A FIFO that counts the packets it is asked to hold, telling a
+    /// packet that queued apart from one that passed straight through.
+    struct CountingFifo {
+        inner: DropTailQueue<()>,
+        enqueued: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Qdisc<()> for CountingFifo {
+        fn enqueue(&mut self, pkt: Packet<()>) -> Result<(), Packet<()>> {
+            self.enqueued
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.enqueue(pkt)
+        }
+        fn dequeue(&mut self) -> Option<Packet<()>> {
+            self.inner.dequeue()
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn bytes(&self) -> u64 {
+            self.inner.bytes()
+        }
+        fn direct_admit_cap(&self) -> u32 {
+            u32::MAX
+        }
+    }
+
+    /// Hosts `a1` and `a2` send 1000-byte packets (flows 1 and 2) to `rx`
+    /// through router `r`, whose 8 Mbps counting port toward `rx` takes
+    /// 1 ms per packet. `a1` sends one packet at 0 over an 8 Mbps link, so
+    /// `r` serializes it from 1 ms to 2 ms; `a2` sends `a2_count` packets
+    /// at `a2_start` over an 80 Mbps link (100 µs each) with propagation
+    /// `a2_prop`. Returns the simulation and the port's enqueue counter.
+    fn tie_net(
+        a2_start: SimTime,
+        a2_prop: SimDuration,
+        a2_count: u32,
+    ) -> (
+        Simulation<()>,
+        std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    ) {
+        let mut b = NetworkBuilder::new();
+        let rx = b.add_host("rx", Box::new(Recorder::default()));
+        let r = b.add_router("r");
+        let a1 = b.add_host(
+            "a1",
+            Box::new(Burst {
+                dst: rx,
+                flow: FlowId(1),
+                count: 1,
+            }),
+        );
+        let a2 = b.add_host_starting(
+            "a2",
+            Box::new(Burst {
+                dst: rx,
+                flow: FlowId(2),
+                count: a2_count,
+            }),
+            a2_start,
+        );
+        let enqueued = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let link = Link::new(8_000_000, SimDuration::ZERO);
+        b.connect(a1, r, link);
+        b.connect(a2, r, Link::new(80_000_000, a2_prop));
+        b.connect_with(
+            r,
+            rx,
+            link,
+            link,
+            Box::new(CountingFifo {
+                inner: DropTailQueue::new(QueueLimits::UNBOUNDED),
+                enqueued: enqueued.clone(),
+            }),
+            Box::new(DropTailQueue::new(QueueLimits::UNBOUNDED)),
+        );
+        let mut net = b.build();
+        net.stats.trace_flow(FlowId(1));
+        net.stats.trace_flow(FlowId(2));
+        (Simulation::new(net), enqueued)
+    }
+
+    fn delivered_at(sim: &Simulation<()>, flow: FlowId) -> Vec<SimTime> {
+        sim.net
+            .stats
+            .trace_of(flow)
+            .expect("flow traced")
+            .iter()
+            .filter(|e| e.kind == crate::stats::TraceKind::Delivered)
+            .map(|e| e.at)
+            .collect()
+    }
+
+    fn enqueues(counter: &std::sync::atomic::AtomicUsize) -> usize {
+        counter.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    #[test]
+    fn arrival_at_a_ports_free_instant_queues_only_if_scheduled_first() {
+        let ms = SimTime::from_millis;
+        // `a2`'s packet reaches `r` at exactly 2 ms, the instant `r`'s
+        // port frees. Sent at 0, its arrival was scheduled before the
+        // transmission began at 1 ms, so it sorts ahead of the port's
+        // wake-up, finds the port busy and queues.
+        let (mut before, counter) = tie_net(SimTime::ZERO, SimDuration::from_micros(1_900), 1);
+        before.run();
+        assert_eq!(enqueues(&counter), 1, "scheduled first: queues");
+        // Sent at 1.5 ms, its arrival sorts after the wake-up: the port is
+        // already idle and the packet passes straight through.
+        let (mut after, counter) = tie_net(
+            SimTime::from_micros(1_500),
+            SimDuration::from_micros(400),
+            1,
+        );
+        after.run();
+        assert_eq!(enqueues(&counter), 0, "scheduled after: passes through");
+        // Either way it leaves at 2 ms and is delivered at 3 ms.
+        for sim in [&before, &after] {
+            assert_eq!(delivered_at(sim, FlowId(1)), vec![ms(2)]);
+            assert_eq!(delivered_at(sim, FlowId(2)), vec![ms(3)]);
+        }
+    }
+
+    #[test]
+    fn burst_queues_behind_a_reserved_port_ready() {
+        let ms = SimTime::from_millis;
+        // `a2`'s three packets reach `r` at 1.3, 1.4 and 1.5 ms, while `r`
+        // serializes `a1`'s packet and its wake-up is only reserved. The
+        // first files the wake-up; all three leave back to back from 2 ms.
+        let (mut sim, counter) = tie_net(SimTime::from_micros(1_200), SimDuration::ZERO, 3);
+        let stats = sim.run();
+        assert_eq!(enqueues(&counter), 3);
+        assert_eq!(delivered_at(&sim, FlowId(1)), vec![ms(2)]);
+        assert_eq!(delivered_at(&sim, FlowId(2)), vec![ms(3), ms(4), ms(5)]);
+        // 3 starts + 8 arrivals + 5 wake-ups that found a packet waiting
+        // (two at `a2`'s own port, three at `r`'s). The three transmissions
+        // that left their port's queue empty dispatch no wake-up.
+        assert_eq!(stats.dispatched, 16);
+    }
+
+    #[test]
+    fn horizon_stop_with_a_reserved_port_ready_resumes_exactly() {
+        let burst = || tie_net(SimTime::from_micros(1_200), SimDuration::ZERO, 3);
+        let (mut whole, _) = burst();
+        let uninterrupted = whole.run();
+
+        // Stop at 1.1 ms: `r` is mid-transmission with its wake-up
+        // reserved but not filed, so only `a2`'s start and the arrival at
+        // `rx` are pending.
+        let (mut split, counter) = burst();
+        let first = split.run_until(SimTime::from_micros(1_100));
+        assert!(first.hit_horizon);
+        assert_eq!(split.queue.len(), 2);
+        let rest = split.run();
+
+        assert_eq!(first.dispatched + rest.dispatched, uninterrupted.dispatched);
+        assert_eq!(rest.end_time, uninterrupted.end_time);
+        assert_eq!(enqueues(&counter), 3);
+        for flow in [FlowId(1), FlowId(2)] {
+            assert_eq!(delivered_at(&split, flow), delivered_at(&whole, flow));
+            assert_eq!(
+                split.net.stats.flow(flow).delay.mean(),
+                whole.net.stats.flow(flow).delay.mean()
+            );
+        }
     }
 }

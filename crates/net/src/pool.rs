@@ -17,7 +17,7 @@
 //! The generation counter does **not** wrap: a slot whose counter reaches
 //! `u32::MAX` is retired (never returned to the free list), so no two
 //! refs to the same slot are ever issued with the same generation — even
-//! across the 2^32 recycle cycles a long sharded run can accumulate. The
+//! across the 2^32 recycle cycles a long run can accumulate. The
 //! cost is one leaked slot per 2^32 takes, which is unreachable as a
 //! memory concern long before it is reachable as a correctness one.
 
@@ -135,15 +135,6 @@ impl<P> PacketPool<P> {
     /// high-water mark that sizes [`PacketPool::with_capacity`].
     pub fn high_water(&self) -> usize {
         self.high_water
-    }
-
-    /// Fold another pool's peak into this one's high-water mark — used
-    /// when per-domain pools are merged back after a sharded run so the
-    /// profile report reflects the true in-flight peak.
-    pub(crate) fn absorb_high_water(&mut self, peak: usize) {
-        if peak > self.high_water {
-            self.high_water = peak;
-        }
     }
 
     /// Test hook: age a slot's generation counter to `gen`, returning the

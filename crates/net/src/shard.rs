@@ -1,74 +1,21 @@
-//! Conservative parallel execution: partition the network into domains at
-//! link boundaries and run each domain on its own thread.
-//!
-//! ## Why this is safe
+//! Shard planning: where a topology splits into link-separated domains,
+//! and how much lookahead the cut leaves.
 //!
 //! The only way one node influences another is a packet crossing a link,
 //! and a link imposes a propagation delay. Cut the topology into domains
 //! and let `W` be the minimum propagation delay over all *cut* links: an
-//! event dispatched at time `t` in one domain cannot cause an event before
-//! `t + W` in any other. So all domains may advance in lockstep windows of
-//! width `W` — from the global minimum pending time `m` up to and
-//! including `m + W − 1 ns` — with no communication at all inside a
-//! window. Packets that cross a domain boundary are exchanged in batches
-//! between windows; by construction they arrive at `≥ m + W`, strictly
-//! after the window both sides just executed.
+//! event at time `t` in one domain cannot cause an event before `t + W`
+//! in any other. `W` is the window in which conservative parallel
+//! execution could advance the domains without talking to each other.
 //!
-//! ## Why it is deterministic
-//!
-//! Same-instant ties are broken by [`EventStamp`]s — pure functions of the
-//! scheduling *decision* (its virtual instant, the deciding node, that
-//! node's decision counter), not of any queue's global state. Packet ids
-//! are issued per flow by the sending node, so they too are independent of
-//! how the network is carved up. Any shard count and any domain-to-thread
-//! assignment therefore dispatches the same events at the same times with
-//! the same tie order; the serial-equivalence gate in `ci.sh` additionally
-//! regenerates every committed result under `DSV_SHARDS=2` and diffs
-//! byte-for-byte against the serial engine's output.
-//!
-//! ## Selection
-//!
-//! The serial engine remains the default. `DSV_SHARDS=k` (or
-//! [`set_shards_for_process`]) requests `k` domains; the request quietly
-//! falls back to serial when the topology cannot be cut (fewer nodes than
-//! shards, no cut with a positive window) or when the run is not pristine
-//! (a second `run_for` segment resumes leftover events serially).
+//! [`partition_nodes`] finds a `k`-way cut whose window is as wide as a
+//! greedy merge can make it. It is analysis only: the simulator runs
+//! every network on one serial engine, because on the committed
+//! topologies a lockstep window holds only a handful of events.
+//! `dsv_scenario::shard_plan` answers the same question on a scenario
+//! spec, without compiling it.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, Once, OnceLock};
-
-use dsv_sim::engine::RunStats;
-use dsv_sim::{EventQueue, EventStamp, SimDuration, SimTime, StampedQueue};
-
-use crate::network::{NetEvent, NetSink, Network};
-use crate::packet::{NodeId, Packet};
-
-/// Process-wide shard-count override (0 = unset, read `DSV_SHARDS`).
-static SHARDS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Override the shard count for this process, taking precedence over
-/// `DSV_SHARDS`. Pass `0` to clear the override. Metamorphic tests use
-/// this to vary the shard count without touching the environment.
-pub fn set_shards_for_process(n: usize) {
-    SHARDS_OVERRIDE.store(n, Ordering::SeqCst);
-}
-
-/// The requested shard count: the process override if set, else
-/// `DSV_SHARDS`, else 1 (serial). `0`, empty, or garbage values of
-/// `DSV_SHARDS` fall back to 1 with a warning on stderr.
-///
-/// The environment value is read and validated once per process (this is
-/// consulted on every `run_until`, and a sweep would otherwise repeat
-/// the garbage-value warning per point); [`set_shards_for_process`]
-/// bypasses the cache, so tests vary the count without the environment.
-pub fn shards_from_env() -> usize {
-    let o = SHARDS_OVERRIDE.load(Ordering::SeqCst);
-    if o > 0 {
-        return o;
-    }
-    static FROM_ENV: OnceLock<usize> = OnceLock::new();
-    *FROM_ENV.get_or_init(|| dsv_sim::env::count_from_env("DSV_SHARDS", 1))
-}
+use dsv_sim::SimDuration;
 
 /// A computed domain decomposition of a topology.
 #[derive(Debug, Clone)]
@@ -79,7 +26,7 @@ pub struct Partition {
     pub domain_of: Vec<u32>,
     /// Number of domains.
     pub domains: usize,
-    /// The safe lockstep window: the minimum propagation delay across all
+    /// The lookahead window: the minimum propagation delay across all
     /// cut links. Always positive.
     pub window: SimDuration,
     /// Number of directed cut edges (diagnostics).
@@ -97,14 +44,17 @@ fn find(parent: &mut [u32], mut x: u32) -> u32 {
 }
 
 /// Partition `n` nodes into `k` domains so that the minimum propagation
-/// delay across cut links — the parallel window — is as large as the
+/// delay across cut links — the lookahead window — is as large as the
 /// greedy merge can make it: edges are merged in ascending weight order
 /// (Kruskal-style) until exactly `k` components remain, which keeps the
 /// *small*-delay links internal and leaves the large-delay links as cuts.
 ///
+/// `edges` lists `(min(a, b), max(a, b), propagation delay)` per directed
+/// link, as [`crate::network::Network::link_edges`] reports them.
+///
 /// Returns `None` when no usable partition exists: `k < 2`, fewer nodes
 /// than domains, a disconnected residue, or a cut whose window is zero
-/// (a zero-propagation cut link admits no safe parallel window).
+/// (a zero-propagation cut link leaves no lookahead).
 pub fn partition_nodes(n: usize, edges: &[(u32, u32, SimDuration)], k: usize) -> Option<Partition> {
     if k < 2 || n < k {
         return None;
@@ -161,450 +111,9 @@ pub fn partition_nodes(n: usize, edges: &[(u32, u32, SimDuration)], k: usize) ->
     })
 }
 
-/// A packet crossing a domain boundary, carrying the stamp its scheduling
-/// decision earned in the sending domain.
-struct BoundaryMsg<P> {
-    at: SimTime,
-    stamp: EventStamp,
-    dst: NodeId,
-    pkt: Packet<P>,
-}
-
-/// The per-domain [`NetSink`]: stamps every scheduling decision with a
-/// partition-independent [`EventStamp`] and diverts boundary-crossing
-/// packets into per-destination outboxes.
-struct DomainSink<'a, P> {
-    queue: StampedQueue<NetEvent>,
-    domain_of: &'a [u32],
-    me: u32,
-    /// Per-node decision counters, globally indexed. Only this domain's
-    /// nodes ever advance theirs, so counters are identical under every
-    /// partitioning.
-    origin_seq: Vec<u64>,
-    /// Stamp context of the event currently being dispatched: the node it
-    /// was addressed to, and its dispatch instant + 1 ns.
-    cur_origin: u32,
-    cur_sched: u64,
-    /// One outbox per destination domain.
-    outbox: Vec<Vec<BoundaryMsg<P>>>,
-}
-
-impl<P> DomainSink<'_, P> {
-    fn stamp(&mut self) -> EventStamp {
-        let seq = &mut self.origin_seq[self.cur_origin as usize];
-        let s = EventStamp {
-            sched: self.cur_sched,
-            origin: self.cur_origin,
-            origin_seq: *seq,
-        };
-        *seq += 1;
-        s
-    }
-}
-
-impl<P> NetSink<P> for DomainSink<'_, P> {
-    fn schedule(&mut self, at: SimTime, event: NetEvent) {
-        let stamp = self.stamp();
-        self.queue.schedule(at, stamp, event);
-    }
-
-    fn is_local(&self, node: NodeId) -> bool {
-        self.domain_of[node.0 as usize] == self.me
-    }
-
-    fn send_remote(&mut self, at: SimTime, dst: NodeId, pkt: Packet<P>) {
-        let stamp = self.stamp();
-        let dest = self.domain_of[dst.0 as usize] as usize;
-        self.outbox[dest].push(BoundaryMsg {
-            at,
-            stamp,
-            dst,
-            pkt,
-        });
-    }
-}
-
-/// An event left pending when the run stopped at its horizon. `Arrive`
-/// events carry their packet by value — the per-domain pools are torn
-/// down with their domains, so the packet rides along and is re-parked in
-/// the main pool during reassembly.
-enum Left<P> {
-    Ev(NetEvent),
-    Arr(NodeId, Packet<P>),
-}
-
-/// What a domain worker hands back when the run is over.
-struct DomainOutcome<P> {
-    net: Network<P>,
-    dispatched: u64,
-    end_time: SimTime,
-    audit_events: u64,
-    leftovers: Vec<(SimTime, EventStamp, Left<P>)>,
-}
-
-fn warn_fallback(reason: &str) {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        eprintln!("warning: DSV_SHARDS requested but {reason}; running the serial engine");
-    });
-}
-
-/// A reusable rendezvous like [`std::sync::Barrier`], but panic-aware.
-///
-/// `std::sync::Barrier` has no poisoning: if one lockstep worker dies
-/// mid-round, its peers sleep forever at a rendezvous that can no longer
-/// complete, and the whole run presents as a silent deadlock with the
-/// original panic message unread. Here a dying worker [`poison`]s the
-/// barrier (via [`PoisonOnPanic`]), which releases every current waiter
-/// and makes every future `wait` panic immediately — the engine fails
-/// loudly with the root cause on stderr instead of hanging.
-///
-/// [`poison`]: DomainBarrier::poison
-struct DomainBarrier {
-    state: Mutex<BarrierState>,
-    cv: Condvar,
-    n: usize,
-    failed: AtomicBool,
-}
-
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-}
-
-impl DomainBarrier {
-    fn new(n: usize) -> Self {
-        DomainBarrier {
-            state: Mutex::new(BarrierState {
-                arrived: 0,
-                generation: 0,
-            }),
-            cv: Condvar::new(),
-            n,
-            failed: AtomicBool::new(false),
-        }
-    }
-
-    /// Block until all `n` workers arrive.
-    ///
-    /// # Panics
-    /// Panics if the barrier is poisoned — whether before this call or
-    /// while waiting — because a missing peer means the rendezvous can
-    /// never complete.
-    fn wait(&self) {
-        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if self.failed.load(Ordering::SeqCst) {
-            drop(s);
-            panic!("a peer domain worker panicked; lockstep cannot continue");
-        }
-        if s.arrived + 1 == self.n {
-            s.arrived = 0;
-            s.generation += 1;
-            drop(s);
-            self.cv.notify_all();
-            return;
-        }
-        s.arrived += 1;
-        let gen = s.generation;
-        while s.generation == gen && !self.failed.load(Ordering::SeqCst) {
-            s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
-        }
-        // A generation bump means the round completed (a poison racing in
-        // after completion is caught at the next wait); an unchanged
-        // generation means we were woken by the poison itself.
-        let stuck = s.generation == gen;
-        drop(s);
-        if stuck {
-            panic!("a peer domain worker panicked; lockstep cannot continue");
-        }
-    }
-
-    /// Mark the barrier failed and wake every waiter. Idempotent. Taking
-    /// the state lock around the store ensures no waiter can check the
-    /// flag and go to sleep between the store and the notify.
-    fn poison(&self) {
-        let guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        self.failed.store(true, Ordering::SeqCst);
-        drop(guard);
-        self.cv.notify_all();
-    }
-}
-
-/// Poisons the barrier if the holding worker unwinds, so peers panic out
-/// of their rendezvous instead of deadlocking (see [`DomainBarrier`]).
-struct PoisonOnPanic<'a>(&'a DomainBarrier);
-
-impl Drop for PoisonOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poison();
-        }
-    }
-}
-
-/// Run the simulation with `shards` parallel domains, or return `None`
-/// (leaving the network and queue untouched) when the sharded engine
-/// cannot take this run — the caller then falls back to the serial loop.
-///
-/// On success the network and queue are left in the same observable state
-/// a serial [`dsv_sim::run_until`] would have produced: statistics and
-/// audit ledgers merged, leftover events re-queued in `(time, stamp)`
-/// order, and the queue's watermark advanced to the last dispatched
-/// instant, so a subsequent `run_for` resumes identically (serially).
-pub(crate) fn run_sharded<P: Send + 'static>(
-    net: &mut Network<P>,
-    queue: &mut EventQueue<NetEvent>,
-    horizon: SimTime,
-    shards: usize,
-) -> Option<RunStats> {
-    // Only a pristine run can be sharded: every pending event must carry a
-    // reconstructible setup stamp and every `Arrive` must be resolvable
-    // against a freshly split domain pool. Three observable signs of a
-    // resumed segment, each disqualifying on its own:
-    //   - the watermark moved: a previous segment (sharded or serial)
-    //     already dispatched up to some instant, and the reassembled queue
-    //     of a horizon stop looks freshly scheduled otherwise;
-    //   - a pop happened without the watermark moving (a time-zero serial
-    //     segment);
-    //   - packets are parked in the main pool: pending `Arrive` refs
-    //     resolve against it, and the split domains get empty pools.
-    // Resumed segments run serially — a documented continuation, not a
-    // misconfiguration, so no warning.
-    if queue.now() != SimTime::ZERO
-        || queue.scheduled_count() != queue.len() as u64
-        || net.pool_mut().live() != 0
-    {
-        return None;
-    }
-    let n = net.node_count();
-    let k = shards.min(n);
-    let part = match partition_nodes(n, &net.link_edges(), k) {
-        Some(p) => p,
-        None => {
-            warn_fallback("the topology yields no cut with a positive window");
-            return None;
-        }
-    };
-    let w_ns = part.window.as_nanos();
-    let h_ns = horizon.as_nanos();
-
-    // Distribute the setup events, stamping them in pop order — the exact
-    // order the serial engine would have dispatched same-instant setup
-    // events — with per-node counters so the stamps are independent of
-    // which other events share a queue.
-    let mut dom_queues: Vec<StampedQueue<NetEvent>> =
-        (0..k).map(|_| StampedQueue::with_capacity(1024)).collect();
-    let mut setup_seq = vec![0u64; n];
-    while let Some((at, ev)) = queue.pop() {
-        let node = ev.node().0 as usize;
-        let stamp = EventStamp::setup(node as u32, setup_seq[node]);
-        setup_seq[node] += 1;
-        dom_queues[part.domain_of[node] as usize].schedule(at, stamp, ev);
-    }
-
-    let domains = net.split_domains(&part.domain_of, k);
-
-    // Inter-domain mailboxes, indexed [destination][source], and the
-    // lockstep-window agreement state: double-buffered by round parity so
-    // a thread may publish round r+1's minimum while a straggler is still
-    // reading round r's.
-    let exchange: Vec<Vec<Mutex<Vec<BoundaryMsg<P>>>>> = (0..k)
-        .map(|_| (0..k).map(|_| Mutex::new(Vec::new())).collect())
-        .collect();
-    let barrier = DomainBarrier::new(k);
-    let mins = [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)];
-    let pendings = [AtomicU64::new(0), AtomicU64::new(0)];
-    let domain_of: &[u32] = &part.domain_of;
-
-    let mut outcomes: Vec<Option<DomainOutcome<P>>> = (0..k).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(k);
-        for (me, (dnet, dqueue)) in domains.into_iter().zip(dom_queues).enumerate() {
-            let exchange = &exchange;
-            let barrier = &barrier;
-            let mins = &mins;
-            let pendings = &pendings;
-            handles.push(scope.spawn(move || {
-                run_domain(
-                    dnet, dqueue, me, k, domain_of, w_ns, h_ns, exchange, barrier, mins, pendings,
-                )
-            }));
-        }
-        for (me, h) in handles.into_iter().enumerate() {
-            outcomes[me] = Some(h.join().expect("domain worker panicked"));
-        }
-    });
-
-    // Reassemble: merge statistics, collect leftovers, rebuild the queue.
-    let mut dispatched = 0u64;
-    let mut end_time = SimTime::ZERO;
-    let mut audit_events = 0u64;
-    let mut leftovers: Vec<(SimTime, EventStamp, Left<P>)> = Vec::new();
-    for (d, outcome) in outcomes.into_iter().enumerate() {
-        let mut o = outcome.expect("every domain joined");
-        dispatched += o.dispatched;
-        end_time = end_time.max(o.end_time);
-        audit_events += o.audit_events;
-        leftovers.append(&mut o.leftovers);
-        net.absorb_domain(o.net, d as u32, domain_of);
-    }
-    #[cfg(feature = "audit")]
-    net.audit_mut().resolve_foreign();
-
-    // Leftovers from different domains interleave; stamps are globally
-    // unique, so one sort restores the total `(time, stamp)` order and the
-    // fresh queue's sequence counters reproduce it for the serial resume.
-    leftovers.sort_by_key(|l| (l.0, l.1));
-    let hit_horizon = !leftovers.is_empty();
-    let mut fresh = EventQueue::with_capacity(4096);
-    for (at, _, left) in leftovers {
-        match left {
-            Left::Ev(ev) => fresh.schedule(at, ev),
-            Left::Arr(node, pkt) => {
-                let packet = net.pool_mut().insert(pkt);
-                fresh.schedule(at, NetEvent::Arrive { node, packet });
-            }
-        }
-    }
-    fresh.advance_to(end_time);
-    *queue = fresh;
-
-    Some(RunStats {
-        dispatched,
-        end_time,
-        hit_horizon,
-        audit_events,
-    })
-}
-
-/// One domain's worker loop: agree on the global minimum pending time,
-/// execute the safe window, exchange boundary packets, repeat.
-#[allow(clippy::too_many_arguments)]
-fn run_domain<P: Send + 'static>(
-    mut net: Network<P>,
-    queue: StampedQueue<NetEvent>,
-    me: usize,
-    k: usize,
-    domain_of: &[u32],
-    w_ns: u64,
-    h_ns: u64,
-    exchange: &[Vec<Mutex<Vec<BoundaryMsg<P>>>>],
-    barrier: &DomainBarrier,
-    mins: &[AtomicU64; 2],
-    pendings: &[AtomicU64; 2],
-) -> DomainOutcome<P> {
-    // If this worker dies, release the peers stuck at the barrier so the
-    // run fails with the root-cause panic instead of deadlocking.
-    let _poison_on_panic = PoisonOnPanic(barrier);
-    let mut sink = DomainSink {
-        queue,
-        domain_of,
-        me: me as u32,
-        origin_seq: vec![0u64; domain_of.len()],
-        cur_origin: 0,
-        cur_sched: 0,
-        outbox: (0..k).map(|_| Vec::new()).collect(),
-    };
-    let mut dispatched = 0u64;
-    let mut end_time = SimTime::ZERO;
-    let mut audit_events = 0u64;
-    #[cfg(feature = "audit")]
-    let audit_on = crate::audit::runtime_enabled();
-    #[cfg(not(feature = "audit"))]
-    let audit_on = false;
-
-    let mut p = 0usize; // round parity
-    loop {
-        // Publish this domain's next-event time and pending count, agree
-        // on the global minimum, and reset the *other* parity's slots for
-        // the next round (safe: the barrier guarantees every thread is
-        // done reading them).
-        let local_min = sink.queue.peek_time().map_or(u64::MAX, |t| t.as_nanos());
-        mins[p].fetch_min(local_min, Ordering::SeqCst);
-        pendings[p].fetch_add(sink.queue.len() as u64, Ordering::SeqCst);
-        barrier.wait();
-        let m = mins[p].load(Ordering::SeqCst);
-        let total = pendings[p].load(Ordering::SeqCst);
-        mins[p ^ 1].store(u64::MAX, Ordering::SeqCst);
-        pendings[p ^ 1].store(0, Ordering::SeqCst);
-        // Every thread computes the same (m, total), so every thread makes
-        // the same stop decision — no one is left waiting at a barrier.
-        if total == 0 || m > h_ns {
-            break;
-        }
-
-        // The window [m, m + W − 1] clipped to the horizon (inclusive):
-        // boundary packets dispatched inside it arrive at ≥ m + W, strictly
-        // after it, so no in-window communication is needed.
-        let hz = SimTime::from_nanos(m.saturating_add(w_ns - 1).min(h_ns));
-        while let Some((at, _, ev)) = sink.queue.pop_at_or_before(hz) {
-            if audit_on {
-                assert!(
-                    at >= end_time,
-                    "audit: dispatch time went backwards: {at:?} after {end_time:?}"
-                );
-                audit_events += 1;
-            }
-            sink.cur_origin = ev.node().0;
-            sink.cur_sched = at.as_nanos().saturating_add(1);
-            net.handle_event(at, ev, &mut sink);
-            dispatched += 1;
-            end_time = at;
-        }
-
-        // Publish boundary packets, wait for everyone, ingest our inbox.
-        for (dest, box_) in sink.outbox.iter_mut().enumerate() {
-            if !box_.is_empty() {
-                exchange[dest][me]
-                    .lock()
-                    .expect("exchange mailbox poisoned")
-                    .append(box_);
-            }
-        }
-        barrier.wait();
-        for mailbox in &exchange[me] {
-            let msgs = std::mem::take(&mut *mailbox.lock().expect("exchange mailbox poisoned"));
-            for msg in msgs {
-                let packet = net.pool_mut().insert(msg.pkt);
-                sink.queue.schedule(
-                    msg.at,
-                    msg.stamp,
-                    NetEvent::Arrive {
-                        node: msg.dst,
-                        packet,
-                    },
-                );
-            }
-        }
-        p ^= 1;
-    }
-
-    // Drain what remains (events past the horizon) into plain values; the
-    // domain pool must come back empty.
-    let mut leftovers = Vec::new();
-    while let Some((at, stamp, ev)) = sink.queue.pop_at_or_before(SimTime::MAX) {
-        let left = match ev {
-            NetEvent::Arrive { node, packet } => Left::Arr(node, net.pool_mut().take(packet)),
-            other => Left::Ev(other),
-        };
-        leftovers.push((at, stamp, left));
-    }
-    DomainOutcome {
-        net,
-        dispatched,
-        end_time,
-        audit_events,
-        leftovers,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::Link;
-    use crate::network::{NetworkBuilder, Simulation};
-    use crate::packet::{Dscp, FlowId};
-    use crate::traffic::{CbrSource, CountingSink};
 
     fn us(n: u64) -> SimDuration {
         SimDuration::from_micros(n)
@@ -656,175 +165,5 @@ mod tests {
         // merge can reach 3 components but never 2.
         let sparse = vec![(0, 1, us(1))];
         assert!(partition_nodes(4, &sparse, 2).is_none());
-    }
-
-    #[test]
-    fn process_override_beats_environment() {
-        set_shards_for_process(5);
-        assert_eq!(shards_from_env(), 5);
-        set_shards_for_process(0);
-        // Back to the environment/default path (DSV_SHARDS unset in tests
-        // gives 1; a sweep harness setting it would give its value).
-    }
-
-    /// src — r1 —(5 ms)— r2 — dst, CBR traffic: a 4-node chain whose long
-    /// middle link is the natural 2-domain cut.
-    fn chain_sim() -> Simulation<()> {
-        let mut b = NetworkBuilder::<()>::new();
-        let dst = b.add_host("dst", Box::new(CountingSink::default()));
-        let r2 = b.add_router("r2");
-        let r1 = b.add_router("r1");
-        let src = b.add_host(
-            "src",
-            Box::new(CbrSource {
-                dst,
-                flow: FlowId(7),
-                packet_size: 1200,
-                rate_bps: 2_000_000,
-                dscp: Dscp::BEST_EFFORT,
-                stop_at: SimTime::from_millis(200),
-            }),
-        );
-        b.connect(src, r1, Link::ethernet_10mbps());
-        b.connect(r1, r2, Link::new(8_000_000, SimDuration::from_millis(5)));
-        b.connect(r2, dst, Link::ethernet_10mbps());
-        Simulation::new(b.build())
-    }
-
-    fn flow_fingerprint(sim: &Simulation<()>) -> (u64, u64, u64, u64, SimDuration, SimDuration) {
-        let c = sim.net.stats.flow(FlowId(7));
-        (
-            c.tx_packets,
-            c.rx_packets,
-            c.tx_bytes,
-            c.rx_bytes,
-            c.delay.min,
-            c.delay.max,
-        )
-    }
-
-    #[test]
-    fn sharded_run_matches_serial_exactly() {
-        let mut serial = chain_sim();
-        let s_stats = dsv_sim::run_until(&mut serial.net, &mut serial.queue, SimTime::MAX);
-
-        for shards in [2, 3, 4] {
-            let mut sharded = chain_sim();
-            let stats = run_sharded(&mut sharded.net, &mut sharded.queue, SimTime::MAX, shards)
-                .expect("chain topology must shard");
-            assert_eq!(stats.dispatched, s_stats.dispatched, "shards={shards}");
-            assert_eq!(stats.end_time, s_stats.end_time, "shards={shards}");
-            assert_eq!(stats.hit_horizon, s_stats.hit_horizon);
-            assert_eq!(
-                flow_fingerprint(&sharded),
-                flow_fingerprint(&serial),
-                "shards={shards}"
-            );
-            assert_eq!(
-                sharded.net.stats.flow(FlowId(7)).delay.mean(),
-                serial.net.stats.flow(FlowId(7)).delay.mean()
-            );
-        }
-    }
-
-    #[test]
-    fn horizon_stop_and_serial_resume_match_pure_serial() {
-        let mut serial = chain_sim();
-        dsv_sim::run_until(&mut serial.net, &mut serial.queue, SimTime::from_millis(60));
-        let s_final = dsv_sim::run_until(&mut serial.net, &mut serial.queue, SimTime::MAX);
-
-        let mut mixed = chain_sim();
-        let mid = run_sharded(
-            &mut mixed.net,
-            &mut mixed.queue,
-            SimTime::from_millis(60),
-            2,
-        )
-        .expect("chain topology must shard");
-        assert!(mid.hit_horizon);
-        // The queue is no longer pristine: the second segment must decline
-        // sharding and resume serially from the reassembled queue.
-        assert!(run_sharded(&mut mixed.net, &mut mixed.queue, SimTime::MAX, 2).is_none());
-        let m_final = dsv_sim::run_until(&mut mixed.net, &mut mixed.queue, SimTime::MAX);
-
-        assert_eq!(m_final.end_time, s_final.end_time);
-        assert_eq!(flow_fingerprint(&mixed), flow_fingerprint(&serial));
-        assert_eq!(
-            serial.queue.now(),
-            mixed.queue.now(),
-            "watermarks must agree for any further run_for"
-        );
-    }
-
-    #[test]
-    fn barrier_rendezvous_is_reusable_across_rounds() {
-        let b = DomainBarrier::new(3);
-        std::thread::scope(|s| {
-            for _ in 0..3 {
-                s.spawn(|| {
-                    for _ in 0..100 {
-                        b.wait();
-                    }
-                });
-            }
-        });
-        // Completing at all is the assertion: a generation-tracking bug
-        // would deadlock round 2 (and the test would time out).
-    }
-
-    #[test]
-    fn poisoned_barrier_releases_waiters_instead_of_hanging() {
-        let b = DomainBarrier::new(2);
-        std::thread::scope(|s| {
-            let waiter = s.spawn(|| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.wait())).is_err()
-            });
-            // Whether the poison lands before or mid-wait, the waiter
-            // must panic out rather than sleep against a rendezvous its
-            // dead peer can never complete.
-            b.poison();
-            assert!(waiter.join().unwrap(), "waiter must panic, not rendezvous");
-            // And every later wait fails fast.
-            let after =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.wait())).is_err();
-            assert!(after, "waits after the poison must fail immediately");
-        });
-    }
-
-    #[test]
-    fn resumed_segments_decline_sharding() {
-        // After a serial segment the watermark has moved (and in-flight
-        // packets may be parked in the main pool): the sharded engine
-        // must decline, because split domains get empty pools and setup
-        // stamps cannot be reconstructed for already-dispatched decisions.
-        let mut sim = chain_sim();
-        dsv_sim::run_until(&mut sim.net, &mut sim.queue, SimTime::from_millis(30));
-        assert!(run_sharded(&mut sim.net, &mut sim.queue, SimTime::MAX, 2).is_none());
-        let stats = dsv_sim::run_until(&mut sim.net, &mut sim.queue, SimTime::MAX);
-        assert!(stats.dispatched > 0, "serial resume still works");
-    }
-
-    #[test]
-    fn single_node_topologies_decline() {
-        let mut b = NetworkBuilder::<()>::new();
-        let dst = b.add_host("dst", Box::new(CountingSink::default()));
-        let src = b.add_host(
-            "src",
-            Box::new(CbrSource {
-                dst,
-                flow: FlowId(1),
-                packet_size: 100,
-                rate_bps: 1_000_000,
-                dscp: Dscp::BEST_EFFORT,
-                stop_at: SimTime::from_millis(1),
-            }),
-        );
-        b.connect(src, dst, Link::new(1_000_000, SimDuration::ZERO));
-        let mut sim = Simulation::new(b.build());
-        // Zero-propagation link: no positive window exists.
-        assert!(run_sharded(&mut sim.net, &mut sim.queue, SimTime::MAX, 2).is_none());
-        // The declined run left everything intact; serial still works.
-        let stats = dsv_sim::run_until(&mut sim.net, &mut sim.queue, SimTime::MAX);
-        assert!(stats.dispatched > 0);
     }
 }

@@ -41,22 +41,6 @@ impl DelaySummary {
         self.sum_ns += d.as_nanos() as u128;
     }
 
-    /// Fold another summary's samples into this one, as if every sample
-    /// had been recorded here.
-    pub fn merge(&mut self, other: &DelaySummary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-    }
-
     /// Mean of the recorded samples, or zero if none.
     pub fn mean(&self) -> SimDuration {
         if self.count == 0 {
@@ -263,60 +247,6 @@ impl NetStats {
         }
     }
 
-    /// A fresh collector carrying over only the *registrations* — which
-    /// flows are traced — so a per-domain collector observes its share of
-    /// a sharded run under the same configuration as the main one. No
-    /// counter or trace state is copied (the split happens before any
-    /// event is dispatched).
-    pub(crate) fn fork_registrations(&self) -> NetStats {
-        NetStats {
-            flows: Vec::new(),
-            traced: self.traced.keys().map(|&f| (f, Vec::new())).collect(),
-            tracing: self.tracing,
-        }
-    }
-
-    /// Fold a domain collector's observations into this one after a
-    /// sharded run. Counters sum; traces merge by timestamp with ties
-    /// keeping this collector's entries first (domains are absorbed in
-    /// domain order, so the result is ordered by `(at, domain)` — a flow's
-    /// packets are all observed within one domain per node, making the
-    /// per-node subsequences identical to a serial run's).
-    pub(crate) fn merge_from(&mut self, other: NetStats) {
-        for (flow, theirs) in other.flows {
-            let mine = self.flow_mut(flow);
-            mine.tx_packets += theirs.tx_packets;
-            mine.tx_bytes += theirs.tx_bytes;
-            mine.rx_packets += theirs.rx_packets;
-            mine.rx_bytes += theirs.rx_bytes;
-            for (reason, n) in theirs.drops {
-                *mine.drops.entry(reason).or_insert(0) += n;
-            }
-            mine.delay.merge(&theirs.delay);
-            mine.delay_hist.merge(&theirs.delay_hist);
-        }
-        for (flow, entries) in other.traced {
-            self.tracing = true;
-            let log = self.traced.entry(flow).or_default();
-            if log.is_empty() {
-                *log = entries;
-            } else if !entries.is_empty() {
-                let mine = std::mem::take(log);
-                let mut a = mine.into_iter().peekable();
-                let mut b = entries.into_iter().peekable();
-                while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
-                    if y.at < x.at {
-                        log.push(b.next().expect("peeked"));
-                    } else {
-                        log.push(a.next().expect("peeked"));
-                    }
-                }
-                log.extend(a);
-                log.extend(b);
-            }
-        }
-    }
-
     /// Counters for one flow (zeroes if the flow never appeared).
     pub fn flow(&self, flow: FlowId) -> FlowCounters {
         self.flows
@@ -444,51 +374,6 @@ mod tests {
         assert_eq!(series.len(), 2);
         assert!((series[0].1 - 24_000.0).abs() < 1e-9); // 3000 B in 1 s
         assert!((series[1].1 - 4_000.0).abs() < 1e-9); // 500 B in 1 s
-    }
-
-    #[test]
-    fn merge_matches_single_collector() {
-        // Split the observations of `counters_accumulate` across two
-        // collectors and merge: every aggregate must match a single
-        // collector that saw everything.
-        let mut whole = NetStats::new();
-        whole.trace_flow(F);
-        let mut a = whole.fork_registrations();
-        let mut b = whole.fork_registrations();
-        a.on_sent(SimTime::ZERO, F, PacketId(1), 1000, N);
-        b.on_sent(SimTime::from_millis(1), F, PacketId(2), 500, N);
-        a.on_delivered(
-            SimTime::from_millis(10),
-            F,
-            PacketId(1),
-            1000,
-            N,
-            SimDuration::from_millis(10),
-        );
-        b.on_dropped(
-            SimTime::from_millis(5),
-            F,
-            PacketId(2),
-            500,
-            N,
-            DropReason::PolicerNonConformant,
-        );
-        whole.merge_from(a);
-        whole.merge_from(b);
-        let c = whole.flow(F);
-        assert_eq!(c.tx_packets, 2);
-        assert_eq!(c.tx_bytes, 1500);
-        assert_eq!(c.rx_packets, 1);
-        assert_eq!(c.drops_for(DropReason::PolicerNonConformant), 1);
-        assert_eq!(c.delay.mean(), SimDuration::from_millis(10));
-        assert_eq!(c.delay_hist.count(), 1);
-        // The merged trace is sorted by timestamp across both collectors.
-        let trace = whole.trace_of(F).unwrap();
-        let ats: Vec<_> = trace.iter().map(|e| e.at).collect();
-        let mut sorted = ats.clone();
-        sorted.sort();
-        assert_eq!(ats, sorted);
-        assert_eq!(trace.len(), 4);
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //! What it deliberately **keeps** (semantic):
 //!
 //! * node declaration order — it fixes `NodeId`s, and ids break event
-//!   ties (`EventStamp` orders same-instant events by origin node), so
-//!   reordering non-identical declarations changes drop attribution;
+//!   ties (hosts start in node-id order, so same-instant events of
+//!   different nodes keep declaration order), so reordering non-identical
+//!   declarations changes drop attribution;
 //! * link declaration order — port order and route tie-breaking follow
 //!   it;
 //! * rule order within one conditioner — first match wins;

@@ -1,20 +1,18 @@
 //! Shard planning at the scenario level.
 //!
-//! The sharded engine (`dsv_net::shard`) partitions a *compiled* network
-//! by cutting its widest-propagation links. This module answers the same
-//! question one level up, on the declarative [`ScenarioSpec`]: which
-//! named nodes land in which domain, and how wide is the safe lockstep
-//! window — **without compiling anything**. That lets experiment drivers
-//! and tooling report (or veto) a sharding before paying for media
-//! loading and app construction, and gives tests a spec-level oracle to
-//! cross-check against the runtime partition.
+//! `dsv_net::shard` partitions a *compiled* network by cutting its
+//! widest-propagation links. This module answers the same question one
+//! level up, on the declarative [`ScenarioSpec`]: which named nodes land
+//! in which domain, and how wide the lookahead window across the cut is —
+//! **without compiling anything** (no media loading, no app
+//! construction).
 //!
 //! The guarantee is exactness, not similarity: [`shard_plan`] rebuilds
 //! the identical edge list the compiled network reports from
 //! `Network::link_edges` — same endpoint normalization, same weights,
 //! same order (order matters: the partitioner breaks weight ties by edge
-//! index) — so the plan's domain assignment is the one the engine will
-//! use at run time.
+//! index) — so the plan's domain assignment is the one
+//! `dsv_net::shard::partition_nodes` computes on the compiled network.
 
 use std::collections::HashMap;
 
@@ -36,10 +34,10 @@ pub struct ShardPlan {
 
 /// Plan a `k`-way sharding of `spec` without compiling it.
 ///
-/// Returns `None` for the same degenerate inputs the runtime partitioner
-/// declines — `k < 2`, fewer nodes than domains, a graph that does not
-/// split into exactly `k` connected domains, or a cut containing a
-/// zero-propagation link — and additionally for a spec whose links name
+/// Returns `None` for the same degenerate inputs the network-level
+/// partitioner declines — `k < 2`, fewer nodes than domains, a graph that
+/// does not split into exactly `k` connected domains, or a cut containing
+/// a zero-propagation link — and additionally for a spec whose links name
 /// unknown nodes (such a spec cannot compile either).
 pub fn shard_plan(spec: &ScenarioSpec, k: usize) -> Option<ShardPlan> {
     let edges = spec_edges(spec)?;
@@ -148,7 +146,7 @@ mod tests {
     fn spec_edges_match_the_compiled_network() {
         // The exactness guarantee: the reconstructed edge list is
         // byte-identical (order included) to what the compiled network
-        // reports, so the plan equals the runtime partition.
+        // reports, so the plan equals the compiled network's partition.
         let spec = chain_spec();
         let compiled = crate::compile(
             &spec,

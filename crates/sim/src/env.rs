@@ -1,9 +1,8 @@
 //! Shared parsing for numeric `DSV_*` environment knobs.
 //!
-//! `DSV_THREADS` and `DSV_SHARDS` are positive counts. Misconfiguration
-//! must never panic a long sweep or silently serialize it: `0`, empty, or
-//! garbage values fall back to the caller's documented default with a
-//! warning on stderr. (`DSV_QUEUE` deliberately keeps its panic-on-typo
+//! `DSV_THREADS` is a positive count. Misconfiguration must never panic a
+//! long sweep or silently serialize it: `0`, empty, or garbage values fall
+//! back to the caller's documented default with a warning on stderr. (`DSV_QUEUE` deliberately keeps its panic-on-typo
 //! behaviour — a silently wrong backend would make perf comparisons lie;
 //! a silently default thread count merely changes wall-clock time.)
 

@@ -25,7 +25,8 @@
 //! The three building blocks are:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
-//! * [`EventQueue`] — a time-ordered queue of typed events,
+//! * [`EventQueue`] — a time-ordered queue of typed events, with
+//!   [reserved stamps](stamped) for events that may never be needed,
 //! * [`World`] and [`run`] / [`run_until`] — the dispatch loop,
 //! * [`SimRng`] — a seeded random number generator with the distribution
 //!   helpers the workload generators need.
@@ -46,5 +47,4 @@ mod wheel;
 pub use engine::{run, run_until, World};
 pub use queue::{EventQueue, QueueBackend};
 pub use rng::SimRng;
-pub use stamped::{EventStamp, StampedQueue};
 pub use time::{SimDuration, SimTime};

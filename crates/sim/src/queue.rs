@@ -6,6 +6,10 @@
 //! makes simulations reproducible — component interleavings never depend
 //! on the container's internals.
 //!
+//! A component that *may* need an event later can claim its place in that
+//! order now and file the event later, or never: see [`crate::stamped`]
+//! for [`EventQueue::reserve_seq`] and [`EventQueue::schedule_reserved`].
+//!
 //! Two interchangeable backends implement that contract:
 //!
 //! * [`QueueBackend::Wheel`] (default) — a hierarchical timing wheel
@@ -54,39 +58,38 @@ impl QueueBackend {
     }
 }
 
-/// Heap adapter shared with [`crate::stamped::StampedQueue`]: inverts the
-/// `(time, key)` order so `BinaryHeap` (a max-heap) pops the earliest
-/// entry first.
-pub(crate) struct HeapEntry<E, K>(pub(crate) Entry<E, K>);
+/// Heap adapter: inverts the `(time, seq)` order so `BinaryHeap` (a
+/// max-heap) pops the earliest entry first.
+struct HeapEntry<E>(Entry<E>);
 
-impl<E, K: Ord> PartialEq for HeapEntry<E, K> {
+impl<E> PartialEq for HeapEntry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.0.at == other.0.at && self.0.key == other.0.key
+        self.0.at == other.0.at && self.0.seq == other.0.seq
     }
 }
-impl<E, K: Ord> Eq for HeapEntry<E, K> {}
+impl<E> Eq for HeapEntry<E> {}
 
-impl<E, K: Ord> PartialOrd for HeapEntry<E, K> {
+impl<E> PartialOrd for HeapEntry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E, K: Ord> Ord for HeapEntry<E, K> {
+impl<E> Ord for HeapEntry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, key) pops
+        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
         // first.
         other
             .0
             .at
             .cmp(&self.0.at)
-            .then_with(|| other.0.key.cmp(&self.0.key))
+            .then_with(|| other.0.seq.cmp(&self.0.seq))
     }
 }
 
 enum Backend<E> {
-    Wheel(Wheel<E, u64>),
-    Heap(BinaryHeap<HeapEntry<E, u64>>),
+    Wheel(Wheel<E>),
+    Heap(BinaryHeap<HeapEntry<E>>),
 }
 
 /// A time-ordered queue of events of type `E` with stable FIFO tie-breaking.
@@ -105,11 +108,16 @@ enum Backend<E> {
 /// ```
 pub struct EventQueue<E> {
     backend: Backend<E>,
-    next_seq: u64,
+    /// The stamp the next scheduled or reserved event takes.
+    pub(crate) next_seq: u64,
     /// The timestamp of the most recently popped event; scheduling into the
     /// past is a logic error and panics (debug builds and release alike —
     /// a causality violation invalidates the whole run).
-    watermark: SimTime,
+    pub(crate) watermark: SimTime,
+    /// Sequence number of the most recently popped event (`None` before
+    /// the first pop): with `watermark`, the delivery key of the event
+    /// being dispatched, which reserved keys are compared against.
+    pub(crate) last_seq: Option<u64>,
     /// Pending-event count, tracked here so the schedule fast path never
     /// has to ask the backend (the wheel's answer would be a second enum
     /// dispatch per event).
@@ -149,6 +157,7 @@ impl<E> EventQueue<E> {
             backend,
             next_seq: 0,
             watermark: SimTime::ZERO,
+            last_seq: None,
             len: 0,
             high_water: 0,
         }
@@ -173,13 +182,13 @@ impl<E> EventQueue<E> {
         if at < self.watermark {
             self.causality_panic(at);
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let entry = Entry {
-            at,
-            key: seq,
-            event,
-        };
+        let seq = self.reserve_seq();
+        self.insert(Entry { at, seq, event });
+    }
+
+    /// File an entry under its key on whichever backend is active.
+    #[inline]
+    pub(crate) fn insert(&mut self, entry: Entry<E>) {
         match &mut self.backend {
             Backend::Wheel(w) => w.schedule(entry),
             Backend::Heap(h) => h.push(HeapEntry(entry)),
@@ -190,15 +199,16 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Abort on an attempt to file an event behind the delivered key.
     #[cold]
     #[inline(never)]
-    fn causality_panic(&self, at: SimTime) -> ! {
+    pub(crate) fn causality_panic(&self, at: SimTime) -> ! {
         panic!(
             "causality violation: scheduling an event at {at} but the queue \
              already delivered an event at {} (attempted timestamp is {} \
              before the watermark; seq of offending schedule: {})",
             self.watermark,
-            self.watermark - at,
+            self.watermark.saturating_since(at),
             self.next_seq,
         );
     }
@@ -209,35 +219,33 @@ impl<E> EventQueue<E> {
             Backend::Wheel(w) => w.pop()?,
             Backend::Heap(h) => h.pop()?.0,
         };
-        debug_assert!(entry.at >= self.watermark);
-        self.watermark = entry.at;
-        self.len -= 1;
-        Some((entry.at, entry.event))
+        Some(self.deliver(entry))
     }
 
     /// Fused `peek_time` + `pop`: remove and return the earliest event iff
     /// it is scheduled at or before `horizon`. One ordering decision per
     /// dispatched event instead of two — the dispatch loop's fast path.
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        match &mut self.backend {
-            Backend::Wheel(w) => {
-                let entry = w.pop_at_or_before(horizon)?;
-                debug_assert!(entry.at >= self.watermark);
-                self.watermark = entry.at;
-                self.len -= 1;
-                Some((entry.at, entry.event))
-            }
+        let entry = match &mut self.backend {
+            Backend::Wheel(w) => w.pop_at_or_before(horizon)?,
             Backend::Heap(h) => {
                 if h.peek()?.0.at > horizon {
                     return None;
                 }
-                let entry = h.pop().expect("peeked entry exists").0;
-                debug_assert!(entry.at >= self.watermark);
-                self.watermark = entry.at;
-                self.len -= 1;
-                Some((entry.at, entry.event))
+                h.pop().expect("peeked entry exists").0
             }
-        }
+        };
+        Some(self.deliver(entry))
+    }
+
+    /// Advance the delivery key to a just-popped entry.
+    #[inline]
+    fn deliver(&mut self, entry: Entry<E>) -> (SimTime, E) {
+        debug_assert!(self.is_ahead(entry.at, entry.seq));
+        self.watermark = entry.at;
+        self.last_seq = Some(entry.seq);
+        self.len -= 1;
+        (entry.at, entry.event)
     }
 
     /// The timestamp of the next event without removing it.
@@ -271,21 +279,11 @@ impl<E> EventQueue<E> {
         self.watermark
     }
 
-    /// Total number of events ever scheduled (diagnostic).
+    /// Total number of sequence numbers ever taken, by
+    /// [`EventQueue::schedule`] or [`EventQueue::reserve_seq`]
+    /// (diagnostic).
     pub fn scheduled_count(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Declare that virtual time has reached `now` without popping an
-    /// event: the watermark — the causality floor and the queue's notion
-    /// of [`EventQueue::now`] — advances to `max(watermark, now)`. The
-    /// sharded engine uses this after reassembling leftover events into a
-    /// fresh queue, so a later `run_for` measures its span from the same
-    /// instant a serial run would have reached.
-    pub fn advance_to(&mut self, now: SimTime) {
-        if now > self.watermark {
-            self.watermark = now;
-        }
     }
 
     /// Largest number of simultaneously pending events ever observed.

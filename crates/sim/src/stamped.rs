@@ -1,223 +1,99 @@
-//! A time-ordered queue keyed by partition-independent event stamps.
+//! Reserved stamps: filing an event under a delivery key claimed earlier.
 //!
-//! The serial [`crate::EventQueue`] breaks same-instant ties with a global
-//! schedule counter — perfect for one queue, meaningless across several:
-//! a counter's value depends on which other events happen to share the
-//! queue. The sharded engine therefore orders events by an
-//! [`EventStamp`] that is a pure function of the *scheduling action*
-//! itself (when it was decided, by which node, as that node's how-manieth
-//! decision), so any partitioning of the network produces the same
-//! `(time, stamp)` total order per node.
+//! Every event the [`EventQueue`] delivers carries a `(time, seq)` key.
+//! The `seq` half — the event's *stamp* — is drawn from the queue's
+//! counter when the event is scheduled, so same-instant events fire in
+//! scheduling order. A component that *may* need an event later can claim
+//! its stamp now: [`EventQueue::reserve_seq`] takes the number an eager
+//! [`EventQueue::schedule`] would have taken, and
+//! [`EventQueue::schedule_reserved`] later files the event under exactly
+//! that `(time, seq)` key — or never, if the event turns out to be a
+//! no-op. Either way no other event's delivery position moves.
 //!
-//! [`StampedQueue`] reuses both [`crate::EventQueue`] backends — the
-//! hierarchical timing wheel and the binary-heap oracle — so the sharded
-//! engine inherits the same `DSV_QUEUE` differential testing story.
+//! Stamps are therefore not always filed in ascending order, so both
+//! backends order by the full key, never by insertion order. `dsv-net`
+//! uses this for an output port's `PortReady` wake-up: starting a
+//! transmission reserves the stamp, and the wake-up is filed only when a
+//! packet waits behind it.
 
-use std::collections::BinaryHeap;
-
-use crate::queue::{HeapEntry, QueueBackend};
+use crate::queue::EventQueue;
 use crate::time::SimTime;
-use crate::wheel::{Entry, Wheel};
+use crate::wheel::Entry;
 
-/// Total-order tie-break for same-instant events, independent of how the
-/// network is partitioned into shards.
-///
-/// Ordering is lexicographic:
-///
-/// 1. `sched` — the virtual instant the scheduling decision was made
-///    (`dispatch time + 1` ns, saturating; `0` is reserved for events
-///    scheduled during setup, before the clock starts). A handler running
-///    earlier schedules earlier, exactly as its schedule-counter values
-///    would have been smaller in a serial run.
-/// 2. `origin` — the node whose handler made the decision. Within one
-///    instant, setup and symmetric topologies dispatch node handlers in
-///    node-id order, so this matches the serial counter order for
-///    same-instant decisions by different nodes.
-/// 3. `origin_seq` — the node's own scheduling counter, incremented on
-///    every decision in call order: two decisions by the same handler
-///    keep their program order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventStamp {
-    /// Nanosecond instant of the scheduling decision, plus one (0 = setup).
-    pub sched: u64,
-    /// Node that made the scheduling decision.
-    pub origin: u32,
-    /// Per-origin decision counter, in call order.
-    pub origin_seq: u64,
-}
-
-impl EventStamp {
-    /// Stamp for events scheduled during setup, before any dispatch.
-    /// Orders before every runtime stamp at the same instant; `origin`
-    /// keeps setup order deterministic (nodes are set up in id order).
-    pub fn setup(origin: u32, origin_seq: u64) -> Self {
-        EventStamp {
-            sched: 0,
-            origin,
-            origin_seq,
-        }
-    }
-}
-
-enum Backend<E> {
-    Wheel(Wheel<E, EventStamp>),
-    Heap(BinaryHeap<HeapEntry<E, EventStamp>>),
-}
-
-/// A time-ordered queue delivering `(time, stamp, event)` triples in the
-/// total `(time, stamp)` order. Same backend choices (and the same
-/// causality watermark) as [`crate::EventQueue`].
-pub struct StampedQueue<E> {
-    backend: Backend<E>,
-    watermark: SimTime,
-    len: usize,
-    high_water: usize,
-}
-
-impl<E> StampedQueue<E> {
-    /// Create an empty queue using the backend selected by `DSV_QUEUE`.
-    pub fn new() -> Self {
-        Self::with_backend_and_capacity(QueueBackend::from_env(), 0)
+impl<E> EventQueue<E> {
+    /// Claim the sequence number the next [`EventQueue::schedule`] would
+    /// take, without scheduling anything. Pass it to
+    /// [`EventQueue::schedule_reserved`] to file an event exactly where an
+    /// eager `schedule` at this moment would have put it; a reservation
+    /// that is never scheduled only leaves a gap in the numbering.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
 
-    /// Create an empty queue with pre-allocated capacity (backend from
-    /// `DSV_QUEUE`).
-    pub fn with_capacity(cap: usize) -> Self {
-        Self::with_backend_and_capacity(QueueBackend::from_env(), cap)
-    }
-
-    /// Explicit backend and pre-allocated capacity.
-    pub fn with_backend_and_capacity(backend: QueueBackend, cap: usize) -> Self {
-        let backend = match backend {
-            QueueBackend::Wheel => Backend::Wheel(Wheel::with_capacity(cap)),
-            QueueBackend::Heap => Backend::Heap(BinaryHeap::with_capacity(cap)),
-        };
-        StampedQueue {
-            backend,
-            watermark: SimTime::ZERO,
-            len: 0,
-            high_water: 0,
-        }
-    }
-
-    /// Schedule `event` at absolute time `at` with its tie-break stamp.
+    /// Schedule `event` under a sequence number claimed earlier with
+    /// [`EventQueue::reserve_seq`]: it is delivered at `(at, seq)` in the
+    /// total order, ahead of every later-scheduled event at the same
+    /// instant.
     ///
     /// # Panics
-    /// Panics if `at` is earlier than the last popped event's time, like
-    /// [`crate::EventQueue::schedule`].
-    pub fn schedule(&mut self, at: SimTime, stamp: EventStamp, event: E) {
-        assert!(
-            at >= self.watermark,
-            "causality violation: scheduling an event at {at} but the queue \
-             already delivered an event at {} (stamp {stamp:?})",
-            self.watermark,
+    /// Panics if `(at, seq)` is no longer ahead of the queue (see
+    /// [`EventQueue::is_ahead`]): the event would have been delivered
+    /// already.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) {
+        debug_assert!(
+            seq < self.next_seq,
+            "sequence number {seq} was never reserved"
         );
-        let entry = Entry {
-            at,
-            key: stamp,
-            event,
-        };
-        match &mut self.backend {
-            Backend::Wheel(w) => w.schedule(entry),
-            Backend::Heap(h) => h.push(HeapEntry(entry)),
+        if !self.is_ahead(at, seq) {
+            self.causality_panic(at);
         }
-        self.len += 1;
-        if self.len > self.high_water {
-            self.high_water = self.len;
-        }
+        self.insert(Entry { at, seq, event });
     }
 
-    /// Remove and return the earliest event iff it is at or before
-    /// `horizon` (inclusive), with its stamp.
-    pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, EventStamp, E)> {
-        let entry = match &mut self.backend {
-            Backend::Wheel(w) => w.pop_at_or_before(horizon)?,
-            Backend::Heap(h) => {
-                if h.peek()?.0.at > horizon {
-                    return None;
-                }
-                h.pop().expect("peeked entry exists").0
-            }
-        };
-        debug_assert!(entry.at >= self.watermark);
-        self.watermark = entry.at;
-        self.len -= 1;
-        Some((entry.at, entry.key, entry.event))
-    }
-
-    /// The timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Wheel(w) => w.peek(),
-            Backend::Heap(h) => h.peek().map(|e| e.0.at),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The time of the most recently delivered event.
-    pub fn now(&self) -> SimTime {
-        self.watermark
-    }
-
-    /// Largest number of simultaneously pending events ever observed.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-}
-
-impl<E> Default for StampedQueue<E> {
-    fn default() -> Self {
-        Self::new()
+    /// True iff the delivery key `(at, seq)` is strictly after the key of
+    /// the most recently popped event — i.e. an event filed under it would
+    /// still be delivered. Before the first pop every key is ahead.
+    #[inline]
+    pub fn is_ahead(&self, at: SimTime, seq: u64) -> bool {
+        (at, Some(seq)) > (self.watermark, self.last_seq)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::queue::{EventQueue, QueueBackend};
+    use crate::time::SimTime;
 
-    fn stamp(sched: u64, origin: u32, seq: u64) -> EventStamp {
-        EventStamp {
-            sched,
-            origin,
-            origin_seq: seq,
-        }
+    fn on_both(f: impl Fn(EventQueue<u32>)) {
+        f(EventQueue::with_backend(QueueBackend::Wheel));
+        f(EventQueue::with_backend(QueueBackend::Heap));
     }
 
-    fn on_both(f: impl Fn(StampedQueue<u32>)) {
-        f(StampedQueue::with_backend_and_capacity(
-            QueueBackend::Wheel,
-            0,
-        ));
-        f(StampedQueue::with_backend_and_capacity(
-            QueueBackend::Heap,
-            0,
-        ));
+    fn drain(q: &mut EventQueue<u32>) -> Vec<u32> {
+        let mut got = Vec::new();
+        while let Some((_, v)) = q.pop_at_or_before(SimTime::MAX) {
+            got.push(v);
+        }
+        got
     }
 
     #[test]
     fn orders_by_time_then_stamp() {
         on_both(|mut q| {
             let t = SimTime::from_millis(1);
-            // Same instant, stamps deliberately scheduled out of order.
-            q.schedule(t, stamp(5, 0, 0), 2);
-            q.schedule(t, stamp(3, 9, 7), 1);
-            q.schedule(t, stamp(5, 0, 1), 3);
-            q.schedule(SimTime::from_micros(1), stamp(9, 9, 9), 0);
-            q.schedule(t, stamp(5, 1, 0), 4);
-            let mut got = Vec::new();
-            while let Some((_, _, v)) = q.pop_at_or_before(SimTime::MAX) {
-                got.push(v);
-            }
-            assert_eq!(got, vec![0, 1, 2, 3, 4]);
+            let s: Vec<u64> = (0..5).map(|_| q.reserve_seq()).collect();
+            // Same instant, stamps deliberately filed out of order; s[0]
+            // is never filed.
+            q.schedule_reserved(t, s[3], 3);
+            q.schedule_reserved(t, s[1], 1);
+            q.schedule_reserved(t, s[2], 2);
+            // The largest stamp at an earlier instant still goes first.
+            q.schedule_reserved(SimTime::from_micros(1), s[4], 0);
+            // A fresh stamp sorts after every reserved one at its instant.
+            q.schedule(t, 4);
+            assert_eq!(drain(&mut q), vec![0, 1, 2, 3, 4]);
         });
     }
 
@@ -225,10 +101,17 @@ mod tests {
     fn setup_stamps_order_before_runtime_ones() {
         on_both(|mut q| {
             let t = SimTime::ZERO;
-            q.schedule(t, stamp(1, 0, 0), 1); // decided while handling t=0
-            q.schedule(t, EventStamp::setup(3, 0), 0); // decided during setup
-            assert_eq!(q.pop_at_or_before(t).unwrap().2, 0);
-            assert_eq!(q.pop_at_or_before(t).unwrap().2, 1);
+            // Setup: a start event, then a stamp claimed for a wake-up
+            // that may turn out to be needed.
+            q.schedule(t, 0);
+            let setup = q.reserve_seq();
+            assert_eq!(q.pop_at_or_before(t), Some((t, 0)));
+            // While handling t = 0: a runtime event at the same instant,
+            // then the setup wake-up filed after it.
+            q.schedule(t, 2);
+            q.schedule_reserved(t, setup, 1);
+            assert_eq!(q.pop_at_or_before(t).unwrap().1, 1);
+            assert_eq!(q.pop_at_or_before(t).unwrap().1, 2);
         });
     }
 
@@ -236,34 +119,80 @@ mod tests {
     fn horizon_is_inclusive_and_state_tracks() {
         on_both(|mut q| {
             assert!(q.is_empty());
-            q.schedule(SimTime::from_millis(10), stamp(1, 0, 0), 1);
-            q.schedule(SimTime::from_millis(20), stamp(1, 0, 1), 2);
+            let late = q.reserve_seq();
+            assert!(q.is_empty(), "a reservation is not a pending event");
+            q.schedule(SimTime::from_millis(10), 1);
+            q.schedule_reserved(SimTime::from_millis(20), late, 2);
             assert_eq!(q.peek_time(), Some(SimTime::from_millis(10)));
             assert_eq!(q.len(), 2);
             assert_eq!(q.high_water(), 2);
+            assert_eq!(
+                q.scheduled_count(),
+                2,
+                "a filed reservation takes no new stamp"
+            );
             let h = SimTime::from_millis(10);
-            assert_eq!(q.pop_at_or_before(h).map(|(_, _, v)| v), Some(1));
+            assert_eq!(q.pop_at_or_before(h).map(|(_, v)| v), Some(1));
             assert_eq!(q.pop_at_or_before(h), None);
             assert_eq!(q.now(), SimTime::from_millis(10));
             assert_eq!(q.len(), 1);
+            assert!(q.is_ahead(SimTime::from_millis(20), late));
         });
     }
 
     #[test]
     #[should_panic(expected = "causality violation")]
     fn scheduling_into_past_panics() {
-        let mut q = StampedQueue::new();
-        q.schedule(SimTime::from_secs(1), stamp(1, 0, 0), ());
+        let mut q = EventQueue::new();
+        let seq = q.reserve_seq();
+        q.schedule(SimTime::from_secs(1), ());
         q.pop_at_or_before(SimTime::MAX);
-        q.schedule(SimTime::from_millis(1), stamp(2, 0, 1), ());
+        // The smaller stamp does not make an earlier instant deliverable.
+        q.schedule_reserved(SimTime::from_millis(1), seq, ());
     }
 
-    /// Differential: both backends produce identical sequences on a
-    /// pseudo-random workload with heavy stamp ties.
+    #[test]
+    #[should_panic(expected = "causality violation")]
+    fn scheduling_a_passed_reservation_panics() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        let seq = q.reserve_seq();
+        q.schedule(t, ());
+        q.pop();
+        // Same instant, but the reserved key sorts before the delivered one.
+        q.schedule_reserved(t, seq, ());
+    }
+
+    #[test]
+    fn reserved_seq_lands_where_an_eager_schedule_would() {
+        on_both(|mut q| {
+            let t = SimTime::from_millis(1);
+            q.schedule(t, 0);
+            let seq = q.reserve_seq();
+            q.schedule(t, 2);
+            let unused = q.reserve_seq(); // never scheduled: a gap, no event
+            q.schedule(t, 3);
+            assert_eq!(q.pop(), Some((t, 0)));
+            assert!(q.is_ahead(t, seq));
+            q.schedule_reserved(t, seq, 1);
+            assert_eq!(q.pop(), Some((t, 1)));
+            assert!(!q.is_ahead(t, seq), "its own key is no longer ahead");
+            assert!(q.is_ahead(t, unused));
+            assert_eq!(q.pop(), Some((t, 2)));
+            assert_eq!(q.pop(), Some((t, 3)));
+            assert_eq!(q.pop(), None);
+            assert_eq!(q.scheduled_count(), 5);
+            assert_eq!(q.high_water(), 3);
+        });
+    }
+
+    /// Differential: both backends deliver identical sequences when
+    /// stamps are reserved in one order and filed in another, on a
+    /// pseudo-random workload with heavy same-instant ties.
     #[test]
     fn backends_agree_on_random_workload() {
-        let mut wheel = StampedQueue::with_backend_and_capacity(QueueBackend::Wheel, 0);
-        let mut heap = StampedQueue::with_backend_and_capacity(QueueBackend::Heap, 0);
+        let mut wheel = EventQueue::with_backend(QueueBackend::Wheel);
+        let mut heap = EventQueue::with_backend(QueueBackend::Heap);
         let mut x = 0x2545_f491_4f6c_dd1du64;
         let mut rnd = || {
             x ^= x << 13;
@@ -271,16 +200,30 @@ mod tests {
             x ^= x << 17;
             x
         };
-        let mut pending = Vec::new();
+        let mut reserved = Vec::new();
         for i in 0..5_000u32 {
-            let at = SimTime::from_nanos(rnd() % 50_000_000);
-            let s = stamp(rnd() % 16, (rnd() % 4) as u32, i as u64);
-            pending.push((at, s, i));
+            // 200 distinct instants over 50 ms: ~25 events per instant.
+            let at = SimTime::from_micros(rnd() % 200 * 250);
+            if rnd() % 3 == 0 {
+                wheel.schedule(at, i);
+                heap.schedule(at, i);
+            } else {
+                let seq = wheel.reserve_seq();
+                assert_eq!(heap.reserve_seq(), seq);
+                reserved.push((at, seq, i));
+            }
         }
-        for &(at, s, v) in &pending {
-            wheel.schedule(at, s, v);
-            heap.schedule(at, s, v);
+        // File the reservations in a scrambled order; every fifth one is
+        // never filed.
+        for k in (1..reserved.len()).rev() {
+            reserved.swap(k, (rnd() % (k as u64 + 1)) as usize);
         }
+        for &(at, seq, v) in reserved.iter().filter(|r| r.2 % 5 != 0) {
+            wheel.schedule_reserved(at, seq, v);
+            heap.schedule_reserved(at, seq, v);
+        }
+        assert_eq!(wheel.len(), heap.len());
+        let mut delivered = 0;
         loop {
             let a = wheel.pop_at_or_before(SimTime::MAX);
             let b = heap.pop_at_or_before(SimTime::MAX);
@@ -288,6 +231,8 @@ mod tests {
             if a.is_none() {
                 break;
             }
+            delivered += 1;
         }
+        assert!(delivered > 3_000, "workload is not vacuous: {delivered}");
     }
 }

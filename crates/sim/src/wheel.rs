@@ -32,18 +32,17 @@
 //! ## Exact total order
 //!
 //! Delivery order must be **provably identical** to the binary heap's
-//! `(time, key)` order — byte-identical experiment results depend on it.
-//! The key is generic: the serial [`crate::EventQueue`] uses a `u64`
-//! schedule sequence (FIFO tie-break), the sharded engine's
-//! [`crate::stamped::StampedQueue`] a partition-independent
-//! [`crate::stamped::EventStamp`]. The wheel guarantees the order without
-//! trusting any insertion-order subtlety:
+//! `(time, seq)` order — byte-identical experiment results depend on it.
+//! `seq` is the [`crate::EventQueue`]'s schedule sequence number (FIFO
+//! tie-break), and it need not grow with insertion order: a sequence
+//! number reserved earlier may be scheduled later. The wheel guarantees
+//! the order without trusting any insertion-order subtlety:
 //!
 //! 1. All events of the earliest occupied tick are gathered into a `front`
 //!    buffer (either a level-0 slot taken whole, or the cursor-tick events
 //!    of a cascaded higher-level slot). Every other event in the wheel is
 //!    in a strictly later tick.
-//! 2. The buffer is **sorted by `(time, key)`** before delivery (held in
+//! 2. The buffer is **sorted by `(time, seq)`** before delivery (held in
 //!    descending order so `pop` is a `Vec::pop`).
 //! 3. Events scheduled during dispatch at ticks `<= cursor` (ties with
 //!    "now", or times between the watermark and the current batch) are
@@ -51,7 +50,7 @@
 //!
 //! Step 2 makes per-slot ordering irrelevant: however events arrived in a
 //! slot (directly, re-filed by a cascade, or parked in overflow), the
-//! delivered order is the total `(time, key)` order restricted to that
+//! delivered order is the total `(time, seq)` order restricted to that
 //! tick, and ticks are delivered in increasing order. Tie-breaking
 //! therefore never depends on wheel internals, exactly as the heap's order
 //! never depends on heap internals.
@@ -61,7 +60,7 @@ use crate::time::SimTime;
 /// log2 of the tick width in nanoseconds: 2^20 ns ≈ 1.05 ms per tick.
 ///
 /// A coarse tick is a pure performance parameter — delivered order is the
-/// total `(time, key)` order regardless (see module docs), so the only
+/// total `(time, seq)` order regardless (see module docs), so the only
 /// trade-off is where events spend time. Port and timer events in the
 /// simulated topologies sit tens of microseconds to tens of milliseconds
 /// apart: with ~1 ms ticks nearly all of them land in level 0 or merge
@@ -85,12 +84,11 @@ const SLOT_MASK: u64 = (SLOTS - 1) as u64;
 /// them with room to spare.
 const LEVELS: usize = 9;
 
-/// One scheduled event (shared with the heap backend in `queue.rs`).
-///
-/// `K` is the tie-break key: events are delivered in `(at, key)` order.
-pub(crate) struct Entry<E, K> {
+/// One scheduled event (shared with the heap backend in `queue.rs`),
+/// delivered in `(at, seq)` order.
+pub(crate) struct Entry<E> {
     pub(crate) at: SimTime,
-    pub(crate) key: K,
+    pub(crate) seq: u64,
     pub(crate) event: E,
 }
 
@@ -99,10 +97,10 @@ fn tick_of(at: SimTime) -> u64 {
     at.as_nanos() >> TICK_SHIFT
 }
 
-/// Hierarchical timing wheel with exact `(time, key)` delivery order.
-pub(crate) struct Wheel<E, K> {
+/// Hierarchical timing wheel with exact `(time, seq)` delivery order.
+pub(crate) struct Wheel<E> {
     /// `levels × SLOTS` slot lists, level-major.
-    slots: Vec<Vec<Entry<E, K>>>,
+    slots: Vec<Vec<Entry<E>>>,
     /// Per-level occupancy bitmaps (bit `i` set ⇔ `slots[l*SLOTS+i]` is
     /// non-empty).
     occ: [u64; LEVELS],
@@ -113,25 +111,25 @@ pub(crate) struct Wheel<E, K> {
     /// batch). Every event stored in the wheel is at a strictly later
     /// tick; events scheduled at `<= cursor` go straight into `front`.
     cursor: u64,
-    /// The earliest-tick batch, sorted descending by `(time, key)` so the
+    /// The earliest-tick batch, sorted descending by `(time, seq)` so the
     /// next event to deliver is `front.last()`.
-    front: Vec<Entry<E, K>>,
+    front: Vec<Entry<E>>,
     /// Scratch buffer for cascades. Capacities circulate between `front`,
     /// the slots and this buffer via `swap`/`drain` — after warm-up the
     /// wheel performs **zero** allocations regardless of traffic shape.
-    scratch: Vec<Entry<E, K>>,
+    scratch: Vec<Entry<E>>,
     /// Events whose tick is beyond the active levels' span from the
     /// cursor. Unreachable with the production constants (54-bit span vs.
     /// 44-bit ticks) but load-bearing whenever `levels` or `TICK_SHIFT`
     /// shrinks; re-filed when the wheel proper drains. All overflow ticks
     /// are strictly greater than every tick filed in the wheel proper, so
     /// reintegration at drain time preserves the total order.
-    overflow: Vec<Entry<E, K>>,
+    overflow: Vec<Entry<E>>,
     /// Total events held (wheel + front + overflow).
     len: usize,
 }
 
-impl<E, K: Ord + Copy> Wheel<E, K> {
+impl<E> Wheel<E> {
     pub(crate) fn with_capacity(cap: usize) -> Self {
         Self::with_capacity_and_levels(cap, LEVELS)
     }
@@ -166,15 +164,15 @@ impl<E, K: Ord + Copy> Wheel<E, K> {
         self.front.last().map(|e| e.at)
     }
 
-    /// File an event. `(at, key)` must be strictly greater than every pair
+    /// File an event. `(at, seq)` must be strictly greater than every pair
     /// already delivered (the queue's watermark enforces the time half).
-    pub(crate) fn schedule(&mut self, entry: Entry<E, K>) {
+    pub(crate) fn schedule(&mut self, entry: Entry<E>) {
         let tick = tick_of(entry.at);
         if tick <= self.cursor {
             // Ties with the current batch (or times between the watermark
             // and the batch tick): merge into the sorted front buffer.
-            let key = (entry.at, entry.key);
-            let pos = self.front.partition_point(|e| (e.at, e.key) > key);
+            let key = (entry.at, entry.seq);
+            let pos = self.front.partition_point(|e| (e.at, e.seq) > key);
             self.front.insert(pos, entry);
         } else {
             self.file(tick, entry);
@@ -188,7 +186,7 @@ impl<E, K: Ord + Copy> Wheel<E, K> {
     }
 
     /// Deliver the earliest event.
-    pub(crate) fn pop(&mut self) -> Option<Entry<E, K>> {
+    pub(crate) fn pop(&mut self) -> Option<Entry<E>> {
         let e = self.front.pop()?;
         self.len -= 1;
         if self.front.is_empty() {
@@ -200,7 +198,7 @@ impl<E, K: Ord + Copy> Wheel<E, K> {
     /// Fused peek + pop: deliver the earliest event iff it is at or before
     /// `horizon`. One branch on the front buffer instead of a `peek` and a
     /// `pop` that each re-check it — the dispatch loop's hot path.
-    pub(crate) fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<Entry<E, K>> {
+    pub(crate) fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<Entry<E>> {
         // Optimistically pop; a beyond-horizon entry goes straight back
         // (same slot, capacity untouched). The failure case fires once per
         // `run_until` horizon, the success case once per event.
@@ -219,7 +217,7 @@ impl<E, K: Ord + Copy> Wheel<E, K> {
     /// Insert into the wheel proper (`tick > self.cursor`), or into the
     /// overflow list if the tick is beyond the active levels' span.
     #[inline]
-    fn file(&mut self, tick: u64, entry: Entry<E, K>) {
+    fn file(&mut self, tick: u64, entry: Entry<E>) {
         debug_assert!(tick > self.cursor);
         let high = 63 - (tick ^ self.cursor).leading_zeros();
         let level = (high / SLOT_BITS) as usize;
@@ -279,7 +277,7 @@ impl<E, K: Ord + Copy> Wheel<E, K> {
                         }
                         debug_assert!(!self.front.is_empty());
                         self.front
-                            .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.key)));
+                            .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
                         return;
                     }
                 }
@@ -318,7 +316,7 @@ impl<E, K: Ord + Copy> Wheel<E, K> {
             }
             if !self.front.is_empty() {
                 self.front
-                    .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.key)));
+                    .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
                 return;
             }
         }
@@ -329,18 +327,18 @@ impl<E, K: Ord + Copy> Wheel<E, K> {
 mod tests {
     use super::*;
 
-    fn entry(ns: u64, seq: u64) -> Entry<u64, u64> {
+    fn entry(ns: u64, seq: u64) -> Entry<u64> {
         Entry {
             at: SimTime::from_nanos(ns),
-            key: seq,
+            seq,
             event: seq,
         }
     }
 
-    fn drain(w: &mut Wheel<u64, u64>) -> Vec<(u64, u64)> {
+    fn drain(w: &mut Wheel<u64>) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         while let Some(e) = w.pop() {
-            out.push((e.at.as_nanos(), e.key));
+            out.push((e.at.as_nanos(), e.seq));
         }
         out
     }
@@ -392,15 +390,15 @@ mod tests {
         let mut w = Wheel::with_capacity(0);
         w.schedule(entry(100, 0));
         w.schedule(entry(100, 1));
-        assert_eq!(w.pop().unwrap().key, 0);
+        assert_eq!(w.pop().unwrap().seq, 0);
         // Same instant as the in-flight batch: must come after seq 1.
         w.schedule(entry(100, 2));
         // Earlier tick than the batch is impossible here (tick(100) == 0
         // == cursor), but a later event interleaves correctly too.
         w.schedule(entry(5_000, 3));
-        assert_eq!(w.pop().unwrap().key, 1);
-        assert_eq!(w.pop().unwrap().key, 2);
-        assert_eq!(w.pop().unwrap().key, 3);
+        assert_eq!(w.pop().unwrap().seq, 1);
+        assert_eq!(w.pop().unwrap().seq, 2);
+        assert_eq!(w.pop().unwrap().seq, 3);
         assert!(w.pop().is_none());
         assert_eq!(w.len(), 0);
     }
@@ -413,8 +411,8 @@ mod tests {
         // Now schedule something earlier than the already-fetched front
         // but after the watermark (cursor has advanced to the 10 ms tick).
         w.schedule(entry(9_999_000, 1));
-        assert_eq!(w.pop().unwrap().key, 1);
-        assert_eq!(w.pop().unwrap().key, 0);
+        assert_eq!(w.pop().unwrap().seq, 1);
+        assert_eq!(w.pop().unwrap().seq, 0);
     }
 
     #[test]
@@ -434,7 +432,7 @@ mod tests {
             if popped % 3 == 0 {
                 w.schedule(Entry {
                     at: e.at + crate::SimDuration::from_micros(17 * (popped % 11) as u64),
-                    key: seq,
+                    seq,
                     event: seq,
                 });
                 seq += 1;
@@ -450,7 +448,7 @@ mod tests {
 
     /// Two active levels span `2^(6*2) = 4096` ticks (`2^32` ns): anything
     /// past that from the cursor must take the overflow path and still
-    /// come back in exact `(time, key)` order.
+    /// come back in exact `(time, seq)` order.
     #[test]
     fn overflow_past_top_level_preserves_order() {
         let span_ns = 1u64 << (TICK_SHIFT + 2 * SLOT_BITS);
@@ -487,7 +485,7 @@ mod tests {
         let mut w = Wheel::with_capacity_and_levels(0, 2);
         let mut expect = Vec::new();
         let mut seq = 0u64;
-        let mut sched = |w: &mut Wheel<u64, u64>, t: u64| {
+        let mut sched = |w: &mut Wheel<u64>, t: u64| {
             w.schedule(entry(t, seq));
             expect.push((t, seq));
             seq += 1;
@@ -502,12 +500,12 @@ mod tests {
         let mut got = Vec::new();
         for _ in 0..10 {
             let e = w.pop().unwrap();
-            got.push((e.at.as_nanos(), e.key));
+            got.push((e.at.as_nanos(), e.seq));
         }
         sched(&mut w, span_ns * 2 + 500);
         sched(&mut w, u64::MAX);
         while let Some(e) = w.pop() {
-            got.push((e.at.as_nanos(), e.key));
+            got.push((e.at.as_nanos(), e.seq));
         }
         expect.sort();
         assert_eq!(got, expect);

@@ -18,7 +18,7 @@ use dsv_net::packet::{Dscp, FlowId, NodeId, Packet, Proto};
 use dsv_sim::{SimDuration, SimTime};
 
 use crate::payload::{
-    ControlMsg, StreamPayload, TcpSegment, ACK_PACKET_BYTES, CONTROL_PACKET_BYTES, HEADER_BYTES,
+    ControlMsg, StreamPayload, TcpSegment, ACK_PACKET_BYTES, CONTROL_PACKET_BYTES,
 };
 use crate::tcp::{SenderActions, TcpReceiver, TcpSender};
 
@@ -378,26 +378,8 @@ impl AbrServer {
     }
 
     fn perform(&mut self, ctx: &mut AppCtx<StreamPayload>, acts: SenderActions) {
-        for (seq, len) in acts.segments {
-            self.segments_sent += 1;
-            ctx.send(SendSpec {
-                dst: self.cfg.client,
-                flow: self.cfg.flow,
-                size: len + HEADER_BYTES,
-                dscp: self.cfg.dscp,
-                proto: Proto::Tcp,
-                fragment: None,
-                payload: StreamPayload::Tcp(TcpSegment {
-                    seq,
-                    len,
-                    ack: 0,
-                    is_ack: false,
-                }),
-            });
-        }
-        if let Some(delay) = acts.arm_rto {
-            ctx.set_timer(delay, TOK_RTO);
-        }
+        let cfg = &self.cfg;
+        self.segments_sent += acts.perform(ctx, cfg.client, cfg.flow, cfg.dscp, TOK_RTO);
     }
 }
 
@@ -424,14 +406,8 @@ impl Application<StreamPayload> for AbrServer {
 
     fn on_timer(&mut self, ctx: &mut AppCtx<StreamPayload>, token: u64) {
         if token == TOK_RTO {
-            if let Some(deadline) = self.sender.rto_deadline() {
-                if ctx.now() >= deadline {
-                    let acts = self.sender.on_timeout(ctx.now());
-                    self.perform(ctx, acts);
-                } else {
-                    ctx.set_timer(deadline.saturating_since(ctx.now()), TOK_RTO);
-                }
-            }
+            let acts = self.sender.on_rto_timer(ctx.now());
+            self.perform(ctx, acts);
         }
     }
 }

@@ -12,7 +12,7 @@
 use dsv_net::app::{AppCtx, Application, SendSpec};
 use dsv_net::packet::{Dscp, FlowId, NodeId, Packet, Proto};
 
-use crate::payload::{StreamPayload, TcpSegment, ACK_PACKET_BYTES, HEADER_BYTES};
+use crate::payload::{StreamPayload, TcpSegment, ACK_PACKET_BYTES};
 use crate::tcp::{SenderActions, TcpReceiver, TcpSender};
 
 /// Timer token: the sender's retransmission timer.
@@ -56,26 +56,8 @@ impl BulkTcpSender {
     }
 
     fn perform(&mut self, ctx: &mut AppCtx<StreamPayload>, acts: SenderActions) {
-        for (seq, len) in acts.segments {
-            self.segments_sent += 1;
-            ctx.send(SendSpec {
-                dst: self.cfg.client,
-                flow: self.cfg.flow,
-                size: len + HEADER_BYTES,
-                dscp: self.cfg.dscp,
-                proto: Proto::Tcp,
-                fragment: None,
-                payload: StreamPayload::Tcp(TcpSegment {
-                    seq,
-                    len,
-                    ack: 0,
-                    is_ack: false,
-                }),
-            });
-        }
-        if let Some(delay) = acts.arm_rto {
-            ctx.set_timer(delay, TOK_RTO);
-        }
+        let cfg = &self.cfg;
+        self.segments_sent += acts.perform(ctx, cfg.client, cfg.flow, cfg.dscp, TOK_RTO);
     }
 }
 
@@ -97,14 +79,8 @@ impl Application<StreamPayload> for BulkTcpSender {
 
     fn on_timer(&mut self, ctx: &mut AppCtx<StreamPayload>, token: u64) {
         if token == TOK_RTO {
-            if let Some(deadline) = self.sender.rto_deadline() {
-                if ctx.now() >= deadline {
-                    let acts = self.sender.on_timeout(ctx.now());
-                    self.perform(ctx, acts);
-                } else {
-                    ctx.set_timer(deadline.saturating_since(ctx.now()), TOK_RTO);
-                }
-            }
+            let acts = self.sender.on_rto_timer(ctx.now());
+            self.perform(ctx, acts);
         }
     }
 }
@@ -198,8 +174,94 @@ mod tests {
         let media = sim.net.stats.flow(FlowId(1));
         assert_eq!(media.total_drops(), 0);
         assert!(
-            media.rx_bytes - media.rx_packets * HEADER_BYTES as u64 >= total,
+            media.rx_bytes - media.rx_packets * crate::payload::HEADER_BYTES as u64 >= total,
             "all bytes delivered"
+        );
+    }
+
+    /// A bulk sender that tallies its RTO arms — callbacks after which the
+    /// transport tracks a new retransmission deadline — and the timer
+    /// callbacks it receives.
+    struct TimerTally {
+        inner: BulkTcpSender,
+        arms: u64,
+        timers: u64,
+    }
+
+    impl TimerTally {
+        fn observe(&mut self, callback: impl FnOnce(&mut BulkTcpSender)) {
+            let before = self.inner.sender().rto_deadline();
+            callback(&mut self.inner);
+            let after = self.inner.sender().rto_deadline();
+            if after.is_some() && after != before {
+                self.arms += 1;
+            }
+        }
+    }
+
+    impl Application<StreamPayload> for TimerTally {
+        fn on_start(&mut self, ctx: &mut AppCtx<StreamPayload>) {
+            self.observe(|s| s.on_start(ctx));
+        }
+        fn on_packet(&mut self, ctx: &mut AppCtx<StreamPayload>, pkt: Packet<StreamPayload>) {
+            self.observe(|s| s.on_packet(ctx, pkt));
+        }
+        fn on_timer(&mut self, ctx: &mut AppCtx<StreamPayload>, token: u64) {
+            self.timers += 1;
+            self.observe(|s| s.on_timer(ctx, token));
+        }
+    }
+
+    #[test]
+    fn lossy_transfer_dispatches_no_more_timers_than_rto_arms() {
+        use dsv_net::app::Shared;
+        use dsv_net::qdisc::{DropTailQueue, QueueLimits};
+        use dsv_sim::{SimDuration, SimTime};
+
+        // A greedy transfer into a 1 Mbps bottleneck with a four-packet
+        // queue: overflow losses, fast retransmits and timeouts.
+        let mut b = NetworkBuilder::new();
+        let r = b.add_router("r");
+        let sink = b.add_host("sink", Box::new(BulkTcpSink::new(NodeId(2), FlowId(2))));
+        let (tally, app) = Shared::new(TimerTally {
+            inner: BulkTcpSender::new(BulkTcpConfig {
+                client: sink,
+                flow: FlowId(1),
+                dscp: Dscp::BEST_EFFORT,
+                total_bytes: 1_000_000,
+            }),
+            arms: 0,
+            timers: 0,
+        });
+        let sender = b.add_host("sender", Box::new(app));
+        assert_eq!(sender, NodeId(2), "node id layout assumption");
+        let bottleneck = Link::new(1_000_000, SimDuration::from_millis(20));
+        b.connect_with(
+            r,
+            sink,
+            bottleneck,
+            bottleneck,
+            Box::new(DropTailQueue::new(QueueLimits::packets(4))),
+            Box::new(DropTailQueue::new(QueueLimits::UNBOUNDED)),
+        );
+        b.connect(sender, r, Link::fast_ethernet());
+        let mut sim = Simulation::new(b.build());
+        sim.run_until(SimTime::from_secs(30));
+
+        let t = tally.borrow();
+        let tcp = t.inner.sender();
+        assert!(sim.net.stats.flow(FlowId(1)).total_drops() > 0, "lossy");
+        assert!(
+            tcp.timeouts > 0 && tcp.fast_retransmits > 0,
+            "both loss paths"
+        );
+        // Each arm schedules exactly one timer and nothing else does: a
+        // stale timer must not re-arm itself into a chain.
+        assert!(
+            t.timers <= t.arms,
+            "{} timer dispatches for {} RTO arms",
+            t.timers,
+            t.arms
         );
     }
 }

@@ -12,7 +12,10 @@
 //! [`TcpSender`] and [`TcpReceiver`] are pure state machines: they consume
 //! events with explicit timestamps and return actions (segments to emit,
 //! timers to arm), so they are unit-testable without a network and reusable
-//! by the server/client applications in this crate.
+//! by the server/client applications in this crate. Those applications
+//! hand every [`SenderActions`] to [`SenderActions::perform`], the one
+//! place segments meet the network, and every retransmission timer to
+//! [`TcpSender::on_rto_timer`].
 //!
 //! Simplifications relative to a production stack, none of which affect the
 //! reproduced behaviour: byte-granularity cumulative ACKs without SACK, a
@@ -23,7 +26,11 @@
 
 use std::collections::BTreeMap;
 
+use dsv_net::app::{AppCtx, SendSpec};
+use dsv_net::packet::{Dscp, FlowId, NodeId, Proto};
 use dsv_sim::{SimDuration, SimTime};
+
+use crate::payload::{StreamPayload, TcpSegment, HEADER_BYTES};
 
 /// Maximum segment payload (bytes), aligned with the media chunk payload.
 pub const MSS: u32 = 1448;
@@ -35,6 +42,42 @@ pub struct SenderActions {
     pub segments: Vec<(u64, u32)>,
     /// If set, (re)arm the retransmission timer this far in the future.
     pub arm_rto: Option<SimDuration>,
+}
+
+impl SenderActions {
+    /// Carry the actions out for an application: send each segment to
+    /// `dst` as a `flow` packet marked `dscp`, and arm the retransmission
+    /// timer under `rto_token`. Returns the number of segments sent.
+    pub fn perform(
+        self,
+        ctx: &mut AppCtx<StreamPayload>,
+        dst: NodeId,
+        flow: FlowId,
+        dscp: Dscp,
+        rto_token: u64,
+    ) -> u64 {
+        let sent = self.segments.len() as u64;
+        for (seq, len) in self.segments {
+            ctx.send(SendSpec {
+                dst,
+                flow,
+                size: len + HEADER_BYTES,
+                dscp,
+                proto: Proto::Tcp,
+                fragment: None,
+                payload: StreamPayload::Tcp(TcpSegment {
+                    seq,
+                    len,
+                    ack: 0,
+                    is_ack: false,
+                }),
+            });
+        }
+        if let Some(delay) = self.arm_rto {
+            ctx.set_timer(delay, rto_token);
+        }
+        sent
+    }
 }
 
 /// Reno-style TCP sender.
@@ -61,7 +104,8 @@ pub struct TcpSender {
     dupacks: u32,
     /// If in fast recovery, the snd_nxt at entry (new-Reno-lite exit).
     recovery_point: Option<u64>,
-    /// Deadline of the armed RTO timer, if any (callers check expiry).
+    /// Deadline of the armed RTO timer, if any. Every assignment of a new
+    /// deadline returns `arm_rto` for exactly it (see `on_rto_timer`).
     rto_deadline: Option<SimTime>,
     /// Diagnostic: number of retransmission timeouts taken.
     pub timeouts: u64,
@@ -232,7 +276,25 @@ impl TcpSender {
         acts
     }
 
-    /// The retransmission timer fired (caller verified the deadline).
+    /// A retransmission timer armed by an earlier `arm_rto` fired at
+    /// `now`: take the timeout iff `now` has reached the current deadline.
+    ///
+    /// A timer whose deadline an ACK has since moved (or cleared) is stale
+    /// and does nothing; it needs no re-arm. Every deadline this sender
+    /// sets lies at least the 200 ms RTO floor ahead and is armed, in the
+    /// same call, by a timer for exactly that instant, so when a deadline
+    /// falls due the first timer event to see it is that direct arm — the
+    /// timeout always fires there, at the deadline itself.
+    pub fn on_rto_timer(&mut self, now: SimTime) -> SenderActions {
+        match self.rto_deadline {
+            Some(deadline) if now >= deadline => self.on_timeout(now),
+            _ => SenderActions::default(),
+        }
+    }
+
+    /// The retransmission timeout: collapse the window and go back to the
+    /// oldest unacknowledged byte. [`TcpSender::on_rto_timer`] calls this
+    /// once the deadline has passed.
     pub fn on_timeout(&mut self, now: SimTime) -> SenderActions {
         let mut acts = SenderActions::default();
         if self.flight() == 0 {
@@ -394,6 +456,28 @@ mod tests {
         assert!(s.rto >= rto_before * 2);
         assert_eq!(a.segments.len(), 1);
         assert_eq!(a.segments[0].0, 0);
+    }
+
+    #[test]
+    fn stale_rto_timer_is_a_no_op_and_the_direct_arm_fires() {
+        let mut s = TcpSender::new();
+        s.write(100_000);
+        let first = s.poll_send(T0).arm_rto.expect("first send arms");
+        // An ACK at 900 ms pushes the deadline past the first timer's
+        // instant and arms a timer for exactly the new deadline.
+        let moved = s.on_ack(t(900), MSS as u64).arm_rto.expect("ACK re-arms");
+        let deadline = s.rto_deadline().expect("flight remains");
+        assert_eq!(deadline, t(900) + moved);
+        assert!(deadline > T0 + first);
+        // The first timer (armed at 0) is now stale: nothing happens.
+        assert_eq!(s.on_rto_timer(T0 + first), SenderActions::default());
+        assert_eq!(s.timeouts, 0);
+        assert_eq!(s.rto_deadline(), Some(deadline));
+        // The timer armed by the ACK falls due at the deadline and fires.
+        let acts = s.on_rto_timer(deadline);
+        assert_eq!(s.timeouts, 1);
+        assert_eq!(acts.segments.len(), 1);
+        assert!(acts.arm_rto.is_some());
     }
 
     #[test]

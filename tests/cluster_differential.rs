@@ -12,8 +12,7 @@
 //!
 //! The queue backend is fixed per process (`DSV_QUEUE` is read once),
 //! so backend coverage comes from `ci.sh`, which runs this suite under
-//! both `wheel` and `heap`, and separately with `DSV_SHARDS=2` exported
-//! for the whole suite.
+//! both `wheel` and `heap`.
 //!
 //! [`ErrorBound`]: dsv_core::runner::ErrorBound
 

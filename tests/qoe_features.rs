@@ -4,33 +4,26 @@
 //! [`FlowFeatures`] the client extracts on the delivery path, so those
 //! features must inherit the engine's byte-identity contract: the same
 //! policed chain has to yield the same canonical feature bytes under the
-//! timing-wheel and binary-heap event queues, under the sharded engine,
-//! and under the cluster-exact canonical-spec rewrite (equal canonical
-//! JSON is the premise `DSV_CLUSTER=exact` reuses outcomes on). This
-//! suite pins that property on live QBone points — EF policer in the
-//! path — with the parameters drawn by proptest strategies.
+//! timing-wheel and binary-heap event queues and under the cluster-exact
+//! canonical-spec rewrite (equal canonical JSON is the premise
+//! `DSV_CLUSTER=exact` reuses outcomes on). This suite pins that property
+//! on live QBone points — EF policer in the path — with the parameters
+//! drawn by proptest strategies.
 //!
-//! Every case is four full simulations, so the property caps its case
+//! Every case is three full simulations, so the property caps its case
 //! count well below the default (`PROPTEST_CASES` can lower it further,
 //! never raise it past the cap). A pinned starved point runs first so
 //! the loss-run machinery is exercised deterministically, not just when
 //! the strategy happens to draw a sub-encoding token rate.
-
-use std::sync::Mutex;
 
 use dsv_core::artifacts::ArtifactStore;
 use dsv_core::prelude::*;
 use dsv_core::qbone::{qbone_spec, QboneConfig};
 use dsv_net::features::FlowFeatures;
 use dsv_net::network::Simulation;
-use dsv_net::shard::set_shards_for_process;
-use dsv_scenario::{canonicalize, compile, shard_plan, CompileOptions, ScenarioSpec};
+use dsv_scenario::{canonicalize, compile, CompileOptions, ScenarioSpec};
 use dsv_sim::{EventQueue, QueueBackend, SimTime};
 use proptest::prelude::*;
-
-/// Serializes use of the process-wide shard override (mirrors
-/// `shard_determinism.rs`).
-static SHARD_LOCK: Mutex<()> = Mutex::new(());
 
 const ENC: u64 = 1_500_000;
 
@@ -44,16 +37,9 @@ fn config(rate_frac: f64, depth: u32, cross: bool) -> QboneConfig {
     cfg
 }
 
-/// Compile `spec`, run it to `horizon` under an explicit queue backend
-/// and shard count, and return the client's extracted features.
-fn drive_features(
-    spec: &ScenarioSpec,
-    horizon: SimTime,
-    backend: QueueBackend,
-    shards: usize,
-) -> FlowFeatures {
-    let _guard = SHARD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_shards_for_process(shards);
+/// Compile `spec`, run it to `horizon` under an explicit queue backend,
+/// and return the client's extracted features.
+fn drive_features(spec: &ScenarioSpec, horizon: SimTime, backend: QueueBackend) -> FlowFeatures {
     let compiled = compile(
         spec,
         CompileOptions {
@@ -70,7 +56,6 @@ fn drive_features(
         queue,
     };
     sim.run_until(horizon);
-    set_shards_for_process(0);
     let features = client.borrow().report().features.clone();
     features
 }
@@ -81,7 +66,7 @@ fn check_invariance(cfg: &QboneConfig) -> FlowFeatures {
     let spec = qbone_spec(cfg);
     let horizon = SimTime::ZERO + run_horizon(cfg.clip.into());
 
-    let reference = drive_features(&spec, horizon, QueueBackend::Wheel, 1);
+    let reference = drive_features(&spec, horizon, QueueBackend::Wheel);
     let bytes = reference.canonical_bytes();
     prop_assert!(
         reference.packets > 0,
@@ -89,7 +74,7 @@ fn check_invariance(cfg: &QboneConfig) -> FlowFeatures {
         cfg.profile
     );
 
-    let heap = drive_features(&spec, horizon, QueueBackend::Heap, 1);
+    let heap = drive_features(&spec, horizon, QueueBackend::Heap);
     prop_assert_eq!(
         &bytes,
         &heap.canonical_bytes(),
@@ -97,16 +82,8 @@ fn check_invariance(cfg: &QboneConfig) -> FlowFeatures {
         cfg.profile
     );
 
-    let sharded = drive_features(&spec, horizon, QueueBackend::Wheel, 2);
-    prop_assert_eq!(
-        &bytes,
-        &sharded.canonical_bytes(),
-        "2-shard engine changed the features at {:?}",
-        cfg.profile
-    );
-
     let canon = canonicalize(&spec).spec;
-    let clustered = drive_features(&canon, horizon, QueueBackend::Wheel, 1);
+    let clustered = drive_features(&canon, horizon, QueueBackend::Wheel);
     prop_assert_eq!(
         &bytes,
         &clustered.canonical_bytes(),
@@ -119,14 +96,6 @@ fn check_invariance(cfg: &QboneConfig) -> FlowFeatures {
 
 #[test]
 fn features_are_engine_configuration_invariant_on_a_live_policed_chain() {
-    // Non-vacuity for the shard axis: the QBone topology must actually
-    // admit a 2-way partition, or the `shards = 2` runs silently test
-    // the serial fallback.
-    let plan = shard_plan(&qbone_spec(&config(1.0, DEPTH_2MTU, false)), 2)
-        .expect("qbone spec splits into 2 domains");
-    assert_eq!(plan.partition.domains, 2);
-    assert!(plan.members.iter().all(|m| !m.is_empty()));
-
     // Non-vacuity for the loss machinery: a pinned starved point (the
     // scenario_differential "starved corner") must show sequence-gap
     // losses from the live policer.

@@ -7,6 +7,11 @@
 //! redundant: ties broken by schedule order, events scheduled *during*
 //! dispatch, far-future timestamps (up to `SimTime::MAX` sentinels) and
 //! spans that cross every wheel level all round-trip identically.
+//!
+//! Reserved sequence numbers (`reserve_seq` now, `schedule_reserved`
+//! later or never — how the network elides no-op port wake-ups) are held
+//! to a stronger oracle: each reserved event must be delivered exactly
+//! where an eager `schedule` at reservation time would have put it.
 
 use dsv_sim::engine::RunStats;
 use dsv_sim::{run_until, EventQueue, QueueBackend, SimDuration, SimTime, World};
@@ -107,6 +112,112 @@ fn check_equivalence(ops: &[(u8, u64)], label: &str) {
     }
 }
 
+/// Drive both backends through a script mixing eager schedules with
+/// sequence-number reservations that are filed later, or never, and check
+/// them against an eager reference queue that scheduled every reserved
+/// event at reservation time.
+///
+/// `ops` entries are `(op_selector, delta_ns, pick)`:
+/// * selector 0–3 → schedule one event `delta_ns` after the watermark,
+/// * selector 4–5 → reserve a sequence number for an event due `delta_ns`
+///   after the watermark, or exactly at it when `pick` is even,
+/// * selector 6   → file the `pick`-th outstanding reservation with
+///   `schedule_reserved` if its key is still ahead; one whose key has
+///   passed stays unscheduled for good,
+/// * selector 7–8 → pop one event.
+///
+/// Reservations still outstanding at the end are never scheduled. The
+/// delivered sequence must equal the reference's with exactly the
+/// never-scheduled events removed.
+fn check_reservations(ops: &[(u8, u64, u16)], label: &str) {
+    let mut lazy: [EventQueue<u64>; 2] = [
+        EventQueue::with_backend(QueueBackend::Wheel),
+        EventQueue::with_backend(QueueBackend::Heap),
+    ];
+    let mut eager: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Heap);
+    let mut outstanding: Vec<(SimTime, u64, u64)> = Vec::new();
+    let mut unscheduled: Vec<u64> = Vec::new();
+    let mut delivered: Vec<(SimTime, u64)> = Vec::new();
+    let mut next_event: u64 = 0;
+
+    for &(op, delta_ns, pick) in ops {
+        let now = lazy[0].now();
+        match op {
+            0..=3 => {
+                let at = now + SimDuration::from_nanos(delta_ns);
+                for q in &mut lazy {
+                    q.schedule(at, next_event);
+                }
+                eager.schedule(at, next_event);
+                next_event += 1;
+            }
+            4 | 5 => {
+                let at = if pick % 2 == 0 {
+                    now
+                } else {
+                    now + SimDuration::from_nanos(delta_ns)
+                };
+                let seq = lazy[0].reserve_seq();
+                prop_assert_eq!(seq, lazy[1].reserve_seq(), "{}: reserved seq", label);
+                // The reference takes the same sequence number eagerly.
+                eager.schedule(at, next_event);
+                outstanding.push((at, seq, next_event));
+                next_event += 1;
+            }
+            6 => {
+                if outstanding.is_empty() {
+                    continue;
+                }
+                let (at, seq, event) = outstanding.remove(pick as usize % outstanding.len());
+                let ahead = lazy[0].is_ahead(at, seq);
+                prop_assert_eq!(ahead, lazy[1].is_ahead(at, seq), "{}: is_ahead", label);
+                if ahead {
+                    for q in &mut lazy {
+                        q.schedule_reserved(at, seq, event);
+                    }
+                } else {
+                    unscheduled.push(event);
+                }
+            }
+            _ => {
+                let w = lazy[0].pop();
+                prop_assert_eq!(w, lazy[1].pop(), "{}: pop mismatch", label);
+                delivered.extend(w);
+            }
+        }
+        prop_assert_eq!(lazy[0].peek_time(), lazy[1].peek_time(), "{}: peek", label);
+        prop_assert_eq!(lazy[0].len(), lazy[1].len(), "{}: len", label);
+        prop_assert_eq!(lazy[0].now(), lazy[1].now(), "{}: now", label);
+    }
+    unscheduled.extend(outstanding.iter().map(|&(_, _, event)| event));
+    loop {
+        let w = lazy[0].pop();
+        prop_assert_eq!(w, lazy[1].pop(), "{}: drain mismatch", label);
+        match w {
+            Some(pair) => delivered.push(pair),
+            None => break,
+        }
+    }
+    let mut expected = Vec::new();
+    while let Some((at, event)) = eager.pop() {
+        if !unscheduled.contains(&event) {
+            expected.push((at, event));
+        }
+    }
+    prop_assert_eq!(
+        &delivered,
+        &expected,
+        "{}: reserved events left their eager positions",
+        label
+    );
+    prop_assert_eq!(
+        delivered.len() + unscheduled.len(),
+        next_event as usize,
+        "{}: every event is delivered or never scheduled",
+        label
+    );
+}
+
 proptest! {
     /// Near-future traffic with heavy ties: deltas span only a few wheel
     /// ticks (the tick is 2.048 µs), so many events collapse onto the same
@@ -163,6 +274,27 @@ proptest! {
             })
             .collect();
         check_equivalence(&shaped, "saturating-edge");
+    }
+}
+
+proptest! {
+    /// Reservations among heavily tied near-future traffic: many reserved
+    /// keys share an instant with eager events and with each other, and
+    /// many are filed at the very instant they fall due.
+    #[test]
+    fn reserved_events_land_where_eager_ones_would_with_ties(
+        ops in prop::collection::vec((0u8..9, 0u64..8_192, 0u16..1_024), 1..400),
+    ) {
+        check_reservations(&ops, "reserve-ties");
+    }
+
+    /// Reservations across the simulator's bimodal spans, so reserved
+    /// events are filed into upper wheel levels and cascade back down.
+    #[test]
+    fn reserved_events_land_where_eager_ones_would_bimodal(
+        ops in prop::collection::vec((0u8..9, 0u64..40_000_000_000, 0u16..1_024), 1..300),
+    ) {
+        check_reservations(&ops, "reserve-bimodal");
     }
 }
 

@@ -1,41 +1,16 @@
-//! Shard-count invariance: the sharded engine is an implementation
-//! detail, never a semantics change.
+//! Spec-level shard plans for the committed testbeds.
 //!
-//! The conservative parallel engine (`dsv_net::shard`) partitions a
-//! network at link boundaries and advances the domains in lockstep
-//! windows. Its correctness contract is *byte-identity*: for any shard
-//! count, every experiment outcome — quality score, per-packet drops,
-//! delay statistics, the full serialized `RunOutcome` — equals the
-//! serial run's exactly. These tests enforce that contract on all four
-//! committed testbeds (QBone, local Frame-Relay, AF, aggregate).
-//!
-//! The queue backend is fixed per process (`DSV_QUEUE` is read once),
-//! so backend coverage comes from `ci.sh`, which runs this suite under
-//! both `wheel` and `heap`, and separately with `DSV_SHARDS=2` exported
-//! for the whole suite.
+//! `dsv_scenario::shard_plan` computes, without compiling a spec, the
+//! same link-boundary partition `dsv_net::shard::partition_nodes`
+//! computes on the compiled network (pinned by
+//! `partition::tests::spec_edges_match_the_compiled_network`). A plan
+//! depends only on the topology, so it is deterministic by construction;
+//! this file records which committed testbeds admit one, so a topology
+//! change that removes every usable cut is noticed.
 
-use std::sync::Mutex;
-
-use dsv_core::af::{af_spec, run_af, AfConfig};
-use dsv_core::aggregate::{aggregate_spec, run_aggregate, AggregateConfig};
-use dsv_core::local::{local_spec, run_local, LocalConfig, LocalTransport};
 use dsv_core::prelude::{ClipId2, EfProfile, DEPTH_2MTU};
-use dsv_core::qbone::{qbone_spec, run_qbone, QboneConfig};
-use dsv_net::shard::set_shards_for_process;
+use dsv_core::qbone::{qbone_spec, QboneConfig};
 use dsv_scenario::shard_plan;
-
-/// Serializes tests that set the process-wide shard override.
-static SHARD_LOCK: Mutex<()> = Mutex::new(());
-
-/// Run `f` with the process shard count forced to `n`, restoring the
-/// environment default afterwards even on panic-free early returns.
-fn with_shards<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let _guard = SHARD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_shards_for_process(n);
-    let out = f();
-    set_shards_for_process(0);
-    out
-}
 
 fn qbone_cfg() -> QboneConfig {
     QboneConfig::new(
@@ -46,64 +21,7 @@ fn qbone_cfg() -> QboneConfig {
 }
 
 #[test]
-fn qbone_outcome_is_shard_count_invariant() {
-    let cfg = qbone_cfg();
-    // Non-vacuity: the QBone topology must actually admit a 2-way
-    // partition, otherwise this whole file tests the serial fallback.
-    let plan = shard_plan(&qbone_spec(&cfg), 2).expect("qbone spec splits into 2 domains");
-    assert_eq!(plan.partition.domains, 2);
-    assert!(plan.members.iter().all(|m| !m.is_empty()));
-
-    let serial = serde_json::to_string(&with_shards(1, || run_qbone(&cfg))).unwrap();
-    for shards in [2usize, 3] {
-        let sharded = serde_json::to_string(&with_shards(shards, || run_qbone(&cfg))).unwrap();
-        assert_eq!(serial, sharded, "shards={shards} diverged from serial");
-    }
-}
-
-#[test]
-fn local_outcome_is_shard_count_invariant() {
-    let mut cfg = LocalConfig::new(
-        ClipId2::Lost,
-        EfProfile::new(1_300_000, DEPTH_2MTU),
-        LocalTransport::Udp,
-    );
-    cfg.cross_traffic = true; // seeded RNG apps must survive the split
-    let plan2 = shard_plan(&local_spec(&cfg), 2);
-    let serial = serde_json::to_string(&with_shards(1, || run_local(&cfg))).unwrap();
-    let sharded = serde_json::to_string(&with_shards(2, || run_local(&cfg))).unwrap();
-    assert_eq!(serial, sharded, "plan2={plan2:?}");
-}
-
-#[test]
-fn af_outcome_is_shard_count_invariant() {
-    let cfg = AfConfig::new(ClipId2::Lost, 1_500_000, 3_000_000);
-    let plan2 = shard_plan(&af_spec(&cfg), 2);
-    let serial = serde_json::to_string(&with_shards(1, || run_af(&cfg))).unwrap();
-    let sharded = serde_json::to_string(&with_shards(2, || run_af(&cfg))).unwrap();
-    assert_eq!(serial, sharded, "plan2={plan2:?}");
-}
-
-#[test]
-fn aggregate_outcome_is_shard_count_invariant() {
-    let cfg = AggregateConfig::new(
-        ClipId2::Lost,
-        1_000_000,
-        3,
-        EfProfile::new(3_600_000, 2 * DEPTH_2MTU),
-    );
-    let plan2 = shard_plan(&aggregate_spec(&cfg), 2);
-    let serial = serde_json::to_string(&with_shards(1, || run_aggregate(&cfg))).unwrap();
-    let sharded = serde_json::to_string(&with_shards(2, || run_aggregate(&cfg))).unwrap();
-    assert_eq!(serial, sharded, "plan2={plan2:?}");
-}
-
-#[test]
 fn spec_level_plans_exist_for_the_wide_area_testbeds() {
-    // The spec-level planner (`dsv_scenario::shard_plan`) and the
-    // runtime partitioner agree by construction; record here which
-    // committed testbeds are actually splittable so a topology change
-    // that silently serializes every sharded run is caught.
     let qbone = shard_plan(&qbone_spec(&qbone_cfg()), 2);
     assert!(qbone.is_some(), "qbone must split");
 }
