@@ -85,6 +85,29 @@ for mode in exact off; do
   git diff --exit-code -- results/
 done
 
+echo "==> warm-cache figure gate (every figure replayed from a fresh result cache)"
+# Every lane above runs with the cache off. Here all_figures fills a fresh
+# cache, then replays from it: both passes must leave results/ unchanged,
+# every progress line of the replay must report 0 simulated points, and
+# the replay must write no cache file.
+warm_cache=$(mktemp -d)
+DSV_CACHE="$warm_cache" DSV_PROGRESS=1 ./target/release/all_figures > /dev/null 2> /dev/null
+git diff --exit-code -- results/
+filled=$(ls -A "$warm_cache")
+replay=$(DSV_CACHE="$warm_cache" DSV_PROGRESS=1 ./target/release/all_figures 2>&1 > /dev/null \
+  | tr '\r' '\n' | grep '^\[runner\]' || true)
+git diff --exit-code -- results/
+if [[ -z "$replay" ]] || grep -qv ' (0 simulated, ' <<< "$replay"; then
+  echo "warm-cache replay simulated points (or printed no progress):" >&2
+  grep -m 5 -v ' (0 simulated, ' <<< "$replay" >&2 || true
+  exit 1
+fi
+if [[ "$(ls -A "$warm_cache")" != "$filled" ]]; then
+  echo "warm-cache replay wrote cache files" >&2
+  exit 1
+fi
+rm -rf "$warm_cache"
+
 echo "==> qoe gate (DSV_QOE=full byte-identical; proxy bound holds)"
 # The default estimator must be a no-op relative to every committed
 # figure — DSV_QOE=full regenerates all of results/ bit-for-bit. The

@@ -26,7 +26,14 @@ use dsv_scenario::{canonicalize, ScenarioSpec};
 /// FNV-1a, 64-bit: tiny, dependency-free, and stable across platforms —
 /// exactly what a content-addressed filename needs.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue an FNV-1a hash over more bytes: hashing two slices in turn
+/// equals hashing their concatenation.
+fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100_0000_01b3);
@@ -38,11 +45,10 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// is declaration order (the vendored serde emits object fields in the
 /// order given), so the bytes are stable across runs and platforms.
 pub fn cache_address(spec: Value, scoring: Value) -> String {
-    serde_json::to_string(&Value::Object(vec![
+    serde_json::value_to_string(&Value::Object(vec![
         ("spec".to_string(), spec),
         ("scoring".to_string(), scoring),
     ]))
-    .expect("cache address serializes")
 }
 
 /// The address of a grid point: the spec's **symmetry-normal form** plus
@@ -52,13 +58,13 @@ pub fn canonical_address(spec: &ScenarioSpec, scoring: Value) -> String {
     cache_address(canonicalize(spec).spec.to_value(), scoring)
 }
 
-/// The content-addressed cache path for `(kind, address)`.
+/// The content-addressed cache path for `(kind, address)`: the FNV-1a
+/// hash of `kind`, a NUL byte and `address`.
 pub fn cache_path(dir: &Path, kind: &str, address: &str) -> PathBuf {
-    let mut keyed = Vec::with_capacity(kind.len() + 1 + address.len());
-    keyed.extend_from_slice(kind.as_bytes());
-    keyed.push(0);
-    keyed.extend_from_slice(address.as_bytes());
-    dir.join(format!("{}-{:016x}.json", kind, fnv1a64(&keyed)))
+    let h = [kind.as_bytes(), b"\0", address.as_bytes()]
+        .into_iter()
+        .fold(FNV_OFFSET, fnv1a64_extend);
+    dir.join(format!("{kind}-{h:016x}.json"))
 }
 
 #[cfg(test)]
@@ -73,6 +79,20 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn cache_path_hashes_kind_nul_address() {
+        // The file name hashes the concatenation `kind ‖ 0 ‖ address`,
+        // however the hash is fed: every cache file on disk depends on it.
+        let dir = Path::new("cache");
+        assert_eq!(
+            cache_path(dir, "qbone", r#"{"spec":1}"#),
+            dir.join(format!(
+                "qbone-{:016x}.json",
+                fnv1a64(b"qbone\0{\"spec\":1}")
+            ))
+        );
     }
 
     #[test]

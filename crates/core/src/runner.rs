@@ -12,16 +12,24 @@
 //!   the output order is the input order and a parallel run is
 //!   bit-identical to a serial one.
 //! * **Caching** — each point is content-addressed by an FNV-1a hash of
-//!   its kind tag and the **canonical** (symmetry-normal, see
-//!   [`dsv_scenario::canonicalize`]) JSON of its compiled scenario spec
-//!   plus scoring parameters (`Job::cache_json`, built on
-//!   [`crate::keys`]), so any topology or profile change changes the
-//!   address. Outcomes persist under `results/cache/`, so re-running
-//!   `all_figures` (or any figure binary) skips every already-computed
-//!   point. A config change — different rate, depth, seed, clip,
-//!   horizon — changes the hash and misses the cache; the stored config
-//!   is compared byte-for-byte on load to guard against hash collisions
-//!   and stale schema.
+//!   its kind tag and its **address**: the canonical (symmetry-normal,
+//!   see [`dsv_scenario::canonicalize`]) JSON of its compiled scenario
+//!   spec plus its scoring parameters (built in [`crate::keys`]), so any
+//!   topology or profile change changes the address. Outcomes persist
+//!   under `results/cache/`, so re-running `all_figures` (or any figure
+//!   binary) skips every already-computed point. A config change —
+//!   different rate, depth, seed, clip, horizon — changes the hash and
+//!   misses the cache; the stored address is compared byte-for-byte on
+//!   load to guard against hash collisions and stale schema.
+//! * **Addressing once** — a batch computes each point's address (and,
+//!   for per-flow outcomes, its canonical flow-rank map) exactly once,
+//!   in a pre-pass on the calling thread, and every later stage — class
+//!   partition, cache lookup, cache store, transplant — reuses it. The
+//!   pre-pass is deliberately serial: fanned over the worker pool it ran
+//!   the all-cached `warm_replay` benchmark workload faster on two cores,
+//!   but raised `aggregate_rotation`'s peak RSS by about a fifth, past
+//!   the benchmark's memory bound (allocator arenas of the extra threads,
+//!   gone under `MALLOC_ARENA_MAX=1`).
 //! * **Clustering** — before simulating, the grid is partitioned into
 //!   equivalence classes by the very same canonical address. In `exact`
 //!   mode (the default) only one representative per class is simulated
@@ -139,30 +147,29 @@ impl Job {
             ),
         }
     }
+}
 
-    /// The content the result cache addresses: the **symmetry-normal**
-    /// form of the job's compiled scenario spec plus its scoring
-    /// parameters (see [`crate::keys`]). Keying the cache off the
-    /// canonical spec means two configs that lower to relabellings of
-    /// one simulation *and* the same scoring share an entry, and any
-    /// topology change — even one the config struct cannot express —
-    /// changes the address. This string is also the exact-cluster class
-    /// identity, by construction: one module computes both.
-    pub(crate) fn cache_json(&self) -> String {
+impl GridJob for Job {
+    type Outcome = RunOutcome;
+
+    fn address(&self) -> Address {
         let (spec, scoring) = self.spec_scoring();
         // A non-default `DSV_QOE` estimator changes outcome values, so it
         // is part of the identity; full mode stamps nothing, keeping
         // every historical address byte-identical.
-        keys::canonical_address(&spec, crate::qoe::stamp_scoring(scoring))
+        Address::new(self.kind(), &spec, crate::qoe::stamp_scoring(scoring), 0)
     }
 
-    /// Run the experiment this job describes.
     fn execute(&self) -> RunOutcome {
         match self {
             Job::Qbone(cfg) => run_qbone(cfg),
             Job::Local(cfg) => run_local(cfg),
             Job::Af(cfg) => run_af(cfg),
         }
+    }
+
+    fn rate_family(&self) -> Option<(String, u64)> {
+        rate_family(self)
     }
 }
 
@@ -196,36 +203,170 @@ impl FlowJob {
         }
         .expect("config serializes")
     }
+}
 
-    /// The job's compiled scenario spec plus the scoring parameters
-    /// living outside the topology (see [`Job::spec_scoring`]).
-    pub(crate) fn spec_scoring(&self) -> (ScenarioSpec, Value) {
+impl GridJob for FlowJob {
+    type Outcome = FlowsOutcome;
+
+    fn address(&self) -> Address {
+        // Transport-level runs score no video, so their scoring is never
+        // stamped with the QoE estimator.
         match self {
-            FlowJob::Smoothing(cfg) => (
-                smoothing_spec(cfg),
+            FlowJob::Smoothing(cfg) => Address::new(
+                self.kind(),
+                &smoothing_spec(cfg),
                 Value::Object(vec![
                     ("clip".to_string(), cfg.clip.to_value()),
                     ("encoding_bps".to_string(), cfg.encoding_bps.to_value()),
                 ]),
+                1,
             ),
-            FlowJob::AfTcp(cfg) => (af_tcp_spec(cfg), Value::Object(Vec::new())),
+            FlowJob::AfTcp(cfg) => Address::new(
+                self.kind(),
+                &af_tcp_spec(cfg),
+                Value::Object(Vec::new()),
+                cfg.flows(),
+            ),
         }
     }
 
-    /// How many per-flow outcomes this job reports.
-    fn flows(&self) -> u32 {
-        match self {
-            FlowJob::Smoothing(_) => 1,
-            FlowJob::AfTcp(cfg) => cfg.flows(),
-        }
-    }
-
-    /// Run the experiment this job describes.
     fn execute(&self) -> FlowsOutcome {
         match self {
             FlowJob::Smoothing(cfg) => run_smoothing(cfg),
             FlowJob::AfTcp(cfg) => run_af_tcp(cfg),
         }
+    }
+}
+
+impl GridJob for AggregateConfig {
+    type Outcome = AggregateOutcome;
+
+    fn address(&self) -> Address {
+        // Stamped like `Job`'s scoring: a non-default QoE estimator is
+        // part of the identity (full mode adds nothing).
+        let scoring = crate::qoe::stamp_scoring(Value::Object(vec![
+            ("clip".to_string(), self.clip.to_value()),
+            ("encoding_bps".to_string(), self.encoding_bps.to_value()),
+        ]));
+        Address::new("aggregate", &aggregate_spec(self), scoring, self.flows)
+    }
+
+    fn execute(&self) -> AggregateOutcome {
+        run_aggregate(self)
+    }
+}
+
+/// A grid point's identity, computed once per batch: its kind tag, its
+/// address (see [`crate::keys`]) and the canonical rank of each of its
+/// media flows ([`media_flow_ranks`]; empty for flow-agnostic outcomes).
+/// Two points are one exact-cluster class iff kind and address match.
+struct Address {
+    kind: &'static str,
+    json: String,
+    ranks: Vec<usize>,
+}
+
+impl Address {
+    /// Canonicalize `spec` once and derive both the address and the rank
+    /// map of its first `flows` media flows from the result.
+    fn new(kind: &'static str, spec: &ScenarioSpec, scoring: Value, flows: u32) -> Address {
+        let canon = canonicalize(spec);
+        Address {
+            kind,
+            ranks: media_flow_ranks(&canon, flows),
+            json: keys::cache_address(canon.spec.to_value(), scoring),
+        }
+    }
+}
+
+/// One kind of grid work. The runner's single pipeline — address,
+/// cluster, cache lookup-and-store, transplant — is written once over
+/// this trait; [`Job`], [`AggregateConfig`] and [`FlowJob`] plug in.
+trait GridJob: Sync {
+    /// What one run produces.
+    type Outcome: GridOutcome;
+    /// The point's identity (the pre-pass calls this once per point).
+    fn address(&self) -> Address;
+    /// Run the experiment this job describes.
+    fn execute(&self) -> Self::Outcome;
+    /// The approx-mode rate family (see [`rate_family`]); `None`, the
+    /// default, keeps the point out of interpolation.
+    fn rate_family(&self) -> Option<(String, u64)> {
+        None
+    }
+}
+
+/// The outcome of a [`GridJob`], as the pipeline handles it.
+trait GridOutcome: Clone + Send + Sync + Serialize + Deserialize {
+    /// Drop counters `(policer, queue, shaper)` for the progress line.
+    fn drops(&self) -> (u64, u64, u64);
+    /// This outcome in canonical flow order (the order cache entries are
+    /// stored in), given its point's rank map.
+    fn to_canonical(&self, ranks: &[usize]) -> Self;
+    /// A canonical-order outcome back in the flow order of the point with
+    /// rank map `ranks`; `None` if the flow counts disagree (a stale
+    /// entry shape — the address fixes the count, so never in practice).
+    fn to_label_order(&self, ranks: &[usize]) -> Option<Self>;
+    /// Approx mode: the error bound points between anchors `self` and
+    /// `other` inherit, if the anchors agree within `eps`. `None`, the
+    /// default, never interpolates.
+    fn interpolation_bound(&self, _other: &Self, _eps: f64) -> Option<ErrorBound> {
+        None
+    }
+}
+
+/// Single-stream outcomes are flow-agnostic: they transplant by clone.
+impl GridOutcome for RunOutcome {
+    fn drops(&self) -> (u64, u64, u64) {
+        (self.policer_drops, self.queue_drops, self.shaper_drops)
+    }
+
+    fn to_canonical(&self, _ranks: &[usize]) -> RunOutcome {
+        self.clone()
+    }
+
+    fn to_label_order(&self, _ranks: &[usize]) -> Option<RunOutcome> {
+        Some(self.clone())
+    }
+
+    fn interpolation_bound(&self, other: &RunOutcome, eps: f64) -> Option<ErrorBound> {
+        anchors_agree(self, other, eps).then(|| error_bound(self, other))
+    }
+}
+
+impl GridOutcome for AggregateOutcome {
+    fn drops(&self) -> (u64, u64, u64) {
+        (
+            self.per_flow.iter().map(|f| f.policer_drops).sum(),
+            self.per_flow.iter().map(|f| f.queue_drops).sum(),
+            self.per_flow.iter().map(|f| f.shaper_drops).sum(),
+        )
+    }
+
+    fn to_canonical(&self, ranks: &[usize]) -> AggregateOutcome {
+        to_canonical_order(self, ranks)
+    }
+
+    fn to_label_order(&self, ranks: &[usize]) -> Option<AggregateOutcome> {
+        (self.per_flow.len() == ranks.len()).then(|| from_canonical_order(self, ranks))
+    }
+}
+
+impl GridOutcome for FlowsOutcome {
+    fn drops(&self) -> (u64, u64, u64) {
+        (
+            self.per_flow.iter().map(|f| f.policer_drops).sum(),
+            self.per_flow.iter().map(|f| f.queue_drops).sum(),
+            0,
+        )
+    }
+
+    fn to_canonical(&self, ranks: &[usize]) -> FlowsOutcome {
+        flows_to_canonical_order(self, ranks)
+    }
+
+    fn to_label_order(&self, ranks: &[usize]) -> Option<FlowsOutcome> {
+        (self.per_flow.len() == ranks.len()).then(|| flows_from_canonical_order(self, ranks))
     }
 }
 
@@ -303,6 +444,15 @@ impl PointSource {
     pub fn is_direct(&self) -> bool {
         matches!(self, PointSource::Simulated | PointSource::Cached)
     }
+
+    /// The source of a directly produced point.
+    fn direct(cache_hit: bool) -> PointSource {
+        if cache_hit {
+            PointSource::Cached
+        } else {
+            PointSource::Simulated
+        }
+    }
 }
 
 impl Serialize for PointSource {
@@ -334,36 +484,26 @@ pub struct ClusterPoint<O> {
     pub source: PointSource,
 }
 
-/// One persisted cache record. The address JSON rides along so a load
-/// can verify it addressed the right content (collision/staleness
-/// guard).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct CacheEntry {
-    kind: String,
-    config: String,
-    outcome: RunOutcome,
+/// One persisted cache record: the outcome, in canonical flow order, plus
+/// the kind and address it answers, which a load compares byte for byte
+/// (collision/staleness guard). On disk the address is the `config`
+/// field.
+struct CacheEntry<'a, O> {
+    kind: &'a str,
+    config: &'a str,
+    outcome: O,
 }
 
-/// A persisted aggregate-run cache record (same guard discipline as
-/// [`CacheEntry`], different outcome shape). The per-flow outcomes are
-/// stored in **canonical flow order** so any config in the entry's
-/// symmetry class can load it and transplant back through its own rank
-/// map.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct AggregateCacheEntry {
-    kind: String,
-    config: String,
-    outcome: AggregateOutcome,
-}
-
-/// A persisted transport-run cache record (same guard discipline as
-/// [`AggregateCacheEntry`]; per-flow outcomes stored in canonical flow
-/// order so any member of the symmetry class can load the entry).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct FlowsCacheEntry {
-    kind: String,
-    config: String,
-    outcome: FlowsOutcome,
+// Hand-written: the vendored derive rejects generic structs. Field order
+// is the one every cache file on disk already has.
+impl<O: Serialize> Serialize for CacheEntry<'_, O> {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("kind".to_string(), self.kind.to_value()),
+            ("config".to_string(), self.config.to_value()),
+            ("outcome".to_string(), self.outcome.to_value()),
+        ])
+    }
 }
 
 /// Live progress across worker threads: points done, throughput, ETA and
@@ -653,12 +793,7 @@ impl Runner {
     /// [`Runner::run`] with provenance: each outcome carries whether it
     /// was simulated, cache-served, cluster-reused or interpolated.
     pub fn run_clustered(&self, jobs: &[Job]) -> Vec<ClusterPoint<RunOutcome>> {
-        let counts = |o: &RunOutcome| (o.policer_drops, o.queue_drops, o.shaper_drops);
-        match self.cluster {
-            ClusterMode::Off => self.run_direct(jobs.len(), |i| self.run_one(&jobs[i]), counts),
-            ClusterMode::Exact => self.run_jobs_merged(jobs, None),
-            ClusterMode::Approx(eps) => self.run_jobs_merged(jobs, Some(eps)),
-        }
+        self.run_batch(jobs)
     }
 
     /// [`Runner::run_aggregate_batch`] with provenance. Approx mode
@@ -669,92 +804,7 @@ impl Runner {
         &self,
         cfgs: &[AggregateConfig],
     ) -> Vec<ClusterPoint<AggregateOutcome>> {
-        let counts = |o: &AggregateOutcome| {
-            (
-                o.per_flow.iter().map(|f| f.policer_drops).sum(),
-                o.per_flow.iter().map(|f| f.queue_drops).sum(),
-                o.per_flow.iter().map(|f| f.shaper_drops).sum(),
-            )
-        };
-        let n = cfgs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if self.cluster == ClusterMode::Off {
-            return self.run_direct(n, |i| self.run_one_aggregate(&cfgs[i]), counts);
-        }
-
-        // Exact classes over the shared canonical address, with each
-        // config's flow-rank map retained to bridge per-flow outcomes
-        // between members of one class.
-        let canons: Vec<_> = cfgs
-            .iter()
-            .map(|c| canonicalize(&aggregate_spec(c)))
-            .collect();
-        let ranks: Vec<Vec<usize>> = canons
-            .iter()
-            .zip(cfgs)
-            .map(|(canon, cfg)| media_flow_ranks(canon, cfg.flows))
-            .collect();
-        let keys: Vec<String> = canons
-            .iter()
-            .zip(cfgs)
-            .map(|(canon, cfg)| {
-                format!(
-                    "{}\0{}",
-                    AGGREGATE_KIND,
-                    keys::cache_address(canon.spec.to_value(), aggregate_scoring(cfg))
-                )
-            })
-            .collect();
-        let rep_of = first_seen(&keys);
-        let reps: Vec<usize> = (0..n).filter(|&i| rep_of[i] == i).collect();
-        let mut slot_of = vec![usize::MAX; n];
-        for (slot, &i) in reps.iter().enumerate() {
-            slot_of[i] = slot;
-        }
-
-        let stages_before = profile::snapshot();
-        let progress = Progress::new(n, reps.len(), self.progress);
-        let rep_results = self.fan_out(
-            reps.len(),
-            &progress,
-            |slot| self.run_one_aggregate(&cfgs[reps[slot]]),
-            counts,
-        );
-        let out = (0..n)
-            .map(|i| {
-                let rep = rep_of[i];
-                let (outcome, hit) = &rep_results[slot_of[rep]];
-                if rep == i {
-                    ClusterPoint {
-                        outcome: outcome.clone(),
-                        source: if *hit {
-                            PointSource::Cached
-                        } else {
-                            PointSource::Simulated
-                        },
-                    }
-                } else {
-                    // Same canonical form ⟹ same flow count; transplant
-                    // the representative's per-flow outcomes through the
-                    // two rank maps (rep label order → canonical order →
-                    // member label order).
-                    let transplanted =
-                        from_canonical_order(&to_canonical_order(outcome, &ranks[rep]), &ranks[i]);
-                    progress.record_reused(counts(&transplanted));
-                    ClusterPoint {
-                        outcome: transplanted,
-                        source: PointSource::Reused {
-                            representative: rep,
-                        },
-                    }
-                }
-            })
-            .collect();
-        progress.finish();
-        profile::report(&format!("batch of {n}"), &stages_before);
-        out
+        self.run_batch(cfgs)
     }
 
     /// Run a batch of transport-level jobs, outcomes in input order,
@@ -773,197 +823,63 @@ impl Runner {
     /// back to exact transplanting (rate interpolation is certified only
     /// for the single-stream VQM sweeps).
     pub fn run_flows_clustered(&self, jobs: &[FlowJob]) -> Vec<ClusterPoint<FlowsOutcome>> {
-        let counts = |o: &FlowsOutcome| {
-            (
-                o.per_flow.iter().map(|f| f.policer_drops).sum(),
-                o.per_flow.iter().map(|f| f.queue_drops).sum(),
-                0,
-            )
-        };
+        self.run_batch(jobs)
+    }
+
+    /// The one batch pipeline behind every entry point. A serial pre-pass
+    /// addresses every point once (skipped when neither the cache nor
+    /// clustering needs addresses) and partitions the batch into exact
+    /// classes by kind and address; the class representatives then fan
+    /// out over the pool, each through [`Runner::produce`] — or, in
+    /// approx mode, rate families are bisected — and every other member
+    /// gets its representative's outcome transplanted through the two
+    /// rank maps (representative label order → canonical order → member
+    /// label order).
+    fn run_batch<J: GridJob>(&self, jobs: &[J]) -> Vec<ClusterPoint<J::Outcome>> {
         let n = jobs.len();
         if n == 0 {
             return Vec::new();
         }
-        if self.cluster == ClusterMode::Off {
-            return self.run_direct(n, |i| self.run_one_flows(&jobs[i]), counts);
-        }
-
-        // Exact classes over the canonical address, with each job's
-        // flow-rank map retained to bridge per-flow outcomes between
-        // members of one class (the aggregate path's exact discipline).
-        let canons: Vec<_> = jobs
-            .iter()
-            .map(|j| canonicalize(&j.spec_scoring().0))
-            .collect();
-        let ranks: Vec<Vec<usize>> = canons
-            .iter()
-            .zip(jobs)
-            .map(|(canon, job)| media_flow_ranks(canon, job.flows()))
-            .collect();
-        let keys: Vec<String> = canons
-            .iter()
-            .zip(jobs)
-            .map(|(canon, job)| {
-                format!(
-                    "{}\0{}",
-                    job.kind(),
-                    keys::cache_address(canon.spec.to_value(), job.spec_scoring().1)
-                )
-            })
-            .collect();
-        let rep_of = first_seen(&keys);
-        let reps: Vec<usize> = (0..n).filter(|&i| rep_of[i] == i).collect();
-        let mut slot_of = vec![usize::MAX; n];
-        for (slot, &i) in reps.iter().enumerate() {
-            slot_of[i] = slot;
-        }
-
-        let stages_before = profile::snapshot();
-        let progress = Progress::new(n, reps.len(), self.progress);
-        let rep_results = self.fan_out(
-            reps.len(),
-            &progress,
-            |slot| self.run_one_flows(&jobs[reps[slot]]),
-            counts,
-        );
-        let out = (0..n)
-            .map(|i| {
-                let rep = rep_of[i];
-                let (outcome, hit) = &rep_results[slot_of[rep]];
-                if rep == i {
-                    ClusterPoint {
-                        outcome: outcome.clone(),
-                        source: if *hit {
-                            PointSource::Cached
-                        } else {
-                            PointSource::Simulated
-                        },
-                    }
-                } else {
-                    let transplanted = flows_from_canonical_order(
-                        &flows_to_canonical_order(outcome, &ranks[rep]),
-                        &ranks[i],
-                    );
-                    progress.record_reused(counts(&transplanted));
-                    ClusterPoint {
-                        outcome: transplanted,
-                        source: PointSource::Reused {
-                            representative: rep,
-                        },
-                    }
-                }
-            })
-            .collect();
-        progress.finish();
-        profile::report(&format!("batch of {n}"), &stages_before);
-        out
-    }
-
-    /// Cluster-free execution: every point produced directly (simulated
-    /// or cache-served), fanned over the thread pool.
-    fn run_direct<O: Send + Sync + Clone>(
-        &self,
-        n: usize,
-        exec: impl Fn(usize) -> (O, bool) + Sync,
-        counts: impl Fn(&O) -> (u64, u64, u64) + Sync,
-    ) -> Vec<ClusterPoint<O>> {
-        if n == 0 {
-            return Vec::new();
-        }
-        let stages_before = profile::snapshot();
-        let progress = Progress::new(n, n, self.progress);
-        let results = self.fan_out(n, &progress, exec, counts);
-        progress.finish();
-        profile::report(&format!("batch of {n}"), &stages_before);
-        results
-            .into_iter()
-            .map(|(outcome, hit)| ClusterPoint {
-                outcome,
-                source: if hit {
-                    PointSource::Cached
-                } else {
-                    PointSource::Simulated
-                },
-            })
-            .collect()
-    }
-
-    /// The exact/approx cluster engine for [`Job`] grids: partition by
-    /// canonical address, simulate representatives (bisecting rate
-    /// families when `eps` is given), transplant members.
-    fn run_jobs_merged(&self, jobs: &[Job], eps: Option<f64>) -> Vec<ClusterPoint<RunOutcome>> {
-        let counts = |o: &RunOutcome| (o.policer_drops, o.queue_drops, o.shaper_drops);
-        let n = jobs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let keys: Vec<String> = jobs
-            .iter()
-            .map(|j| format!("{}\0{}", j.kind(), j.cache_json()))
-            .collect();
-        let rep_of = first_seen(&keys);
-        let reps: Vec<usize> = (0..n).filter(|&i| rep_of[i] == i).collect();
-        let mut slot_of = vec![usize::MAX; n];
-        for (slot, &i) in reps.iter().enumerate() {
-            slot_of[i] = slot;
-        }
-
-        // Approx mode: group representatives whose canonical specs
-        // differ only in their single policer token rate. Families of at
-        // least three points have an interior to interpolate; everything
-        // else simulates directly.
-        let mut singles: Vec<usize> = Vec::new();
-        let mut families: Vec<Vec<(u64, usize)>> = Vec::new();
-        if let Some(_eps) = eps {
-            let mut by_family: HashMap<String, Vec<(u64, usize)>> = HashMap::new();
-            for (slot, &i) in reps.iter().enumerate() {
-                match rate_family(&jobs[i]) {
-                    Some((fam, rate)) => by_family.entry(fam).or_default().push((rate, slot)),
-                    None => singles.push(slot),
-                }
-            }
-            // Deterministic order: families by their lowest member slot.
-            let mut fams: Vec<Vec<(u64, usize)>> = by_family.into_values().collect();
-            fams.sort_by_key(|f| f.iter().map(|&(_, slot)| slot).min());
-            for mut fam in fams {
-                if fam.len() < 3 {
-                    singles.extend(fam.iter().map(|&(_, slot)| slot));
-                } else {
-                    fam.sort_unstable();
-                    families.push(fam);
-                }
-            }
-            singles.sort_unstable();
+        let addrs: Vec<Address> = if self.cluster == ClusterMode::Off && self.cache_dir.is_none() {
+            Vec::new()
         } else {
-            singles = (0..reps.len()).collect();
+            jobs.iter().map(GridJob::address).collect()
+        };
+        let rep_of = if self.cluster == ClusterMode::Off {
+            (0..n).collect()
+        } else {
+            first_seen(&addrs)
+        };
+        let reps: Vec<usize> = (0..n).filter(|&i| rep_of[i] == i).collect();
+        let mut slot_of = vec![usize::MAX; n];
+        for (slot, &i) in reps.iter().enumerate() {
+            slot_of[i] = slot;
         }
+        let eps = match self.cluster {
+            ClusterMode::Approx(eps) => Some(eps),
+            _ => None,
+        };
+        let (singles, families) = match eps {
+            Some(_) => rate_families(jobs, &reps),
+            None => ((0..reps.len()).collect(), Vec::new()),
+        };
 
         let stages_before = profile::snapshot();
         // `planned_sims` is the exact-mode upper bound; interpolation
         // only ever retires slots early, so the ETA stays conservative.
         let progress = Progress::new(n, reps.len(), self.progress);
-        let mut rep_points: Vec<Option<ClusterPoint<RunOutcome>>> = vec![None; reps.len()];
-
-        let single_results = self.fan_out(
-            singles.len(),
-            &progress,
-            |k| self.run_one(&jobs[reps[singles[k]]]),
-            counts,
-        );
+        let produce = |slot: usize| self.produce(&jobs[reps[slot]], addrs.get(reps[slot]));
+        let mut rep_points: Vec<Option<ClusterPoint<J::Outcome>>> = vec![None; reps.len()];
+        let single_results = self.fan_out(singles.len(), &progress, |k| produce(singles[k]));
         for (&slot, (outcome, hit)) in singles.iter().zip(single_results) {
             rep_points[slot] = Some(ClusterPoint {
                 outcome,
-                source: if hit {
-                    PointSource::Cached
-                } else {
-                    PointSource::Simulated
-                },
+                source: PointSource::direct(hit),
             });
         }
-
         if let Some(eps) = eps {
             for fam in &families {
-                self.bisect_family(jobs, &reps, fam, eps, &mut rep_points, &progress);
+                bisect_family(fam, eps, &reps, &produce, &mut rep_points, &progress);
             }
         }
 
@@ -974,15 +890,20 @@ impl Runner {
                     .as_ref()
                     .expect("every representative resolved");
                 if rep == i {
-                    point.clone()
-                } else {
-                    progress.record_reused(counts(&point.outcome));
-                    ClusterPoint {
-                        outcome: point.outcome.clone(),
-                        source: PointSource::Reused {
-                            representative: rep,
-                        },
-                    }
+                    return point.clone();
+                }
+                // Same canonical form ⟹ same flow count.
+                let outcome = point
+                    .outcome
+                    .to_canonical(&addrs[rep].ranks)
+                    .to_label_order(&addrs[i].ranks)
+                    .expect("class members share a flow count");
+                progress.record_reused(outcome.drops());
+                ClusterPoint {
+                    outcome,
+                    source: PointSource::Reused {
+                        representative: rep,
+                    },
                 }
             })
             .collect();
@@ -991,86 +912,15 @@ impl Runner {
         out
     }
 
-    /// Recursive (explicit-stack) bisection of one rate family, sorted
-    /// by rate: simulate the endpoints; where two bracketing anchors
-    /// agree within `eps` on every headline metric, the interior points
-    /// inherit the nearest anchor's outcome with a recorded bound;
-    /// otherwise split at the middle point and recurse on both halves.
-    fn bisect_family(
-        &self,
-        jobs: &[Job],
-        reps: &[usize],
-        fam: &[(u64, usize)],
-        eps: f64,
-        rep_points: &mut [Option<ClusterPoint<RunOutcome>>],
-        progress: &Progress,
-    ) {
-        let counts = |o: &RunOutcome| (o.policer_drops, o.queue_drops, o.shaper_drops);
-        let simulate = |idx: usize, rep_points: &mut [Option<ClusterPoint<RunOutcome>>]| {
-            let slot = fam[idx].1;
-            if rep_points[slot].is_none() {
-                let (outcome, hit) = self.run_one(&jobs[reps[slot]]);
-                progress.record_counts(counts(&outcome), hit);
-                rep_points[slot] = Some(ClusterPoint {
-                    outcome,
-                    source: if hit {
-                        PointSource::Cached
-                    } else {
-                        PointSource::Simulated
-                    },
-                });
-            }
-        };
-        simulate(0, rep_points);
-        simulate(fam.len() - 1, rep_points);
-        let mut stack = vec![(0usize, fam.len() - 1)];
-        while let Some((lo, hi)) = stack.pop() {
-            if hi - lo <= 1 {
-                continue;
-            }
-            let olo = rep_points[fam[lo].1].as_ref().expect("lo anchor simulated");
-            let ohi = rep_points[fam[hi].1].as_ref().expect("hi anchor simulated");
-            if anchors_agree(&olo.outcome, &ohi.outcome, eps) {
-                let bound = error_bound(&olo.outcome, &ohi.outcome);
-                let (olo, ohi) = (olo.clone(), ohi.clone());
-                for k in lo + 1..hi {
-                    // Nearest anchor by token-rate distance, ties to the
-                    // lower anchor.
-                    let nearest = if fam[k].0 - fam[lo].0 <= fam[hi].0 - fam[k].0 {
-                        &olo
-                    } else {
-                        &ohi
-                    };
-                    progress.record_interpolated(counts(&nearest.outcome));
-                    rep_points[fam[k].1] = Some(ClusterPoint {
-                        outcome: nearest.outcome.clone(),
-                        source: PointSource::Interpolated {
-                            lo: reps[fam[lo].1],
-                            hi: reps[fam[hi].1],
-                            bound: bound.clone(),
-                        },
-                    });
-                }
-            } else {
-                let mid = (lo + hi) / 2;
-                simulate(mid, rep_points);
-                stack.push((lo, mid));
-                stack.push((mid, hi));
-            }
-        }
-    }
-
-    /// The shared fan-out engine behind every batch entry point: `n`
-    /// points, each produced by `exec(i) -> (outcome, cache_hit)`, fanned
-    /// over the scoped thread pool with results returned **in index
-    /// order** regardless of thread count. `counts` extracts the drop
-    /// counters the live progress line accumulates.
-    fn fan_out<O: Send + Sync>(
+    /// The shared fan-out engine: `n` points, each produced by
+    /// `exec(i) -> (outcome, cache_hit)`, fanned over the scoped thread
+    /// pool with results returned **in index order** regardless of thread
+    /// count; each lands on the live progress line.
+    fn fan_out<O: GridOutcome>(
         &self,
         n: usize,
         progress: &Progress,
         exec: impl Fn(usize) -> (O, bool) + Sync,
-        counts: impl Fn(&O) -> (u64, u64, u64) + Sync,
     ) -> Vec<(O, bool)> {
         if n == 0 {
             return Vec::new();
@@ -1086,7 +936,7 @@ impl Runner {
                         break;
                     }
                     let result = exec(i);
-                    progress.record_counts(counts(&result.0), result.1);
+                    progress.record_counts(result.0.drops(), result.1);
                     if slots[i].set(result).is_err() {
                         panic!("each slot is filled once");
                     }
@@ -1099,14 +949,17 @@ impl Runner {
             .collect()
     }
 
-    /// Run one job, consulting the cache; returns `(outcome, cache_hit)`.
-    fn run_one(&self, job: &Job) -> (RunOutcome, bool) {
-        let Some(dir) = &self.cache_dir else {
+    /// One point through the result cache, given the address the
+    /// pre-pass computed (`None`: caching is off): served from its entry
+    /// when one addresses exactly this point, else executed and stored in
+    /// canonical flow order. Returns `(outcome, cache_hit)`.
+    fn produce<J: GridJob>(&self, job: &J, addr: Option<&Address>) -> (J::Outcome, bool) {
+        let (Some(dir), Some(addr)) = (&self.cache_dir, addr) else {
             return (job.execute(), false);
         };
-        let config = job.cache_json();
-        let path = keys::cache_path(dir, job.kind(), &config);
-        if let Some(outcome) = load_cached(&path, job.kind(), &config) {
+        let path = keys::cache_path(dir, addr.kind, &addr.json);
+        let cached = load_cached::<J::Outcome>(&path, addr.kind, &addr.json);
+        if let Some(outcome) = cached.and_then(|c| c.to_label_order(&addr.ranks)) {
             return (outcome, true);
         }
         let outcome = job.execute();
@@ -1114,72 +967,9 @@ impl Runner {
             dir,
             &path,
             &CacheEntry {
-                kind: job.kind().to_string(),
-                config,
-                outcome: outcome.clone(),
-            },
-        );
-        (outcome, false)
-    }
-
-    /// Run one aggregate config, consulting the cache. Entries are
-    /// addressed by the config's canonical spec and stored in canonical
-    /// flow order, so every member of a symmetry class shares one entry;
-    /// outcomes are transplanted back through this config's rank map.
-    fn run_one_aggregate(&self, cfg: &AggregateConfig) -> (AggregateOutcome, bool) {
-        let Some(dir) = &self.cache_dir else {
-            return (run_aggregate(cfg), false);
-        };
-        let canon = canonicalize(&aggregate_spec(cfg));
-        let rank = media_flow_ranks(&canon, cfg.flows);
-        let config = keys::cache_address(canon.spec.to_value(), aggregate_scoring(cfg));
-        let path = keys::cache_path(dir, AGGREGATE_KIND, &config);
-        if let Some(canon_out) = load_cached_aggregate(&path, AGGREGATE_KIND, &config) {
-            // Flow-count guard against a stale entry shape; the address
-            // fixes the canonical spec, so the count always matches in
-            // practice.
-            if canon_out.per_flow.len() == cfg.flows as usize {
-                return (from_canonical_order(&canon_out, &rank), true);
-            }
-        }
-        let outcome = run_aggregate(cfg);
-        store_cached_aggregate(
-            dir,
-            &path,
-            &AggregateCacheEntry {
-                kind: AGGREGATE_KIND.to_string(),
-                config,
-                outcome: to_canonical_order(&outcome, &rank),
-            },
-        );
-        (outcome, false)
-    }
-
-    /// Run one transport-level job, consulting the cache. Entries are
-    /// addressed by the canonical spec + scoring and stored in canonical
-    /// flow order (the aggregate path's discipline).
-    fn run_one_flows(&self, job: &FlowJob) -> (FlowsOutcome, bool) {
-        let Some(dir) = &self.cache_dir else {
-            return (job.execute(), false);
-        };
-        let (spec, scoring) = job.spec_scoring();
-        let canon = canonicalize(&spec);
-        let rank = media_flow_ranks(&canon, job.flows());
-        let config = keys::cache_address(canon.spec.to_value(), scoring);
-        let path = keys::cache_path(dir, job.kind(), &config);
-        if let Some(canon_out) = load_cached_flows(&path, job.kind(), &config) {
-            if canon_out.per_flow.len() == job.flows() as usize {
-                return (flows_from_canonical_order(&canon_out, &rank), true);
-            }
-        }
-        let outcome = job.execute();
-        store_cached_flows(
-            dir,
-            &path,
-            &FlowsCacheEntry {
-                kind: job.kind().to_string(),
-                config,
-                outcome: flows_to_canonical_order(&outcome, &rank),
+                kind: addr.kind,
+                config: &addr.json,
+                outcome: outcome.to_canonical(&addr.ranks),
             },
         );
         (outcome, false)
@@ -1262,20 +1052,6 @@ impl Runner {
     }
 }
 
-/// The cache/cluster kind tag of aggregate runs.
-const AGGREGATE_KIND: &str = "aggregate";
-
-/// The scoring parameters of an aggregate run (its cache address pairs
-/// these with the canonical spec).
-fn aggregate_scoring(cfg: &AggregateConfig) -> Value {
-    // Stamped like `Job::cache_json`: a non-default QoE estimator is part
-    // of the identity (full mode adds nothing).
-    crate::qoe::stamp_scoring(Value::Object(vec![
-        ("clip".to_string(), cfg.clip.to_value()),
-        ("encoding_bps".to_string(), cfg.encoding_bps.to_value()),
-    ]))
-}
-
 /// Parse a `DSV_CLUSTER` value; unrecognized input warns on stderr and
 /// falls back to the exact default rather than silently changing
 /// semantics.
@@ -1303,14 +1079,108 @@ fn cluster_mode_from_str(v: &str) -> ClusterMode {
     }
 }
 
-/// Map each index to the first index carrying the same key (itself for
-/// class representatives).
-fn first_seen(keys: &[String]) -> Vec<usize> {
-    let mut seen: HashMap<&str, usize> = HashMap::new();
-    keys.iter()
+/// Map each index to the first index with the same kind and address
+/// (itself for class representatives).
+fn first_seen(addrs: &[Address]) -> Vec<usize> {
+    let mut seen: HashMap<(&str, &str), usize> = HashMap::with_capacity(addrs.len());
+    addrs
+        .iter()
         .enumerate()
-        .map(|(i, k)| *seen.entry(k.as_str()).or_insert(i))
+        .map(|(i, a)| *seen.entry((a.kind, a.json.as_str())).or_insert(i))
         .collect()
+}
+
+/// Approx mode's split of the class representatives (`reps`, indexed by
+/// slot): rate families — representatives whose canonical specs differ
+/// only in their single policer token rate, at least three of them so
+/// there is an interior to interpolate, each sorted by rate — and the
+/// singles that simulate directly.
+fn rate_families<J: GridJob>(jobs: &[J], reps: &[usize]) -> (Vec<usize>, Vec<Vec<(u64, usize)>>) {
+    let mut singles: Vec<usize> = Vec::new();
+    let mut by_family: HashMap<String, Vec<(u64, usize)>> = HashMap::new();
+    for (slot, &i) in reps.iter().enumerate() {
+        match jobs[i].rate_family() {
+            Some((fam, rate)) => by_family.entry(fam).or_default().push((rate, slot)),
+            None => singles.push(slot),
+        }
+    }
+    // Deterministic order: families by their lowest member slot.
+    let mut fams: Vec<Vec<(u64, usize)>> = by_family.into_values().collect();
+    fams.sort_by_key(|f| f.iter().map(|&(_, slot)| slot).min());
+    let mut families = Vec::new();
+    for mut fam in fams {
+        if fam.len() < 3 {
+            singles.extend(fam.iter().map(|&(_, slot)| slot));
+        } else {
+            fam.sort_unstable();
+            families.push(fam);
+        }
+    }
+    singles.sort_unstable();
+    (singles, families)
+}
+
+/// Recursive (explicit-stack) bisection of one rate family, sorted by
+/// rate: produce the endpoints; where two bracketing anchors agree within
+/// `eps` on every headline metric, the interior points inherit the
+/// nearest anchor's outcome with a recorded bound; otherwise split at the
+/// middle point and recurse on both halves. `produce(slot)` runs the
+/// representative in `slot` through the cache.
+fn bisect_family<O: GridOutcome>(
+    fam: &[(u64, usize)],
+    eps: f64,
+    reps: &[usize],
+    produce: &impl Fn(usize) -> (O, bool),
+    rep_points: &mut [Option<ClusterPoint<O>>],
+    progress: &Progress,
+) {
+    let simulate = |idx: usize, rep_points: &mut [Option<ClusterPoint<O>>]| {
+        let slot = fam[idx].1;
+        if rep_points[slot].is_none() {
+            let (outcome, hit) = produce(slot);
+            progress.record_counts(outcome.drops(), hit);
+            rep_points[slot] = Some(ClusterPoint {
+                outcome,
+                source: PointSource::direct(hit),
+            });
+        }
+    };
+    simulate(0, rep_points);
+    simulate(fam.len() - 1, rep_points);
+    let mut stack = vec![(0usize, fam.len() - 1)];
+    while let Some((lo, hi)) = stack.pop() {
+        if hi - lo <= 1 {
+            continue;
+        }
+        let olo = rep_points[fam[lo].1].as_ref().expect("lo anchor simulated");
+        let ohi = rep_points[fam[hi].1].as_ref().expect("hi anchor simulated");
+        if let Some(bound) = olo.outcome.interpolation_bound(&ohi.outcome, eps) {
+            let (olo, ohi) = (olo.clone(), ohi.clone());
+            for k in lo + 1..hi {
+                // Nearest anchor by token-rate distance, ties to the
+                // lower anchor.
+                let nearest = if fam[k].0 - fam[lo].0 <= fam[hi].0 - fam[k].0 {
+                    &olo
+                } else {
+                    &ohi
+                };
+                progress.record_interpolated(nearest.outcome.drops());
+                rep_points[fam[k].1] = Some(ClusterPoint {
+                    outcome: nearest.outcome.clone(),
+                    source: PointSource::Interpolated {
+                        lo: reps[fam[lo].1],
+                        hi: reps[fam[hi].1],
+                        bound: bound.clone(),
+                    },
+                });
+            }
+        } else {
+            let mid = (lo + hi) / 2;
+            simulate(mid, rep_points);
+            stack.push((lo, mid));
+            stack.push((mid, hi));
+        }
+    }
 }
 
 /// The approx-mode rate-family key of a job: its canonical spec with the
@@ -1430,17 +1300,22 @@ fn retry_torn_read<T>(path: &Path, parse: impl Fn(&str) -> Option<T>) -> Option<
     None
 }
 
-/// Load a cache entry if it exists *and* addresses exactly this config.
-fn load_cached(path: &Path, kind: &str, config: &str) -> Option<RunOutcome> {
+/// Load the outcome of the entry at `path` if it exists *and* answers
+/// exactly `(kind, config)`.
+fn load_cached<O: Deserialize>(path: &Path, kind: &str, config: &str) -> Option<O> {
     retry_torn_read(path, |text| {
-        let entry: CacheEntry = serde_json::from_str(text).ok()?;
-        (entry.kind == kind && entry.config == config).then_some(entry.outcome)
+        let entry = serde_json::parse_value(text).ok()?;
+        let field = |k| entry.get(k).and_then(Value::as_str);
+        if field("kind") != Some(kind) || field("config") != Some(config) {
+            return None;
+        }
+        O::from_value(entry.get("outcome")?).ok()
     })
 }
 
 /// Persist a cache entry atomically (tmp file + rename), best-effort:
 /// a read-only results directory degrades to "no cache", not a panic.
-fn store_cached(dir: &Path, path: &Path, entry: &CacheEntry) {
+fn store_cached<O: Serialize>(dir: &Path, path: &Path, entry: &CacheEntry<'_, O>) {
     static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     if fs::create_dir_all(dir).is_err() {
         return;
@@ -1448,56 +1323,6 @@ fn store_cached(dir: &Path, path: &Path, entry: &CacheEntry) {
     let json = serde_json::to_string_pretty(entry).expect("cache entry serializes");
     let tmp = dir.join(format!(
         ".tmp-{}-{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    if fs::write(&tmp, json).is_ok() && fs::rename(&tmp, path).is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-}
-
-/// Load a transport-run cache entry if it addresses exactly this config.
-fn load_cached_flows(path: &Path, kind: &str, config: &str) -> Option<FlowsOutcome> {
-    retry_torn_read(path, |text| {
-        let entry: FlowsCacheEntry = serde_json::from_str(text).ok()?;
-        (entry.kind == kind && entry.config == config).then_some(entry.outcome)
-    })
-}
-
-/// Persist a transport-run cache entry atomically, best-effort.
-fn store_cached_flows(dir: &Path, path: &Path, entry: &FlowsCacheEntry) {
-    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    if fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let json = serde_json::to_string_pretty(entry).expect("cache entry serializes");
-    let tmp = dir.join(format!(
-        ".tmp-flows-{}-{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    if fs::write(&tmp, json).is_ok() && fs::rename(&tmp, path).is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-}
-
-/// Load an aggregate cache entry if it addresses exactly this config.
-fn load_cached_aggregate(path: &Path, kind: &str, config: &str) -> Option<AggregateOutcome> {
-    retry_torn_read(path, |text| {
-        let entry: AggregateCacheEntry = serde_json::from_str(text).ok()?;
-        (entry.kind == kind && entry.config == config).then_some(entry.outcome)
-    })
-}
-
-/// Persist an aggregate cache entry atomically, best-effort.
-fn store_cached_aggregate(dir: &Path, path: &Path, entry: &AggregateCacheEntry) {
-    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    if fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let json = serde_json::to_string_pretty(entry).expect("cache entry serializes");
-    let tmp = dir.join(format!(
-        ".tmp-agg-{}-{}",
         std::process::id(),
         TMP_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
@@ -1518,6 +1343,12 @@ mod tests {
             1_000_000,
             EfProfile::new(1_000_000, DEPTH_2MTU),
         )
+    }
+
+    /// One job through `runner`'s cache path, addressed as a batch's
+    /// pre-pass addresses it; returns `(outcome, cache_hit)`.
+    fn run_one(runner: &Runner, job: &Job) -> (RunOutcome, bool) {
+        runner.produce(job, Some(&job.address()))
     }
 
     #[test]
@@ -1637,9 +1468,9 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let runner = Runner::serial().with_cache(Some(dir.clone()));
         let job = Job::Qbone(tiny_base());
-        let (cold, hit0) = runner.run_one(&job);
+        let (cold, hit0) = run_one(&runner, &job);
         assert!(!hit0, "first run must be a miss");
-        let (warm, hit1) = runner.run_one(&job);
+        let (warm, hit1) = run_one(&runner, &job);
         assert!(hit1, "second run must hit");
         assert_eq!(
             serde_json::to_string(&cold).unwrap(),
@@ -1648,7 +1479,7 @@ mod tests {
         // A different profile is a different address: no false hit.
         let mut other = tiny_base();
         other.profile = EfProfile::new(1_100_000, DEPTH_3MTU);
-        let (_, hit2) = runner.run_one(&Job::Qbone(other));
+        let (_, hit2) = run_one(&runner, &Job::Qbone(other));
         assert!(!hit2, "changed config must miss");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1661,12 +1492,12 @@ mod tests {
         let runner = Runner::serial().with_cache(Some(dir.clone()));
         let job = Job::Qbone(tiny_base());
         // Poison the exact cache path this job addresses.
-        let path = keys::cache_path(&dir, job.kind(), &job.cache_json());
+        let path = keys::cache_path(&dir, job.kind(), &job.address().json);
         fs::write(&path, "{not json").unwrap();
-        let (_, hit) = runner.run_one(&job);
+        let (_, hit) = run_one(&runner, &job);
         assert!(!hit, "corrupt entry must not count as a hit");
         // And it must have been repaired in place.
-        let (_, hit2) = runner.run_one(&job);
+        let (_, hit2) = run_one(&runner, &job);
         assert!(hit2, "repaired entry hits");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1710,6 +1541,86 @@ mod tests {
     }
 
     #[test]
+    fn clustered_cache_serves_aggregates_and_transport_jobs() {
+        use crate::smoothing::SmoothingServer;
+        // Two rotations of one 2-flow aggregate (one exact class, its
+        // member transplanted through the rank maps) and two smoothing
+        // jobs (two classes), through the clustered cache path twice.
+        let agg = AggregateConfig::new(
+            ClipId2::Lost,
+            1_000_000,
+            2,
+            EfProfile::new(2_200_000, DEPTH_3MTU),
+        );
+        let aggs = [agg.clone(), agg.with_rotation(1)];
+        let smoothing = |server| {
+            FlowJob::Smoothing(SmoothingConfig::new(
+                ClipId2::Lost,
+                1_000_000,
+                server,
+                EfProfile::new(1_100_000, DEPTH_2MTU),
+            ))
+        };
+        let flows = [
+            smoothing(SmoothingServer::Tcp),
+            smoothing(SmoothingServer::Bursty),
+        ];
+        fn lines<O: Serialize>(points: &[ClusterPoint<O>]) -> Vec<String> {
+            points
+                .iter()
+                .map(|p| serde_json::to_string(&p.outcome).unwrap())
+                .collect()
+        }
+        let dir = std::env::temp_dir().join(format!("dsv-runner-clustered-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cached = Runner::serial()
+            .with_cluster(ClusterMode::Exact)
+            .with_cache(Some(dir.clone()));
+        let first = (
+            cached.run_aggregate_clustered(&aggs),
+            cached.run_flows_clustered(&flows),
+        );
+        assert!(matches!(first.0[1].source, PointSource::Reused { .. }));
+        let second = (
+            cached.run_aggregate_clustered(&aggs),
+            cached.run_flows_clustered(&flows),
+        );
+        let served =
+            |s: &PointSource| matches!(s, PointSource::Cached | PointSource::Reused { .. });
+        assert!(second.0.iter().all(|p| served(&p.source)));
+        assert!(second.1.iter().all(|p| served(&p.source)));
+
+        let reference = (
+            Runner::serial().run_aggregate_clustered(&aggs),
+            Runner::serial().run_flows_clustered(&flows),
+        );
+        for pass in [&first, &second] {
+            assert_eq!(lines(&pass.0), lines(&reference.0));
+            assert_eq!(lines(&pass.1), lines(&reference.1));
+        }
+        // Rotation 1 is a relabelling, not a copy: its flows swap places.
+        assert_ne!(lines(&reference.0)[0], lines(&reference.0)[1]);
+
+        // Exactly one entry per class, at the path its address names.
+        let mut want: Vec<PathBuf> = aggs
+            .iter()
+            .map(GridJob::address)
+            .chain(flows.iter().map(GridJob::address))
+            .map(|a| keys::cache_path(&dir, a.kind, &a.json))
+            .collect();
+        want.sort();
+        want.dedup();
+        assert_eq!(want.len(), 3);
+        let mut have: Vec<PathBuf> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        have.sort();
+        assert_eq!(have, want);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn concurrent_writers_never_corrupt_a_read() {
         // Several "processes" recomputing the same point store the same
         // entry while readers poll it: every successful load must return
@@ -1717,11 +1628,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dsv-runner-race-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let job = Job::Qbone(tiny_base());
-        let config = job.cache_json();
+        let config = job.address().json;
         let path = keys::cache_path(&dir, job.kind(), &config);
         let entry = CacheEntry {
-            kind: job.kind().to_string(),
-            config: config.clone(),
+            kind: job.kind(),
+            config: &config,
             outcome: job.execute(),
         };
         let expected = serde_json::to_string(&entry.outcome).unwrap();
@@ -1736,7 +1647,8 @@ mod tests {
             for _ in 0..3 {
                 scope.spawn(|| {
                     for _ in 0..200 {
-                        if let Some(outcome) = load_cached(&path, job.kind(), &config) {
+                        if let Some(outcome) = load_cached::<RunOutcome>(&path, job.kind(), &config)
+                        {
                             assert_eq!(serde_json::to_string(&outcome).unwrap(), expected);
                         }
                     }
@@ -1747,7 +1659,7 @@ mod tests {
         // (A reader can finish its polls before the first store lands, so
         // this is checked after the scope joins the writers.)
         assert!(
-            load_cached(&path, job.kind(), &config).is_some(),
+            load_cached::<RunOutcome>(&path, job.kind(), &config).is_some(),
             "entry should become visible to readers"
         );
         // No temp files leak from the racing writers.

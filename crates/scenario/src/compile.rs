@@ -393,17 +393,26 @@ impl AppBuilder<'_> {
                 dscp,
                 stop_at_us,
                 rng_fork,
-            } => Box::new(OnOffSource::new(
-                ids.get(dst)?,
-                FlowId(*flow),
-                *packet_size,
-                *peak_rate_bps,
-                SimDuration::from_micros(*mean_on_us),
-                SimDuration::from_micros(*mean_off_us),
-                dscp.to_dscp(),
-                SimTime::from_micros(*stop_at_us),
-                rng.fork(*rng_fork),
-            )),
+            } => {
+                for (field, mean) in [("mean_on_us", mean_on_us), ("mean_off_us", mean_off_us)] {
+                    if *mean == 0 {
+                        return Err(CompileError::new(format!(
+                            "node `{name}`: on_off_source {field} must be positive"
+                        )));
+                    }
+                }
+                Box::new(OnOffSource::new(
+                    ids.get(dst)?,
+                    FlowId(*flow),
+                    *packet_size,
+                    *peak_rate_bps,
+                    SimDuration::from_micros(*mean_on_us),
+                    SimDuration::from_micros(*mean_off_us),
+                    dscp.to_dscp(),
+                    SimTime::from_micros(*stop_at_us),
+                    rng.fork(*rng_fork),
+                ))
+            }
             AppSpec::CountingSink => Box::new(CountingSink::default()),
             AppSpec::Pump {
                 dst,
@@ -478,6 +487,50 @@ fn build_action(a: &ActionSpec) -> PolicyAction<StreamPayload> {
     }
 }
 
+/// The topology invariants `NetworkBuilder::build` asserts, checked as
+/// errors so a malformed hand-written spec never panics: every host has
+/// exactly one link (its access port), and every node reaches every host
+/// (routes are computed toward each host over the undirected topology,
+/// so all nodes must share one connected component).
+fn check_topology(spec: &ScenarioSpec, ids: &Resolver<'_>) -> Result<(), CompileError> {
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); spec.nodes.len()];
+    for link in &spec.links {
+        let (a, b) = (ids.get(&link.a)?.0 as usize, ids.get(&link.b)?.0 as usize);
+        adj[a].push(b);
+        adj[b].push(a);
+    }
+    for (node, peers) in spec.nodes.iter().zip(&adj) {
+        if node.app.is_some() && peers.len() != 1 {
+            return Err(CompileError::new(format!(
+                "host `{}` has {} links; a host needs exactly one",
+                node.name,
+                peers.len()
+            )));
+        }
+    }
+    let Some(host) = spec.nodes.iter().position(|n| n.app.is_some()) else {
+        return Ok(());
+    };
+    let mut reached = vec![false; spec.nodes.len()];
+    reached[host] = true;
+    let mut stack = vec![host];
+    while let Some(u) = stack.pop() {
+        for &v in &adj[u] {
+            if !reached[v] {
+                reached[v] = true;
+                stack.push(v);
+            }
+        }
+    }
+    match reached.iter().position(|&r| !r) {
+        Some(i) => Err(CompileError::new(format!(
+            "node `{}` has no path to host `{}`",
+            spec.nodes[i].name, spec.nodes[host].name
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Lower `spec` to a built network plus result handles.
 ///
 /// Builder calls happen in spec order: all nodes (forking the scenario
@@ -535,6 +588,8 @@ pub fn compile(
             build_qdisc(&link.qdisc_ba),
         );
     }
+
+    check_topology(spec, &ids)?;
 
     for cond in &spec.conditioners {
         let node = ids.get(&cond.node)?;
@@ -710,6 +765,83 @@ mod tests {
         let mut spec = chain_spec(20_000_000);
         spec.nodes.push(NodeSpec::router("tap"));
         assert!(compile(&spec, CompileOptions::default()).is_err());
+    }
+
+    /// The committed example spec, mutated by `edit`, compiled: the
+    /// error it must produce.
+    fn example_error(edit: impl FnOnce(&mut ScenarioSpec)) -> String {
+        let mut spec: ScenarioSpec = serde_json::from_str(include_str!(
+            "../../../examples/scenario_policed_chain.json"
+        ))
+        .expect("example parses");
+        compile(&spec, CompileOptions::default()).expect("the unmutated example compiles");
+        edit(&mut spec);
+        expect_err(compile(&spec, CompileOptions::default())).to_string()
+    }
+
+    #[test]
+    fn host_without_a_link_is_rejected() {
+        let err = example_error(|s| s.links.retain(|l| l.b != "rx"));
+        assert!(err.contains("host `rx` has 0 links"), "{err}");
+    }
+
+    #[test]
+    fn host_with_two_links_is_rejected() {
+        let err = example_error(|s| s.links.insert(1, s.links[0].clone()));
+        assert!(err.contains("host `tx` has 2 links"), "{err}");
+    }
+
+    #[test]
+    fn disconnected_island_is_rejected() {
+        let err = example_error(|s| {
+            s.nodes.push(NodeSpec::router("isl-r"));
+            s.nodes.push(NodeSpec::host("isl-h", AppSpec::CountingSink));
+            s.links.push(LinkSpec::simple(
+                "isl-h",
+                "isl-r",
+                LinkParams::fast_ethernet(),
+            ));
+        });
+        assert!(
+            err.contains("node `isl-r` has no path to host `rx`"),
+            "{err}"
+        );
+    }
+
+    /// Set one mean duration of the example's `bg` on/off source.
+    fn set_on_off_mean(s: &mut ScenarioSpec, on: bool, value: u64) {
+        let bg = s
+            .nodes
+            .iter_mut()
+            .find(|n| n.name == "bg")
+            .expect("bg node");
+        let Some(AppSpec::OnOffSource {
+            mean_on_us,
+            mean_off_us,
+            ..
+        }) = &mut bg.app
+        else {
+            panic!("bg is an on/off source");
+        };
+        *(if on { mean_on_us } else { mean_off_us }) = value;
+    }
+
+    #[test]
+    fn zero_mean_on_time_is_rejected() {
+        let err = example_error(|s| set_on_off_mean(s, true, 0));
+        assert!(
+            err.contains("node `bg`") && err.contains("mean_on_us"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn zero_mean_off_time_is_rejected() {
+        let err = example_error(|s| set_on_off_mean(s, false, 0));
+        assert!(
+            err.contains("node `bg`") && err.contains("mean_off_us"),
+            "{err}"
+        );
     }
 
     #[test]
