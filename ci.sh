@@ -41,9 +41,6 @@ echo "==> cargo clippy -D warnings (audit feature)"
 cargo clippy -p dsv-check -p dsv-integration -p dsv-bench --all-targets \
   --features dsv-check/audit,dsv-integration/audit,dsv-bench/audit -- -D warnings
 
-echo "==> runner_bench smoke (tiny grid, temp output)"
-DSV_BENCH_SMOKE=1 DSV_CACHE=off ./target/release/runner_bench
-
 echo "==> benchmark smoke (every workload once, every point checked against results/)"
 cargo run --release --manifest-path benchmark/Cargo.toml -- --smoke
 
@@ -113,8 +110,9 @@ echo "==> qoe gate (DSV_QOE=full byte-identical; proxy bound holds)"
 # figure — DSV_QOE=full regenerates all of results/ bit-for-bit. The
 # proxy lane then asserts the committed error bound on the
 # checksum-guarded dataset and feature byte-identity across engine
-# configurations. (Proxy-mode figures are exercised via runner_bench's
-# qoe stage, which never writes committed files.)
+# configurations. (Sampled:<k> scoring -- the proxy's estimate reported,
+# the live error bound under the committed one -- is covered by
+# tests/qoe_proxy.rs, which never writes committed files.)
 DSV_QOE=full DSV_CACHE=off ./target/release/all_figures > /dev/null
 git diff --exit-code -- results/
 cargo test -q -p dsv-integration --test qoe_proxy --test qoe_features
@@ -123,16 +121,19 @@ if [[ "$AUDIT" == 1 ]]; then
   echo "==> audit build"
   cargo build --release -p dsv-bench --features dsv-bench/audit
 
+  echo "==> disarmed audit hooks change nothing (audit build, DSV_AUDIT unset, cache off)"
+  env -u DSV_AUDIT DSV_CACHE=off \
+    cargo run --release -q -p dsv-bench --features dsv-bench/audit \
+    --bin fig07_qbone_lost > /dev/null
+  git diff --exit-code -- results/
+
   for backend in wheel heap; do
     echo "==> audited test suites (DSV_QUEUE=$backend)"
     DSV_AUDIT=1 DSV_QUEUE=$backend cargo test -q \
       -p dsv-check -p dsv-integration \
       --features dsv-check/audit,dsv-integration/audit
 
-    echo "==> audited figure sweeps (DSV_QUEUE=$backend, cache off)"
-    DSV_AUDIT=1 DSV_QUEUE=$backend DSV_CACHE=off DSV_BENCH_SMOKE=1 \
-      cargo run --release -q -p dsv-bench --features dsv-bench/audit \
-      --bin runner_bench
+    echo "==> audited figure sweep (DSV_QUEUE=$backend, cache off)"
     DSV_AUDIT=1 DSV_QUEUE=$backend DSV_CACHE=off \
       cargo run --release -q -p dsv-bench --features dsv-bench/audit \
       --bin fig07_qbone_lost

@@ -12,7 +12,6 @@
 //!
 //! This crate's library holds the small shared utilities.
 
-pub mod alloc_count;
 pub mod figures;
 
 use std::fs;

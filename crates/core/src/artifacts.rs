@@ -16,9 +16,9 @@
 //! changes require a process restart (just like `results/cache/` requires
 //! a `DSV_CACHE=0` rerun after simulator changes).
 //!
-//! `DSV_SHARE=0` disables sharing (every call recomputes), which is how
-//! the macro-bench measures the honest before/after; the per-key encode
-//! counters are always on so tests can assert the at-most-once property.
+//! Sharing is always on. The per-key encode counters are always on too,
+//! so tests can assert the at-most-once property; a cold store in a warm
+//! process is one [`clear`] away.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -58,9 +58,6 @@ impl<K: std::hash::Hash + Eq + Clone, V> Memo<K, V> {
     }
 
     fn get_or(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
-        if !sharing_enabled() {
-            return Arc::new(compute());
-        }
         let cell = {
             let mut map = self.map.lock().expect("artifact store poisoned");
             map.get_or_insert_with(HashMap::new)
@@ -98,7 +95,7 @@ fn count_encode(key: (ClipId, Codec, u64)) {
 }
 
 /// How many times `(clip, codec, rate)` was encoded from scratch in this
-/// process. With sharing enabled this is at most 1 per key.
+/// process: at most 1 per key until a [`clear`].
 pub fn encode_runs(clip: ClipId, codec: Codec, rate_bps: u64) -> u64 {
     ENCODE_RUNS
         .lock()
@@ -108,53 +105,7 @@ pub fn encode_runs(clip: ClipId, codec: Codec, rate_bps: u64) -> u64 {
         .unwrap_or(0)
 }
 
-/// Sharing switch: on unless `DSV_SHARE=0` (or a test override is live).
-fn sharing_enabled() -> bool {
-    match SHARING_OVERRIDE
-        .lock()
-        .expect("sharing override poisoned")
-        .1
-    {
-        Some(forced) => forced,
-        None => std::env::var("DSV_SHARE").map_or(true, |v| v.trim() != "0"),
-    }
-}
-
-/// (guard-holder marker, forced value). The marker mutex serializes test
-/// scopes; the value rides in the same lock so reads are consistent.
-#[allow(clippy::type_complexity)]
-static SHARING_OVERRIDE: Mutex<((), Option<bool>)> = Mutex::new(((), None));
-static OVERRIDE_SCOPE: Mutex<()> = Mutex::new(());
-
-/// RAII scope that forces sharing on/off process-wide. Scopes are
-/// serialized by a global lock, so concurrent tests cannot interleave
-/// overrides. Intended for tests and the macro-bench.
-pub struct SharingScope {
-    _scope: std::sync::MutexGuard<'static, ()>,
-}
-
-impl Drop for SharingScope {
-    fn drop(&mut self) {
-        SHARING_OVERRIDE
-            .lock()
-            .expect("sharing override poisoned")
-            .1 = None;
-    }
-}
-
-/// Force sharing on or off until the returned guard drops.
-pub fn force_sharing(enabled: bool) -> SharingScope {
-    let scope = OVERRIDE_SCOPE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    SHARING_OVERRIDE
-        .lock()
-        .expect("sharing override poisoned")
-        .1 = Some(enabled);
-    SharingScope { _scope: scope }
-}
-
-/// Drop every memoized artifact (the counters survive). The macro-bench
+/// Drop every memoized artifact (the counters survive). The benchmark
 /// uses this to measure a cold store in a warm process.
 pub fn clear() {
     MODELS.clear();
@@ -223,7 +174,6 @@ mod tests {
 
     #[test]
     fn same_key_returns_the_same_arc() {
-        let _guard = force_sharing(true);
         let a = encoding(ClipId::Talk, Codec::Mpeg1, 777_001);
         let b = encoding(ClipId::Talk, Codec::Mpeg1, 777_001);
         assert!(Arc::ptr_eq(&a, &b), "shared artifacts are one allocation");
@@ -232,7 +182,6 @@ mod tests {
 
     #[test]
     fn shared_artifacts_match_direct_computation() {
-        let _guard = force_sharing(true);
         let m = ClipId::Talk.model();
         let direct = mpeg1::encode(&m, 1_050_003);
         let shared = encoding(ClipId::Talk, Codec::Mpeg1, 1_050_003);
@@ -251,17 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_sharing_recomputes_but_still_counts() {
-        let _guard = force_sharing(false);
-        let a = encoding(ClipId::Talk, Codec::Wmv, 321_001);
-        let b = encoding(ClipId::Talk, Codec::Wmv, 321_001);
-        assert!(!Arc::ptr_eq(&a, &b), "unshared calls are fresh");
-        assert!(encode_runs(ClipId::Talk, Codec::Wmv, 321_001) >= 2);
-    }
-
-    #[test]
     fn models_and_features_are_shared() {
-        let _guard = force_sharing(true);
         assert!(Arc::ptr_eq(&model(ClipId::Lost), &model(ClipId::Lost)));
         let f = source_features(ClipId::Lost);
         assert_eq!(f.len(), 2150);

@@ -9,8 +9,8 @@
 //! it is always on), and the [`Runner`](crate::runner::Runner) prints a
 //! report after each batch when `DSV_PROFILE=1` is set.
 //!
-//! The macro-bench (`runner_bench`) uses [`snapshot`]/[`reset`] to embed
-//! the same numbers in `results/BENCH_sweep.json`.
+//! Totals only grow; callers bracket a region with [`snapshot`] and
+//! [`ProfileSnapshot::since`], as the benchmark does for its event counts.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -135,17 +135,6 @@ pub fn snapshot() -> ProfileSnapshot {
         queue_high_water: QUEUE_HIGH_WATER.load(Ordering::Relaxed),
         pool_high_water: POOL_HIGH_WATER.load(Ordering::Relaxed),
     }
-}
-
-/// Zero all totals (bench bracketing).
-pub fn reset() {
-    ENCODE_NS.store(0, Ordering::Relaxed);
-    SIMULATE_NS.store(0, Ordering::Relaxed);
-    SCORE_NS.store(0, Ordering::Relaxed);
-    EVENTS.store(0, Ordering::Relaxed);
-    POINTS.store(0, Ordering::Relaxed);
-    QUEUE_HIGH_WATER.store(0, Ordering::Relaxed);
-    POOL_HIGH_WATER.store(0, Ordering::Relaxed);
 }
 
 /// Print a labelled stage report for the delta since `since` on stderr

@@ -104,7 +104,7 @@ static OVERRIDE_SCOPE: Mutex<()> = Mutex::new(());
 
 /// RAII scope that forces the QoE mode process-wide. Scopes are
 /// serialized by a global lock, so concurrent tests cannot interleave
-/// overrides. Intended for tests and the macro-bench.
+/// overrides. Intended for tests and dataset regeneration.
 pub struct QoeScope {
     _scope: MutexGuard<'static, ()>,
 }
@@ -127,7 +127,8 @@ pub fn force_mode(m: QoeMode) -> QoeScope {
 // Process-global scoring counters (same always-on shape as
 // `crate::profile`): how many sessions each estimator scored, plus the
 // sampled-mode error accumulators in fixed-point micro-quality units
-// (atomics hold integers; 1 count = 1e-6 quality).
+// (atomics hold integers; 1 count = 1e-6 quality). Only the public
+// wrappers add to them; the scoring core returns each call's own counts.
 static FULL_SCORED: AtomicU64 = AtomicU64::new(0);
 static PROXY_SCORED: AtomicU64 = AtomicU64::new(0);
 static SAMPLED_CHECKED: AtomicU64 = AtomicU64::new(0);
@@ -183,6 +184,14 @@ impl QoeSnapshot {
     pub fn live_max_err(&self) -> f64 {
         self.err_max_micro as f64 / 1e6
     }
+
+    /// Accumulate one |proxy − full| comparison.
+    fn record_err(&mut self, abs_err: f64) {
+        let micro = (abs_err.clamp(0.0, 1e6) * 1e6).round() as u64;
+        self.sampled_errs += 1;
+        self.err_sum_micro += micro;
+        self.err_max_micro = self.err_max_micro.max(micro);
+    }
 }
 
 /// Copy the current totals.
@@ -197,27 +206,20 @@ pub fn snapshot() -> QoeSnapshot {
     }
 }
 
-/// Zero all totals (bench bracketing).
-pub fn reset() {
-    FULL_SCORED.store(0, Ordering::Relaxed);
-    PROXY_SCORED.store(0, Ordering::Relaxed);
-    SAMPLED_CHECKED.store(0, Ordering::Relaxed);
-    SAMPLED_ERRS.store(0, Ordering::Relaxed);
-    SAMPLED_ERR_SUM_MICRO.store(0, Ordering::Relaxed);
-    SAMPLED_ERR_MAX_MICRO.store(0, Ordering::Relaxed);
-}
-
-fn record_err(abs_err: f64) {
-    let micro = (abs_err.clamp(0.0, 1e6) * 1e6).round() as u64;
-    SAMPLED_ERRS.fetch_add(1, Ordering::Relaxed);
-    SAMPLED_ERR_SUM_MICRO.fetch_add(micro, Ordering::Relaxed);
-    SAMPLED_ERR_MAX_MICRO.fetch_max(micro, Ordering::Relaxed);
+/// Add one call's counts to the process totals.
+fn add_to_totals(d: &QoeSnapshot) {
+    FULL_SCORED.fetch_add(d.full_scored, Ordering::Relaxed);
+    PROXY_SCORED.fetch_add(d.proxy_scored, Ordering::Relaxed);
+    SAMPLED_CHECKED.fetch_add(d.sampled_checked, Ordering::Relaxed);
+    SAMPLED_ERRS.fetch_add(d.sampled_errs, Ordering::Relaxed);
+    SAMPLED_ERR_SUM_MICRO.fetch_add(d.err_sum_micro, Ordering::Relaxed);
+    SAMPLED_ERR_MAX_MICRO.fetch_max(d.err_max_micro, Ordering::Relaxed);
 }
 
 /// Whether the stable per-flow hash selects this feature record for a
 /// full-VQM check at sample period `k`. Keying on the canonical feature
 /// bytes (not an arrival index) keeps the sample identical across thread
-/// schedules, queue backends and shard counts.
+/// schedules and queue backends.
 pub fn sampled_selects(features: &FlowFeatures, k: u64) -> bool {
     k == 1 || fnv1a64(features.canonical_bytes().as_bytes()) % k == 0
 }
@@ -227,7 +229,11 @@ pub fn sampled_selects(features: &FlowFeatures, k: u64) -> bool {
 /// cache has ever written stays byte-identical; proxy/sampled runs get
 /// their own cache entries and cluster classes.
 pub fn stamp_scoring(scoring: Value) -> Value {
-    let m = mode();
+    stamp_with(mode(), scoring)
+}
+
+/// [`stamp_scoring`] under an explicit mode.
+fn stamp_with(m: QoeMode, scoring: Value) -> Value {
     if m == QoeMode::Full {
         return scoring;
     }
@@ -243,7 +249,8 @@ pub fn stamp_scoring(scoring: Value) -> Value {
     }
 }
 
-/// Score one finished session under the active [`mode`].
+/// Score one finished session under the active [`mode`], adding the
+/// call's counts to the process totals ([`snapshot`]).
 ///
 /// In full mode this is exactly the legacy
 /// [`crate::experiment::score_run_shared`] computation; in proxy mode the
@@ -257,51 +264,62 @@ pub fn score_session(
     report: &ClientReport,
     best_reference: Option<&[FeatureFrame]>,
 ) -> QoeEstimate {
-    match mode() {
+    let (estimate, counts) = score_with(mode(), source, reference, report, best_reference);
+    add_to_totals(&counts);
+    estimate
+}
+
+/// [`score_session`] under an explicit mode, touching no process state:
+/// returns the estimate together with this call's own counts.
+fn score_with(
+    mode: QoeMode,
+    source: &[FeatureFrame],
+    reference: &[FeatureFrame],
+    report: &ClientReport,
+    best_reference: Option<&[FeatureFrame]>,
+) -> (QoeEstimate, QoeSnapshot) {
+    let full = || {
+        let received = received_features_from(source, report);
+        FullVqm::default().estimate(&QoeInputs {
+            reference,
+            best_reference,
+            received: Some(&received),
+            features: &report.features,
+        })
+    };
+    let proxy = || {
+        ProxyModel::committed().estimate(&QoeInputs {
+            reference,
+            best_reference,
+            received: None,
+            features: &report.features,
+        })
+    };
+    let mut counts = QoeSnapshot::default();
+    let estimate = match mode {
         QoeMode::Full => {
-            FULL_SCORED.fetch_add(1, Ordering::Relaxed);
-            let received = received_features_from(source, report);
-            FullVqm::default().estimate(&QoeInputs {
-                reference,
-                best_reference,
-                received: Some(&received),
-                features: &report.features,
-            })
+            counts.full_scored = 1;
+            full()
         }
         QoeMode::Proxy => {
-            PROXY_SCORED.fetch_add(1, Ordering::Relaxed);
-            ProxyModel::committed().estimate(&QoeInputs {
-                reference,
-                best_reference,
-                received: None,
-                features: &report.features,
-            })
+            counts.proxy_scored = 1;
+            proxy()
         }
         QoeMode::Sampled(k) => {
-            PROXY_SCORED.fetch_add(1, Ordering::Relaxed);
-            let proxy = ProxyModel::committed().estimate(&QoeInputs {
-                reference,
-                best_reference,
-                received: None,
-                features: &report.features,
-            });
+            counts.proxy_scored = 1;
+            let proxy = proxy();
             if sampled_selects(&report.features, k) {
-                SAMPLED_CHECKED.fetch_add(1, Ordering::Relaxed);
-                let received = received_features_from(source, report);
-                let full = FullVqm::default().estimate(&QoeInputs {
-                    reference,
-                    best_reference,
-                    received: Some(&received),
-                    features: &report.features,
-                });
-                record_err((proxy.quality - full.quality).abs());
+                counts.sampled_checked = 1;
+                let full = full();
+                counts.record_err((proxy.quality - full.quality).abs());
                 if let (Some(p), Some(f)) = (proxy.quality_vs_best, full.quality_vs_best) {
-                    record_err((p - f).abs());
+                    counts.record_err((p - f).abs());
                 }
             }
             proxy
         }
-    }
+    };
+    (estimate, counts)
 }
 
 #[cfg(test)]
@@ -352,11 +370,10 @@ mod tests {
     #[test]
     fn full_mode_matches_legacy_scoring_exactly() {
         use crate::experiment::score_run_shared;
-        let _g = force_mode(QoeMode::Full);
         let src = dsv_media::scene::ClipId::Talk.model().source_features();
         let report = tiny_report(src.len());
         let (same, vs_best) = score_run_shared(&src, &src, &report, Some(&src));
-        let est = score_session(&src, &src, &report, Some(&src));
+        let (est, _) = score_with(QoeMode::Full, &src, &src, &report, Some(&src));
         assert_eq!(est.quality, same.overall);
         assert_eq!(est.quality_vs_best, vs_best.map(|v| v.overall));
         assert_eq!(est.failed_segments, same.failed_segments);
@@ -364,28 +381,22 @@ mod tests {
 
     #[test]
     fn proxy_mode_never_materializes_and_counts() {
-        let _g = force_mode(QoeMode::Proxy);
-        let before = snapshot();
         let src = dsv_media::scene::ClipId::Talk.model().source_features();
         let mut report = tiny_report(src.len());
         report.features.target_bps = 1_000_000;
-        let est = score_session(&src, &src, &report, None);
+        let (est, d) = score_with(QoeMode::Proxy, &src, &src, &report, None);
         assert!(est.quality.is_finite());
         assert_eq!(est.quality_vs_best, None);
         assert_eq!(est.failed_segments, 0);
-        let d = snapshot().since(&before);
         assert_eq!(d.proxy_scored, 1);
         assert_eq!(d.full_scored, 0);
     }
 
     #[test]
     fn sampled_every_flow_checks_and_bounds_error() {
-        let _g = force_mode(QoeMode::Sampled(1));
-        let before = snapshot();
         let src = dsv_media::scene::ClipId::Talk.model().source_features();
         let report = tiny_report(src.len());
-        let est = score_session(&src, &src, &report, Some(&src));
-        let d = snapshot().since(&before);
+        let (est, d) = score_with(QoeMode::Sampled(1), &src, &src, &report, Some(&src));
         assert_eq!(d.proxy_scored, 1);
         assert_eq!(d.sampled_checked, 1);
         assert_eq!(d.sampled_errs, 2, "same + vs_best comparisons");
@@ -432,24 +443,15 @@ mod tests {
                 Value::Num(serde::Num::U(1_500_000)),
             )])
         };
-        {
-            let _g = force_mode(QoeMode::Full);
-            let stamped = stamp_scoring(scoring());
-            assert_eq!(
-                serde_json::to_string(&stamped).unwrap(),
-                serde_json::to_string(&scoring()).unwrap(),
-                "full mode must not perturb a single address byte"
-            );
-        }
-        {
-            let _g = force_mode(QoeMode::Sampled(5));
-            let stamped = serde_json::to_string(&stamp_scoring(scoring())).unwrap();
-            assert!(stamped.contains(r#""qoe":"sampled:5""#), "{stamped}");
-        }
-        {
-            let _g = force_mode(QoeMode::Proxy);
-            let stamped = serde_json::to_string(&stamp_scoring(Value::Null)).unwrap();
-            assert!(stamped.contains(r#""qoe":"proxy""#), "{stamped}");
-        }
+        let stamped = stamp_with(QoeMode::Full, scoring());
+        assert_eq!(
+            serde_json::to_string(&stamped).unwrap(),
+            serde_json::to_string(&scoring()).unwrap(),
+            "full mode must not perturb a single address byte"
+        );
+        let stamped = serde_json::to_string(&stamp_with(QoeMode::Sampled(5), scoring())).unwrap();
+        assert!(stamped.contains(r#""qoe":"sampled:5""#), "{stamped}");
+        let stamped = serde_json::to_string(&stamp_with(QoeMode::Proxy, Value::Null)).unwrap();
+        assert!(stamped.contains(r#""qoe":"proxy""#), "{stamped}");
     }
 }

@@ -39,13 +39,8 @@
 //!   `aggregate::tests::rotated_declarations_permute_per_flow_outcomes_exactly`).
 //!   Aggregate outcomes transplant through per-flow canonical-rank maps
 //!   ([`crate::aggregate::media_flow_ranks`]); single-stream outcomes are
-//!   flow-agnostic and transplant by clone. In `approx:<eps>` mode,
-//!   representatives that differ *only* in their single policer token
-//!   rate are additionally bisected: if the outcomes at two bracketing
-//!   rates agree within `eps` on every headline metric, the points
-//!   between them inherit the nearest anchor's outcome, with the
-//!   recorded [`ErrorBound`] (anchor spread plus a wobble allowance)
-//!   riding along in the point's [`PointSource`].
+//!   flow-agnostic and transplant by clone. Each point's [`PointSource`]
+//!   records which of these served it.
 //!
 //! The cache deliberately does **not** hash the simulator code itself:
 //! after changing simulation behaviour, delete `results/cache/` (or run
@@ -58,7 +53,7 @@
 //! | `DSV_THREADS`  | worker count (`1` = serial; default: all cores; `0`/garbage warn on stderr and use the default) |
 //! | `DSV_CACHE`    | `0`/`off` disables; a path overrides the cache dir  |
 //! | `DSV_PROGRESS` | `1`/`0` forces the progress meter on/off (default: on when stderr is a TTY) |
-//! | `DSV_CLUSTER`  | `off` disables clustering; `exact` (default) merges provably symmetric points; `approx:<eps>` additionally interpolates across rate neighbours within `eps` |
+//! | `DSV_CLUSTER`  | `off` disables clustering; `exact` (default) merges provably symmetric points |
 
 use std::collections::HashMap;
 use std::fs;
@@ -84,7 +79,7 @@ use crate::profile;
 use crate::qbone::{qbone_spec, run_qbone, QboneConfig};
 use crate::smoothing::{run_smoothing, smoothing_spec, SmoothingConfig};
 use crate::sweep::{SweepPoint, SweepResult};
-use dsv_scenario::{canonicalize, ActionSpec, ScenarioSpec};
+use dsv_scenario::{canonicalize, ScenarioSpec};
 
 /// One unit of grid work: a fully specified experiment configuration.
 #[derive(Debug, Clone)]
@@ -166,10 +161,6 @@ impl GridJob for Job {
             Job::Local(cfg) => run_local(cfg),
             Job::Af(cfg) => run_af(cfg),
         }
-    }
-
-    fn rate_family(&self) -> Option<(String, u64)> {
-        rate_family(self)
     }
 }
 
@@ -289,11 +280,6 @@ trait GridJob: Sync {
     fn address(&self) -> Address;
     /// Run the experiment this job describes.
     fn execute(&self) -> Self::Outcome;
-    /// The approx-mode rate family (see [`rate_family`]); `None`, the
-    /// default, keeps the point out of interpolation.
-    fn rate_family(&self) -> Option<(String, u64)> {
-        None
-    }
 }
 
 /// The outcome of a [`GridJob`], as the pipeline handles it.
@@ -307,12 +293,6 @@ trait GridOutcome: Clone + Send + Sync + Serialize + Deserialize {
     /// rank map `ranks`; `None` if the flow counts disagree (a stale
     /// entry shape — the address fixes the count, so never in practice).
     fn to_label_order(&self, ranks: &[usize]) -> Option<Self>;
-    /// Approx mode: the error bound points between anchors `self` and
-    /// `other` inherit, if the anchors agree within `eps`. `None`, the
-    /// default, never interpolates.
-    fn interpolation_bound(&self, _other: &Self, _eps: f64) -> Option<ErrorBound> {
-        None
-    }
 }
 
 /// Single-stream outcomes are flow-agnostic: they transplant by clone.
@@ -327,10 +307,6 @@ impl GridOutcome for RunOutcome {
 
     fn to_label_order(&self, _ranks: &[usize]) -> Option<RunOutcome> {
         Some(self.clone())
-    }
-
-    fn interpolation_bound(&self, other: &RunOutcome, eps: f64) -> Option<ErrorBound> {
-        anchors_agree(self, other, eps).then(|| error_bound(self, other))
     }
 }
 
@@ -380,37 +356,6 @@ pub enum ClusterMode {
     /// Byte-identical to [`ClusterMode::Off`] wherever symmetry is
     /// provable — which is the only time points merge.
     Exact,
-    /// [`ClusterMode::Exact`], plus: representatives differing only in
-    /// their single policer token rate are bisected, and points whose
-    /// bracketing anchors agree within the tolerance on every headline
-    /// metric inherit the nearest anchor's outcome with a recorded
-    /// [`ErrorBound`]. Trades exactness for fewer simulations.
-    Approx(f64),
-}
-
-/// Slack added to an interpolated point's error bound beyond the anchor
-/// spread, covering the "mostly" in the sweeps' mostly-monotone loss
-/// curves (see `crate::analysis::mostly_monotone_decreasing`): loss-like
-/// metrics may wobble this far against the trend between anchors.
-pub const WOBBLE_LOSS: f64 = 0.02;
-/// [`WOBBLE_LOSS`]'s counterpart for VQM quality metrics, which ride on
-/// top of loss and wobble a little harder.
-pub const WOBBLE_QUALITY: f64 = 0.05;
-
-/// Per-metric bound on how far an interpolated outcome may sit from the
-/// ground truth a real simulation would produce: the spread between the
-/// two bracketing anchors (truth lies between them when the segment is
-/// monotone) plus the wobble allowance for non-monotone jitter.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ErrorBound {
-    /// Bound on `quality`.
-    pub quality: f64,
-    /// Bound on `frame_loss`.
-    pub frame_loss: f64,
-    /// Bound on `packet_loss`.
-    pub packet_loss: f64,
-    /// Bound on `quality_vs_best`, when both anchors scored it.
-    pub quality_vs_best: Option<f64>,
 }
 
 /// Where a grid point's outcome came from.
@@ -426,21 +371,11 @@ pub enum PointSource {
         /// Input index of the class representative.
         representative: usize,
     },
-    /// Inherited from the nearest of two bracketing rate anchors that
-    /// agreed within the approx tolerance.
-    Interpolated {
-        /// Input index of the lower-rate anchor.
-        lo: usize,
-        /// Input index of the higher-rate anchor.
-        hi: usize,
-        /// Recorded per-metric distance bound to ground truth.
-        bound: ErrorBound,
-    },
 }
 
 impl PointSource {
     /// True for outcomes an actual simulation (or its cached result)
-    /// produced, false for transplants and interpolations.
+    /// produced, false for transplants.
     pub fn is_direct(&self) -> bool {
         matches!(self, PointSource::Simulated | PointSource::Cached)
     }
@@ -464,12 +399,6 @@ impl Serialize for PointSource {
             PointSource::Reused { representative } => Value::Object(vec![
                 kind("reused"),
                 ("representative".to_string(), representative.to_value()),
-            ]),
-            PointSource::Interpolated { lo, hi, bound } => Value::Object(vec![
-                kind("interpolated"),
-                ("lo".to_string(), lo.to_value()),
-                ("hi".to_string(), hi.to_value()),
-                ("bound".to_string(), bound.to_value()),
             ]),
         }
     }
@@ -510,11 +439,11 @@ impl<O: Serialize> Serialize for CacheEntry<'_, O> {
 /// aggregate drop counters, reported on stderr.
 ///
 /// The throughput/ETA estimate counts **simulation slots**
-/// (`sims_done / planned_sims`), not grid points: cluster-reused and
-/// interpolated points land in microseconds, so folding them into the
-/// rate would first overestimate the remaining time (reused points
-/// pending at the simulated points' rate) and then whipsaw the rate
-/// upward when they all land at once.
+/// (`sims_done / planned_sims`), not grid points: cluster-reused points
+/// land in microseconds, so folding them into the rate would first
+/// overestimate the remaining time (reused points pending at the
+/// simulated points' rate) and then whipsaw the rate upward when they
+/// all land at once.
 struct Progress {
     total: usize,
     planned_sims: usize,
@@ -522,7 +451,6 @@ struct Progress {
     sims_done: AtomicUsize,
     cached: AtomicUsize,
     reused: AtomicUsize,
-    interpolated: AtomicUsize,
     policer_drops: AtomicU64,
     queue_drops: AtomicU64,
     shaper_drops: AtomicU64,
@@ -543,7 +471,6 @@ impl Progress {
             sims_done: AtomicUsize::new(0),
             cached: AtomicUsize::new(0),
             reused: AtomicUsize::new(0),
-            interpolated: AtomicUsize::new(0),
             policer_drops: AtomicU64::new(0),
             queue_drops: AtomicU64::new(0),
             shaper_drops: AtomicU64::new(0),
@@ -584,21 +511,10 @@ impl Progress {
         }
     }
 
-    /// Record a point inherited from a rate anchor in approx mode.
-    fn record_interpolated(&self, drops: (u64, u64, u64)) {
-        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        self.interpolated.fetch_add(1, Ordering::Relaxed);
-        self.add_drops(drops);
-        if self.enabled {
-            self.print(done, false);
-        }
-    }
-
     fn print(&self, done: usize, final_line: bool) {
         let sims_done = self.sims_done.load(Ordering::Relaxed);
         let cached = self.cached.load(Ordering::Relaxed);
         let reused = self.reused.load(Ordering::Relaxed);
-        let interpolated = self.interpolated.load(Ordering::Relaxed);
         let (rate, eta) = throughput_eta(
             sims_done,
             self.planned_sims,
@@ -613,9 +529,8 @@ impl Progress {
         let mut err = std::io::stderr().lock();
         let _ = write!(
             err,
-            "\r[runner] {done}/{} points ({} simulated, {cached} cached, {reused} reused, \
-             {interpolated} interpolated) | {rate:.2} sims/s | ETA {eta}{qoe} | \
-             drops: policer {}, queue {}, shaper {}",
+            "\r[runner] {done}/{} points ({} simulated, {cached} cached, {reused} reused) | \
+             {rate:.2} sims/s | ETA {eta}{qoe} | drops: policer {}, queue {}, shaper {}",
             self.total,
             sims_done.saturating_sub(cached),
             self.policer_drops.load(Ordering::Relaxed),
@@ -638,7 +553,8 @@ impl Progress {
 /// The estimator-mix segment of a progress line, from the batch's QoE
 /// counter delta: how many flows the proxy scored, how many full VQM
 /// scored, and how many proxy scores were sampled-checked (with the live
-/// error bound once checks have landed). `None` — print nothing — when
+/// error bound and its sample size — the number of |proxy − full|
+/// comparisons — once checks have landed). `None` — print nothing — when
 /// every score came from full VQM, so the default mode's line is
 /// byte-identical to what it always printed.
 fn qoe_progress_segment(d: &crate::qoe::QoeSnapshot) -> Option<String> {
@@ -650,7 +566,10 @@ fn qoe_progress_segment(d: &crate::qoe::QoeSnapshot) -> Option<String> {
         d.proxy_scored, d.full_scored, d.sampled_checked
     );
     if let Some(mae) = d.live_mae() {
-        seg.push_str(&format!(" (live MAE {mae:.4})"));
+        seg.push_str(&format!(
+            " (live MAE {mae:.4} over {} comparisons)",
+            d.sampled_errs
+        ));
     }
     Some(seg)
 }
@@ -791,15 +710,12 @@ impl Runner {
     }
 
     /// [`Runner::run`] with provenance: each outcome carries whether it
-    /// was simulated, cache-served, cluster-reused or interpolated.
+    /// was simulated, cache-served or cluster-reused.
     pub fn run_clustered(&self, jobs: &[Job]) -> Vec<ClusterPoint<RunOutcome>> {
         self.run_batch(jobs)
     }
 
-    /// [`Runner::run_aggregate_batch`] with provenance. Approx mode
-    /// falls back to exact transplanting here: rate interpolation is
-    /// only defined for the single-stream sweeps whose monotone rate
-    /// response the metamorphic oracles certify.
+    /// [`Runner::run_aggregate_batch`] with provenance.
     pub fn run_aggregate_clustered(
         &self,
         cfgs: &[AggregateConfig],
@@ -819,9 +735,7 @@ impl Runner {
             .collect()
     }
 
-    /// [`Runner::run_flows_batch`] with provenance. Approx mode falls
-    /// back to exact transplanting (rate interpolation is certified only
-    /// for the single-stream VQM sweeps).
+    /// [`Runner::run_flows_batch`] with provenance.
     pub fn run_flows_clustered(&self, jobs: &[FlowJob]) -> Vec<ClusterPoint<FlowsOutcome>> {
         self.run_batch(jobs)
     }
@@ -830,11 +744,10 @@ impl Runner {
     /// addresses every point once (skipped when neither the cache nor
     /// clustering needs addresses) and partitions the batch into exact
     /// classes by kind and address; the class representatives then fan
-    /// out over the pool, each through [`Runner::produce`] — or, in
-    /// approx mode, rate families are bisected — and every other member
-    /// gets its representative's outcome transplanted through the two
-    /// rank maps (representative label order → canonical order → member
-    /// label order).
+    /// out over the pool, each through [`Runner::produce`], and every
+    /// other member gets its representative's outcome transplanted
+    /// through the two rank maps (representative label order → canonical
+    /// order → member label order).
     fn run_batch<J: GridJob>(&self, jobs: &[J]) -> Vec<ClusterPoint<J::Outcome>> {
         let n = jobs.len();
         if n == 0 {
@@ -855,40 +768,24 @@ impl Runner {
         for (slot, &i) in reps.iter().enumerate() {
             slot_of[i] = slot;
         }
-        let eps = match self.cluster {
-            ClusterMode::Approx(eps) => Some(eps),
-            _ => None,
-        };
-        let (singles, families) = match eps {
-            Some(_) => rate_families(jobs, &reps),
-            None => ((0..reps.len()).collect(), Vec::new()),
-        };
 
         let stages_before = profile::snapshot();
-        // `planned_sims` is the exact-mode upper bound; interpolation
-        // only ever retires slots early, so the ETA stays conservative.
         let progress = Progress::new(n, reps.len(), self.progress);
-        let produce = |slot: usize| self.produce(&jobs[reps[slot]], addrs.get(reps[slot]));
-        let mut rep_points: Vec<Option<ClusterPoint<J::Outcome>>> = vec![None; reps.len()];
-        let single_results = self.fan_out(singles.len(), &progress, |k| produce(singles[k]));
-        for (&slot, (outcome, hit)) in singles.iter().zip(single_results) {
-            rep_points[slot] = Some(ClusterPoint {
+        let rep_points: Vec<ClusterPoint<J::Outcome>> = self
+            .fan_out(reps.len(), &progress, |slot| {
+                self.produce(&jobs[reps[slot]], addrs.get(reps[slot]))
+            })
+            .into_iter()
+            .map(|(outcome, hit)| ClusterPoint {
                 outcome,
                 source: PointSource::direct(hit),
-            });
-        }
-        if let Some(eps) = eps {
-            for fam in &families {
-                bisect_family(fam, eps, &reps, &produce, &mut rep_points, &progress);
-            }
-        }
+            })
+            .collect();
 
         let out = (0..n)
             .map(|i| {
                 let rep = rep_of[i];
-                let point = rep_points[slot_of[rep]]
-                    .as_ref()
-                    .expect("every representative resolved");
+                let point = &rep_points[slot_of[rep]];
                 if rep == i {
                     return point.clone();
                 }
@@ -912,7 +809,7 @@ impl Runner {
         out
     }
 
-    /// The shared fan-out engine: `n` points, each produced by
+    /// The fan-out engine: `n` points, each produced by
     /// `exec(i) -> (outcome, cache_hit)`, fanned over the scoped thread
     /// pool with results returned **in index order** regardless of thread
     /// count; each lands on the live progress line.
@@ -1060,20 +957,10 @@ fn cluster_mode_from_str(v: &str) -> ClusterMode {
         "off" | "0" => ClusterMode::Off,
         "" | "exact" | "1" => ClusterMode::Exact,
         _ => {
-            if let Some(eps) = v.strip_prefix("approx:") {
-                match eps.trim().parse::<f64>() {
-                    Ok(e) if e.is_finite() && e >= 0.0 => return ClusterMode::Approx(e),
-                    _ => eprintln!(
-                        "[runner] DSV_CLUSTER={v:?}: tolerance must be a finite number >= 0; \
-                         using exact clustering"
-                    ),
-                }
-            } else {
-                eprintln!(
-                    "[runner] DSV_CLUSTER={v:?} not recognized \
-                     (expected off, exact or approx:<eps>); using exact clustering"
-                );
-            }
+            eprintln!(
+                "[runner] DSV_CLUSTER={v:?} not recognized (expected off or exact); \
+                 using exact clustering"
+            );
             ClusterMode::Exact
         }
     }
@@ -1088,178 +975,6 @@ fn first_seen(addrs: &[Address]) -> Vec<usize> {
         .enumerate()
         .map(|(i, a)| *seen.entry((a.kind, a.json.as_str())).or_insert(i))
         .collect()
-}
-
-/// Approx mode's split of the class representatives (`reps`, indexed by
-/// slot): rate families — representatives whose canonical specs differ
-/// only in their single policer token rate, at least three of them so
-/// there is an interior to interpolate, each sorted by rate — and the
-/// singles that simulate directly.
-fn rate_families<J: GridJob>(jobs: &[J], reps: &[usize]) -> (Vec<usize>, Vec<Vec<(u64, usize)>>) {
-    let mut singles: Vec<usize> = Vec::new();
-    let mut by_family: HashMap<String, Vec<(u64, usize)>> = HashMap::new();
-    for (slot, &i) in reps.iter().enumerate() {
-        match jobs[i].rate_family() {
-            Some((fam, rate)) => by_family.entry(fam).or_default().push((rate, slot)),
-            None => singles.push(slot),
-        }
-    }
-    // Deterministic order: families by their lowest member slot.
-    let mut fams: Vec<Vec<(u64, usize)>> = by_family.into_values().collect();
-    fams.sort_by_key(|f| f.iter().map(|&(_, slot)| slot).min());
-    let mut families = Vec::new();
-    for mut fam in fams {
-        if fam.len() < 3 {
-            singles.extend(fam.iter().map(|&(_, slot)| slot));
-        } else {
-            fam.sort_unstable();
-            families.push(fam);
-        }
-    }
-    singles.sort_unstable();
-    (singles, families)
-}
-
-/// Recursive (explicit-stack) bisection of one rate family, sorted by
-/// rate: produce the endpoints; where two bracketing anchors agree within
-/// `eps` on every headline metric, the interior points inherit the
-/// nearest anchor's outcome with a recorded bound; otherwise split at the
-/// middle point and recurse on both halves. `produce(slot)` runs the
-/// representative in `slot` through the cache.
-fn bisect_family<O: GridOutcome>(
-    fam: &[(u64, usize)],
-    eps: f64,
-    reps: &[usize],
-    produce: &impl Fn(usize) -> (O, bool),
-    rep_points: &mut [Option<ClusterPoint<O>>],
-    progress: &Progress,
-) {
-    let simulate = |idx: usize, rep_points: &mut [Option<ClusterPoint<O>>]| {
-        let slot = fam[idx].1;
-        if rep_points[slot].is_none() {
-            let (outcome, hit) = produce(slot);
-            progress.record_counts(outcome.drops(), hit);
-            rep_points[slot] = Some(ClusterPoint {
-                outcome,
-                source: PointSource::direct(hit),
-            });
-        }
-    };
-    simulate(0, rep_points);
-    simulate(fam.len() - 1, rep_points);
-    let mut stack = vec![(0usize, fam.len() - 1)];
-    while let Some((lo, hi)) = stack.pop() {
-        if hi - lo <= 1 {
-            continue;
-        }
-        let olo = rep_points[fam[lo].1].as_ref().expect("lo anchor simulated");
-        let ohi = rep_points[fam[hi].1].as_ref().expect("hi anchor simulated");
-        if let Some(bound) = olo.outcome.interpolation_bound(&ohi.outcome, eps) {
-            let (olo, ohi) = (olo.clone(), ohi.clone());
-            for k in lo + 1..hi {
-                // Nearest anchor by token-rate distance, ties to the
-                // lower anchor.
-                let nearest = if fam[k].0 - fam[lo].0 <= fam[hi].0 - fam[k].0 {
-                    &olo
-                } else {
-                    &ohi
-                };
-                progress.record_interpolated(nearest.outcome.drops());
-                rep_points[fam[k].1] = Some(ClusterPoint {
-                    outcome: nearest.outcome.clone(),
-                    source: PointSource::Interpolated {
-                        lo: reps[fam[lo].1],
-                        hi: reps[fam[hi].1],
-                        bound: bound.clone(),
-                    },
-                });
-            }
-        } else {
-            let mid = (lo + hi) / 2;
-            simulate(mid, rep_points);
-            stack.push((lo, mid));
-            stack.push((mid, hi));
-        }
-    }
-}
-
-/// The approx-mode rate-family key of a job: its canonical spec with the
-/// single distinct policer token rate masked out (in the policer actions
-/// and the matching audit bounds), paired with that rate. Two jobs in one
-/// family differ **only** in that rate — the one independent variable
-/// the paper's rate sweeps move — so interpolating between them walks a
-/// curve the metamorphic monotonicity oracles certify as mostly
-/// monotone. Jobs with zero or several distinct policer rates have no
-/// family and always simulate.
-fn rate_family(job: &Job) -> Option<(String, u64)> {
-    let (spec, scoring) = job.spec_scoring();
-    let mut canon = canonicalize(&spec).spec;
-    let mut rates: Vec<u64> = canon
-        .conditioners
-        .iter()
-        .flat_map(|c| c.rules.iter())
-        .filter_map(|r| match r.action {
-            ActionSpec::Police { rate_bps, .. } => Some(rate_bps),
-            _ => None,
-        })
-        .collect();
-    rates.sort_unstable();
-    rates.dedup();
-    if rates.len() != 1 || rates[0] == 0 {
-        return None;
-    }
-    let rate = rates[0];
-    for c in &mut canon.conditioners {
-        for r in &mut c.rules {
-            if let ActionSpec::Police { rate_bps, .. } = &mut r.action {
-                *rate_bps = 0;
-            }
-        }
-    }
-    for b in &mut canon.bounds {
-        if b.rate_bps == rate {
-            b.rate_bps = 0;
-        }
-    }
-    Some((
-        format!(
-            "{}\0{}",
-            job.kind(),
-            keys::cache_address(canon.to_value(), scoring)
-        ),
-        rate,
-    ))
-}
-
-/// True when two anchors agree within `eps` on every headline metric
-/// (and broke down the same way) — the gate for interpolating between
-/// them.
-fn anchors_agree(a: &RunOutcome, b: &RunOutcome, eps: f64) -> bool {
-    let close = |x: f64, y: f64| (x - y).abs() <= eps;
-    close(a.quality, b.quality)
-        && close(a.frame_loss, b.frame_loss)
-        && close(a.packet_loss, b.packet_loss)
-        && match (a.quality_vs_best, b.quality_vs_best) {
-            (None, None) => true,
-            (Some(x), Some(y)) => close(x, y),
-            _ => false,
-        }
-        && a.broken == b.broken
-}
-
-/// The recorded bound for points interpolated between two anchors: the
-/// anchor spread (monotone truth lies between the anchors) plus the
-/// wobble allowance for the curves' residual non-monotonicity.
-fn error_bound(a: &RunOutcome, b: &RunOutcome) -> ErrorBound {
-    ErrorBound {
-        quality: (a.quality - b.quality).abs() + WOBBLE_QUALITY,
-        frame_loss: (a.frame_loss - b.frame_loss).abs() + WOBBLE_LOSS,
-        packet_loss: (a.packet_loss - b.packet_loss).abs() + WOBBLE_LOSS,
-        quality_vs_best: match (a.quality_vs_best, b.quality_vs_best) {
-            (Some(x), Some(y)) => Some((x - y).abs() + WOBBLE_QUALITY),
-            _ => None,
-        },
-    }
 }
 
 /// Build the depth-major job grid (the order `SweepResult` documents).
@@ -1404,62 +1119,13 @@ mod tests {
         assert_eq!(cluster_mode_from_str("exact"), ClusterMode::Exact);
         assert_eq!(cluster_mode_from_str("1"), ClusterMode::Exact);
         assert_eq!(cluster_mode_from_str(""), ClusterMode::Exact);
-        assert_eq!(
-            cluster_mode_from_str("approx:0.05"),
-            ClusterMode::Approx(0.05)
-        );
-        // Garbage (including non-finite or negative tolerances) warns
-        // and falls back to the exact default.
+        // Anything else, any `approx:<eps>` included, warns and falls
+        // back to the exact default.
+        assert_eq!(cluster_mode_from_str("approx:0.05"), ClusterMode::Exact);
         assert_eq!(cluster_mode_from_str("approx:"), ClusterMode::Exact);
         assert_eq!(cluster_mode_from_str("approx:-1"), ClusterMode::Exact);
         assert_eq!(cluster_mode_from_str("approx:inf"), ClusterMode::Exact);
         assert_eq!(cluster_mode_from_str("fast"), ClusterMode::Exact);
-    }
-
-    #[test]
-    fn rate_families_group_rate_neighbours_only() {
-        // Two qbone configs differing only in policer token rate share a
-        // family and carry their own rates; a different bucket depth is
-        // a different family.
-        let mut a = tiny_base();
-        a.profile = EfProfile::new(1_000_000, DEPTH_2MTU);
-        let mut b = tiny_base();
-        b.profile = EfProfile::new(1_200_000, DEPTH_2MTU);
-        let mut c = tiny_base();
-        c.profile = EfProfile::new(1_000_000, DEPTH_3MTU);
-        let (fam_a, rate_a) = rate_family(&Job::Qbone(a)).unwrap();
-        let (fam_b, rate_b) = rate_family(&Job::Qbone(b)).unwrap();
-        let (fam_c, _) = rate_family(&Job::Qbone(c)).unwrap();
-        assert_eq!(fam_a, fam_b);
-        assert_eq!((rate_a, rate_b), (1_000_000, 1_200_000));
-        assert_ne!(fam_a, fam_c);
-    }
-
-    #[test]
-    fn error_bounds_cover_anchor_spread_plus_wobble() {
-        let a = RunOutcome {
-            quality: 0.30,
-            frame_loss: 0.10,
-            packet_loss: 0.05,
-            ..Default::default()
-        };
-        let mut b = RunOutcome {
-            quality: 0.20,
-            frame_loss: 0.12,
-            packet_loss: 0.05,
-            ..Default::default()
-        };
-        assert!(anchors_agree(&a, &b, 0.1));
-        assert!(!anchors_agree(&a, &b, 0.05));
-        let bound = error_bound(&a, &b);
-        assert!((bound.quality - (0.10 + WOBBLE_QUALITY)).abs() < 1e-12);
-        assert!((bound.frame_loss - (0.02 + WOBBLE_LOSS)).abs() < 1e-12);
-        assert!((bound.packet_loss - WOBBLE_LOSS).abs() < 1e-12);
-        assert!(bound.quality_vs_best.is_none());
-        // A broken session never merges with a healthy one, however
-        // close the numbers.
-        b.broken = true;
-        assert!(!anchors_agree(&a, &b, 1.0));
     }
 
     #[test]
@@ -1744,8 +1410,9 @@ mod tests {
             qoe_progress_segment(&proxy).unwrap(),
             " | qoe: 24 proxy, 0 full, 0 checked"
         );
-        // A sampled batch adds the live MAE once comparisons land:
-        // 3 checks, 6 comparisons, 0.012 total error -> MAE 0.002.
+        // A sampled batch adds the live MAE and its sample size once
+        // comparisons land: 3 checks, 6 comparisons, 0.012 total error
+        // -> MAE 0.002 over 6.
         let sampled = QoeSnapshot {
             proxy_scored: 24,
             sampled_checked: 3,
@@ -1756,7 +1423,7 @@ mod tests {
         };
         assert_eq!(
             qoe_progress_segment(&sampled).unwrap(),
-            " | qoe: 24 proxy, 0 full, 3 checked (live MAE 0.0020)"
+            " | qoe: 24 proxy, 0 full, 3 checked (live MAE 0.0020 over 6 comparisons)"
         );
     }
 

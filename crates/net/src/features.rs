@@ -10,9 +10,9 @@
 //!
 //! Everything here is a pure function of the per-flow delivery sequence
 //! `(seq, bytes, arrival, delay)`, which the engine guarantees is
-//! identical across event-queue backends, shard counts and cluster
-//! modes — so extracted features inherit the simulator's byte-identity
-//! contract (pinned by the `qoe_features` proptest suite).
+//! identical across event-queue backends and cluster modes — so
+//! extracted features inherit the simulator's byte-identity contract
+//! (pinned by the `qoe_features` proptest suite).
 
 use dsv_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};

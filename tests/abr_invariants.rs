@@ -7,22 +7,22 @@
 //! monotone in buffer level, and a session whose sustained throughput
 //! covers the lowest rung never stalls after startup. The one
 //! network-level property — a full QBone ABR session is bit-identical
-//! under both `DSV_QUEUE` event-queue backends — closes the loop from
-//! the state machines to the committed goldens.
+//! under both event-queue backends — closes the loop from the state
+//! machines to the committed goldens.
 //!
 //! [`AbrPolicy`]: dsv_stream::abr::AbrPolicy
 //! [`AbrBuffer`]: dsv_stream::abr::AbrBuffer
 
-use std::sync::Mutex;
-
+use dsv_core::artifacts::ArtifactStore;
 use dsv_core::prelude::*;
-use dsv_core::smoothing::DEPTH_10MTU;
-use dsv_sim::{SimDuration, SimTime};
+use dsv_core::qbone::MEDIA_FLOW;
+use dsv_core::smoothing::{smoothing_spec, DEPTH_10MTU};
+use dsv_net::network::Simulation;
+use dsv_net::stats::FlowCounters;
+use dsv_scenario::{compile, CompileOptions};
+use dsv_sim::{EventQueue, QueueBackend, SimDuration, SimTime};
 use dsv_stream::abr::{segment_bytes, AbrBuffer, AbrPolicy};
 use proptest::prelude::*;
-
-/// Serializes tests that switch backends via the environment.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// A random ladder of 1–6 rungs plus a positive step. Callers sort the
 /// rungs ascending (the vendored proptest has no mapping combinator).
@@ -170,24 +170,65 @@ proptest! {
     }
 }
 
+/// A flow's counters as text, drop reasons in a fixed order (the
+/// counters keep them in a `HashMap`).
+fn counters_text(c: &FlowCounters) -> String {
+    let mut drops: Vec<String> = c.drops.iter().map(|(r, n)| format!("{r:?}={n}")).collect();
+    drops.sort();
+    format!(
+        "tx {} pkts {} B, rx {} pkts {} B, drops {drops:?}, delay {:?}, hist {:?}",
+        c.tx_packets, c.tx_bytes, c.rx_packets, c.rx_bytes, c.delay, c.delay_hist
+    )
+}
+
+/// Run the smoothing session `cfg` on an explicit event-queue backend;
+/// returns the media flow's counters and the ABR client's report, as text.
+fn abr_session(cfg: &SmoothingConfig, backend: QueueBackend) -> (String, String) {
+    let compiled = compile(
+        &smoothing_spec(cfg),
+        CompileOptions {
+            store: Some(&ArtifactStore),
+            wrap: None,
+        },
+    )
+    .expect("smoothing spec compiles");
+    let client = compiled.abr_clients[0].1.clone();
+    let horizon = compiled.horizon.expect("smoothing spec sets a horizon");
+    let mut queue = EventQueue::with_backend(backend);
+    compiled.net.schedule_starts(&mut queue);
+    let mut sim = Simulation {
+        net: compiled.net,
+        queue,
+    };
+    sim.run_until(SimTime::ZERO + horizon);
+    let report = format!("{:?}", client.borrow().report());
+    (counters_text(&sim.net.stats.flow(MEDIA_FLOW)), report)
+}
+
 #[test]
 fn abr_session_is_deterministic_across_queue_backends() {
     // The full QBone ABR session — ladder, mini-TCP, policer, WAN path —
-    // must produce a byte-identical FlowsOutcome on both event-queue
-    // backends, or the committed goldens would depend on which backend
-    // regenerated them.
-    let _guard = ENV_LOCK.lock().unwrap();
+    // must leave byte-identical media-flow counters and ABR report (all
+    // a FlowsOutcome is made of) on both event-queue backends, or the
+    // committed goldens would depend on which backend regenerated them.
     let cfg = SmoothingConfig::new(
         ClipId2::Lost,
         1_500_000,
         SmoothingServer::Abr,
         EfProfile::new(1_200_000, DEPTH_10MTU),
     );
-    let mut outs = Vec::new();
-    for backend in ["wheel", "heap"] {
-        std::env::set_var("DSV_QUEUE", backend);
-        outs.push(serde_json::to_string(&run_smoothing(&cfg)).unwrap());
-    }
-    std::env::remove_var("DSV_QUEUE");
-    assert_eq!(outs[0], outs[1], "ABR outcome differs between backends");
+    let (wheel_media, wheel_report) = abr_session(&cfg, QueueBackend::Wheel);
+    let (heap_media, heap_report) = abr_session(&cfg, QueueBackend::Heap);
+    assert!(
+        wheel_report.contains("done: true"),
+        "vacuous case: the session did not finish: {wheel_report}"
+    );
+    assert_eq!(
+        wheel_media, heap_media,
+        "media flow counters differ between backends"
+    );
+    assert_eq!(
+        wheel_report, heap_report,
+        "ABR report differs between backends"
+    );
 }

@@ -5,16 +5,10 @@
 //! form, so its contract is *byte-identity*: for every committed
 //! testbed, a clustered grid's outcomes — including the transplanted
 //! members — must equal the unclustered serial run's exactly.
-//! Approx mode (`DSV_CLUSTER=approx:<eps>`) deliberately trades that
-//! exactness for fewer simulations, but must keep its word about how
-//! far it strayed: every interpolated point records an [`ErrorBound`]
-//! and the ground truth must sit inside it.
 //!
 //! The queue backend is fixed per process (`DSV_QUEUE` is read once),
 //! so backend coverage comes from `ci.sh`, which runs this suite under
 //! both `wheel` and `heap`.
-//!
-//! [`ErrorBound`]: dsv_core::runner::ErrorBound
 
 use dsv_core::af::AfConfig;
 use dsv_core::aggregate::{aggregate_spec, AggregateConfig};
@@ -225,73 +219,4 @@ fn perturbing_one_conditioner_row_breaks_the_merge() {
         .with_cluster(ClusterMode::Exact)
         .run_clustered(&jobs);
     assert!(clustered.iter().all(|p| p.source.is_direct()));
-}
-
-#[test]
-fn approx_bounds_hold_on_a_dense_qbone_rate_grid() {
-    // The error-bounded mode's acceptance gate: on a dense (64+ point)
-    // policer-rate grid, approx mode must (a) actually skip simulations
-    // and (b) record, for every interpolated point, a per-metric bound
-    // that contains the ground truth the full run produces.
-    let rates: Vec<u64> = (0..66).map(|i| 800_000 + 25_000 * i).collect();
-    let jobs: Vec<Job> = rates.iter().map(|&r| Job::Qbone(qbone_cfg(r))).collect();
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let truth = Runner::serial().with_threads(threads).run(&jobs);
-    let approx = Runner::serial()
-        .with_threads(threads)
-        .with_cluster(ClusterMode::Approx(0.05))
-        .run_clustered(&jobs);
-
-    let interpolated: Vec<usize> = (0..jobs.len())
-        .filter(|&i| matches!(approx[i].source, PointSource::Interpolated { .. }))
-        .collect();
-    assert!(
-        interpolated.len() >= jobs.len() / 4,
-        "a dense monotone grid should interpolate a healthy fraction, got {} of {}",
-        interpolated.len(),
-        jobs.len()
-    );
-    for &i in &interpolated {
-        let PointSource::Interpolated { lo, hi, ref bound } = approx[i].source else {
-            unreachable!()
-        };
-        assert!(
-            lo < i && i < hi,
-            "anchors must bracket point {i}: {lo}..{hi}"
-        );
-        let got = &approx[i].outcome;
-        let want = &truth[i];
-        assert!(
-            (got.quality - want.quality).abs() <= bound.quality,
-            "point {i}: quality {} vs truth {} exceeds bound {}",
-            got.quality,
-            want.quality,
-            bound.quality
-        );
-        assert!(
-            (got.frame_loss - want.frame_loss).abs() <= bound.frame_loss,
-            "point {i}: frame_loss {} vs truth {} exceeds bound {}",
-            got.frame_loss,
-            want.frame_loss,
-            bound.frame_loss
-        );
-        assert!(
-            (got.packet_loss - want.packet_loss).abs() <= bound.packet_loss,
-            "point {i}: packet_loss {} vs truth {} exceeds bound {}",
-            got.packet_loss,
-            want.packet_loss,
-            bound.packet_loss
-        );
-    }
-    // Anchors (and any exact duplicates) are exact: they byte-match the
-    // ground truth.
-    for i in 0..jobs.len() {
-        if approx[i].source.is_direct() {
-            assert_eq!(
-                serde_json::to_string(&approx[i].outcome).unwrap(),
-                serde_json::to_string(&truth[i]).unwrap(),
-                "simulated anchor {i} must match the full run exactly"
-            );
-        }
-    }
 }
