@@ -44,6 +44,14 @@ cargo clippy -p dsv-check -p dsv-integration -p dsv-bench --all-targets \
 echo "==> benchmark smoke (every workload once, every point checked against results/)"
 cargo run --release --manifest-path benchmark/Cargo.toml -- --smoke
 
+echo "==> address differential (tree-built addresses name the streamed pre-pass's cache files)"
+# The traced pass rebuilds every warm_replay address through the Value
+# tree (keys::cache_address) and fails unless each one names a cache file
+# the runner's pre-pass wrote from the addresses it streamed from the
+# typed specs: all 294 points, tree against stream.
+cargo run --release --manifest-path benchmark/Cargo.toml -- \
+  --workload warm_replay --seconds 1 --trace 1
+
 echo "==> scenario-schema smoke (parse + compile + run every committed spec)"
 for spec in examples/*.json; do
   ./target/release/dsv run --scenario "$spec" > /dev/null

@@ -53,4 +53,27 @@ mod tests {
         let d = results_dir();
         assert!(d.exists());
     }
+
+    #[test]
+    fn committed_results_are_pretty_printer_fixpoints() {
+        // Every committed figure was written by `to_string_pretty`; parsing
+        // one and printing it again must give back the file byte for byte.
+        let mut checked = 0;
+        for entry in fs::read_dir(results_dir()).expect("list results") {
+            let path = entry.expect("results entry").path();
+            if path.extension().is_none_or(|e| e != "json") {
+                continue;
+            }
+            let text = fs::read_to_string(&path).expect("read result");
+            let value = serde_json::parse_value(&text).expect("result parses");
+            let printed = serde_json::to_string_pretty(&value).expect("reprints");
+            assert!(
+                printed == text,
+                "{} is not reprinted byte for byte",
+                path.display()
+            );
+            checked += 1;
+        }
+        assert!(checked > 0, "no committed results found");
+    }
 }

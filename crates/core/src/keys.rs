@@ -41,21 +41,31 @@ fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// The canonical address JSON: `{"spec": …, "scoring": …}`. Field order
-/// is declaration order (the vendored serde emits object fields in the
-/// order given), so the bytes are stable across runs and platforms.
+/// The canonical address JSON, `{"spec": …, "scoring": …}`, written
+/// straight from the borrowed spec: no [`Value`] tree is built for it.
+/// Field order is declaration order (the vendored serde emits object
+/// fields in the order given), so the bytes are stable across runs and
+/// platforms.
+pub fn address_json(spec: &impl Serialize, scoring: &Value) -> String {
+    // Room for a single-flow address (about 2.5 KB) in one allocation,
+    // trimmed after: a batch holds every address until it ends.
+    let mut json = String::with_capacity(4096);
+    serde::write_object(&[("spec", spec), ("scoring", scoring)], &mut json);
+    json.shrink_to_fit();
+    json
+}
+
+/// [`address_json`] over a spec tree: the reference form, byte-identical
+/// to the address streamed from the typed spec the tree came from.
 pub fn cache_address(spec: Value, scoring: Value) -> String {
-    serde_json::value_to_string(&Value::Object(vec![
-        ("spec".to_string(), spec),
-        ("scoring".to_string(), scoring),
-    ]))
+    address_json(&spec, &scoring)
 }
 
 /// The address of a grid point: the spec's **symmetry-normal form** plus
 /// its scoring parameters. This is both the cache identity and the
 /// exact-cluster identity.
 pub fn canonical_address(spec: &ScenarioSpec, scoring: Value) -> String {
-    cache_address(canonicalize(spec).spec.to_value(), scoring)
+    address_json(&canonicalize(spec).spec, &scoring)
 }
 
 /// The content-addressed cache path for `(kind, address)`: the FNV-1a

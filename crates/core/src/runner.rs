@@ -265,7 +265,7 @@ impl Address {
         Address {
             kind,
             ranks: media_flow_ranks(&canon, flows),
-            json: keys::cache_address(canon.spec.to_value(), scoring),
+            json: keys::address_json(&canon.spec, &scoring),
         }
     }
 }
@@ -390,17 +390,27 @@ impl PointSource {
     }
 }
 
+impl PointSource {
+    /// The `"kind"` tag and the fields, in serialized order: the one list
+    /// both serde methods read.
+    fn fields<R>(&self, emit: impl FnOnce(&[serde::Field<'_>]) -> R) -> R {
+        match self {
+            PointSource::Simulated => emit(&[("kind", &"simulated")]),
+            PointSource::Cached => emit(&[("kind", &"cached")]),
+            PointSource::Reused { representative } => {
+                emit(&[("kind", &"reused"), ("representative", representative)])
+            }
+        }
+    }
+}
+
 impl Serialize for PointSource {
     fn to_value(&self) -> Value {
-        let kind = |k: &str| ("kind".to_string(), Value::Str(k.to_string()));
-        match self {
-            PointSource::Simulated => Value::Object(vec![kind("simulated")]),
-            PointSource::Cached => Value::Object(vec![kind("cached")]),
-            PointSource::Reused { representative } => Value::Object(vec![
-                kind("reused"),
-                ("representative".to_string(), representative.to_value()),
-            ]),
-        }
+        self.fields(serde::object_value)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.fields(|fields| serde::write_object(fields, out))
     }
 }
 
@@ -425,13 +435,25 @@ struct CacheEntry<'a, O> {
 
 // Hand-written: the vendored derive rejects generic structs. Field order
 // is the one every cache file on disk already has.
+impl<O: Serialize> CacheEntry<'_, O> {
+    /// The fields, in serialized order: the one list both serde methods
+    /// read.
+    fn fields(&self) -> [serde::Field<'_>; 3] {
+        [
+            ("kind", &self.kind),
+            ("config", &self.config),
+            ("outcome", &self.outcome),
+        ]
+    }
+}
+
 impl<O: Serialize> Serialize for CacheEntry<'_, O> {
     fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("kind".to_string(), self.kind.to_value()),
-            ("config".to_string(), self.config.to_value()),
-            ("outcome".to_string(), self.outcome.to_value()),
-        ])
+        serde::object_value(&self.fields())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        serde::write_object(&self.fields(), out)
     }
 }
 

@@ -214,16 +214,13 @@ pub fn canonicalize(spec: &ScenarioSpec) -> Canonical {
     // Conditioners install on distinct routers; cross-router order is
     // presentation. Sort by the canonical spec bytes so ties (several
     // conditioners on one node — rule-order within each is untouched)
-    // still order deterministically.
-    conditioners.sort_by(|a, b| {
+    // still order deterministically. The key is computed once per
+    // conditioner; the sort is stable, as `sort_by` was.
+    conditioners.sort_by_cached_key(|c| {
         (
-            node_index(&a.node),
-            serde_json::to_string(a).unwrap_or_default(),
+            node_index(&c.node),
+            serde_json::to_string(c).unwrap_or_default(),
         )
-            .cmp(&(
-                node_index(&b.node),
-                serde_json::to_string(b).unwrap_or_default(),
-            ))
     });
 
     let mut bounds: Vec<BoundSpec> = spec

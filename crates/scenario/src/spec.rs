@@ -11,13 +11,58 @@
 //! All types serialize to the vendored serde's canonical JSON (object
 //! fields in declaration order), which makes a spec's JSON byte-stable:
 //! the sweep runner content-addresses its cache with exactly that string.
-//! Data-carrying enums implement serde by hand (the offline derive only
-//! handles named-field structs and fieldless enums); each serializes as
-//! an object with a `"kind"` discriminant followed by its fields.
+//! Data-carrying enums implement serde through `kind_tagged!` (the
+//! offline derive only handles named-field structs and fieldless enums),
+//! which lists each variant's fields once; each serializes as an object
+//! with a `"kind"` discriminant followed by its fields.
 
 use dsv_media::scene::ClipId;
 use dsv_net::packet::{Dscp, Proto};
 use serde::{de_field, Deserialize, Error, Serialize, Value};
+
+/// Serde for a data-carrying enum from one list: per variant, its
+/// `"kind"` tag and its fields in serialized order. The value serializes
+/// as an object, the tag first; `to_value`, `write_json` and
+/// `from_value` all read this one list.
+macro_rules! kind_tagged {
+    ($ty:ident, $what:literal, {
+        $($variant:ident = $tag:literal { $($field:ident),* $(,)? }),* $(,)?
+    }) => {
+        impl $ty {
+            /// The `"kind"` tag and the fields, in serialized order.
+            fn fields<R>(&self, emit: impl FnOnce(&[serde::Field<'_>]) -> R) -> R {
+                match self {
+                    $($ty::$variant { $($field),* } => {
+                        emit(&[("kind", &$tag), $((stringify!($field), $field)),*])
+                    })*
+                }
+            }
+        }
+
+        impl Serialize for $ty {
+            fn to_value(&self) -> Value {
+                self.fields(serde::object_value)
+            }
+
+            fn write_json(&self, out: &mut String) {
+                self.fields(|fields| serde::write_object(fields, out))
+            }
+        }
+
+        impl Deserialize for $ty {
+            fn from_value(v: &Value) -> Result<$ty, Error> {
+                let kind: String = de_field(v, "kind")?;
+                match kind.as_str() {
+                    $($tag => Ok($ty::$variant { $($field: de_field(v, stringify!($field))?),* }),)*
+                    other => Err(Error::msg(format!(
+                        concat!("unknown ", $what, " kind `{}`"),
+                        other
+                    ))),
+                }
+            }
+        }
+    };
+}
 
 /// Serializable mirror of [`ClipId`] (keeps `dsv-media` serde-free).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -300,302 +345,27 @@ impl AppSpec {
     }
 }
 
-fn obj(kind: &str, fields: Vec<(String, Value)>) -> Value {
-    let mut all = vec![("kind".to_string(), Value::Str(kind.to_string()))];
-    all.extend(fields);
-    Value::Object(all)
-}
-
-fn f(name: &str, v: impl Serialize) -> (String, Value) {
-    (name.to_string(), v.to_value())
-}
-
-impl Serialize for AppSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            AppSpec::PacedServer {
-                client,
-                flow,
-                dscp,
-                media,
-            } => obj(
-                "paced_server",
-                vec![
-                    f("client", client),
-                    f("flow", flow),
-                    f("dscp", dscp),
-                    f("media", media),
-                ],
-            ),
-            AppSpec::BurstyServer {
-                client,
-                flow,
-                dscp,
-                media,
-                wait_for_play,
-            } => obj(
-                "bursty_server",
-                vec![
-                    f("client", client),
-                    f("flow", flow),
-                    f("dscp", dscp),
-                    f("media", media),
-                    f("wait_for_play", wait_for_play),
-                ],
-            ),
-            AppSpec::MultiRatePacedServer {
-                client,
-                flow,
-                dscp,
-                tiers,
-                estimate_bps,
-            } => obj(
-                "multi_rate_paced_server",
-                vec![
-                    f("client", client),
-                    f("flow", flow),
-                    f("dscp", dscp),
-                    f("tiers", tiers),
-                    f("estimate_bps", estimate_bps),
-                ],
-            ),
-            AppSpec::AdaptiveServer {
-                client,
-                flow,
-                dscp,
-                tiers,
-            } => obj(
-                "adaptive_server",
-                vec![
-                    f("client", client),
-                    f("flow", flow),
-                    f("dscp", dscp),
-                    f("tiers", tiers),
-                ],
-            ),
-            AppSpec::TcpServer {
-                client,
-                flow,
-                dscp,
-                media,
-            } => obj(
-                "tcp_server",
-                vec![
-                    f("client", client),
-                    f("flow", flow),
-                    f("dscp", dscp),
-                    f("media", media),
-                ],
-            ),
-            AppSpec::AbrServer {
-                client,
-                flow,
-                dscp,
-                rungs_bps,
-                segment_us,
-            } => obj(
-                "abr_server",
-                vec![
-                    f("client", client),
-                    f("flow", flow),
-                    f("dscp", dscp),
-                    f("rungs_bps", rungs_bps),
-                    f("segment_us", segment_us),
-                ],
-            ),
-            AppSpec::AbrClient {
-                server,
-                up_flow,
-                rungs_bps,
-                step_us,
-                segment_us,
-                segments,
-                max_buffer_us,
-            } => obj(
-                "abr_client",
-                vec![
-                    f("server", server),
-                    f("up_flow", up_flow),
-                    f("rungs_bps", rungs_bps),
-                    f("step_us", step_us),
-                    f("segment_us", segment_us),
-                    f("segments", segments),
-                    f("max_buffer_us", max_buffer_us),
-                ],
-            ),
-            AppSpec::BulkTcpSender {
-                client,
-                flow,
-                dscp,
-                total_bytes,
-            } => obj(
-                "bulk_tcp_sender",
-                vec![
-                    f("client", client),
-                    f("flow", flow),
-                    f("dscp", dscp),
-                    f("total_bytes", total_bytes),
-                ],
-            ),
-            AppSpec::BulkTcpSink { server, up_flow } => obj(
-                "bulk_tcp_sink",
-                vec![f("server", server), f("up_flow", up_flow)],
-            ),
-            AppSpec::StreamClient {
-                server,
-                up_flow,
-                media,
-                transport,
-                feedback_us,
-            } => obj(
-                "stream_client",
-                vec![
-                    f("server", server),
-                    f("up_flow", up_flow),
-                    f("media", media),
-                    f("transport", transport),
-                    f("feedback_us", feedback_us),
-                ],
-            ),
-            AppSpec::OnOffSource {
-                dst,
-                flow,
-                packet_size,
-                peak_rate_bps,
-                mean_on_us,
-                mean_off_us,
-                dscp,
-                stop_at_us,
-                rng_fork,
-            } => obj(
-                "on_off_source",
-                vec![
-                    f("dst", dst),
-                    f("flow", flow),
-                    f("packet_size", packet_size),
-                    f("peak_rate_bps", peak_rate_bps),
-                    f("mean_on_us", mean_on_us),
-                    f("mean_off_us", mean_off_us),
-                    f("dscp", dscp),
-                    f("stop_at_us", stop_at_us),
-                    f("rng_fork", rng_fork),
-                ],
-            ),
-            AppSpec::CountingSink => obj("counting_sink", vec![]),
-            AppSpec::Pump {
-                dst,
-                flow,
-                count,
-                size,
-                gap_ns,
-            } => obj(
-                "pump",
-                vec![
-                    f("dst", dst),
-                    f("flow", flow),
-                    f("count", count),
-                    f("size", size),
-                    f("gap_ns", gap_ns),
-                ],
-            ),
-            AppSpec::IdSink => obj("id_sink", vec![]),
-        }
-    }
-}
-
-impl Deserialize for AppSpec {
-    fn from_value(v: &Value) -> Result<AppSpec, Error> {
-        let kind: String = de_field(v, "kind")?;
-        match kind.as_str() {
-            "paced_server" => Ok(AppSpec::PacedServer {
-                client: de_field(v, "client")?,
-                flow: de_field(v, "flow")?,
-                dscp: de_field(v, "dscp")?,
-                media: de_field(v, "media")?,
-            }),
-            "bursty_server" => Ok(AppSpec::BurstyServer {
-                client: de_field(v, "client")?,
-                flow: de_field(v, "flow")?,
-                dscp: de_field(v, "dscp")?,
-                media: de_field(v, "media")?,
-                wait_for_play: de_field(v, "wait_for_play")?,
-            }),
-            "multi_rate_paced_server" => Ok(AppSpec::MultiRatePacedServer {
-                client: de_field(v, "client")?,
-                flow: de_field(v, "flow")?,
-                dscp: de_field(v, "dscp")?,
-                tiers: de_field(v, "tiers")?,
-                estimate_bps: de_field(v, "estimate_bps")?,
-            }),
-            "adaptive_server" => Ok(AppSpec::AdaptiveServer {
-                client: de_field(v, "client")?,
-                flow: de_field(v, "flow")?,
-                dscp: de_field(v, "dscp")?,
-                tiers: de_field(v, "tiers")?,
-            }),
-            "tcp_server" => Ok(AppSpec::TcpServer {
-                client: de_field(v, "client")?,
-                flow: de_field(v, "flow")?,
-                dscp: de_field(v, "dscp")?,
-                media: de_field(v, "media")?,
-            }),
-            "abr_server" => Ok(AppSpec::AbrServer {
-                client: de_field(v, "client")?,
-                flow: de_field(v, "flow")?,
-                dscp: de_field(v, "dscp")?,
-                rungs_bps: de_field(v, "rungs_bps")?,
-                segment_us: de_field(v, "segment_us")?,
-            }),
-            "abr_client" => Ok(AppSpec::AbrClient {
-                server: de_field(v, "server")?,
-                up_flow: de_field(v, "up_flow")?,
-                rungs_bps: de_field(v, "rungs_bps")?,
-                step_us: de_field(v, "step_us")?,
-                segment_us: de_field(v, "segment_us")?,
-                segments: de_field(v, "segments")?,
-                max_buffer_us: de_field(v, "max_buffer_us")?,
-            }),
-            "bulk_tcp_sender" => Ok(AppSpec::BulkTcpSender {
-                client: de_field(v, "client")?,
-                flow: de_field(v, "flow")?,
-                dscp: de_field(v, "dscp")?,
-                total_bytes: de_field(v, "total_bytes")?,
-            }),
-            "bulk_tcp_sink" => Ok(AppSpec::BulkTcpSink {
-                server: de_field(v, "server")?,
-                up_flow: de_field(v, "up_flow")?,
-            }),
-            "stream_client" => Ok(AppSpec::StreamClient {
-                server: de_field(v, "server")?,
-                up_flow: de_field(v, "up_flow")?,
-                media: de_field(v, "media")?,
-                transport: de_field(v, "transport")?,
-                feedback_us: de_field(v, "feedback_us")?,
-            }),
-            "on_off_source" => Ok(AppSpec::OnOffSource {
-                dst: de_field(v, "dst")?,
-                flow: de_field(v, "flow")?,
-                packet_size: de_field(v, "packet_size")?,
-                peak_rate_bps: de_field(v, "peak_rate_bps")?,
-                mean_on_us: de_field(v, "mean_on_us")?,
-                mean_off_us: de_field(v, "mean_off_us")?,
-                dscp: de_field(v, "dscp")?,
-                stop_at_us: de_field(v, "stop_at_us")?,
-                rng_fork: de_field(v, "rng_fork")?,
-            }),
-            "counting_sink" => Ok(AppSpec::CountingSink),
-            "pump" => Ok(AppSpec::Pump {
-                dst: de_field(v, "dst")?,
-                flow: de_field(v, "flow")?,
-                count: de_field(v, "count")?,
-                size: de_field(v, "size")?,
-                gap_ns: de_field(v, "gap_ns")?,
-            }),
-            "id_sink" => Ok(AppSpec::IdSink),
-            other => Err(Error::msg(format!("unknown app kind `{other}`"))),
-        }
-    }
-}
+kind_tagged!(AppSpec, "app", {
+    PacedServer = "paced_server" { client, flow, dscp, media },
+    BurstyServer = "bursty_server" { client, flow, dscp, media, wait_for_play },
+    MultiRatePacedServer = "multi_rate_paced_server" { client, flow, dscp, tiers, estimate_bps },
+    AdaptiveServer = "adaptive_server" { client, flow, dscp, tiers },
+    TcpServer = "tcp_server" { client, flow, dscp, media },
+    AbrServer = "abr_server" { client, flow, dscp, rungs_bps, segment_us },
+    AbrClient = "abr_client" {
+        server, up_flow, rungs_bps, step_us, segment_us, segments, max_buffer_us
+    },
+    BulkTcpSender = "bulk_tcp_sender" { client, flow, dscp, total_bytes },
+    BulkTcpSink = "bulk_tcp_sink" { server, up_flow },
+    StreamClient = "stream_client" { server, up_flow, media, transport, feedback_us },
+    OnOffSource = "on_off_source" {
+        dst, flow, packet_size, peak_rate_bps, mean_on_us, mean_off_us, dscp, stop_at_us,
+        rng_fork
+    },
+    CountingSink = "counting_sink" {},
+    Pump = "pump" { dst, flow, count, size, gap_ns },
+    IdSink = "id_sink" {},
+});
 
 /// One node. Hosts carry an application; routers carry `None`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -710,43 +480,11 @@ pub enum QdiscSpec {
     },
 }
 
-impl Serialize for QdiscSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            QdiscSpec::DropTail { limits } => obj("drop_tail", vec![f("limits", limits)]),
-            QdiscSpec::StrictPriorityEf { ef, be } => {
-                obj("strict_priority_ef", vec![f("ef", ef), f("be", be)])
-            }
-            QdiscSpec::Wred {
-                capacity_bytes,
-                seed,
-            } => obj(
-                "wred",
-                vec![f("capacity_bytes", capacity_bytes), f("seed", seed)],
-            ),
-        }
-    }
-}
-
-impl Deserialize for QdiscSpec {
-    fn from_value(v: &Value) -> Result<QdiscSpec, Error> {
-        let kind: String = de_field(v, "kind")?;
-        match kind.as_str() {
-            "drop_tail" => Ok(QdiscSpec::DropTail {
-                limits: de_field(v, "limits")?,
-            }),
-            "strict_priority_ef" => Ok(QdiscSpec::StrictPriorityEf {
-                ef: de_field(v, "ef")?,
-                be: de_field(v, "be")?,
-            }),
-            "wred" => Ok(QdiscSpec::Wred {
-                capacity_bytes: de_field(v, "capacity_bytes")?,
-                seed: de_field(v, "seed")?,
-            }),
-            other => Err(Error::msg(format!("unknown qdisc kind `{other}`"))),
-        }
-    }
-}
+kind_tagged!(QdiscSpec, "qdisc", {
+    DropTail = "drop_tail" { limits },
+    StrictPriorityEf = "strict_priority_ef" { ef, be },
+    Wred = "wred" { capacity_bytes, seed },
+});
 
 /// One bidirectional connection between two named nodes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -904,104 +642,14 @@ pub enum ActionSpec {
     Pass,
 }
 
-impl Serialize for ActionSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            ActionSpec::Police {
-                rate_bps,
-                depth_bytes,
-                conform_mark,
-            } => obj(
-                "police",
-                vec![
-                    f("rate_bps", rate_bps),
-                    f("depth_bytes", depth_bytes),
-                    f("conform_mark", conform_mark),
-                ],
-            ),
-            ActionSpec::Shape {
-                rate_bps,
-                depth_bytes,
-                max_queue_bytes,
-            } => obj(
-                "shape",
-                vec![
-                    f("rate_bps", rate_bps),
-                    f("depth_bytes", depth_bytes),
-                    f("max_queue_bytes", max_queue_bytes),
-                ],
-            ),
-            ActionSpec::MeterAf {
-                cir_bps,
-                cbs_bytes,
-                ebs_bytes,
-                class,
-            } => obj(
-                "meter_af",
-                vec![
-                    f("cir_bps", cir_bps),
-                    f("cbs_bytes", cbs_bytes),
-                    f("ebs_bytes", ebs_bytes),
-                    f("class", class),
-                ],
-            ),
-            ActionSpec::MeterTrtcm {
-                pir_bps,
-                pbs_bytes,
-                cir_bps,
-                cbs_bytes,
-                class,
-            } => obj(
-                "meter_trtcm",
-                vec![
-                    f("pir_bps", pir_bps),
-                    f("pbs_bytes", pbs_bytes),
-                    f("cir_bps", cir_bps),
-                    f("cbs_bytes", cbs_bytes),
-                    f("class", class),
-                ],
-            ),
-            ActionSpec::Mark { dscp } => obj("mark", vec![f("dscp", dscp)]),
-            ActionSpec::Pass => obj("pass", vec![]),
-        }
-    }
-}
-
-impl Deserialize for ActionSpec {
-    fn from_value(v: &Value) -> Result<ActionSpec, Error> {
-        let kind: String = de_field(v, "kind")?;
-        match kind.as_str() {
-            "police" => Ok(ActionSpec::Police {
-                rate_bps: de_field(v, "rate_bps")?,
-                depth_bytes: de_field(v, "depth_bytes")?,
-                conform_mark: de_field(v, "conform_mark")?,
-            }),
-            "shape" => Ok(ActionSpec::Shape {
-                rate_bps: de_field(v, "rate_bps")?,
-                depth_bytes: de_field(v, "depth_bytes")?,
-                max_queue_bytes: de_field(v, "max_queue_bytes")?,
-            }),
-            "meter_af" => Ok(ActionSpec::MeterAf {
-                cir_bps: de_field(v, "cir_bps")?,
-                cbs_bytes: de_field(v, "cbs_bytes")?,
-                ebs_bytes: de_field(v, "ebs_bytes")?,
-                class: de_field(v, "class")?,
-            }),
-            "meter_trtcm" => Ok(ActionSpec::MeterTrtcm {
-                pir_bps: de_field(v, "pir_bps")?,
-                pbs_bytes: de_field(v, "pbs_bytes")?,
-                cir_bps: de_field(v, "cir_bps")?,
-                cbs_bytes: de_field(v, "cbs_bytes")?,
-                class: de_field(v, "class")?,
-            }),
-            "mark" => Ok(ActionSpec::Mark {
-                dscp: de_field(v, "dscp")?,
-            }),
-            "pass" => Ok(ActionSpec::Pass),
-            other => Err(Error::msg(format!("unknown action kind `{other}`"))),
-        }
-    }
-}
+kind_tagged!(ActionSpec, "action", {
+    Police = "police" { rate_bps, depth_bytes, conform_mark },
+    Shape = "shape" { rate_bps, depth_bytes, max_queue_bytes },
+    MeterAf = "meter_af" { cir_bps, cbs_bytes, ebs_bytes, class },
+    MeterTrtcm = "meter_trtcm" { pir_bps, pbs_bytes, cir_bps, cbs_bytes, class },
+    Mark = "mark" { dscp },
+    Pass = "pass" {},
+});
 
 /// One entry of a conditioner's policy table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -1344,6 +992,293 @@ mod tests {
         for a in actions {
             assert_eq!(ActionSpec::from_value(&a.to_value()).unwrap(), a);
         }
+        let unknown = serde_json::parse_value(r#"{"kind":"teleport"}"#).unwrap();
+        for (err, what) in [
+            (AppSpec::from_value(&unknown).unwrap_err(), "app"),
+            (QdiscSpec::from_value(&unknown).unwrap_err(), "qdisc"),
+            (ActionSpec::from_value(&unknown).unwrap_err(), "action"),
+        ] {
+            let expected = format!("serde error: unknown {what} kind `teleport`");
+            assert_eq!(err.to_string(), expected);
+        }
+    }
+
+    /// One spec declaring every hand-serialized variant (14 apps, 3
+    /// qdiscs, 6 actions), each `Option` field once `Some` and once
+    /// `None`.
+    fn every_variant_spec() -> ScenarioSpec {
+        let media = MediaRef {
+            clip: ClipId2::Dark,
+            codec: CodecSpec::Wmv,
+            rate_bps: 700_000,
+        };
+        let mut s = ScenarioSpec::new("every \"variant\"", 3);
+        let apps = [
+            AppSpec::PacedServer {
+                client: "c".into(),
+                flow: 1,
+                dscp: DscpSpec::EfQbone,
+                media,
+            },
+            AppSpec::BurstyServer {
+                client: "c".into(),
+                flow: 2,
+                dscp: DscpSpec::Ef,
+                media,
+                wait_for_play: false,
+            },
+            AppSpec::MultiRatePacedServer {
+                client: "c".into(),
+                flow: 3,
+                dscp: DscpSpec::BestEffort,
+                tiers: vec![media, media],
+                estimate_bps: 1_300_000,
+            },
+            AppSpec::AdaptiveServer {
+                client: "c".into(),
+                flow: 4,
+                dscp: DscpSpec::Ef,
+                tiers: Vec::new(),
+            },
+            AppSpec::TcpServer {
+                client: "c".into(),
+                flow: 5,
+                dscp: DscpSpec::BestEffort,
+                media,
+            },
+            AppSpec::AbrServer {
+                client: "c".into(),
+                flow: 6,
+                dscp: DscpSpec::EfQbone,
+                rungs_bps: vec![300_000, 1_500_000],
+                segment_us: 2_000_000,
+            },
+            AppSpec::AbrClient {
+                server: "s".into(),
+                up_flow: 7,
+                rungs_bps: Vec::new(),
+                step_us: 4_000_000,
+                segment_us: 2_000_000,
+                segments: 30,
+                max_buffer_us: 16_000_000,
+            },
+            AppSpec::BulkTcpSender {
+                client: "c".into(),
+                flow: 8,
+                dscp: DscpSpec::Ef,
+                total_bytes: u64::MAX,
+            },
+            AppSpec::BulkTcpSink {
+                server: "s".into(),
+                up_flow: 9,
+            },
+            AppSpec::StreamClient {
+                server: "s".into(),
+                up_flow: 10,
+                media,
+                transport: TransportSpec::Udp,
+                feedback_us: Some(1_000_000),
+            },
+            AppSpec::StreamClient {
+                server: "s".into(),
+                up_flow: 11,
+                media,
+                transport: TransportSpec::Tcp,
+                feedback_us: None,
+            },
+            AppSpec::OnOffSource {
+                dst: "sink".into(),
+                flow: 12,
+                packet_size: 1000,
+                peak_rate_bps: 30_000_000,
+                mean_on_us: 200_000,
+                mean_off_us: 0,
+                dscp: DscpSpec::BestEffort,
+                stop_at_us: 200_000_000,
+                rng_fork: 17,
+            },
+            AppSpec::CountingSink,
+            AppSpec::Pump {
+                dst: "rx".into(),
+                flow: 13,
+                count: 200,
+                size: 1500,
+                gap_ns: 1_000_000,
+            },
+            AppSpec::IdSink,
+        ];
+        for (i, app) in apps.into_iter().enumerate() {
+            s.nodes.push(NodeSpec::host(&format!("h{i}"), app));
+        }
+        s.nodes.push(NodeSpec::router("r"));
+        let link = LinkParams::fast_ethernet();
+        let qdiscs = [
+            QdiscSpec::DropTail {
+                limits: LimitsSpec::UNBOUNDED,
+            },
+            QdiscSpec::StrictPriorityEf {
+                ef: LimitsSpec::packets(10),
+                be: LimitsSpec::bytes(64_000),
+            },
+            QdiscSpec::Wred {
+                capacity_bytes: 120_000,
+                seed: 5,
+            },
+        ];
+        for (i, q) in qdiscs.into_iter().enumerate() {
+            s.links
+                .push(LinkSpec::symmetric(&format!("h{i}"), "r", link, q));
+        }
+        let actions = [
+            ActionSpec::Police {
+                rate_bps: 1_000_000,
+                depth_bytes: 3000,
+                conform_mark: Some(DscpSpec::Ef),
+            },
+            ActionSpec::Police {
+                rate_bps: 2_000_000,
+                depth_bytes: 4500,
+                conform_mark: None,
+            },
+            ActionSpec::Shape {
+                rate_bps: 1_500_000,
+                depth_bytes: 1500,
+                max_queue_bytes: 30_000,
+            },
+            ActionSpec::MeterAf {
+                cir_bps: 1_000_000,
+                cbs_bytes: 3000,
+                ebs_bytes: 6000,
+                class: 1,
+            },
+            ActionSpec::MeterTrtcm {
+                pir_bps: 2_000_000,
+                pbs_bytes: 6000,
+                cir_bps: 1_000_000,
+                cbs_bytes: 3000,
+                class: 4,
+            },
+            ActionSpec::Mark {
+                dscp: DscpSpec::EfQbone,
+            },
+            ActionSpec::Pass,
+        ];
+        s.conditioners.push(ConditionerSpec {
+            node: "r".into(),
+            tap: Some("ingress".into()),
+            rules: actions
+                .into_iter()
+                .enumerate()
+                .map(|(i, action)| RuleSpec {
+                    matches: if i == 0 {
+                        MatchSpec {
+                            proto: Some(ProtoSpec::Udp),
+                            ..MatchSpec::src_dst("h0", "h1")
+                        }
+                    } else {
+                        MatchSpec::flow(i as u32)
+                    },
+                    action,
+                })
+                .collect(),
+        });
+        s.horizon_ns = Some(5_000_000_000);
+        s
+    }
+
+    #[test]
+    fn every_hand_serialized_variant_has_pinned_bytes() {
+        // The data-carrying enums serialize through `kind_tagged!`; these
+        // bytes feed every cache address, so they may never drift. The
+        // value tree must print the same bytes as the streamed spec.
+        let spec = every_variant_spec();
+        let json = spec.canonical_json();
+        assert_eq!(serde_json::to_string(&spec.to_value()).unwrap(), json);
+        let back: ScenarioSpec = serde_json::from_str(&json).expect("parses");
+        assert_eq!(back, spec);
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"name":"every \"variant\"","seed":3,"nodes":["#,
+                r#"{"name":"h0","app":{"kind":"paced_server","client":"c","flow":1,"#,
+                r#""dscp":"EfQbone","#,
+                r#""media":{"clip":"Dark","codec":"Wmv","rate_bps":700000}}},"#,
+                r#"{"name":"h1","app":{"kind":"bursty_server","client":"c","flow":2,"dscp":"Ef","#,
+                r#""media":{"clip":"Dark","codec":"Wmv","rate_bps":700000},"#,
+                r#""wait_for_play":false}},"#,
+                r#"{"name":"h2","app":{"kind":"multi_rate_paced_server","client":"c","flow":3,"#,
+                r#""dscp":"BestEffort","#,
+                r#""tiers":[{"clip":"Dark","codec":"Wmv","rate_bps":700000},{"clip":"Dark","#,
+                r#""codec":"Wmv","rate_bps":700000}],"estimate_bps":1300000}},"#,
+                r#"{"name":"h3","app":{"kind":"adaptive_server","client":"c","flow":4,"#,
+                r#""dscp":"Ef","#,
+                r#""tiers":[]}},"#,
+                r#"{"name":"h4","app":{"kind":"tcp_server","client":"c","flow":5,"#,
+                r#""dscp":"BestEffort","#,
+                r#""media":{"clip":"Dark","codec":"Wmv","rate_bps":700000}}},"#,
+                r#"{"name":"h5","app":{"kind":"abr_server","client":"c","flow":6,"#,
+                r#""dscp":"EfQbone","#,
+                r#""rungs_bps":[300000,1500000],"segment_us":2000000}},"#,
+                r#"{"name":"h6","app":{"kind":"abr_client","server":"s","up_flow":7,"#,
+                r#""rungs_bps":[],"step_us":4000000,"segment_us":2000000,"segments":30,"#,
+                r#""max_buffer_us":16000000}},"#,
+                r#"{"name":"h7","app":{"kind":"bulk_tcp_sender","client":"c","flow":8,"#,
+                r#""dscp":"Ef","total_bytes":18446744073709551615}},"#,
+                r#"{"name":"h8","app":{"kind":"bulk_tcp_sink","server":"s","up_flow":9}},"#,
+                r#"{"name":"h9","app":{"kind":"stream_client","server":"s","up_flow":10,"#,
+                r#""media":{"clip":"Dark","codec":"Wmv","rate_bps":700000},"transport":"Udp","#,
+                r#""feedback_us":1000000}},"#,
+                r#"{"name":"h10","app":{"kind":"stream_client","server":"s","up_flow":11,"#,
+                r#""media":{"clip":"Dark","codec":"Wmv","rate_bps":700000},"transport":"Tcp","#,
+                r#""feedback_us":null}},"#,
+                r#"{"name":"h11","app":{"kind":"on_off_source","dst":"sink","flow":12,"#,
+                r#""packet_size":1000,"peak_rate_bps":30000000,"mean_on_us":200000,"#,
+                r#""mean_off_us":0,"dscp":"BestEffort","stop_at_us":200000000,"rng_fork":17}},"#,
+                r#"{"name":"h12","app":{"kind":"counting_sink"}},"#,
+                r#"{"name":"h13","app":{"kind":"pump","dst":"rx","flow":13,"count":200,"#,
+                r#""size":1500,"gap_ns":1000000}},"#,
+                r#"{"name":"h14","app":{"kind":"id_sink"}},"#,
+                r#"{"name":"r","app":null}],"#,
+                r#""links":["#,
+                r#"{"a":"h0","b":"r","ab":{"rate_bps":100000000,"propagation_ns":5000},"#,
+                r#""ba":{"rate_bps":100000000,"propagation_ns":5000},"#,
+                r#""qdisc_ab":{"kind":"drop_tail","limits":{"max_packets":null,"#,
+                r#""max_bytes":null}},"#,
+                r#""qdisc_ba":{"kind":"drop_tail","limits":{"max_packets":null,"#,
+                r#""max_bytes":null}}},"#,
+                r#"{"a":"h1","b":"r","ab":{"rate_bps":100000000,"propagation_ns":5000},"#,
+                r#""ba":{"rate_bps":100000000,"propagation_ns":5000},"#,
+                r#""qdisc_ab":{"kind":"strict_priority_ef","ef":{"max_packets":10,"#,
+                r#""max_bytes":null},"be":{"max_packets":null,"max_bytes":64000}},"#,
+                r#""qdisc_ba":{"kind":"strict_priority_ef","ef":{"max_packets":10,"#,
+                r#""max_bytes":null},"be":{"max_packets":null,"max_bytes":64000}}},"#,
+                r#"{"a":"h2","b":"r","ab":{"rate_bps":100000000,"propagation_ns":5000},"#,
+                r#""ba":{"rate_bps":100000000,"propagation_ns":5000},"#,
+                r#""qdisc_ab":{"kind":"wred","capacity_bytes":120000,"seed":5},"#,
+                r#""qdisc_ba":{"kind":"wred","capacity_bytes":120000,"seed":5}}],"#,
+                r#""conditioners":[{"node":"r","tap":"ingress","rules":["#,
+                r#"{"matches":{"src":"h0","dst":"h1","flow":null,"dscp":null,"proto":"Udp"},"#,
+                r#""action":{"kind":"police","rate_bps":1000000,"depth_bytes":3000,"#,
+                r#""conform_mark":"Ef"}},"#,
+                r#"{"matches":{"src":null,"dst":null,"flow":1,"dscp":null,"proto":null},"#,
+                r#""action":{"kind":"police","rate_bps":2000000,"depth_bytes":4500,"#,
+                r#""conform_mark":null}},"#,
+                r#"{"matches":{"src":null,"dst":null,"flow":2,"dscp":null,"proto":null},"#,
+                r#""action":{"kind":"shape","rate_bps":1500000,"depth_bytes":1500,"#,
+                r#""max_queue_bytes":30000}},"#,
+                r#"{"matches":{"src":null,"dst":null,"flow":3,"dscp":null,"proto":null},"#,
+                r#""action":{"kind":"meter_af","cir_bps":1000000,"cbs_bytes":3000,"#,
+                r#""ebs_bytes":6000,"class":1}},"#,
+                r#"{"matches":{"src":null,"dst":null,"flow":4,"dscp":null,"proto":null},"#,
+                r#""action":{"kind":"meter_trtcm","pir_bps":2000000,"pbs_bytes":6000,"#,
+                r#""cir_bps":1000000,"cbs_bytes":3000,"class":4}},"#,
+                r#"{"matches":{"src":null,"dst":null,"flow":5,"dscp":null,"proto":null},"#,
+                r#""action":{"kind":"mark","dscp":"EfQbone"}},"#,
+                r#"{"matches":{"src":null,"dst":null,"flow":6,"dscp":null,"proto":null},"#,
+                r#""action":{"kind":"pass"}}]}],"#,
+                r#""bounds":[],"horizon_ns":5000000000}"#,
+            )
+        );
     }
 
     #[test]
