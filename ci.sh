@@ -4,8 +4,8 @@
 #
 #   ./ci.sh           the default gate (includes an audit smoke stage)
 #   ./ci.sh --audit   additionally runs the full audited matrix: the
-#                     audit-feature test suites and the committed figure
-#                     sweeps under DSV_AUDIT=1, on both event-queue
+#                     audit-feature test suites and every committed figure
+#                     (all_figures) under DSV_AUDIT=1, on both event-queue
 #                     backends, with the result cache off (cache hits
 #                     skip simulation, which would skip the audits too).
 set -euo pipefail
@@ -141,10 +141,13 @@ if [[ "$AUDIT" == 1 ]]; then
       -p dsv-check -p dsv-integration \
       --features dsv-check/audit,dsv-integration/audit
 
-    echo "==> audited figure sweep (DSV_QUEUE=$backend, cache off)"
+    echo "==> audited figure sweep: every committed figure (DSV_QUEUE=$backend, cache off)"
+    # all_figures covers what fig07 alone does not: merges inside the
+    # backbone, TCP acknowledgement paths and client timers, so every hop
+    # chain and every chain-tie oracle is exercised.
     DSV_AUDIT=1 DSV_QUEUE=$backend DSV_CACHE=off \
       cargo run --release -q -p dsv-bench --features dsv-bench/audit \
-      --bin fig07_qbone_lost
+      --bin all_figures > /dev/null
   done
 
   echo "==> audited figures byte-identical to committed results"

@@ -18,7 +18,10 @@
 //! * **payload integrity** — a packet's size never changes in flight;
 //! * **token-bucket conformance** — at every registered policer, cumulative
 //!   admitted traffic respects the analytic bound
-//!   `admitted_bytes · 8 ≤ depth_bytes · 8 + rate_bps · t` at all times.
+//!   `admitted_bytes · 8 ≤ depth_bytes · 8 + rate_bps · t` at all times;
+//! * **chain ties** — no outcome of a walked relay hop (see
+//!   [`crate::network`]) hangs on a same-instant order that per-hop
+//!   dispatch would decide by sequence stamps the walk does not replay.
 //!
 //! Violations are collected (capped) rather than panicking at the hook
 //! site, so fault-injection self-tests can assert that a *specific* class
@@ -30,11 +33,13 @@
 
 use std::collections::HashMap;
 
-use dsv_sim::SimTime;
+use dsv_sim::{EventQueue, SimTime};
 
 pub use dsv_sim::audit::{runtime_enabled, set_enabled_for_process};
 
+use crate::network::NetEvent;
 use crate::packet::{FlowId, NodeId, PacketId, PortId};
+use crate::pool::PacketRef;
 
 /// Cap on *recorded* violation messages (all violations are still counted).
 const MAX_RECORDED: usize = 32;
@@ -91,6 +96,16 @@ pub struct SimAudit {
     /// Last packet id delivered per flow.
     flow_last_rx: Vec<(FlowId, u64)>,
     bounds: Vec<ConformanceBound>,
+    /// `Arrive`s filed at the end of a chain walk and not yet dispatched:
+    /// the packet, its destination, when it is due there, and when its
+    /// last walked hop began to serialize (the instant per-hop dispatch
+    /// would have filed it).
+    chain_due: Vec<(PacketRef, NodeId, SimTime, SimTime)>,
+    /// Per node, when a walked packet's `Arrive` was last dispatched
+    /// there and when its last walked hop began to serialize.
+    chain_exit_at: Vec<Option<(SimTime, SimTime)>>,
+    /// Per chain port, when its last walked transmission began and ends.
+    chain_free_at: HashMap<(u32, u16), (SimTime, SimTime)>,
     finished: bool,
 }
 
@@ -111,6 +126,9 @@ impl SimAudit {
             port_last_tx: HashMap::new(),
             flow_last_rx: Vec::new(),
             bounds: Vec::new(),
+            chain_due: Vec::new(),
+            chain_exit_at: vec![None; node_count],
+            chain_free_at: HashMap::new(),
             finished: false,
         }
     }
@@ -170,8 +188,16 @@ impl SimAudit {
         &mut self.flows.last_mut().expect("just pushed").1
     }
 
-    /// An event is being dispatched to the network at `now`.
-    pub(crate) fn on_event(&mut self, now: SimTime) {
+    /// `event` is being dispatched at `now` from `queue`.
+    ///
+    /// Per-hop dispatch would have filed a walked packet's `Arrive` when
+    /// its last hop began to serialize, so against another event due at
+    /// the same node and instant it would have sorted by filing instant:
+    /// after every event filed earlier, before every event filed later,
+    /// and either way against one filed at that same instant. Any event
+    /// at a walked packet's node and instant whose actual order breaks
+    /// that rule, or hangs on the same-instant case, is reported.
+    pub(crate) fn on_event<E>(&mut self, now: SimTime, event: &NetEvent, queue: &EventQueue<E>) {
         if !self.enabled {
             return;
         }
@@ -183,6 +209,35 @@ impl SimAudit {
             ));
         }
         self.last_event = now;
+        let node = event.node();
+        let filed = queue.last_stamp().map_or(now, |s| s.filed());
+        let exit = match *event {
+            NetEvent::Arrive { packet, .. } => self
+                .chain_due
+                .iter()
+                .position(|&(p, ..)| p == packet)
+                .map(|i| self.chain_due.swap_remove(i).3),
+            _ => None,
+        };
+        // Dispatched after a walked arrival, an event must have been filed
+        // after that arrival would have been; dispatched before one, it
+        // must have been filed before.
+        let after = matches!(self.chain_exit_at[node.0 as usize],
+            Some((at, last_hop)) if at == now && filed <= last_hop);
+        let before = self
+            .chain_due
+            .iter()
+            .any(|&(_, due_node, at, last_hop)| due_node == node && at == now && filed >= last_hop);
+        if after || before {
+            self.violation(format!(
+                "chain-tie: an event at node {} at {now:?} filed at {filed:?} \
+                 may sort the other way against a walked packet's arrival",
+                node.0
+            ));
+        }
+        if let Some(last_hop) = exit {
+            self.chain_exit_at[node.0 as usize] = Some((now, last_hop));
+        }
     }
 
     /// An application originated a packet at `node`.
@@ -207,6 +262,88 @@ impl SimAudit {
             return;
         }
         self.nodes[node.0 as usize].arrivals += 1;
+    }
+
+    /// A chain walk moved a packet through `node`'s `port`: it arrived,
+    /// started serializing at `start`, and frees the port at `free_at`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn on_chain_hop(
+        &mut self,
+        start: SimTime,
+        free_at: SimTime,
+        node: NodeId,
+        port: PortId,
+        flow: FlowId,
+        id: PacketId,
+        size: u32,
+    ) {
+        if !self.enabled {
+            return;
+        }
+        self.nodes[node.0 as usize].arrivals += 1;
+        self.on_transmit(start, node, port, flow, id, size);
+        self.chain_free_at
+            .insert((node.0, port.0), (start, free_at));
+    }
+
+    /// A chain walk filed `packet`'s `Arrive` at `node`, due at `at`;
+    /// its last walked hop began to serialize at `last_hop`.
+    pub(crate) fn on_chain_filed(
+        &mut self,
+        packet: PacketRef,
+        node: NodeId,
+        at: SimTime,
+        last_hop: SimTime,
+    ) {
+        if self.enabled {
+            self.chain_due.push((packet, node, at, last_hop));
+        }
+    }
+
+    /// A per-hop packet reached `node` bound for chain port `port`, which
+    /// the network found `busy` or idle. If the port's last walked
+    /// transmission ends at this very instant, per-hop dispatch would have
+    /// found it busy iff the arrival was filed before that transmission
+    /// began; filed at that same instant, it could have gone either way.
+    pub(crate) fn on_relay_arrive<E>(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        port: PortId,
+        busy: bool,
+        queue: &EventQueue<E>,
+    ) {
+        if !self.enabled {
+            return;
+        }
+        let Some(&(start, free_at)) = self.chain_free_at.get(&(node.0, port.0)) else {
+            return;
+        };
+        let filed = queue.last_stamp().map_or(now, |s| s.filed());
+        if free_at == now && (filed == start || busy != (filed < start)) {
+            self.violation(format!(
+                "chain-tie: a per-hop packet filed at {filed:?} reached node {} \
+                 port {} at {now:?}, as a walked transmission begun at {start:?} \
+                 ends, and found the port {}",
+                node.0,
+                port.0,
+                if busy { "busy" } else { "idle" }
+            ));
+        }
+    }
+
+    /// Drop-tail admission at `node`'s chain port `port` at `at` depends on
+    /// whether a walked packet starting at that same instant still counts
+    /// as waiting, which per-hop dispatch would decide by the order of two
+    /// stamps filed at the same instant.
+    pub(crate) fn on_admission_tie(&mut self, at: SimTime, node: NodeId, port: PortId) {
+        if self.enabled {
+            self.violation(format!(
+                "chain-tie: admission at node {} port {} at {at:?} hangs on a \
+                 walked packet that starts serializing at the same instant",
+                node.0, port.0
+            ));
+        }
     }
 
     /// A packet was put on the wire out of `node`'s `port`.

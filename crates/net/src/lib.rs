@@ -77,7 +77,8 @@ pub mod prelude {
     };
     pub use crate::pool::{PacketPool, PacketRef};
     pub use crate::qdisc::{
-        ef_high_priority, DropTailQueue, EnqueueResult, Qdisc, QueueLimits, StrictPriorityQueue,
+        ef_high_priority, DropTailQueue, EnqueueResult, FifoBand, Qdisc, QueueLimits,
+        StrictPriorityQueue,
     };
     pub use crate::shard::{partition_nodes, Partition};
     pub use crate::stats::{DelaySummary, FlowCounters, NetStats, TraceEntry, TraceKind};

@@ -13,29 +13,46 @@
 //! computed once at build time by breadth-first search, so any connected
 //! topology works without manual route entry.
 //!
+//! Forwarding is not one event per hop. A *chain hop* is a port of a
+//! router without a conditioner that only one incoming link feeds (read
+//! off the route tables at build time). When any port puts a packet on
+//! the wire toward such a router, the network walks the packet through
+//! the chain hops ahead of it on the spot — the Lindley recursion
+//! `start = max(arrival, free_at)`, `free_at = start + serialization`,
+//! `next arrival = free_at + propagation`, with drop-tail admission
+//! counted against the walked packets still waiting at each port — and
+//! files one `Arrive` at the first node that conditions, merges feeders
+//! or hosts an application. The walk only crosses a port where the packet
+//! joins a first-come first-served band ([`Qdisc::fifo_band`]) with no
+//! per-hop packet ahead of it; anywhere else the hop is dispatched as
+//! before. The `Arrive` is stamped as filed when its last hop began to
+//! serialize ([`EventQueue::reserve_filed_at`]), so it sorts against
+//! every event filed at any other instant exactly as the last hop's eager
+//! `Arrive` would have (DESIGN.md §6b, "Hop chains").
+//!
 //! An output port's "finished serializing" wake-up
 //! ([`NetEvent::PortReady`]) is dispatched only when a packet is waiting
-//! for it. Starting a transmission reserves the wake-up's sequence number
-//! in the event queue ([`EventQueue::reserve_seq`]) — exactly where
-//! scheduling it would have — and the port counts as busy while that
-//! reserved `(time, seq)` key is still ahead of the queue. The first
-//! packet that queues behind the transmission files the wake-up under the
-//! reserved key ([`EventQueue::schedule_reserved`]); a wake-up that would
-//! find the port's queue empty is never dispatched at all. Every other
-//! event keeps its exact delivery position (DESIGN.md §6b).
+//! for it. Starting a transmission reserves the wake-up's stamp in the
+//! event queue ([`EventQueue::reserve`]) — exactly where scheduling it
+//! would have — and the port counts as busy while that reserved
+//! `(time, stamp)` key is still ahead of the queue. The first packet that
+//! queues behind the transmission files the wake-up under the reserved
+//! key ([`EventQueue::schedule_reserved`]); a wake-up that would find the
+//! port's queue empty is never dispatched at all. Every other event keeps
+//! its exact delivery position (DESIGN.md §6b).
 
 use std::collections::VecDeque;
 
-use dsv_sim::{EventQueue, SimDuration, SimTime, World};
+use dsv_sim::{EventQueue, SimDuration, SimTime, Stamp, World};
 
 use crate::app::{AppCommand, AppCtx, Application};
 #[cfg(feature = "audit")]
 use crate::audit::SimAudit;
 use crate::conditioner::{ConditionOutcome, Conditioner, QuickVerdict};
 use crate::link::Link;
-use crate::packet::{DropReason, FlowId, NodeId, Packet, PacketId, PortId};
+use crate::packet::{DropReason, Dscp, FlowId, NodeId, Packet, PacketId, PortId};
 use crate::pool::{PacketPool, PacketRef};
-use crate::qdisc::{DropTailQueue, Qdisc, QueueLimits};
+use crate::qdisc::{DropTailQueue, FifoBand, Qdisc, QueueLimits};
 use crate::stats::NetStats;
 
 /// Events the network world handles.
@@ -75,6 +92,19 @@ pub enum NetEvent {
     CondPoll(NodeId),
 }
 
+impl NetEvent {
+    /// The node the event is dispatched to.
+    pub fn node(&self) -> NodeId {
+        match *self {
+            NetEvent::Start(node)
+            | NetEvent::Timer { node, .. }
+            | NetEvent::Arrive { node, .. }
+            | NetEvent::PortReady { node, .. }
+            | NetEvent::CondPoll(node) => node,
+        }
+    }
+}
+
 struct Port<P> {
     link: Link,
     peer: NodeId,
@@ -82,10 +112,10 @@ struct Port<P> {
     /// End of the current (or last) transmission's serialization: when
     /// the port's [`NetEvent::PortReady`] falls due.
     free_at: SimTime,
-    /// Queue sequence number reserved for that `PortReady` when the
-    /// transmission began. While busy, the event is filed in the queue
-    /// iff `queued > 0`.
-    ready_seq: u64,
+    /// Queue stamp reserved for that `PortReady` when the transmission
+    /// began. While busy, the event is filed in the queue iff
+    /// `queued > 0`.
+    ready: Stamp,
     /// Packets currently inside `qdisc`, mirrored here so the hot paths
     /// (is the port drained? can a packet pass straight through?) answer
     /// without a virtual call. Maintained by the only two call sites that
@@ -99,6 +129,20 @@ struct Port<P> {
     /// send runs of equal-sized packets, so this one-entry memo removes a
     /// 128-bit division from almost every transmission.
     ser_memo: (u32, SimDuration),
+    /// A chain hop: a port of a router without a conditioner whose
+    /// traffic all arrives over one incoming link. A packet bound here in
+    /// a FIFO band is walked through the port when the packet ahead of it
+    /// is transmitted, not dispatched (see the module docs).
+    chain: bool,
+    /// Per-hop `Arrive`s in flight toward this chain port. A packet is
+    /// walked through the port only while none is ahead of it.
+    pending: u32,
+    /// Walked packets that have reached the port but not started
+    /// serializing, oldest first: the FIFO band's virtual content, which
+    /// every admission at the port counts.
+    waiting: VecDeque<Waiting>,
+    /// Bytes in `waiting`.
+    waiting_bytes: u64,
 }
 
 enum NodeKind {
@@ -114,15 +158,105 @@ struct Node<P> {
     /// node id (`None` for non-host destinations). A flat vector: route
     /// lookup is per packet per hop, far too hot for hashing.
     routes: Vec<Option<PortId>>,
+    /// Whether any of the node's ports is a chain hop: the one test a
+    /// transmission toward a node that is not a relay pays.
+    relay: bool,
 }
 
 impl<P> Port<P> {
+    fn new(link: Link, peer: NodeId, qdisc: Box<dyn Qdisc<P> + Send>) -> Port<P> {
+        Port {
+            link,
+            peer,
+            direct_cap: qdisc.direct_admit_cap(),
+            qdisc,
+            free_at: SimTime::ZERO,
+            ready: Stamp::default(),
+            queued: 0,
+            ser_memo: (0, SimDuration::ZERO),
+            chain: false,
+            pending: 0,
+            waiting: VecDeque::new(),
+            waiting_bytes: 0,
+        }
+    }
+
     /// Whether the port is still serializing: its `PortReady` key has not
     /// been reached by the queue. (A never-used port's `(ZERO, 0)` key is
     /// behind every dispatched event.)
     #[inline]
     fn busy(&self, queue: &EventQueue<NetEvent>) -> bool {
-        queue.is_ahead(self.free_at, self.ready_seq)
+        queue.is_ahead(self.free_at, self.ready)
+    }
+
+    /// Serialization time of a `size`-byte packet on this port's link.
+    #[inline]
+    fn serialization(&mut self, size: u32) -> SimDuration {
+        if self.ser_memo.0 != size {
+            self.ser_memo = (size, self.link.serialization(size));
+        }
+        self.ser_memo.1
+    }
+
+    /// Whether `band` admits a `size`-byte packet that reaches the port
+    /// at `at` by an `Arrive` filed at `filed`, counting the walked
+    /// packets still waiting then.
+    ///
+    /// A walked packet that starts serializing exactly at `at` was started
+    /// by the port's `PortReady`, whose stamp counts as filed when the
+    /// transmission ahead of it began: per-hop dispatch delivers whichever
+    /// of that wake-up and the arrival was filed first, so the packet
+    /// still waits iff the arrival was filed earlier. The second answer
+    /// is true when both were filed at the same instant and the decision
+    /// hangs on it.
+    fn admits(&mut self, band: FifoBand, at: SimTime, filed: SimTime, size: u32) -> (bool, bool) {
+        while let Some(w) = self.waiting.front() {
+            if w.start > at || (w.start == at && filed <= w.behind) {
+                break;
+            }
+            self.waiting_bytes -= u64::from(w.size);
+            self.waiting.pop_front();
+        }
+        let len = band.len + self.waiting.len();
+        let bytes = band.bytes + self.waiting_bytes;
+        let admitted = band.admits(len, bytes, size);
+        let tie = match self.waiting.front() {
+            Some(w) if w.start == at && filed == w.behind => {
+                admitted != band.admits(len - 1, bytes - u64::from(w.size), size)
+            }
+            _ => false,
+        };
+        (admitted, tie)
+    }
+}
+
+/// A walked packet waiting at a chain port.
+struct Waiting {
+    /// When it starts serializing.
+    start: SimTime,
+    /// Its size in bytes.
+    size: u32,
+    /// When the transmission it waits behind began: the filing instant of
+    /// the `PortReady` stamp that starts it.
+    behind: SimTime,
+}
+
+/// What the chain walk reads of a packet, copied out so the walk holds no
+/// borrow of the pool.
+#[derive(Clone, Copy)]
+struct Header {
+    dst: NodeId,
+    dscp: Dscp,
+    size: u32,
+}
+
+impl Header {
+    fn of<P>(pkt: &Packet<P>) -> Header {
+        Header {
+            dst: pkt.dst,
+            dscp: pkt.dscp,
+            size: pkt.size,
+        }
     }
 }
 
@@ -161,6 +295,7 @@ impl<P: Send + 'static> NetworkBuilder<P> {
             name: name.to_string(),
             ports: Vec::new(),
             routes: Vec::new(),
+            relay: false,
         });
         self.apps.push(Some(app));
         self.conditioners.push(None);
@@ -175,6 +310,7 @@ impl<P: Send + 'static> NetworkBuilder<P> {
             name: name.to_string(),
             ports: Vec::new(),
             routes: Vec::new(),
+            relay: false,
         });
         self.apps.push(None);
         self.conditioners.push(None);
@@ -205,28 +341,12 @@ impl<P: Send + 'static> NetworkBuilder<P> {
         qdisc_ba: Box<dyn Qdisc<P> + Send>,
     ) {
         assert_ne!(a, b, "self-loops are not allowed");
-        let cap_ab = qdisc_ab.direct_admit_cap();
-        let cap_ba = qdisc_ba.direct_admit_cap();
-        self.nodes[a.0 as usize].ports.push(Port {
-            link: link_ab,
-            peer: b,
-            qdisc: qdisc_ab,
-            free_at: SimTime::ZERO,
-            ready_seq: 0,
-            queued: 0,
-            direct_cap: cap_ab,
-            ser_memo: (0, SimDuration::ZERO),
-        });
-        self.nodes[b.0 as usize].ports.push(Port {
-            link: link_ba,
-            peer: a,
-            qdisc: qdisc_ba,
-            free_at: SimTime::ZERO,
-            ready_seq: 0,
-            queued: 0,
-            direct_cap: cap_ba,
-            ser_memo: (0, SimDuration::ZERO),
-        });
+        self.nodes[a.0 as usize]
+            .ports
+            .push(Port::new(link_ab, b, qdisc_ab));
+        self.nodes[b.0 as usize]
+            .ports
+            .push(Port::new(link_ba, a, qdisc_ba));
     }
 
     /// Attach an ingress conditioner to a router.
@@ -312,6 +432,38 @@ impl<P: Send + 'static> NetworkBuilder<P> {
             }
         }
 
+        // Chain hops. A port's feeders are the neighbours whose route
+        // toward some host enters this router and leaves by this port; a
+        // port of a router without a conditioner that has exactly one is a
+        // chain hop.
+        let mut feeders: Vec<Vec<Vec<NodeId>>> = nodes
+            .iter()
+            .map(|n| vec![Vec::new(); n.ports.len()])
+            .collect();
+        for (u, node) in nodes.iter().enumerate() {
+            for &dst in &host_ids {
+                let Some(out) = node.routes[dst.0 as usize] else {
+                    continue;
+                };
+                let v = node.ports[out.0 as usize].peer;
+                if let Some(port) = nodes[v.0 as usize].routes[dst.0 as usize] {
+                    let fed = &mut feeders[v.0 as usize][port.0 as usize];
+                    if !fed.contains(&NodeId(u as u32)) {
+                        fed.push(NodeId(u as u32));
+                    }
+                }
+            }
+        }
+        for (i, node) in nodes.iter_mut().enumerate() {
+            if !matches!(node.kind, NodeKind::Router) || conditioners[i].is_some() {
+                continue;
+            }
+            for (port, fed) in node.ports.iter_mut().zip(&feeders[i]) {
+                port.chain = fed.len() == 1;
+            }
+            node.relay = node.ports.iter().any(|p| p.chain);
+        }
+
         let node_count = conditioners.len();
         Network {
             nodes,
@@ -322,9 +474,11 @@ impl<P: Send + 'static> NetworkBuilder<P> {
             flow_next_id: Vec::new(),
             // Measured in-flight high-water marks (the benchmark's
             // `net.pool_high_water`): 8 packets on the paper's QBone grid,
-            // 28 on the aggregate sweep, 165 on the AF-TCP runs. 64 covers
-            // the paper's grids without a mid-run grow; the deep TCP
-            // queues grow the pool a couple of times per run.
+            // 28 on the aggregate sweep, 165 on the transport runs, with
+            // packets walked through hop chains held here until their one
+            // `Arrive`. 64 covers the paper's grids without a mid-run
+            // grow; the deep TCP queues grow the pool a couple of times
+            // per run.
             pool: PacketPool::with_capacity(64),
             cmd_buf: Vec::with_capacity(8),
             #[cfg(feature = "audit")]
@@ -506,7 +660,27 @@ impl<P: 'static> Network<P> {
             self.begin_transmit(now, node, port, pkt, queue);
             return;
         }
-        match p.qdisc.enqueue(pkt) {
+        // Walked packets still waiting at a chain port hold room in their
+        // FIFO band that the discipline itself never saw.
+        let overflow = !p.waiting.is_empty()
+            && match p.qdisc.fifo_band(pkt.dscp) {
+                Some(band) => {
+                    let filed = queue.last_stamp().map_or(now, Stamp::filed);
+                    let (admitted, _tie) = p.admits(band, now, filed, pkt.size);
+                    #[cfg(feature = "audit")]
+                    if _tie {
+                        self.audit.on_admission_tie(now, node, port);
+                    }
+                    !admitted
+                }
+                None => false,
+            };
+        let admitted = if overflow {
+            Err(pkt)
+        } else {
+            p.qdisc.enqueue(pkt)
+        };
+        match admitted {
             Ok(()) => {
                 p.queued += 1;
                 if !busy {
@@ -514,11 +688,7 @@ impl<P: 'static> Network<P> {
                 } else if p.queued == 1 {
                     // The first packet to wait behind this transmission:
                     // file the port's wake-up under its reserved key.
-                    queue.schedule_reserved(
-                        p.free_at,
-                        p.ready_seq,
-                        NetEvent::PortReady { node, port },
-                    );
+                    queue.schedule_reserved(p.free_at, p.ready, NetEvent::PortReady { node, port });
                 }
             }
             Err(pkt) => {
@@ -575,24 +745,18 @@ impl<P: 'static> Network<P> {
     ) -> (NodeId, SimTime) {
         let p = &mut self.nodes[node.0 as usize].ports[port.0 as usize];
         debug_assert!(!p.busy(queue));
-        let ser = if p.ser_memo.0 == size {
-            p.ser_memo.1
-        } else {
-            let ser = p.link.serialization(size);
-            p.ser_memo = (size, ser);
-            ser
-        };
-        p.free_at = now + ser;
-        p.ready_seq = queue.reserve_seq();
+        p.free_at = now + p.serialization(size);
+        p.ready = queue.reserve();
         if p.queued > 0 {
-            queue.schedule_reserved(p.free_at, p.ready_seq, NetEvent::PortReady { node, port });
+            queue.schedule_reserved(p.free_at, p.ready, NetEvent::PortReady { node, port });
         }
         (p.peer, p.free_at + p.link.propagation)
     }
 
     /// Put `pkt` on the wire out of an idle `port`: occupy the port, then
-    /// schedule the peer's `Arrive` (after the port's reserved `PortReady`
-    /// — the sequence every path through the port logic must produce).
+    /// file the `Arrive` that ends its walk (after the port's reserved
+    /// `PortReady` — the sequence every path through the port logic must
+    /// produce).
     fn begin_transmit(
         &mut self,
         now: SimTime,
@@ -604,14 +768,10 @@ impl<P: 'static> Network<P> {
         #[cfg(feature = "audit")]
         self.audit
             .on_transmit(now, node, port, pkt.flow, pkt.id, pkt.size);
+        let hdr = Header::of(&pkt);
         let (peer, arrive) = self.occupy(now, node, port, pkt.size, queue);
-        queue.schedule(
-            arrive,
-            NetEvent::Arrive {
-                node: peer,
-                packet: self.pool.insert(pkt),
-            },
-        );
+        let packet = self.pool.insert(pkt);
+        self.walk(now, peer, arrive, packet, hdr, queue);
     }
 
     /// Like [`Network::begin_transmit`], but for a packet that never left
@@ -622,7 +782,7 @@ impl<P: 'static> Network<P> {
         now: SimTime,
         node: NodeId,
         port: PortId,
-        size: u32,
+        hdr: Header,
         packet: PacketRef,
         queue: &mut EventQueue<NetEvent>,
     ) {
@@ -632,10 +792,107 @@ impl<P: 'static> Network<P> {
                 let pkt = self.pool.get_mut(packet);
                 (pkt.flow, pkt.id)
             };
-            self.audit.on_transmit(now, node, port, flow, id, size);
+            self.audit.on_transmit(now, node, port, flow, id, hdr.size);
         }
-        let (peer, arrive) = self.occupy(now, node, port, size, queue);
-        queue.schedule(arrive, NetEvent::Arrive { node: peer, packet });
+        let (peer, arrive) = self.occupy(now, node, port, hdr.size, queue);
+        self.walk(now, peer, arrive, packet, hdr, queue);
+    }
+
+    /// `packet`, put on the wire at `sent`, reaches `node` at `at`: walk
+    /// it through every chain hop ahead of it, then file its `Arrive` at
+    /// the first node that is not one, or at a chain hop it cannot cross
+    /// without dispatch.
+    ///
+    /// At each chain port the walk is the Lindley step of the FIFO band
+    /// the packet joins: service starts at `max(at, free_at)`, the port
+    /// frees one serialization later, and the packet reaches the peer one
+    /// propagation after that. The port's state moves exactly as a per-hop
+    /// dispatch would move it — `free_at`, a `PortReady` stamp reserved as
+    /// filed when service starts, and the packet in `waiting` while it
+    /// queues — so per-hop packets that reach the port later find it as
+    /// they would have. The `Arrive` finally filed is stamped as filed
+    /// when its last hop began to serialize, the instant per-hop dispatch
+    /// would have filed it. The walk stops short, leaving the packet to
+    /// per-hop dispatch, when its band is not FIFO (a best-effort packet
+    /// on a strict-priority port), when a per-hop packet is queued at or
+    /// still travelling toward the port (it may be served first), or when
+    /// drop-tail refuses the packet: the per-hop `Arrive` then drops it at
+    /// its own instant.
+    fn walk(
+        &mut self,
+        sent: SimTime,
+        mut node: NodeId,
+        mut at: SimTime,
+        packet: PacketRef,
+        hdr: Header,
+        queue: &mut EventQueue<NetEvent>,
+    ) {
+        // The instant the `Arrive` at `node` counts as filed: when the
+        // packet began to serialize toward it.
+        let mut filed = sent;
+        loop {
+            let n = &mut self.nodes[node.0 as usize];
+            if !n.relay {
+                break;
+            }
+            let Some(port) = n.routes.get(hdr.dst.0 as usize).copied().flatten() else {
+                break;
+            };
+            let p = &mut n.ports[port.0 as usize];
+            if !p.chain {
+                break;
+            }
+            let band = if p.pending == 0 && p.queued == 0 {
+                p.qdisc.fifo_band(hdr.dscp)
+            } else {
+                None
+            };
+            let Some(band) = band else {
+                p.pending += 1;
+                break;
+            };
+            let (admitted, _tie) = p.admits(band, at, filed, hdr.size);
+            #[cfg(feature = "audit")]
+            if _tie {
+                self.audit.on_admission_tie(at, node, port);
+            }
+            if !admitted {
+                p.pending += 1;
+                break;
+            }
+            let start = at.max(p.free_at);
+            if start > at {
+                p.waiting.push_back(Waiting {
+                    start,
+                    size: hdr.size,
+                    behind: p.ready.filed(),
+                });
+                p.waiting_bytes += u64::from(hdr.size);
+            }
+            p.free_at = start + p.serialization(hdr.size);
+            p.ready = queue.reserve_filed_at(start);
+            #[cfg(feature = "audit")]
+            if self.audit.enabled() {
+                let pkt = self.pool.get_mut(packet);
+                let (flow, id) = (pkt.flow, pkt.id);
+                self.audit
+                    .on_chain_hop(start, p.free_at, node, port, flow, id, hdr.size);
+            }
+            filed = start;
+            at = p.free_at + p.link.propagation;
+            node = p.peer;
+        }
+        let arrive = NetEvent::Arrive { node, packet };
+        // Every walked hop starts after `sent`, so `filed` moved iff the
+        // packet crossed at least one chain hop.
+        if filed == sent {
+            queue.schedule(at, arrive);
+        } else {
+            let stamp = queue.reserve_filed_at(filed);
+            queue.schedule_reserved(at, stamp, arrive);
+            #[cfg(feature = "audit")]
+            self.audit.on_chain_filed(packet, node, at, filed);
+        }
     }
 
     /// Peak number of simultaneously in-flight packets observed so far
@@ -692,20 +949,27 @@ impl<P: 'static> Network<P> {
         };
         match verdict {
             QuickVerdict::Pass => {
-                let (dst, size) = {
-                    let pkt = self.pool.get_mut(packet);
-                    (pkt.dst, pkt.size)
-                };
+                let hdr = Header::of(self.pool.get_mut(packet));
                 match self.nodes[idx]
                     .routes
-                    .get(dst.0 as usize)
+                    .get(hdr.dst.0 as usize)
                     .copied()
                     .flatten()
                 {
                     Some(port) => {
+                        let p = &mut self.nodes[idx].ports[port.0 as usize];
+                        let busy = p.busy(queue);
+                        if p.chain {
+                            // Every `Arrive` a chain port's router
+                            // dispatches was left to per-hop dispatch by a
+                            // walk that counted it here.
+                            p.pending -= 1;
+                            #[cfg(feature = "audit")]
+                            self.audit.on_relay_arrive(now, node, port, busy, queue);
+                        }
                         let p = &self.nodes[idx].ports[port.0 as usize];
-                        if !p.busy(queue) && p.queued == 0 && size <= p.direct_cap {
-                            self.relay_transmit(now, node, port, size, packet, queue);
+                        if !busy && p.queued == 0 && hdr.size <= p.direct_cap {
+                            self.relay_transmit(now, node, port, hdr, packet, queue);
                         } else {
                             let pkt = self.pool.take(packet);
                             self.enqueue_on_port(now, node, port, pkt, queue);
@@ -842,7 +1106,7 @@ impl<P: 'static> World for Network<P> {
 
     fn handle(&mut self, now: SimTime, event: NetEvent, queue: &mut EventQueue<NetEvent>) {
         #[cfg(feature = "audit")]
-        self.audit.on_event(now);
+        self.audit.on_event(now, &event, queue);
         match event {
             NetEvent::Start(node) => {
                 self.dispatch_app(now, node, |app, ctx| app.on_start(ctx), queue);
@@ -915,8 +1179,9 @@ impl<P: Send + 'static> Simulation<P> {
     pub fn new(net: Network<P>) -> Self {
         // Measured pending-event high-water marks (the benchmark's
         // `sim.queue_high_water`): 10 on the paper's QBone grid, 44 on the
-        // aggregate sweep, 569 on the AF-TCP runs. The capacity covers
-        // all of them without a mid-run grow.
+        // aggregate sweep, 571 on the transport runs (a packet walked
+        // into a hop chain keeps one pending `Arrive`). The capacity
+        // covers all of them without a mid-run grow.
         let mut queue = EventQueue::with_capacity(4096);
         net.schedule_starts(&mut queue);
         Simulation { net, queue }
@@ -1163,6 +1428,55 @@ mod tests {
         let mut sim = Simulation::new(b.build());
         sim.run();
         assert_eq!(sim.net.stats.flow(FlowId(1)).rx_packets, 3);
+    }
+
+    /// tx - r1 - r2 - r3 - rx, three 500-byte packets 1 ms apart; `r2`
+    /// optionally carries a pass-through conditioner.
+    fn relay_line(condition_r2: bool) -> (Simulation<()>, dsv_sim::engine::RunStats) {
+        let mut b = NetworkBuilder::new();
+        let rx = b.add_host("rx", Box::new(Recorder::default()));
+        let r: Vec<NodeId> = ["r1", "r2", "r3"].iter().map(|n| b.add_router(n)).collect();
+        let tx = b.add_host(
+            "tx",
+            Box::new(Blaster {
+                dst: rx,
+                flow: FlowId(1),
+                count: 3,
+                size: 500,
+                gap: SimDuration::from_millis(1),
+                sent: 0,
+                dscp: Dscp::BEST_EFFORT,
+            }),
+        );
+        b.connect(tx, r[0], Link::fast_ethernet());
+        b.connect(r[0], r[1], Link::fast_ethernet());
+        b.connect(r[1], r[2], Link::fast_ethernet());
+        b.connect(r[2], rx, Link::fast_ethernet());
+        if condition_r2 {
+            b.set_conditioner(r[1], Box::new(crate::conditioner::PassThrough));
+        }
+        let mut sim = Simulation::new(b.build());
+        let stats = sim.run();
+        (sim, stats)
+    }
+
+    #[test]
+    fn relay_hops_are_walked_not_dispatched() {
+        // Each router port is fed by one link: every packet leaving `tx`
+        // is walked through r1, r2 and r3, and only its arrival at `rx` is
+        // dispatched. 2 starts + 4 sender timers + 3 arrivals.
+        let (walked, stats) = relay_line(false);
+        assert_eq!(stats.dispatched, 9);
+        // A conditioner at r2 ends the walk there: one more arrival each.
+        let (stopped, stats) = relay_line(true);
+        assert_eq!(stats.dispatched, 12);
+        // Either way, four hops of 40 µs serialization + 5 µs propagation.
+        for sim in [&walked, &stopped] {
+            let c = sim.net.stats.flow(FlowId(1));
+            assert_eq!(c.rx_packets, 3);
+            assert_eq!(c.delay.min, SimDuration::from_micros(4 * 45));
+            assert_eq!(c.delay.max, SimDuration::from_micros(4 * 45));
+        }
     }
 
     #[test]

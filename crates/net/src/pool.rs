@@ -24,7 +24,7 @@
 use crate::packet::Packet;
 
 /// A small, `Copy` handle to a packet parked in a [`PacketPool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PacketRef {
     idx: u32,
     gen: u32,

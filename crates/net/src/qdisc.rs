@@ -61,6 +61,44 @@ pub trait Qdisc<P> {
     fn direct_admit_cap(&self) -> u32 {
         0
     }
+
+    /// The band packets of class `dscp` join, if it is first-come
+    /// first-served: each of its packets leaves before every packet, of
+    /// any class, that arrives after it, and is admitted by the band's
+    /// drop-tail `limits` against the band's own occupancy alone. Such a
+    /// packet's departure is then a function of its arrival, the port's
+    /// free instant and the same-class packets ahead of it, which is what
+    /// lets the network compute a relay hop instead of dispatching it
+    /// (see [`crate::network`]).
+    ///
+    /// The default, `None`, keeps every packet on the per-hop path: a
+    /// lower strict-priority band (a later high-priority arrival
+    /// overtakes it), or a discipline whose admission has per-packet side
+    /// effects, like WRED's random early drop.
+    fn fifo_band(&self, dscp: Dscp) -> Option<FifoBand> {
+        let _ = dscp;
+        None
+    }
+}
+
+/// A first-come first-served band of a discipline (see
+/// [`Qdisc::fifo_band`]): its limits and what it holds now.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FifoBand {
+    /// The band's drop-tail limits.
+    pub limits: QueueLimits,
+    /// Packets queued in the band.
+    pub len: usize,
+    /// Bytes queued in the band.
+    pub bytes: u64,
+}
+
+impl FifoBand {
+    /// Whether the band admits a `size`-byte packet on top of `len`
+    /// packets and `bytes` bytes already waiting.
+    pub fn admits(&self, len: usize, bytes: u64, size: u32) -> bool {
+        len < self.limits.max_packets && bytes + u64::from(size) <= self.limits.max_bytes
+    }
 }
 
 /// Capacity limits for a FIFO band.
@@ -118,8 +156,15 @@ impl<P> DropTailQueue<P> {
     }
 
     fn fits(&self, pkt_size: u32) -> bool {
-        self.q.len() < self.limits.max_packets
-            && self.bytes + pkt_size as u64 <= self.limits.max_bytes
+        self.band().admits(self.q.len(), self.bytes, pkt_size)
+    }
+
+    fn band(&self) -> FifoBand {
+        FifoBand {
+            limits: self.limits,
+            len: self.q.len(),
+            bytes: self.bytes,
+        }
     }
 }
 
@@ -154,6 +199,10 @@ impl<P> Qdisc<P> for DropTailQueue<P> {
             return 0;
         }
         u32::try_from(self.limits.max_bytes).unwrap_or(u32::MAX)
+    }
+
+    fn fifo_band(&self, _dscp: Dscp) -> Option<FifoBand> {
+        Some(self.band())
     }
 }
 
@@ -232,6 +281,14 @@ impl<P> Qdisc<P> for StrictPriorityQueue<P> {
             .map(|b| Qdisc::<P>::direct_admit_cap(b))
             .min()
             .unwrap_or(0)
+    }
+
+    /// Only the top band is first-come first-served: a packet in any
+    /// other band is overtaken by a higher-priority one that arrives
+    /// while it waits.
+    fn fifo_band(&self, dscp: Dscp) -> Option<FifoBand> {
+        let band = (self.classify)(dscp).min(self.bands.len() - 1);
+        (band == 0).then(|| self.bands[0].band())
     }
 }
 
@@ -328,6 +385,26 @@ mod tests {
             StrictPriorityQueue::new(vec![QueueLimits::packets(4); 2], everything_band_9);
         q.enqueue(pkt(0, 10, Dscp::BEST_EFFORT)).unwrap();
         assert_eq!(q.band_len(1), 1);
+    }
+
+    #[test]
+    fn only_drop_tail_and_the_top_priority_band_are_fifo() {
+        let mut fifo = DropTailQueue::<()>::new(QueueLimits::packets(2));
+        fifo.enqueue(pkt(0, 100, Dscp::BEST_EFFORT)).unwrap();
+        let band = Qdisc::<()>::fifo_band(&fifo, Dscp::EF).expect("drop-tail is FIFO");
+        assert_eq!((band.len, band.bytes), (1, 100));
+        assert!(band.admits(band.len, band.bytes, 1500));
+        assert!(!band.admits(band.len + 1, band.bytes, 1));
+
+        let mut prio: StrictPriorityQueue<()> =
+            StrictPriorityQueue::ef_default(QueueLimits::bytes(3000), QueueLimits::packets(10));
+        prio.enqueue(pkt(0, 1500, Dscp::EF)).unwrap();
+        prio.enqueue(pkt(1, 700, Dscp::BEST_EFFORT)).unwrap();
+        let ef = prio.fifo_band(Dscp::EF_QBONE).expect("the EF band is FIFO");
+        assert_eq!((ef.len, ef.bytes), (1, 1500));
+        assert!(ef.admits(ef.len, ef.bytes, 1500));
+        assert!(!ef.admits(ef.len, ef.bytes, 1501));
+        assert_eq!(prio.fifo_band(Dscp::BEST_EFFORT), None);
     }
 
     #[test]

@@ -394,8 +394,13 @@ impl AppBuilder<'_> {
                 stop_at_us,
                 rng_fork,
             } => {
-                for (field, mean) in [("mean_on_us", mean_on_us), ("mean_off_us", mean_off_us)] {
-                    if *mean == 0 {
+                for (field, value) in [
+                    ("packet_size", u64::from(*packet_size)),
+                    ("peak_rate_bps", *peak_rate_bps),
+                    ("mean_on_us", *mean_on_us),
+                    ("mean_off_us", *mean_off_us),
+                ] {
+                    if value == 0 {
                         return Err(CompileError::new(format!(
                             "node `{name}`: on_off_source {field} must be positive"
                         )));
@@ -420,14 +425,21 @@ impl AppBuilder<'_> {
                 count,
                 size,
                 gap_ns,
-            } => Box::new(Pump {
-                dst: ids.get(dst)?,
-                flow: FlowId(*flow),
-                count: *count,
-                size: *size,
-                gap: SimDuration::from_nanos(*gap_ns),
-                sent: 0,
-            }),
+            } => {
+                if *size == 0 {
+                    return Err(CompileError::new(format!(
+                        "node `{name}`: pump size must be positive"
+                    )));
+                }
+                Box::new(Pump {
+                    dst: ids.get(dst)?,
+                    flow: FlowId(*flow),
+                    count: *count,
+                    size: *size,
+                    gap: SimDuration::from_nanos(*gap_ns),
+                    sent: 0,
+                })
+            }
             AppSpec::IdSink => {
                 let (h, app) = Shared::new(IdSink::default());
                 self.id_sinks.push((name.to_string(), h));
@@ -447,44 +459,84 @@ fn build_match(m: &MatchSpec, ids: &Resolver<'_>) -> Result<MatchRule, CompileEr
     })
 }
 
-fn build_action(a: &ActionSpec) -> PolicyAction<StreamPayload> {
-    match a {
+/// A `CompileError` naming `node`'s conditioner and the `field` whose value
+/// `ok` rejects.
+fn require(ok: bool, node: &str, field: &str, rule: &str) -> Result<(), CompileError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(CompileError::new(format!(
+            "conditioner at `{node}`: {field} {rule}"
+        )))
+    }
+}
+
+/// Lower one action, rejecting the parameters its token buckets cannot
+/// hold: a zero rate or depth, or a two-rate meter's peak below its
+/// committed rate.
+fn build_action(a: &ActionSpec, node: &str) -> Result<PolicyAction<StreamPayload>, CompileError> {
+    let positive = |v: u64, field: &str| require(v > 0, node, field, "must be positive");
+    Ok(match a {
         ActionSpec::Police {
             rate_bps,
             depth_bytes,
             conform_mark,
-        } => PolicyAction::Police(Policer::new(
-            TokenBucket::new(*rate_bps, *depth_bytes),
-            conform_mark.map(|d| d.to_dscp()),
-            ExceedAction::Drop,
-        )),
+        } => {
+            positive(*rate_bps, "police rate_bps")?;
+            positive(u64::from(*depth_bytes), "police depth_bytes")?;
+            PolicyAction::Police(Policer::new(
+                TokenBucket::new(*rate_bps, *depth_bytes),
+                conform_mark.map(|d| d.to_dscp()),
+                ExceedAction::Drop,
+            ))
+        }
         ActionSpec::Shape {
             rate_bps,
             depth_bytes,
             max_queue_bytes,
-        } => PolicyAction::Shape(Shaper::new(*rate_bps, *depth_bytes, *max_queue_bytes)),
+        } => {
+            positive(*rate_bps, "shape rate_bps")?;
+            positive(u64::from(*depth_bytes), "shape depth_bytes")?;
+            PolicyAction::Shape(Shaper::new(*rate_bps, *depth_bytes, *max_queue_bytes))
+        }
         ActionSpec::MeterAf {
             cir_bps,
             cbs_bytes,
             ebs_bytes,
             class,
-        } => PolicyAction::MeterAf {
-            meter: SrTcm::new(*cir_bps, *cbs_bytes, *ebs_bytes),
-            class: *class,
-        },
+        } => {
+            positive(*cir_bps, "meter_af cir_bps")?;
+            positive(u64::from(*cbs_bytes), "meter_af cbs_bytes")?;
+            PolicyAction::MeterAf {
+                meter: SrTcm::new(*cir_bps, *cbs_bytes, *ebs_bytes),
+                class: *class,
+            }
+        }
         ActionSpec::MeterTrtcm {
             pir_bps,
             pbs_bytes,
             cir_bps,
             cbs_bytes,
             class,
-        } => PolicyAction::MeterTrtcm {
-            meter: TrTcm::new(*pir_bps, *pbs_bytes, *cir_bps, *cbs_bytes),
-            class: *class,
-        },
+        } => {
+            positive(*pir_bps, "meter_trtcm pir_bps")?;
+            positive(u64::from(*pbs_bytes), "meter_trtcm pbs_bytes")?;
+            positive(*cir_bps, "meter_trtcm cir_bps")?;
+            positive(u64::from(*cbs_bytes), "meter_trtcm cbs_bytes")?;
+            require(
+                pir_bps >= cir_bps,
+                node,
+                "meter_trtcm pir_bps",
+                "must be at least cir_bps",
+            )?;
+            PolicyAction::MeterTrtcm {
+                meter: TrTcm::new(*pir_bps, *pbs_bytes, *cir_bps, *cbs_bytes),
+                class: *class,
+            }
+        }
         ActionSpec::Mark { dscp } => PolicyAction::Mark(dscp.to_dscp()),
         ActionSpec::Pass => PolicyAction::Pass,
-    }
+    })
 }
 
 /// The topology invariants `NetworkBuilder::build` asserts, checked as
@@ -573,6 +625,14 @@ pub fn compile(
                 link.a
             )));
         }
+        for (dir, params) in [("ab", &link.ab), ("ba", &link.ba)] {
+            if params.rate_bps == 0 {
+                return Err(CompileError::new(format!(
+                    "link `{}`-`{}`: {dir}.rate_bps must be positive",
+                    link.a, link.b
+                )));
+            }
+        }
         b.connect_with(
             a,
             z,
@@ -603,7 +663,7 @@ pub fn compile(
         for rule in &cond.rules {
             table.push(
                 build_match(&rule.matches, &ids)?,
-                build_action(&rule.action),
+                build_action(&rule.action, &cond.node)?,
             );
         }
         let mut boxed: BoxConditioner = Box::new(table);
@@ -842,6 +902,158 @@ mod tests {
             err.contains("node `bg`") && err.contains("mean_off_us"),
             "{err}"
         );
+    }
+
+    /// Set the action of the example's policing rule at `edge`.
+    fn set_edge_action(s: &mut ScenarioSpec, action: ActionSpec) {
+        s.conditioners[0].rules[0].action = action;
+    }
+
+    /// The example's `app` at node `name`.
+    fn app_at<'s>(s: &'s mut ScenarioSpec, name: &str) -> &'s mut AppSpec {
+        s.nodes
+            .iter_mut()
+            .find(|n| n.name == name)
+            .and_then(|n| n.app.as_mut())
+            .expect("host node")
+    }
+
+    fn trtcm(pir_bps: u64, pbs_bytes: u32, cir_bps: u64, cbs_bytes: u32) -> ActionSpec {
+        ActionSpec::MeterTrtcm {
+            pir_bps,
+            pbs_bytes,
+            cir_bps,
+            cbs_bytes,
+            class: 1,
+        }
+    }
+
+    /// Parameters that used to panic in a token-bucket constructor, hang
+    /// the run, send zero-length packets or deliver at the end of time:
+    /// each is now a compile error naming its node or link and field.
+    #[test]
+    fn malformed_parameters_are_rejected() {
+        type Edit = Box<dyn Fn(&mut ScenarioSpec)>;
+        let action = |a: ActionSpec| -> Edit { Box::new(move |s| set_edge_action(s, a)) };
+        let police = |rate_bps, depth_bytes| ActionSpec::Police {
+            rate_bps,
+            depth_bytes,
+            conform_mark: None,
+        };
+        let shape = |rate_bps, depth_bytes| ActionSpec::Shape {
+            rate_bps,
+            depth_bytes,
+            max_queue_bytes: 60_000,
+        };
+        let meter_af = |cir_bps, cbs_bytes| ActionSpec::MeterAf {
+            cir_bps,
+            cbs_bytes,
+            ebs_bytes: 3000,
+            class: 1,
+        };
+        let cases: Vec<(&str, Edit, &[&str])> = vec![
+            (
+                "police zero rate",
+                action(police(0, 4500)),
+                &["`edge`", "police rate_bps"],
+            ),
+            (
+                "police zero depth",
+                action(police(1_500_000, 0)),
+                &["`edge`", "police depth_bytes"],
+            ),
+            (
+                "shape zero rate",
+                action(shape(0, 4500)),
+                &["`edge`", "shape rate_bps"],
+            ),
+            (
+                "shape zero depth",
+                action(shape(1_500_000, 0)),
+                &["`edge`", "shape depth_bytes"],
+            ),
+            (
+                "srTCM zero rate",
+                action(meter_af(0, 3000)),
+                &["`edge`", "meter_af cir_bps"],
+            ),
+            (
+                "srTCM zero burst",
+                action(meter_af(1_500_000, 0)),
+                &["`edge`", "meter_af cbs_bytes"],
+            ),
+            (
+                "trTCM peak below committed",
+                action(trtcm(1_000_000, 6000, 2_000_000, 3000)),
+                &["`edge`", "meter_trtcm pir_bps", "at least cir_bps"],
+            ),
+            (
+                "trTCM zero rates",
+                action(trtcm(0, 6000, 0, 3000)),
+                &["`edge`", "meter_trtcm pir_bps"],
+            ),
+            (
+                "trTCM zero peak burst",
+                action(trtcm(2_000_000, 0, 1_000_000, 3000)),
+                &["`edge`", "meter_trtcm pbs_bytes"],
+            ),
+            (
+                "trTCM zero committed rate",
+                action(trtcm(2_000_000, 6000, 0, 3000)),
+                &["`edge`", "meter_trtcm cir_bps"],
+            ),
+            (
+                "trTCM zero committed burst",
+                action(trtcm(2_000_000, 6000, 1_000_000, 0)),
+                &["`edge`", "meter_trtcm cbs_bytes"],
+            ),
+            (
+                "on/off zero packet size",
+                Box::new(|s| {
+                    if let AppSpec::OnOffSource { packet_size, .. } = app_at(s, "bg") {
+                        *packet_size = 0;
+                    }
+                }),
+                &["node `bg`", "packet_size"],
+            ),
+            (
+                "on/off zero peak rate",
+                Box::new(|s| {
+                    if let AppSpec::OnOffSource { peak_rate_bps, .. } = app_at(s, "bg") {
+                        *peak_rate_bps = 0;
+                    }
+                }),
+                &["node `bg`", "peak_rate_bps"],
+            ),
+            (
+                "pump zero size",
+                Box::new(|s| {
+                    if let AppSpec::Pump { size, .. } = app_at(s, "tx") {
+                        *size = 0;
+                    }
+                }),
+                &["node `tx`", "pump size"],
+            ),
+            (
+                "link zero rate a to b",
+                Box::new(|s| s.links[2].ab.rate_bps = 0),
+                &["link `edge`-`out`", "ab.rate_bps"],
+            ),
+            (
+                "link zero rate b to a",
+                Box::new(|s| s.links[2].ba.rate_bps = 0),
+                &["link `edge`-`out`", "ba.rate_bps"],
+            ),
+        ];
+        for (label, edit, needles) in cases {
+            let err = example_error(edit);
+            for needle in needles {
+                assert!(
+                    err.contains(needle),
+                    "{label}: `{needle}` missing from {err}"
+                );
+            }
+        }
     }
 
     #[test]

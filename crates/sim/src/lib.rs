@@ -47,4 +47,5 @@ mod wheel;
 pub use engine::{run, run_until, World};
 pub use queue::{EventQueue, QueueBackend};
 pub use rng::SimRng;
+pub use stamped::Stamp;
 pub use time::{SimDuration, SimTime};

@@ -1,14 +1,15 @@
 //! The time-ordered event queue.
 //!
-//! [`EventQueue`] delivers `(time, sequence, event)` triples in **total,
+//! [`EventQueue`] delivers `(time, stamp, event)` triples in **total,
 //! stable** order: events fire by ascending time, and two events scheduled
-//! for the same instant are delivered in scheduling order. This is what
+//! for the same instant are delivered in scheduling order (a [`Stamp`] is
+//! the filing instant, then a sequence number). This is what
 //! makes simulations reproducible — component interleavings never depend
 //! on the container's internals.
 //!
 //! A component that *may* need an event later can claim its place in that
 //! order now and file the event later, or never: see [`crate::stamped`]
-//! for [`EventQueue::reserve_seq`] and [`EventQueue::schedule_reserved`].
+//! for [`EventQueue::reserve`] and [`EventQueue::schedule_reserved`].
 //!
 //! Two interchangeable backends implement that contract:
 //!
@@ -17,7 +18,7 @@
 //!   per-event comparisons through a heap. This is the fast path for the
 //!   simulator's workload of densely clustered near-future events.
 //! * [`QueueBackend::Heap`] — the original binary heap of
-//!   `(time, seq, event)` triples, kept as a independently-correct oracle
+//!   `(time, stamp, event)` triples, kept as a independently-correct oracle
 //!   and selectable at runtime with `DSV_QUEUE=heap`.
 //!
 //! Both backends produce identical delivery sequences (property-tested in
@@ -28,6 +29,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
+use crate::stamped::Stamp;
 use crate::time::SimTime;
 use crate::wheel::{Entry, Wheel};
 
@@ -58,13 +60,13 @@ impl QueueBackend {
     }
 }
 
-/// Heap adapter: inverts the `(time, seq)` order so `BinaryHeap` (a
+/// Heap adapter: inverts the `(time, stamp)` order so `BinaryHeap` (a
 /// max-heap) pops the earliest entry first.
 struct HeapEntry<E>(Entry<E>);
 
 impl<E> PartialEq for HeapEntry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.0.at == other.0.at && self.0.seq == other.0.seq
+        self.0.at == other.0.at && self.0.stamp == other.0.stamp
     }
 }
 impl<E> Eq for HeapEntry<E> {}
@@ -77,13 +79,13 @@ impl<E> PartialOrd for HeapEntry<E> {
 
 impl<E> Ord for HeapEntry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
+        // BinaryHeap is a max-heap; invert so the earliest (time, stamp)
+        // pops first.
         other
             .0
             .at
             .cmp(&self.0.at)
-            .then_with(|| other.0.seq.cmp(&self.0.seq))
+            .then_with(|| other.0.stamp.cmp(&self.0.stamp))
     }
 }
 
@@ -114,10 +116,10 @@ pub struct EventQueue<E> {
     /// past is a logic error and panics (debug builds and release alike —
     /// a causality violation invalidates the whole run).
     pub(crate) watermark: SimTime,
-    /// Sequence number of the most recently popped event (`None` before
-    /// the first pop): with `watermark`, the delivery key of the event
-    /// being dispatched, which reserved keys are compared against.
-    pub(crate) last_seq: Option<u64>,
+    /// Stamp of the most recently popped event (`None` before the first
+    /// pop): with `watermark`, the delivery key of the event being
+    /// dispatched, which reserved keys are compared against.
+    pub(crate) last: Option<Stamp>,
     /// Pending-event count, tracked here so the schedule fast path never
     /// has to ask the backend (the wheel's answer would be a second enum
     /// dispatch per event).
@@ -157,7 +159,7 @@ impl<E> EventQueue<E> {
             backend,
             next_seq: 0,
             watermark: SimTime::ZERO,
-            last_seq: None,
+            last: None,
             len: 0,
             high_water: 0,
         }
@@ -182,8 +184,8 @@ impl<E> EventQueue<E> {
         if at < self.watermark {
             self.causality_panic(at);
         }
-        let seq = self.reserve_seq();
-        self.insert(Entry { at, seq, event });
+        let stamp = self.reserve();
+        self.insert(Entry { at, stamp, event });
     }
 
     /// File an entry under its key on whichever backend is active.
@@ -241,9 +243,9 @@ impl<E> EventQueue<E> {
     /// Advance the delivery key to a just-popped entry.
     #[inline]
     fn deliver(&mut self, entry: Entry<E>) -> (SimTime, E) {
-        debug_assert!(self.is_ahead(entry.at, entry.seq));
+        debug_assert!(self.is_ahead(entry.at, entry.stamp));
         self.watermark = entry.at;
-        self.last_seq = Some(entry.seq);
+        self.last = Some(entry.stamp);
         self.len -= 1;
         (entry.at, entry.event)
     }
@@ -280,8 +282,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Total number of sequence numbers ever taken, by
-    /// [`EventQueue::schedule`] or [`EventQueue::reserve_seq`]
-    /// (diagnostic).
+    /// [`EventQueue::schedule`] or a reservation (diagnostic).
     pub fn scheduled_count(&self) -> u64 {
         self.next_seq
     }

@@ -1,68 +1,125 @@
-//! Reserved stamps: filing an event under a delivery key claimed earlier.
+//! Stamps: an event's place among the events due at the same instant.
 //!
-//! Every event the [`EventQueue`] delivers carries a `(time, seq)` key.
-//! The `seq` half — the event's *stamp* — is drawn from the queue's
-//! counter when the event is scheduled, so same-instant events fire in
-//! scheduling order. A component that *may* need an event later can claim
-//! its stamp now: [`EventQueue::reserve_seq`] takes the number an eager
+//! Every event the [`EventQueue`] delivers carries a `(time, stamp)` key.
+//! A [`Stamp`] is the instant the event was filed, then a sequence number
+//! drawn from the queue's counter, so same-instant events fire in filing
+//! order. An event scheduled now is stamped with the delivery watermark,
+//! and the counter grows with it, so for such events the stamp order is
+//! simply scheduling order.
+//!
+//! A component that *may* need an event later can claim its stamp now:
+//! [`EventQueue::reserve`] takes the stamp an eager
 //! [`EventQueue::schedule`] would have taken, and
 //! [`EventQueue::schedule_reserved`] later files the event under exactly
-//! that `(time, seq)` key — or never, if the event turns out to be a
+//! that `(time, stamp)` key — or never, if the event turns out to be a
 //! no-op. Either way no other event's delivery position moves.
+//!
+//! A component that computes what a chain of events *would* have done can
+//! also stamp the one event it files in their place as if it had been
+//! filed at a later instant: [`EventQueue::reserve_filed_at`]. It then
+//! sorts against every event filed at any other instant exactly as the
+//! elided chain's last event would have; only against events filed at
+//! that very instant does its sequence number decide instead.
 //!
 //! Stamps are therefore not always filed in ascending order, so both
 //! backends order by the full key, never by insertion order. `dsv-net`
-//! uses this for an output port's `PortReady` wake-up: starting a
+//! uses reservations for an output port's `PortReady` wake-up (starting a
 //! transmission reserves the stamp, and the wake-up is filed only when a
-//! packet waits behind it.
+//! packet waits behind it) and future-filed stamps for the relay hops it
+//! computes instead of dispatching.
 
 use crate::queue::EventQueue;
 use crate::time::SimTime;
 use crate::wheel::Entry;
 
+/// An event's place among the events due at the same instant: the instant
+/// it was filed, then its sequence number (see the module docs). The
+/// default stamp, `(ZERO, 0)`, is no later than any event's.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Stamp {
+    filed: SimTime,
+    seq: u64,
+}
+
+impl Stamp {
+    /// The instant the event counts as filed at.
+    pub fn filed(self) -> SimTime {
+        self.filed
+    }
+
+    /// The sequence number it took from the queue's counter.
+    pub fn seq(self) -> u64 {
+        self.seq
+    }
+
+    /// A stamp filed at time zero (unit tests of the backends).
+    #[cfg(test)]
+    pub(crate) fn from_seq(seq: u64) -> Stamp {
+        Stamp {
+            filed: SimTime::ZERO,
+            seq,
+        }
+    }
+}
+
 impl<E> EventQueue<E> {
-    /// Claim the sequence number the next [`EventQueue::schedule`] would
-    /// take, without scheduling anything. Pass it to
+    /// Claim the stamp the next [`EventQueue::schedule`] would take,
+    /// without scheduling anything. Pass it to
     /// [`EventQueue::schedule_reserved`] to file an event exactly where an
     /// eager `schedule` at this moment would have put it; a reservation
     /// that is never scheduled only leaves a gap in the numbering.
-    pub fn reserve_seq(&mut self) -> u64 {
+    pub fn reserve(&mut self) -> Stamp {
+        self.reserve_filed_at(self.watermark)
+    }
+
+    /// Claim a stamp that counts as filed at `filed`, an instant not
+    /// before the watermark: among events due at the same instant it sorts
+    /// after every event filed before `filed` and before every event filed
+    /// after it, whenever those are scheduled.
+    pub fn reserve_filed_at(&mut self, filed: SimTime) -> Stamp {
+        debug_assert!(filed >= self.watermark, "stamp filed in the past");
         let seq = self.next_seq;
         self.next_seq += 1;
-        seq
+        Stamp { filed, seq }
     }
 
-    /// Schedule `event` under a sequence number claimed earlier with
-    /// [`EventQueue::reserve_seq`]: it is delivered at `(at, seq)` in the
-    /// total order, ahead of every later-scheduled event at the same
-    /// instant.
+    /// Schedule `event` under a stamp claimed earlier with
+    /// [`EventQueue::reserve`] or [`EventQueue::reserve_filed_at`]: it is
+    /// delivered at `(at, stamp)` in the total order.
     ///
     /// # Panics
-    /// Panics if `(at, seq)` is no longer ahead of the queue (see
+    /// Panics if `(at, stamp)` is no longer ahead of the queue (see
     /// [`EventQueue::is_ahead`]): the event would have been delivered
     /// already.
-    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) {
+    pub fn schedule_reserved(&mut self, at: SimTime, stamp: Stamp, event: E) {
         debug_assert!(
-            seq < self.next_seq,
-            "sequence number {seq} was never reserved"
+            stamp.seq < self.next_seq,
+            "stamp {stamp:?} was never reserved"
         );
-        if !self.is_ahead(at, seq) {
+        if !self.is_ahead(at, stamp) {
             self.causality_panic(at);
         }
-        self.insert(Entry { at, seq, event });
+        self.insert(Entry { at, stamp, event });
     }
 
-    /// True iff the delivery key `(at, seq)` is strictly after the key of
-    /// the most recently popped event — i.e. an event filed under it would
-    /// still be delivered. Before the first pop every key is ahead.
+    /// True iff the delivery key `(at, stamp)` is strictly after the key
+    /// of the most recently popped event — i.e. an event filed under it
+    /// would still be delivered. Before the first pop every key is ahead.
     #[inline]
-    pub fn is_ahead(&self, at: SimTime, seq: u64) -> bool {
-        (at, Some(seq)) > (self.watermark, self.last_seq)
+    pub fn is_ahead(&self, at: SimTime, stamp: Stamp) -> bool {
+        (at, Some(stamp)) > (self.watermark, self.last)
+    }
+
+    /// The stamp of the most recently popped event (`None` before the
+    /// first pop).
+    pub fn last_stamp(&self) -> Option<Stamp> {
+        self.last
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::Stamp;
     use crate::queue::{EventQueue, QueueBackend};
     use crate::time::SimTime;
 
@@ -83,7 +140,7 @@ mod tests {
     fn orders_by_time_then_stamp() {
         on_both(|mut q| {
             let t = SimTime::from_millis(1);
-            let s: Vec<u64> = (0..5).map(|_| q.reserve_seq()).collect();
+            let s: Vec<Stamp> = (0..5).map(|_| q.reserve()).collect();
             // Same instant, stamps deliberately filed out of order; s[0]
             // is never filed.
             q.schedule_reserved(t, s[3], 3);
@@ -104,7 +161,7 @@ mod tests {
             // Setup: a start event, then a stamp claimed for a wake-up
             // that may turn out to be needed.
             q.schedule(t, 0);
-            let setup = q.reserve_seq();
+            let setup = q.reserve();
             assert_eq!(q.pop_at_or_before(t), Some((t, 0)));
             // While handling t = 0: a runtime event at the same instant,
             // then the setup wake-up filed after it.
@@ -119,7 +176,7 @@ mod tests {
     fn horizon_is_inclusive_and_state_tracks() {
         on_both(|mut q| {
             assert!(q.is_empty());
-            let late = q.reserve_seq();
+            let late = q.reserve();
             assert!(q.is_empty(), "a reservation is not a pending event");
             q.schedule(SimTime::from_millis(10), 1);
             q.schedule_reserved(SimTime::from_millis(20), late, 2);
@@ -144,7 +201,7 @@ mod tests {
     #[should_panic(expected = "causality violation")]
     fn scheduling_into_past_panics() {
         let mut q = EventQueue::new();
-        let seq = q.reserve_seq();
+        let seq = q.reserve();
         q.schedule(SimTime::from_secs(1), ());
         q.pop_at_or_before(SimTime::MAX);
         // The smaller stamp does not make an earlier instant deliverable.
@@ -156,7 +213,7 @@ mod tests {
     fn scheduling_a_passed_reservation_panics() {
         let mut q = EventQueue::new();
         let t = SimTime::from_secs(1);
-        let seq = q.reserve_seq();
+        let seq = q.reserve();
         q.schedule(t, ());
         q.pop();
         // Same instant, but the reserved key sorts before the delivered one.
@@ -168,9 +225,9 @@ mod tests {
         on_both(|mut q| {
             let t = SimTime::from_millis(1);
             q.schedule(t, 0);
-            let seq = q.reserve_seq();
+            let seq = q.reserve();
             q.schedule(t, 2);
-            let unused = q.reserve_seq(); // never scheduled: a gap, no event
+            let unused = q.reserve(); // never scheduled: a gap, no event
             q.schedule(t, 3);
             assert_eq!(q.pop(), Some((t, 0)));
             assert!(q.is_ahead(t, seq));
@@ -183,6 +240,26 @@ mod tests {
             assert_eq!(q.pop(), None);
             assert_eq!(q.scheduled_count(), 5);
             assert_eq!(q.high_water(), 3);
+        });
+    }
+
+    #[test]
+    fn a_stamp_filed_later_sorts_by_its_filing_instant() {
+        on_both(|mut q| {
+            let ms = SimTime::from_millis;
+            q.schedule(ms(2), 0);
+            // Claimed at time zero, filed as if at 2 ms.
+            let late = q.reserve_filed_at(ms(2));
+            assert_eq!(late.filed(), ms(2));
+            q.schedule(ms(5), 1); // filed at 0
+            q.schedule_reserved(ms(5), late, 2);
+            assert_eq!(q.pop(), Some((ms(2), 0)));
+            q.schedule(ms(5), 3); // filed at 2 ms, numbered after `late`
+            q.schedule(ms(3), 9);
+            assert_eq!(q.pop(), Some((ms(3), 9)));
+            assert_eq!(q.last_stamp().map(Stamp::filed), Some(ms(2)));
+            q.schedule(ms(5), 4); // filed at 3 ms
+            assert_eq!(drain(&mut q), vec![1, 2, 3, 4]);
         });
     }
 
@@ -208,8 +285,8 @@ mod tests {
                 wheel.schedule(at, i);
                 heap.schedule(at, i);
             } else {
-                let seq = wheel.reserve_seq();
-                assert_eq!(heap.reserve_seq(), seq);
+                let seq = wheel.reserve();
+                assert_eq!(heap.reserve(), seq);
                 reserved.push((at, seq, i));
             }
         }

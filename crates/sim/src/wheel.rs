@@ -32,17 +32,17 @@
 //! ## Exact total order
 //!
 //! Delivery order must be **provably identical** to the binary heap's
-//! `(time, seq)` order — byte-identical experiment results depend on it.
-//! `seq` is the [`crate::EventQueue`]'s schedule sequence number (FIFO
-//! tie-break), and it need not grow with insertion order: a sequence
-//! number reserved earlier may be scheduled later. The wheel guarantees
+//! `(time, stamp)` order — byte-identical experiment results depend on it.
+//! The stamp is the [`crate::EventQueue`]'s filing instant and sequence
+//! number (FIFO tie-break, see [`crate::stamped`]), and it need not grow
+//! with insertion order: a stamp reserved earlier may be scheduled later. The wheel guarantees
 //! the order without trusting any insertion-order subtlety:
 //!
 //! 1. All events of the earliest occupied tick are gathered into a `front`
 //!    buffer (either a level-0 slot taken whole, or the cursor-tick events
 //!    of a cascaded higher-level slot). Every other event in the wheel is
 //!    in a strictly later tick.
-//! 2. The buffer is **sorted by `(time, seq)`** before delivery (held in
+//! 2. The buffer is **sorted by `(time, stamp)`** before delivery (held in
 //!    descending order so `pop` is a `Vec::pop`).
 //! 3. Events scheduled during dispatch at ticks `<= cursor` (ties with
 //!    "now", or times between the watermark and the current batch) are
@@ -50,17 +50,18 @@
 //!
 //! Step 2 makes per-slot ordering irrelevant: however events arrived in a
 //! slot (directly, re-filed by a cascade, or parked in overflow), the
-//! delivered order is the total `(time, seq)` order restricted to that
+//! delivered order is the total `(time, stamp)` order restricted to that
 //! tick, and ticks are delivered in increasing order. Tie-breaking
 //! therefore never depends on wheel internals, exactly as the heap's order
 //! never depends on heap internals.
 
+use crate::stamped::Stamp;
 use crate::time::SimTime;
 
 /// log2 of the tick width in nanoseconds: 2^20 ns ≈ 1.05 ms per tick.
 ///
 /// A coarse tick is a pure performance parameter — delivered order is the
-/// total `(time, seq)` order regardless (see module docs), so the only
+/// total `(time, stamp)` order regardless (see module docs), so the only
 /// trade-off is where events spend time. Port and timer events in the
 /// simulated topologies sit tens of microseconds to tens of milliseconds
 /// apart: with ~1 ms ticks nearly all of them land in level 0 or merge
@@ -85,10 +86,10 @@ const SLOT_MASK: u64 = (SLOTS - 1) as u64;
 const LEVELS: usize = 9;
 
 /// One scheduled event (shared with the heap backend in `queue.rs`),
-/// delivered in `(at, seq)` order.
+/// delivered in `(at, stamp)` order.
 pub(crate) struct Entry<E> {
     pub(crate) at: SimTime,
-    pub(crate) seq: u64,
+    pub(crate) stamp: Stamp,
     pub(crate) event: E,
 }
 
@@ -97,7 +98,7 @@ fn tick_of(at: SimTime) -> u64 {
     at.as_nanos() >> TICK_SHIFT
 }
 
-/// Hierarchical timing wheel with exact `(time, seq)` delivery order.
+/// Hierarchical timing wheel with exact `(time, stamp)` delivery order.
 pub(crate) struct Wheel<E> {
     /// `levels × SLOTS` slot lists, level-major.
     slots: Vec<Vec<Entry<E>>>,
@@ -111,7 +112,7 @@ pub(crate) struct Wheel<E> {
     /// batch). Every event stored in the wheel is at a strictly later
     /// tick; events scheduled at `<= cursor` go straight into `front`.
     cursor: u64,
-    /// The earliest-tick batch, sorted descending by `(time, seq)` so the
+    /// The earliest-tick batch, sorted descending by `(time, stamp)` so the
     /// next event to deliver is `front.last()`.
     front: Vec<Entry<E>>,
     /// Scratch buffer for cascades. Capacities circulate between `front`,
@@ -164,15 +165,15 @@ impl<E> Wheel<E> {
         self.front.last().map(|e| e.at)
     }
 
-    /// File an event. `(at, seq)` must be strictly greater than every pair
+    /// File an event. `(at, stamp)` must be strictly greater than every pair
     /// already delivered (the queue's watermark enforces the time half).
     pub(crate) fn schedule(&mut self, entry: Entry<E>) {
         let tick = tick_of(entry.at);
         if tick <= self.cursor {
             // Ties with the current batch (or times between the watermark
             // and the batch tick): merge into the sorted front buffer.
-            let key = (entry.at, entry.seq);
-            let pos = self.front.partition_point(|e| (e.at, e.seq) > key);
+            let key = (entry.at, entry.stamp);
+            let pos = self.front.partition_point(|e| (e.at, e.stamp) > key);
             self.front.insert(pos, entry);
         } else {
             self.file(tick, entry);
@@ -277,7 +278,7 @@ impl<E> Wheel<E> {
                         }
                         debug_assert!(!self.front.is_empty());
                         self.front
-                            .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
+                            .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.stamp)));
                         return;
                     }
                 }
@@ -316,7 +317,7 @@ impl<E> Wheel<E> {
             }
             if !self.front.is_empty() {
                 self.front
-                    .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
+                    .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.stamp)));
                 return;
             }
         }
@@ -330,7 +331,7 @@ mod tests {
     fn entry(ns: u64, seq: u64) -> Entry<u64> {
         Entry {
             at: SimTime::from_nanos(ns),
-            seq,
+            stamp: Stamp::from_seq(seq),
             event: seq,
         }
     }
@@ -338,7 +339,7 @@ mod tests {
     fn drain(w: &mut Wheel<u64>) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         while let Some(e) = w.pop() {
-            out.push((e.at.as_nanos(), e.seq));
+            out.push((e.at.as_nanos(), e.stamp.seq()));
         }
         out
     }
@@ -390,15 +391,15 @@ mod tests {
         let mut w = Wheel::with_capacity(0);
         w.schedule(entry(100, 0));
         w.schedule(entry(100, 1));
-        assert_eq!(w.pop().unwrap().seq, 0);
+        assert_eq!(w.pop().unwrap().stamp.seq(), 0);
         // Same instant as the in-flight batch: must come after seq 1.
         w.schedule(entry(100, 2));
         // Earlier tick than the batch is impossible here (tick(100) == 0
         // == cursor), but a later event interleaves correctly too.
         w.schedule(entry(5_000, 3));
-        assert_eq!(w.pop().unwrap().seq, 1);
-        assert_eq!(w.pop().unwrap().seq, 2);
-        assert_eq!(w.pop().unwrap().seq, 3);
+        assert_eq!(w.pop().unwrap().stamp.seq(), 1);
+        assert_eq!(w.pop().unwrap().stamp.seq(), 2);
+        assert_eq!(w.pop().unwrap().stamp.seq(), 3);
         assert!(w.pop().is_none());
         assert_eq!(w.len(), 0);
     }
@@ -411,8 +412,8 @@ mod tests {
         // Now schedule something earlier than the already-fetched front
         // but after the watermark (cursor has advanced to the 10 ms tick).
         w.schedule(entry(9_999_000, 1));
-        assert_eq!(w.pop().unwrap().seq, 1);
-        assert_eq!(w.pop().unwrap().seq, 0);
+        assert_eq!(w.pop().unwrap().stamp.seq(), 1);
+        assert_eq!(w.pop().unwrap().stamp.seq(), 0);
     }
 
     #[test]
@@ -432,7 +433,7 @@ mod tests {
             if popped % 3 == 0 {
                 w.schedule(Entry {
                     at: e.at + crate::SimDuration::from_micros(17 * (popped % 11) as u64),
-                    seq,
+                    stamp: Stamp::from_seq(seq),
                     event: seq,
                 });
                 seq += 1;
@@ -500,12 +501,12 @@ mod tests {
         let mut got = Vec::new();
         for _ in 0..10 {
             let e = w.pop().unwrap();
-            got.push((e.at.as_nanos(), e.seq));
+            got.push((e.at.as_nanos(), e.stamp.seq()));
         }
         sched(&mut w, span_ns * 2 + 500);
         sched(&mut w, u64::MAX);
         while let Some(e) = w.pop() {
-            got.push((e.at.as_nanos(), e.seq));
+            got.push((e.at.as_nanos(), e.stamp.seq()));
         }
         expect.sort();
         assert_eq!(got, expect);

@@ -1,25 +1,66 @@
-//! The simulate layer's event budget, pinned exactly.
+//! The simulate layer's event budget, pinned exactly, by event kind.
 //!
 //! A point's simulate time is events dispatched × cost per event, and the
 //! pending-event population sizes the queue (DESIGN.md §6b). Both counts
 //! are deterministic and identical on the wheel and heap backends, so
-//! they are pinned exactly on one paper QBone point and one AF-TCP point:
-//! an engine change that dispatches more events per packet, or lets
-//! timers pile up in the queue, fails here before it shows up as a slower
-//! benchmark. A deliberate change to either count updates its pin and
-//! says why.
+//! they are pinned exactly, split by [`NetEvent`] kind, on a paper QBone
+//! point, an 8-flow aggregate point, a bursty-server smoothing point and
+//! an AF-TCP point: an engine change that dispatches more events per
+//! packet, or lets timers pile up in the queue, fails here before it
+//! shows up as a slower benchmark. A deliberate change to any count
+//! updates its pin and says why.
+//!
+//! The counts are taken by a [`World`] wrapper around the network, so the
+//! engine itself carries no counters.
 
 use dsv_core::af_tcp::{af_tcp_spec, AfTcpConfig};
+use dsv_core::aggregate::{aggregate_spec, AggregateConfig};
 use dsv_core::artifacts::ArtifactStore;
 use dsv_core::prelude::*;
 use dsv_core::qbone::qbone_spec;
-use dsv_net::network::Simulation;
+use dsv_core::smoothing::{smoothing_spec, SmoothingConfig, SmoothingServer, DEPTH_10MTU};
+use dsv_net::network::{NetEvent, Network, Simulation};
 use dsv_scenario::{compile, CompileOptions, ScenarioSpec};
-use dsv_sim::SimTime;
+use dsv_sim::{EventQueue, SimTime, World};
+use dsv_stream::payload::StreamPayload;
 
-/// Compile `spec`, run it to its horizon, and return the events
-/// dispatched and the queue's high-water mark.
-fn budget(spec: &ScenarioSpec) -> (u64, usize) {
+/// Events dispatched by kind, their total, and the queue's high-water
+/// mark over one run.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Budget {
+    start: u64,
+    timer: u64,
+    arrive: u64,
+    port_ready: u64,
+    cond_poll: u64,
+    total: u64,
+    high_water: usize,
+}
+
+/// Counts each event by kind, then hands it to the network.
+struct Tally<'n> {
+    net: &'n mut Network<StreamPayload>,
+    budget: Budget,
+}
+
+impl World for Tally<'_> {
+    type Event = NetEvent;
+
+    fn handle(&mut self, now: SimTime, event: NetEvent, queue: &mut EventQueue<NetEvent>) {
+        let b = &mut self.budget;
+        match event {
+            NetEvent::Start(_) => b.start += 1,
+            NetEvent::Timer { .. } => b.timer += 1,
+            NetEvent::Arrive { .. } => b.arrive += 1,
+            NetEvent::PortReady { .. } => b.port_ready += 1,
+            NetEvent::CondPoll(_) => b.cond_poll += 1,
+        }
+        self.net.handle(now, event, queue);
+    }
+}
+
+/// Compile `spec`, run it to its horizon, and return its budget.
+fn budget(spec: &ScenarioSpec) -> Budget {
     let compiled = compile(
         spec,
         CompileOptions {
@@ -28,10 +69,19 @@ fn budget(spec: &ScenarioSpec) -> (u64, usize) {
         },
     )
     .expect("spec compiles");
-    let horizon = compiled.horizon.expect("spec sets a horizon");
+    let horizon = SimTime::ZERO + compiled.horizon.expect("spec sets a horizon");
     let mut sim = Simulation::new(compiled.net);
-    let stats = sim.run_until(SimTime::ZERO + horizon);
-    (stats.dispatched, sim.queue.high_water())
+    let mut tally = Tally {
+        net: &mut sim.net,
+        budget: Budget::default(),
+    };
+    let stats = dsv_sim::run_until(&mut tally, &mut sim.queue, horizon);
+    let mut budget = tally.budget;
+    budget.total = stats.dispatched;
+    budget.high_water = sim.queue.high_water();
+    let kinds = budget.start + budget.timer + budget.arrive + budget.port_ready + budget.cond_poll;
+    assert_eq!(kinds, budget.total, "every dispatch has a kind");
+    budget
 }
 
 /// Figure 7's Lost clip at 1.7 Mbps through a 1.7 Mbps, 2-MTU EF policer.
@@ -42,7 +92,66 @@ fn qbone_point_event_budget() {
         1_700_000,
         EfProfile::new(1_700_000, DEPTH_2MTU),
     );
-    assert_eq!(budget(&qbone_spec(&cfg)), (72_189, 10));
+    assert_eq!(
+        budget(&qbone_spec(&cfg)),
+        Budget {
+            start: 2,
+            timer: 16_648,
+            arrive: 21_763,
+            port_ready: 869,
+            cond_poll: 0,
+            total: 39_282,
+            high_water: 10,
+        }
+    );
+}
+
+/// Figure 16's 8-flow aggregate: eight 1 Mbps Lost streams through one
+/// 8.8 Mbps, 2-MTU aggregate EF policer.
+#[test]
+fn aggregate_point_event_budget() {
+    let cfg = AggregateConfig::new(
+        ClipId2::Lost,
+        1_000_000,
+        8,
+        EfProfile::new(8_800_000, DEPTH_2MTU),
+    );
+    assert_eq!(
+        budget(&aggregate_spec(&cfg)),
+        Budget {
+            start: 16,
+            timer: 132_976,
+            arrive: 84_026,
+            port_ready: 9_190,
+            cond_poll: 0,
+            total: 226_208,
+            high_water: 39,
+        }
+    );
+}
+
+/// Figure 17's bursty server: the 1.5 Mbps Lost encoding in large
+/// datagrams through a 1.65 Mbps, 10-MTU EF policer.
+#[test]
+fn bursty_smoothing_point_event_budget() {
+    let cfg = SmoothingConfig::new(
+        ClipId2::Lost,
+        1_500_000,
+        SmoothingServer::Bursty,
+        EfProfile::new(1_650_000, DEPTH_10MTU),
+    );
+    assert_eq!(
+        budget(&smoothing_spec(&cfg)),
+        Budget {
+            start: 2,
+            timer: 2_150,
+            arrive: 19_819,
+            port_ready: 15_505,
+            cond_poll: 0,
+            total: 37_476,
+            high_water: 14,
+        }
+    );
 }
 
 /// Figure 18's "hetero-near" run: four bulk TCP pairs with unequal
@@ -50,5 +159,16 @@ fn qbone_point_event_budget() {
 #[test]
 fn af_tcp_point_event_budget() {
     let cfg = AfTcpConfig::new(vec![500_000, 1_000_000, 1_500_000, 2_700_000], vec![0; 4]);
-    assert_eq!(budget(&af_tcp_spec(&cfg)), (287_621, 280));
+    assert_eq!(
+        budget(&af_tcp_spec(&cfg)),
+        Budget {
+            start: 8,
+            timer: 13_649,
+            arrive: 223_349,
+            port_ready: 50_615,
+            cond_poll: 0,
+            total: 287_621,
+            high_water: 280,
+        }
+    );
 }

@@ -8,13 +8,16 @@
 //! dispatch, far-future timestamps (up to `SimTime::MAX` sentinels) and
 //! spans that cross every wheel level all round-trip identically.
 //!
-//! Reserved sequence numbers (`reserve_seq` now, `schedule_reserved`
-//! later or never — how the network elides no-op port wake-ups) are held
-//! to a stronger oracle: each reserved event must be delivered exactly
-//! where an eager `schedule` at reservation time would have put it.
+//! Reserved stamps (`reserve` now, `schedule_reserved` later or never —
+//! how the network elides no-op port wake-ups) are held to a stronger
+//! oracle: each reserved event must be delivered exactly where an eager
+//! `schedule` at reservation time would have put it. Stamps filed at a
+//! later instant (`reserve_filed_at` — how the network files the one
+//! event that replaces a chain of relay hops) are checked against a plain
+//! sorted list of `(time, filing instant, sequence)` keys.
 
 use dsv_sim::engine::RunStats;
-use dsv_sim::{run_until, EventQueue, QueueBackend, SimDuration, SimTime, World};
+use dsv_sim::{run_until, EventQueue, QueueBackend, SimDuration, SimTime, Stamp, World};
 use proptest::prelude::*;
 
 /// Drive both backends through the same operation script and assert they
@@ -113,13 +116,13 @@ fn check_equivalence(ops: &[(u8, u64)], label: &str) {
 }
 
 /// Drive both backends through a script mixing eager schedules with
-/// sequence-number reservations that are filed later, or never, and check
+/// stamp reservations that are filed later, or never, and check
 /// them against an eager reference queue that scheduled every reserved
 /// event at reservation time.
 ///
 /// `ops` entries are `(op_selector, delta_ns, pick)`:
 /// * selector 0–3 → schedule one event `delta_ns` after the watermark,
-/// * selector 4–5 → reserve a sequence number for an event due `delta_ns`
+/// * selector 4–5 → reserve a stamp for an event due `delta_ns`
 ///   after the watermark, or exactly at it when `pick` is even,
 /// * selector 6   → file the `pick`-th outstanding reservation with
 ///   `schedule_reserved` if its key is still ahead; one whose key has
@@ -135,7 +138,7 @@ fn check_reservations(ops: &[(u8, u64, u16)], label: &str) {
         EventQueue::with_backend(QueueBackend::Heap),
     ];
     let mut eager: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Heap);
-    let mut outstanding: Vec<(SimTime, u64, u64)> = Vec::new();
+    let mut outstanding: Vec<(SimTime, Stamp, u64)> = Vec::new();
     let mut unscheduled: Vec<u64> = Vec::new();
     let mut delivered: Vec<(SimTime, u64)> = Vec::new();
     let mut next_event: u64 = 0;
@@ -157,9 +160,9 @@ fn check_reservations(ops: &[(u8, u64, u16)], label: &str) {
                 } else {
                     now + SimDuration::from_nanos(delta_ns)
                 };
-                let seq = lazy[0].reserve_seq();
-                prop_assert_eq!(seq, lazy[1].reserve_seq(), "{}: reserved seq", label);
-                // The reference takes the same sequence number eagerly.
+                let seq = lazy[0].reserve();
+                prop_assert_eq!(seq, lazy[1].reserve(), "{}: reserved stamp", label);
+                // The reference takes the same stamp eagerly.
                 eager.schedule(at, next_event);
                 outstanding.push((at, seq, next_event));
                 next_event += 1;
@@ -216,6 +219,105 @@ fn check_reservations(ops: &[(u8, u64, u16)], label: &str) {
         "{}: every event is delivered or never scheduled",
         label
     );
+}
+
+/// Drive both backends through a script mixing eager schedules with
+/// stamps filed at a later instant, and check every delivery against a
+/// sorted list of `(time, filing instant, sequence)` keys.
+///
+/// `ops` entries are `(op_selector, delta_ns, pick)`:
+/// * selector 0–3 → schedule one event `delta_ns` after the watermark,
+/// * selector 4–5 → reserve a stamp filed `delta_ns / 2` after the
+///   watermark (at it when `pick` is even) for an event due `delta_ns`
+///   after the watermark; filed at once when `pick % 3 == 0`, otherwise
+///   held back,
+/// * selector 6   → file the `pick`-th held-back reservation if its key is
+///   still ahead; one whose key has passed stays unscheduled for good,
+/// * selector 7–8 → pop one event.
+fn check_filed_stamps(ops: &[(u8, u64, u16)], label: &str) {
+    let mut queues: [EventQueue<u64>; 2] = [
+        EventQueue::with_backend(QueueBackend::Wheel),
+        EventQueue::with_backend(QueueBackend::Heap),
+    ];
+    // Pending events of the reference, as `(time, stamp, event)`.
+    let mut reference: Vec<(SimTime, Stamp, u64)> = Vec::new();
+    let mut held: Vec<(SimTime, Stamp, u64)> = Vec::new();
+    let mut next_event: u64 = 0;
+
+    for &(op, delta_ns, pick) in ops {
+        let now = queues[0].now();
+        match op {
+            0..=3 => {
+                let at = now + SimDuration::from_nanos(delta_ns);
+                let stamp = queues[0].reserve();
+                prop_assert_eq!(stamp, queues[1].reserve(), "{}: stamp", label);
+                for q in &mut queues {
+                    q.schedule_reserved(at, stamp, next_event);
+                }
+                reference.push((at, stamp, next_event));
+                next_event += 1;
+            }
+            4 | 5 => {
+                let filed = if pick % 2 == 0 {
+                    now
+                } else {
+                    now + SimDuration::from_nanos(delta_ns / 2)
+                };
+                let at = now + SimDuration::from_nanos(delta_ns);
+                let stamp = queues[0].reserve_filed_at(filed);
+                prop_assert_eq!(stamp, queues[1].reserve_filed_at(filed), "{}: filed", label);
+                prop_assert_eq!(stamp.filed(), filed, "{}: filing instant", label);
+                if pick % 3 == 0 {
+                    for q in &mut queues {
+                        q.schedule_reserved(at, stamp, next_event);
+                    }
+                    reference.push((at, stamp, next_event));
+                } else {
+                    held.push((at, stamp, next_event));
+                }
+                next_event += 1;
+            }
+            6 => {
+                if held.is_empty() {
+                    continue;
+                }
+                let (at, stamp, event) = held.remove(pick as usize % held.len());
+                let ahead = queues[0].is_ahead(at, stamp);
+                prop_assert_eq!(ahead, queues[1].is_ahead(at, stamp), "{}: ahead", label);
+                if ahead {
+                    for q in &mut queues {
+                        q.schedule_reserved(at, stamp, event);
+                    }
+                    reference.push((at, stamp, event));
+                }
+            }
+            _ => {
+                let w = queues[0].pop();
+                prop_assert_eq!(w, queues[1].pop(), "{}: pop mismatch", label);
+                let first = (0..reference.len()).min_by_key(|&i| (reference[i].0, reference[i].1));
+                let expected = first.map(|i| {
+                    let (at, _, event) = reference.swap_remove(i);
+                    (at, event)
+                });
+                prop_assert_eq!(w, expected, "{}: out of key order", label);
+            }
+        }
+        prop_assert_eq!(queues[0].len(), reference.len(), "{}: len", label);
+        prop_assert_eq!(queues[1].len(), reference.len(), "{}: len", label);
+        prop_assert_eq!(
+            queues[0].last_stamp(),
+            queues[1].last_stamp(),
+            "{}: last",
+            label
+        );
+    }
+    reference.sort_by_key(|&(at, stamp, _)| (at, stamp));
+    for (at, _, event) in reference {
+        let w = queues[0].pop();
+        prop_assert_eq!(w, queues[1].pop(), "{}: drain mismatch", label);
+        prop_assert_eq!(w, Some((at, event)), "{}: drain out of key order", label);
+    }
+    prop_assert_eq!(queues[0].pop(), None, "{}: leftover event", label);
 }
 
 proptest! {
@@ -295,6 +397,24 @@ proptest! {
         ops in prop::collection::vec((0u8..9, 0u64..40_000_000_000, 0u16..1_024), 1..300),
     ) {
         check_reservations(&ops, "reserve-bimodal");
+    }
+
+    /// Stamps filed at later instants among heavily tied near-future
+    /// traffic: many keys share a due instant, and many share a filing
+    /// instant with eager events filed then.
+    #[test]
+    fn filed_stamps_deliver_in_key_order_with_ties(
+        ops in prop::collection::vec((0u8..9, 0u64..8_192, 0u16..1_024), 1..400),
+    ) {
+        check_filed_stamps(&ops, "filed-ties");
+    }
+
+    /// Stamps filed at later instants across bimodal spans.
+    #[test]
+    fn filed_stamps_deliver_in_key_order_bimodal(
+        ops in prop::collection::vec((0u8..9, 0u64..40_000_000_000, 0u16..1_024), 1..300),
+    ) {
+        check_filed_stamps(&ops, "filed-bimodal");
     }
 }
 
