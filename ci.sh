@@ -7,7 +7,8 @@
 #                     audit-feature test suites and every committed figure
 #                     (all_figures) under DSV_AUDIT=1, on both event-queue
 #                     backends, with the result cache off (cache hits
-#                     skip simulation, which would skip the audits too).
+#                     skip simulation, which would skip the audits too),
+#                     then `dsv run` on every committed spec.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -152,6 +153,21 @@ if [[ "$AUDIT" == 1 ]]; then
 
   echo "==> audited figures byte-identical to committed results"
   git diff --exit-code -- results/
+
+  echo "==> audited scenario runs: dsv run on every committed spec (DSV_AUDIT=1)"
+  # dsv run goes through the same executor as the figures, so each spec's
+  # bounds are registered and its audit closed. The audited report must
+  # match the plain build's byte for byte.
+  plain=$(mktemp -d)
+  for spec in examples/*.json; do
+    ./target/release/dsv run --scenario "$spec" --json > "$plain/$(basename "$spec")"
+  done
+  cargo build --release -q -p dsv-core --features dsv-core/audit --bin dsv
+  for spec in examples/*.json; do
+    DSV_AUDIT=1 ./target/release/dsv run --scenario "$spec" --json \
+      | cmp - "$plain/$(basename "$spec")"
+  done
+  rm -rf "$plain"
 fi
 
 echo "==> ci: all green"

@@ -12,22 +12,16 @@
 //! The topology is declared by [`af_spec`] and lowered by the scenario
 //! compiler; nodes resolve by name, never by creation order.
 
-use dsv_media::scene::ClipId;
-use dsv_net::network::Simulation;
 use dsv_net::packet::FlowId;
 use dsv_scenario::{
-    compile, ActionSpec, AppSpec, CompileOptions, ConditionerSpec, CrossTrafficSpec, DscpSpec,
-    LimitsSpec, LinkParams, LinkSpec, MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec,
-    ScenarioSpec, TransportSpec,
+    ActionSpec, AppSpec, ConditionerSpec, CrossTrafficSpec, DscpSpec, LimitsSpec, LinkParams,
+    LinkSpec, MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec, ScenarioSpec, TransportSpec,
 };
-use dsv_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
-use std::time::Instant;
-
-use crate::artifacts::{self, ArtifactStore, Codec};
+use crate::artifacts::Codec;
+use crate::executor::execute;
 use crate::experiment::{run_horizon, RunOutcome};
-use crate::profile;
 use crate::qbone::{ClipId2, CodecSpec};
 
 /// Flow id of the media stream.
@@ -210,46 +204,15 @@ pub fn run_af(cfg: &AfConfig) -> RunOutcome {
 /// [`run_af`], also returning the raw client report (delivery detail and
 /// the flow features the QoE proxy consumes).
 pub fn run_af_detailed(cfg: &AfConfig) -> (RunOutcome, dsv_stream::client::ClientReport) {
-    let clip_id: ClipId = cfg.clip.into();
-    let t_artifacts = Instant::now();
-    artifacts::encoding(clip_id, Codec::Mpeg1, cfg.encoding_bps);
-    profile::add_encode(t_artifacts.elapsed());
-
-    let spec = af_spec(cfg);
-    let compiled = compile(
-        &spec,
-        CompileOptions {
-            store: Some(&ArtifactStore),
-            wrap: None,
-        },
-    )
-    .expect("af spec compiles");
-    let client_handle = compiled
-        .sole_client()
-        .expect("af scenario has one client")
-        .clone();
-    let horizon = compiled.horizon.expect("af spec sets a horizon");
-    let bounds = compiled.bounds.clone();
-
-    let mut sim = Simulation::new(compiled.net);
-    crate::auditing::arm(&mut sim, &bounds);
-    let t_sim = Instant::now();
-    let stats = sim.run_until(SimTime::ZERO + horizon);
-    profile::add_simulate(t_sim.elapsed(), stats.dispatched);
-    profile::record_high_water(sim.queue.high_water(), sim.net.pool_high_water());
-    crate::auditing::finish(&mut sim, "af run");
-
-    let report = client_handle.borrow().report();
-    let media = sim.net.stats.flow(MEDIA_FLOW);
-    let t_features = Instant::now();
-    let source = artifacts::source_features(clip_id);
-    let reference = artifacts::reference_features(clip_id, Codec::Mpeg1, cfg.encoding_bps);
-    profile::add_encode(t_features.elapsed());
-    let t_score = Instant::now();
-    let score = crate::qoe::score_session(&source, &reference, &report, None);
-    profile::add_score(t_score.elapsed());
-    let outcome = RunOutcome::assemble(&report, &media, &score, 0, 0, false);
-    (outcome, report)
+    let exec = execute(&af_spec(cfg)).expect("af spec compiles");
+    let mut scored = exec.score_clients(
+        cfg.clip,
+        Codec::Mpeg1,
+        cfg.encoding_bps,
+        None,
+        [("client", MEDIA_FLOW)],
+    );
+    scored.pop().expect("one client")
 }
 
 #[cfg(test)]

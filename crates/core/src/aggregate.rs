@@ -15,22 +15,16 @@
 //! spec compiler resolves nodes by name, the N-flow variant is a loop
 //! over names, not a re-derivation of creation-order ids.
 
-use std::time::Instant;
-
-use dsv_media::scene::ClipId;
-use dsv_net::network::Simulation;
 use dsv_net::packet::FlowId;
 use dsv_scenario::{
-    compile, ActionSpec, AppSpec, BoundSpec, CompileOptions, ConditionerSpec, DscpSpec, LimitsSpec,
-    LinkParams, LinkSpec, MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec, ScenarioSpec,
-    TransportSpec,
+    ActionSpec, AppSpec, BoundSpec, ConditionerSpec, DscpSpec, LimitsSpec, LinkParams, LinkSpec,
+    MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec, ScenarioSpec, TransportSpec,
 };
-use dsv_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
-use crate::artifacts::{self, ArtifactStore, Codec};
+use crate::artifacts::Codec;
+use crate::executor::execute;
 use crate::experiment::{run_horizon, EfProfile, RunOutcome};
-use crate::profile;
 use crate::qbone::{ClipId2, CodecSpec};
 
 /// Base flow id of client→server control traffic (flow `1000 + i` for
@@ -310,69 +304,22 @@ pub fn run_aggregate(cfg: &AggregateConfig) -> AggregateOutcome {
 pub fn run_aggregate_detailed(
     cfg: &AggregateConfig,
 ) -> (AggregateOutcome, Vec<dsv_stream::client::ClientReport>) {
-    let clip_id: ClipId = cfg.clip.into();
-    let t_artifacts = Instant::now();
-    artifacts::encoding(clip_id, Codec::Mpeg1, cfg.encoding_bps);
-    profile::add_encode(t_artifacts.elapsed());
-
-    let spec = aggregate_spec(cfg);
-    let compiled = compile(
-        &spec,
-        CompileOptions {
-            store: Some(&ArtifactStore),
-            wrap: None,
-        },
-    )
-    .expect("aggregate spec compiles");
+    let exec = execute(&aggregate_spec(cfg)).expect("aggregate spec compiles");
     assert_eq!(
-        compiled.clients.len(),
+        exec.clients.len(),
         cfg.flows as usize,
         "one client handle per flow"
     );
     // Outcomes are reported per flow *label* (flow `1 + i` at index
     // `i`), whatever declaration position the rotation put the pair at —
-    // the compiler hands clients back by node name, so look each one up.
-    let clients: Vec<_> = (0..cfg.flows)
-        .map(|i| {
-            let name = format!("client-{i}");
-            compiled
-                .clients
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, h)| h.clone())
-                .expect("every pair label has a client")
-        })
-        .collect();
-    let horizon = compiled.horizon.expect("aggregate spec sets a horizon");
-    let bounds = compiled.bounds.clone();
-
-    let mut sim = Simulation::new(compiled.net);
-    crate::auditing::arm(&mut sim, &bounds);
-    let t_sim = Instant::now();
-    let stats = sim.run_until(SimTime::ZERO + horizon);
-    profile::add_simulate(t_sim.elapsed(), stats.dispatched);
-    profile::record_high_water(sim.queue.high_water(), sim.net.pool_high_water());
-    crate::auditing::finish(&mut sim, "aggregate run");
-
+    // the executor hands clients back by node name, so look each one up.
     // Every flow scores against the same shared source/reference
     // features — one encode, N scores.
-    let t_features = Instant::now();
-    let source = artifacts::source_features(clip_id);
-    let reference = artifacts::reference_features(clip_id, Codec::Mpeg1, cfg.encoding_bps);
-    profile::add_encode(t_features.elapsed());
-    let t_score = Instant::now();
-    let (per_flow, reports) = clients
-        .iter()
-        .enumerate()
-        .map(|(i, handle)| {
-            let report = handle.borrow().report();
-            let media = sim.net.stats.flow(AggregateConfig::media_flow(i as u32));
-            let score = crate::qoe::score_session(&source, &reference, &report, None);
-            let outcome = RunOutcome::assemble(&report, &media, &score, 0, 0, false);
-            (outcome, report)
-        })
+    let clients = (0..cfg.flows).map(|i| (format!("client-{i}"), AggregateConfig::media_flow(i)));
+    let (per_flow, reports) = exec
+        .score_clients(cfg.clip, Codec::Mpeg1, cfg.encoding_bps, None, clients)
+        .into_iter()
         .unzip();
-    profile::add_score(t_score.elapsed());
     (AggregateOutcome { per_flow }, reports)
 }
 

@@ -139,45 +139,24 @@ struct ScenarioSummary {
 
 /// Compile and run a [`dsv_scenario::ScenarioSpec`] from a JSON file.
 fn run_scenario(path: &str, json: bool) {
-    use dsv_net::network::Simulation;
-    use dsv_scenario::{compile, CompileOptions, ScenarioSpec};
-    use dsv_sim::SimTime;
-
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         exit(2)
     });
-    let spec: ScenarioSpec = serde_json::from_str(&text).unwrap_or_else(|e| {
+    let spec: dsv_scenario::ScenarioSpec = serde_json::from_str(&text).unwrap_or_else(|e| {
         eprintln!("invalid scenario spec {path}: {e}");
         exit(2)
     });
-    let compiled = compile(
-        &spec,
-        CompileOptions {
-            store: Some(&dsv_core::artifacts::ArtifactStore),
-            wrap: None,
-        },
-    )
-    .unwrap_or_else(|e| {
+    let exec = dsv_core::execute(&spec).unwrap_or_else(|e| {
         eprintln!("{e}");
         exit(2)
     });
 
-    let clients = compiled.clients.clone();
-    let sinks = compiled.id_sinks.clone();
-    let horizon = compiled.horizon;
-    let mut sim = Simulation::new(compiled.net);
-    let stats = match horizon {
-        Some(h) => sim.run_until(SimTime::ZERO + h),
-        None => sim.run(),
-    };
-
     let summary = ScenarioSummary {
         scenario: spec.name.clone(),
-        end_time_secs: stats.end_time.as_secs_f64(),
-        events: stats.dispatched,
-        flows: sim
-            .net
+        end_time_secs: exec.run.end_time.as_secs_f64(),
+        events: exec.run.dispatched,
+        flows: exec
             .stats
             .flows()
             .map(|(f, c)| FlowSummary {
@@ -188,7 +167,8 @@ fn run_scenario(path: &str, json: bool) {
                 mean_delay_ms: c.delay.mean().as_millis_f64(),
             })
             .collect(),
-        clients: clients
+        clients: exec
+            .clients
             .iter()
             .map(|(name, h)| {
                 let rep = h.borrow().report();
@@ -200,7 +180,8 @@ fn run_scenario(path: &str, json: bool) {
                 }
             })
             .collect(),
-        sinks: sinks
+        sinks: exec
+            .id_sinks
             .iter()
             .map(|(name, h)| SinkSummary {
                 node: name.clone(),

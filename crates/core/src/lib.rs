@@ -27,7 +27,7 @@ pub mod af_tcp;
 pub mod aggregate;
 pub mod analysis;
 pub mod artifacts;
-pub mod auditing;
+pub mod executor;
 pub mod experiment;
 pub mod flows;
 pub mod golden;
@@ -41,6 +41,8 @@ pub mod report;
 pub mod runner;
 pub mod smoothing;
 pub mod sweep;
+
+pub use executor::{execute, Execution};
 
 /// Convenient re-exports.
 pub mod prelude {

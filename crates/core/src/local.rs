@@ -13,23 +13,19 @@
 //! compiler; nodes resolve by name, never by creation order.
 
 use dsv_media::encoder::wmv;
-use dsv_media::scene::ClipId;
 use dsv_net::frame_relay::table1;
-use dsv_net::network::Simulation;
 use dsv_net::packet::FlowId;
 use dsv_scenario::{
-    compile, ActionSpec, AppSpec, BoundSpec, CompileOptions, ConditionerSpec, CrossTrafficSpec,
-    DscpSpec, LimitsSpec, LinkParams, LinkSpec, MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec,
-    ScenarioSpec, TransportSpec,
+    ActionSpec, AppSpec, BoundSpec, ConditionerSpec, CrossTrafficSpec, DscpSpec, LimitsSpec,
+    LinkParams, LinkSpec, MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec, ScenarioSpec,
+    TransportSpec,
 };
-use dsv_sim::{SimDuration, SimTime};
+use dsv_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
-use std::time::Instant;
-
-use crate::artifacts::{self, ArtifactStore, Codec};
+use crate::artifacts::Codec;
+use crate::executor::execute;
 use crate::experiment::{run_horizon, EfProfile, RunOutcome};
-use crate::profile;
 use crate::qbone::{ClipId2, CodecSpec};
 
 /// Flow id of the media stream.
@@ -263,58 +259,20 @@ pub fn run_local(cfg: &LocalConfig) -> RunOutcome {
 /// Like [`run_local`], but also return the client's full report (arrival
 /// times, decodability, playback schedule) for deeper analysis.
 pub fn run_local_detailed(cfg: &LocalConfig) -> (RunOutcome, dsv_stream::client::ClientReport) {
-    let clip_id: ClipId = cfg.clip.into();
-    // Warm the artifact store so the encode cost is attributed to the
-    // encode phase; the compile below then resolves media for free.
-    let t_artifacts = Instant::now();
-    artifacts::encoding(clip_id, Codec::Wmv, cfg.cap_bps);
-    if cfg.transport == LocalTransport::Udp && cfg.multi_rate {
-        artifacts::encoding(clip_id, Codec::Wmv, LOW_TIER_BPS);
+    let exec = execute(&local_spec(cfg)).expect("local spec compiles");
+    let mut scored = exec.score_clients(
+        cfg.clip,
+        Codec::Wmv,
+        cfg.cap_bps,
+        None,
+        [("client", MEDIA_FLOW)],
+    );
+    let (mut outcome, report) = scored.pop().expect("one client");
+    if let Some((_, server)) = exec.adaptives.first() {
+        let server = server.borrow();
+        outcome.collapses = server.collapses;
+        outcome.broken = server.broken;
     }
-    profile::add_encode(t_artifacts.elapsed());
-
-    let spec = local_spec(cfg);
-    let compiled = compile(
-        &spec,
-        CompileOptions {
-            store: Some(&ArtifactStore),
-            wrap: None,
-        },
-    )
-    .expect("local spec compiles");
-    let client_handle = compiled
-        .sole_client()
-        .expect("local scenario has one client")
-        .clone();
-    let adaptive_handle = compiled.adaptives.first().map(|(_, h)| h.clone());
-    let horizon = compiled.horizon.expect("local spec sets a horizon");
-    let bounds = compiled.bounds.clone();
-
-    let mut sim = Simulation::new(compiled.net);
-    crate::auditing::arm(&mut sim, &bounds);
-    let t_sim = Instant::now();
-    let stats = sim.run_until(SimTime::ZERO + horizon);
-    profile::add_simulate(t_sim.elapsed(), stats.dispatched);
-    profile::record_high_water(sim.queue.high_water(), sim.net.pool_high_water());
-    crate::auditing::finish(&mut sim, "local run");
-
-    let report = client_handle.borrow().report();
-    let media = sim.net.stats.flow(MEDIA_FLOW);
-    let shaper_drops = media.drops_for(dsv_net::packet::DropReason::ShaperOverflow);
-    let (collapses, broken) = adaptive_handle
-        .map(|h| {
-            let s = h.borrow();
-            (s.collapses, s.broken)
-        })
-        .unwrap_or((0, false));
-    let t_features = Instant::now();
-    let source = artifacts::source_features(clip_id);
-    let reference = artifacts::reference_features(clip_id, Codec::Wmv, cfg.cap_bps);
-    profile::add_encode(t_features.elapsed());
-    let t_score = Instant::now();
-    let score = crate::qoe::score_session(&source, &reference, &report, None);
-    profile::add_score(t_score.elapsed());
-    let outcome = RunOutcome::assemble(&report, &media, &score, shaper_drops, collapses, broken);
     (outcome, report)
 }
 

@@ -14,23 +14,18 @@
 //! [`ScenarioSpec`] the scenario compiler lowers with name-based node
 //! resolution, so this module never handles a raw `NodeId`.
 
-use std::time::Instant;
-
-use dsv_media::scene::ClipId;
-use dsv_net::network::Simulation;
 use dsv_net::packet::FlowId;
 use dsv_scenario::{
-    compile, ActionSpec, AppSpec, BoundSpec, CompileOptions, ConditionerSpec, CrossTrafficSpec,
-    DscpSpec, LimitsSpec, LinkParams, LinkSpec, MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec,
-    ScenarioSpec, TransportSpec,
+    ActionSpec, AppSpec, BoundSpec, ConditionerSpec, CrossTrafficSpec, DscpSpec, LimitsSpec,
+    LinkParams, LinkSpec, MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec, ScenarioSpec,
+    TransportSpec,
 };
 pub use dsv_scenario::{ClipId2, CodecSpec};
-use dsv_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
-use crate::artifacts::{self, ArtifactStore, Codec};
+use crate::artifacts::Codec;
+use crate::executor::execute;
 use crate::experiment::{run_horizon, EfProfile, RunOutcome};
-use crate::profile;
 
 /// Flow id of the media stream.
 pub const MEDIA_FLOW: FlowId = FlowId(1);
@@ -248,75 +243,17 @@ pub fn run_qbone(cfg: &QboneConfig) -> RunOutcome {
 
 /// Like [`run_qbone`], but also return the client's full report.
 pub fn run_qbone_detailed(cfg: &QboneConfig) -> (RunOutcome, dsv_stream::client::ClientReport) {
-    let clip_id: ClipId = cfg.clip.into();
-    // Warm the artifact store first so the encode cost is attributed to
-    // the encode phase, not the (cheap, memoized) compile below.
-    let t_artifacts = Instant::now();
-    artifacts::encoding(clip_id, Codec::Mpeg1, cfg.encoding_bps);
-    if cfg.server == QboneServer::MultiRatePaced {
-        for rate in QBONE_TIERS {
-            artifacts::encoding(clip_id, Codec::Mpeg1, rate);
-        }
-    }
-    profile::add_encode(t_artifacts.elapsed());
-
-    let spec = qbone_spec(cfg);
-    let compiled = compile(
-        &spec,
-        CompileOptions {
-            store: Some(&ArtifactStore),
-            wrap: None,
-        },
-    )
-    .expect("qbone spec compiles");
-    let client_handle = compiled
-        .sole_client()
-        .expect("qbone scenario has one client")
-        .clone();
-    let horizon = compiled.horizon.expect("qbone spec sets a horizon");
-    let bounds = compiled.bounds.clone();
-
-    let mut sim = Simulation::new(compiled.net);
-    // Under `DSV_AUDIT=1`: check every lifecycle invariant online, plus
-    // the CAR policer's admission bound at the remote border.
-    crate::auditing::arm(&mut sim, &bounds);
-    let t_sim = Instant::now();
-    let stats = sim.run_until(SimTime::ZERO + horizon);
-    profile::add_simulate(t_sim.elapsed(), stats.dispatched);
-    profile::record_high_water(sim.queue.high_water(), sim.net.pool_high_water());
-    crate::auditing::finish(&mut sim, "qbone run");
-
-    let report = client_handle.borrow().report();
-    let media = sim.net.stats.flow(MEDIA_FLOW);
-    let t_features = Instant::now();
-    let source = artifacts::source_features(clip_id);
-    let reference = artifacts::reference_features(clip_id, Codec::Mpeg1, cfg.encoding_bps);
-    let best_features = if cfg.score_vs_best {
-        if cfg.encoding_bps == 1_700_000 {
-            // The clip *is* the best encoding: its own reference stream
-            // doubles as the cross reference — no second encode.
-            Some(reference.clone())
-        } else {
-            Some(artifacts::reference_features(
-                clip_id,
-                Codec::Mpeg1,
-                1_700_000,
-            ))
-        }
-    } else {
-        None
-    };
-    profile::add_encode(t_features.elapsed());
-    let t_score = Instant::now();
-    let score = crate::qoe::score_session(
-        &source,
-        &reference,
-        &report,
-        best_features.as_ref().map(|a| a.as_slice()),
+    let exec = execute(&qbone_spec(cfg)).expect("qbone spec compiles");
+    // The paper's second set also scores against the 1.7 Mbps encoding.
+    let best_bps = cfg.score_vs_best.then_some(1_700_000);
+    let mut scored = exec.score_clients(
+        cfg.clip,
+        Codec::Mpeg1,
+        cfg.encoding_bps,
+        best_bps,
+        [("client", MEDIA_FLOW)],
     );
-    profile::add_score(t_score.elapsed());
-    let outcome = RunOutcome::assemble(&report, &media, &score, 0, 0, false);
-    (outcome, report)
+    scored.pop().expect("one client")
 }
 
 #[cfg(test)]

@@ -26,23 +26,17 @@
 //! the finding is about delivered bytes, loss and rebuffering, not about
 //! a specific clip's frame salience.
 
-use std::time::Instant;
-
-use dsv_media::scene::ClipId;
-use dsv_net::network::Simulation;
 use dsv_net::packet::DropReason;
 use dsv_scenario::{
-    compile, ActionSpec, AppSpec, BoundSpec, CompileOptions, ConditionerSpec, DscpSpec, LimitsSpec,
-    LinkParams, LinkSpec, MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec, ScenarioSpec,
-    TransportSpec,
+    ActionSpec, AppSpec, BoundSpec, ConditionerSpec, DscpSpec, LimitsSpec, LinkParams, LinkSpec,
+    MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec, ScenarioSpec, TransportSpec,
 };
-use dsv_sim::{SimDuration, SimTime};
+use dsv_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
-use crate::artifacts::{self, ArtifactStore, Codec};
+use crate::executor::execute;
 use crate::experiment::{run_horizon, EfProfile};
 use crate::flows::{FlowOutcome, FlowsOutcome};
-use crate::profile;
 use crate::qbone::{ClipId2, CodecSpec, MEDIA_FLOW, UP_FLOW};
 
 /// Server disciplines compared by the smoothing sweep.
@@ -251,35 +245,8 @@ pub fn smoothing_spec(cfg: &SmoothingConfig) -> ScenarioSpec {
 /// Run one smoothing session and report its media flow's transport-level
 /// outcome (a single-flow [`FlowsOutcome`]).
 pub fn run_smoothing(cfg: &SmoothingConfig) -> FlowsOutcome {
-    let clip_id: ClipId = cfg.clip.into();
-    if cfg.server != SmoothingServer::Abr {
-        let t_artifacts = Instant::now();
-        artifacts::encoding(clip_id, Codec::Mpeg1, cfg.encoding_bps);
-        profile::add_encode(t_artifacts.elapsed());
-    }
-
-    let spec = smoothing_spec(cfg);
-    let compiled = compile(
-        &spec,
-        CompileOptions {
-            store: Some(&ArtifactStore),
-            wrap: None,
-        },
-    )
-    .expect("smoothing spec compiles");
-    let abr_handle = compiled.abr_clients.first().map(|(_, h)| h.clone());
-    let horizon = compiled.horizon.expect("smoothing spec sets a horizon");
-    let bounds = compiled.bounds.clone();
-
-    let mut sim = Simulation::new(compiled.net);
-    crate::auditing::arm(&mut sim, &bounds);
-    let t_sim = Instant::now();
-    let stats = sim.run_until(SimTime::ZERO + horizon);
-    profile::add_simulate(t_sim.elapsed(), stats.dispatched);
-    profile::record_high_water(sim.queue.high_water(), sim.net.pool_high_water());
-    crate::auditing::finish(&mut sim, "smoothing run");
-
-    let media = sim.net.stats.flow(MEDIA_FLOW);
+    let exec = execute(&smoothing_spec(cfg)).expect("smoothing spec compiles");
+    let media = exec.stats.flow(MEDIA_FLOW);
     let span = clip_length(cfg.clip);
     let mut out = FlowOutcome {
         target_bps: cfg.encoding_bps,
@@ -291,8 +258,8 @@ pub fn run_smoothing(cfg: &SmoothingConfig) -> FlowsOutcome {
         mean_delay_ms: media.delay.mean().as_millis_f64(),
         ..Default::default()
     };
-    if let Some(handle) = abr_handle {
-        let report = handle.borrow().report();
+    if let Some((_, client)) = exec.abr_clients.first() {
+        let report = client.borrow().report();
         out.startup_s = report.startup.as_secs_f64();
         out.stall_s = report.stall.as_secs_f64();
         out.rebuffers = report.rebuffers;

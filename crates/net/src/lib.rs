@@ -55,7 +55,6 @@ pub mod network;
 pub mod packet;
 pub mod pool;
 pub mod qdisc;
-pub mod shard;
 pub mod stats;
 pub mod traffic;
 pub mod wred;
@@ -80,7 +79,6 @@ pub mod prelude {
         ef_high_priority, DropTailQueue, EnqueueResult, FifoBand, Qdisc, QueueLimits,
         StrictPriorityQueue,
     };
-    pub use crate::shard::{partition_nodes, Partition};
     pub use crate::stats::{DelaySummary, FlowCounters, NetStats, TraceEntry, TraceKind};
     pub use crate::traffic::{CbrSource, CountingSink, OnOffSource, PoissonSource};
     pub use crate::wred::{drop_precedence, WredParams, WredQueue};

@@ -901,29 +901,6 @@ impl<P: 'static> Network<P> {
         self.pool.high_water()
     }
 
-    /// Number of nodes in the topology.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Every directed link as `(min(a, b), max(a, b), propagation delay)`
-    /// — the weighted graph [`crate::shard::partition_nodes`] cuts. Each
-    /// physical link contributes one entry per direction; the partitioner
-    /// treats them as parallel edges and takes the minimum crossing
-    /// weight, so asymmetric propagation delays are handled
-    /// conservatively.
-    pub fn link_edges(&self) -> Vec<(u32, u32, SimDuration)> {
-        let mut edges = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            let a = i as u32;
-            for p in &node.ports {
-                let b = p.peer.0;
-                edges.push((a.min(b), a.max(b), p.link.propagation));
-            }
-        }
-        edges
-    }
-
     /// A packet arrived at a router: condition it, route it, and move it
     /// toward its next hop.
     ///

@@ -25,14 +25,12 @@
 pub mod apps;
 pub mod canonical;
 pub mod compile;
-pub mod partition;
 pub mod spec;
 
 pub use canonical::{canonicalize, flow_counterparts, Canonical};
 pub use compile::{
     compile, BoxConditioner, ClipStore, CompileError, CompileOptions, CompiledScenario,
 };
-pub use partition::{shard_plan, ShardPlan};
 pub use spec::{
     ActionSpec, AppSpec, BoundSpec, ClipId2, CodecSpec, ConditionerSpec, CrossTrafficSpec,
     DscpSpec, LimitsSpec, LinkParams, LinkSpec, MatchSpec, MediaRef, NodeSpec, ProtoSpec,
