@@ -41,6 +41,9 @@ pub enum AppCommand<P> {
     SetTimer {
         /// Delay from now.
         delay: SimDuration,
+        /// The instant the timer counts as filed at: now, unless it was set
+        /// with [`AppCtx::set_timer_filed_at`].
+        filed: SimTime,
         /// Opaque token returned in the callback.
         token: u64,
     },
@@ -89,7 +92,26 @@ impl<P> AppCtx<P> {
 
     /// Request a timer callback after `delay` carrying `token`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        self.commands.push(AppCommand::SetTimer { delay, token });
+        self.set_timer_filed_at(delay, self.now, token);
+    }
+
+    /// [`AppCtx::set_timer`], stamped as if it had been set at `filed`, an
+    /// instant from now up to when it falls due. An application that
+    /// computes ahead what a chain of its own timers would have done sets
+    /// one timer in their place, stamped where the chain would have set
+    /// its last one: it then sorts against every event filed at any other
+    /// instant exactly as that timer would have (see
+    /// [`dsv_sim::EventQueue::reserve_filed_at`]).
+    pub fn set_timer_filed_at(&mut self, delay: SimDuration, filed: SimTime, token: u64) {
+        debug_assert!(
+            filed >= self.now && filed <= self.now + delay,
+            "a timer is filed between now and when it falls due"
+        );
+        self.commands.push(AppCommand::SetTimer {
+            delay,
+            filed,
+            token,
+        });
     }
 
     /// Drain accumulated commands (consumed by the network after the

@@ -21,7 +21,11 @@
 //!   `admitted_bytes · 8 ≤ depth_bytes · 8 + rate_bps · t` at all times;
 //! * **chain ties** — no outcome of a walked relay hop (see
 //!   [`crate::network`]) hangs on a same-instant order that per-hop
-//!   dispatch would decide by sequence stamps the walk does not replay.
+//!   dispatch would decide by sequence stamps the walk does not replay;
+//! * **tick ties** — no timer stamped as filed after the instant it was
+//!   set ([`crate::app::AppCtx::set_timer_filed_at`]: a paced server's
+//!   wake-up that skipped idle ticks) falls due with another event filed
+//!   at that same instant, an order the elided ticks would have decided.
 //!
 //! Violations are collected (capped) rather than panicking at the hook
 //! site, so fault-injection self-tests can assert that a *specific* class
@@ -33,7 +37,7 @@
 
 use std::collections::HashMap;
 
-use dsv_sim::{EventQueue, SimTime};
+use dsv_sim::{EventQueue, SimTime, Stamp};
 
 pub use dsv_sim::audit::{runtime_enabled, set_enabled_for_process};
 
@@ -106,6 +110,12 @@ pub struct SimAudit {
     chain_exit_at: Vec<Option<(SimTime, SimTime)>>,
     /// Per chain port, when its last walked transmission began and ends.
     chain_free_at: HashMap<(u32, u16), (SimTime, SimTime)>,
+    /// Timers stamped as filed after they were set, not yet dispatched:
+    /// the stamp and when each falls due.
+    tick_due: Vec<(Stamp, SimTime)>,
+    /// When the last such timer was dispatched and when it counts as
+    /// filed.
+    tick_fired: Option<(SimTime, SimTime)>,
     finished: bool,
 }
 
@@ -129,6 +139,8 @@ impl SimAudit {
             chain_due: Vec::new(),
             chain_exit_at: vec![None; node_count],
             chain_free_at: HashMap::new(),
+            tick_due: Vec::new(),
+            tick_fired: None,
             finished: false,
         }
     }
@@ -197,6 +209,13 @@ impl SimAudit {
     /// and either way against one filed at that same instant. Any event
     /// at a walked packet's node and instant whose actual order breaks
     /// that rule, or hangs on the same-instant case, is reported.
+    ///
+    /// A timer stamped as filed after it was set stands for the last of a
+    /// chain of timers that were never dispatched, which would have drawn
+    /// its sequence number at its filing instant. Against another event
+    /// due at the same instant and filed at that same instant, that number
+    /// would have decided the order, so any such pair is reported,
+    /// whichever node the other event is at.
     pub(crate) fn on_event<E>(&mut self, now: SimTime, event: &NetEvent, queue: &EventQueue<E>) {
         if !self.enabled {
             return;
@@ -237,6 +256,36 @@ impl SimAudit {
         }
         if let Some(last_hop) = exit {
             self.chain_exit_at[node.0 as usize] = Some((now, last_hop));
+        }
+        let stamp = queue.last_stamp();
+        let tick = self
+            .tick_due
+            .iter()
+            .position(|&(s, _)| Some(s) == stamp)
+            .map(|i| self.tick_due.swap_remove(i));
+        let tied = self.tick_fired == Some((now, filed))
+            || self
+                .tick_due
+                .iter()
+                .any(|&(s, at)| at == now && s.filed() == filed);
+        if tied {
+            self.violation(format!(
+                "tick-tie: an event at node {} at {now:?} filed at {filed:?} \
+                 falls due with a wake-up that skipped idle ticks and counts \
+                 as filed at the same instant",
+                node.0
+            ));
+        }
+        if tick.is_some() {
+            self.tick_fired = Some((now, filed));
+        }
+    }
+
+    /// A timer was filed under `stamp`, counting as filed after the
+    /// instant it was set, and falls due at `at`.
+    pub(crate) fn on_timer_filed(&mut self, stamp: Stamp, at: SimTime) {
+        if self.enabled {
+            self.tick_due.push((stamp, at));
         }
     }
 

@@ -14,10 +14,17 @@
 //! topology works without manual route entry.
 //!
 //! Forwarding is not one event per hop. A *chain hop* is a port of a
-//! router without a conditioner that only one incoming link feeds (read
-//! off the route tables at build time). When any port puts a packet on
-//! the wire toward such a router, the network walks the packet through
-//! the chain hops ahead of it on the spot — the Lindley recursion
+//! router without a conditioner that only one incoming link feeds. The
+//! feeders are read at build time off the routes of the traffic the hosts
+//! may send: each host declares the one destination its application sends
+//! to, or that it sends nothing ([`NetworkBuilder::declare_traffic`]), and
+//! a host that declares nothing may send to every host. A declared host
+//! that sends anywhere else panics at that packet, so every packet that
+//! reaches a chain port arrives over its one feeder.
+//!
+//! When any port puts a packet on the wire toward a router with chain
+//! hops, the network walks the packet through the chain hops ahead of it
+//! on the spot — the Lindley recursion
 //! `start = max(arrival, free_at)`, `free_at = start + serialization`,
 //! `next arrival = free_at + propagation`, with drop-tail admission
 //! counted against the walked packets still waiting at each port — and
@@ -150,9 +157,23 @@ enum NodeKind {
     Router,
 }
 
+/// Where a host's application sends, as declared to the builder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sends {
+    /// Undeclared: to any host.
+    Anywhere,
+    /// To this host only.
+    To(NodeId),
+    /// Nothing (a sink, and every router).
+    Nothing,
+}
+
 struct Node<P> {
     kind: NodeKind,
     name: String,
+    /// Where the node's application may send; any other destination
+    /// panics (see [`NetworkBuilder::declare_traffic`]).
+    sends: Sends,
     ports: Vec<Port<P>>,
     /// Next-hop port toward each destination, indexed by destination
     /// node id (`None` for non-host destinations). A flat vector: route
@@ -293,6 +314,7 @@ impl<P: Send + 'static> NetworkBuilder<P> {
         self.nodes.push(Node {
             kind: NodeKind::Host { start_at },
             name: name.to_string(),
+            sends: Sends::Anywhere,
             ports: Vec::new(),
             routes: Vec::new(),
             relay: false,
@@ -308,6 +330,7 @@ impl<P: Send + 'static> NetworkBuilder<P> {
         self.nodes.push(Node {
             kind: NodeKind::Router,
             name: name.to_string(),
+            sends: Sends::Nothing,
             ports: Vec::new(),
             routes: Vec::new(),
             relay: false,
@@ -347,6 +370,28 @@ impl<P: Send + 'static> NetworkBuilder<P> {
         self.nodes[b.0 as usize]
             .ports
             .push(Port::new(link_ba, a, qdisc_ba));
+    }
+
+    /// Declare where `host`'s application sends: only to `dst`, or
+    /// nothing at all when `dst` is `None`. A host that declares nothing
+    /// may send to any host.
+    ///
+    /// Chain hops are marked from the traffic the hosts may send (see
+    /// [`NetworkBuilder::build`]), so a declaration can turn a port that
+    /// routes alone could feed from several links into a chain hop. The
+    /// declaration is enforced: the network panics, naming both nodes, at
+    /// the first packet a declared host's application sends elsewhere.
+    ///
+    /// # Panics
+    /// Panics if `host` is a router.
+    pub fn declare_traffic(&mut self, host: NodeId, dst: Option<NodeId>) {
+        let node = &mut self.nodes[host.0 as usize];
+        assert!(
+            matches!(node.kind, NodeKind::Host { .. }),
+            "{} is a router; only hosts send",
+            node.name
+        );
+        node.sends = dst.map_or(Sends::Nothing, Sends::To);
     }
 
     /// Attach an ingress conditioner to a router.
@@ -432,25 +477,37 @@ impl<P: Send + 'static> NetworkBuilder<P> {
             }
         }
 
-        // Chain hops. A port's feeders are the neighbours whose route
-        // toward some host enters this router and leaves by this port; a
-        // port of a router without a conditioner that has exactly one is a
-        // chain hop.
+        // Chain hops. A port's feeders are the neighbours from which
+        // traffic enters its router and leaves by it: walk the route of
+        // every (source, destination) pair the hosts may send over — each
+        // declared pair, and every pair from a host that declared nothing.
+        // A port of a router without a conditioner that has exactly one
+        // feeder is a chain hop.
         let mut feeders: Vec<Vec<Vec<NodeId>>> = nodes
             .iter()
             .map(|n| vec![Vec::new(); n.ports.len()])
             .collect();
-        for (u, node) in nodes.iter().enumerate() {
-            for &dst in &host_ids {
-                let Some(out) = node.routes[dst.0 as usize] else {
-                    continue;
-                };
-                let v = node.ports[out.0 as usize].peer;
-                if let Some(port) = nodes[v.0 as usize].routes[dst.0 as usize] {
-                    let fed = &mut feeders[v.0 as usize][port.0 as usize];
-                    if !fed.contains(&NodeId(u as u32)) {
-                        fed.push(NodeId(u as u32));
+        for &src in &host_ids {
+            let declared;
+            let dsts: &[NodeId] = match nodes[src.0 as usize].sends {
+                Sends::Anywhere => &host_ids,
+                Sends::To(dst) => {
+                    declared = [dst];
+                    &declared
+                }
+                Sends::Nothing => &[],
+            };
+            for &dst in dsts {
+                let mut u = src;
+                while let Some(out) = nodes[u.0 as usize].routes[dst.0 as usize] {
+                    let v = nodes[u.0 as usize].ports[out.0 as usize].peer;
+                    if let Some(port) = nodes[v.0 as usize].routes[dst.0 as usize] {
+                        let fed = &mut feeders[v.0 as usize][port.0 as usize];
+                        if !fed.contains(&u) {
+                            fed.push(u);
+                        }
                     }
+                    u = v;
                 }
             }
         }
@@ -555,6 +612,16 @@ impl<P: 'static> Network<P> {
             .expect("node is not a host")
     }
 
+    /// Put `app` on `host` in place of its application. Call before the
+    /// run: tests drive a reference implementation through a compiled
+    /// topology this way. The new application sends under the host's
+    /// declared traffic.
+    pub fn replace_app(&mut self, host: NodeId, app: Box<dyn Application<P> + Send>) {
+        *self.apps[host.0 as usize]
+            .as_mut()
+            .expect("node is not a host") = app;
+    }
+
     fn next_packet_id(&mut self, flow: FlowId) -> PacketId {
         match self.flow_next_id.iter_mut().find(|(f, _)| *f == flow) {
             Some((_, next)) => {
@@ -590,10 +657,27 @@ impl<P: 'static> Network<P> {
         let mut commands = ctx.take_commands();
         for cmd in commands.drain(..) {
             match cmd {
-                AppCommand::SetTimer { delay, token } => {
-                    queue.schedule(now + delay, NetEvent::Timer { node, token });
+                AppCommand::SetTimer {
+                    delay,
+                    filed,
+                    token,
+                } => {
+                    let timer = NetEvent::Timer { node, token };
+                    if filed == now {
+                        queue.schedule(now + delay, timer);
+                    } else {
+                        let stamp = queue.reserve_filed_at(filed);
+                        queue.schedule_reserved(now + delay, stamp, timer);
+                        #[cfg(feature = "audit")]
+                        self.audit.on_timer_filed(stamp, now + delay);
+                    }
                 }
                 AppCommand::Send(spec) => {
+                    match self.nodes[idx].sends {
+                        Sends::To(dst) if dst == spec.dst => {}
+                        Sends::Anywhere => {}
+                        _ => self.undeclared_send(node, spec.dst),
+                    }
                     let id = self.next_packet_id(spec.flow);
                     let pkt = Packet {
                         id,
@@ -616,6 +700,22 @@ impl<P: 'static> Network<P> {
             }
         }
         self.cmd_buf = commands;
+    }
+
+    /// Abort on a packet a host sends to a destination it did not
+    /// declare: the chain hops were marked without that traffic.
+    #[cold]
+    #[inline(never)]
+    fn undeclared_send(&self, node: NodeId, dst: NodeId) -> ! {
+        let declared = match self.nodes[node.0 as usize].sends {
+            Sends::To(d) => format!("only to {}", self.node_name(d)),
+            _ => "nothing".to_string(),
+        };
+        panic!(
+            "host {} sent a packet to {}, but declared that it sends {declared}",
+            self.node_name(node),
+            self.node_name(dst)
+        );
     }
 
     fn forward(
@@ -1155,7 +1255,7 @@ impl<P: Send + 'static> Simulation<P> {
     /// Wrap a built network and schedule host start events.
     pub fn new(net: Network<P>) -> Self {
         // Measured pending-event high-water marks (the benchmark's
-        // `sim.queue_high_water`): 10 on the paper's QBone grid, 44 on the
+        // `sim.queue_high_water`): 9 on the paper's QBone grid, 36 on the
         // aggregate sweep, 571 on the transport runs (a packet walked
         // into a hop chain keeps one pending `Arrive`). The capacity
         // covers all of them without a mid-run grow.

@@ -6,7 +6,10 @@
 //! name→id map; pass two instantiates applications, links, conditioners
 //! and bounds against that map. Applications that point at nodes created
 //! later (a client naming its server) therefore need no creation-order
-//! gymnastics and no `assert_eq!(…, NodeId(5))` tripwires.
+//! gymnastics and no `assert_eq!(…, NodeId(5))` tripwires. Each host
+//! also declares to the builder the one node its application sends to
+//! ([`AppSpec::peer`], read from the field the application is built
+//! with), so relay hops are marked from the traffic the spec declares.
 //!
 //! Determinism contract: the compiler performs builder calls in exactly
 //! the spec's declaration order — nodes first (forking the scenario RNG
@@ -611,7 +614,9 @@ pub fn compile(
             }
             Some(app) => {
                 let built = apps.build(&node.name, app, &ids, &mut rng)?;
-                b.add_host(&node.name, built);
+                let host = b.add_host(&node.name, built);
+                let peer = app.peer().map(|name| ids.get(name)).transpose()?;
+                b.declare_traffic(host, peer);
             }
         }
     }

@@ -343,6 +343,25 @@ impl AppSpec {
             media,
         }
     }
+
+    /// The one node the application sends to (the field it is built
+    /// with), or `None` for a sink, which sends nothing.
+    pub fn peer(&self) -> Option<&str> {
+        match self {
+            AppSpec::PacedServer { client, .. }
+            | AppSpec::BurstyServer { client, .. }
+            | AppSpec::MultiRatePacedServer { client, .. }
+            | AppSpec::AdaptiveServer { client, .. }
+            | AppSpec::TcpServer { client, .. }
+            | AppSpec::AbrServer { client, .. }
+            | AppSpec::BulkTcpSender { client, .. } => Some(client),
+            AppSpec::StreamClient { server, .. }
+            | AppSpec::AbrClient { server, .. }
+            | AppSpec::BulkTcpSink { server, .. } => Some(server),
+            AppSpec::OnOffSource { dst, .. } | AppSpec::Pump { dst, .. } => Some(dst),
+            AppSpec::CountingSink | AppSpec::IdSink => None,
+        }
+    }
 }
 
 kind_tagged!(AppSpec, "app", {

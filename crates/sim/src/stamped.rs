@@ -26,7 +26,10 @@
 //! uses reservations for an output port's `PortReady` wake-up (starting a
 //! transmission reserves the stamp, and the wake-up is filed only when a
 //! packet waits behind it) and future-filed stamps for the relay hops it
-//! computes instead of dispatching.
+//! computes instead of dispatching. Applications reach future-filed
+//! stamps through `AppCtx::set_timer_filed_at`: a paced server that runs
+//! its pacer ahead past idle ticks stamps its one wake-up as filed a tick
+//! before it fires, where the tick chain would have filed it.
 
 use crate::queue::EventQueue;
 use crate::time::SimTime;

@@ -81,6 +81,9 @@ pub struct StreamClient {
     tcp: TcpReceiver,
     tcp_frame_ends: Vec<u64>,
     tcp_complete_at: Vec<Option<SimTime>>,
+    /// The first frame the delivered byte prefix does not yet cover; every
+    /// frame before it is complete.
+    tcp_next_frame: usize,
     /// Feedback window state.
     fb_seq: u64,
     fb_window_first_seq: Option<u64>,
@@ -122,6 +125,7 @@ impl StreamClient {
             tcp: TcpReceiver::new(),
             tcp_frame_ends,
             tcp_complete_at: vec![None; n],
+            tcp_next_frame: 0,
             fb_seq: 0,
             fb_window_first_seq: None,
             fb_window_highest_seq: None,
@@ -193,15 +197,15 @@ impl StreamClient {
         // features stay zero and throughput/jitter/delay still accumulate.
         self.extractor.observe(now, None, pkt_size, delay);
         let ack = self.tcp.on_segment(seg.seq, seg.len);
-        // Mark newly completed frames.
+        // Mark newly completed frames. The delivered prefix only grows, so
+        // the scan resumes at the first frame it left incomplete.
         let delivered = self.tcp.delivered();
-        for (i, &end) in self.tcp_frame_ends.iter().enumerate() {
+        while let Some(&end) = self.tcp_frame_ends.get(self.tcp_next_frame) {
             if end > delivered {
                 break;
             }
-            if self.tcp_complete_at[i].is_none() {
-                self.tcp_complete_at[i] = Some(now);
-            }
+            self.tcp_complete_at[self.tcp_next_frame] = Some(now);
+            self.tcp_next_frame += 1;
         }
         // Send the ACK.
         ctx.send(SendSpec {
@@ -564,6 +568,67 @@ mod tests {
         let r = c.report();
         assert!(r.received[2]);
         assert_eq!(r.arrival[2], Some(SimTime::from_millis(30)));
+    }
+
+    /// Frame completion times with a cursor equal a rescan of every frame
+    /// end on each segment, under reordering and duplicates.
+    #[test]
+    fn tcp_frame_completion_matches_a_full_rescan() {
+        let frame_bytes: Vec<u32> = (0..200).map(|i| 300 + (i * 7919) % 5_000).collect();
+        let total: u64 = frame_bytes.iter().map(|&b| u64::from(b)).sum();
+        let mut cfg = cfg(200);
+        cfg.mode = ClientMode::Tcp {
+            frame_bytes: frame_bytes.clone(),
+            fidelities: vec![0.8; 200],
+        };
+        let mut c = StreamClient::new(cfg);
+        let mut reference = TcpReceiver::new();
+        let mut expected: Vec<Option<SimTime>> = vec![None; 200];
+        // MSS segments, each pair swapped and every fifth sent twice.
+        let mut segs: Vec<(u64, u32)> = (0..total.div_ceil(1448))
+            .map(|k| (k * 1448, (total - k * 1448).min(1448) as u32))
+            .collect();
+        for pair in segs.chunks_mut(2) {
+            pair.reverse();
+        }
+        let order = segs
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &s)| std::iter::repeat_n(s, if i % 5 == 0 { 2 } else { 1 }));
+        for (i, (seq, len)) in order.enumerate() {
+            let now = SimTime::from_millis(i as u64);
+            let mut ctx = AppCtx::new(now, NodeId(1));
+            c.on_packet(
+                &mut ctx,
+                Packet {
+                    id: dsv_net::packet::PacketId(i as u64),
+                    flow: FlowId(1),
+                    src: NodeId(0),
+                    dst: NodeId(1),
+                    size: len + 28,
+                    dscp: Dscp::EF,
+                    proto: Proto::Tcp,
+                    fragment: None,
+                    sent_at: SimTime::ZERO,
+                    payload: StreamPayload::Tcp(TcpSegment {
+                        seq,
+                        len,
+                        ack: 0,
+                        is_ack: false,
+                    }),
+                },
+            );
+            let delivered = reference.on_segment(seq, len);
+            let mut end = 0u64;
+            for (frame, &bytes) in frame_bytes.iter().enumerate() {
+                end += u64::from(bytes);
+                if end <= delivered && expected[frame].is_none() {
+                    expected[frame] = Some(now);
+                }
+            }
+            assert_eq!(c.tcp_complete_at, expected, "after segment {i}");
+        }
+        assert!(expected.iter().all(Option::is_some));
     }
 
     #[test]

@@ -6,6 +6,18 @@
 //! the server used for all QBone experiments; packets are pre-marked with
 //! the EF code point exactly as the remote Video Charger pre-marked them
 //! (paper §3.2.2).
+//!
+//! The pacer runs on an OS-timer tick (5 ms), and before each tick the
+//! server reads every frame due by then. A tick that releases no packet
+//! changes nothing anyone observes, so the server is woken only at the
+//! ticks that send: at `Play` and at each wake-up it runs the pacer ahead,
+//! tick by tick, to the next one that releases packets, holds them, and
+//! sets its one timer for that tick. The timer is stamped as filed one
+//! tick before it falls due ([`AppCtx::set_timer_filed_at`]), where a
+//! timer per tick would have been filed, so it sorts against every event
+//! filed at any other instant exactly as that tick would have (DESIGN.md
+//! §6b, "Paced servers wake only to send"). A `Teardown` drops the held
+//! packets along with the rest of the send buffer.
 
 use dsv_media::encoder::EncodedClip;
 use dsv_media::frame::EncodedFrame;
@@ -15,7 +27,7 @@ use dsv_sim::{SimDuration, SimTime};
 
 use crate::packetize::frame_chunks;
 use crate::payload::{ControlMsg, MediaChunk, StreamPayload, CONTROL_PACKET_BYTES};
-use crate::server::{read_time, Pacer, TOK_FRAME, TOK_TICK};
+use crate::server::{read_time, Pacer, TOK_TICK};
 
 /// Paced-server configuration.
 #[derive(Debug, Clone)]
@@ -29,6 +41,7 @@ pub struct PacedConfig {
     /// Pacing low-pass window (larger = smoother output).
     pub smoothing: SimDuration,
     /// OS timer granularity: packets due within a tick leave back-to-back.
+    /// Frames due at a tick's instant are read before it.
     pub tick: SimDuration,
     /// Pacing floor.
     pub min_rate_bps: u64,
@@ -62,11 +75,10 @@ pub struct PacedServer {
     next_frame: u32,
     seq: u64,
     play_start: Option<SimTime>,
-    ticking: bool,
-    /// Reused per-tick chunk buffer (the tick timer is the hottest app
-    /// path in the QBone sweeps; draining into a recycled buffer keeps it
-    /// allocation-free).
-    chunk_buf: Vec<crate::packetize::ChunkSpec>,
+    /// The packets the tick of the pending wake-up released, sent when it
+    /// fires. One buffer serves the whole stream, so the wake-up (the
+    /// hottest application path in the QBone sweeps) allocates nothing.
+    held: Vec<crate::packetize::ChunkSpec>,
     /// Total media packets handed to the network (diagnostics).
     pub packets_sent: u64,
 }
@@ -130,8 +142,7 @@ impl PacedServer {
             next_frame: 0,
             seq: 0,
             play_start: None,
-            ticking: false,
-            chunk_buf: Vec::new(),
+            held: Vec::new(),
             packets_sent: 0,
         }
     }
@@ -141,15 +152,33 @@ impl PacedServer {
             return;
         }
         self.play_start = Some(ctx.now());
-        ctx.set_timer(SimDuration::ZERO, TOK_FRAME);
-        ctx.set_timer(self.cfg.tick, TOK_TICK);
-        self.ticking = true;
+        self.run_ahead(ctx);
     }
 
-    fn read_frames_due(&mut self, now: SimTime) {
+    /// Run the pacer forward from now, one tick at a time, reading the
+    /// frames due by each tick before it, until a tick releases packets:
+    /// hold them and wake up at that tick. A stream that ends first sets
+    /// no wake-up.
+    fn run_ahead(&mut self, ctx: &mut AppCtx<StreamPayload>) {
+        let now = ctx.now();
+        let mut at = now;
+        while !self.done() {
+            at += self.cfg.tick;
+            self.read_frames_due(at);
+            self.pacer.tick_into(self.cfg.tick, 1.0, &mut self.held);
+            if !self.held.is_empty() {
+                // Stamped where a timer per tick would have been filed:
+                // by the tick before this one.
+                ctx.set_timer_filed_at(at.saturating_since(now), at - self.cfg.tick, TOK_TICK);
+                return;
+            }
+        }
+    }
+
+    fn read_frames_due(&mut self, at: SimTime) {
         let start = self.play_start.expect("begin() ran");
         while (self.next_frame as usize) < self.frames.len()
-            && read_time(start, self.next_frame) <= now
+            && read_time(start, self.next_frame) <= at
         {
             let f = self.frames[self.next_frame as usize];
             for c in frame_chunks(&f) {
@@ -220,6 +249,7 @@ impl Application<StreamPayload> for PacedServer {
             StreamPayload::Control(ControlMsg::Teardown) => {
                 self.next_frame = self.frames.len() as u32;
                 self.pacer.clear();
+                self.held.clear();
             }
             // The paced server has no adaptation loop: feedback ignored.
             _ => {}
@@ -227,27 +257,11 @@ impl Application<StreamPayload> for PacedServer {
     }
 
     fn on_timer(&mut self, ctx: &mut AppCtx<StreamPayload>, token: u64) {
-        match token {
-            TOK_FRAME => {
-                self.read_frames_due(ctx.now());
-                if (self.next_frame as usize) < self.frames.len() {
-                    let start = self.play_start.expect("playing");
-                    let next_at = read_time(start, self.next_frame);
-                    ctx.set_timer(next_at.saturating_since(ctx.now()), TOK_FRAME);
-                }
-            }
-            TOK_TICK => {
-                let mut chunks = std::mem::take(&mut self.chunk_buf);
-                self.pacer.tick_into(self.cfg.tick, 1.0, &mut chunks);
-                self.send_chunks(ctx, &chunks);
-                self.chunk_buf = chunks;
-                if !self.done() {
-                    ctx.set_timer(self.cfg.tick, TOK_TICK);
-                } else {
-                    self.ticking = false;
-                }
-            }
-            _ => {}
+        if token == TOK_TICK {
+            let held = std::mem::take(&mut self.held);
+            self.send_chunks(ctx, &held);
+            self.held = held;
+            self.run_ahead(ctx);
         }
     }
 }

@@ -369,7 +369,11 @@ impl TcpReceiver {
     /// Process a data segment; returns the ACK value to send back.
     pub fn on_segment(&mut self, seq: u64, len: u32) -> u64 {
         let end = seq + len as u64;
-        if end > self.rcv_nxt {
+        if seq <= self.rcv_nxt && self.ooo.is_empty() {
+            // In order with nothing held: the map would take the range in
+            // and hand it straight back.
+            self.rcv_nxt = self.rcv_nxt.max(end);
+        } else if end > self.rcv_nxt {
             let start = seq.max(self.rcv_nxt);
             // Merge [start, end) into the OOO map.
             self.ooo
@@ -565,5 +569,66 @@ mod tests {
         assert_eq!(r.delivered(), 2000);
         r.on_segment(2000, 1000);
         assert_eq!(r.delivered(), 4000);
+    }
+
+    /// The receiver without its in-order shortcut: every segment goes
+    /// through the out-of-order map.
+    #[derive(Default)]
+    struct MapOnlyReceiver {
+        rcv_nxt: u64,
+        ooo: BTreeMap<u64, u64>,
+    }
+
+    impl MapOnlyReceiver {
+        fn on_segment(&mut self, seq: u64, len: u32) -> u64 {
+            let end = seq + len as u64;
+            if end > self.rcv_nxt {
+                let start = seq.max(self.rcv_nxt);
+                self.ooo
+                    .entry(start)
+                    .and_modify(|e| *e = (*e).max(end))
+                    .or_insert(end);
+                while let Some((&s, &e)) = self.ooo.range(..=self.rcv_nxt).next_back() {
+                    self.ooo.remove(&s);
+                    self.rcv_nxt = self.rcv_nxt.max(e);
+                }
+            }
+            self.rcv_nxt
+        }
+    }
+
+    proptest::proptest! {
+        /// Every ACK matches the map-only receiver's under any mix of
+        /// in-order runs, retransmissions, holes, overlaps and duplicates.
+        #[test]
+        fn acks_match_the_map_only_receiver(
+            draws in proptest::prop::collection::vec((0u64..4, 0u64..60_000, 0u32..3_000), 1..300),
+        ) {
+            let mut fast = TcpReceiver::new();
+            let mut reference = MapOnlyReceiver::default();
+            let mut next = 0u64;
+            let mut sent: Vec<(u64, u32)> = Vec::new();
+            for (mode, at, len) in draws {
+                let seg = match (mode, sent.is_empty()) {
+                    // The next bytes of the stream, in order.
+                    (0 | 1, _) | (3, true) => {
+                        let seg = (next, len);
+                        next += u64::from(len);
+                        seg
+                    }
+                    // Anywhere up to a little past the stream's end.
+                    (2, _) => (at % (next + 5_000), len),
+                    // A duplicate of an earlier segment.
+                    _ => sent[at as usize % sent.len()],
+                };
+                sent.push(seg);
+                proptest::prop_assert_eq!(
+                    fast.on_segment(seg.0, seg.1),
+                    reference.on_segment(seg.0, seg.1),
+                    "segment {:?}",
+                    seg
+                );
+            }
+        }
     }
 }

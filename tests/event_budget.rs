@@ -96,12 +96,12 @@ fn qbone_point_event_budget() {
         budget(&qbone_spec(&cfg)),
         Budget {
             start: 2,
-            timer: 16_648,
+            timer: 10_688,
             arrive: 21_763,
             port_ready: 869,
             cond_poll: 0,
-            total: 39_282,
-            high_water: 10,
+            total: 33_322,
+            high_water: 9,
         }
     );
 }
@@ -120,12 +120,12 @@ fn aggregate_point_event_budget() {
         budget(&aggregate_spec(&cfg)),
         Budget {
             start: 16,
-            timer: 132_976,
-            arrive: 84_026,
-            port_ready: 9_190,
+            timer: 53_376,
+            arrive: 69_229,
+            port_ready: 9_104,
             cond_poll: 0,
-            total: 226_208,
-            high_water: 39,
+            total: 131_725,
+            high_water: 31,
         }
     );
 }
@@ -164,10 +164,10 @@ fn af_tcp_point_event_budget() {
         Budget {
             start: 8,
             timer: 13_649,
-            arrive: 223_349,
-            port_ready: 50_615,
+            arrive: 186_946,
+            port_ready: 50_067,
             cond_poll: 0,
-            total: 287_621,
+            total: 250_670,
             high_water: 280,
         }
     );
