@@ -5,10 +5,10 @@
 #   ./ci.sh           the default gate (includes an audit smoke stage)
 #   ./ci.sh --audit   additionally runs the full audited matrix: the
 #                     audit-feature test suites and every committed figure
-#                     (all_figures) under DSV_AUDIT=1, on both event-queue
-#                     backends, with the result cache off (cache hits
-#                     skip simulation, which would skip the audits too),
-#                     then `dsv run` on every committed spec.
+#                     (all_figures) under DSV_AUDIT=1, with the result
+#                     cache off (cache hits skip simulation, which would
+#                     skip the audits too), then `dsv run` on every
+#                     committed spec.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -26,10 +26,7 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> cargo test -q (DSV_QUEUE=heap: binary-heap event-queue backend)"
-DSV_QUEUE=heap cargo test -q --workspace
-
-echo "==> audit smoke (oracle self-tests, wheel backend)"
+echo "==> audit smoke (oracle self-tests)"
 cargo test -q -p dsv-check --features dsv-check/audit
 
 echo "==> cargo fmt --check"
@@ -66,17 +63,14 @@ DSV_CACHE=off ./target/release/fig17_tcp_smoothing > /dev/null
 DSV_CACHE=off ./target/release/fig18_af_tcp > /dev/null
 git diff --exit-code -- results/
 
-echo "==> transport goldens regeneration gate (backends, cluster modes)"
-# The smoothing and AF-TCP goldens must re-simulate byte-for-byte under
-# every engine configuration: both event-queue backends, and exact
-# clustering vs every point simulated individually.
+echo "==> transport goldens regeneration gate (cluster modes)"
+# The smoothing and AF-TCP goldens must re-simulate byte-for-byte with
+# exact clustering and with every point simulated individually.
 regen_transport_goldens() {
   DSV_REGEN=1 DSV_CACHE=off "$@" cargo test -q -p dsv-integration \
     --test paper_findings_tcp_smoothing --test paper_findings_af_tcp
   git diff --exit-code -- results/
 }
-regen_transport_goldens env DSV_QUEUE=wheel
-regen_transport_goldens env DSV_QUEUE=heap
 regen_transport_goldens env DSV_CLUSTER=exact
 regen_transport_goldens env DSV_CLUSTER=off
 
@@ -114,18 +108,6 @@ if [[ "$(ls -A "$warm_cache")" != "$filled" ]]; then
 fi
 rm -rf "$warm_cache"
 
-echo "==> qoe gate (DSV_QOE=full byte-identical; proxy bound holds)"
-# The default estimator must be a no-op relative to every committed
-# figure — DSV_QOE=full regenerates all of results/ bit-for-bit. The
-# proxy lane then asserts the committed error bound on the
-# checksum-guarded dataset and feature byte-identity across engine
-# configurations. (Sampled:<k> scoring -- the proxy's estimate reported,
-# the live error bound under the committed one -- is covered by
-# tests/qoe_proxy.rs, which never writes committed files.)
-DSV_QOE=full DSV_CACHE=off ./target/release/all_figures > /dev/null
-git diff --exit-code -- results/
-cargo test -q -p dsv-integration --test qoe_proxy --test qoe_features
-
 if [[ "$AUDIT" == 1 ]]; then
   echo "==> audit build"
   cargo build --release -p dsv-bench --features dsv-bench/audit
@@ -136,20 +118,18 @@ if [[ "$AUDIT" == 1 ]]; then
     --bin fig07_qbone_lost > /dev/null
   git diff --exit-code -- results/
 
-  for backend in wheel heap; do
-    echo "==> audited test suites (DSV_QUEUE=$backend)"
-    DSV_AUDIT=1 DSV_QUEUE=$backend cargo test -q \
-      -p dsv-check -p dsv-integration \
-      --features dsv-check/audit,dsv-integration/audit
+  echo "==> audited test suites"
+  DSV_AUDIT=1 cargo test -q \
+    -p dsv-check -p dsv-integration \
+    --features dsv-check/audit,dsv-integration/audit
 
-    echo "==> audited figure sweep: every committed figure (DSV_QUEUE=$backend, cache off)"
-    # all_figures covers what fig07 alone does not: merges inside the
-    # backbone, TCP acknowledgement paths and client timers, so every hop
-    # chain and every chain-tie oracle is exercised.
-    DSV_AUDIT=1 DSV_QUEUE=$backend DSV_CACHE=off \
-      cargo run --release -q -p dsv-bench --features dsv-bench/audit \
-      --bin all_figures > /dev/null
-  done
+  echo "==> audited figure sweep: every committed figure (cache off)"
+  # all_figures covers what fig07 alone does not: merges inside the
+  # backbone, TCP acknowledgement paths and client timers, so every hop
+  # chain and every chain-tie oracle is exercised.
+  DSV_AUDIT=1 DSV_CACHE=off \
+    cargo run --release -q -p dsv-bench --features dsv-bench/audit \
+    --bin all_figures > /dev/null
 
   echo "==> audited figures byte-identical to committed results"
   git diff --exit-code -- results/

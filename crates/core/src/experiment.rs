@@ -1,5 +1,6 @@
 //! Experiment plumbing shared by both testbeds: configurations, the
-//! outcome record, and the media/VQM glue.
+//! outcome record, and the media glue that builds the reference and
+//! displayed feature streams [`crate::qoe::score_session`] compares.
 
 use dsv_media::encoder::EncodedClip;
 use dsv_media::features::{displayed_stream, encode_features, FeatureFrame};
@@ -8,7 +9,6 @@ use dsv_net::stats::FlowCounters;
 use dsv_sim::SimDuration;
 use dsv_stream::client::ClientReport;
 use dsv_vqm::qoe::QoeEstimate;
-use dsv_vqm::{Vqm, VqmResult};
 use serde::{Deserialize, Serialize};
 
 /// The EF service profile under test: the paper's two independent
@@ -71,8 +71,8 @@ pub struct RunOutcome {
 
 impl RunOutcome {
     /// Assemble from the pieces every testbed produces. The quality
-    /// fields come from whichever estimator [`crate::qoe::score_session`]
-    /// dispatched to; everything else is transport-level fact.
+    /// fields come from [`crate::qoe::score_session`]; everything else is
+    /// transport-level fact.
     pub fn assemble(
         report: &ClientReport,
         media_flow: &FlowCounters,
@@ -112,15 +112,10 @@ pub fn encoded_features(model: &SceneModel, clip: &EncodedClip) -> Vec<FeatureFr
         .collect()
 }
 
-/// Build the *received/displayed* feature stream from a client report:
-/// what the emulated renderer put on screen, with each displayed frame
-/// carrying the fidelity it was actually received at.
-pub fn received_features(model: &SceneModel, report: &ClientReport) -> Vec<FeatureFrame> {
-    received_features_from(&model.source_features(), report)
-}
-
-/// [`received_features`] over precomputed source features, so sweep runs
-/// can borrow the shared per-clip artifact instead of regenerating it.
+/// Build the *received/displayed* feature stream from a client report
+/// and the clip's source features: what the emulated renderer put on
+/// screen, with each displayed frame carrying the fidelity it was
+/// actually received at.
 pub fn received_features_from(source: &[FeatureFrame], report: &ClientReport) -> Vec<FeatureFrame> {
     let per_frame: Vec<FeatureFrame> = source
         .iter()
@@ -128,35 +123,6 @@ pub fn received_features_from(source: &[FeatureFrame], report: &ClientReport) ->
         .map(|(i, s)| encode_features(*s, report.fidelity.get(i).copied().unwrap_or(1.0)))
         .collect();
     displayed_stream(&per_frame, &report.playback.displayed)
-}
-
-/// Score a run: same-encoding reference, plus optionally the cross
-/// (1.7 Mbps "best") reference.
-pub fn score_run(
-    model: &SceneModel,
-    clip: &EncodedClip,
-    report: &ClientReport,
-    best_reference: Option<&[FeatureFrame]>,
-) -> (VqmResult, Option<VqmResult>) {
-    let reference = encoded_features(model, clip);
-    score_run_shared(&model.source_features(), &reference, report, best_reference)
-}
-
-/// [`score_run`] over precomputed artifacts: the clip's source features
-/// and the encoding's reference stream both come from the caller (in
-/// sweeps, from [`crate::artifacts`]), so scoring allocates only the
-/// received stream.
-pub fn score_run_shared(
-    source: &[FeatureFrame],
-    reference: &[FeatureFrame],
-    report: &ClientReport,
-    best_reference: Option<&[FeatureFrame]>,
-) -> (VqmResult, Option<VqmResult>) {
-    let vqm = Vqm::default();
-    let received = received_features_from(source, report);
-    let same = vqm.score_streams(reference, &received);
-    let vs_best = best_reference.map(|best| vqm.score_streams(best, &received));
-    (same, vs_best)
 }
 
 /// Standard experiment durations: the clip length plus margin for the
@@ -172,6 +138,7 @@ pub fn run_horizon(clip: ClipId) -> SimDuration {
 mod tests {
     use super::*;
     use dsv_media::encoder::mpeg1;
+    use dsv_vqm::Vqm;
 
     #[test]
     fn encoded_features_cover_clip() {

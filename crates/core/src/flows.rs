@@ -11,11 +11,8 @@
 //! rank maps, so the runner's cache and exact-cluster transplants work
 //! unchanged (see [`to_canonical_order`] / [`from_canonical_order`]).
 //!
-//! Because these outcomes are never VQM-scored, the `DSV_QOE` estimator
-//! choice (see [`crate::qoe`]) deliberately does **not** enter a
-//! `FlowJob`'s cache identity: a transport outcome is the same bytes
-//! under every estimator, so stamping the mode would only orphan cache
-//! entries.
+//! These outcomes are never VQM-scored: a `FlowJob`'s address is its
+//! spec plus, for a smoothing run, the clip and encoding it streams.
 
 use serde::{Deserialize, Serialize};
 

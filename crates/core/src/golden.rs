@@ -47,10 +47,7 @@ fn results_dir() -> PathBuf {
 }
 
 fn regen_requested() -> bool {
-    matches!(
-        std::env::var("DSV_REGEN").ok().as_deref(),
-        Some("1") | Some("true") | Some("on")
-    )
+    dsv_sim::env::flag_from_env("DSV_REGEN").unwrap_or(false)
 }
 
 /// Checksum over the jobs that generate a golden file.

@@ -54,8 +54,8 @@ pub mod prelude {
         quality_area,
     };
     pub use crate::experiment::{
-        encoded_features, received_features, received_features_from, run_horizon, score_run,
-        score_run_shared, EfProfile, RunOutcome, DEPTH_2MTU, DEPTH_3MTU,
+        encoded_features, received_features_from, run_horizon, EfProfile, RunOutcome, DEPTH_2MTU,
+        DEPTH_3MTU,
     };
     pub use crate::flows::{FlowOutcome, FlowsOutcome};
     pub use crate::golden::{
@@ -64,7 +64,7 @@ pub mod prelude {
     pub use crate::local::{run_local, run_local_detailed, LocalConfig, LocalTransport};
     pub use crate::profile::ProfileSnapshot;
     pub use crate::qbone::{run_qbone, run_qbone_detailed, ClipId2, QboneConfig, QboneServer};
-    pub use crate::qoe::{force_mode, score_session, QoeMode, QoeSnapshot, PROXY_MAE_BOUND};
+    pub use crate::qoe::score_session;
     pub use crate::report::{format_sweep, format_table, table4_summary};
     pub use crate::runner::{ClusterMode, ClusterPoint, FlowJob, Job, PointSource, Runner};
     pub use crate::smoothing::{run_smoothing, SmoothingConfig, SmoothingServer};

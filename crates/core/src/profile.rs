@@ -51,12 +51,9 @@ pub fn record_high_water(queue: usize, pool: usize) {
     POOL_HIGH_WATER.fetch_max(pool as u64, Ordering::Relaxed);
 }
 
-/// Whether `DSV_PROFILE=1` asked for stderr stage reports.
+/// Whether the `DSV_PROFILE` flag asked for stderr stage reports.
 pub fn enabled() -> bool {
-    std::env::var("DSV_PROFILE").is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0"
-    })
+    dsv_sim::env::flag_from_env("DSV_PROFILE").unwrap_or(false)
 }
 
 /// A point-in-time copy of the accumulated stage totals.

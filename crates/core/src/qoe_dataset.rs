@@ -28,7 +28,6 @@ use crate::experiment::{EfProfile, DEPTH_2MTU, DEPTH_3MTU};
 use crate::keys::fnv1a64;
 use crate::local::{run_local_detailed, LocalConfig, LocalTransport};
 use crate::qbone::{run_qbone_detailed, ClipId2, QboneConfig};
-use crate::qoe::{force_mode, QoeMode};
 
 /// One dataset record: a flow's extracted features and its full-VQM
 /// truth.
@@ -97,19 +96,9 @@ impl DatasetConfig {
         .expect("config serializes")
     }
 
-    /// Simulate the config and collect its records. Truth must come from
-    /// the reference estimator — the caller wraps the batch in one
-    /// `qoe::force_mode(QoeMode::Full)` scope (a per-call guard here
-    /// would serialize parallel workers on the override lock).
-    ///
-    /// # Panics
-    /// Panics unless the active QoE mode is full VQM.
+    /// Simulate the config and collect its records, with the full-VQM
+    /// truth every run is scored with ([`crate::qoe::score_session`]).
     pub fn collect(&self) -> Vec<DatasetPoint> {
-        assert_eq!(
-            crate::qoe::mode(),
-            QoeMode::Full,
-            "dataset truth requires full VQM; wrap in qoe::force_mode(QoeMode::Full)"
-        );
         match self {
             DatasetConfig::Qbone(cfg) => {
                 let (out, report) = run_qbone_detailed(cfg);
@@ -317,9 +306,6 @@ pub fn load() -> QoeDataset {
 /// configs (`DSV_THREADS` respected); output order is config order
 /// regardless of completion order.
 pub fn generate() -> QoeDataset {
-    // One scope for the whole batch: truth is full VQM whatever DSV_QOE
-    // says, and workers only take the brief mode() read lock.
-    let _full = force_mode(QoeMode::Full);
     let grids = dataset_grids();
     let sum = dataset_fnv(&grids);
     let threads = dsv_sim::env::count_from_env(

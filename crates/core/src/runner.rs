@@ -52,7 +52,7 @@
 //! |----------------|-----------------------------------------------------|
 //! | `DSV_THREADS`  | worker count (`1` = serial; default: all cores; `0`/garbage warn on stderr and use the default) |
 //! | `DSV_CACHE`    | `0`/`off` disables; a path overrides the cache dir  |
-//! | `DSV_PROGRESS` | `1`/`0` forces the progress meter on/off (default: on when stderr is a TTY) |
+//! | `DSV_PROGRESS` | a flag (`1`/`true`/`on` or `0`/`false`/`off`) forcing the progress meter on/off (default: on when stderr is a TTY) |
 //! | `DSV_CLUSTER`  | `off` disables clustering; `exact` (default) merges provably symmetric points |
 
 use std::collections::HashMap;
@@ -149,10 +149,7 @@ impl GridJob for Job {
 
     fn address(&self) -> Address {
         let (spec, scoring) = self.spec_scoring();
-        // A non-default `DSV_QOE` estimator changes outcome values, so it
-        // is part of the identity; full mode stamps nothing, keeping
-        // every historical address byte-identical.
-        Address::new(self.kind(), &spec, crate::qoe::stamp_scoring(scoring), 0)
+        Address::new(self.kind(), &spec, scoring, 0)
     }
 
     fn execute(&self) -> RunOutcome {
@@ -200,8 +197,6 @@ impl GridJob for FlowJob {
     type Outcome = FlowsOutcome;
 
     fn address(&self) -> Address {
-        // Transport-level runs score no video, so their scoring is never
-        // stamped with the QoE estimator.
         match self {
             FlowJob::Smoothing(cfg) => Address::new(
                 self.kind(),
@@ -233,12 +228,10 @@ impl GridJob for AggregateConfig {
     type Outcome = AggregateOutcome;
 
     fn address(&self) -> Address {
-        // Stamped like `Job`'s scoring: a non-default QoE estimator is
-        // part of the identity (full mode adds nothing).
-        let scoring = crate::qoe::stamp_scoring(Value::Object(vec![
+        let scoring = Value::Object(vec![
             ("clip".to_string(), self.clip.to_value()),
             ("encoding_bps".to_string(), self.encoding_bps.to_value()),
-        ]));
+        ]);
         Address::new("aggregate", &aggregate_spec(self), scoring, self.flows)
     }
 
@@ -476,10 +469,6 @@ struct Progress {
     policer_drops: AtomicU64,
     queue_drops: AtomicU64,
     shaper_drops: AtomicU64,
-    /// QoE counter totals when the batch started; the line shows the
-    /// delta, so concurrent batches only ever over-attribute, never
-    /// double-print.
-    qoe_start: crate::qoe::QoeSnapshot,
     start: Instant,
     enabled: bool,
 }
@@ -496,7 +485,6 @@ impl Progress {
             policer_drops: AtomicU64::new(0),
             queue_drops: AtomicU64::new(0),
             shaper_drops: AtomicU64::new(0),
-            qoe_start: crate::qoe::snapshot(),
             start: Instant::now(),
             enabled,
         }
@@ -546,13 +534,11 @@ impl Progress {
             Some(secs) => format!("{secs:.0}s"),
             None => "?".to_string(),
         };
-        let qoe = qoe_progress_segment(&crate::qoe::snapshot().since(&self.qoe_start))
-            .unwrap_or_default();
         let mut err = std::io::stderr().lock();
         let _ = write!(
             err,
             "\r[runner] {done}/{} points ({} simulated, {cached} cached, {reused} reused) | \
-             {rate:.2} sims/s | ETA {eta}{qoe} | drops: policer {}, queue {}, shaper {}",
+             {rate:.2} sims/s | ETA {eta} | drops: policer {}, queue {}, shaper {}",
             self.total,
             sims_done.saturating_sub(cached),
             self.policer_drops.load(Ordering::Relaxed),
@@ -570,30 +556,6 @@ impl Progress {
             self.print(self.done.load(Ordering::Relaxed), true);
         }
     }
-}
-
-/// The estimator-mix segment of a progress line, from the batch's QoE
-/// counter delta: how many flows the proxy scored, how many full VQM
-/// scored, and how many proxy scores were sampled-checked (with the live
-/// error bound and its sample size — the number of |proxy − full|
-/// comparisons — once checks have landed). `None` — print nothing — when
-/// every score came from full VQM, so the default mode's line is
-/// byte-identical to what it always printed.
-fn qoe_progress_segment(d: &crate::qoe::QoeSnapshot) -> Option<String> {
-    if d.proxy_scored == 0 && d.sampled_checked == 0 {
-        return None;
-    }
-    let mut seg = format!(
-        " | qoe: {} proxy, {} full, {} checked",
-        d.proxy_scored, d.full_scored, d.sampled_checked
-    );
-    if let Some(mae) = d.live_mae() {
-        seg.push_str(&format!(
-            " (live MAE {mae:.4} over {} comparisons)",
-            d.sampled_errs
-        ));
-    }
-    Some(seg)
 }
 
 /// Throughput and remaining-time estimate for a progress line.
@@ -659,8 +621,8 @@ impl Runner {
                 path => Some(PathBuf::from(path)),
             };
         }
-        if let Ok(v) = std::env::var("DSV_PROGRESS") {
-            r.progress = v.trim() != "0";
+        if let Some(on) = dsv_sim::env::flag_from_env("DSV_PROGRESS") {
+            r.progress = on;
         }
         if let Ok(v) = std::env::var("DSV_CLUSTER") {
             r.cluster = cluster_mode_from_str(v.trim());
@@ -1408,45 +1370,6 @@ mod tests {
         assert!((eta_sims.unwrap() - 10.0).abs() < 1e-12);
         let (_, eta_points) = throughput_eta(10, 40, 5.0);
         assert!(eta_points.unwrap() > eta_sims.unwrap());
-    }
-
-    #[test]
-    fn progress_qoe_segment_counts_estimators_not_points() {
-        use crate::qoe::QoeSnapshot;
-        // The default full-VQM path adds nothing: the progress line must
-        // stay byte-identical to what it printed before the estimator
-        // split existed.
-        let full_only = QoeSnapshot {
-            full_scored: 24,
-            ..QoeSnapshot::default()
-        };
-        assert_eq!(qoe_progress_segment(&full_only), None);
-        assert_eq!(qoe_progress_segment(&QoeSnapshot::default()), None);
-        // A proxy batch reports the estimator mix; no checks yet, so no
-        // live bound to print.
-        let proxy = QoeSnapshot {
-            proxy_scored: 24,
-            ..QoeSnapshot::default()
-        };
-        assert_eq!(
-            qoe_progress_segment(&proxy).unwrap(),
-            " | qoe: 24 proxy, 0 full, 0 checked"
-        );
-        // A sampled batch adds the live MAE and its sample size once
-        // comparisons land: 3 checks, 6 comparisons, 0.012 total error
-        // -> MAE 0.002 over 6.
-        let sampled = QoeSnapshot {
-            proxy_scored: 24,
-            sampled_checked: 3,
-            sampled_errs: 6,
-            err_sum_micro: 12_000,
-            err_max_micro: 5_000,
-            ..QoeSnapshot::default()
-        };
-        assert_eq!(
-            qoe_progress_segment(&sampled).unwrap(),
-            " | qoe: 24 proxy, 0 full, 3 checked (live MAE 0.0020 over 6 comparisons)"
-        );
     }
 
     #[test]

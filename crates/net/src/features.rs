@@ -1,12 +1,12 @@
 //! Streaming per-flow feature extraction on the delivery path.
 //!
-//! The QoE proxy path (DESIGN.md §12) replaces per-frame VQM scoring with
-//! a regression over flow-level signals, which means the receiver must
+//! The QoE proxy (DESIGN.md §12) predicts per-frame VQM scores with a
+//! regression over flow-level signals, which means the receiver must
 //! measure those signals **as packets arrive** — the same observer shape
 //! as [`crate::audit`]: ride the event path, keep O(1) state, never
 //! retain packets or frames. [`FeatureExtractor`] is that observer; its
 //! [`finish`](FeatureExtractor::finish) snapshot is the [`FlowFeatures`]
-//! record the estimators consume.
+//! record the proxy consumes.
 //!
 //! Everything here is a pure function of the per-flow delivery sequence
 //! `(seq, bytes, arrival, delay)`, which the engine guarantees is

@@ -10,7 +10,8 @@
 //! The switch resolves, in order:
 //! 1. a process-wide override set by [`set_enabled_for_process`]
 //!    (used by benchmarks and the fault-injection self-tests), else
-//! 2. the `DSV_AUDIT` environment variable (`1` / `true` / `on`).
+//! 2. the `DSV_AUDIT` environment variable, a flag read through
+//!    [`crate::env::flag_from_env`] (off when unset).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -40,10 +41,7 @@ pub fn runtime_enabled() -> bool {
     match FORCE.load(Ordering::Relaxed) {
         1 => true,
         2 => false,
-        _ => matches!(
-            std::env::var("DSV_AUDIT").ok().as_deref(),
-            Some("1") | Some("true") | Some("on")
-        ),
+        _ => crate::env::flag_from_env("DSV_AUDIT").unwrap_or(false),
     }
 }
 

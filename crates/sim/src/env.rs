@@ -1,10 +1,11 @@
-//! Shared parsing for numeric `DSV_*` environment knobs.
+//! Shared parsing for `DSV_*` environment knobs.
 //!
-//! `DSV_THREADS` is a positive count. Misconfiguration must never panic a
-//! long sweep or silently serialize it: `0`, empty, or garbage values fall
-//! back to the caller's documented default with a warning on stderr. (`DSV_QUEUE` deliberately keeps its panic-on-typo
-//! behaviour — a silently wrong backend would make perf comparisons lie;
-//! a silently default thread count merely changes wall-clock time.)
+//! Two shapes: `DSV_THREADS` is a positive count, and `DSV_PROGRESS`,
+//! `DSV_PROFILE`, `DSV_AUDIT` and `DSV_REGEN` are flags, spelled
+//! `1`/`true`/`on` or `0`/`false`/`off` (surrounding whitespace ignored).
+//! Misconfiguration must never panic a long sweep or silently change it:
+//! an unusable value warns on stderr and reads as if the variable were
+//! unset, so the caller's documented default applies.
 
 /// Parse a raw environment value as a positive count.
 ///
@@ -37,6 +38,31 @@ pub fn count_from_env(var: &str, default: usize) -> usize {
                 default
             }
         },
+    }
+}
+
+/// Parse a raw environment value as a flag: `1`/`true`/`on` is `true`,
+/// `0`/`false`/`off` is `false`, after trimming. Pure, like
+/// [`parse_count`].
+pub fn parse_flag(raw: &str) -> Result<bool, &'static str> {
+    match raw.trim() {
+        "1" | "true" | "on" => Ok(true),
+        "0" | "false" | "off" => Ok(false),
+        "" => Err("value is empty"),
+        _ => Err("expected 1/true/on or 0/false/off"),
+    }
+}
+
+/// Read a flag from the environment variable `var`: `None` when unset,
+/// and also when set but unusable, with a one-line warning on stderr.
+pub fn flag_from_env(var: &str) -> Option<bool> {
+    let v = std::env::var(var).ok()?;
+    match parse_flag(&v) {
+        Ok(on) => Some(on),
+        Err(why) => {
+            eprintln!("warning: ignoring {var}={v:?} ({why}); treating it as unset");
+            None
+        }
     }
 }
 
@@ -75,5 +101,36 @@ mod tests {
         // Set and valid: the value.
         std::env::set_var("DSV_TEST_COUNT_OK", "7");
         assert_eq!(count_from_env("DSV_TEST_COUNT_OK", 4), 7);
+    }
+
+    #[test]
+    fn flags_parse_both_spellings_and_reject_the_rest() {
+        for on in ["1", "true", "on", " on\n", "\ttrue "] {
+            assert_eq!(parse_flag(on), Ok(true), "{on:?}");
+        }
+        for off in ["0", "false", "off", " off ", "0\n"] {
+            assert_eq!(parse_flag(off), Ok(false), "{off:?}");
+        }
+        assert_eq!(parse_flag(""), Err("value is empty"));
+        assert_eq!(parse_flag("  "), Err("value is empty"));
+        for bad in ["yes", "no", "2", "ON", "enable", "-1"] {
+            assert_eq!(
+                parse_flag(bad),
+                Err("expected 1/true/on or 0/false/off"),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn flag_env_reads_unset_and_unusable_as_none() {
+        std::env::remove_var("DSV_TEST_FLAG_UNSET");
+        assert_eq!(flag_from_env("DSV_TEST_FLAG_UNSET"), None);
+        std::env::set_var("DSV_TEST_FLAG_OFF", "off");
+        assert_eq!(flag_from_env("DSV_TEST_FLAG_OFF"), Some(false));
+        std::env::set_var("DSV_TEST_FLAG_ON", " true ");
+        assert_eq!(flag_from_env("DSV_TEST_FLAG_ON"), Some(true));
+        std::env::set_var("DSV_TEST_FLAG_BAD", "yes");
+        assert_eq!(flag_from_env("DSV_TEST_FLAG_BAD"), None);
     }
 }

@@ -18,9 +18,10 @@
 //! 3. **Simplicity** — in the spirit of event-driven stacks such as smoltcp,
 //!    the engine is a time-ordered queue and a dispatch loop; components are
 //!    state machines that take `now` explicitly and never block. The queue
-//!    is a hierarchical timing wheel by default (`O(1)` schedule/pop for
-//!    the simulator's near-future-dominated workload), with the original
-//!    binary heap selectable via `DSV_QUEUE=heap` as an ordering oracle.
+//!    is a hierarchical timing wheel (`O(1)` schedule/pop for the
+//!    simulator's near-future-dominated workload); the original binary
+//!    heap remains as the ordering reference the tests compare it with
+//!    ([`EventQueue::with_backend`]).
 //!
 //! The three building blocks are:
 //!

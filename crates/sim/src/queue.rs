@@ -13,21 +13,22 @@
 //!
 //! Two interchangeable backends implement that contract:
 //!
-//! * [`QueueBackend::Wheel`] (default) — a hierarchical timing wheel
-//!   (see [`crate::wheel`]): `O(1)` schedule, amortized `O(1)` pop, no
+//! * [`QueueBackend::Wheel`] — a hierarchical timing wheel (see
+//!   `crate::wheel`): `O(1)` schedule, amortized `O(1)` pop, no
 //!   per-event comparisons through a heap. This is the fast path for the
-//!   simulator's workload of densely clustered near-future events.
+//!   simulator's workload of densely clustered near-future events, and
+//!   what [`EventQueue::new`] and [`EventQueue::with_capacity`] build.
 //! * [`QueueBackend::Heap`] — the original binary heap of
-//!   `(time, stamp, event)` triples, kept as a independently-correct oracle
-//!   and selectable at runtime with `DSV_QUEUE=heap`.
+//!   `(time, stamp, event)` triples, kept as an independently correct
+//!   reference for tests, which build it with [`EventQueue::with_backend`].
 //!
-//! Both backends produce identical delivery sequences (property-tested in
-//! `tests/queue_equivalence.rs` and asserted byte-for-byte across the
-//! experiment pipeline by `pipeline_determinism` under both settings).
+//! Both backends produce identical delivery sequences: property-tested
+//! in `tests/queue_equivalence.rs`, and compared on whole workloads by
+//! `tests/hop_chain_equivalence.rs`, whose per-hop and per-tick
+//! references run on the heap.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::OnceLock;
 
 use crate::stamped::Stamp;
 use crate::time::SimTime;
@@ -36,28 +37,10 @@ use crate::wheel::{Entry, Wheel};
 /// Which container implements the queue's ordering contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueBackend {
-    /// Hierarchical timing wheel (default).
+    /// Hierarchical timing wheel (what every simulation runs on).
     Wheel,
-    /// Binary heap (the `DSV_QUEUE=heap` fallback oracle).
+    /// Binary heap (the reference the tests compare the wheel with).
     Heap,
-}
-
-impl QueueBackend {
-    /// The backend selected by the `DSV_QUEUE` environment variable:
-    /// `wheel` (or unset/empty) and `heap` are accepted; anything else is
-    /// a configuration error and panics, because silently falling back
-    /// would make perf comparisons lie.
-    pub fn from_env() -> QueueBackend {
-        static CHOICE: OnceLock<QueueBackend> = OnceLock::new();
-        *CHOICE.get_or_init(|| match std::env::var("DSV_QUEUE") {
-            Err(_) => QueueBackend::Wheel,
-            Ok(v) => match v.trim() {
-                "" | "wheel" => QueueBackend::Wheel,
-                "heap" => QueueBackend::Heap,
-                other => panic!("DSV_QUEUE must be `wheel` or `heap`, got `{other}`"),
-            },
-        })
-    }
 }
 
 /// Heap adapter: inverts the `(time, stamp)` order so `BinaryHeap` (a
@@ -131,20 +114,19 @@ pub struct EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Create an empty queue using the backend selected by `DSV_QUEUE`
-    /// (the timing wheel unless overridden).
+    /// Create an empty queue on the timing wheel.
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::from_env())
+        Self::with_backend(QueueBackend::Wheel)
     }
 
-    /// Create an empty queue with pre-allocated capacity (backend from
-    /// `DSV_QUEUE`).
+    /// Create an empty queue on the timing wheel with pre-allocated
+    /// capacity.
     pub fn with_capacity(cap: usize) -> Self {
-        Self::with_backend_and_capacity(QueueBackend::from_env(), cap)
+        Self::with_backend_and_capacity(QueueBackend::Wheel, cap)
     }
 
     /// Create an empty queue on an explicit backend (tests and benches
-    /// compare backends regardless of the environment).
+    /// compare the wheel with the heap).
     pub fn with_backend(backend: QueueBackend) -> Self {
         Self::with_backend_and_capacity(backend, 0)
     }

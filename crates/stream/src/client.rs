@@ -344,7 +344,7 @@ pub struct ClientReport {
     /// Total media bytes received.
     pub bytes_received: u64,
     /// Flow-level features extracted on the delivery path — the input to
-    /// the proxy QoE estimator (see `dsv-vqm`'s `qoe` module).
+    /// the QoE proxy (see `dsv-vqm`'s `qoe` module).
     pub features: FlowFeatures,
 }
 

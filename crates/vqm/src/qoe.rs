@@ -1,102 +1,32 @@
-//! Quality estimation as an abstraction: the [`QoeEstimator`] trait and
-//! its two implementations.
+//! The session verdict, and the learned proxy that estimates it from
+//! flow features.
 //!
-//! The paper scores every run with the full per-frame VQM pipeline, which
-//! requires the complete displayed feature stream — per-frame state a
-//! population-scale simulation cannot afford to retain. This module
-//! splits the *contract* (estimate a session's quality) from the
-//! *mechanism*:
+//! Every run is scored with the full per-frame VQM pipeline
+//! ([`Vqm::score_streams`](crate::Vqm::score_streams), called by
+//! `dsv-core::qoe::score_session`), and its verdict is a [`QoeEstimate`].
 //!
-//! * [`FullVqm`] — the reference path: per-frame streams through
-//!   [`Vqm::score_streams`], exactly as before.
-//! * [`ProxyModel`] — a small linear regression over streaming
-//!   [`FlowFeatures`] (no frames retained anywhere), fit offline against
-//!   full-VQM truth on the committed experiment grids by the `fit_qoe`
-//!   bench binary. The fitted coefficients are committed below; the
-//!   `qoe_proxy` golden suite bounds the proxy's mean absolute error on
-//!   every committed grid (DESIGN.md §12).
-//!
-//! Predictions are always finite and clamped to `[0, MAX_SCORE]`, even on
-//! degenerate sessions (zero packets, total loss, single frame).
+//! [`ProxyModel`] is a small linear regression over streaming
+//! [`FlowFeatures`] (no frames retained anywhere), fit offline against
+//! full-VQM truth on the committed experiment grids by the `fit_qoe`
+//! bench binary. No run reports its predictions: it is a committed
+//! model whose accuracy the `qoe_proxy` golden suite pins against that
+//! truth on every committed grid (DESIGN.md §12). Predictions are always
+//! finite and clamped to `[0, MAX_SCORE]`, even on degenerate sessions
+//! (zero packets, total loss, single frame).
 
-use dsv_media::features::FeatureFrame;
 use dsv_net::features::FlowFeatures;
 
 use crate::score::MAX_SCORE;
-use crate::{Vqm, VqmResult};
 
-/// Everything an estimator may consume about one finished session.
-///
-/// The per-frame streams are optional: the proxy path never materializes
-/// them (`received: None` is precisely the population-scale win), while
-/// [`FullVqm`] requires them.
-pub struct QoeInputs<'a> {
-    /// Same-encoding reference stream (what a loss-free session shows).
-    pub reference: &'a [FeatureFrame],
-    /// Optional cross reference (the paper's 1.7 Mbps "best" encoding).
-    pub best_reference: Option<&'a [FeatureFrame]>,
-    /// The displayed stream the client actually rendered, when the
-    /// caller chose to materialize it.
-    pub received: Option<&'a [FeatureFrame]>,
-    /// Flow-level features extracted on the delivery path.
-    pub features: &'a FlowFeatures,
-}
-
-/// An estimator's verdict on one session.
+/// The quality verdict on one session.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QoeEstimate {
-    /// Estimated quality against the same-encoding reference (0 best).
+    /// Quality against the same-encoding reference (0 best).
     pub quality: f64,
-    /// Estimated quality against the cross reference, when one was given.
+    /// Quality against the cross reference, when one was given.
     pub quality_vs_best: Option<f64>,
-    /// VQM segments that failed temporal calibration (0 for estimators
-    /// that never calibrate — the proxy has no segments to fail).
+    /// VQM segments that failed temporal calibration.
     pub failed_segments: usize,
-}
-
-/// Estimate the quality of a finished streaming session.
-pub trait QoeEstimator {
-    /// Short tag naming the estimator (progress lines, bench reports).
-    fn name(&self) -> &'static str;
-    /// Produce the estimate.
-    fn estimate(&self, inputs: &QoeInputs) -> QoeEstimate;
-}
-
-/// The reference estimator: the full per-frame VQM pipeline.
-#[derive(Debug, Clone, Default)]
-pub struct FullVqm {
-    /// The measurement tool to run.
-    pub vqm: Vqm,
-}
-
-impl FullVqm {
-    /// Like [`QoeEstimator::estimate`], but returning the full
-    /// [`VqmResult`]s for callers that need segment detail.
-    pub fn score(&self, inputs: &QoeInputs) -> (VqmResult, Option<VqmResult>) {
-        let received = inputs
-            .received
-            .expect("FullVqm requires the received stream");
-        let same = self.vqm.score_streams(inputs.reference, received);
-        let vs_best = inputs
-            .best_reference
-            .map(|best| self.vqm.score_streams(best, received));
-        (same, vs_best)
-    }
-}
-
-impl QoeEstimator for FullVqm {
-    fn name(&self) -> &'static str {
-        "full"
-    }
-
-    fn estimate(&self, inputs: &QoeInputs) -> QoeEstimate {
-        let (same, vs_best) = self.score(inputs);
-        QoeEstimate {
-            quality: same.overall,
-            quality_vs_best: vs_best.as_ref().map(|v| v.overall),
-            failed_segments: same.failed_segments,
-        }
-    }
 }
 
 /// Number of regression terms (see [`ProxyModel::terms`]).
@@ -189,11 +119,10 @@ pub const COMMITTED_VS_BEST: [f64; PROXY_TERMS] = [
 
 /// The documented ceiling on the proxy's **mean absolute quality error**
 /// per committed grid (same-encoding and vs-best alike). Pinned by the
-/// `qoe_proxy` golden suite; the live bound reported by `sampled:<k>`
-/// runs must land under it too. The fit's worst grid sits near 0.08
-/// (the shaped local testbed, where clip-dependent loss cliffs are
-/// invisible to flow-level features); the bound leaves a small margin
-/// over it.
+/// `qoe_proxy` golden suite, which also holds each live-simulated point
+/// it re-scores to it. The fit's worst grid sits near 0.08 (the shaped
+/// local testbed, where clip-dependent loss cliffs are invisible to
+/// flow-level features); the bound leaves a small margin over it.
 pub const PROXY_MAE_BOUND: f64 = 0.09;
 
 impl Default for ProxyModel {
@@ -334,44 +263,23 @@ impl ProxyModel {
     }
 }
 
-impl QoeEstimator for ProxyModel {
-    fn name(&self) -> &'static str {
-        "proxy"
-    }
-
-    fn estimate(&self, inputs: &QoeInputs) -> QoeEstimate {
-        QoeEstimate {
-            quality: self.predict_same(inputs.features),
-            quality_vs_best: inputs
-                .best_reference
-                .map(|_| self.predict_vs_best(inputs.features)),
-            failed_segments: 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dsv_net::features::FeatureExtractor;
     use dsv_sim::{SimDuration, SimTime};
 
-    fn estimate(f: &FlowFeatures) -> QoeEstimate {
-        ProxyModel::committed().estimate(&QoeInputs {
-            reference: &[],
-            best_reference: Some(&[]),
-            received: None,
-            features: f,
-        })
+    /// The proxy's (same-encoding, vs-best) predictions.
+    fn estimate(f: &FlowFeatures) -> (f64, f64) {
+        let model = ProxyModel::committed();
+        (model.predict_same(f), model.predict_vs_best(f))
     }
 
-    fn assert_bounded(e: &QoeEstimate) {
-        assert!(e.quality.is_finite());
-        assert!((0.0..=MAX_SCORE).contains(&e.quality), "{}", e.quality);
-        let v = e.quality_vs_best.expect("requested");
-        assert!(v.is_finite());
-        assert!((0.0..=MAX_SCORE).contains(&v), "{v}");
-        assert_eq!(e.failed_segments, 0);
+    fn assert_bounded(&(same, vs_best): &(f64, f64)) {
+        for q in [same, vs_best] {
+            assert!(q.is_finite());
+            assert!((0.0..=MAX_SCORE).contains(&q), "{q}");
+        }
     }
 
     #[test]
@@ -381,11 +289,7 @@ mod tests {
         let f = FeatureExtractor::new(1_500_000).finish();
         let e = estimate(&f);
         assert_bounded(&e);
-        assert!(
-            e.quality > 0.5,
-            "a fully starved flow must score badly: {}",
-            e.quality
-        );
+        assert!(e.0 > 0.5, "a fully starved flow must score badly: {}", e.0);
     }
 
     #[test]
@@ -412,13 +316,13 @@ mod tests {
         assert!(f.loss_fraction > 0.99);
         let e = estimate(&f);
         assert_bounded(&e);
-        assert!(e.quality > 0.5, "near-total loss: {}", e.quality);
+        assert!(e.0 > 0.5, "near-total loss: {}", e.0);
     }
 
     #[test]
     fn hostile_features_never_escape_the_range() {
         // Hand-built pathological records (NaN/∞ cannot come out of the
-        // extractor, but the estimator must not trust that).
+        // extractor, but the proxy must not trust that).
         for f in [
             FlowFeatures {
                 loss_fraction: f64::NAN,
@@ -469,28 +373,6 @@ mod tests {
             x.finish()
         };
         let (c, l) = (estimate(&clean), estimate(&lossy));
-        assert!(
-            c.quality + 0.2 < l.quality,
-            "clean {} vs lossy {}",
-            c.quality,
-            l.quality
-        );
-    }
-
-    #[test]
-    fn full_vqm_estimator_matches_score_streams() {
-        use dsv_media::scene::ClipId;
-        let r = ClipId::Talk.model().source_features();
-        let full = FullVqm::default();
-        let direct = Vqm::default().score_streams(&r, &r);
-        let est = full.estimate(&QoeInputs {
-            reference: &r,
-            best_reference: None,
-            received: Some(&r),
-            features: &FlowFeatures::default(),
-        });
-        assert_eq!(est.quality, direct.overall);
-        assert_eq!(est.quality_vs_best, None);
-        assert_eq!(est.failed_segments, direct.failed_segments);
+        assert!(c.0 + 0.2 < l.0, "clean {} vs lossy {}", c.0, l.0);
     }
 }

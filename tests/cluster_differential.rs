@@ -6,9 +6,9 @@
 //! testbed, a clustered grid's outcomes — including the transplanted
 //! members — must equal the unclustered serial run's exactly.
 //!
-//! The queue backend is fixed per process (`DSV_QUEUE` is read once),
-//! so backend coverage comes from `ci.sh`, which runs this suite under
-//! both `wheel` and `heap`.
+//! Every run here is on the timing wheel, as in every experiment;
+//! `tests/hop_chain_equivalence.rs` holds the wheel to the binary heap
+//! on whole workloads of the same testbeds.
 
 use dsv_core::af::AfConfig;
 use dsv_core::aggregate::{aggregate_spec, AggregateConfig};

@@ -19,6 +19,11 @@
 //! delivered, drops by reason, delay summary and histogram), every flow's
 //! full packet trace (each send, delivery and drop with its instant and
 //! node), and every client and sink report.
+//!
+//! The run under test is the one every experiment makes: chains and
+//! woken servers on the timing wheel. Both references run on the
+//! binary-heap event queue, so each comparison also holds the wheel to
+//! the heap on a whole workload.
 
 #[path = "support/per_tick_server.rs"]
 mod per_tick_server;
@@ -34,7 +39,7 @@ use dsv_media::encoder::mpeg1;
 use dsv_media::scene::ClipId;
 use dsv_net::app::{AppCtx, Application, SendSpec};
 use dsv_net::link::Link;
-use dsv_net::network::{NetworkBuilder, Simulation};
+use dsv_net::network::{Network, NetworkBuilder, Simulation};
 use dsv_net::packet::{DropReason, Dscp, FlowId, NodeId, Packet, Proto};
 use dsv_net::qdisc::{DropTailQueue, QueueLimits};
 use dsv_net::stats::{TraceEntry, TraceKind};
@@ -43,7 +48,7 @@ use dsv_scenario::spec::{
     AppSpec, ConditionerSpec, DscpSpec, LimitsSpec, LinkParams, LinkSpec, NodeSpec, QdiscSpec,
 };
 use dsv_scenario::{compile, ClipStore, CompileOptions, CompiledScenario, ScenarioSpec};
-use dsv_sim::{SimDuration, SimTime};
+use dsv_sim::{EventQueue, QueueBackend, SimDuration, SimTime};
 use dsv_stream::payload::{ControlMsg, StreamPayload, CONTROL_PACKET_BYTES};
 use dsv_stream::server::paced::{PacedConfig, PacedServer};
 
@@ -83,12 +88,27 @@ fn compiled(spec: &ScenarioSpec) -> CompiledScenario {
     .expect("spec compiles")
 }
 
+/// A simulation of `net` on the binary-heap event queue, the reference
+/// the timing wheel is compared with.
+fn on_heap(net: Network<StreamPayload>) -> Simulation<StreamPayload> {
+    let mut queue = EventQueue::with_backend(QueueBackend::Heap);
+    net.schedule_starts(&mut queue);
+    Simulation { net, queue }
+}
+
 impl Run {
+    /// `spec` as every experiment runs it, on the timing wheel.
     fn new(spec: &ScenarioSpec) -> Run {
-        Run::start(compiled(spec))
+        Run::start(compiled(spec), Simulation::new)
     }
 
-    /// `spec` with every paced server replaced by the per-tick reference.
+    /// `spec` with every hop dispatched, on the heap.
+    fn per_hop(spec: &ScenarioSpec) -> Run {
+        Run::start(compiled(&per_hop(spec)), on_heap)
+    }
+
+    /// `spec` with every paced server replaced by the per-tick reference,
+    /// on the heap.
     fn per_tick(spec: &ScenarioSpec) -> Run {
         let mut compiled = compiled(spec);
         for node in &spec.nodes {
@@ -107,10 +127,13 @@ impl Run {
                     .replace_app(host, Box::new(PerTickPacedServer::new(cfg, &clip)));
             }
         }
-        Run::start(compiled)
+        Run::start(compiled, on_heap)
     }
 
-    fn start(mut compiled: CompiledScenario) -> Run {
+    fn start(
+        mut compiled: CompiledScenario,
+        simulation: fn(Network<StreamPayload>) -> Simulation<StreamPayload>,
+    ) -> Run {
         // Flow labels in the committed scenarios stay below 2048.
         for flow in 0..2048 {
             compiled.net.stats.trace_flow(FlowId(flow));
@@ -118,7 +141,7 @@ impl Run {
         // Keep the handles; the network moves into the simulation.
         let net = std::mem::replace(&mut compiled.net, NetworkBuilder::new().build());
         Run {
-            sim: Simulation::new(net),
+            sim: simulation(net),
             apps: compiled,
         }
     }
@@ -170,34 +193,44 @@ fn horizon(spec: &ScenarioSpec) -> SimTime {
     spec.horizon_ns.map_or(SimTime::MAX, SimTime::from_nanos)
 }
 
-/// Run `spec` with chains and per hop, to its horizon, and require the
-/// same observations. Returns the events each dispatched.
+/// Run `spec` with chains on the wheel and per hop on the heap, to its
+/// horizon, and require the same observations. Returns the events each
+/// dispatched.
 fn assert_equivalent(label: &str, spec: &ScenarioSpec) -> (u64, u64) {
     let mut chained = Run::new(spec);
-    let mut reference = Run::new(&per_hop(spec));
+    let mut reference = Run::per_hop(spec);
     let a = chained.sim.run_until(horizon(spec));
     let b = reference.sim.run_until(horizon(spec));
-    assert_eq!(chained.observed(), reference.observed(), "{label}");
+    assert_eq!(
+        chained.observed(),
+        reference.observed(),
+        "{label}: chains on the wheel vs per hop on the heap"
+    );
     assert!(
         a.dispatched <= b.dispatched,
-        "{label}: chains dispatched {} events, per-hop {}",
+        "{label}: chains on the wheel dispatched {} events, per hop on the heap {}",
         a.dispatched,
         b.dispatched
     );
     (a.dispatched, b.dispatched)
 }
 
-/// Run `spec` with paced servers that wake only to send and with the
-/// per-tick reference, to its horizon, and require the same observations.
+/// Run `spec` with paced servers that wake only to send, on the wheel,
+/// and with the per-tick reference on the heap, to its horizon, and
+/// require the same observations.
 fn assert_wakes_like_per_tick(label: &str, spec: &ScenarioSpec) {
     let mut woken = Run::new(spec);
     let mut ticked = Run::per_tick(spec);
     let a = woken.sim.run_until(horizon(spec));
     let b = ticked.sim.run_until(horizon(spec));
-    assert_eq!(woken.observed(), ticked.observed(), "{label}");
+    assert_eq!(
+        woken.observed(),
+        ticked.observed(),
+        "{label}: woken on the wheel vs per tick on the heap"
+    );
     assert!(
         a.dispatched < b.dispatched,
-        "{label}: woken servers dispatched {} events, per-tick {}",
+        "{label}: woken servers on the wheel dispatched {} events, per tick on the heap {}",
         a.dispatched,
         b.dispatched
     );
@@ -432,18 +465,26 @@ fn qbone_point_stopped_mid_stream_and_resumed() {
     let stop = SimTime::from_nanos(20_000_123_457);
     let end = horizon(&spec);
     let mut chained = Run::new(&spec);
-    let mut reference = Run::new(&per_hop(&spec));
+    let mut reference = Run::per_hop(&spec);
     for run in [&mut chained, &mut reference] {
         assert!(run.sim.run_until(stop).hit_horizon);
     }
-    assert_eq!(chained.observed(), reference.observed(), "at the stop");
+    assert_eq!(
+        chained.observed(),
+        reference.observed(),
+        "at the stop: chains on the wheel vs per hop on the heap"
+    );
     for run in [&mut chained, &mut reference] {
         // The two queues stopped at different last events; each resumes
         // for the span that takes it to the same end.
         let span = end.saturating_since(run.sim.queue.now());
         run.sim.run_for(span);
     }
-    assert_eq!(chained.observed(), reference.observed(), "after resuming");
+    assert_eq!(
+        chained.observed(),
+        reference.observed(),
+        "after resuming: chains on the wheel vs per hop on the heap"
+    );
 }
 
 #[test]
@@ -479,12 +520,20 @@ fn paced_server_stopped_mid_stream_and_resumed() {
     for run in [&mut woken, &mut ticked] {
         assert!(run.sim.run_until(stop).hit_horizon);
     }
-    assert_eq!(woken.observed(), ticked.observed(), "at the stop");
+    assert_eq!(
+        woken.observed(),
+        ticked.observed(),
+        "at the stop: woken on the wheel vs per tick on the heap"
+    );
     for run in [&mut woken, &mut ticked] {
         let span = end.saturating_since(run.sim.queue.now());
         run.sim.run_for(span);
     }
-    assert_eq!(woken.observed(), ticked.observed(), "after resuming");
+    assert_eq!(
+        woken.observed(),
+        ticked.observed(),
+        "after resuming: woken on the wheel vs per tick on the heap"
+    );
 }
 
 /// Asks its server to play at start and, when `teardown_at` is set,

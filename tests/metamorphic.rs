@@ -14,8 +14,11 @@
 //! * **Shaping monotonicity** — a shaped WMT stream is never worse than
 //!   the same stream unshaped at a starved profile (§4.2).
 //!
-//! Every live property runs under both `DSV_QUEUE` backends; the grid
-//! properties load the committed goldens (see `dsv_core::golden`).
+//! The live chain and shaping properties run on both event-queue
+//! backends, chosen with `EventQueue::with_backend`; the AF-TCP ones run
+//! on the timing wheel, which `tests/hop_chain_equivalence.rs` holds to
+//! the heap on an AF-TCP workload. The grid properties load the
+//! committed goldens (see `dsv_core::golden`).
 
 use dsv_check::scenario::{run_policer_chain, ChainConfig};
 use dsv_core::artifacts::ArtifactStore;

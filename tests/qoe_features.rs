@@ -1,6 +1,6 @@
 //! Engine-configuration invariance of extracted flow features.
 //!
-//! The QoE proxy path (DESIGN.md §12) scores sessions from the
+//! The QoE proxy (DESIGN.md §12) predicts scores from the
 //! [`FlowFeatures`] the client extracts on the delivery path, so those
 //! features must inherit the engine's byte-identity contract: the same
 //! policed chain has to yield the same canonical feature bytes under the

@@ -2,11 +2,13 @@
 //! the **exact** sequence of `(time, seq, event)` triples the binary heap
 //! delivers, over arbitrary interleavings of scheduling and dispatch.
 //!
-//! The heap is the ordering oracle (`DSV_QUEUE=heap` keeps it selectable
-//! at runtime); these properties are why the oracle can be trusted to be
-//! redundant: ties broken by schedule order, events scheduled *during*
-//! dispatch, far-future timestamps (up to `SimTime::MAX` sentinels) and
-//! spans that cross every wheel level all round-trip identically.
+//! The heap is the ordering oracle, kept for tests behind
+//! `EventQueue::with_backend`; these properties are why the wheel can be
+//! trusted to match it: ties broken by schedule order, events scheduled
+//! *during* dispatch, far-future timestamps (up to `SimTime::MAX`
+//! sentinels) and spans that cross every wheel level all round-trip
+//! identically. `tests/hop_chain_equivalence.rs` compares the two on
+//! whole workloads.
 //!
 //! Reserved stamps (`reserve` now, `schedule_reserved` later or never —
 //! how the network elides no-op port wake-ups) are held to a stronger
