@@ -74,6 +74,17 @@ regen_transport_goldens() {
 regen_transport_goldens env DSV_CLUSTER=exact
 regen_transport_goldens env DSV_CLUSTER=off
 
+echo "==> golden regeneration gate (single-stream and aggregate goldens, cache off)"
+# One writer (dsv_core::golden::golden) publishes every golden; the
+# transport ones are rebuilt above. Here the single-stream and aggregate
+# goldens re-simulate and are rewritten at the default test threads, so
+# tests sharing a golden (metamorphic loads the QBone sweep twice)
+# regenerate and publish the same file concurrently.
+DSV_REGEN=1 DSV_CACHE=off cargo test -q -p dsv-integration \
+  --test paper_findings_qbone --test paper_findings_local \
+  --test paper_findings_aggregate --test metamorphic
+git diff --exit-code -- results/
+
 echo "==> cluster regeneration gate (exact mode vs clustering off, cache off)"
 # Exact clustering's contract is byte-identity: the committed figures must
 # regenerate bit-for-bit both with the cluster pre-pass on (the default)

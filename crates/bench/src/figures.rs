@@ -8,13 +8,7 @@ use serde::Serialize;
 
 use crate::{emit_json, emit_sweep};
 
-/// Token-rate grid used for the QBone figures: 0.88×…1.45× the encoding
-/// rate, 12 points.
-pub fn qbone_grid(encoding_bps: u64) -> Vec<u64> {
-    (0..12)
-        .map(|i| (encoding_bps as f64 * (0.88 + 0.052 * i as f64)) as u64)
-        .collect()
-}
+pub use dsv_core::sweep::qbone_grid;
 
 /// Table 1: the Frame-Relay interface configuration.
 pub fn table1() {
@@ -202,15 +196,24 @@ pub fn fig06() {
     emit_json("fig06_instantaneous_rates", &all);
 }
 
+/// One QBone figure: `clip` at `enc` over [`qbone_grid`] and both paper
+/// bucket depths.
+fn qbone_figure(clip: ClipId2, enc: u64, label: String) -> SweepResult {
+    let rates = qbone_grid(enc);
+    let depths = [DEPTH_2MTU, DEPTH_3MTU];
+    let jobs = sweep_jobs(&rates, &depths, |profile| {
+        Job::Qbone(QboneConfig::new(clip, enc, profile))
+    });
+    SweepResult::new(label, &rates, &depths, Runner::from_env().run(&jobs))
+}
+
 /// Figures 7–9: QBone, clip Lost at 1.7/1.5/1.0 Mbps — quality and frame
 /// loss versus token rate for both bucket depths.
 pub fn fig07_09() {
     for (fig, enc) in [(7u32, 1_700_000u64), (8, 1_500_000), (9, 1_000_000)] {
-        let base = QboneConfig::new(ClipId2::Lost, enc, EfProfile::new(enc, DEPTH_2MTU));
-        let sweep = qbone_sweep(
-            &base,
-            &qbone_grid(enc),
-            &[DEPTH_2MTU, DEPTH_3MTU],
+        let sweep = qbone_figure(
+            ClipId2::Lost,
+            enc,
             format!(
                 "Figure {fig}. QBone Streaming (Lost clip/{:.1} Mbps encoding): Video Quality & Frame Loss vs Token Rate",
                 enc as f64 / 1e6
@@ -223,11 +226,9 @@ pub fn fig07_09() {
 /// Figures 10–12: same for clip Dark.
 pub fn fig10_12() {
     for (fig, enc) in [(10u32, 1_700_000u64), (11, 1_500_000), (12, 1_000_000)] {
-        let base = QboneConfig::new(ClipId2::Dark, enc, EfProfile::new(enc, DEPTH_2MTU));
-        let sweep = qbone_sweep(
-            &base,
-            &qbone_grid(enc),
-            &[DEPTH_2MTU, DEPTH_3MTU],
+        let sweep = qbone_figure(
+            ClipId2::Dark,
+            enc,
             format!(
                 "Figure {fig}. QBone Streaming (Dark clip/{:.1} Mbps encoding): Video Quality & Frame Loss vs Token Rate",
                 enc as f64 / 1e6
@@ -262,16 +263,16 @@ pub fn fig13_relative() {
             .map(|i| (1_000_000.0 + i as f64 * 150_000.0) as u64)
             .collect();
         for enc in [1_000_000u64, 1_500_000, 1_700_000] {
-            let cfgs: Vec<QboneConfig> = rates
+            let jobs: Vec<Job> = rates
                 .iter()
                 .map(|&r| {
                     let mut cfg = QboneConfig::new(clip, enc, EfProfile::new(r, DEPTH_3MTU));
                     cfg.score_vs_best = true;
-                    cfg
+                    Job::Qbone(cfg)
                 })
                 .collect();
             let mut rows = Vec::new();
-            for (&r, out) in rates.iter().zip(runner.run_qbone_batch(&cfgs)) {
+            for (&r, out) in rates.iter().zip(runner.run(&jobs)) {
                 let q = out.quality_vs_best.expect("requested");
                 rows.push(vec![
                     format!("{:.2}", r as f64 / 1e6),
@@ -312,19 +313,19 @@ pub fn fig15_local() {
         ("tcp", LocalTransport::Tcp, false),
         ("tcp_shaped", LocalTransport::Tcp, true),
     ] {
-        let mut base = LocalConfig::new(
-            ClipId2::Lost,
-            EfProfile::new(1_000_000, DEPTH_2MTU),
-            transport,
-        );
-        base.shaped = shaped;
-        let sweep = local_sweep(
-            &base,
-            &rates,
-            &[DEPTH_2MTU, DEPTH_3MTU],
+        let depths = [DEPTH_2MTU, DEPTH_3MTU];
+        let jobs = sweep_jobs(&rates, &depths, |profile| {
+            let mut cfg = LocalConfig::new(ClipId2::Lost, profile, transport);
+            cfg.shaped = shaped;
+            Job::Local(cfg)
+        });
+        let sweep = SweepResult::new(
             format!(
                 "Local testbed (Lost/WMV ≈1 Mbps, {tag}): Video Quality & Frame Loss vs Token Rate"
             ),
+            &rates,
+            &depths,
+            Runner::from_env().run(&jobs),
         );
         emit_sweep(&format!("fig15_local_{tag}"), &sweep);
     }
@@ -365,7 +366,7 @@ pub fn fig16_aggregate() {
             }
         }
     }
-    let outs = Runner::from_env().run_aggregate_batch(&cfgs);
+    let outs = Runner::from_env().run(&cfgs);
     let mut all = Vec::new();
     let mut rows = Vec::new();
     for (cfg, out) in cfgs.iter().zip(&outs) {
@@ -449,7 +450,7 @@ pub fn fig17_tcp_smoothing() {
             }
         }
     }
-    let outs = Runner::from_env().run_flows_batch(&jobs);
+    let outs = Runner::from_env().run(&jobs);
     let mut all = Vec::new();
     let mut rows = Vec::new();
     for (job, out) in jobs.iter().zip(&outs) {
@@ -549,7 +550,7 @@ pub fn fig18_af_tcp() {
     )));
     labels.push("hetero-near".to_string());
 
-    let outs = Runner::from_env().run_flows_batch(&jobs);
+    let outs = Runner::from_env().run(&jobs);
     let mut all = Vec::new();
     let mut rows = Vec::new();
     for ((job, label), out) in jobs.iter().zip(&labels).zip(&outs) {
@@ -627,16 +628,16 @@ pub fn ablation_bimodal() {
         ("paced", QboneServer::Paced),
         ("bursty", QboneServer::Bursty),
     ] {
-        let cfgs: Vec<QboneConfig> = rates
+        let jobs: Vec<Job> = rates
             .iter()
             .map(|&r| {
                 let mut cfg = QboneConfig::new(ClipId2::Lost, enc, EfProfile::new(r, DEPTH_2MTU));
                 cfg.server = server;
-                cfg
+                Job::Qbone(cfg)
             })
             .collect();
         let mut rows = Vec::new();
-        for (&r, out) in rates.iter().zip(runner.run_qbone_batch(&cfgs)) {
+        for (&r, out) in rates.iter().zip(runner.run(&jobs)) {
             rows.push(vec![
                 format!("{:.2}", r as f64 / 1e6),
                 format!("{:.3}", out.quality),
@@ -679,7 +680,7 @@ pub fn ablation_death_spiral() {
     let rates = [
         600_000u64, 800_000, 1_000_000, 1_200_000, 1_600_000, 2_000_000,
     ];
-    let cfgs: Vec<LocalConfig> = rates
+    let jobs: Vec<Job> = rates
         .iter()
         .map(|&r| {
             let mut cfg = LocalConfig::new(
@@ -688,10 +689,10 @@ pub fn ablation_death_spiral() {
                 LocalTransport::Udp,
             );
             cfg.multi_rate = true;
-            cfg
+            Job::Local(cfg)
         })
         .collect();
-    for (&r, out) in rates.iter().zip(Runner::from_env().run_local_batch(&cfgs)) {
+    for (&r, out) in rates.iter().zip(Runner::from_env().run(&jobs)) {
         rows.push(vec![
             format!("{:.2}", r as f64 / 1e6),
             format!("{:.3}", out.quality),
@@ -737,17 +738,17 @@ pub fn ablation_bucket_depth() {
     let mut rows = Vec::new();
     let enc = 1_500_000u64;
     let depths = [1500u32, 2250, 3000, 3750, 4500, 5250, 6000];
-    let cfgs: Vec<QboneConfig> = depths
+    let jobs: Vec<Job> = depths
         .iter()
         .map(|&depth| {
-            QboneConfig::new(
+            Job::Qbone(QboneConfig::new(
                 ClipId2::Lost,
                 enc,
                 EfProfile::new((enc as f64 * 1.06) as u64, depth),
-            )
+            ))
         })
         .collect();
-    for (&depth, out) in depths.iter().zip(Runner::from_env().run_qbone_batch(&cfgs)) {
+    for (&depth, out) in depths.iter().zip(Runner::from_env().run(&jobs)) {
         rows.push(vec![
             depth.to_string(),
             format!("{:.3}", out.quality),
@@ -787,12 +788,12 @@ pub fn ablation_content() {
         .collect();
     let runner = Runner::from_env();
     for clip in [ClipId2::Lost, ClipId2::Dark, ClipId2::Talk] {
-        let cfgs: Vec<QboneConfig> = rates
+        let jobs: Vec<Job> = rates
             .iter()
-            .map(|&r| QboneConfig::new(clip, enc, EfProfile::new(r, DEPTH_3MTU)))
+            .map(|&r| Job::Qbone(QboneConfig::new(clip, enc, EfProfile::new(r, DEPTH_3MTU))))
             .collect();
         let mut rows = Vec::new();
-        for (&r, out) in rates.iter().zip(runner.run_qbone_batch(&cfgs)) {
+        for (&r, out) in rates.iter().zip(runner.run(&jobs)) {
             rows.push(vec![
                 format!("{:.2}", r as f64 / 1e6),
                 format!("{:.3}", out.quality),
@@ -837,7 +838,7 @@ pub fn ablation_multirate() {
         2_200_000,
     ];
     // One batch, fixed/multi-rate interleaved per rate point.
-    let cfgs: Vec<QboneConfig> = rates
+    let jobs: Vec<Job> = rates
         .iter()
         .flat_map(|&r| {
             let mut fixed =
@@ -845,10 +846,10 @@ pub fn ablation_multirate() {
             fixed.score_vs_best = true;
             let mut multi = fixed.clone();
             multi.server = QboneServer::MultiRatePaced;
-            [fixed, multi]
+            [Job::Qbone(fixed), Job::Qbone(multi)]
         })
         .collect();
-    let outs = Runner::from_env().run_qbone_batch(&cfgs);
+    let outs = Runner::from_env().run(&jobs);
     for (&r, pair) in rates.iter().zip(outs.chunks(2)) {
         let f = pair[0].quality_vs_best.expect("requested");
         let m = pair[1].quality_vs_best.expect("requested");
@@ -1079,15 +1080,15 @@ pub fn ablation_af_phb() {
         (7_000_000, 5_000_000),
         (9_000_000, 6_500_000),
     ];
-    let cfgs: Vec<AfConfig> = loads
+    let jobs: Vec<Job> = loads
         .iter()
         .map(|&(load, cir)| {
             let mut cfg = AfConfig::new(ClipId2::Lost, 1_500_000, load);
             cfg.cross_cir_bps = cir;
-            cfg
+            Job::Af(cfg)
         })
         .collect();
-    for (&(load, cir), out) in loads.iter().zip(Runner::from_env().run_af_batch(&cfgs)) {
+    for (&(load, cir), out) in loads.iter().zip(Runner::from_env().run(&jobs)) {
         rows.push(vec![
             format!("{:.1}", load as f64 / 1e6),
             format!("{:.1}", cir as f64 / 1e6),
@@ -1140,18 +1141,18 @@ pub fn ablation_shape_vs_drop() {
         .flat_map(|r| [(r, DEPTH_2MTU), (r, DEPTH_3MTU)])
         .collect();
     // One batch, policed/shaped interleaved per (rate, depth) point.
-    let cfgs: Vec<LocalConfig> = grid
+    let jobs: Vec<Job> = grid
         .iter()
         .flat_map(|&(r, depth)| {
             [false, true].map(|shaped| {
                 let mut cfg =
                     LocalConfig::new(ClipId2::Lost, EfProfile::new(r, depth), LocalTransport::Udp);
                 cfg.shaped = shaped;
-                cfg
+                Job::Local(cfg)
             })
         })
         .collect();
-    let outs = Runner::from_env().run_local_batch(&cfgs);
+    let outs = Runner::from_env().run(&jobs);
     for (&(r, depth), pair) in grid.iter().zip(outs.chunks(2)) {
         let (dropped, shaped) = (&pair[0], &pair[1]);
         {

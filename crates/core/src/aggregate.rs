@@ -14,6 +14,11 @@
 //! topology with its client/server pair replicated N times. Because the
 //! spec compiler resolves nodes by name, the N-flow variant is a loop
 //! over names, not a re-derivation of creation-order ids.
+//!
+//! An [`AggregateConfig`] is a [`crate::runner::GridJob`] like any other
+//! grid point: the runner caches and clusters it, storing and
+//! transplanting its per-flow outcomes in canonical flow order through
+//! [`media_flow_ranks`].
 
 use dsv_net::packet::FlowId;
 use dsv_scenario::{
@@ -273,27 +278,6 @@ pub fn media_flow_ranks(canon: &dsv_scenario::Canonical, flows: u32) -> Vec<usiz
     rank
 }
 
-/// Reorder a label-indexed outcome into canonical order (`canon[rank[i]]
-/// = per_flow[i]`).
-pub fn to_canonical_order(out: &AggregateOutcome, rank: &[usize]) -> AggregateOutcome {
-    let mut per_flow = out.per_flow.clone();
-    for (i, f) in out.per_flow.iter().enumerate() {
-        per_flow[rank[i]] = f.clone();
-    }
-    AggregateOutcome { per_flow }
-}
-
-/// Reorder a canonical-order outcome back into this config's flow-label
-/// order (`per_flow[i] = canon[rank[i]]`).
-pub fn from_canonical_order(canon_out: &AggregateOutcome, rank: &[usize]) -> AggregateOutcome {
-    AggregateOutcome {
-        per_flow: rank
-            .iter()
-            .map(|&p| canon_out.per_flow[p].clone())
-            .collect(),
-    }
-}
-
 /// Run one aggregate session and score every flow.
 pub fn run_aggregate(cfg: &AggregateConfig) -> AggregateOutcome {
     run_aggregate_detailed(cfg).0
@@ -328,6 +312,7 @@ mod tests {
     use super::*;
     use crate::experiment::{DEPTH_2MTU, DEPTH_3MTU};
     use crate::qbone::{run_qbone, QboneConfig};
+    use crate::runner::GridOutcome;
 
     #[test]
     fn single_flow_aggregate_matches_the_qbone_run() {
@@ -454,7 +439,7 @@ mod tests {
         assert_eq!(rank0, vec![0, 1, 2, 3]);
         // Rotation 3 declares label 3 first: its media flow ranks first.
         assert_eq!(rank3[3], 0);
-        // Round trip: to-canonical then from-canonical is the identity.
+        // Round trip: to canonical order and back is the identity.
         let out = AggregateOutcome {
             per_flow: (0..n)
                 .map(|i| crate::experiment::RunOutcome {
@@ -463,7 +448,7 @@ mod tests {
                 })
                 .collect(),
         };
-        let back = from_canonical_order(&to_canonical_order(&out, &rank3), &rank3);
+        let back = out.to_canonical(&rank3).to_label_order(&rank3).unwrap();
         assert_eq!(
             serde_json::to_string(&back).unwrap(),
             serde_json::to_string(&out).unwrap()

@@ -9,7 +9,7 @@
 //! Like [`crate::aggregate::AggregateOutcome`], a [`FlowsOutcome`] is
 //! indexed by flow label and bridges symmetry classes through canonical
 //! rank maps, so the runner's cache and exact-cluster transplants work
-//! unchanged (see [`to_canonical_order`] / [`from_canonical_order`]).
+//! unchanged (its [`crate::runner::GridOutcome`] impl reorders it).
 //!
 //! These outcomes are never VQM-scored: a `FlowJob`'s address is its
 //! spec plus, for a smoothing run, the clip and encoding it streams.
@@ -97,31 +97,10 @@ impl FlowsOutcome {
     }
 }
 
-/// Reorder a label-indexed outcome into canonical order
-/// (`canon[rank[i]] = per_flow[i]`; see
-/// [`crate::aggregate::media_flow_ranks`]).
-pub fn flows_to_canonical_order(out: &FlowsOutcome, rank: &[usize]) -> FlowsOutcome {
-    let mut per_flow = out.per_flow.clone();
-    for (i, f) in out.per_flow.iter().enumerate() {
-        per_flow[rank[i]] = f.clone();
-    }
-    FlowsOutcome { per_flow }
-}
-
-/// Reorder a canonical-order outcome back into this config's flow-label
-/// order (`per_flow[i] = canon[rank[i]]`).
-pub fn flows_from_canonical_order(canon_out: &FlowsOutcome, rank: &[usize]) -> FlowsOutcome {
-    FlowsOutcome {
-        per_flow: rank
-            .iter()
-            .map(|&p| canon_out.per_flow[p].clone())
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::GridOutcome;
 
     fn out(n: usize) -> FlowsOutcome {
         FlowsOutcome {
@@ -140,7 +119,7 @@ mod tests {
     fn rank_round_trip_is_identity() {
         let o = out(4);
         let rank = vec![2usize, 0, 3, 1];
-        let back = flows_from_canonical_order(&flows_to_canonical_order(&o, &rank), &rank);
+        let back = o.to_canonical(&rank).to_label_order(&rank).unwrap();
         assert_eq!(
             serde_json::to_string(&back).unwrap(),
             serde_json::to_string(&o).unwrap()

@@ -58,16 +58,16 @@ pub mod prelude {
         DEPTH_3MTU,
     };
     pub use crate::flows::{FlowOutcome, FlowsOutcome};
-    pub use crate::golden::{
-        golden_aggregate, golden_flows, golden_local_sweep, golden_outcomes, golden_qbone_sweep,
-    };
+    pub use crate::golden::golden;
     pub use crate::local::{run_local, run_local_detailed, LocalConfig, LocalTransport};
     pub use crate::profile::ProfileSnapshot;
     pub use crate::qbone::{run_qbone, run_qbone_detailed, ClipId2, QboneConfig, QboneServer};
     pub use crate::qoe::score_session;
     pub use crate::report::{format_sweep, format_table, table4_summary};
-    pub use crate::runner::{ClusterMode, ClusterPoint, FlowJob, Job, PointSource, Runner};
+    pub use crate::runner::{
+        ClusterMode, ClusterPoint, FlowJob, GridJob, Job, PointSource, Runner,
+    };
     pub use crate::smoothing::{run_smoothing, SmoothingConfig, SmoothingServer};
-    pub use crate::sweep::{default_rate_grid, local_sweep, qbone_sweep, SweepPoint, SweepResult};
+    pub use crate::sweep::{default_rate_grid, sweep_jobs, SweepPoint, SweepResult};
     pub use dsv_media::scene::ClipId;
 }

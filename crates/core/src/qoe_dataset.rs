@@ -28,6 +28,8 @@ use crate::experiment::{EfProfile, DEPTH_2MTU, DEPTH_3MTU};
 use crate::keys::fnv1a64;
 use crate::local::{run_local_detailed, LocalConfig, LocalTransport};
 use crate::qbone::{run_qbone_detailed, ClipId2, QboneConfig};
+use crate::runner::publish;
+use crate::sweep::{qbone_grid, sweep_jobs};
 
 /// One dataset record: a flow's extracted features and its full-VQM
 /// truth.
@@ -140,14 +142,6 @@ impl DatasetConfig {
     }
 }
 
-/// Token-rate grid of the QBone figures (same formula as the bench
-/// crate's `qbone_grid`): 0.88×…1.45× the encoding rate, 12 points.
-fn qbone_rates(encoding_bps: u64) -> Vec<u64> {
-    (0..12)
-        .map(|i| (encoding_bps as f64 * (0.88 + 0.052 * i as f64)) as u64)
-        .collect()
-}
-
 /// The dataset's grids, mirroring the committed figures (fig07–13, 15,
 /// 16, and the AF ablation). Order is load-bearing: the checksum and the
 /// on-disk grid order both follow it.
@@ -157,16 +151,9 @@ pub fn dataset_grids() -> Vec<(String, Vec<DatasetConfig>)> {
     // Figures 07–12: Lost and Dark, three encodings, 12 rates × 2 depths.
     for clip in [ClipId2::Lost, ClipId2::Dark] {
         for enc in [1_700_000u64, 1_500_000, 1_000_000] {
-            let mut cfgs = Vec::new();
-            for &depth in &[DEPTH_2MTU, DEPTH_3MTU] {
-                for rate in qbone_rates(enc) {
-                    cfgs.push(DatasetConfig::Qbone(QboneConfig::new(
-                        clip,
-                        enc,
-                        EfProfile::new(rate, depth),
-                    )));
-                }
-            }
+            let cfgs = sweep_jobs(&qbone_grid(enc), &[DEPTH_2MTU, DEPTH_3MTU], |profile| {
+                DatasetConfig::Qbone(QboneConfig::new(clip, enc, profile))
+            });
             grids.push((format!("qbone_{clip:?}_{}k", enc / 1000), cfgs));
         }
     }
@@ -346,14 +333,8 @@ pub fn generate() -> QoeDataset {
         points: out.iter().map(|g| g.points.len()).sum(),
         grids: out,
     };
-    let path = dataset_path();
-    if let Some(parent) = path.parent() {
-        let _ = fs::create_dir_all(parent);
-    }
     let text = serde_json::to_string_pretty(&file).expect("dataset serializes");
-    let tmp = path.with_extension("json.tmp");
-    fs::write(&tmp, &text).expect("write dataset temp file");
-    fs::rename(&tmp, &path).expect("publish dataset file");
+    publish(&dataset_path(), &text).expect("publish dataset file");
     file
 }
 

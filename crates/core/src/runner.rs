@@ -42,6 +42,15 @@
 //!   flow-agnostic and transplant by clone. Each point's [`PointSource`]
 //!   records which of these served it.
 //!
+//! One pipeline serves every testbed. Any [`GridJob`] — [`Job`]
+//! (single-stream, VQM-scored), [`AggregateConfig`] (N flows behind one
+//! policer) or [`FlowJob`] (transport) — runs through the generic
+//! [`Runner::run`], or [`Runner::run_clustered`] to also see each point's
+//! provenance; `run_aggregate_clustered` and `run_flows_clustered` are
+//! one-line aliases of the latter. Rate × depth grids are built with
+//! [`crate::sweep::sweep_jobs`], and golden-backed tests load the same
+//! jobs through [`crate::golden::golden`].
+//!
 //! The cache deliberately does **not** hash the simulator code itself:
 //! after changing simulation behaviour, delete `results/cache/` (or run
 //! with `DSV_CACHE=0`) to force cold recomputation.
@@ -57,7 +66,7 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::{IsTerminal, Write};
+use std::io::{self, IsTerminal, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -68,18 +77,52 @@ use serde::{Deserialize, Serialize, Value};
 use crate::af::{af_spec, run_af, AfConfig};
 use crate::af_tcp::{af_tcp_spec, run_af_tcp, AfTcpConfig};
 use crate::aggregate::{
-    aggregate_spec, from_canonical_order, media_flow_ranks, run_aggregate, to_canonical_order,
-    AggregateConfig, AggregateOutcome,
+    aggregate_spec, media_flow_ranks, run_aggregate, AggregateConfig, AggregateOutcome,
 };
-use crate::experiment::{EfProfile, RunOutcome};
-use crate::flows::{flows_from_canonical_order, flows_to_canonical_order, FlowsOutcome};
+use crate::experiment::RunOutcome;
+use crate::flows::FlowsOutcome;
 use crate::keys;
 use crate::local::{local_spec, run_local, LocalConfig};
 use crate::profile;
 use crate::qbone::{qbone_spec, run_qbone, QboneConfig};
 use crate::smoothing::{run_smoothing, smoothing_spec, SmoothingConfig};
-use crate::sweep::{SweepPoint, SweepResult};
 use dsv_scenario::{canonicalize, ScenarioSpec};
+
+/// One kind of grid work. The runner's single pipeline — address,
+/// cluster, cache lookup-and-store, transplant — and the goldens
+/// ([`crate::golden::golden`]) are written once over this trait;
+/// [`Job`], [`AggregateConfig`] and [`FlowJob`] plug in.
+pub trait GridJob: Sync {
+    /// What one run produces.
+    type Outcome: GridOutcome;
+    /// Short tag naming the experiment; part of the cache key and of
+    /// the golden checksums.
+    fn kind(&self) -> &'static str;
+    /// Canonical JSON of the configuration (the golden checksums hash
+    /// this).
+    fn config_json(&self) -> String;
+    /// The point's semantic identity: its compiled scenario spec, the
+    /// scoring parameters that shape the outcome but live outside the
+    /// topology, and how many media flows its outcome reports (0 for a
+    /// flow-agnostic outcome). The batch pre-pass derives the point's
+    /// address and rank map from it, once per point.
+    fn identity(&self) -> (ScenarioSpec, Value, u32);
+    /// Run the experiment this job describes.
+    fn execute(&self) -> Self::Outcome;
+}
+
+/// The outcome of a [`GridJob`], as the pipeline handles it.
+pub trait GridOutcome: Clone + Send + Sync + Serialize + Deserialize {
+    /// Drop counters `(policer, queue, shaper)` for the progress line.
+    fn drops(&self) -> (u64, u64, u64);
+    /// This outcome in canonical flow order (the order cache entries are
+    /// stored in), given its point's rank map.
+    fn to_canonical(&self, ranks: &[usize]) -> Self;
+    /// A canonical-order outcome back in the flow order of the point with
+    /// rank map `ranks`; `None` if the flow counts disagree (a stale
+    /// entry shape — the address fixes the count, so never in practice).
+    fn to_label_order(&self, ranks: &[usize]) -> Option<Self>;
+}
 
 /// One unit of grid work: a fully specified experiment configuration.
 #[derive(Debug, Clone)]
@@ -92,9 +135,10 @@ pub enum Job {
     Af(AfConfig),
 }
 
-impl Job {
-    /// Short tag naming the testbed; part of the cache key.
-    pub fn kind(&self) -> &'static str {
+impl GridJob for Job {
+    type Outcome = RunOutcome;
+
+    fn kind(&self) -> &'static str {
         match self {
             Job::Qbone(_) => "qbone",
             Job::Local(_) => "local",
@@ -102,54 +146,36 @@ impl Job {
         }
     }
 
-    /// Canonical JSON of the configuration (the golden checksums hash
-    /// this; see [`crate::golden`]).
-    pub(crate) fn config_json(&self) -> String {
+    fn config_json(&self) -> String {
         match self {
-            Job::Qbone(cfg) => serde_json::to_string(cfg),
-            Job::Local(cfg) => serde_json::to_string(cfg),
-            Job::Af(cfg) => serde_json::to_string(cfg),
+            Job::Qbone(cfg) => json(cfg),
+            Job::Local(cfg) => json(cfg),
+            Job::Af(cfg) => json(cfg),
         }
-        .expect("config serializes")
     }
 
-    /// The job's compiled scenario spec and the scoring parameters that
-    /// shape the outcome but live outside the topology — together, the
-    /// full semantic identity of the point.
-    pub(crate) fn spec_scoring(&self) -> (ScenarioSpec, Value) {
+    fn identity(&self) -> (ScenarioSpec, Value, u32) {
         match self {
             Job::Qbone(cfg) => (
                 qbone_spec(cfg),
-                Value::Object(vec![
-                    ("clip".to_string(), cfg.clip.to_value()),
-                    ("encoding_bps".to_string(), cfg.encoding_bps.to_value()),
-                    ("score_vs_best".to_string(), cfg.score_vs_best.to_value()),
+                serde::object_value(&[
+                    ("clip", &cfg.clip),
+                    ("encoding_bps", &cfg.encoding_bps),
+                    ("score_vs_best", &cfg.score_vs_best),
                 ]),
+                0,
             ),
             Job::Local(cfg) => (
                 local_spec(cfg),
-                Value::Object(vec![
-                    ("clip".to_string(), cfg.clip.to_value()),
-                    ("cap_bps".to_string(), cfg.cap_bps.to_value()),
-                ]),
+                serde::object_value(&[("clip", &cfg.clip), ("cap_bps", &cfg.cap_bps)]),
+                0,
             ),
             Job::Af(cfg) => (
                 af_spec(cfg),
-                Value::Object(vec![
-                    ("clip".to_string(), cfg.clip.to_value()),
-                    ("encoding_bps".to_string(), cfg.encoding_bps.to_value()),
-                ]),
+                serde::object_value(&[("clip", &cfg.clip), ("encoding_bps", &cfg.encoding_bps)]),
+                0,
             ),
         }
-    }
-}
-
-impl GridJob for Job {
-    type Outcome = RunOutcome;
-
-    fn address(&self) -> Address {
-        let (spec, scoring) = self.spec_scoring();
-        Address::new(self.kind(), &spec, scoring, 0)
     }
 
     fn execute(&self) -> RunOutcome {
@@ -163,8 +189,6 @@ impl GridJob for Job {
 
 /// One unit of transport-level grid work: an experiment reporting
 /// per-flow [`FlowsOutcome`]s instead of a VQM-scored [`RunOutcome`].
-/// Runs through the same thread pool, persistent cache and exact-cluster
-/// pre-pass as [`Job`] grids.
 #[derive(Debug, Clone)]
 pub enum FlowJob {
     /// A TCP-smoothing run on the QBone path (one media flow).
@@ -173,46 +197,31 @@ pub enum FlowJob {
     AfTcp(AfTcpConfig),
 }
 
-impl FlowJob {
-    /// Short tag naming the experiment; part of the cache key.
-    pub fn kind(&self) -> &'static str {
+impl GridJob for FlowJob {
+    type Outcome = FlowsOutcome;
+
+    fn kind(&self) -> &'static str {
         match self {
             FlowJob::Smoothing(_) => "smoothing",
             FlowJob::AfTcp(_) => "af_tcp",
         }
     }
 
-    /// Canonical JSON of the configuration (the golden checksums hash
-    /// this; see [`crate::golden::golden_flows`]).
-    pub(crate) fn config_json(&self) -> String {
+    fn config_json(&self) -> String {
         match self {
-            FlowJob::Smoothing(cfg) => serde_json::to_string(cfg),
-            FlowJob::AfTcp(cfg) => serde_json::to_string(cfg),
+            FlowJob::Smoothing(cfg) => json(cfg),
+            FlowJob::AfTcp(cfg) => json(cfg),
         }
-        .expect("config serializes")
     }
-}
 
-impl GridJob for FlowJob {
-    type Outcome = FlowsOutcome;
-
-    fn address(&self) -> Address {
+    fn identity(&self) -> (ScenarioSpec, Value, u32) {
         match self {
-            FlowJob::Smoothing(cfg) => Address::new(
-                self.kind(),
-                &smoothing_spec(cfg),
-                Value::Object(vec![
-                    ("clip".to_string(), cfg.clip.to_value()),
-                    ("encoding_bps".to_string(), cfg.encoding_bps.to_value()),
-                ]),
+            FlowJob::Smoothing(cfg) => (
+                smoothing_spec(cfg),
+                serde::object_value(&[("clip", &cfg.clip), ("encoding_bps", &cfg.encoding_bps)]),
                 1,
             ),
-            FlowJob::AfTcp(cfg) => Address::new(
-                self.kind(),
-                &af_tcp_spec(cfg),
-                Value::Object(Vec::new()),
-                cfg.flows(),
-            ),
+            FlowJob::AfTcp(cfg) => (af_tcp_spec(cfg), Value::Object(Vec::new()), cfg.flows()),
         }
     }
 
@@ -227,17 +236,29 @@ impl GridJob for FlowJob {
 impl GridJob for AggregateConfig {
     type Outcome = AggregateOutcome;
 
-    fn address(&self) -> Address {
-        let scoring = Value::Object(vec![
-            ("clip".to_string(), self.clip.to_value()),
-            ("encoding_bps".to_string(), self.encoding_bps.to_value()),
-        ]);
-        Address::new("aggregate", &aggregate_spec(self), scoring, self.flows)
+    fn kind(&self) -> &'static str {
+        "aggregate"
+    }
+
+    fn config_json(&self) -> String {
+        json(self)
+    }
+
+    fn identity(&self) -> (ScenarioSpec, Value, u32) {
+        (
+            aggregate_spec(self),
+            serde::object_value(&[("clip", &self.clip), ("encoding_bps", &self.encoding_bps)]),
+            self.flows,
+        )
     }
 
     fn execute(&self) -> AggregateOutcome {
         run_aggregate(self)
     }
+}
+
+fn json(cfg: &impl Serialize) -> String {
+    serde_json::to_string(cfg).expect("config serializes")
 }
 
 /// A grid point's identity, computed once per batch: its kind tag, its
@@ -251,41 +272,17 @@ struct Address {
 }
 
 impl Address {
-    /// Canonicalize `spec` once and derive both the address and the rank
-    /// map of its first `flows` media flows from the result.
-    fn new(kind: &'static str, spec: &ScenarioSpec, scoring: Value, flows: u32) -> Address {
-        let canon = canonicalize(spec);
+    /// Canonicalize the job's spec once and derive both the address and
+    /// the rank map of its media flows from the result.
+    fn of<J: GridJob>(job: &J) -> Address {
+        let (spec, scoring, flows) = job.identity();
+        let canon = canonicalize(&spec);
         Address {
-            kind,
+            kind: job.kind(),
             ranks: media_flow_ranks(&canon, flows),
             json: keys::address_json(&canon.spec, &scoring),
         }
     }
-}
-
-/// One kind of grid work. The runner's single pipeline — address,
-/// cluster, cache lookup-and-store, transplant — is written once over
-/// this trait; [`Job`], [`AggregateConfig`] and [`FlowJob`] plug in.
-trait GridJob: Sync {
-    /// What one run produces.
-    type Outcome: GridOutcome;
-    /// The point's identity (the pre-pass calls this once per point).
-    fn address(&self) -> Address;
-    /// Run the experiment this job describes.
-    fn execute(&self) -> Self::Outcome;
-}
-
-/// The outcome of a [`GridJob`], as the pipeline handles it.
-trait GridOutcome: Clone + Send + Sync + Serialize + Deserialize {
-    /// Drop counters `(policer, queue, shaper)` for the progress line.
-    fn drops(&self) -> (u64, u64, u64);
-    /// This outcome in canonical flow order (the order cache entries are
-    /// stored in), given its point's rank map.
-    fn to_canonical(&self, ranks: &[usize]) -> Self;
-    /// A canonical-order outcome back in the flow order of the point with
-    /// rank map `ranks`; `None` if the flow counts disagree (a stale
-    /// entry shape — the address fixes the count, so never in practice).
-    fn to_label_order(&self, ranks: &[usize]) -> Option<Self>;
 }
 
 /// Single-stream outcomes are flow-agnostic: they transplant by clone.
@@ -313,11 +310,13 @@ impl GridOutcome for AggregateOutcome {
     }
 
     fn to_canonical(&self, ranks: &[usize]) -> AggregateOutcome {
-        to_canonical_order(self, ranks)
+        AggregateOutcome {
+            per_flow: canonical_order(&self.per_flow, ranks),
+        }
     }
 
     fn to_label_order(&self, ranks: &[usize]) -> Option<AggregateOutcome> {
-        (self.per_flow.len() == ranks.len()).then(|| from_canonical_order(self, ranks))
+        label_order(&self.per_flow, ranks).map(|per_flow| AggregateOutcome { per_flow })
     }
 }
 
@@ -331,12 +330,30 @@ impl GridOutcome for FlowsOutcome {
     }
 
     fn to_canonical(&self, ranks: &[usize]) -> FlowsOutcome {
-        flows_to_canonical_order(self, ranks)
+        FlowsOutcome {
+            per_flow: canonical_order(&self.per_flow, ranks),
+        }
     }
 
     fn to_label_order(&self, ranks: &[usize]) -> Option<FlowsOutcome> {
-        (self.per_flow.len() == ranks.len()).then(|| flows_from_canonical_order(self, ranks))
+        label_order(&self.per_flow, ranks).map(|per_flow| FlowsOutcome { per_flow })
     }
+}
+
+/// Label-indexed per-flow entries in canonical order:
+/// `canon[ranks[i]] = per_flow[i]` (see [`media_flow_ranks`]).
+fn canonical_order<T: Clone>(per_flow: &[T], ranks: &[usize]) -> Vec<T> {
+    let mut canon = per_flow.to_vec();
+    for (i, f) in per_flow.iter().enumerate() {
+        canon[ranks[i]] = f.clone();
+    }
+    canon
+}
+
+/// Canonical-order entries back in a point's flow-label order
+/// (`per_flow[i] = canon[ranks[i]]`); `None` if the flow counts differ.
+fn label_order<T: Clone>(canon: &[T], ranks: &[usize]) -> Option<Vec<T>> {
+    (canon.len() == ranks.len()).then(|| ranks.iter().map(|&p| canon[p].clone()).collect())
 }
 
 /// How the cluster layer treats a grid before simulating it.
@@ -577,7 +594,7 @@ fn throughput_eta(done: usize, total: usize, elapsed_secs: f64) -> (f64, Option<
     (rate, Some(eta))
 }
 
-/// The grid-execution engine: fans [`Job`]s over threads, with an
+/// The grid-execution engine: fans [`GridJob`]s over threads, with an
 /// optional persistent result cache and a symmetry-cluster pre-pass. See
 /// the module docs for semantics.
 #[derive(Debug, Clone)]
@@ -674,20 +691,8 @@ impl Runner {
     /// exact clustering (the default) symmetric points share one
     /// simulation, which is byte-identical too; use
     /// [`Runner::run_clustered`] to also see each point's provenance.
-    pub fn run(&self, jobs: &[Job]) -> Vec<RunOutcome> {
+    pub fn run<J: GridJob>(&self, jobs: &[J]) -> Vec<J::Outcome> {
         self.run_clustered(jobs)
-            .into_iter()
-            .map(|p| p.outcome)
-            .collect()
-    }
-
-    /// Run a batch of aggregate configurations, outcomes in input order,
-    /// through the same thread pool, persistent cache and cluster
-    /// pre-pass as [`run`].
-    ///
-    /// [`run`]: Runner::run
-    pub fn run_aggregate_batch(&self, cfgs: &[AggregateConfig]) -> Vec<AggregateOutcome> {
-        self.run_aggregate_clustered(cfgs)
             .into_iter()
             .map(|p| p.outcome)
             .collect()
@@ -695,44 +700,16 @@ impl Runner {
 
     /// [`Runner::run`] with provenance: each outcome carries whether it
     /// was simulated, cache-served or cluster-reused.
-    pub fn run_clustered(&self, jobs: &[Job]) -> Vec<ClusterPoint<RunOutcome>> {
-        self.run_batch(jobs)
-    }
-
-    /// [`Runner::run_aggregate_batch`] with provenance.
-    pub fn run_aggregate_clustered(
-        &self,
-        cfgs: &[AggregateConfig],
-    ) -> Vec<ClusterPoint<AggregateOutcome>> {
-        self.run_batch(cfgs)
-    }
-
-    /// Run a batch of transport-level jobs, outcomes in input order,
-    /// through the same thread pool, persistent cache and cluster
-    /// pre-pass as [`run`].
     ///
-    /// [`run`]: Runner::run
-    pub fn run_flows_batch(&self, jobs: &[FlowJob]) -> Vec<FlowsOutcome> {
-        self.run_flows_clustered(jobs)
-            .into_iter()
-            .map(|p| p.outcome)
-            .collect()
-    }
-
-    /// [`Runner::run_flows_batch`] with provenance.
-    pub fn run_flows_clustered(&self, jobs: &[FlowJob]) -> Vec<ClusterPoint<FlowsOutcome>> {
-        self.run_batch(jobs)
-    }
-
-    /// The one batch pipeline behind every entry point. A serial pre-pass
-    /// addresses every point once (skipped when neither the cache nor
-    /// clustering needs addresses) and partitions the batch into exact
-    /// classes by kind and address; the class representatives then fan
-    /// out over the pool, each through [`Runner::produce`], and every
-    /// other member gets its representative's outcome transplanted
-    /// through the two rank maps (representative label order → canonical
-    /// order → member label order).
-    fn run_batch<J: GridJob>(&self, jobs: &[J]) -> Vec<ClusterPoint<J::Outcome>> {
+    /// The one batch pipeline. A serial pre-pass addresses every point
+    /// once (skipped when neither the cache nor clustering needs
+    /// addresses) and partitions the batch into exact classes by kind and
+    /// address; the class representatives then fan out over the pool,
+    /// each through the result cache, and every other member gets its
+    /// representative's outcome transplanted through the two rank maps
+    /// (representative label order → canonical order → member label
+    /// order).
+    pub fn run_clustered<J: GridJob>(&self, jobs: &[J]) -> Vec<ClusterPoint<J::Outcome>> {
         let n = jobs.len();
         if n == 0 {
             return Vec::new();
@@ -740,7 +717,7 @@ impl Runner {
         let addrs: Vec<Address> = if self.cluster == ClusterMode::Off && self.cache_dir.is_none() {
             Vec::new()
         } else {
-            jobs.iter().map(GridJob::address).collect()
+            jobs.iter().map(Address::of).collect()
         };
         let rep_of = if self.cluster == ClusterMode::Off {
             (0..n).collect()
@@ -791,6 +768,19 @@ impl Runner {
         progress.finish();
         profile::report(&format!("batch of {n}"), &stages_before);
         out
+    }
+
+    /// [`Runner::run_clustered`] over aggregate configurations.
+    pub fn run_aggregate_clustered(
+        &self,
+        cfgs: &[AggregateConfig],
+    ) -> Vec<ClusterPoint<AggregateOutcome>> {
+        self.run_clustered(cfgs)
+    }
+
+    /// [`Runner::run_clustered`] over transport-level jobs.
+    pub fn run_flows_clustered(&self, jobs: &[FlowJob]) -> Vec<ClusterPoint<FlowsOutcome>> {
+        self.run_clustered(jobs)
     }
 
     /// The fan-out engine: `n` points, each produced by
@@ -845,7 +835,6 @@ impl Runner {
         }
         let outcome = job.execute();
         store_cached(
-            dir,
             &path,
             &CacheEntry {
                 kind: addr.kind,
@@ -854,82 +843,6 @@ impl Runner {
             },
         );
         (outcome, false)
-    }
-
-    /// Run a QBone figure's grid (`rates × depths`) through this runner.
-    pub fn qbone_sweep(
-        &self,
-        base: &QboneConfig,
-        rates: &[u64],
-        depths: &[u32],
-        label: impl Into<String>,
-    ) -> SweepResult {
-        let jobs = grid_jobs(rates, depths, |rate, depth| {
-            let mut cfg = base.clone();
-            cfg.profile = EfProfile::new(rate, depth);
-            Job::Qbone(cfg)
-        });
-        self.collect_sweep(jobs, rates, depths, label)
-    }
-
-    /// Run a local-testbed grid through this runner.
-    pub fn local_sweep(
-        &self,
-        base: &LocalConfig,
-        rates: &[u64],
-        depths: &[u32],
-        label: impl Into<String>,
-    ) -> SweepResult {
-        let jobs = grid_jobs(rates, depths, |rate, depth| {
-            let mut cfg = base.clone();
-            cfg.profile = EfProfile::new(rate, depth);
-            Job::Local(cfg)
-        });
-        self.collect_sweep(jobs, rates, depths, label)
-    }
-
-    fn collect_sweep(
-        &self,
-        jobs: Vec<Job>,
-        rates: &[u64],
-        depths: &[u32],
-        label: impl Into<String>,
-    ) -> SweepResult {
-        let outcomes = self.run(&jobs);
-        let points = depths
-            .iter()
-            .flat_map(|&depth| rates.iter().map(move |&rate| (rate, depth)))
-            .zip(outcomes)
-            .map(
-                |((token_rate_bps, bucket_depth_bytes), outcome)| SweepPoint {
-                    token_rate_bps,
-                    bucket_depth_bytes,
-                    outcome,
-                },
-            )
-            .collect();
-        SweepResult {
-            label: label.into(),
-            points,
-        }
-    }
-
-    /// Run a batch of QBone configurations, outcomes in input order.
-    pub fn run_qbone_batch(&self, cfgs: &[QboneConfig]) -> Vec<RunOutcome> {
-        let jobs: Vec<Job> = cfgs.iter().cloned().map(Job::Qbone).collect();
-        self.run(&jobs)
-    }
-
-    /// Run a batch of local-testbed configurations, outcomes in input order.
-    pub fn run_local_batch(&self, cfgs: &[LocalConfig]) -> Vec<RunOutcome> {
-        let jobs: Vec<Job> = cfgs.iter().cloned().map(Job::Local).collect();
-        self.run(&jobs)
-    }
-
-    /// Run a batch of AF configurations, outcomes in input order.
-    pub fn run_af_batch(&self, cfgs: &[AfConfig]) -> Vec<RunOutcome> {
-        let jobs: Vec<Job> = cfgs.iter().cloned().map(Job::Af).collect();
-        self.run(&jobs)
     }
 }
 
@@ -961,22 +874,11 @@ fn first_seen(addrs: &[Address]) -> Vec<usize> {
         .collect()
 }
 
-/// Build the depth-major job grid (the order `SweepResult` documents).
-fn grid_jobs(rates: &[u64], depths: &[u32], mut make: impl FnMut(u64, u32) -> Job) -> Vec<Job> {
-    let mut jobs = Vec::with_capacity(rates.len() * depths.len());
-    for &depth in depths {
-        for &rate in rates {
-            jobs.push(make(rate, depth));
-        }
-    }
-    jobs
-}
-
 /// Read `path` and run `parse` over its contents, re-reading once if the
 /// first attempt does not yield a value.
 ///
-/// `store_cached` publishes entries with a tmp-file write + rename, which
-/// is atomic on POSIX — but when *another process* is recomputing the
+/// `store_cached` publishes entries with [`publish`] (a tmp-file write +
+/// rename), which is atomic on POSIX — but when *another process* is recomputing the
 /// same grid (two figure binaries sharing `results/cache/`), some
 /// filesystems (overlay and network mounts in particular) expose a window
 /// where a read racing the rename returns truncated or stale bytes. Every
@@ -1012,29 +914,40 @@ fn load_cached<O: Deserialize>(path: &Path, kind: &str, config: &str) -> Option<
     })
 }
 
-/// Persist a cache entry atomically (tmp file + rename), best-effort:
-/// a read-only results directory degrades to "no cache", not a panic.
-fn store_cached<O: Serialize>(dir: &Path, path: &Path, entry: &CacheEntry<'_, O>) {
-    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    if fs::create_dir_all(dir).is_err() {
-        return;
-    }
+/// Persist a cache entry, best-effort: a read-only results directory
+/// degrades to "no cache", not a panic.
+fn store_cached<O: Serialize>(path: &Path, entry: &CacheEntry<'_, O>) {
     let json = serde_json::to_string_pretty(entry).expect("cache entry serializes");
+    let _ = publish(path, &json);
+}
+
+/// Write `text` to `path` atomically, creating its directory: into a temp
+/// file beside it, named uniquely per process and per write, then renamed
+/// over `path`. A reader sees the old file or the new one, and concurrent
+/// writers of one path (figure binaries sharing a cache, tests
+/// regenerating one golden) each publish a whole file.
+pub(crate) fn publish(path: &Path, text: &str) -> io::Result<()> {
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = path.parent().unwrap_or(Path::new("."));
+    fs::create_dir_all(dir)?;
     let tmp = dir.join(format!(
         ".tmp-{}-{}",
         std::process::id(),
         TMP_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
-    if fs::write(&tmp, json).is_ok() && fs::rename(&tmp, path).is_err() {
+    let published = fs::write(&tmp, text).and_then(|()| fs::rename(&tmp, path));
+    if published.is_err() {
         let _ = fs::remove_file(&tmp);
     }
+    published
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{DEPTH_2MTU, DEPTH_3MTU};
+    use crate::experiment::{EfProfile, DEPTH_2MTU, DEPTH_3MTU};
     use crate::qbone::ClipId2;
+    use crate::sweep::sweep_jobs;
 
     fn tiny_base() -> QboneConfig {
         QboneConfig::new(
@@ -1047,18 +960,23 @@ mod tests {
     /// One job through `runner`'s cache path, addressed as a batch's
     /// pre-pass addresses it; returns `(outcome, cache_hit)`.
     fn run_one(runner: &Runner, job: &Job) -> (RunOutcome, bool) {
-        runner.produce(job, Some(&job.address()))
+        runner.produce(job, Some(&Address::of(job)))
     }
 
     #[test]
     fn parallel_matches_serial_exactly() {
-        let base = tiny_base();
-        let rates = [900_000u64, 1_400_000];
-        let depths = [DEPTH_2MTU, DEPTH_3MTU];
-        let serial = Runner::serial().qbone_sweep(&base, &rates, &depths, "d");
-        let parallel = Runner::serial()
-            .with_threads(4)
-            .qbone_sweep(&base, &rates, &depths, "d");
+        let jobs = sweep_jobs(
+            &[900_000, 1_400_000],
+            &[DEPTH_2MTU, DEPTH_3MTU],
+            |profile| {
+                Job::Qbone(QboneConfig {
+                    profile,
+                    ..tiny_base()
+                })
+            },
+        );
+        let serial = Runner::serial().run(&jobs);
+        let parallel = Runner::serial().with_threads(4).run(&jobs);
         assert_eq!(
             serde_json::to_string(&serial).unwrap(),
             serde_json::to_string(&parallel).unwrap()
@@ -1142,7 +1060,7 @@ mod tests {
         let runner = Runner::serial().with_cache(Some(dir.clone()));
         let job = Job::Qbone(tiny_base());
         // Poison the exact cache path this job addresses.
-        let path = keys::cache_path(&dir, job.kind(), &job.address().json);
+        let path = keys::cache_path(&dir, job.kind(), &Address::of(&job).json);
         fs::write(&path, "{not json").unwrap();
         let (_, hit) = run_one(&runner, &job);
         assert!(!hit, "corrupt entry must not count as a hit");
@@ -1226,23 +1144,17 @@ mod tests {
         let cached = Runner::serial()
             .with_cluster(ClusterMode::Exact)
             .with_cache(Some(dir.clone()));
-        let first = (
-            cached.run_aggregate_clustered(&aggs),
-            cached.run_flows_clustered(&flows),
-        );
+        let first = (cached.run_clustered(&aggs), cached.run_clustered(&flows));
         assert!(matches!(first.0[1].source, PointSource::Reused { .. }));
-        let second = (
-            cached.run_aggregate_clustered(&aggs),
-            cached.run_flows_clustered(&flows),
-        );
+        let second = (cached.run_clustered(&aggs), cached.run_clustered(&flows));
         let served =
             |s: &PointSource| matches!(s, PointSource::Cached | PointSource::Reused { .. });
         assert!(second.0.iter().all(|p| served(&p.source)));
         assert!(second.1.iter().all(|p| served(&p.source)));
 
         let reference = (
-            Runner::serial().run_aggregate_clustered(&aggs),
-            Runner::serial().run_flows_clustered(&flows),
+            Runner::serial().run_clustered(&aggs),
+            Runner::serial().run_clustered(&flows),
         );
         for pass in [&first, &second] {
             assert_eq!(lines(&pass.0), lines(&reference.0));
@@ -1254,8 +1166,8 @@ mod tests {
         // Exactly one entry per class, at the path its address names.
         let mut want: Vec<PathBuf> = aggs
             .iter()
-            .map(GridJob::address)
-            .chain(flows.iter().map(GridJob::address))
+            .map(Address::of)
+            .chain(flows.iter().map(Address::of))
             .map(|a| keys::cache_path(&dir, a.kind, &a.json))
             .collect();
         want.sort();
@@ -1278,7 +1190,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dsv-runner-race-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let job = Job::Qbone(tiny_base());
-        let config = job.address().json;
+        let config = Address::of(&job).json;
         let path = keys::cache_path(&dir, job.kind(), &config);
         let entry = CacheEntry {
             kind: job.kind(),
@@ -1290,7 +1202,7 @@ mod tests {
             for _ in 0..3 {
                 scope.spawn(|| {
                     for _ in 0..40 {
-                        store_cached(&dir, &path, &entry);
+                        store_cached(&path, &entry);
                     }
                 });
             }
@@ -1319,6 +1231,35 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
             .collect();
         assert!(leftovers.is_empty(), "stray temp files: {leftovers:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_publishes_of_one_path_all_land() {
+        // Tests regenerating one golden publish one path at once: every
+        // write must succeed and leave exactly that file behind (with one
+        // shared temp name, a writer's rename could find its temp file
+        // already renamed away by another).
+        let dir = std::env::temp_dir().join(format!("dsv-runner-publish-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let path = dir.join("golden.json");
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..50 {
+                        publish(&path, "{}").expect("every publish succeeds");
+                    }
+                });
+            }
+        });
+        let files: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, ["golden.json"]);
+        assert_eq!(fs::read_to_string(&path).unwrap(), "{}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1376,12 +1317,12 @@ mod tests {
     fn empty_grid_produces_no_output_and_no_panic() {
         // An empty job list returns early: no progress line, no division
         // by the zero elapsed time, just an empty result.
-        let out = Runner::serial().with_progress(true).run(&[]);
+        let out = Runner::serial().with_progress(true).run::<Job>(&[]);
         assert!(out.is_empty());
         let out = Runner::serial()
             .with_cluster(ClusterMode::Exact)
             .with_progress(true)
-            .run(&[]);
+            .run::<Job>(&[]);
         assert!(out.is_empty());
     }
 }

@@ -2,15 +2,15 @@
 //!
 //! Every QBone figure (7–12) is a sweep of token rate for two bucket
 //! depths at a fixed clip/encoding; the local-testbed figures sweep the
-//! same parameters for the WMT server configurations. These helpers run
-//! those grids and collect `(rate, depth) → outcome` points.
+//! same parameters for the WMT server configurations. [`sweep_jobs`]
+//! builds such a grid's jobs in depth-major order, any
+//! [`crate::runner::Runner`] (or [`crate::golden::golden`]) runs them, and
+//! [`SweepResult::new`] pairs the outcomes back with their
+//! `(rate, depth)` points.
 
 use serde::{Deserialize, Serialize};
 
-use crate::experiment::RunOutcome;
-use crate::local::LocalConfig;
-use crate::qbone::QboneConfig;
-use crate::runner::Runner;
+use crate::experiment::{EfProfile, RunOutcome};
 
 /// One grid point.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -33,6 +33,38 @@ pub struct SweepResult {
 }
 
 impl SweepResult {
+    /// The sweep of the `rates × depths` grid, given one outcome per
+    /// point in [`sweep_jobs`]' (depth-major) order.
+    ///
+    /// # Panics
+    /// Panics unless there is exactly one outcome per grid point.
+    pub fn new(
+        label: impl Into<String>,
+        rates: &[u64],
+        depths: &[u32],
+        outcomes: Vec<RunOutcome>,
+    ) -> SweepResult {
+        assert_eq!(
+            outcomes.len(),
+            rates.len() * depths.len(),
+            "one outcome per grid point"
+        );
+        let points = grid(rates, depths)
+            .zip(outcomes)
+            .map(
+                |((token_rate_bps, bucket_depth_bytes), outcome)| SweepPoint {
+                    token_rate_bps,
+                    bucket_depth_bytes,
+                    outcome,
+                },
+            )
+            .collect();
+        SweepResult {
+            label: label.into(),
+            points,
+        }
+    }
+
     /// The curve for one bucket depth, ordered by token rate:
     /// `(rate, quality, frame_loss)`.
     pub fn curve(&self, depth: u32) -> Vec<(u64, f64, f64)> {
@@ -69,35 +101,40 @@ pub fn default_rate_grid(nominal_bps: u64, steps: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Run a QBone figure's grid: `rates × depths` for one clip/encoding.
-///
-/// Executes through [`Runner::from_env`]: points fan out across worker
-/// threads and hit the persistent result cache (see [`crate::runner`]);
-/// the result is identical to a serial, uncached run.
-pub fn qbone_sweep(
-    base: &QboneConfig,
-    rates: &[u64],
-    depths: &[u32],
-    label: impl Into<String>,
-) -> SweepResult {
-    Runner::from_env().qbone_sweep(base, rates, depths, label)
+/// Token-rate grid of the QBone figures: 0.88×…1.45× the encoding rate,
+/// 12 points.
+pub fn qbone_grid(encoding_bps: u64) -> Vec<u64> {
+    (0..12)
+        .map(|i| (encoding_bps as f64 * (0.88 + 0.052 * i as f64)) as u64)
+        .collect()
 }
 
-/// Run a local-testbed grid. Same execution model as [`qbone_sweep`].
-pub fn local_sweep(
-    base: &LocalConfig,
+/// The jobs of a `rates × depths` grid, depth-major (every rate at the
+/// first depth, then at the next): `make` turns each point's EF profile
+/// into its job.
+pub fn sweep_jobs<J>(
     rates: &[u64],
     depths: &[u32],
-    label: impl Into<String>,
-) -> SweepResult {
-    Runner::from_env().local_sweep(base, rates, depths, label)
+    mut make: impl FnMut(EfProfile) -> J,
+) -> Vec<J> {
+    grid(rates, depths)
+        .map(|(rate, depth)| make(EfProfile::new(rate, depth)))
+        .collect()
+}
+
+/// The `(rate, depth)` points of a grid, depth-major.
+fn grid<'a>(rates: &'a [u64], depths: &'a [u32]) -> impl Iterator<Item = (u64, u32)> + 'a {
+    depths
+        .iter()
+        .flat_map(move |&depth| rates.iter().map(move |&rate| (rate, depth)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{EfProfile, DEPTH_2MTU, DEPTH_3MTU};
-    use crate::qbone::ClipId2;
+    use crate::experiment::{DEPTH_2MTU, DEPTH_3MTU};
+    use crate::qbone::{ClipId2, QboneConfig};
+    use crate::runner::{Job, Runner};
 
     #[test]
     fn grid_spans_the_paper_range() {
@@ -125,13 +162,12 @@ mod tests {
     #[test]
     fn sweep_collects_all_points_and_curves() {
         // Tiny 2×2 grid to keep the test fast.
-        let base = QboneConfig::new(
-            ClipId2::Lost,
-            1_000_000,
-            EfProfile::new(1_000_000, DEPTH_2MTU),
-        );
-        let rates = vec![900_000u64, 1_400_000];
-        let res = qbone_sweep(&base, &rates, &[DEPTH_2MTU, DEPTH_3MTU], "test");
+        let rates = [900_000u64, 1_400_000];
+        let depths = [DEPTH_2MTU, DEPTH_3MTU];
+        let jobs = sweep_jobs(&rates, &depths, |profile| {
+            Job::Qbone(QboneConfig::new(ClipId2::Lost, 1_000_000, profile))
+        });
+        let res = SweepResult::new("test", &rates, &depths, Runner::from_env().run(&jobs));
         assert_eq!(res.points.len(), 4);
         assert_eq!(res.depths(), vec![DEPTH_2MTU, DEPTH_3MTU]);
         let c = res.curve(DEPTH_2MTU);

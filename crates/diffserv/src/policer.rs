@@ -42,6 +42,10 @@ pub struct Policer {
     pub conformant: u64,
     /// Count of non-conformant packets.
     pub non_conformant: u64,
+    /// Whether the audit cross-check runs, read once at construction
+    /// (the engine's dispatch loop and `SimAudit` read it once per run).
+    #[cfg(feature = "audit")]
+    audit: bool,
 }
 
 impl Policer {
@@ -53,6 +57,8 @@ impl Policer {
             exceed,
             conformant: 0,
             non_conformant: 0,
+            #[cfg(feature = "audit")]
+            audit: dsv_sim::audit::runtime_enabled(),
         }
     }
 
@@ -98,7 +104,7 @@ impl Policer {
         // is idempotent at a fixed `now`, so asking first is side-effect
         // free with respect to the consume below.)
         #[cfg(feature = "audit")]
-        let predicted = if dsv_sim::audit::runtime_enabled() {
+        let predicted = if self.audit {
             Some(self.bucket.conformance_time(now, pkt.size) == Some(now))
         } else {
             None

@@ -19,14 +19,17 @@ fn main() {
         encoding_bps as f64 / 1e6
     );
 
-    let base = QboneConfig::new(
-        ClipId2::Lost,
-        encoding_bps,
-        EfProfile::new(encoding_bps, DEPTH_2MTU),
-    );
     let rates = default_rate_grid(encoding_bps, 9);
     let depths = [1500u32, DEPTH_2MTU, DEPTH_3MTU, 6000];
-    let sweep = qbone_sweep(&base, &rates, &depths, "tuning sweep");
+    let jobs = sweep_jobs(&rates, &depths, |profile| {
+        Job::Qbone(QboneConfig::new(ClipId2::Lost, encoding_bps, profile))
+    });
+    let sweep = SweepResult::new(
+        "tuning sweep",
+        &rates,
+        &depths,
+        Runner::from_env().run(&jobs),
+    );
 
     // Print the surface.
     println!("{}", format_sweep(&sweep));

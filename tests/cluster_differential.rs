@@ -93,10 +93,10 @@ fn exact_mode_is_byte_identical_on_rotated_aggregates() {
         base.clone().with_rotation(1),
         base.with_rotation(2),
     ];
-    let full = Runner::serial().run_aggregate_batch(&cfgs);
+    let full = Runner::serial().run(&cfgs);
     let clustered = Runner::serial()
         .with_cluster(ClusterMode::Exact)
-        .run_aggregate_clustered(&cfgs);
+        .run_clustered(&cfgs);
     assert!(matches!(clustered[0].source, PointSource::Simulated));
     assert!(matches!(clustered[1].source, PointSource::Simulated));
     for p in &clustered[2..] {
@@ -130,7 +130,7 @@ fn exact_mode_is_byte_identical_on_rotated_aggregates() {
     ];
     let pair = Runner::serial()
         .with_cluster(ClusterMode::Exact)
-        .run_aggregate_clustered(&starved_pair);
+        .run_clustered(&starved_pair);
     assert!(matches!(
         pair[1].source,
         PointSource::Reused { representative: 0 }
@@ -158,10 +158,10 @@ fn exact_mode_is_byte_identical_on_rotated_af_tcp_declarations() {
         FlowJob::AfTcp(hetero.clone().with_rotation(1)),
         FlowJob::AfTcp(hetero.clone().with_rotation(3)),
     ];
-    let full = Runner::serial().run_flows_batch(&jobs);
+    let full = Runner::serial().run(&jobs);
     let clustered = Runner::serial()
         .with_cluster(ClusterMode::Exact)
-        .run_flows_clustered(&jobs);
+        .run_clustered(&jobs);
     assert!(matches!(clustered[0].source, PointSource::Simulated));
     assert!(matches!(clustered[1].source, PointSource::Simulated));
     for p in &clustered[2..] {

@@ -125,17 +125,15 @@ fn chain_loss_is_monotone_in_bucket_depth() {
 /// The committed QBone findings grid (same golden the paper-findings
 /// tests load — one source of truth for both suites).
 fn qbone_findings_sweep() -> SweepResult {
-    let base = QboneConfig::new(ClipId2::Lost, ENC, EfProfile::new(ENC, DEPTH_2MTU));
     let rates: Vec<u64> = (0..8)
         .map(|i| (ENC as f64 * (0.88 + i as f64 * 0.08)) as u64)
         .collect();
-    golden_qbone_sweep(
-        "findings_qbone_sweep",
-        &base,
-        &rates,
-        &[DEPTH_2MTU, DEPTH_3MTU],
-        "findings sweep",
-    )
+    let depths = [DEPTH_2MTU, DEPTH_3MTU];
+    let jobs = sweep_jobs(&rates, &depths, |profile| {
+        Job::Qbone(QboneConfig::new(ClipId2::Lost, ENC, profile))
+    });
+    let outcomes = golden("findings_qbone_sweep", &jobs);
+    SweepResult::new("findings sweep", &rates, &depths, outcomes)
 }
 
 #[test]
@@ -199,7 +197,7 @@ fn shaping_is_never_worse_on_the_committed_pairs() {
             jobs.push(Job::Local(cfg));
         }
     }
-    let outcomes = golden_outcomes("metamorphic_local_pairs", &jobs);
+    let outcomes = golden("metamorphic_local_pairs", &jobs);
     for pair in outcomes.chunks(2) {
         let (unshaped, shaped) = (&pair[0], &pair[1]);
         assert!(

@@ -11,7 +11,7 @@
 //! trTCM's peak-rate band softening none of it.
 //!
 //! The grid loads a committed golden (`results/findings_af_tcp.json`)
-//! through [`dsv_core::golden::golden_flows`]: a checksum over the
+//! through [`dsv_core::golden::golden`]: a checksum over the
 //! generating configs fails loudly if the tested grid drifts from the
 //! committed one, and `DSV_REGEN=1` re-simulates and rewrites the file.
 
@@ -58,7 +58,7 @@ fn grid() -> Vec<FlowJob> {
 }
 
 fn outcomes() -> Vec<FlowsOutcome> {
-    golden_flows("findings_af_tcp", &grid())
+    golden("findings_af_tcp", &grid())
 }
 
 /// Outcome on the srTCM (`trtcm = false`) provisioning ladder.

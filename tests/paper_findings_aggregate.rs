@@ -13,7 +13,7 @@
 //! every burst regardless of the token rate.
 //!
 //! The grid loads a committed golden (`results/findings_aggregate.json`)
-//! through [`dsv_core::golden::golden_aggregate`]: a checksum over the
+//! through [`dsv_core::golden::golden`]: a checksum over the
 //! generating configs fails loudly if the tested grid drifts from the
 //! committed one, and `DSV_REGEN=1` re-simulates and rewrites the file.
 
@@ -45,7 +45,7 @@ fn grid() -> Vec<AggregateConfig> {
 }
 
 fn outcomes() -> Vec<AggregateOutcome> {
-    golden_aggregate("findings_aggregate", &grid())
+    golden("findings_aggregate", &grid())
 }
 
 /// Outcome at (depth index, flow-count index, fraction index).

@@ -87,7 +87,7 @@ fn point_outcomes() -> Vec<RunOutcome> {
         Job::Qbone(bursty),
         Job::Qbone(paced),
     ];
-    golden_outcomes("findings_local_points", &jobs)
+    golden("findings_local_points", &jobs)
 }
 
 #[test]

@@ -13,18 +13,16 @@ use dsv_core::prelude::*;
 const ENC: u64 = 1_500_000;
 
 fn sweep_lost() -> SweepResult {
-    let base = QboneConfig::new(ClipId2::Lost, ENC, EfProfile::new(ENC, DEPTH_2MTU));
     // Eight points spanning 0.88×–1.45× the encoding rate.
     let rates: Vec<u64> = (0..8)
         .map(|i| (ENC as f64 * (0.88 + i as f64 * 0.08)) as u64)
         .collect();
-    golden_qbone_sweep(
-        "findings_qbone_sweep",
-        &base,
-        &rates,
-        &[DEPTH_2MTU, DEPTH_3MTU],
-        "findings sweep",
-    )
+    let depths = [DEPTH_2MTU, DEPTH_3MTU];
+    let jobs = sweep_jobs(&rates, &depths, |profile| {
+        Job::Qbone(QboneConfig::new(ClipId2::Lost, ENC, profile))
+    });
+    let outcomes = golden("findings_qbone_sweep", &jobs);
+    SweepResult::new("findings sweep", &rates, &depths, outcomes)
 }
 
 // Indices into the point-run golden below (job order is the contract —
@@ -67,7 +65,7 @@ fn point_outcomes() -> Vec<RunOutcome> {
             EfProfile::new(1_000_000, DEPTH_2MTU),
         )),
     ];
-    golden_outcomes("findings_qbone_points", &jobs)
+    golden("findings_qbone_points", &jobs)
 }
 
 #[test]

@@ -20,7 +20,7 @@
 //!
 //! The grid loads a committed golden
 //! (`results/findings_tcp_smoothing.json`) through
-//! [`dsv_core::golden::golden_flows`]: a checksum over the generating
+//! [`dsv_core::golden::golden`]: a checksum over the generating
 //! configs fails loudly if the tested grid drifts from the committed
 //! one, and `DSV_REGEN=1` re-simulates and rewrites the file.
 
@@ -58,7 +58,7 @@ fn grid() -> Vec<FlowJob> {
 }
 
 fn outcomes() -> Vec<FlowsOutcome> {
-    golden_flows("findings_tcp_smoothing", &grid())
+    golden("findings_tcp_smoothing", &grid())
 }
 
 /// The single flow at (server index, rate index, depth index).

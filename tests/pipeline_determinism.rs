@@ -59,25 +59,25 @@ fn seeds_change_cross_traffic_but_not_the_regime() {
     );
 }
 
+/// A QBone sweep of clip Lost at `enc` over `rates` and both paper
+/// depths, through `runner`.
+fn lost_sweep(runner: &Runner, enc: u64, rates: &[u64], label: &str) -> SweepResult {
+    let depths = [DEPTH_2MTU, DEPTH_3MTU];
+    let jobs = sweep_jobs(rates, &depths, |profile| {
+        Job::Qbone(QboneConfig::new(ClipId2::Lost, enc, profile))
+    });
+    SweepResult::new(label, rates, &depths, runner.run(&jobs))
+}
+
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
     // The runner fans grid points across threads; because every outcome
     // is a pure function of its config, the serialized SweepResult must
     // be byte-for-byte what a serial run produces.
-    let base = QboneConfig::new(
-        ClipId2::Lost,
-        1_000_000,
-        EfProfile::new(1_000_000, DEPTH_2MTU),
-    );
     let rates = [900_000u64, 1_400_000];
-    let depths = [DEPTH_2MTU, DEPTH_3MTU];
-    let serial = Runner::serial().qbone_sweep(&base, &rates, &depths, "2x2 determinism grid");
-    let parallel = Runner::serial().with_threads(8).qbone_sweep(
-        &base,
-        &rates,
-        &depths,
-        "2x2 determinism grid",
-    );
+    let label = "2x2 determinism grid";
+    let serial = lost_sweep(&Runner::serial(), 1_000_000, &rates, label);
+    let parallel = lost_sweep(&Runner::serial().with_threads(8), 1_000_000, &rates, label);
     assert_eq!(
         serde_json::to_string_pretty(&serial).unwrap(),
         serde_json::to_string_pretty(&parallel).unwrap(),
@@ -89,21 +89,15 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 fn cached_sweep_replays_the_computed_result() {
     let dir = std::env::temp_dir().join(format!("dsv-determinism-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let base = QboneConfig::new(
-        ClipId2::Lost,
-        1_000_000,
-        EfProfile::new(1_000_000, DEPTH_2MTU),
-    );
     let rates = [900_000u64, 1_400_000];
-    let depths = [DEPTH_2MTU, DEPTH_3MTU];
     let runner = Runner::serial().with_cache(Some(dir.clone()));
-    let cold = runner.qbone_sweep(&base, &rates, &depths, "cache grid");
+    let cold = lost_sweep(&runner, 1_000_000, &rates, "cache grid");
     assert_eq!(
         std::fs::read_dir(&dir).unwrap().count(),
         4,
         "each grid point persists one cache entry"
     );
-    let warm = runner.qbone_sweep(&base, &rates, &depths, "cache grid");
+    let warm = lost_sweep(&runner, 1_000_000, &rates, "cache grid");
     assert_eq!(
         serde_json::to_string_pretty(&cold).unwrap(),
         serde_json::to_string_pretty(&warm).unwrap(),
@@ -119,12 +113,12 @@ fn sweep_encodes_each_artifact_at_most_once() {
     // for this key is entirely ours. No test in this binary clears the
     // artifact store, so the one encode cannot be repeated.
     let enc = 1_234_567u64;
-    let base = QboneConfig::new(ClipId2::Lost, enc, EfProfile::new(enc, DEPTH_2MTU));
-    let rates = [900_011u64, 1_400_011];
-    let depths = [DEPTH_2MTU, DEPTH_3MTU];
-    Runner::serial()
-        .with_threads(4)
-        .qbone_sweep(&base, &rates, &depths, "at-most-once grid");
+    lost_sweep(
+        &Runner::serial().with_threads(4),
+        enc,
+        &[900_011, 1_400_011],
+        "at-most-once grid",
+    );
     assert_eq!(
         artifacts::encode_runs(dsv_media::scene::ClipId::Lost, Codec::Mpeg1, enc),
         1,
