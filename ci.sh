@@ -2,13 +2,14 @@
 # The full local CI gate: build, tests, formatting, lints.
 # Run from anywhere; everything executes at the repository root.
 #
-#   ./ci.sh           the default gate (includes an audit smoke stage)
-#   ./ci.sh --audit   additionally runs the full audited matrix: the
-#                     audit-feature test suites and every committed figure
-#                     (all_figures) under DSV_AUDIT=1, with the result
-#                     cache off (cache hits skip simulation, which would
-#                     skip the audits too), then `dsv run` on every
-#                     committed spec.
+#   ./ci.sh           the default gate (its tests include the audit
+#                     self-tests, which audit their runs by type)
+#   ./ci.sh --audit   additionally runs the full audited matrix on the
+#                     same binaries under DSV_AUDIT=1: the check and
+#                     integration test suites and every committed figure
+#                     (all_figures), with the result cache off (cache hits
+#                     skip simulation, which would skip the audits too),
+#                     then `dsv run` on every committed spec.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -26,18 +27,11 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> audit smoke (oracle self-tests)"
-cargo test -q -p dsv-check --features dsv-check/audit
-
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> cargo clippy -D warnings (audit feature)"
-cargo clippy -p dsv-check -p dsv-integration -p dsv-bench --all-targets \
-  --features dsv-check/audit,dsv-integration/audit,dsv-bench/audit -- -D warnings
 
 echo "==> benchmark smoke (every workload once, every point checked against results/)"
 cargo run --release --manifest-path benchmark/Cargo.toml -- --smoke
@@ -120,27 +114,14 @@ fi
 rm -rf "$warm_cache"
 
 if [[ "$AUDIT" == 1 ]]; then
-  echo "==> audit build"
-  cargo build --release -p dsv-bench --features dsv-bench/audit
-
-  echo "==> disarmed audit hooks change nothing (audit build, DSV_AUDIT unset, cache off)"
-  env -u DSV_AUDIT DSV_CACHE=off \
-    cargo run --release -q -p dsv-bench --features dsv-bench/audit \
-    --bin fig07_qbone_lost > /dev/null
-  git diff --exit-code -- results/
-
-  echo "==> audited test suites"
-  DSV_AUDIT=1 cargo test -q \
-    -p dsv-check -p dsv-integration \
-    --features dsv-check/audit,dsv-integration/audit
+  echo "==> audited test suites (DSV_AUDIT=1)"
+  DSV_AUDIT=1 cargo test -q -p dsv-check -p dsv-integration
 
   echo "==> audited figure sweep: every committed figure (cache off)"
   # all_figures covers what fig07 alone does not: merges inside the
   # backbone, TCP acknowledgement paths and client timers, so every hop
   # chain and every chain-tie oracle is exercised.
-  DSV_AUDIT=1 DSV_CACHE=off \
-    cargo run --release -q -p dsv-bench --features dsv-bench/audit \
-    --bin all_figures > /dev/null
+  DSV_AUDIT=1 DSV_CACHE=off ./target/release/all_figures > /dev/null
 
   echo "==> audited figures byte-identical to committed results"
   git diff --exit-code -- results/
@@ -148,12 +129,11 @@ if [[ "$AUDIT" == 1 ]]; then
   echo "==> audited scenario runs: dsv run on every committed spec (DSV_AUDIT=1)"
   # dsv run goes through the same executor as the figures, so each spec's
   # bounds are registered and its audit closed. The audited report must
-  # match the plain build's byte for byte.
+  # match the unaudited run's byte for byte.
   plain=$(mktemp -d)
   for spec in examples/*.json; do
     ./target/release/dsv run --scenario "$spec" --json > "$plain/$(basename "$spec")"
   done
-  cargo build --release -q -p dsv-core --features dsv-core/audit --bin dsv
   for spec in examples/*.json; do
     DSV_AUDIT=1 ./target/release/dsv run --scenario "$spec" --json \
       | cmp - "$plain/$(basename "$spec")"

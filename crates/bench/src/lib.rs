@@ -1,16 +1,15 @@
-//! # dsv-bench — the benchmark and figure-regeneration harness
+//! # dsv-bench — the figure-regeneration harness
 //!
-//! Two kinds of targets:
+//! **Figure/table binaries** (`src/bin/*.rs`): one per table and figure of
+//! the paper's evaluation. Each prints the same rows/series the paper
+//! reports and writes machine-readable JSON under `results/` so that
+//! `EXPERIMENTS.md` can be regenerated honestly. Run them all with
+//! `cargo run --release -p dsv-bench --bin all_figures`. The repository
+//! benchmark, with its micro-costs of the hot components, is the separate
+//! package under `benchmark/`.
 //!
-//! * **Figure/table binaries** (`src/bin/*.rs`) — one per table and figure
-//!   of the paper's evaluation. Each prints the same rows/series the paper
-//!   reports and writes machine-readable JSON under `results/` so that
-//!   `EXPERIMENTS.md` can be regenerated honestly. Run them all with
-//!   `cargo run --release -p dsv-bench --bin all_figures`.
-//! * **Criterion micro-benches** (`benches/`) — throughput of the hot
-//!   components (token bucket, queues, event engine, VQM, rasterizer).
-//!
-//! This crate's library holds the small shared utilities.
+//! This crate's library holds the small shared utilities and the figure
+//! drivers ([`figures`]).
 
 pub mod figures;
 

@@ -14,10 +14,11 @@
 //! by name, never by creation order — with the [`FaultPlan`] installed
 //! through the compiler's tap-wrap hook. Both take an explicit
 //! [`QueueBackend`] so differential tests can run the wheel and the heap
-//! in the same process, and both arm the audit oracles whenever the
-//! `audit` feature is compiled in *and* auditing is runtime-enabled.
+//! in the same process, and both always run audited and return the
+//! audit's report.
 
 use dsv_media::scene::ClipId;
+use dsv_net::audit::AuditReport;
 use dsv_net::network::Simulation;
 use dsv_net::packet::FlowId;
 use dsv_scenario::{
@@ -28,9 +29,6 @@ use dsv_scenario::{
 use dsv_sim::{EventQueue, QueueBackend, SimDuration, SimTime};
 
 use crate::fault::FaultPlan;
-
-#[cfg(feature = "audit")]
-use dsv_net::audit::AuditReport;
 
 /// Flow id of the chain scenarios' traffic.
 pub const CHAIN_FLOW: FlowId = FlowId(1);
@@ -116,9 +114,8 @@ pub struct ChainOutcome {
     pub end_time: SimTime,
     /// Events dispatched.
     pub dispatched: u64,
-    /// The audit's verdict, when compiled in and runtime-enabled.
-    #[cfg(feature = "audit")]
-    pub audit: Option<AuditReport>,
+    /// The audit's verdict.
+    pub audit: AuditReport,
 }
 
 impl ChainOutcome {
@@ -195,35 +192,18 @@ pub fn run_policer_chain(cfg: &ChainConfig) -> ChainOutcome {
         .expect("chain has a recording sink")
         .1
         .clone();
-    let bounds = compiled.bounds.clone();
 
-    let net = compiled.net;
+    let mut net = compiled.net.audited();
+    for &(node, flow, rate_bps, depth_bytes) in &compiled.bounds {
+        net.audit_mut()
+            .register_conformance_bound(node, flow, rate_bps, depth_bytes);
+    }
     let mut queue = EventQueue::with_backend(cfg.backend);
     net.schedule_starts(&mut queue);
     let mut sim = Simulation { net, queue };
 
-    #[cfg(feature = "audit")]
-    let audited = {
-        let on = sim.net.audit().enabled();
-        if on {
-            for &(node, flow, rate_bps, depth_bytes) in &bounds {
-                sim.net
-                    .audit_mut()
-                    .register_conformance_bound(node, flow, rate_bps, depth_bytes);
-            }
-        }
-        on
-    };
-    #[cfg(not(feature = "audit"))]
-    let _ = bounds;
-
     let stats = sim.run();
-
-    #[cfg(feature = "audit")]
-    let audit = audited.then(|| {
-        sim.net.audit_finish();
-        sim.net.audit().report()
-    });
+    let audit = sim.net.audit_report();
 
     let flow = sim.net.stats.flow(CHAIN_FLOW);
     let delivered_ids = sink_handle.borrow().ids.clone();
@@ -234,7 +214,6 @@ pub fn run_policer_chain(cfg: &ChainConfig) -> ChainOutcome {
         delivered_ids,
         end_time: stats.end_time,
         dispatched: stats.dispatched,
-        #[cfg(feature = "audit")]
         audit,
     }
 }
@@ -276,9 +255,8 @@ pub struct StreamOutcome {
     pub total_failure: bool,
     /// Media packets delivered.
     pub rx_packets: u64,
-    /// The audit's verdict, when compiled in and runtime-enabled.
-    #[cfg(feature = "audit")]
-    pub audit: Option<AuditReport>,
+    /// The audit's verdict.
+    pub audit: AuditReport,
 }
 
 /// The declarative streaming-chain topology for `cfg`.
@@ -361,21 +339,13 @@ pub fn run_stream_chain(cfg: &StreamChainConfig) -> StreamOutcome {
         .clone();
     let horizon = compiled.horizon.expect("stream spec sets a horizon");
 
-    let net = compiled.net;
+    let net = compiled.net.audited();
     let mut queue = EventQueue::with_backend(cfg.backend);
     net.schedule_starts(&mut queue);
     let mut sim = Simulation { net, queue };
 
-    #[cfg(feature = "audit")]
-    let audited = sim.net.audit().enabled();
-
     sim.run_until(SimTime::ZERO + horizon);
-
-    #[cfg(feature = "audit")]
-    let audit = audited.then(|| {
-        sim.net.audit_finish();
-        sim.net.audit().report()
-    });
+    let audit = sim.net.audit_report();
 
     let report = client_handle.borrow().report();
     let flow = sim.net.stats.flow(CHAIN_FLOW);
@@ -385,7 +355,6 @@ pub fn run_stream_chain(cfg: &StreamChainConfig) -> StreamOutcome {
         longest_freeze: report.playback.longest_freeze,
         total_failure: report.playback.total_failure,
         rx_packets: flow.rx_packets,
-        #[cfg(feature = "audit")]
         audit,
     }
 }

@@ -5,10 +5,6 @@
 //! node and instant and filed at that very instant, per-hop dispatch
 //! could have sorted it either way, so the audit must report it; one
 //! nanosecond apart, the order is exact and the audit stays silent.
-//!
-//! The whole file compiles only with `--features audit`.
-
-#![cfg(feature = "audit")]
 
 use dsv_net::app::{AppCtx, Application, SendSpec};
 use dsv_net::audit::AuditReport;
@@ -75,13 +71,10 @@ fn audited(delay: SimDuration) -> AuditReport {
     let link = Link::new(8_000_000, SimDuration::ZERO);
     b.connect(tx, r, link);
     b.connect(r, rx, link);
-    let mut net = b.build();
-    net.audit_mut().enable();
-    let mut sim = Simulation::new(net);
+    let mut sim = Simulation::new(b.build().audited());
     sim.run();
     assert_eq!(sim.net.stats.flow(FlowId(1)).rx_packets, 2);
-    sim.net.audit_finish();
-    sim.net.audit().report()
+    sim.net.audit_report()
 }
 
 #[test]

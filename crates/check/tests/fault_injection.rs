@@ -4,31 +4,23 @@
 //! into an otherwise healthy scenario and asserts that the matching
 //! oracle fires — and, in the control tests, that *no* oracle fires on
 //! an unfaulted run. An oracle that is never observed to fire proves
-//! nothing; this file is what makes the audit claims falsifiable.
-//!
-//! The whole file compiles only with `--features audit`; auditing is
-//! force-enabled programmatically so the tests do not depend on the
-//! `DSV_AUDIT` environment.
-
-#![cfg(feature = "audit")]
+//! nothing; this file is what makes the audit claims falsifiable. The
+//! fixtures always run audited.
 
 use dsv_check::fault::{FaultKind, FaultPlan};
 use dsv_check::scenario::{
     run_policer_chain, run_stream_chain, ChainConfig, ChainOutcome, StreamChainConfig, TAP,
 };
 use dsv_net::audit::AuditReport;
-use dsv_sim::audit::set_enabled_for_process;
 use dsv_sim::{QueueBackend, SimDuration};
 
-/// Run the chain with auditing force-enabled and return its report too.
+/// Run the chain and return its audit report too.
 fn audited(cfg: &ChainConfig) -> (ChainOutcome, AuditReport) {
-    set_enabled_for_process(Some(true));
     let out = run_policer_chain(cfg);
-    let audit = out.audit.clone().expect("auditing was force-enabled");
-    // Positive proof the run was observed at all: a disarmed auditor
-    // would also report zero violations.
-    assert!(audit.enabled, "auditor not armed");
-    assert!(audit.events > 0, "no events observed");
+    let audit = out.audit.clone();
+    // Positive proof the run was observed at all: an auditor that saw
+    // nothing would also report zero violations.
+    assert_eq!(audit.events, out.dispatched, "every event observed");
     assert!(audit.checks > 0, "no lifecycle checks ran");
     assert!(audit.finished, "conservation closure never ran");
     (out, audit)
@@ -193,11 +185,9 @@ fn seeded_plans_replay_identically() {
 
 #[test]
 fn streaming_client_survives_delay_and_reorder_faults() {
-    set_enabled_for_process(Some(true));
-
     // Baseline: clean stream, clean audit, no playback failure.
     let clean = run_stream_chain(&StreamChainConfig::default());
-    let clean_audit = clean.audit.as_ref().expect("audited");
+    let clean_audit = &clean.audit;
     clean_audit.assert_clean("clean stream");
     assert!(clean_audit.events > 0);
     assert!(!clean.total_failure, "clean stream must play");
@@ -215,11 +205,7 @@ fn streaming_client_survives_delay_and_reorder_faults() {
         ),
         ..StreamChainConfig::default()
     });
-    delayed
-        .audit
-        .as_ref()
-        .expect("audited")
-        .assert_clean("delayed stream");
+    delayed.audit.assert_clean("delayed stream");
     assert!(!delayed.total_failure, "client must ride out the stall");
     assert_eq!(delayed.displayed, clean.displayed);
 
@@ -235,7 +221,7 @@ fn streaming_client_survives_delay_and_reorder_faults() {
         ),
         ..StreamChainConfig::default()
     });
-    let audit = reordered.audit.as_ref().expect("audited");
+    let audit = &reordered.audit;
     assert!(
         audit.has_violation_matching("fifo:"),
         "reorder not caught: {:?}",

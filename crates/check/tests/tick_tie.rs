@@ -8,10 +8,6 @@
 //! report it. Two servers started together wake up together; one
 //! nanosecond apart, the run is clean and byte-identical to the per-tick
 //! loop.
-//!
-//! The whole file compiles only with `--features audit`.
-
-#![cfg(feature = "audit")]
 
 #[path = "../../../tests/support/per_tick_server.rs"]
 mod per_tick_server;
@@ -66,14 +62,13 @@ fn audited(server: Server, offset: SimTime) -> (AuditReport, Vec<String>) {
         b.connect(r, sink, Link::ethernet_10mbps());
         flows.push(flow);
     }
-    let mut net = b.build();
+    let mut net = b.build().audited();
     for &flow in &flows {
         net.stats.trace_flow(flow);
     }
-    net.audit_mut().enable();
     let mut sim = Simulation::new(net);
     sim.run();
-    sim.net.audit_finish();
+    let report = sim.net.audit_report();
     let stats = &sim.net.stats;
     let observed = flows
         .iter()
@@ -83,7 +78,7 @@ fn audited(server: Server, offset: SimTime) -> (AuditReport, Vec<String>) {
             format!("{c:?} {:?}", stats.trace_of(flow))
         })
         .collect();
-    (sim.net.audit().report(), observed)
+    (report, observed)
 }
 
 #[test]

@@ -14,18 +14,23 @@
 //!   media references pull from the artifact store count as the encode
 //!   stage, the event loop as the simulate stage (with its event count
 //!   and high-water marks);
-//! * **the audit** (`--features audit`, armed by `DSV_AUDIT=1`): the
+//! * **the audit** (under `DSV_AUDIT=1`, read once per process): the
+//!   network runs audited ([`dsv_net::network::Network::audited`]), the
 //!   spec's bounds are registered before the run, the conservation
 //!   equations are closed after it, and any violation panics with the
-//!   full list. Compiled out, or disarmed, both steps cost nothing.
+//!   full list. [`execute_audited`] runs the same audited path and
+//!   returns the report instead. Unaudited, the network's observer is
+//!   `()`, so the run carries no audit code at all.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use dsv_media::encoder::EncodedClip;
 use dsv_net::app::Handle;
-use dsv_net::network::Simulation;
-use dsv_net::packet::{DropReason, FlowId};
+use dsv_net::audit::AuditReport;
+use dsv_net::network::{Network, Simulation};
+use dsv_net::observer::Observer;
+use dsv_net::packet::{DropReason, FlowId, NodeId};
 use dsv_net::stats::NetStats;
 use dsv_scenario::apps::IdSink;
 use dsv_scenario::{
@@ -36,6 +41,7 @@ use dsv_sim::SimTime;
 use dsv_stream::abr::AbrClient;
 use dsv_stream::bulk::BulkTcpSink;
 use dsv_stream::client::{ClientReport, StreamClient};
+use dsv_stream::payload::StreamPayload;
 use dsv_stream::server::adaptive::AdaptiveServer;
 
 use crate::artifacts::{self, ArtifactStore, Codec};
@@ -58,7 +64,7 @@ pub struct Execution {
     pub bulk_sinks: Vec<(String, Handle<BulkTcpSink>)>,
     /// Id-recording sinks.
     pub id_sinks: Vec<(String, Handle<IdSink>)>,
-    /// Events dispatched, end time, and the audit's event count.
+    /// Events dispatched and end time.
     pub run: RunStats,
 }
 
@@ -76,11 +82,52 @@ impl ClipStore for TimedStore {
 }
 
 /// Compile `spec` through the artifact store and run it to its horizon,
-/// or until no event remains when it declares none.
+/// or until no event remains when it declares none. The run is audited
+/// when `DSV_AUDIT` is on.
 ///
 /// # Panics
-/// Under an armed audit, if any oracle fired during the run.
+/// Under `DSV_AUDIT`, if any audit oracle fired during the run.
 pub fn execute(spec: &ScenarioSpec) -> Result<Execution, CompileError> {
+    if !audit_requested() {
+        return Ok(run(spec, |net, _| net)?.0);
+    }
+    let (exec, report) = execute_audited(spec)?;
+    report.assert_clean(&format!("scenario {:?}", spec.name));
+    Ok(exec)
+}
+
+/// [`execute`], audited whatever `DSV_AUDIT` says: the spec's bounds are
+/// registered before the run and the audit is closed after it. Returns
+/// the audit's report rather than panicking on a violation.
+pub fn execute_audited(spec: &ScenarioSpec) -> Result<(Execution, AuditReport), CompileError> {
+    let (exec, mut net) = run(spec, |net, bounds| {
+        let mut net = net.audited();
+        for &(node, flow, rate_bps, depth_bytes) in bounds {
+            net.audit_mut()
+                .register_conformance_bound(node, flow, rate_bps, depth_bytes);
+        }
+        net
+    })?;
+    Ok((exec, net.audit_report()))
+}
+
+/// Whether `DSV_AUDIT` asks for every run to be audited, read once per
+/// process.
+fn audit_requested() -> bool {
+    static AUDIT: OnceLock<bool> = OnceLock::new();
+    *AUDIT.get_or_init(|| dsv_sim::env::flag_from_env("DSV_AUDIT").unwrap_or(false))
+}
+
+/// Bounds as the compiler resolves them: node, flow, rate, depth.
+type Bounds = [(NodeId, FlowId, u64, u32)];
+
+/// Compile `spec`, hand its network and bounds to `observe`, and run the
+/// network it returns to the horizon, profiling the simulate stage.
+/// Returns the execution and the finished network.
+fn run<O: Observer>(
+    spec: &ScenarioSpec,
+    observe: impl FnOnce(Network<StreamPayload>, &Bounds) -> Network<StreamPayload, O>,
+) -> Result<(Execution, Network<StreamPayload, O>), CompileError> {
     let compiled = compile(
         spec,
         CompileOptions {
@@ -88,31 +135,14 @@ pub fn execute(spec: &ScenarioSpec) -> Result<Execution, CompileError> {
             wrap: None,
         },
     )?;
-    let mut sim = Simulation::new(compiled.net);
-    // The network arms its audit when it is built; a disarmed audit
-    // never reads the bounds.
-    #[cfg(feature = "audit")]
-    for &(node, flow, rate_bps, depth_bytes) in &compiled.bounds {
-        sim.net
-            .audit_mut()
-            .register_conformance_bound(node, flow, rate_bps, depth_bytes);
-    }
+    let mut sim = Simulation::new(observe(compiled.net, &compiled.bounds));
 
     let t = Instant::now();
     let run = sim.run_until(compiled.horizon.map_or(SimTime::MAX, |h| SimTime::ZERO + h));
     profile::add_simulate(t.elapsed(), run.dispatched);
     profile::record_high_water(sim.queue.high_water(), sim.net.pool_high_water());
 
-    #[cfg(feature = "audit")]
-    if sim.net.audit().enabled() {
-        sim.net.audit_finish();
-        sim.net
-            .audit()
-            .report()
-            .assert_clean(&format!("scenario {:?}", spec.name));
-    }
-
-    Ok(Execution {
+    let exec = Execution {
         stats: std::mem::take(&mut sim.net.stats),
         clients: compiled.clients,
         adaptives: compiled.adaptives,
@@ -120,7 +150,8 @@ pub fn execute(spec: &ScenarioSpec) -> Result<Execution, CompileError> {
         bulk_sinks: compiled.bulk_sinks,
         id_sinks: compiled.id_sinks,
         run,
-    })
+    };
+    Ok((exec, sim.net))
 }
 
 /// The handle of the node called `name`.

@@ -42,7 +42,7 @@ pub mod runner;
 pub mod smoothing;
 pub mod sweep;
 
-pub use executor::{execute, Execution};
+pub use executor::{execute, execute_audited, Execution};
 
 /// Convenient re-exports.
 pub mod prelude {

@@ -4,51 +4,80 @@
 //! model, encoder, reference features), **simulate** (the discrete-event
 //! loop) and **score** (feature extraction + VQM) — and perf work on any
 //! of them starts with knowing where the wall time goes. This module
-//! accumulates per-stage wall time and event counts in process-global
-//! atomics (a handful of atomic adds per *point*, nothing per event, so
-//! it is always on), and the [`Runner`](crate::runner::Runner) prints a
-//! report after each batch when `DSV_PROFILE=1` is set.
+//! accumulates per-stage wall time, event counts and high-water marks in
+//! per-thread totals (a handful of adds per *point*, nothing per event,
+//! so it is always on). A runner worker hands its thread's totals back
+//! to the thread that ran the batch when it finishes, so the caller's
+//! totals cover every point it ran, on whichever thread.
 //!
-//! Totals only grow; callers bracket a region with [`snapshot`] and
-//! [`ProfileSnapshot::since`], as the benchmark does for its event counts.
+//! [`measure`] brackets a region and returns its own sums and peaks; the
+//! [`Runner`](crate::runner::Runner) prints them after each batch when
+//! `DSV_PROFILE=1` is set. Totals only grow, so a region's sums are also
+//! the difference of two [`snapshot`]s ([`ProfileSnapshot::since`]), as
+//! the benchmark reads its event counts.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-static ENCODE_NS: AtomicU64 = AtomicU64::new(0);
-static SIMULATE_NS: AtomicU64 = AtomicU64::new(0);
-static SCORE_NS: AtomicU64 = AtomicU64::new(0);
-static EVENTS: AtomicU64 = AtomicU64::new(0);
-static POINTS: AtomicU64 = AtomicU64::new(0);
-static QUEUE_HIGH_WATER: AtomicU64 = AtomicU64::new(0);
-static POOL_HIGH_WATER: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static TOTALS: Cell<ProfileSnapshot> = Cell::new(ProfileSnapshot::default());
+}
+
+/// Apply `f` to this thread's totals.
+fn update(f: impl FnOnce(&mut ProfileSnapshot)) {
+    TOTALS.with(|totals| {
+        let mut t = totals.get();
+        f(&mut t);
+        totals.set(t);
+    });
+}
 
 /// Record time spent acquiring encode-stage artifacts (model/encoder/
 /// reference features) for one run.
 pub fn add_encode(d: Duration) {
-    ENCODE_NS.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+    update(|t| t.encode_ns += d.as_nanos() as u64);
 }
 
 /// Record the event-loop wall time and dispatched-event count of one run.
 pub fn add_simulate(d: Duration, events: u64) {
-    SIMULATE_NS.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    EVENTS.fetch_add(events, Ordering::Relaxed);
-    POINTS.fetch_add(1, Ordering::Relaxed);
+    update(|t| {
+        t.simulate_ns += d.as_nanos() as u64;
+        t.events += events;
+        t.points += 1;
+    });
 }
 
 /// Record time spent scoring (received features + VQM) for one run.
 pub fn add_score(d: Duration) {
-    SCORE_NS.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+    update(|t| t.score_ns += d.as_nanos() as u64);
 }
 
 /// Record one run's peak queue population and peak in-flight packet count.
-/// The process-wide value is the max over all runs — the number that sizes
+/// A region's value is the max over its runs — the number that sizes
 /// `EventQueue::with_capacity` / `PacketPool::with_capacity`.
 pub fn record_high_water(queue: usize, pool: usize) {
-    QUEUE_HIGH_WATER.fetch_max(queue as u64, Ordering::Relaxed);
-    POOL_HIGH_WATER.fetch_max(pool as u64, Ordering::Relaxed);
+    update(|t| {
+        t.queue_high_water = t.queue_high_water.max(queue as u64);
+        t.pool_high_water = t.pool_high_water.max(pool as u64);
+    });
+}
+
+/// Fold `other`, the totals of a finished worker thread, into this
+/// thread's.
+pub(crate) fn absorb(other: &ProfileSnapshot) {
+    update(|t| *t = t.merged(other));
+}
+
+/// Run `f` and return its result with the stage totals it produced on
+/// this thread, including those its workers handed back: the region's own
+/// sums and peaks. They count toward the enclosing totals too.
+pub fn measure<T>(f: impl FnOnce() -> T) -> (T, ProfileSnapshot) {
+    let outer = TOTALS.with(|totals| totals.replace(ProfileSnapshot::default()));
+    let out = f();
+    let inner = TOTALS.with(|totals| totals.replace(outer.merged(&totals.get())));
+    (out, inner)
 }
 
 /// Whether the `DSV_PROFILE` flag asked for stderr stage reports.
@@ -56,7 +85,7 @@ pub fn enabled() -> bool {
     dsv_sim::env::flag_from_env("DSV_PROFILE").unwrap_or(false)
 }
 
-/// A point-in-time copy of the accumulated stage totals.
+/// A copy of accumulated stage totals: a thread's, or a region's.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct ProfileSnapshot {
     /// Wall time acquiring encode artifacts, nanoseconds.
@@ -69,16 +98,18 @@ pub struct ProfileSnapshot {
     pub events: u64,
     /// Simulated points (one per run).
     pub points: u64,
-    /// Peak event-queue population across all runs (sizes
+    /// Peak event-queue population across the runs (sizes
     /// `EventQueue::with_capacity`).
     pub queue_high_water: u64,
-    /// Peak in-flight packet count across all runs (sizes
+    /// Peak in-flight packet count across the runs (sizes
     /// `PacketPool::with_capacity`).
     pub pool_high_water: u64,
 }
 
 impl ProfileSnapshot {
-    /// Stage totals since `other` (for bracketing a batch).
+    /// Stage sums since `other`, an earlier snapshot of the same thread.
+    /// The peaks are `self`'s: a running maximum cannot be differenced,
+    /// so a region's own peaks come from [`measure`].
     pub fn since(&self, other: &ProfileSnapshot) -> ProfileSnapshot {
         ProfileSnapshot {
             encode_ns: self.encode_ns.saturating_sub(other.encode_ns),
@@ -86,10 +117,21 @@ impl ProfileSnapshot {
             score_ns: self.score_ns.saturating_sub(other.score_ns),
             events: self.events.saturating_sub(other.events),
             points: self.points.saturating_sub(other.points),
-            // High-water marks are maxima, not sums: the delta of a batch
-            // is simply the current peak.
             queue_high_water: self.queue_high_water,
             pool_high_water: self.pool_high_water,
+        }
+    }
+
+    /// The totals of two regions together: sums added, peaks maxed.
+    fn merged(&self, other: &ProfileSnapshot) -> ProfileSnapshot {
+        ProfileSnapshot {
+            encode_ns: self.encode_ns + other.encode_ns,
+            simulate_ns: self.simulate_ns + other.simulate_ns,
+            score_ns: self.score_ns + other.score_ns,
+            events: self.events + other.events,
+            points: self.points + other.points,
+            queue_high_water: self.queue_high_water.max(other.queue_high_water),
+            pool_high_water: self.pool_high_water.max(other.pool_high_water),
         }
     }
 
@@ -121,27 +163,16 @@ impl ProfileSnapshot {
     }
 }
 
-/// Copy the current totals.
+/// Copy this thread's totals.
 pub fn snapshot() -> ProfileSnapshot {
-    ProfileSnapshot {
-        encode_ns: ENCODE_NS.load(Ordering::Relaxed),
-        simulate_ns: SIMULATE_NS.load(Ordering::Relaxed),
-        score_ns: SCORE_NS.load(Ordering::Relaxed),
-        events: EVENTS.load(Ordering::Relaxed),
-        points: POINTS.load(Ordering::Relaxed),
-        queue_high_water: QUEUE_HIGH_WATER.load(Ordering::Relaxed),
-        pool_high_water: POOL_HIGH_WATER.load(Ordering::Relaxed),
-    }
+    TOTALS.with(Cell::get)
 }
 
-/// Print a labelled stage report for the delta since `since` on stderr
-/// when [`enabled`]; always returns the delta for callers that want it.
-pub fn report(label: &str, since: &ProfileSnapshot) -> ProfileSnapshot {
-    let delta = snapshot().since(since);
+/// Print a labelled stage report of `stages` on stderr when [`enabled`].
+pub fn report(label: &str, stages: &ProfileSnapshot) {
     if enabled() {
-        eprintln!("[profile] {label}: {}", delta.summary());
+        eprintln!("[profile] {label}: {}", stages.summary());
     }
-    delta
 }
 
 #[cfg(test)]
@@ -165,7 +196,7 @@ mod tests {
     }
 
     #[test]
-    fn high_water_is_a_process_wide_maximum() {
+    fn high_water_is_a_maximum_over_runs() {
         record_high_water(10, 5);
         record_high_water(4, 2); // smaller run must not lower the peak
         let s = snapshot();

@@ -28,7 +28,7 @@ use crate::experiment::{EfProfile, DEPTH_2MTU, DEPTH_3MTU};
 use crate::keys::fnv1a64;
 use crate::local::{run_local_detailed, LocalConfig, LocalTransport};
 use crate::qbone::{run_qbone_detailed, ClipId2, QboneConfig};
-use crate::runner::publish;
+use crate::runner::{publish, Runner};
 use crate::sweep::{qbone_grid, sweep_jobs};
 
 /// One dataset record: a flow's extracted features and its full-VQM
@@ -289,37 +289,21 @@ pub fn load() -> QoeDataset {
 
 /// Generate the dataset by simulating every grid (full VQM truth) and
 /// write it to [`dataset_path`] atomically. Returns the fresh dataset.
-/// Expensive — run from the release `fit_qoe` binary. Parallel over
-/// configs (`DSV_THREADS` respected); output order is config order
-/// regardless of completion order.
+/// Expensive — run from the release `fit_qoe` binary. Fanned over the
+/// runner's worker pool ([`Runner::from_env`], so `DSV_THREADS` is
+/// respected); output order is config order regardless of completion
+/// order.
 pub fn generate() -> QoeDataset {
     let grids = dataset_grids();
     let sum = dataset_fnv(&grids);
-    let threads = dsv_sim::env::count_from_env(
-        "DSV_THREADS",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-    )
-    .max(1);
+    let runner = Runner::from_env();
     let out: Vec<DatasetGrid> = grids
         .iter()
         .map(|(label, cfgs)| {
-            let results: Vec<std::sync::Mutex<Vec<DatasetPoint>>> = cfgs
-                .iter()
-                .map(|_| std::sync::Mutex::new(Vec::new()))
-                .collect();
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads.min(cfgs.len()) {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(cfg) = cfgs.get(i) else { break };
-                        *results[i].lock().expect("dataset slot poisoned") = cfg.collect();
-                    });
-                }
-            });
-            let points: Vec<DatasetPoint> = results
+            let points: Vec<DatasetPoint> = runner
+                .fan_out(cfgs.len(), |i| cfgs[i].collect())
                 .into_iter()
-                .flat_map(|slot| slot.into_inner().expect("dataset slot poisoned"))
+                .flatten()
                 .collect();
             eprintln!("[fit_qoe] grid {label}: {} points", points.len());
             DatasetGrid {

@@ -631,9 +631,8 @@ impl Runner {
     pub fn from_env() -> Runner {
         let mut r = Runner::default();
         r.threads = dsv_sim::env::count_from_env("DSV_THREADS", r.threads);
-        if let Ok(v) = std::env::var("DSV_CACHE") {
-            let v = v.trim();
-            r.cache_dir = match v {
+        if let Some(v) = dsv_sim::env::text_from_env("DSV_CACHE") {
+            r.cache_dir = match v.as_str() {
                 "0" | "off" | "" => None,
                 path => Some(PathBuf::from(path)),
             };
@@ -641,8 +640,8 @@ impl Runner {
         if let Some(on) = dsv_sim::env::flag_from_env("DSV_PROGRESS") {
             r.progress = on;
         }
-        if let Ok(v) = std::env::var("DSV_CLUSTER") {
-            r.cluster = cluster_mode_from_str(v.trim());
+        if let Some(v) = dsv_sim::env::text_from_env("DSV_CLUSTER") {
+            r.cluster = cluster_mode_from_str(&v);
         }
         r
     }
@@ -730,43 +729,42 @@ impl Runner {
             slot_of[i] = slot;
         }
 
-        let stages_before = profile::snapshot();
-        let progress = Progress::new(n, reps.len(), self.progress);
-        let rep_points: Vec<ClusterPoint<J::Outcome>> = self
-            .fan_out(reps.len(), &progress, |slot| {
-                self.produce(&jobs[reps[slot]], addrs.get(reps[slot]))
-            })
-            .into_iter()
-            .map(|(outcome, hit)| ClusterPoint {
-                outcome,
-                source: PointSource::direct(hit),
-            })
-            .collect();
-
-        let out = (0..n)
-            .map(|i| {
-                let rep = rep_of[i];
-                let point = &rep_points[slot_of[rep]];
-                if rep == i {
-                    return point.clone();
-                }
-                // Same canonical form ⟹ same flow count.
-                let outcome = point
-                    .outcome
-                    .to_canonical(&addrs[rep].ranks)
-                    .to_label_order(&addrs[i].ranks)
-                    .expect("class members share a flow count");
-                progress.record_reused(outcome.drops());
+        let (out, stages) = profile::measure(|| {
+            let progress = Progress::new(n, reps.len(), self.progress);
+            let rep_points: Vec<ClusterPoint<J::Outcome>> = self.fan_out(reps.len(), |slot| {
+                let (outcome, hit) = self.produce(&jobs[reps[slot]], addrs.get(reps[slot]));
+                progress.record_counts(outcome.drops(), hit);
                 ClusterPoint {
                     outcome,
-                    source: PointSource::Reused {
-                        representative: rep,
-                    },
+                    source: PointSource::direct(hit),
                 }
-            })
-            .collect();
-        progress.finish();
-        profile::report(&format!("batch of {n}"), &stages_before);
+            });
+            let out = (0..n)
+                .map(|i| {
+                    let rep = rep_of[i];
+                    let point = &rep_points[slot_of[rep]];
+                    if rep == i {
+                        return point.clone();
+                    }
+                    // Same canonical form ⟹ same flow count.
+                    let outcome = point
+                        .outcome
+                        .to_canonical(&addrs[rep].ranks)
+                        .to_label_order(&addrs[i].ranks)
+                        .expect("class members share a flow count");
+                    progress.record_reused(outcome.drops());
+                    ClusterPoint {
+                        outcome,
+                        source: PointSource::Reused {
+                            representative: rep,
+                        },
+                    }
+                })
+                .collect();
+            progress.finish();
+            out
+        });
+        profile::report(&format!("batch of {n}"), &stages);
         out
     }
 
@@ -783,35 +781,43 @@ impl Runner {
         self.run_clustered(jobs)
     }
 
-    /// The fan-out engine: `n` points, each produced by
-    /// `exec(i) -> (outcome, cache_hit)`, fanned over the scoped thread
-    /// pool with results returned **in index order** regardless of thread
-    /// count; each lands on the live progress line.
-    fn fan_out<O: GridOutcome>(
+    /// The fan-out engine: `exec(i)` for each of `n` points, fanned over
+    /// the scoped thread pool, results returned **in index order**
+    /// regardless of thread count. Each worker hands its stage totals
+    /// ([`crate::profile`]) back to the calling thread as it finishes.
+    pub(crate) fn fan_out<T: Send + Sync>(
         &self,
         n: usize,
-        progress: &Progress,
-        exec: impl Fn(usize) -> (O, bool) + Sync,
-    ) -> Vec<(O, bool)> {
+        exec: impl Fn(usize) -> T + Sync,
+    ) -> Vec<T> {
         if n == 0 {
             return Vec::new();
         }
-        let slots: Vec<OnceLock<(O, bool)>> = (0..n).map(|_| OnceLock::new()).collect();
+        let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
         let next = AtomicUsize::new(0);
         let workers = self.threads.clamp(1, n);
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result = exec(i);
-                    progress.record_counts(result.0.drops(), result.1);
-                    if slots[i].set(result).is_err() {
-                        panic!("each slot is filled once");
-                    }
-                });
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break;
+                            }
+                            if slots[i].set(exec(i)).is_err() {
+                                panic!("each slot is filled once");
+                            }
+                        }
+                        profile::snapshot()
+                    })
+                })
+                .collect();
+            for handle in handles {
+                match handle.join() {
+                    Ok(stages) => profile::absorb(&stages),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
             }
         });
         slots
@@ -1311,6 +1317,33 @@ mod tests {
         assert!((eta_sims.unwrap() - 10.0).abs() < 1e-12);
         let (_, eta_points) = throughput_eta(10, 40, 5.0);
         assert!(eta_points.unwrap() > eta_sims.unwrap());
+    }
+
+    #[test]
+    fn each_batch_reports_its_own_peaks() {
+        use crate::smoothing::SmoothingServer;
+        // A deep-queue transport batch between two runs of a shallow QBone
+        // batch: the later shallow batch reports its own high-water marks,
+        // not the peak the deep batch left behind.
+        let runner = Runner::serial().with_threads(2);
+        let shallow = [Job::Qbone(tiny_base())];
+        let deep = [FlowJob::Smoothing(SmoothingConfig::new(
+            ClipId2::Lost,
+            1_000_000,
+            SmoothingServer::Tcp,
+            EfProfile::new(1_100_000, DEPTH_2MTU),
+        ))];
+        let (_, alone) = profile::measure(|| runner.run(&shallow));
+        let (_, deep) = profile::measure(|| runner.run(&deep));
+        let (_, after) = profile::measure(|| runner.run(&shallow));
+        assert!(
+            deep.queue_high_water > alone.queue_high_water,
+            "deep {deep:?}, shallow {alone:?}"
+        );
+        let peaks = |s: &profile::ProfileSnapshot| {
+            (s.points, s.events, s.queue_high_water, s.pool_high_water)
+        };
+        assert_eq!(peaks(&after), peaks(&alone));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! `dsv run --scenario <spec> --json` on each committed example must print
 //! the bytes pinned under `tests/dsv_run/`, and a spec that cannot be
-//! read, parsed or compiled must exit with status 2 and say why.
+//! read, parsed or compiled must exit with status 2 and say why. Under
+//! `DSV_AUDIT=1` the same binary audits the run and fails on a violation.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -84,4 +85,30 @@ fn a_spec_naming_an_unknown_node_exits_2() {
     assert_ne!(renamed, text, "the example conditions node `edge`");
     let out = dsv_run(&scratch_spec("unknown_node.json", &renamed));
     assert_exit_2(&out, "nowhere");
+}
+
+#[test]
+fn an_audited_run_that_breaks_its_bound_fails() {
+    let text = std::fs::read_to_string(repo_file("examples/scenario_policed_chain.json"))
+        .expect("example spec is readable");
+    // The policer admits 1.5 Mbps; a 300 kbps bound cannot hold.
+    let at = text
+        .find("\"bounds\"")
+        .expect("the example declares a bound");
+    let (head, bounds) = text.split_at(at);
+    let cut = format!(
+        "{head}{}",
+        bounds.replacen("\"rate_bps\": 1500000", "\"rate_bps\": 300000", 1)
+    );
+    assert_ne!(cut, text, "the example bounds flow 1 at 1.5 Mbps");
+    let out = Command::new(env!("CARGO_BIN_EXE_dsv"))
+        .args(["run", "--scenario"])
+        .arg(scratch_spec("bound_cut.json", &cut))
+        .arg("--json")
+        .env("DSV_AUDIT", "1")
+        .output()
+        .expect("dsv starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "stderr: {stderr}");
+    assert!(stderr.contains("conformance:"), "stderr: {stderr}");
 }

@@ -42,10 +42,6 @@ pub struct Policer {
     pub conformant: u64,
     /// Count of non-conformant packets.
     pub non_conformant: u64,
-    /// Whether the audit cross-check runs, read once at construction
-    /// (the engine's dispatch loop and `SimAudit` read it once per run).
-    #[cfg(feature = "audit")]
-    audit: bool,
 }
 
 impl Policer {
@@ -57,8 +53,6 @@ impl Policer {
             exceed,
             conformant: 0,
             non_conformant: 0,
-            #[cfg(feature = "audit")]
-            audit: dsv_sim::audit::runtime_enabled(),
         }
     }
 
@@ -96,29 +90,23 @@ impl Policer {
     /// Apply the policer to a borrowed packet, re-marking it in place.
     /// Returns `true` to forward, `false` to drop.
     pub fn police_in_place<P>(&mut self, now: SimTime, pkt: &mut Packet<P>) -> bool {
-        // Audit oracle: `conformance_time` is the analytic twin of
-        // `try_consume` — a packet is conformant right now iff its
-        // conformance time is `now`. Cross-check the two on every policed
-        // packet so the incremental integer bucket can never drift from
-        // the closed-form answer. (`conformance_time` only refills, which
-        // is idempotent at a fixed `now`, so asking first is side-effect
-        // free with respect to the consume below.)
-        #[cfg(feature = "audit")]
-        let predicted = if self.audit {
-            Some(self.bucket.conformance_time(now, pkt.size) == Some(now))
-        } else {
-            None
-        };
+        // `conformance_time` is the analytic twin of `try_consume`: a
+        // packet is conformant right now iff its conformance time is `now`.
+        // Debug builds cross-check the two on every policed packet so the
+        // incremental integer bucket can never drift from the closed-form
+        // answer. (`conformance_time` only refills, which is idempotent at
+        // a fixed `now`, so asking first is side-effect free with respect
+        // to the consume below.)
+        #[cfg(debug_assertions)]
+        let predicted = self.bucket.conformance_time(now, pkt.size) == Some(now);
         let conformant = self.bucket.try_consume(now, pkt.size);
-        #[cfg(feature = "audit")]
-        if let Some(predicted) = predicted {
-            assert_eq!(
-                conformant, predicted,
-                "audit: token-bucket conformance_time and try_consume disagree \
-                 for a {}-byte packet at {now:?}",
-                pkt.size
-            );
-        }
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            conformant, predicted,
+            "token-bucket conformance_time and try_consume disagree \
+             for a {}-byte packet at {now:?}",
+            pkt.size
+        );
         if conformant {
             self.conformant += 1;
             if let Some(mark) = self.conform_mark {
@@ -135,11 +123,6 @@ impl Policer {
                 }
             }
         }
-    }
-
-    /// Access to the underlying bucket (diagnostics/tests).
-    pub fn bucket_mut(&mut self) -> &mut TokenBucket {
-        &mut self.bucket
     }
 }
 

@@ -2,11 +2,12 @@
 //!
 //! The workspace's regression story leans on byte-identical `results/*.json`
 //! goldens, which silently re-bless a bug the moment they are regenerated.
-//! [`SimAudit`] is the complementary defence: an observer compiled in under
-//! `--features audit` (and armed at run time by `DSV_AUDIT=1` or
-//! [`set_enabled_for_process`]) that taps the network's packet lifecycle and
-//! verifies, *while the simulation runs*, properties that must hold under
-//! any refactor of the hot path:
+//! [`SimAudit`] is the complementary defence: the network's
+//! [`Observer`], watching an audited network
+//! ([`crate::network::Network::audited`]; every experiment run under
+//! `DSV_AUDIT=1`), that taps the packet lifecycle and verifies, *while the
+//! simulation runs*, properties that must hold under any refactor of the
+//! hot path:
 //!
 //! * **causality** — event delivery times never go backwards;
 //! * **packet conservation** — per flow and per node, every packet sent is
@@ -32,16 +33,15 @@
 //! of corruption is caught; production runners call
 //! [`AuditReport::assert_clean`] to turn any violation into a loud failure.
 //!
-//! When the `audit` feature is compiled out, none of this module exists and
-//! the network carries zero extra state or branches.
+//! An unaudited network's observer is `()`: it carries no audit state and
+//! its event path no audit branch.
 
 use std::collections::HashMap;
 
 use dsv_sim::{EventQueue, SimTime, Stamp};
 
-pub use dsv_sim::audit::{runtime_enabled, set_enabled_for_process};
-
 use crate::network::NetEvent;
+use crate::observer::Observer;
 use crate::packet::{FlowId, NodeId, PacketId, PortId};
 use crate::pool::PacketRef;
 
@@ -82,9 +82,9 @@ struct ConformanceBound {
     admitted_bytes: u64,
 }
 
-/// The audit observer. One per [`crate::network::Network`]; see module docs.
+/// The audit observer. One per audited [`crate::network::Network`]; see
+/// module docs.
 pub struct SimAudit {
-    enabled: bool,
     last_event: SimTime,
     events: u64,
     checks: u64,
@@ -120,11 +120,9 @@ pub struct SimAudit {
 }
 
 impl SimAudit {
-    /// A new observer for a network of `node_count` nodes, armed iff the
-    /// process-level audit switch ([`runtime_enabled`]) is on.
-    pub fn new(node_count: usize) -> Self {
+    /// A new observer for a network of `node_count` nodes.
+    pub(crate) fn new(node_count: usize) -> Self {
         SimAudit {
-            enabled: runtime_enabled(),
             last_event: SimTime::ZERO,
             events: 0,
             checks: 0,
@@ -143,21 +141,6 @@ impl SimAudit {
             tick_fired: None,
             finished: false,
         }
-    }
-
-    /// Arm the observer regardless of `DSV_AUDIT` (self-tests).
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
-    /// Disarm the observer.
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
-    /// Whether hooks are currently recording.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Register the analytic admission bound of a policer: traffic of
@@ -200,8 +183,81 @@ impl SimAudit {
         &mut self.flows.last_mut().expect("just pushed").1
     }
 
-    /// `event` is being dispatched at `now` from `queue`.
-    ///
+    /// End-of-run conservation closure, once. `pool_live` is the number
+    /// of packets parked in the in-flight pool; `held[i]` is the number of
+    /// packets physically held at node `i` (port queues + conditioner).
+    pub(crate) fn finish(&mut self, pool_live: usize, held: &[u64]) {
+        if self.finished {
+            return;
+        }
+        self.finished = true;
+
+        // Per node: everything that entered (arrived or was generated)
+        // either left (transmit), terminated (delivered / dropped), or is
+        // still held here.
+        for (i, n) in self.nodes.clone().iter().enumerate() {
+            let inflow = n.arrivals + n.generated;
+            let outflow = n.transmits + n.drops + n.delivered + held[i];
+            if inflow != outflow {
+                self.violation(format!(
+                    "conservation: node {i} saw {inflow} packets in \
+                     (arrivals {} + generated {}) but {outflow} out \
+                     (transmits {} + drops {} + delivered {} + held {})",
+                    n.arrivals, n.generated, n.transmits, n.drops, n.delivered, held[i]
+                ));
+            }
+        }
+
+        // Per flow: sent = delivered + dropped + in-flight.
+        let mut inflight: Vec<(FlowId, u64)> = Vec::new();
+        for &(flow, _) in self.outstanding.keys() {
+            let flow = FlowId(flow);
+            match inflight.iter_mut().find(|(f, _)| *f == flow) {
+                Some((_, n)) => *n += 1,
+                None => inflight.push((flow, 1)),
+            }
+        }
+        for (flow, f) in self.flows.clone() {
+            let still = inflight
+                .iter()
+                .find(|(g, _)| *g == flow)
+                .map_or(0, |&(_, n)| n);
+            if f.sent != f.delivered + f.dropped + still {
+                self.violation(format!(
+                    "conservation: flow {} sent {} != delivered {} + dropped {} \
+                     + in-flight {}",
+                    flow.0, f.sent, f.delivered, f.dropped, still
+                ));
+            }
+        }
+
+        // Globally: every unaccounted packet must be physically somewhere —
+        // parked in the pool (on the wire) or held at a node. A leak (a
+        // conditioner that swallowed a packet, a double-free that vacated a
+        // slot) breaks this equation.
+        let held_total: u64 = held.iter().sum();
+        let outstanding = self.outstanding.len() as u64;
+        if outstanding != pool_live as u64 + held_total {
+            self.violation(format!(
+                "conservation: {outstanding} packets unaccounted but only \
+                 {pool_live} on the wire + {held_total} held at nodes"
+            ));
+        }
+    }
+
+    /// Snapshot the audit outcome.
+    pub(crate) fn report(&self) -> AuditReport {
+        AuditReport {
+            events: self.events,
+            checks: self.checks,
+            total_violations: self.total_violations,
+            violations: self.violations.clone(),
+            finished: self.finished,
+        }
+    }
+}
+
+impl Observer for SimAudit {
     /// Per-hop dispatch would have filed a walked packet's `Arrive` when
     /// its last hop began to serialize, so against another event due at
     /// the same node and instant it would have sorted by filing instant:
@@ -216,10 +272,7 @@ impl SimAudit {
     /// due at the same instant and filed at that same instant, that number
     /// would have decided the order, so any such pair is reported,
     /// whichever node the other event is at.
-    pub(crate) fn on_event<E>(&mut self, now: SimTime, event: &NetEvent, queue: &EventQueue<E>) {
-        if !self.enabled {
-            return;
-        }
+    fn on_event(&mut self, now: SimTime, event: &NetEvent, queue: &EventQueue<NetEvent>) {
         self.events += 1;
         if now < self.last_event {
             let last = self.last_event;
@@ -281,19 +334,11 @@ impl SimAudit {
         }
     }
 
-    /// A timer was filed under `stamp`, counting as filed after the
-    /// instant it was set, and falls due at `at`.
-    pub(crate) fn on_timer_filed(&mut self, stamp: Stamp, at: SimTime) {
-        if self.enabled {
-            self.tick_due.push((stamp, at));
-        }
+    fn on_timer_filed(&mut self, stamp: Stamp, at: SimTime) {
+        self.tick_due.push((stamp, at));
     }
 
-    /// An application originated a packet at `node`.
-    pub(crate) fn on_sent(&mut self, flow: FlowId, id: PacketId, size: u32, node: NodeId) {
-        if !self.enabled {
-            return;
-        }
+    fn on_sent(&mut self, flow: FlowId, id: PacketId, size: u32, node: NodeId) {
         self.checks += 1;
         self.flow_entry(flow).sent += 1;
         self.nodes[node.0 as usize].generated += 1;
@@ -305,18 +350,12 @@ impl SimAudit {
         }
     }
 
-    /// A packet fully arrived at `node` (router or host).
-    pub(crate) fn on_arrive(&mut self, node: NodeId) {
-        if !self.enabled {
-            return;
-        }
+    fn on_arrive(&mut self, node: NodeId) {
         self.nodes[node.0 as usize].arrivals += 1;
     }
 
-    /// A chain walk moved a packet through `node`'s `port`: it arrived,
-    /// started serializing at `start`, and frees the port at `free_at`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_chain_hop(
+    fn on_chain_hop(
         &mut self,
         start: SimTime,
         free_at: SimTime,
@@ -326,45 +365,28 @@ impl SimAudit {
         id: PacketId,
         size: u32,
     ) {
-        if !self.enabled {
-            return;
-        }
         self.nodes[node.0 as usize].arrivals += 1;
         self.on_transmit(start, node, port, flow, id, size);
         self.chain_free_at
             .insert((node.0, port.0), (start, free_at));
     }
 
-    /// A chain walk filed `packet`'s `Arrive` at `node`, due at `at`;
-    /// its last walked hop began to serialize at `last_hop`.
-    pub(crate) fn on_chain_filed(
-        &mut self,
-        packet: PacketRef,
-        node: NodeId,
-        at: SimTime,
-        last_hop: SimTime,
-    ) {
-        if self.enabled {
-            self.chain_due.push((packet, node, at, last_hop));
-        }
+    fn on_chain_filed(&mut self, packet: PacketRef, node: NodeId, at: SimTime, last_hop: SimTime) {
+        self.chain_due.push((packet, node, at, last_hop));
     }
 
-    /// A per-hop packet reached `node` bound for chain port `port`, which
-    /// the network found `busy` or idle. If the port's last walked
+    /// If the port's last walked
     /// transmission ends at this very instant, per-hop dispatch would have
     /// found it busy iff the arrival was filed before that transmission
     /// began; filed at that same instant, it could have gone either way.
-    pub(crate) fn on_relay_arrive<E>(
+    fn on_relay_arrive(
         &mut self,
         now: SimTime,
         node: NodeId,
         port: PortId,
         busy: bool,
-        queue: &EventQueue<E>,
+        queue: &EventQueue<NetEvent>,
     ) {
-        if !self.enabled {
-            return;
-        }
         let Some(&(start, free_at)) = self.chain_free_at.get(&(node.0, port.0)) else {
             return;
         };
@@ -381,22 +403,17 @@ impl SimAudit {
         }
     }
 
-    /// Drop-tail admission at `node`'s chain port `port` at `at` depends on
-    /// whether a walked packet starting at that same instant still counts
-    /// as waiting, which per-hop dispatch would decide by the order of two
+    /// Per-hop dispatch would decide this admission by the order of two
     /// stamps filed at the same instant.
-    pub(crate) fn on_admission_tie(&mut self, at: SimTime, node: NodeId, port: PortId) {
-        if self.enabled {
-            self.violation(format!(
-                "chain-tie: admission at node {} port {} at {at:?} hangs on a \
-                 walked packet that starts serializing at the same instant",
-                node.0, port.0
-            ));
-        }
+    fn on_admission_tie(&mut self, at: SimTime, node: NodeId, port: PortId) {
+        self.violation(format!(
+            "chain-tie: admission at node {} port {} at {at:?} hangs on a \
+             walked packet that starts serializing at the same instant",
+            node.0, port.0
+        ));
     }
 
-    /// A packet was put on the wire out of `node`'s `port`.
-    pub(crate) fn on_transmit(
+    fn on_transmit(
         &mut self,
         now: SimTime,
         node: NodeId,
@@ -405,9 +422,6 @@ impl SimAudit {
         id: PacketId,
         size: u32,
     ) {
-        if !self.enabled {
-            return;
-        }
         self.checks += 1;
         self.nodes[node.0 as usize].transmits += 1;
 
@@ -456,11 +470,7 @@ impl SimAudit {
         }
     }
 
-    /// A packet reached its destination application at `node`.
-    pub(crate) fn on_delivered(&mut self, flow: FlowId, id: PacketId, size: u32, node: NodeId) {
-        if !self.enabled {
-            return;
-        }
+    fn on_delivered(&mut self, flow: FlowId, id: PacketId, size: u32, node: NodeId) {
         self.checks += 1;
         self.nodes[node.0 as usize].delivered += 1;
         self.flow_entry(flow).delivered += 1;
@@ -493,11 +503,7 @@ impl SimAudit {
         }
     }
 
-    /// A packet was accounted as dropped at `node`.
-    pub(crate) fn on_dropped(&mut self, flow: FlowId, id: PacketId, size: u32, node: NodeId) {
-        if !self.enabled {
-            return;
-        }
+    fn on_dropped(&mut self, flow: FlowId, id: PacketId, size: u32, node: NodeId) {
         self.checks += 1;
         self.nodes[node.0 as usize].drops += 1;
         self.flow_entry(flow).dropped += 1;
@@ -514,87 +520,12 @@ impl SimAudit {
             Some(_) => {}
         }
     }
-
-    /// End-of-run conservation closure. `pool_live` is the number of
-    /// packets parked in the in-flight pool; `held[i]` is the number of
-    /// packets physically held at node `i` (port queues + conditioner).
-    pub(crate) fn finish(&mut self, pool_live: usize, held: &[u64]) {
-        if !self.enabled {
-            return;
-        }
-        self.finished = true;
-
-        // Per node: everything that entered (arrived or was generated)
-        // either left (transmit), terminated (delivered / dropped), or is
-        // still held here.
-        for (i, n) in self.nodes.clone().iter().enumerate() {
-            let inflow = n.arrivals + n.generated;
-            let outflow = n.transmits + n.drops + n.delivered + held[i];
-            if inflow != outflow {
-                self.violation(format!(
-                    "conservation: node {i} saw {inflow} packets in \
-                     (arrivals {} + generated {}) but {outflow} out \
-                     (transmits {} + drops {} + delivered {} + held {})",
-                    n.arrivals, n.generated, n.transmits, n.drops, n.delivered, held[i]
-                ));
-            }
-        }
-
-        // Per flow: sent = delivered + dropped + in-flight.
-        let mut inflight: Vec<(FlowId, u64)> = Vec::new();
-        for &(flow, _) in self.outstanding.keys() {
-            let flow = FlowId(flow);
-            match inflight.iter_mut().find(|(f, _)| *f == flow) {
-                Some((_, n)) => *n += 1,
-                None => inflight.push((flow, 1)),
-            }
-        }
-        for (flow, f) in self.flows.clone() {
-            let still = inflight
-                .iter()
-                .find(|(g, _)| *g == flow)
-                .map_or(0, |&(_, n)| n);
-            if f.sent != f.delivered + f.dropped + still {
-                self.violation(format!(
-                    "conservation: flow {} sent {} != delivered {} + dropped {} \
-                     + in-flight {}",
-                    flow.0, f.sent, f.delivered, f.dropped, still
-                ));
-            }
-        }
-
-        // Globally: every unaccounted packet must be physically somewhere —
-        // parked in the pool (on the wire) or held at a node. A leak (a
-        // conditioner that swallowed a packet, a double-free that vacated a
-        // slot) breaks this equation.
-        let held_total: u64 = held.iter().sum();
-        let outstanding = self.outstanding.len() as u64;
-        if outstanding != pool_live as u64 + held_total {
-            self.violation(format!(
-                "conservation: {outstanding} packets unaccounted but only \
-                 {pool_live} on the wire + {held_total} held at nodes"
-            ));
-        }
-    }
-
-    /// Snapshot the audit outcome.
-    pub fn report(&self) -> AuditReport {
-        AuditReport {
-            enabled: self.enabled,
-            events: self.events,
-            checks: self.checks,
-            total_violations: self.total_violations,
-            violations: self.violations.clone(),
-            finished: self.finished,
-        }
-    }
 }
 
-/// Outcome of an audited run (see [`SimAudit::report`]).
+/// Outcome of an audited run (see
+/// [`Network::audit_report`](crate::network::Network::audit_report)).
 #[derive(Debug, Clone)]
 pub struct AuditReport {
-    /// Whether the observer was armed (if false, nothing was checked).
-    pub enabled: bool,
     /// Events observed by the causality oracle.
     pub events: u64,
     /// Lifecycle hook invocations checked.

@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod app;
-#[cfg(feature = "audit")]
 pub mod audit;
 pub mod conditioner;
 pub mod features;
@@ -52,6 +51,7 @@ pub mod frame_relay;
 pub mod histogram;
 pub mod link;
 pub mod network;
+pub mod observer;
 pub mod packet;
 pub mod pool;
 pub mod qdisc;
@@ -70,6 +70,7 @@ pub mod prelude {
     pub use crate::histogram::DurationHistogram;
     pub use crate::link::Link;
     pub use crate::network::{NetEvent, Network, NetworkBuilder, Simulation};
+    pub use crate::observer::Observer;
     pub use crate::packet::{
         DropReason, Dscp, FlowId, FragmentInfo, NodeId, Packet, PacketId, PortId, Proto,
         ETHERNET_MTU,

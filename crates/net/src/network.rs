@@ -47,16 +47,20 @@
 //! key ([`EventQueue::schedule_reserved`]); a wake-up that would find the
 //! port's queue empty is never dispatched at all. Every other event keeps
 //! its exact delivery position (DESIGN.md §6b).
+//!
+//! A network calls its [`Observer`] at every step of a packet's life; the
+//! one that [`NetworkBuilder::build`] returns is unobserved (`()`), and
+//! [`Network::audited`] hands it to a [`SimAudit`] before the run.
 
 use std::collections::VecDeque;
 
 use dsv_sim::{EventQueue, SimDuration, SimTime, Stamp, World};
 
 use crate::app::{AppCommand, AppCtx, Application};
-#[cfg(feature = "audit")]
-use crate::audit::SimAudit;
+use crate::audit::{AuditReport, SimAudit};
 use crate::conditioner::{ConditionOutcome, Conditioner, QuickVerdict};
 use crate::link::Link;
+use crate::observer::Observer;
 use crate::packet::{DropReason, Dscp, FlowId, NodeId, Packet, PacketId, PortId};
 use crate::pool::{PacketPool, PacketRef};
 use crate::qdisc::{DropTailQueue, FifoBand, Qdisc, QueueLimits};
@@ -230,6 +234,8 @@ impl<P> Port<P> {
     /// still waits iff the arrival was filed earlier. The second answer
     /// is true when both were filed at the same instant and the decision
     /// hangs on it.
+    // Hinted: shared by both instantiations (see `crate::observer`).
+    #[inline]
     fn admits(&mut self, band: FifoBand, at: SimTime, filed: SimTime, size: u32) -> (bool, bool) {
         while let Some(w) = self.waiting.front() {
             if w.start > at || (w.start == at && filed <= w.behind) {
@@ -538,8 +544,7 @@ impl<P: Send + 'static> NetworkBuilder<P> {
             // per run.
             pool: PacketPool::with_capacity(64),
             cmd_buf: Vec::with_capacity(8),
-            #[cfg(feature = "audit")]
-            audit: SimAudit::new(node_count),
+            observer: (),
         }
     }
 }
@@ -550,8 +555,8 @@ impl<P: Send + 'static> Default for NetworkBuilder<P> {
     }
 }
 
-/// The simulated network (see module docs).
-pub struct Network<P> {
+/// The simulated network (see module docs), observed by `O`.
+pub struct Network<P, O = ()> {
     nodes: Vec<Node<P>>,
     apps: Vec<Option<Box<dyn Application<P> + Send>>>,
     conditioners: Vec<Option<Box<dyn Conditioner<P> + Send>>>,
@@ -576,13 +581,69 @@ pub struct Network<P> {
     /// Reusable application command buffer: one allocation for the whole
     /// run instead of one per callback that issues commands.
     cmd_buf: Vec<AppCommand<P>>,
-    /// Online invariant checker (armed by `DSV_AUDIT=1`; see
-    /// [`crate::audit`]). Absent entirely when the feature is compiled out.
-    #[cfg(feature = "audit")]
-    audit: SimAudit,
+    /// The event-path observer (see [`crate::observer`]).
+    observer: O,
 }
 
 impl<P: 'static> Network<P> {
+    /// This network watched by a fresh [`SimAudit`], which checks every
+    /// event and packet of the run (see [`crate::audit`]). Call before the
+    /// run; [`Network::audit_report`] closes the audit after it.
+    pub fn audited(self) -> Network<P, SimAudit> {
+        let Network {
+            nodes,
+            apps,
+            conditioners,
+            cond_poll_at,
+            stats,
+            flow_next_id,
+            pool,
+            cmd_buf,
+            observer: (),
+        } = self;
+        Network {
+            observer: SimAudit::new(nodes.len()),
+            nodes,
+            apps,
+            conditioners,
+            cond_poll_at,
+            stats,
+            flow_next_id,
+            pool,
+            cmd_buf,
+        }
+    }
+}
+
+impl<P: 'static> Network<P, SimAudit> {
+    /// The audit, to register conformance bounds before the run.
+    pub fn audit_mut(&mut self) -> &mut SimAudit {
+        &mut self.observer
+    }
+
+    /// Close the audit's end-of-run conservation equations and report.
+    ///
+    /// Counts the packets still physically held at each node (port queues
+    /// and conditioner backlog) and on the wire, and checks them against
+    /// the lifecycle ledger. Call after the run; a second call reports
+    /// without closing again.
+    pub fn audit_report(&mut self) -> AuditReport {
+        let held: Vec<u64> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(i, n)| {
+                let queued: u64 = n.ports.iter().map(|p| u64::from(p.queued)).sum();
+                let absorbed = self.conditioners[i].as_ref().map_or(0, |c| c.held() as u64);
+                queued + absorbed
+            })
+            .collect();
+        self.observer.finish(self.pool.live(), &held);
+        self.observer.report()
+    }
+}
+
+impl<P: 'static, O: Observer> Network<P, O> {
     /// Schedule the start events for every host. Call once before running.
     pub fn schedule_starts(&self, queue: &mut EventQueue<NetEvent>) {
         for (i, node) in self.nodes.iter().enumerate() {
@@ -602,13 +663,6 @@ impl<P: 'static> Network<P> {
     pub fn app(&self, node: NodeId) -> &dyn Application<P> {
         self.apps[node.0 as usize]
             .as_deref()
-            .expect("node is not a host")
-    }
-
-    /// Mutable access to an application (test instrumentation).
-    pub fn app_mut(&mut self, node: NodeId) -> &mut (dyn Application<P> + 'static) {
-        self.apps[node.0 as usize]
-            .as_deref_mut()
             .expect("node is not a host")
     }
 
@@ -668,8 +722,7 @@ impl<P: 'static> Network<P> {
                     } else {
                         let stamp = queue.reserve_filed_at(filed);
                         queue.schedule_reserved(now + delay, stamp, timer);
-                        #[cfg(feature = "audit")]
-                        self.audit.on_timer_filed(stamp, now + delay);
+                        self.observer.on_timer_filed(stamp, now + delay);
                     }
                 }
                 AppCommand::Send(spec) => {
@@ -692,8 +745,7 @@ impl<P: 'static> Network<P> {
                         payload: spec.payload,
                     };
                     self.stats.on_sent(now, pkt.flow, pkt.id, pkt.size, node);
-                    #[cfg(feature = "audit")]
-                    self.audit.on_sent(pkt.flow, pkt.id, pkt.size, node);
+                    self.observer.on_sent(pkt.flow, pkt.id, pkt.size, node);
                     // Hosts have exactly one port (asserted at build).
                     self.enqueue_on_port(now, node, PortId(0), pkt, queue);
                 }
@@ -718,6 +770,8 @@ impl<P: 'static> Network<P> {
         );
     }
 
+    // Hinted: shared by both instantiations (see `crate::observer`).
+    #[inline]
     fn forward(
         &mut self,
         now: SimTime,
@@ -736,8 +790,7 @@ impl<P: 'static> Network<P> {
             None => {
                 self.stats
                     .on_dropped(now, pkt.flow, pkt.id, pkt.size, node, DropReason::NoRoute);
-                #[cfg(feature = "audit")]
-                self.audit.on_dropped(pkt.flow, pkt.id, pkt.size, node);
+                self.observer.on_dropped(pkt.flow, pkt.id, pkt.size, node);
             }
         }
     }
@@ -766,10 +819,9 @@ impl<P: 'static> Network<P> {
             && match p.qdisc.fifo_band(pkt.dscp) {
                 Some(band) => {
                     let filed = queue.last_stamp().map_or(now, Stamp::filed);
-                    let (admitted, _tie) = p.admits(band, now, filed, pkt.size);
-                    #[cfg(feature = "audit")]
-                    if _tie {
-                        self.audit.on_admission_tie(now, node, port);
+                    let (admitted, tie) = p.admits(band, now, filed, pkt.size);
+                    if tie {
+                        self.observer.on_admission_tie(now, node, port);
                     }
                     !admitted
                 }
@@ -800,12 +852,13 @@ impl<P: 'static> Network<P> {
                     node,
                     DropReason::QueueOverflow,
                 );
-                #[cfg(feature = "audit")]
-                self.audit.on_dropped(pkt.flow, pkt.id, pkt.size, node);
+                self.observer.on_dropped(pkt.flow, pkt.id, pkt.size, node);
             }
         }
     }
 
+    // Hinted: shared by both instantiations (see `crate::observer`).
+    #[inline]
     fn transmit_next(
         &mut self,
         now: SimTime,
@@ -865,8 +918,7 @@ impl<P: 'static> Network<P> {
         pkt: Packet<P>,
         queue: &mut EventQueue<NetEvent>,
     ) {
-        #[cfg(feature = "audit")]
-        self.audit
+        self.observer
             .on_transmit(now, node, port, pkt.flow, pkt.id, pkt.size);
         let hdr = Header::of(&pkt);
         let (peer, arrive) = self.occupy(now, node, port, pkt.size, queue);
@@ -886,13 +938,11 @@ impl<P: 'static> Network<P> {
         packet: PacketRef,
         queue: &mut EventQueue<NetEvent>,
     ) {
-        #[cfg(feature = "audit")]
-        if self.audit.enabled() {
-            let (flow, id) = {
-                let pkt = self.pool.get_mut(packet);
-                (pkt.flow, pkt.id)
-            };
-            self.audit.on_transmit(now, node, port, flow, id, hdr.size);
+        if O::ACTIVE {
+            let pkt = self.pool.get_mut(packet);
+            let (flow, id) = (pkt.flow, pkt.id);
+            self.observer
+                .on_transmit(now, node, port, flow, id, hdr.size);
         }
         let (peer, arrive) = self.occupy(now, node, port, hdr.size, queue);
         self.walk(now, peer, arrive, packet, hdr, queue);
@@ -951,10 +1001,9 @@ impl<P: 'static> Network<P> {
                 p.pending += 1;
                 break;
             };
-            let (admitted, _tie) = p.admits(band, at, filed, hdr.size);
-            #[cfg(feature = "audit")]
-            if _tie {
-                self.audit.on_admission_tie(at, node, port);
+            let (admitted, tie) = p.admits(band, at, filed, hdr.size);
+            if tie {
+                self.observer.on_admission_tie(at, node, port);
             }
             if !admitted {
                 p.pending += 1;
@@ -971,11 +1020,10 @@ impl<P: 'static> Network<P> {
             }
             p.free_at = start + p.serialization(hdr.size);
             p.ready = queue.reserve_filed_at(start);
-            #[cfg(feature = "audit")]
-            if self.audit.enabled() {
+            if O::ACTIVE {
                 let pkt = self.pool.get_mut(packet);
                 let (flow, id) = (pkt.flow, pkt.id);
-                self.audit
+                self.observer
                     .on_chain_hop(start, p.free_at, node, port, flow, id, hdr.size);
             }
             filed = start;
@@ -990,8 +1038,7 @@ impl<P: 'static> Network<P> {
         } else {
             let stamp = queue.reserve_filed_at(filed);
             queue.schedule_reserved(at, stamp, arrive);
-            #[cfg(feature = "audit")]
-            self.audit.on_chain_filed(packet, node, at, filed);
+            self.observer.on_chain_filed(packet, node, at, filed);
         }
     }
 
@@ -1041,8 +1088,7 @@ impl<P: 'static> Network<P> {
                             // dispatches was left to per-hop dispatch by a
                             // walk that counted it here.
                             p.pending -= 1;
-                            #[cfg(feature = "audit")]
-                            self.audit.on_relay_arrive(now, node, port, busy, queue);
+                            self.observer.on_relay_arrive(now, node, port, busy, queue);
                         }
                         let p = &self.nodes[idx].ports[port.0 as usize];
                         if !busy && p.queued == 0 && hdr.size <= p.direct_cap {
@@ -1062,8 +1108,7 @@ impl<P: 'static> Network<P> {
                             node,
                             DropReason::NoRoute,
                         );
-                        #[cfg(feature = "audit")]
-                        self.audit.on_dropped(pkt.flow, pkt.id, pkt.size, node);
+                        self.observer.on_dropped(pkt.flow, pkt.id, pkt.size, node);
                     }
                 }
             }
@@ -1071,8 +1116,7 @@ impl<P: 'static> Network<P> {
                 let pkt = self.pool.take(packet);
                 self.stats
                     .on_dropped(now, pkt.flow, pkt.id, pkt.size, node, reason);
-                #[cfg(feature = "audit")]
-                self.audit.on_dropped(pkt.flow, pkt.id, pkt.size, node);
+                self.observer.on_dropped(pkt.flow, pkt.id, pkt.size, node);
             }
             QuickVerdict::NeedsSubmit => {
                 let pkt = self.pool.take(packet);
@@ -1097,8 +1141,7 @@ impl<P: 'static> Network<P> {
                 ConditionOutcome::Drop(pkt, reason) => {
                     self.stats
                         .on_dropped(now, pkt.flow, pkt.id, pkt.size, node, reason);
-                    #[cfg(feature = "audit")]
-                    self.audit.on_dropped(pkt.flow, pkt.id, pkt.size, node);
+                    self.observer.on_dropped(pkt.flow, pkt.id, pkt.size, node);
                 }
                 ConditionOutcome::Absorbed { poll_at } => {
                     self.schedule_cond_poll(node, poll_at.max(now), queue);
@@ -1141,49 +1184,13 @@ impl<P: 'static> Network<P> {
             }
         }
     }
-
-    /// Close the audit's end-of-run conservation equations: count packets
-    /// still physically held at each node (port queues + conditioner
-    /// backlog) and on the wire, and check them against the lifecycle
-    /// ledger. Call once after the run; a no-op if the audit is disarmed.
-    #[cfg(feature = "audit")]
-    pub fn audit_finish(&mut self) {
-        if !self.audit.enabled() {
-            return;
-        }
-        let held: Vec<u64> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                let queued: u64 = n.ports.iter().map(|p| u64::from(p.queued)).sum();
-                let absorbed = self.conditioners[i].as_ref().map_or(0, |c| c.held() as u64);
-                queued + absorbed
-            })
-            .collect();
-        self.audit.finish(self.pool.live(), &held);
-    }
-
-    /// The audit observer (read [`SimAudit::report`] after a run).
-    #[cfg(feature = "audit")]
-    pub fn audit(&self) -> &SimAudit {
-        &self.audit
-    }
-
-    /// Mutable audit observer — arm it programmatically or register
-    /// token-bucket conformance bounds before the run.
-    #[cfg(feature = "audit")]
-    pub fn audit_mut(&mut self) -> &mut SimAudit {
-        &mut self.audit
-    }
 }
 
-impl<P: 'static> World for Network<P> {
+impl<P: 'static, O: Observer> World for Network<P, O> {
     type Event = NetEvent;
 
     fn handle(&mut self, now: SimTime, event: NetEvent, queue: &mut EventQueue<NetEvent>) {
-        #[cfg(feature = "audit")]
-        self.audit.on_event(now, &event, queue);
+        self.observer.on_event(now, &event, queue);
         match event {
             NetEvent::Start(node) => {
                 self.dispatch_app(now, node, |app, ctx| app.on_start(ctx), queue);
@@ -1195,8 +1202,7 @@ impl<P: 'static> World for Network<P> {
             NetEvent::CondPoll(node) => self.poll_conditioner(now, node, queue),
             NetEvent::Arrive { node, packet } => {
                 let idx = node.0 as usize;
-                #[cfg(feature = "audit")]
-                self.audit.on_arrive(node);
+                self.observer.on_arrive(node);
                 match self.nodes[idx].kind {
                     NodeKind::Router => self.router_arrive(now, node, packet, queue),
                     NodeKind::Host { .. } => {
@@ -1211,8 +1217,7 @@ impl<P: 'static> World for Network<P> {
                                 node,
                                 delay,
                             );
-                            #[cfg(feature = "audit")]
-                            self.audit
+                            self.observer
                                 .on_delivered(packet.flow, packet.id, packet.size, node);
                             self.dispatch_app(
                                 now,
@@ -1232,8 +1237,7 @@ impl<P: 'static> World for Network<P> {
                                 node,
                                 DropReason::NoRoute,
                             );
-                            #[cfg(feature = "audit")]
-                            self.audit
+                            self.observer
                                 .on_dropped(packet.flow, packet.id, packet.size, node);
                         }
                     }
@@ -1244,16 +1248,16 @@ impl<P: 'static> World for Network<P> {
 }
 
 /// A network bundled with its event queue: the convenient top-level runner.
-pub struct Simulation<P> {
+pub struct Simulation<P, O = ()> {
     /// The network world.
-    pub net: Network<P>,
+    pub net: Network<P, O>,
     /// The pending-event queue.
     pub queue: EventQueue<NetEvent>,
 }
 
-impl<P: Send + 'static> Simulation<P> {
+impl<P: Send + 'static, O: Observer> Simulation<P, O> {
     /// Wrap a built network and schedule host start events.
-    pub fn new(net: Network<P>) -> Self {
+    pub fn new(net: Network<P, O>) -> Self {
         // Measured pending-event high-water marks (the benchmark's
         // `sim.queue_high_water`): 9 on the paper's QBone grid, 36 on the
         // aggregate sweep, 571 on the transport runs (a packet walked

@@ -61,6 +61,8 @@ impl<P> PacketPool<P> {
     }
 
     /// Park a packet, returning the handle that retrieves it.
+    // Hinted: shared by both network instantiations (see `crate::observer`).
+    #[inline]
     pub fn insert(&mut self, pkt: Packet<P>) -> PacketRef {
         self.live += 1;
         if self.live > self.high_water {

@@ -118,11 +118,6 @@ impl<P> WredQueue<P> {
             seed,
         )
     }
-
-    /// Current average-queue estimate in bytes (diagnostics).
-    pub fn avg_bytes(&self) -> f64 {
-        self.avg
-    }
 }
 
 impl<P> Qdisc<P> for WredQueue<P> {

@@ -32,12 +32,6 @@ pub struct RunStats {
     /// True if the run stopped because the horizon was reached rather than
     /// because the queue drained.
     pub hit_horizon: bool,
-    /// Events checked by the compiled-in audit oracles during this run.
-    /// Always `0` when the `audit` feature is compiled out or `DSV_AUDIT`
-    /// is not enabled — a nonzero value is positive proof the run was
-    /// actually audited (sweep harnesses assert on it so a misconfigured
-    /// audit pass cannot silently audit nothing).
-    pub audit_events: u64,
 }
 
 /// Run until the event queue is empty.
@@ -57,25 +51,7 @@ pub fn run_until<W: World>(
 ) -> RunStats {
     let mut dispatched = 0u64;
     let mut end_time = SimTime::ZERO;
-    #[cfg(feature = "audit")]
-    let mut audit_events = 0u64;
-    #[cfg(not(feature = "audit"))]
-    let audit_events = 0u64;
-    #[cfg(feature = "audit")]
-    let audit_on = crate::audit::runtime_enabled();
     while let Some((now, ev)) = queue.pop_at_or_before(horizon) {
-        // Causality oracle: the queue must hand events back in
-        // non-decreasing time order (the per-backend ordering contract the
-        // differential tests check from outside, re-checked here from
-        // inside every audited run).
-        #[cfg(feature = "audit")]
-        if audit_on {
-            assert!(
-                now >= end_time,
-                "audit: dispatch time went backwards: {now:?} after {end_time:?}"
-            );
-            audit_events += 1;
-        }
         world.handle(now, ev, queue);
         dispatched += 1;
         end_time = now;
@@ -86,7 +62,6 @@ pub fn run_until<W: World>(
         // The loop exits either because the queue drained or because the
         // remaining events are all after the horizon.
         hit_horizon: !queue.is_empty(),
-        audit_events,
     }
 }
 

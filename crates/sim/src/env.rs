@@ -1,8 +1,10 @@
-//! Shared parsing for `DSV_*` environment knobs.
+//! Shared parsing for `DSV_*` environment knobs: the one module that
+//! reads the environment.
 //!
-//! Two shapes: `DSV_THREADS` is a positive count, and `DSV_PROGRESS`,
+//! Three shapes: `DSV_THREADS` is a positive count; `DSV_PROGRESS`,
 //! `DSV_PROFILE`, `DSV_AUDIT` and `DSV_REGEN` are flags, spelled
-//! `1`/`true`/`on` or `0`/`false`/`off` (surrounding whitespace ignored).
+//! `1`/`true`/`on` or `0`/`false`/`off` (surrounding whitespace ignored);
+//! and `DSV_CACHE` and `DSV_CLUSTER` are text their reader parses.
 //! Misconfiguration must never panic a long sweep or silently change it:
 //! an unusable value warns on stderr and reads as if the variable were
 //! unset, so the caller's documented default applies.
@@ -64,6 +66,12 @@ pub fn flag_from_env(var: &str) -> Option<bool> {
             None
         }
     }
+}
+
+/// Read the environment variable `var` as text, trimmed: `None` when
+/// unset (or not valid Unicode).
+pub fn text_from_env(var: &str) -> Option<String> {
+    std::env::var(var).ok().map(|v| v.trim().to_string())
 }
 
 #[cfg(test)]

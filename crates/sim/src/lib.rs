@@ -35,8 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "audit")]
-pub mod audit;
 pub mod engine;
 pub mod env;
 pub mod queue;

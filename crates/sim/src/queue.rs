@@ -208,7 +208,10 @@ impl<E> EventQueue<E> {
 
     /// Fused `peek_time` + `pop`: remove and return the earliest event iff
     /// it is scheduled at or before `horizon`. One ordering decision per
-    /// dispatched event instead of two — the dispatch loop's fast path.
+    /// dispatched event instead of two — the dispatch loop's fast path,
+    /// inlined into every loop that instantiates it (a binary that can
+    /// audit runs two: see `dsv_net::observer`).
+    #[inline(always)]
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
         let entry = match &mut self.backend {
             Backend::Wheel(w) => w.pop_at_or_before(horizon)?,

@@ -15,7 +15,7 @@
 //! presentation time, otherwise it repeats the previously shown frame —
 //! exactly the offset-based buffer-empty behaviour of the paper's script.
 
-use dsv_media::frame::{frame_interval, presentation_time};
+use dsv_media::frame::frame_interval;
 use dsv_sim::{SimDuration, SimTime};
 
 /// Playback configuration.
@@ -127,15 +127,10 @@ pub fn slot_time(start: SimTime, k: usize) -> SimTime {
     start + frame_interval() * k as u64
 }
 
-/// The nominal presentation time of frame `k` relative to stream start
-/// (re-exported from `dsv-media` for callers of this module).
-pub fn nominal_pts(k: u32) -> SimTime {
-    presentation_time(k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsv_media::frame::presentation_time;
 
     fn cfg() -> PlaybackConfig {
         PlaybackConfig {
