@@ -51,6 +51,8 @@ done
 
 echo "==> scenario refactor gate (spec-driven figures byte-identical, cache off)"
 DSV_CACHE=off ./target/release/fig07_qbone_lost > /dev/null
+DSV_CACHE=off ./target/release/fig10_qbone_dark > /dev/null
+DSV_CACHE=off ./target/release/ablation_multirate > /dev/null
 DSV_CACHE=off ./target/release/ablation_hop_jitter > /dev/null
 DSV_CACHE=off ./target/release/fig16_aggregate > /dev/null
 DSV_CACHE=off ./target/release/fig17_tcp_smoothing > /dev/null

@@ -29,7 +29,7 @@ use per_tick_server::PerTickPacedServer;
 type Server = fn(PacedConfig, &EncodedClip) -> Box<dyn Application<StreamPayload> + Send>;
 
 fn paced(cfg: PacedConfig, clip: &EncodedClip) -> Box<dyn Application<StreamPayload> + Send> {
-    Box::new(PacedServer::new(cfg, clip))
+    Box::new(PacedServer::unshared(cfg, clip))
 }
 
 fn per_tick(cfg: PacedConfig, clip: &EncodedClip) -> Box<dyn Application<StreamPayload> + Send> {

@@ -10,15 +10,25 @@
 //! the result via `Arc` across all `rates × depths` points (and across
 //! parallel workers) cannot change a single output byte.
 //!
+//! The paced server's [`PacingPlan`] is one of them: which ticks send,
+//! counted from `Play`, and how many packets each releases. The server
+//! ignores feedback and paces with fixed parameters, so its plan is a
+//! function of the encoding alone and is memoized under the encoding's
+//! key. Every QBone and aggregate point of one encoding replays the one
+//! plan; no point re-runs the pacer, and the packets sent, their instants
+//! and the events that send them are exactly those of a server pacing
+//! live (DESIGN.md §6b, "Paced servers wake only to send").
+//!
 //! The keying rule is the same as the runner's result cache: **the
 //! address is the config fields the artifact depends on**. There is no
 //! other invalidation — a key change is a different artifact, and code
 //! changes require a process restart (just like `results/cache/` requires
 //! a `DSV_CACHE=0` rerun after simulator changes).
 //!
-//! Sharing is always on. The per-key encode counters are always on too,
-//! so tests can assert the at-most-once property; a cold store in a warm
-//! process is one [`clear`] away.
+//! Sharing is always on. The per-key build counters ([`encode_runs`],
+//! [`plan_runs`]) are always on too, so tests can assert the at-most-once
+//! property; a cold store in a warm process, plans included, is one
+//! [`clear`] away.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -26,6 +36,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use dsv_media::encoder::{mpeg1, wmv, EncodedClip};
 use dsv_media::features::FeatureFrame;
 use dsv_media::scene::{ClipId, SceneModel};
+use dsv_stream::server::paced::PacingPlan;
 
 use crate::experiment::encoded_features;
 
@@ -75,34 +86,54 @@ impl<K: std::hash::Hash + Eq + Clone, V> Memo<K, V> {
 
 static MODELS: Memo<ClipId, SceneModel> = Memo::new();
 static SOURCE_FEATURES: Memo<ClipId, Vec<FeatureFrame>> = Memo::new();
-static ENCODINGS: Memo<(ClipId, Codec, u64), EncodedClip> = Memo::new();
-static REFERENCES: Memo<(ClipId, Codec, u64), Vec<FeatureFrame>> = Memo::new();
+static ENCODINGS: Memo<EncodeKey, EncodedClip> = Memo::new();
+static PLANS: Memo<EncodeKey, PacingPlan> = Memo::new();
+static REFERENCES: Memo<EncodeKey, Vec<FeatureFrame>> = Memo::new();
 
 /// Key identifying one encoding: `(clip, codec, rate_bps)`.
 type EncodeKey = (ClipId, Codec, u64);
 
-/// Cumulative number of times each `(clip, codec, rate)` encoding was
-/// actually computed (not served from the store). Test instrumentation
-/// for the at-most-once property; never reset.
-static ENCODE_RUNS: Mutex<Option<HashMap<EncodeKey, u64>>> = Mutex::new(None);
+/// Cumulative number of times each key's artifact was actually computed
+/// (not served from the store). Test instrumentation for the
+/// at-most-once property; never reset.
+struct Runs(Mutex<Option<HashMap<EncodeKey, u64>>>);
 
-fn count_encode(key: (ClipId, Codec, u64)) {
-    let mut runs = ENCODE_RUNS.lock().expect("encode counter poisoned");
-    *runs
-        .get_or_insert_with(HashMap::new)
-        .entry(key)
-        .or_insert(0) += 1;
+impl Runs {
+    const fn new() -> Runs {
+        Runs(Mutex::new(None))
+    }
+
+    fn count(&self, key: EncodeKey) {
+        let mut runs = self.0.lock().expect("build counter poisoned");
+        *runs
+            .get_or_insert_with(HashMap::new)
+            .entry(key)
+            .or_insert(0) += 1;
+    }
+
+    fn get(&self, key: EncodeKey) -> u64 {
+        self.0
+            .lock()
+            .expect("build counter poisoned")
+            .as_ref()
+            .and_then(|m| m.get(&key).copied())
+            .unwrap_or(0)
+    }
 }
+
+static ENCODE_RUNS: Runs = Runs::new();
+static PLAN_RUNS: Runs = Runs::new();
 
 /// How many times `(clip, codec, rate)` was encoded from scratch in this
 /// process: at most 1 per key until a [`clear`].
 pub fn encode_runs(clip: ClipId, codec: Codec, rate_bps: u64) -> u64 {
-    ENCODE_RUNS
-        .lock()
-        .expect("encode counter poisoned")
-        .as_ref()
-        .and_then(|m| m.get(&(clip, codec, rate_bps)).copied())
-        .unwrap_or(0)
+    ENCODE_RUNS.get((clip, codec, rate_bps))
+}
+
+/// How many times the pacing plan of `(clip, codec, rate)` was built from
+/// scratch in this process: at most 1 per key until a [`clear`].
+pub fn plan_runs(clip: ClipId, codec: Codec, rate_bps: u64) -> u64 {
+    PLAN_RUNS.get((clip, codec, rate_bps))
 }
 
 /// Drop every memoized artifact (the counters survive). The benchmark
@@ -111,6 +142,7 @@ pub fn clear() {
     MODELS.clear();
     SOURCE_FEATURES.clear();
     ENCODINGS.clear();
+    PLANS.clear();
     REFERENCES.clear();
 }
 
@@ -129,7 +161,7 @@ pub fn source_features(clip: ClipId) -> Arc<Vec<FeatureFrame>> {
 pub fn encoding(clip: ClipId, codec: Codec, rate_bps: u64) -> Arc<EncodedClip> {
     let m = model(clip);
     ENCODINGS.get_or((clip, codec, rate_bps), || {
-        count_encode((clip, codec, rate_bps));
+        ENCODE_RUNS.count((clip, codec, rate_bps));
         match codec {
             Codec::Mpeg1 => mpeg1::encode(&m, rate_bps),
             Codec::Wmv => wmv::encode(&m, rate_bps),
@@ -137,10 +169,21 @@ pub fn encoding(clip: ClipId, codec: Codec, rate_bps: u64) -> Arc<EncodedClip> {
     })
 }
 
+/// The paced server's plan for an encoding of `clip` at `rate_bps`
+/// (depends on: clip, codec, rate).
+pub fn paced_plan(clip: ClipId, codec: Codec, rate_bps: u64) -> Arc<PacingPlan> {
+    let enc = encoding(clip, codec, rate_bps);
+    PLANS.get_or((clip, codec, rate_bps), || {
+        PLAN_RUNS.count((clip, codec, rate_bps));
+        PacingPlan::new(&enc)
+    })
+}
+
 /// The memoized artifact store, as the scenario compiler's clip
 /// resolver: every `MediaRef` in a [`dsv_scenario::ScenarioSpec`] lowers
-/// through [`encoding`], so compiling a spec costs nothing beyond the
-/// first (shared) encode of each `(clip, codec, rate)` key.
+/// through [`encoding`], and every paced server through [`paced_plan`],
+/// so compiling a spec costs nothing beyond the first (shared) encode
+/// and plan of each `(clip, codec, rate)` key.
 pub struct ArtifactStore;
 
 impl dsv_scenario::ClipStore for ArtifactStore {
@@ -150,11 +193,25 @@ impl dsv_scenario::ClipStore for ArtifactStore {
         codec: dsv_scenario::CodecSpec,
         rate_bps: u64,
     ) -> Arc<EncodedClip> {
-        let codec = match codec {
+        encoding(clip.into(), codec.into(), rate_bps)
+    }
+
+    fn paced_plan(
+        &self,
+        clip: dsv_scenario::ClipId2,
+        codec: dsv_scenario::CodecSpec,
+        rate_bps: u64,
+    ) -> Arc<PacingPlan> {
+        paced_plan(clip.into(), codec.into(), rate_bps)
+    }
+}
+
+impl From<dsv_scenario::CodecSpec> for Codec {
+    fn from(codec: dsv_scenario::CodecSpec) -> Codec {
+        match codec {
             dsv_scenario::CodecSpec::Mpeg1 => Codec::Mpeg1,
             dsv_scenario::CodecSpec::Wmv => Codec::Wmv,
-        };
-        encoding(clip.into(), codec, rate_bps)
+        }
     }
 }
 

@@ -10,10 +10,10 @@
 //!
 //! [`execute`] also owns the two cross-cutting concerns of a run:
 //!
-//! * **stage profiling** ([`crate::profile`]): the encodings the spec's
-//!   media references pull from the artifact store count as the encode
-//!   stage, the event loop as the simulate stage (with its event count
-//!   and high-water marks);
+//! * **stage profiling** ([`crate::profile`]): the encodings and pacing
+//!   plans the spec's media references pull from the artifact store count
+//!   as the encode stage, the event loop as the simulate stage (with its
+//!   event count and high-water marks);
 //! * **the audit** (under `DSV_AUDIT=1`, read once per process): the
 //!   network runs audited ([`dsv_net::network::Network::audited`]), the
 //!   spec's bounds are registered before the run, the conservation
@@ -43,6 +43,7 @@ use dsv_stream::bulk::BulkTcpSink;
 use dsv_stream::client::{ClientReport, StreamClient};
 use dsv_stream::payload::StreamPayload;
 use dsv_stream::server::adaptive::AdaptiveServer;
+use dsv_stream::server::paced::PacingPlan;
 
 use crate::artifacts::{self, ArtifactStore, Codec};
 use crate::experiment::RunOutcome;
@@ -69,15 +70,24 @@ pub struct Execution {
 }
 
 /// The artifact store as the compiler's clip resolver, timing every
-/// encoding it serves as the profile's encode stage.
+/// encoding and pacing plan it serves as the profile's encode stage.
 struct TimedStore;
+
+/// `f()`, timed as the encode stage.
+fn timed_encode<T>(f: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let out = f();
+    profile::add_encode(t.elapsed());
+    out
+}
 
 impl ClipStore for TimedStore {
     fn encoding(&self, clip: ClipId2, codec: CodecSpec, rate_bps: u64) -> Arc<EncodedClip> {
-        let t = Instant::now();
-        let encoded = ArtifactStore.encoding(clip, codec, rate_bps);
-        profile::add_encode(t.elapsed());
-        encoded
+        timed_encode(|| ArtifactStore.encoding(clip, codec, rate_bps))
+    }
+
+    fn paced_plan(&self, clip: ClipId2, codec: CodecSpec, rate_bps: u64) -> Arc<PacingPlan> {
+        timed_encode(|| ArtifactStore.paced_plan(clip, codec, rate_bps))
     }
 }
 
@@ -190,11 +200,13 @@ impl Execution {
             })
             .collect();
 
-        let t = Instant::now();
-        let source = artifacts::source_features(clip.into());
-        let reference = artifacts::reference_features(clip.into(), codec, encoding_bps);
-        let best = best_bps.map(|bps| artifacts::reference_features(clip.into(), codec, bps));
-        profile::add_encode(t.elapsed());
+        let (source, reference, best) = timed_encode(|| {
+            (
+                artifacts::source_features(clip.into()),
+                artifacts::reference_features(clip.into(), codec, encoding_bps),
+                best_bps.map(|bps| artifacts::reference_features(clip.into(), codec, bps)),
+            )
+        });
 
         let t = Instant::now();
         let scored = read

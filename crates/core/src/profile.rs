@@ -17,6 +17,7 @@
 //! the benchmark reads its event counts.
 
 use std::cell::Cell;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -80,9 +81,11 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, ProfileSnapshot) {
     (out, inner)
 }
 
-/// Whether the `DSV_PROFILE` flag asked for stderr stage reports.
+/// Whether the `DSV_PROFILE` flag asked for stderr stage reports, read
+/// once per process.
 pub fn enabled() -> bool {
-    dsv_sim::env::flag_from_env("DSV_PROFILE").unwrap_or(false)
+    static ENABLED: OnceLock<bool> = OnceLock::new();
+    *ENABLED.get_or_init(|| dsv_sim::env::flag_from_env("DSV_PROFILE").unwrap_or(false))
 }
 
 /// A copy of accumulated stage totals: a thread's, or a region's.

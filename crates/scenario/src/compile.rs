@@ -44,25 +44,32 @@ use dsv_stream::payload::StreamPayload;
 use dsv_stream::playback::PlaybackConfig;
 use dsv_stream::server::adaptive::{AdaptiveConfig, AdaptiveServer};
 use dsv_stream::server::bursty::{BurstyConfig, BurstyServer};
-use dsv_stream::server::paced::{PacedConfig, PacedServer};
+use dsv_stream::server::paced::{multi_rate_tier, PacedConfig, PacedServer, PacingPlan};
 use dsv_stream::server::tcp_server::{TcpServerConfig, TcpStreamServer};
 
 use crate::apps::{IdSink, Pump};
 use crate::spec::{
-    ActionSpec, AppSpec, ClipId2, CodecSpec, LimitsSpec, MatchSpec, QdiscSpec, ScenarioSpec,
-    TransportSpec,
+    ActionSpec, AppSpec, ClipId2, CodecSpec, LimitsSpec, MatchSpec, MediaRef, QdiscSpec,
+    ScenarioSpec, TransportSpec,
 };
 
 /// A boxed conditioner over the stream payload — the type the compiler
 /// installs and the tap hook wraps.
 pub type BoxConditioner = Box<dyn Conditioner<StreamPayload> + Send>;
 
-/// Resolves [`crate::spec::MediaRef`]s to encoded clips. The experiment
-/// layer implements this over its memoized artifact store; specs stay
-/// free of multi-megabyte encodings.
+/// Resolves [`crate::spec::MediaRef`]s to encoded clips and their paced
+/// servers' plans. The experiment layer implements this over its memoized
+/// artifact store; specs stay free of multi-megabyte encodings.
 pub trait ClipStore {
     /// The encoding of `clip` under `codec` at `rate_bps`.
     fn encoding(&self, clip: ClipId2, codec: CodecSpec, rate_bps: u64) -> Arc<EncodedClip>;
+
+    /// The [`PacingPlan`] of that encoding, which every paced server
+    /// streaming it replays. The default paces the encoding afresh; a
+    /// store that shares encodings can share plans too.
+    fn paced_plan(&self, clip: ClipId2, codec: CodecSpec, rate_bps: u64) -> Arc<PacingPlan> {
+        Arc::new(PacingPlan::new(&self.encoding(clip, codec, rate_bps)))
+    }
 }
 
 /// Compile-time services a caller can provide.
@@ -214,6 +221,21 @@ impl AppBuilder<'_> {
         })
     }
 
+    /// A paced server streaming `media`, replaying the store's plan.
+    fn paced_server(
+        &self,
+        name: &str,
+        cfg: PacedConfig,
+        media: &MediaRef,
+    ) -> Result<PacedServer, CompileError> {
+        let store = self.store(name)?;
+        Ok(PacedServer::new(
+            cfg,
+            store.encoding(media.clip, media.codec, media.rate_bps),
+            store.paced_plan(media.clip, media.codec, media.rate_bps),
+        ))
+    }
+
     fn build(
         &mut self,
         name: &str,
@@ -227,15 +249,11 @@ impl AppBuilder<'_> {
                 flow,
                 dscp,
                 media,
-            } => {
-                let clip = self
-                    .store(name)?
-                    .encoding(media.clip, media.codec, media.rate_bps);
-                Box::new(PacedServer::new(
-                    PacedConfig::new(ids.get(client)?, FlowId(*flow), dscp.to_dscp()),
-                    &clip,
-                ))
-            }
+            } => Box::new(self.paced_server(
+                name,
+                PacedConfig::new(ids.get(client)?, FlowId(*flow), dscp.to_dscp()),
+                media,
+            )?),
             AppSpec::BurstyServer {
                 client,
                 flow,
@@ -263,17 +281,14 @@ impl AppBuilder<'_> {
                 tiers,
                 estimate_bps,
             } => {
-                let store = self.store(name)?;
-                let encoded: Vec<Arc<EncodedClip>> = tiers
-                    .iter()
-                    .map(|t| store.encoding(t.clip, t.codec, t.rate_bps))
-                    .collect();
-                let refs: Vec<&EncodedClip> = encoded.iter().map(|t| t.as_ref()).collect();
-                Box::new(PacedServer::new_multi_rate_shared(
+                let rates: Vec<u64> = tiers.iter().map(|t| t.rate_bps).collect();
+                let chosen = multi_rate_tier(&rates, *estimate_bps)
+                    .map_err(|e| CompileError::new(format!("node `{name}`: {e}")))?;
+                Box::new(self.paced_server(
+                    name,
                     PacedConfig::new(ids.get(client)?, FlowId(*flow), dscp.to_dscp()),
-                    &refs,
-                    *estimate_bps,
-                ))
+                    &tiers[chosen],
+                )?)
             }
             AppSpec::AdaptiveServer {
                 client,
@@ -711,8 +726,8 @@ pub fn compile(
 mod tests {
     use super::*;
     use crate::spec::{
-        ActionSpec, AppSpec, BoundSpec, ConditionerSpec, LinkParams, LinkSpec, MatchSpec, NodeSpec,
-        RuleSpec,
+        ActionSpec, AppSpec, BoundSpec, ConditionerSpec, DscpSpec, LinkParams, LinkSpec, MatchSpec,
+        NodeSpec, RuleSpec,
     };
     use dsv_net::network::Simulation;
 
@@ -1080,5 +1095,33 @@ mod tests {
         ));
         let err = expect_err(compile(&spec, CompileOptions::default()));
         assert!(err.to_string().contains("ClipStore"), "{err}");
+    }
+
+    #[test]
+    fn multi_rate_tiers_must_be_present_and_sorted() {
+        let tier = |rate_bps| crate::spec::MediaRef {
+            clip: ClipId2::Lost,
+            codec: CodecSpec::Mpeg1,
+            rate_bps,
+        };
+        for (tiers, expected) in [
+            (vec![], "at least one"),
+            (vec![tier(1_500_000), tier(1_000_000)], "sorted"),
+        ] {
+            let mut spec = chain_spec(20_000_000);
+            spec.nodes.push(NodeSpec::host(
+                "multi",
+                AppSpec::MultiRatePacedServer {
+                    client: "rx".to_string(),
+                    flow: 2,
+                    dscp: DscpSpec::Ef,
+                    tiers,
+                    estimate_bps: 1_200_000,
+                },
+            ));
+            let err = expect_err(compile(&spec, CompileOptions::default()));
+            assert!(err.to_string().contains(expected), "{err}");
+            assert!(err.to_string().contains("`multi`"), "{err}");
+        }
     }
 }

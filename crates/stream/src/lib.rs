@@ -37,13 +37,14 @@ pub mod prelude {
     pub use crate::bulk::{BulkTcpConfig, BulkTcpSender, BulkTcpSink};
     pub use crate::client::{ClientConfig, ClientMode, ClientReport, StreamClient};
     pub use crate::packetize::{
-        byte_ranges, chunks_for, frame_chunks, frame_datagrams, ChunkSpec, LARGE_DATAGRAM_BYTES,
+        byte_ranges, chunks_for, frame_chunk, frame_chunks, frame_datagrams, ChunkSpec,
+        LARGE_DATAGRAM_BYTES,
     };
     pub use crate::payload::{ControlMsg, FeedbackReport, MediaChunk, StreamPayload, TcpSegment};
     pub use crate::playback::{playback_schedule, PlaybackConfig, PlaybackResult};
     pub use crate::server::adaptive::{AdaptiveConfig, AdaptiveServer};
     pub use crate::server::bursty::{BurstyConfig, BurstyServer};
-    pub use crate::server::paced::{PacedConfig, PacedServer};
+    pub use crate::server::paced::{multi_rate_tier, PacedConfig, PacedServer, PacingPlan};
     pub use crate::server::tcp_server::{TcpServerConfig, TcpStreamServer, TCP_READ_AHEAD};
     pub use crate::server::Pacer;
     pub use crate::tcp::{TcpReceiver, TcpSender, MSS};

@@ -43,20 +43,23 @@ pub fn chunks_for(payload_bytes: u32) -> u16 {
 /// Split one frame into independent MTU-sized chunks (small-message
 /// servers).
 pub fn frame_chunks(frame: &EncodedFrame) -> Vec<ChunkSpec> {
-    let n = chunks_for(frame.bytes);
-    (0..n)
-        .map(|chunk| {
-            let remaining = frame.bytes - chunk as u32 * MAX_PAYLOAD_BYTES;
-            let payload = remaining.min(MAX_PAYLOAD_BYTES);
-            ChunkSpec {
-                frame_index: frame.index,
-                chunk,
-                chunks_in_frame: n,
-                wire_bytes: payload + HEADER_BYTES,
-                datagram: None,
-            }
-        })
+    (0..chunks_for(frame.bytes))
+        .map(|chunk| frame_chunk(frame, chunk))
         .collect()
+}
+
+/// Chunk number `chunk` of [`frame_chunks`]`(frame)`, without building the
+/// others.
+pub fn frame_chunk(frame: &EncodedFrame, chunk: u16) -> ChunkSpec {
+    let remaining = frame.bytes - chunk as u32 * MAX_PAYLOAD_BYTES;
+    let payload = remaining.min(MAX_PAYLOAD_BYTES);
+    ChunkSpec {
+        frame_index: frame.index,
+        chunk,
+        chunks_in_frame: chunks_for(frame.bytes),
+        wire_bytes: payload + HEADER_BYTES,
+        datagram: None,
+    }
 }
 
 /// Split one frame into large application datagrams, each fragmented into

@@ -26,7 +26,9 @@ use dsv_sim::{SimDuration, SimTime};
 
 use crate::packetize::ChunkSpec;
 
-/// A send-buffer pacer shared by the paced and adaptive servers.
+/// A send-buffer pacer: the adaptive server drains through a live one,
+/// and the paced server's [`paced::PacingPlan`] runs one once per
+/// encoding.
 ///
 /// Frames are appended to the buffer as the server "reads the file" in
 /// real time; a periodic tick drains whole packets at a rate proportional

@@ -7,29 +7,43 @@
 //! the EF code point exactly as the remote Video Charger pre-marked them
 //! (paper §3.2.2).
 //!
-//! The pacer runs on an OS-timer tick (5 ms), and before each tick the
-//! server reads every frame due by then. A tick that releases no packet
-//! changes nothing anyone observes, so the server is woken only at the
-//! ticks that send: at `Play` and at each wake-up it runs the pacer ahead,
-//! tick by tick, to the next one that releases packets, holds them, and
-//! sets its one timer for that tick. The timer is stamped as filed one
-//! tick before it falls due ([`AppCtx::set_timer_filed_at`]), where a
-//! timer per tick would have been filed, so it sorts against every event
-//! filed at any other instant exactly as that tick would have (DESIGN.md
-//! §6b, "Paced servers wake only to send"). A `Teardown` drops the held
-//! packets along with the rest of the send buffer.
+//! The pacer runs on an OS-timer tick ([`TICK`]), and before each tick the
+//! server reads every frame due by then. The server ignores feedback, so
+//! nothing the network does reaches that loop: which ticks send, counted
+//! from `Play`, and how many packets each releases depend on the encoding
+//! alone. A [`PacingPlan`] runs the loop once per encoding and records
+//! just that; it holds no packets, because the pacer is FIFO and they are
+//! the encoding's [`frame_chunks`] in order. A server replays a shared
+//! plan: it wakes only at the ticks that send, sends their packets, and
+//! sets its one timer for the next such tick. The timer is stamped as
+//! filed one tick before it falls due ([`AppCtx::set_timer_filed_at`]),
+//! where a timer per tick would have been filed, so it sorts against
+//! every event filed at any other instant exactly as that tick would have
+//! (DESIGN.md §6b, "Paced servers wake only to send"). A `Teardown` ends
+//! the replay, dropping the rest of the send buffer.
+
+use std::sync::Arc;
 
 use dsv_media::encoder::EncodedClip;
-use dsv_media::frame::EncodedFrame;
 use dsv_net::app::{AppCtx, Application, SendSpec};
 use dsv_net::packet::{Dscp, FlowId, NodeId, Packet, Proto};
 use dsv_sim::{SimDuration, SimTime};
 
-use crate::packetize::frame_chunks;
+use crate::packetize::{frame_chunk, frame_chunks};
 use crate::payload::{ControlMsg, MediaChunk, StreamPayload, CONTROL_PACKET_BYTES};
 use crate::server::{read_time, Pacer, TOK_TICK};
 
-/// Paced-server configuration.
+/// OS timer granularity: packets due within a tick leave back-to-back.
+/// Frames due at a tick's instant are read before it.
+pub const TICK: SimDuration = SimDuration::from_millis(5);
+/// Pacing low-pass window (larger = smoother output).
+pub const SMOOTHING: SimDuration = SimDuration::from_millis(250);
+/// Pacing floor, bits per second.
+pub const MIN_RATE_BPS: u64 = 200_000;
+
+/// Paced-server configuration. The pacing itself is the Video Charger's
+/// ([`TICK`], [`SMOOTHING`], [`MIN_RATE_BPS`]), fixed in the server's
+/// [`PacingPlan`].
 #[derive(Debug, Clone)]
 pub struct PacedConfig {
     /// Destination client.
@@ -38,57 +52,155 @@ pub struct PacedConfig {
     pub flow: FlowId,
     /// DSCP the server pre-marks on media packets.
     pub dscp: Dscp,
-    /// Pacing low-pass window (larger = smoother output).
-    pub smoothing: SimDuration,
-    /// OS timer granularity: packets due within a tick leave back-to-back.
-    /// Frames due at a tick's instant are read before it.
-    pub tick: SimDuration,
-    /// Pacing floor.
-    pub min_rate_bps: u64,
     /// If true, wait for the client's `Play` before streaming; otherwise
     /// start immediately.
     pub wait_for_play: bool,
 }
 
 impl PacedConfig {
-    /// Defaults matching the Video Charger observations: smooth pacing
-    /// (≈400 ms smoothing) with a 5 ms release timer.
+    /// A server that streams to `client` on `flow`, marking `dscp`, once
+    /// the client asks it to play.
     pub fn new(client: NodeId, flow: FlowId, dscp: Dscp) -> PacedConfig {
         PacedConfig {
             client,
             flow,
             dscp,
-            smoothing: SimDuration::from_millis(250),
-            tick: SimDuration::from_millis(5),
-            min_rate_bps: 200_000,
             wait_for_play: true,
         }
     }
 }
 
+/// When a paced server sends, for one encoding: each tick that releases
+/// packets, counted from `Play`, and how many packets it releases.
+///
+/// [`PacingPlan::new`] runs the server's read-and-pace loop over the whole
+/// clip, as the server would with `Play` at time zero. One plan serves
+/// every server of that encoding, whatever policer follows it: a sweep
+/// builds it once per encoding and shares it (`Arc`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PacingPlan {
+    frames: usize,
+    steps: Vec<Step>,
+}
+
+/// One entry of a plan, two bytes: `chunks` packets leave `gap` ticks
+/// after the previous entry's tick (after `Play`, for the first). A
+/// sending tick is one entry while it releases at most 255 packets, as
+/// on every committed encoding; a larger release continues in entries
+/// with gap 0. The gap always fits: a buffer that holds a packet gains
+/// at least 125 bytes of allowance a tick at the [`MIN_RATE_BPS`] floor,
+/// so its head (at most 1500 bytes) leaves within 12 ticks, and an empty
+/// buffer gets the next frame within 7.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Step {
+    gap: u8,
+    chunks: u8,
+}
+
+impl PacingPlan {
+    /// Pace `clip`: tick by tick from `Play`, read every frame due by the
+    /// tick, then drain the send buffer through the pacer, until the clip
+    /// is read and the buffer empty.
+    pub fn new(clip: &EncodedClip) -> PacingPlan {
+        let frames = &clip.frames;
+        let mut pacer = Pacer::new(SMOOTHING, MIN_RATE_BPS);
+        let mut released = Vec::new();
+        let mut steps = Vec::new();
+        let mut next_frame = 0;
+        let mut at = SimTime::ZERO;
+        let mut gap = 0u64;
+        while next_frame < frames.len() || !pacer.is_empty() {
+            at += TICK;
+            gap += 1;
+            while next_frame < frames.len() && read_time(SimTime::ZERO, next_frame as u32) <= at {
+                for c in frame_chunks(&frames[next_frame]) {
+                    pacer.push(c);
+                }
+                next_frame += 1;
+            }
+            pacer.tick_into(TICK, 1.0, &mut released);
+            if !released.is_empty() {
+                push_steps(&mut steps, gap, released.len());
+                gap = 0;
+            }
+        }
+        steps.shrink_to_fit();
+        PacingPlan {
+            frames: frames.len(),
+            steps,
+        }
+    }
+
+    /// The first sending tick at or after entry `from`: the ticks from the
+    /// previous one (or from `Play`), the packets it releases, and the
+    /// entry after it. `None` once the plan is spent.
+    fn next_send(&self, mut from: usize) -> Option<(u64, usize, usize)> {
+        let (mut ticks, mut chunks) = (0, 0);
+        while let Some(step) = self.steps.get(from) {
+            if chunks > 0 && step.gap > 0 {
+                break;
+            }
+            ticks += u64::from(step.gap);
+            chunks += usize::from(step.chunks);
+            from += 1;
+        }
+        (chunks > 0).then_some((ticks, chunks, from))
+    }
+}
+
+/// Append the entries of one sending tick, `gap` ticks after the previous.
+fn push_steps(steps: &mut Vec<Step>, gap: u64, mut chunks: usize) {
+    let mut gap = u8::try_from(gap).expect("a paced server sends at least every 19 ticks");
+    while chunks > 0 {
+        let now = chunks.min(usize::from(u8::MAX));
+        steps.push(Step {
+            gap,
+            chunks: now as u8,
+        });
+        chunks -= now;
+        gap = 0;
+    }
+}
+
+/// The tier a multi-rate server streams, from its tiers' nominal rates
+/// (ascending): the highest that fits within `estimate_bps`, or the lowest
+/// when none fits. Errs on no tiers or unsorted rates.
+pub fn multi_rate_tier(rates_bps: &[u64], estimate_bps: u64) -> Result<usize, &'static str> {
+    if rates_bps.is_empty() {
+        return Err("need at least one encoding");
+    }
+    if !rates_bps.windows(2).all(|w| w[0] <= w[1]) {
+        return Err("tiers must be sorted by rate");
+    }
+    Ok(rates_bps
+        .iter()
+        .rposition(|&rate| rate <= estimate_bps)
+        .unwrap_or(0))
+}
+
 /// The paced server application.
 pub struct PacedServer {
     cfg: PacedConfig,
-    frames: Vec<EncodedFrame>,
-    nominal_bps: u64,
-    pacer: Pacer,
-    next_frame: u32,
+    clip: Arc<EncodedClip>,
+    plan: Arc<PacingPlan>,
+    /// The plan entry after the pending wake-up's tick.
+    step: usize,
+    /// Packets the pending wake-up sends.
+    due: usize,
+    /// The next packet to send: its frame, and its chunk in that frame.
+    frame: u32,
+    chunk: u16,
     seq: u64,
-    play_start: Option<SimTime>,
-    /// The packets the tick of the pending wake-up released, sent when it
-    /// fires. One buffer serves the whole stream, so the wake-up (the
-    /// hottest application path in the QBone sweeps) allocates nothing.
-    held: Vec<crate::packetize::ChunkSpec>,
-    /// Total media packets handed to the network (diagnostics).
-    pub packets_sent: u64,
+    started: bool,
 }
 
 impl PacedServer {
     /// Create a multi-rate server: given several encodings of the same
     /// content (sorted by rate), serve the highest one whose nominal rate
-    /// fits within `bandwidth_estimate_bps`. The paper notes its MPEG
-    /// servers lacked this ("we expect such a capability to be available
-    /// in future MPEG servers"); this constructor is that future server.
+    /// fits within `bandwidth_estimate_bps` ([`multi_rate_tier`]). The
+    /// paper notes its MPEG servers lacked this ("we expect such a
+    /// capability to be available in future MPEG servers"); this
+    /// constructor is that future server.
     ///
     /// # Panics
     /// Panics if `tiers` is empty or unsorted by rate.
@@ -97,128 +209,95 @@ impl PacedServer {
         tiers: &[EncodedClip],
         bandwidth_estimate_bps: u64,
     ) -> PacedServer {
-        let refs: Vec<&EncodedClip> = tiers.iter().collect();
-        PacedServer::new_multi_rate_shared(cfg, &refs, bandwidth_estimate_bps)
+        let rates: Vec<u64> = tiers.iter().map(|t| t.target_bps).collect();
+        let chosen =
+            multi_rate_tier(&rates, bandwidth_estimate_bps).unwrap_or_else(|e| panic!("{e}"));
+        PacedServer::unshared(cfg, &tiers[chosen])
     }
 
-    /// [`new_multi_rate`](PacedServer::new_multi_rate) over borrowed
-    /// tiers, so sweep drivers can pass shared (`Arc`-owned) encodings
-    /// without cloning each tier at every grid point.
+    /// A server that paces its own copy of `clip`.
+    pub fn unshared(cfg: PacedConfig, clip: &EncodedClip) -> PacedServer {
+        let plan = Arc::new(PacingPlan::new(clip));
+        PacedServer::new(cfg, Arc::new(clip.clone()), plan)
+    }
+
+    /// A server that streams `clip` as `plan`, the clip's
+    /// [`PacingPlan`], schedules it.
     ///
     /// # Panics
-    /// Panics if `tiers` is empty or unsorted by rate.
-    pub fn new_multi_rate_shared(
-        cfg: PacedConfig,
-        tiers: &[&EncodedClip],
-        bandwidth_estimate_bps: u64,
-    ) -> PacedServer {
-        assert!(!tiers.is_empty(), "need at least one encoding");
-        assert!(
-            tiers.windows(2).all(|w| w[0].target_bps <= w[1].target_bps),
-            "tiers must be sorted by rate"
+    /// Panics if `plan` paces a clip with another frame count.
+    pub fn new(cfg: PacedConfig, clip: Arc<EncodedClip>, plan: Arc<PacingPlan>) -> PacedServer {
+        assert_eq!(
+            plan.frames,
+            clip.frames.len(),
+            "the pacing plan paces another clip"
         );
-        let chosen = tiers
-            .iter()
-            .rev()
-            .find(|t| t.target_bps <= bandwidth_estimate_bps)
-            .copied()
-            .unwrap_or(tiers[0]);
-        PacedServer::new(cfg, chosen)
+        PacedServer {
+            cfg,
+            clip,
+            plan,
+            step: 0,
+            due: 0,
+            frame: 0,
+            chunk: 0,
+            seq: 0,
+            started: false,
+        }
     }
 
     /// Nominal rate of the encoding being served (diagnostics).
     pub fn nominal_bps(&self) -> u64 {
-        self.nominal_bps
-    }
-
-    /// Create a server for one encoded clip.
-    pub fn new(cfg: PacedConfig, clip: &EncodedClip) -> PacedServer {
-        let pacer = Pacer::new(cfg.smoothing, cfg.min_rate_bps);
-        PacedServer {
-            cfg,
-            frames: clip.frames.clone(),
-            nominal_bps: clip.target_bps,
-            pacer,
-            next_frame: 0,
-            seq: 0,
-            play_start: None,
-            held: Vec::new(),
-            packets_sent: 0,
-        }
+        self.clip.target_bps
     }
 
     fn begin(&mut self, ctx: &mut AppCtx<StreamPayload>) {
-        if self.play_start.is_some() {
-            return;
-        }
-        self.play_start = Some(ctx.now());
-        self.run_ahead(ctx);
-    }
-
-    /// Run the pacer forward from now, one tick at a time, reading the
-    /// frames due by each tick before it, until a tick releases packets:
-    /// hold them and wake up at that tick. A stream that ends first sets
-    /// no wake-up.
-    fn run_ahead(&mut self, ctx: &mut AppCtx<StreamPayload>) {
-        let now = ctx.now();
-        let mut at = now;
-        while !self.done() {
-            at += self.cfg.tick;
-            self.read_frames_due(at);
-            self.pacer.tick_into(self.cfg.tick, 1.0, &mut self.held);
-            if !self.held.is_empty() {
-                // Stamped where a timer per tick would have been filed:
-                // by the tick before this one.
-                ctx.set_timer_filed_at(at.saturating_since(now), at - self.cfg.tick, TOK_TICK);
-                return;
-            }
+        if !self.started {
+            self.started = true;
+            self.arm(ctx);
         }
     }
 
-    fn read_frames_due(&mut self, at: SimTime) {
-        let start = self.play_start.expect("begin() ran");
-        while (self.next_frame as usize) < self.frames.len()
-            && read_time(start, self.next_frame) <= at
-        {
-            let f = self.frames[self.next_frame as usize];
-            for c in frame_chunks(&f) {
-                self.pacer.push(c);
-            }
-            self.next_frame += 1;
+    /// Set the wake-up for the plan's next sending tick, if any. It is
+    /// stamped where a timer per tick would have been filed: by the tick
+    /// before it.
+    fn arm(&mut self, ctx: &mut AppCtx<StreamPayload>) {
+        if let Some((ticks, chunks, next)) = self.plan.next_send(self.step) {
+            self.step = next;
+            self.due = chunks;
+            let now = ctx.now();
+            let at = now + TICK.saturating_mul(ticks);
+            ctx.set_timer_filed_at(at.saturating_since(now), at - TICK, TOK_TICK);
         }
     }
 
-    fn send_chunks(
-        &mut self,
-        ctx: &mut AppCtx<StreamPayload>,
-        chunks: &[crate::packetize::ChunkSpec],
-    ) {
-        for &c in chunks {
-            let fidelity = self.frames[c.frame_index as usize].fidelity;
-            let seq = self.seq;
-            self.seq += 1;
-            self.packets_sent += 1;
-            ctx.send(SendSpec {
-                dst: self.cfg.client,
-                flow: self.cfg.flow,
-                size: c.wire_bytes,
-                dscp: self.cfg.dscp,
-                proto: Proto::Udp,
-                fragment: None,
-                payload: StreamPayload::Media(MediaChunk {
-                    seq,
-                    frame_index: c.frame_index,
-                    chunk: c.chunk,
-                    chunks_in_frame: c.chunks_in_frame,
-                    repair: false,
-                    fidelity,
-                }),
-            });
+    /// Send the next packet of the clip.
+    fn send_next(&mut self, ctx: &mut AppCtx<StreamPayload>) {
+        let frame = &self.clip.frames[self.frame as usize];
+        let c = frame_chunk(frame, self.chunk);
+        if c.chunk + 1 == c.chunks_in_frame {
+            self.frame += 1;
+            self.chunk = 0;
+        } else {
+            self.chunk += 1;
         }
-    }
-
-    fn done(&self) -> bool {
-        self.next_frame as usize >= self.frames.len() && self.pacer.is_empty()
+        let seq = self.seq;
+        self.seq += 1;
+        ctx.send(SendSpec {
+            dst: self.cfg.client,
+            flow: self.cfg.flow,
+            size: c.wire_bytes,
+            dscp: self.cfg.dscp,
+            proto: Proto::Udp,
+            fragment: None,
+            payload: StreamPayload::Media(MediaChunk {
+                seq,
+                frame_index: c.frame_index,
+                chunk: c.chunk,
+                chunks_in_frame: c.chunks_in_frame,
+                repair: false,
+                fidelity: frame.fidelity,
+            }),
+        });
     }
 }
 
@@ -240,16 +319,15 @@ impl Application<StreamPayload> for PacedServer {
                     proto: Proto::Tcp,
                     fragment: None,
                     payload: StreamPayload::Control(ControlMsg::DescribeReply {
-                        frames: self.frames.len() as u32,
-                        nominal_bps: self.nominal_bps,
+                        frames: self.clip.frames.len() as u32,
+                        nominal_bps: self.clip.target_bps,
                     }),
                 });
             }
             StreamPayload::Control(ControlMsg::Play) => self.begin(ctx),
             StreamPayload::Control(ControlMsg::Teardown) => {
-                self.next_frame = self.frames.len() as u32;
-                self.pacer.clear();
-                self.held.clear();
+                self.step = self.plan.steps.len();
+                self.due = 0;
             }
             // The paced server has no adaptation loop: feedback ignored.
             _ => {}
@@ -258,10 +336,10 @@ impl Application<StreamPayload> for PacedServer {
 
     fn on_timer(&mut self, ctx: &mut AppCtx<StreamPayload>, token: u64) {
         if token == TOK_TICK {
-            let held = std::mem::take(&mut self.held);
-            self.send_chunks(ctx, &held);
-            self.held = held;
-            self.run_ahead(ctx);
+            for _ in 0..std::mem::take(&mut self.due) {
+                self.send_next(ctx);
+            }
+            self.arm(ctx);
         }
     }
 }
@@ -284,7 +362,7 @@ mod tests {
         let r = b.add_router("r");
         let mut cfg = PacedConfig::new(sink, FlowId(1), Dscp::EF_QBONE);
         cfg.wait_for_play = false;
-        let server = b.add_host("server", Box::new(PacedServer::new(cfg, &clip)));
+        let server = b.add_host("server", Box::new(PacedServer::unshared(cfg, &clip)));
         b.connect(server, r, Link::fast_ethernet());
         b.connect(r, sink, Link::fast_ethernet());
         let mut sim = Simulation::new(b.build());
@@ -310,7 +388,7 @@ mod tests {
         let r = b.add_router("r");
         let mut cfg = PacedConfig::new(sink, FlowId(1), Dscp::EF_QBONE);
         cfg.wait_for_play = false;
-        let server = b.add_host("server", Box::new(PacedServer::new(cfg, &clip)));
+        let server = b.add_host("server", Box::new(PacedServer::unshared(cfg, &clip)));
         b.connect(server, r, Link::fast_ethernet());
         b.connect(r, sink, Link::fast_ethernet());
         let mut net = b.build();
@@ -366,13 +444,44 @@ mod tests {
     }
 
     #[test]
+    fn plan_releases_every_chunk_of_the_clip() {
+        let clip = mpeg1::encode(&ClipId::Lost.model(), 1_000_000);
+        let plan = PacingPlan::new(&clip);
+        let chunks: usize = clip.frames.iter().map(|f| frame_chunks(f).len()).sum();
+        let (mut sent, mut ticks, mut at) = (0, 0, 0);
+        while let Some((gap, n, next)) = plan.next_send(at) {
+            assert!(gap >= 1, "one sending tick per entry run");
+            sent += n;
+            ticks += 1;
+            at = next;
+        }
+        assert_eq!(sent, chunks);
+        assert_eq!(ticks, plan.steps.len(), "every gap and count fits a byte");
+        assert_eq!(std::mem::size_of::<Step>(), 2);
+    }
+
+    #[test]
+    fn large_releases_continue_in_entries_with_gap_zero() {
+        let mut steps = Vec::new();
+        push_steps(&mut steps, 3, 2);
+        push_steps(&mut steps, 19, 600);
+        push_steps(&mut steps, 1, 1);
+        let plan = PacingPlan { frames: 0, steps };
+        assert_eq!(plan.steps.len(), 5, "2, then 255 + 255 + 90, then 1");
+        assert_eq!(plan.next_send(0), Some((3, 2, 1)));
+        assert_eq!(plan.next_send(1), Some((19, 600, 4)));
+        assert_eq!(plan.next_send(4), Some((1, 1, 5)));
+        assert_eq!(plan.next_send(5), None);
+    }
+
+    #[test]
     fn waits_for_play_when_configured() {
         let clip = mpeg1::encode(&ClipId::Lost.model(), 1_000_000);
         let mut b = NetworkBuilder::new();
         let sink = b.add_host("client", Box::new(CountingSink::default()));
         let r = b.add_router("r");
         let cfg = PacedConfig::new(sink, FlowId(1), Dscp::EF_QBONE);
-        let server = b.add_host("server", Box::new(PacedServer::new(cfg, &clip)));
+        let server = b.add_host("server", Box::new(PacedServer::unshared(cfg, &clip)));
         b.connect(server, r, Link::fast_ethernet());
         b.connect(r, sink, Link::fast_ethernet());
         let mut sim = Simulation::new(b.build());

@@ -50,7 +50,7 @@ use dsv_scenario::spec::{
 use dsv_scenario::{compile, ClipStore, CompileOptions, CompiledScenario, ScenarioSpec};
 use dsv_sim::{EventQueue, QueueBackend, SimDuration, SimTime};
 use dsv_stream::payload::{ControlMsg, StreamPayload, CONTROL_PACKET_BYTES};
-use dsv_stream::server::paced::{PacedConfig, PacedServer};
+use dsv_stream::server::paced::{multi_rate_tier, PacedConfig, PacedServer};
 
 use per_tick_server::PerTickPacedServer;
 
@@ -107,25 +107,38 @@ impl Run {
         Run::start(compiled(&per_hop(spec)), on_heap)
     }
 
-    /// `spec` with every paced server replaced by the per-tick reference,
-    /// on the heap.
+    /// `spec` with every paced server, multi-rate ones included, replaced
+    /// by the per-tick reference over the encoding it streams, on the
+    /// heap.
     fn per_tick(spec: &ScenarioSpec) -> Run {
         let mut compiled = compiled(spec);
         for node in &spec.nodes {
-            if let Some(AppSpec::PacedServer {
-                client,
-                flow,
-                dscp,
-                media,
-            }) = &node.app
-            {
-                let clip = ArtifactStore.encoding(media.clip, media.codec, media.rate_bps);
-                let cfg = PacedConfig::new(compiled.node(client), FlowId(*flow), dscp.to_dscp());
-                let host = compiled.node(&node.name);
-                compiled
-                    .net
-                    .replace_app(host, Box::new(PerTickPacedServer::new(cfg, &clip)));
-            }
+            let (client, flow, dscp, media) = match &node.app {
+                Some(AppSpec::PacedServer {
+                    client,
+                    flow,
+                    dscp,
+                    media,
+                }) => (client, flow, dscp, media),
+                Some(AppSpec::MultiRatePacedServer {
+                    client,
+                    flow,
+                    dscp,
+                    tiers,
+                    estimate_bps,
+                }) => {
+                    let rates: Vec<u64> = tiers.iter().map(|t| t.rate_bps).collect();
+                    let chosen = multi_rate_tier(&rates, *estimate_bps).expect("valid tiers");
+                    (client, flow, dscp, &tiers[chosen])
+                }
+                _ => continue,
+            };
+            let clip = ArtifactStore.encoding(media.clip, media.codec, media.rate_bps);
+            let cfg = PacedConfig::new(compiled.node(client), FlowId(*flow), dscp.to_dscp());
+            let host = compiled.node(&node.name);
+            compiled
+                .net
+                .replace_app(host, Box::new(PerTickPacedServer::new(cfg, &clip)));
         }
         Run::start(compiled, on_heap)
     }
@@ -502,6 +515,20 @@ fn paced_server_dark_point() {
     assert_wakes_like_per_tick("dark 1.0 Mbps", &qbone_spec(&cfg));
 }
 
+/// The multi-rate ablation's server at 1.8 Mb/s sizes its encoding to
+/// 88% of the token rate, so it streams the middle of its three tiers
+/// (1.5 Mbps) while the client expects 1.7 Mbps.
+#[test]
+fn multi_rate_paced_server_ablation_point() {
+    let mut cfg = QboneConfig::new(
+        ClipId2::Lost,
+        1_700_000,
+        EfProfile::new(1_800_000, DEPTH_3MTU),
+    );
+    cfg.server = QboneServer::MultiRatePaced;
+    assert_wakes_like_per_tick("multi-rate 1.8 Mb/s", &qbone_spec(&cfg));
+}
+
 #[test]
 fn paced_servers_eight_flow_aggregate() {
     assert_wakes_like_per_tick("aggregate x8", &eight_flow_aggregate());
@@ -594,7 +621,7 @@ fn viewer_session(
     let server: Box<dyn Application<StreamPayload> + Send> = if per_tick {
         Box::new(PerTickPacedServer::new(cfg, &clip))
     } else {
-        Box::new(PacedServer::new(cfg, &clip))
+        Box::new(PacedServer::unshared(cfg, &clip))
     };
     let server = b.add_host("server", server);
     assert_eq!(server, NodeId(1));

@@ -13,6 +13,11 @@
 //!   worse than b = 3000 B at the same rate.
 //! * **Shaping monotonicity** — a shaped WMT stream is never worse than
 //!   the same stream unshaped at a starved profile (§4.2).
+//! * **Policer independence** — what reaches the QBone ingress policer
+//!   does not depend on its profile: the paced server ignores feedback,
+//!   so every packet reaches the policer at the same instant whatever
+//!   (r, b) it enforces. This is what lets the paced server replay one
+//!   pacing plan per encoding at every point of a grid.
 //!
 //! The live chain and shaping properties run on both event-queue
 //! backends, chosen with `EventQueue::with_backend`; the AF-TCP ones run
@@ -20,13 +25,19 @@
 //! the heap on an AF-TCP workload. The grid properties load the
 //! committed goldens (see `dsv_core::golden`).
 
+use std::sync::{Arc, Mutex};
+
 use dsv_check::scenario::{run_policer_chain, ChainConfig};
 use dsv_core::artifacts::ArtifactStore;
 use dsv_core::local::local_spec;
 use dsv_core::prelude::*;
+use dsv_core::qbone::{qbone_spec, MEDIA_FLOW};
+use dsv_net::conditioner::{ConditionOutcome, Conditioner, Released};
 use dsv_net::network::Simulation;
-use dsv_scenario::{compile, CompileOptions};
+use dsv_net::packet::{DropReason, FlowId, Packet, PacketId};
+use dsv_scenario::{compile, BoxConditioner, CompileOptions};
 use dsv_sim::{EventQueue, QueueBackend, SimDuration, SimTime};
+use dsv_stream::payload::StreamPayload;
 
 const ENC: u64 = 1_500_000;
 
@@ -350,4 +361,102 @@ fn shaping_is_never_worse_live_under_both_backends() {
         shaped.quality,
         unshaped.quality
     );
+}
+
+/// One packet a conditioner was handed: instant, flow, id and size.
+type Arrival = (SimTime, FlowId, PacketId, u32);
+
+/// Records every packet it is handed, then hands it to the conditioner
+/// it wraps. It offers no fast path, so every packet passes `submit`.
+struct Recorder {
+    inner: BoxConditioner,
+    seen: Arc<Mutex<Vec<Arrival>>>,
+}
+
+impl Conditioner<StreamPayload> for Recorder {
+    fn submit(
+        &mut self,
+        now: SimTime,
+        pkt: Packet<StreamPayload>,
+    ) -> ConditionOutcome<StreamPayload> {
+        let arrival = (now, pkt.flow, pkt.id, pkt.size);
+        self.seen.lock().expect("recorder poisoned").push(arrival);
+        self.inner.submit(now, pkt)
+    }
+
+    fn release(&mut self, now: SimTime) -> Released<StreamPayload> {
+        self.inner.release(now)
+    }
+
+    fn held(&self) -> usize {
+        self.inner.held()
+    }
+}
+
+/// Every packet the `ingress` tap of a Lost 1.0 Mbps QBone point sees,
+/// and the media packets its policer drops.
+fn ingress_arrivals(rate_bps: u64, depth_bytes: u32) -> (Vec<Arrival>, u64) {
+    let spec = qbone_spec(&QboneConfig::new(
+        ClipId2::Lost,
+        1_000_000,
+        EfProfile::new(rate_bps, depth_bytes),
+    ));
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let wrap = |tap: &str, inner: BoxConditioner| -> BoxConditioner {
+        assert_eq!(tap, "ingress", "the QBone spec has one tap");
+        Box::new(Recorder {
+            inner,
+            seen: Arc::clone(&seen),
+        })
+    };
+    let compiled = compile(
+        &spec,
+        CompileOptions {
+            store: Some(&ArtifactStore),
+            wrap: Some(&wrap),
+        },
+    )
+    .expect("qbone spec compiles");
+    let horizon = compiled.horizon.map_or(SimTime::MAX, |h| SimTime::ZERO + h);
+    let mut sim = Simulation::new(compiled.net);
+    sim.run_until(horizon);
+    let drops = sim
+        .net
+        .stats
+        .flow(MEDIA_FLOW)
+        .drops_for(DropReason::PolicerNonConformant);
+    let arrivals = std::mem::take(&mut *seen.lock().expect("recorder poisoned"));
+    (arrivals, drops)
+}
+
+#[test]
+fn ingress_arrivals_do_not_depend_on_the_policer_profile() {
+    // Two points of the paper grid that drop and two that do not, at both
+    // bucket depths.
+    let points = [
+        (880_000, DEPTH_2MTU, true),
+        (1_140_000, DEPTH_2MTU, false),
+        (880_000, DEPTH_3MTU, true),
+        (1_452_000, DEPTH_3MTU, false),
+    ];
+    let runs: Vec<_> = points
+        .iter()
+        .map(|&(rate, depth, _)| ingress_arrivals(rate, depth))
+        .collect();
+    let reference = &runs[0].0;
+    assert!(
+        reference.iter().filter(|a| a.1 == MEDIA_FLOW).count() > 6000,
+        "the tap sees the whole stream"
+    );
+    for ((rate, depth, drops_packets), (arrivals, drops)) in points.iter().zip(&runs) {
+        assert_eq!(
+            *drops > 0,
+            *drops_packets,
+            "({rate} b/s, {depth} B) policer drops: {drops}"
+        );
+        assert!(
+            arrivals == reference,
+            "({rate} b/s, {depth} B): the ingress tap saw another trace"
+        );
+    }
 }

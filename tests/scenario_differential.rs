@@ -79,7 +79,7 @@ mod legacy {
         let remote_edge = b.add_router("remote-edge");
         let server = b.add_host(
             "video-server",
-            Box::new(PacedServer::new(
+            Box::new(PacedServer::unshared(
                 PacedConfig::new(client, MEDIA_FLOW, Dscp::EF_QBONE),
                 &clip,
             )),

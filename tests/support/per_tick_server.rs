@@ -4,8 +4,9 @@
 //! buffer at its read time, and a tick timer drains the buffer through the
 //! public `Pacer` every `tick`, whether or not the tick releases a packet.
 //! At an instant both fall due, the frame timer, filed a frame period
-//! earlier, fires first. `PacedServer` wakes only at the ticks that send;
-//! the tests that include this file compare the two byte for byte.
+//! earlier, fires first. `PacedServer` replays its encoding's
+//! `PacingPlan`, waking only at the ticks that send; the tests that
+//! include this file compare the two byte for byte.
 
 use dsv_media::encoder::EncodedClip;
 use dsv_media::frame::{presentation_time, EncodedFrame};
@@ -14,7 +15,7 @@ use dsv_net::packet::{Dscp, Packet, Proto};
 use dsv_sim::{SimDuration, SimTime};
 use dsv_stream::packetize::{frame_chunks, ChunkSpec};
 use dsv_stream::payload::{ControlMsg, MediaChunk, StreamPayload, CONTROL_PACKET_BYTES};
-use dsv_stream::server::paced::PacedConfig;
+use dsv_stream::server::paced::{PacedConfig, MIN_RATE_BPS, SMOOTHING, TICK};
 use dsv_stream::server::Pacer;
 
 const TOK_FRAME: u64 = 1;
@@ -34,7 +35,7 @@ pub struct PerTickPacedServer {
 impl PerTickPacedServer {
     /// A reference server for `clip` under `cfg`.
     pub fn new(cfg: PacedConfig, clip: &EncodedClip) -> PerTickPacedServer {
-        let pacer = Pacer::new(cfg.smoothing, cfg.min_rate_bps);
+        let pacer = Pacer::new(SMOOTHING, MIN_RATE_BPS);
         PerTickPacedServer {
             cfg,
             frames: clip.frames.clone(),
@@ -52,7 +53,7 @@ impl PerTickPacedServer {
         }
         self.play_start = Some(ctx.now());
         ctx.set_timer(SimDuration::ZERO, TOK_FRAME);
-        ctx.set_timer(self.cfg.tick, TOK_TICK);
+        ctx.set_timer(TICK, TOK_TICK);
     }
 
     fn read_time(&self, index: u32) -> SimTime {
@@ -134,10 +135,10 @@ impl Application<StreamPayload> for PerTickPacedServer {
                 ctx.set_timer(next_at.saturating_since(now), TOK_FRAME);
             }
         } else if token == TOK_TICK {
-            let chunks = self.pacer.tick(self.cfg.tick, 1.0);
+            let chunks = self.pacer.tick(TICK, 1.0);
             self.send(ctx, &chunks);
             if !self.done() {
-                ctx.set_timer(self.cfg.tick, TOK_TICK);
+                ctx.set_timer(TICK, TOK_TICK);
             }
         }
     }
