@@ -59,6 +59,16 @@ DSV_CACHE=off ./target/release/fig17_tcp_smoothing > /dev/null
 DSV_CACHE=off ./target/release/fig18_af_tcp > /dev/null
 git diff --exit-code -- results/
 
+echo "==> audited hop-chain gate (conditioned chain hops, DSV_AUDIT=1, cache off)"
+# Hop chains cross the QBone and smoothing policers and AF-TCP's edge for
+# the pairs they decide alone. The audit's chain-tie, admission-tie and
+# conformance oracles certify that those walked verdicts sort and admit
+# as per-hop dispatch would; a violation panics the figure.
+for fig in fig07_qbone_lost fig17_tcp_smoothing fig18_af_tcp; do
+  DSV_AUDIT=1 DSV_CACHE=off ./target/release/"$fig" > /dev/null
+done
+git diff --exit-code -- results/
+
 echo "==> transport goldens regeneration gate (cluster modes)"
 # The smoothing and AF-TCP goldens must re-simulate byte-for-byte with
 # exact clustering and with every point simulated individually.

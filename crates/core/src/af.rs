@@ -14,8 +14,9 @@
 
 use dsv_net::packet::FlowId;
 use dsv_scenario::{
-    ActionSpec, AppSpec, ConditionerSpec, CrossTrafficSpec, DscpSpec, LimitsSpec, LinkParams,
-    LinkSpec, MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec, ScenarioSpec, TransportSpec,
+    ActionSpec, AppSpec, CompileError, ConditionerSpec, CrossTrafficSpec, DscpSpec, LimitsSpec,
+    LinkParams, LinkSpec, MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec, ScenarioSpec,
+    TransportSpec,
 };
 use serde::{Deserialize, Serialize};
 
@@ -204,7 +205,16 @@ pub fn run_af(cfg: &AfConfig) -> RunOutcome {
 /// [`run_af`], also returning the raw client report (delivery detail and
 /// the flow features the QoE proxy consumes).
 pub fn run_af_detailed(cfg: &AfConfig) -> (RunOutcome, dsv_stream::client::ClientReport) {
-    let exec = execute(&af_spec(cfg)).expect("af spec compiles");
+    try_run_af(cfg).expect("af spec compiles")
+}
+
+/// [`run_af_detailed`], returning the compile error of a configuration the
+/// testbed cannot build (a media rate below the encoders' floor) instead
+/// of panicking.
+pub fn try_run_af(
+    cfg: &AfConfig,
+) -> Result<(RunOutcome, dsv_stream::client::ClientReport), CompileError> {
+    let exec = execute(&af_spec(cfg))?;
     let mut scored = exec.score_clients(
         cfg.clip,
         Codec::Mpeg1,
@@ -212,7 +222,7 @@ pub fn run_af_detailed(cfg: &AfConfig) -> (RunOutcome, dsv_stream::client::Clien
         None,
         [("client", MEDIA_FLOW)],
     );
-    scored.pop().expect("one client")
+    Ok(scored.pop().expect("one client"))
 }
 
 #[cfg(test)]

@@ -9,14 +9,21 @@
 //!
 //! The first three subcommands run the paper's fixed testbeds. `run`
 //! compiles an arbitrary declarative [`dsv_scenario::ScenarioSpec`] from
-//! a JSON file and reports per-flow and per-client statistics.
+//! a JSON file and reports per-flow and per-client statistics. A
+//! configuration that does not compile (a media rate below the encoders'
+//! floor, a zero token rate) exits with status 2 and the compile error on
+//! stderr, whichever subcommand built it.
 //!
 //! Prints the run outcome as aligned text and, with `--json`, as a JSON
 //! object on stdout.
 
 use std::process::exit;
 
+use dsv_core::af::try_run_af;
+use dsv_core::local::try_run_local;
 use dsv_core::prelude::*;
+use dsv_core::qbone::try_run_qbone;
+use dsv_scenario::CompileError;
 use serde::Serialize;
 
 fn usage() -> ! {
@@ -72,6 +79,14 @@ impl Args {
             }
         }
     }
+}
+
+/// The result of a compiled run, or exit 2 with the compile error.
+fn or_exit<T>(result: Result<T, CompileError>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2)
+    })
 }
 
 fn print_outcome(out: &RunOutcome, json: bool) {
@@ -147,10 +162,7 @@ fn run_scenario(path: &str, json: bool) {
         eprintln!("invalid scenario spec {path}: {e}");
         exit(2)
     });
-    let exec = dsv_core::execute(&spec).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(2)
-    });
+    let exec = or_exit(dsv_core::execute(&spec));
 
     let summary = ScenarioSummary {
         scenario: spec.name.clone(),
@@ -246,7 +258,7 @@ fn main() {
             } else if args.flag("--multirate") {
                 cfg.server = QboneServer::MultiRatePaced;
             }
-            run_qbone(&cfg)
+            or_exit(try_run_qbone(&cfg)).0
         }
         "local" => {
             let transport = if args.flag("--tcp") {
@@ -266,7 +278,7 @@ fn main() {
             cfg.cross_traffic = args.flag("--cross-traffic");
             cfg.multi_rate = args.flag("--multi-rate-tiers");
             cfg.seed = args.u64_or("--seed", cfg.seed);
-            run_local(&cfg)
+            or_exit(try_run_local(&cfg)).0
         }
         "run" => {
             let path = args.value("--scenario").unwrap_or_else(|| {
@@ -285,7 +297,7 @@ fn main() {
             if let Some(_v) = args.value("--cross-cir") {
                 cfg.cross_cir_bps = args.required_u64("--cross-cir");
             }
-            run_af(&cfg)
+            or_exit(try_run_af(&cfg)).0
         }
         _ => usage(),
     };

@@ -16,9 +16,9 @@ use dsv_media::encoder::wmv;
 use dsv_net::frame_relay::table1;
 use dsv_net::packet::FlowId;
 use dsv_scenario::{
-    ActionSpec, AppSpec, BoundSpec, ConditionerSpec, CrossTrafficSpec, DscpSpec, LimitsSpec,
-    LinkParams, LinkSpec, MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec, ScenarioSpec,
-    TransportSpec,
+    ActionSpec, AppSpec, BoundSpec, CompileError, ConditionerSpec, CrossTrafficSpec, DscpSpec,
+    LimitsSpec, LinkParams, LinkSpec, MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec,
+    ScenarioSpec, TransportSpec,
 };
 use dsv_sim::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -259,7 +259,16 @@ pub fn run_local(cfg: &LocalConfig) -> RunOutcome {
 /// Like [`run_local`], but also return the client's full report (arrival
 /// times, decodability, playback schedule) for deeper analysis.
 pub fn run_local_detailed(cfg: &LocalConfig) -> (RunOutcome, dsv_stream::client::ClientReport) {
-    let exec = execute(&local_spec(cfg)).expect("local spec compiles");
+    try_run_local(cfg).expect("local spec compiles")
+}
+
+/// [`run_local_detailed`], returning the compile error of a configuration
+/// the testbed cannot build (a zero token rate or bucket depth) instead of
+/// panicking.
+pub fn try_run_local(
+    cfg: &LocalConfig,
+) -> Result<(RunOutcome, dsv_stream::client::ClientReport), CompileError> {
+    let exec = execute(&local_spec(cfg))?;
     let mut scored = exec.score_clients(
         cfg.clip,
         Codec::Wmv,
@@ -273,7 +282,7 @@ pub fn run_local_detailed(cfg: &LocalConfig) -> (RunOutcome, dsv_stream::client:
         outcome.collapses = server.collapses;
         outcome.broken = server.broken;
     }
-    (outcome, report)
+    Ok((outcome, report))
 }
 
 #[cfg(test)]

@@ -16,9 +16,9 @@
 
 use dsv_net::packet::FlowId;
 use dsv_scenario::{
-    ActionSpec, AppSpec, BoundSpec, ConditionerSpec, CrossTrafficSpec, DscpSpec, LimitsSpec,
-    LinkParams, LinkSpec, MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec, ScenarioSpec,
-    TransportSpec,
+    ActionSpec, AppSpec, BoundSpec, CompileError, ConditionerSpec, CrossTrafficSpec, DscpSpec,
+    LimitsSpec, LinkParams, LinkSpec, MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec,
+    ScenarioSpec, TransportSpec,
 };
 pub use dsv_scenario::{ClipId2, CodecSpec};
 use serde::{Deserialize, Serialize};
@@ -243,7 +243,16 @@ pub fn run_qbone(cfg: &QboneConfig) -> RunOutcome {
 
 /// Like [`run_qbone`], but also return the client's full report.
 pub fn run_qbone_detailed(cfg: &QboneConfig) -> (RunOutcome, dsv_stream::client::ClientReport) {
-    let exec = execute(&qbone_spec(cfg)).expect("qbone spec compiles");
+    try_run_qbone(cfg).expect("qbone spec compiles")
+}
+
+/// [`run_qbone_detailed`], returning the compile error of a configuration
+/// the testbed cannot build (a media rate below the encoders' floor, a
+/// zero token rate) instead of panicking.
+pub fn try_run_qbone(
+    cfg: &QboneConfig,
+) -> Result<(RunOutcome, dsv_stream::client::ClientReport), CompileError> {
+    let exec = execute(&qbone_spec(cfg))?;
     // The paper's second set also scores against the 1.7 Mbps encoding.
     let best_bps = cfg.score_vs_best.then_some(1_700_000);
     let mut scored = exec.score_clients(
@@ -253,7 +262,7 @@ pub fn run_qbone_detailed(cfg: &QboneConfig) -> (RunOutcome, dsv_stream::client:
         best_bps,
         [("client", MEDIA_FLOW)],
     );
-    scored.pop().expect("one client")
+    Ok(scored.pop().expect("one client"))
 }
 
 #[cfg(test)]

@@ -2,11 +2,14 @@
 //!
 //! `dsv run --scenario <spec> --json` on each committed example must print
 //! the bytes pinned under `tests/dsv_run/`, and a spec that cannot be
-//! read, parsed or compiled must exit with status 2 and say why. Under
+//! read, parsed or compiled must exit with status 2 and say why, as must
+//! a testbed subcommand whose configuration does not compile. Under
 //! `DSV_AUDIT=1` the same binary audits the run and fails on a violation.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use dsv_scenario::{AppSpec, ClipId2, CodecSpec, DscpSpec, MediaRef, ScenarioSpec};
 
 fn repo_file(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -85,6 +88,40 @@ fn a_spec_naming_an_unknown_node_exits_2() {
     assert_ne!(renamed, text, "the example conditions node `edge`");
     let out = dsv_run(&scratch_spec("unknown_node.json", &renamed));
     assert_exit_2(&out, "nowhere");
+}
+
+/// A 50 kb/s encoding is below both encoders' floor: `compile` rejects
+/// it, naming the node, where the encoder used to panic (exit 101).
+#[test]
+fn a_media_rate_below_the_encoders_floor_exits_2() {
+    let text = std::fs::read_to_string(repo_file("examples/scenario_policed_chain.json"))
+        .expect("example spec is readable");
+    let mut spec: ScenarioSpec = serde_json::from_str(&text).expect("example parses");
+    let tx = spec
+        .nodes
+        .iter_mut()
+        .find(|n| n.name == "tx")
+        .expect("the example has a `tx` host");
+    tx.app = Some(AppSpec::PacedServer {
+        client: "rx".to_string(),
+        flow: 1,
+        dscp: DscpSpec::Ef,
+        media: MediaRef {
+            clip: ClipId2::Lost,
+            codec: CodecSpec::Mpeg1,
+            rate_bps: 50_000,
+        },
+    });
+    let json = serde_json::to_string(&spec).expect("spec serializes");
+    let out = dsv_run(&scratch_spec("low_media_rate.json", &json));
+    assert_exit_2(&out, "node `tx`: media rate_bps 50000");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_dsv"))
+        .args(["qbone", "--encoding", "50000", "--rate", "100000"])
+        .args(["--depth", "3000"])
+        .output()
+        .expect("dsv starts");
+    assert_exit_2(&out, "node `client`: media rate_bps 50000");
 }
 
 #[test]

@@ -6,14 +6,20 @@
 //! packets are to receive" (paper §3.2.1.2). A [`PolicyTable`] is an
 //! ordered list of `(profile, action)` pairs; the first matching rule wins
 //! and unmatched packets pass untouched.
+//!
+//! A table decides a (source, destination) pair alone, so that the
+//! network's hop chains cross it for that pair, when every rule that can
+//! match the pair passes it untouched or polices it, dropping and never
+//! re-marking, with a bucket whose profile names exactly that source and
+//! destination ([`PolicyTable::decides_alone`]).
 
 use dsv_net::conditioner::{ConditionOutcome, Conditioner, QuickVerdict, Released};
-use dsv_net::packet::{DropReason, Dscp, Packet};
+use dsv_net::packet::{DropReason, Dscp, NodeId, Packet};
 use dsv_sim::SimTime;
 
 use crate::classifier::MatchRule;
 use crate::meter::{Color, SrTcm, TrTcm};
-use crate::policer::{Policer, PolicerVerdict};
+use crate::policer::{ExceedAction, Policer, PolicerVerdict};
 use crate::shaper::{Shaper, ShaperResult};
 
 /// The treatment applied to packets matching a profile.
@@ -197,6 +203,30 @@ impl<P> Conditioner<P> for PolicyTable<P> {
         QuickVerdict::Pass
     }
 
+    /// A rule whose source or destination excludes the pair cannot match
+    /// it. Every other rule must pass the pair's packets untouched or be a
+    /// dropping policer without a conformance mark whose profile names
+    /// exactly `src` and `dst`, so that its bucket meters this pair and no
+    /// other. A policer matched by DSCP, flow or protocol alone can meter
+    /// several pairs; meters re-mark and shapers absorb.
+    fn decides_alone(&self, src: NodeId, dst: NodeId) -> bool {
+        self.rules.iter().all(|rule| {
+            let p = &rule.profile;
+            let can_match = p.src.is_none_or(|s| s == src) && p.dst.is_none_or(|d| d == dst);
+            !can_match
+                || match &rule.action {
+                    PolicyAction::Pass => true,
+                    PolicyAction::Police(policer) => {
+                        p.src == Some(src)
+                            && p.dst == Some(dst)
+                            && policer.conform_mark.is_none()
+                            && policer.exceed == ExceedAction::Drop
+                    }
+                    _ => false,
+                }
+        })
+    }
+
     fn release(&mut self, now: SimTime) -> Released<P> {
         let mut packets = Vec::new();
         let mut next_poll: Option<SimTime> = None;
@@ -364,6 +394,71 @@ mod tests {
         assert_eq!(color_of(&mut t, 1), Dscp::af(3, 1)); // green
         assert_eq!(color_of(&mut t, 2), Dscp::af(3, 2)); // yellow
         assert_eq!(color_of(&mut t, 3), Dscp::af(3, 3)); // red: never drop
+    }
+
+    #[test]
+    fn pairs_decided_alone() {
+        let (server, client, other) = (NodeId(1), NodeId(2), NodeId(3));
+        // QBone's CAR policer: the server-to-client pair and the pairs no
+        // rule can match (the client's control packets, another source).
+        let car: PolicyTable<()> = PolicyTable::new().with(
+            MatchRule::src_dst(server, client),
+            PolicyAction::Police(Policer::car_drop(1_000_000, 3000)),
+        );
+        assert!(car.decides_alone(server, client));
+        assert!(car.decides_alone(client, server));
+        assert!(car.decides_alone(other, client));
+        assert!(PolicyTable::<()>::new().decides_alone(server, client));
+        let pass: PolicyTable<()> = PolicyTable::new().with(MatchRule::ANY, PolicyAction::Pass);
+        assert!(pass.decides_alone(server, client));
+
+        // Re-marking, a shared bucket, metering and shaping are not.
+        let remark: PolicyTable<()> = PolicyTable::new().with(
+            MatchRule::src_dst(server, client),
+            PolicyAction::Police(Policer::ef_drop(1_000_000, 3000)),
+        );
+        assert!(!remark.decides_alone(server, client));
+        assert!(remark.decides_alone(client, server));
+        let color_down: PolicyTable<()> = PolicyTable::new().with(
+            MatchRule::src_dst(server, client),
+            PolicyAction::Police(Policer::new(
+                crate::token_bucket::TokenBucket::new(1_000_000, 3000),
+                None,
+                ExceedAction::Remark(Dscp::BEST_EFFORT),
+            )),
+        );
+        assert!(!color_down.decides_alone(server, client));
+        let by_dscp: PolicyTable<()> = PolicyTable::new().with(
+            MatchRule::ef_marked(),
+            PolicyAction::Police(Policer::car_drop(1_000_000, 3000)),
+        );
+        assert!(!by_dscp.decides_alone(server, client));
+        assert!(!by_dscp.decides_alone(client, server));
+        let by_source: PolicyTable<()> = PolicyTable::new().with(
+            MatchRule {
+                src: Some(server),
+                ..MatchRule::ANY
+            },
+            PolicyAction::Police(Policer::car_drop(1_000_000, 3000)),
+        );
+        assert!(!by_source.decides_alone(server, client));
+        assert!(by_source.decides_alone(client, server));
+        let meter: PolicyTable<()> = PolicyTable::new().with(
+            MatchRule::src_dst(server, client),
+            PolicyAction::MeterAf {
+                meter: crate::meter::SrTcm::new(1_000_000, 1500, 1500),
+                class: 1,
+            },
+        );
+        assert!(!meter.decides_alone(server, client));
+        let shaper: PolicyTable<()> = PolicyTable::new().with(
+            MatchRule::src_dst(server, client),
+            PolicyAction::Shape(Shaper::new(1_000_000, 3000, 60_000)),
+        );
+        assert!(!shaper.decides_alone(server, client));
+        let mark: PolicyTable<()> =
+            PolicyTable::new().with(MatchRule::ANY, PolicyAction::Mark(Dscp::EF));
+        assert!(!mark.decides_alone(client, server));
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //!   complexity, the lower the fidelity — which drives the VQM comparisons
 //!   against the high-rate reference (paper §4.1, second experiment set).
 
+use crate::encoder::MIN_RATE_BPS;
 use crate::frame::{fps, EncodedFrame, FrameKind};
 use crate::scene::SceneModel;
 
@@ -84,7 +85,7 @@ pub fn frame_kind(index: u32) -> FrameKind {
 
 /// Encode a scene model at a CBR target.
 pub fn encode(model: &SceneModel, target_bps: u64) -> EncodedClip {
-    assert!(target_bps >= 100_000, "unreasonably low CBR target");
+    assert!(target_bps >= MIN_RATE_BPS, "unreasonably low CBR target");
     let n_frames = model.total_frames();
     let bytes_per_frame_avg = target_bps as f64 / 8.0 / fps();
 

@@ -10,6 +10,7 @@
 //! near-zero audio as in the paper's setup.
 
 use crate::encoder::mpeg1::EncodedClip;
+use crate::encoder::MIN_RATE_BPS;
 use crate::frame::{fps, EncodedFrame, FrameKind};
 use crate::scene::SceneModel;
 
@@ -31,7 +32,7 @@ pub fn frame_kind(index: u32) -> FrameKind {
 /// Encode a scene model at a bandwidth *cap* (the encoder's "expected
 /// bit rate" setting).
 pub fn encode(model: &SceneModel, cap_bps: u64) -> EncodedClip {
-    assert!(cap_bps >= 100_000, "unreasonably low bandwidth cap");
+    assert!(cap_bps >= MIN_RATE_BPS, "unreasonably low bandwidth cap");
     let n_frames = model.total_frames();
     let cap_frame_bytes = cap_bps as f64 / 8.0 / fps();
 

@@ -284,7 +284,7 @@ impl Observer for SimAudit {
         let node = event.node();
         let filed = queue.last_stamp().map_or(now, |s| s.filed());
         let exit = match *event {
-            NetEvent::Arrive { packet, .. } => self
+            NetEvent::Arrive { packet, .. } | NetEvent::Drop { packet, .. } => self
                 .chain_due
                 .iter()
                 .position(|&(p, ..)| p == packet)

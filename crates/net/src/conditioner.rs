@@ -11,10 +11,17 @@
 //! packets rather than dropping them) fits without callbacks: a conditioner
 //! may absorb a packet and name the time at which the network should poll it
 //! for releases.
+//!
+//! A conditioner can also tell the network which (source, destination)
+//! pairs it decides alone ([`Conditioner::decides_alone`]): each packet
+//! in place, never re-marked or absorbed, against state no other pair
+//! touches. The network's hop-chain walk crosses the conditioner for those
+//! pairs, calling [`Conditioner::quick`] at each packet's arrival instant
+//! without dispatching the arrival (see [`crate::network`]).
 
 use dsv_sim::SimTime;
 
-use crate::packet::{DropReason, Packet};
+use crate::packet::{DropReason, NodeId, Packet};
 
 /// What a conditioner decided about one submitted packet.
 #[derive(Debug)]
@@ -83,6 +90,20 @@ pub trait Conditioner<P> {
     /// default conservatively always defers.
     fn quick(&mut self, _now: SimTime, _pkt: &mut Packet<P>) -> QuickVerdict {
         QuickVerdict::NeedsSubmit
+    }
+
+    /// Whether every packet from `src` to `dst` is decided alone: by
+    /// [`Conditioner::quick`], in place, never re-marked or absorbed, and
+    /// against state that no packet of another pair reads or writes.
+    ///
+    /// The network then decides such a packet inside a hop-chain walk, at
+    /// its arrival instant but before the arrival would have been
+    /// dispatched: the pair's packets still reach `quick` in arrival
+    /// order, and nothing else can observe the difference. The default
+    /// answers no, which keeps every packet on the per-hop path; a wrapper
+    /// that only delegates `submit` and `quick` stays opaque that way.
+    fn decides_alone(&self, _src: NodeId, _dst: NodeId) -> bool {
+        false
     }
 
     /// Poll for packets whose release time has come. Only called if a prior

@@ -13,14 +13,17 @@
 //! computed once at build time by breadth-first search, so any connected
 //! topology works without manual route entry.
 //!
-//! Forwarding is not one event per hop. A *chain hop* is a port of a
-//! router without a conditioner that only one incoming link feeds. The
-//! feeders are read at build time off the routes of the traffic the hosts
-//! may send: each host declares the one destination its application sends
-//! to, or that it sends nothing ([`NetworkBuilder::declare_traffic`]), and
-//! a host that declares nothing may send to every host. A declared host
-//! that sends anywhere else panics at that packet, so every packet that
-//! reaches a chain port arrives over its one feeder.
+//! Forwarding is not one event per hop. A *chain hop* is a router port
+//! that only one incoming link feeds, on a router without a conditioner or
+//! with one that decides every pair leaving by the port alone
+//! ([`Conditioner::decides_alone`]). The feeders and pairs are read at
+//! build time off the routes of the traffic the hosts may send: each host
+//! declares the one destination its application sends to, or that it sends
+//! nothing ([`NetworkBuilder::declare_traffic`]), and a host that declares
+//! nothing may send to every host. A declared host that sends anywhere
+//! else panics at that packet, so every packet that reaches a chain port
+//! arrives over its one feeder and belongs to a pair the port was marked
+//! for.
 //!
 //! When any port puts a packet on the wire toward a router with chain
 //! hops, the network walks the packet through the chain hops ahead of it
@@ -28,13 +31,17 @@
 //! `start = max(arrival, free_at)`, `free_at = start + serialization`,
 //! `next arrival = free_at + propagation`, with drop-tail admission
 //! counted against the walked packets still waiting at each port — and
-//! files one `Arrive` at the first node that conditions, merges feeders
-//! or hosts an application. The walk only crosses a port where the packet
+//! files one `Arrive` at the first node that merges feeders, conditions a
+//! pair it does not decide alone, or hosts an application. At a chain hop
+//! behind a conditioner the walk calls [`Conditioner::quick`] at the
+//! packet's arrival instant. The walk only crosses a port where the packet
 //! joins a first-come first-served band ([`Qdisc::fifo_band`]) with no
 //! per-hop packet ahead of it; anywhere else the hop is dispatched as
-//! before. The `Arrive` is stamped as filed when its last hop began to
-//! serialize ([`EventQueue::reserve_filed_at`]), so it sorts against
-//! every event filed at any other instant exactly as the last hop's eager
+//! before. A packet the walk drops, refused by the conditioner or by the
+//! port's drop-tail limit, ends in a [`NetEvent::Drop`] in place of its
+//! `Arrive`. Either event is stamped as filed when its last hop began to
+//! serialize ([`EventQueue::reserve_filed_at`]), so it sorts against every
+//! event filed at any other instant exactly as the last hop's eager
 //! `Arrive` would have (DESIGN.md §6b, "Hop chains").
 //!
 //! An output port's "finished serializing" wake-up
@@ -101,6 +108,18 @@ pub enum NetEvent {
     },
     /// Poll `node`'s conditioner for shaped packets that became conformant.
     CondPoll(NodeId),
+    /// A packet a hop-chain walk discards at `node`, due when it fully
+    /// arrives there: refused by a conditioner that decides its pair
+    /// alone, or by the chain port's drop-tail limit. Filed in place of
+    /// the packet's `Arrive`, so the drop is accounted at that instant.
+    Drop {
+        /// The node that discards the packet.
+        node: NodeId,
+        /// Handle to the packet, parked in the network's pool until then.
+        packet: PacketRef,
+        /// Why it is discarded.
+        reason: DropReason,
+    },
 }
 
 impl NetEvent {
@@ -111,7 +130,8 @@ impl NetEvent {
             | NetEvent::Timer { node, .. }
             | NetEvent::Arrive { node, .. }
             | NetEvent::PortReady { node, .. }
-            | NetEvent::CondPoll(node) => node,
+            | NetEvent::CondPoll(node)
+            | NetEvent::Drop { node, .. } => node,
         }
     }
 }
@@ -140,8 +160,9 @@ struct Port<P> {
     /// send runs of equal-sized packets, so this one-entry memo removes a
     /// 128-bit division from almost every transmission.
     ser_memo: (u32, SimDuration),
-    /// A chain hop: a port of a router without a conditioner whose
-    /// traffic all arrives over one incoming link. A packet bound here in
+    /// A chain hop: a router port whose traffic all arrives over one
+    /// incoming link, on a router without a conditioner or with one that
+    /// decides every pair leaving by the port alone. A packet bound here in
     /// a FIFO band is walked through the port when the packet ahead of it
     /// is transmitted, not dispatched (see the module docs).
     chain: bool,
@@ -487,12 +508,15 @@ impl<P: Send + 'static> NetworkBuilder<P> {
         // traffic enters its router and leaves by it: walk the route of
         // every (source, destination) pair the hosts may send over — each
         // declared pair, and every pair from a host that declared nothing.
-        // A port of a router without a conditioner that has exactly one
-        // feeder is a chain hop.
+        // A router port with exactly one feeder is a chain hop, unless the
+        // router's conditioner does not decide some pair that leaves by
+        // the port alone.
         let mut feeders: Vec<Vec<Vec<NodeId>>> = nodes
             .iter()
             .map(|n| vec![Vec::new(); n.ports.len()])
             .collect();
+        let mut undecided: Vec<Vec<bool>> =
+            nodes.iter().map(|n| vec![false; n.ports.len()]).collect();
         for &src in &host_ids {
             let declared;
             let dsts: &[NodeId] = match nodes[src.0 as usize].sends {
@@ -508,9 +532,13 @@ impl<P: Send + 'static> NetworkBuilder<P> {
                 while let Some(out) = nodes[u.0 as usize].routes[dst.0 as usize] {
                     let v = nodes[u.0 as usize].ports[out.0 as usize].peer;
                     if let Some(port) = nodes[v.0 as usize].routes[dst.0 as usize] {
-                        let fed = &mut feeders[v.0 as usize][port.0 as usize];
+                        let (v, port) = (v.0 as usize, port.0 as usize);
+                        let fed = &mut feeders[v][port];
                         if !fed.contains(&u) {
                             fed.push(u);
+                        }
+                        if let Some(cond) = &conditioners[v] {
+                            undecided[v][port] |= !cond.decides_alone(src, dst);
                         }
                     }
                     u = v;
@@ -518,11 +546,13 @@ impl<P: Send + 'static> NetworkBuilder<P> {
             }
         }
         for (i, node) in nodes.iter_mut().enumerate() {
-            if !matches!(node.kind, NodeKind::Router) || conditioners[i].is_some() {
+            if !matches!(node.kind, NodeKind::Router) {
                 continue;
             }
-            for (port, fed) in node.ports.iter_mut().zip(&feeders[i]) {
-                port.chain = fed.len() == 1;
+            for ((port, fed), undecided) in
+                node.ports.iter_mut().zip(&feeders[i]).zip(&undecided[i])
+            {
+                port.chain = fed.len() == 1 && !undecided;
             }
             node.relay = node.ports.iter().any(|p| p.chain);
         }
@@ -951,7 +981,8 @@ impl<P: 'static, O: Observer> Network<P, O> {
     /// `packet`, put on the wire at `sent`, reaches `node` at `at`: walk
     /// it through every chain hop ahead of it, then file its `Arrive` at
     /// the first node that is not one, or at a chain hop it cannot cross
-    /// without dispatch.
+    /// without dispatch, or file its [`NetEvent::Drop`] where the walk
+    /// discards it.
     ///
     /// At each chain port the walk is the Lindley step of the FIFO band
     /// the packet joins: service starts at `max(at, free_at)`, the port
@@ -960,14 +991,17 @@ impl<P: 'static, O: Observer> Network<P, O> {
     /// dispatch would move it — `free_at`, a `PortReady` stamp reserved as
     /// filed when service starts, and the packet in `waiting` while it
     /// queues — so per-hop packets that reach the port later find it as
-    /// they would have. The `Arrive` finally filed is stamped as filed
-    /// when its last hop began to serialize, the instant per-hop dispatch
-    /// would have filed it. The walk stops short, leaving the packet to
-    /// per-hop dispatch, when its band is not FIFO (a best-effort packet
-    /// on a strict-priority port), when a per-hop packet is queued at or
-    /// still travelling toward the port (it may be served first), or when
-    /// drop-tail refuses the packet: the per-hop `Arrive` then drops it at
-    /// its own instant.
+    /// they would have. A conditioner in front of the port decides the
+    /// packet first, at `at`: its pair's packets reach it in arrival order
+    /// whether walked or dispatched, and no other pair shares what it
+    /// decides with. The event finally filed is stamped as filed when its
+    /// last hop began to serialize, the instant per-hop dispatch would have
+    /// filed the `Arrive`. The walk stops short, leaving the packet to
+    /// per-hop dispatch, when its band is not FIFO (a best-effort packet on
+    /// a strict-priority port) or when a per-hop packet is queued at or
+    /// still travelling toward the port (it may be served first). A packet
+    /// the conditioner or drop-tail refuses is dropped by the event filed
+    /// for it, at its own instant.
     fn walk(
         &mut self,
         sent: SimTime,
@@ -977,11 +1011,13 @@ impl<P: 'static, O: Observer> Network<P, O> {
         hdr: Header,
         queue: &mut EventQueue<NetEvent>,
     ) {
-        // The instant the `Arrive` at `node` counts as filed: when the
-        // packet began to serialize toward it.
+        // The instant the event at `node` counts as filed: when the packet
+        // began to serialize toward it.
         let mut filed = sent;
+        let mut dropped = None;
         loop {
-            let n = &mut self.nodes[node.0 as usize];
+            let idx = node.0 as usize;
+            let n = &mut self.nodes[idx];
             if !n.relay {
                 break;
             }
@@ -1001,12 +1037,27 @@ impl<P: 'static, O: Observer> Network<P, O> {
                 p.pending += 1;
                 break;
             };
+            if let Some(cond) = self.conditioners[idx].as_mut() {
+                match cond.quick(at, self.pool.get_mut(packet)) {
+                    QuickVerdict::Pass => {}
+                    QuickVerdict::Drop(reason) => {
+                        dropped = Some(reason);
+                        break;
+                    }
+                    // Undecided: nothing moved, so per-hop dispatch asks
+                    // again.
+                    QuickVerdict::NeedsSubmit => {
+                        p.pending += 1;
+                        break;
+                    }
+                }
+            }
             let (admitted, tie) = p.admits(band, at, filed, hdr.size);
             if tie {
                 self.observer.on_admission_tie(at, node, port);
             }
             if !admitted {
-                p.pending += 1;
+                dropped = Some(DropReason::QueueOverflow);
                 break;
             }
             let start = at.max(p.free_at);
@@ -1030,14 +1081,21 @@ impl<P: 'static, O: Observer> Network<P, O> {
             at = p.free_at + p.link.propagation;
             node = p.peer;
         }
-        let arrive = NetEvent::Arrive { node, packet };
+        let event = match dropped {
+            None => NetEvent::Arrive { node, packet },
+            Some(reason) => NetEvent::Drop {
+                node,
+                packet,
+                reason,
+            },
+        };
         // Every walked hop starts after `sent`, so `filed` moved iff the
         // packet crossed at least one chain hop.
         if filed == sent {
-            queue.schedule(at, arrive);
+            queue.schedule(at, event);
         } else {
             let stamp = queue.reserve_filed_at(filed);
-            queue.schedule_reserved(at, stamp, arrive);
+            queue.schedule_reserved(at, stamp, event);
             self.observer.on_chain_filed(packet, node, at, filed);
         }
     }
@@ -1098,31 +1156,35 @@ impl<P: 'static, O: Observer> Network<P, O> {
                             self.enqueue_on_port(now, node, port, pkt, queue);
                         }
                     }
-                    None => {
-                        let pkt = self.pool.take(packet);
-                        self.stats.on_dropped(
-                            now,
-                            pkt.flow,
-                            pkt.id,
-                            pkt.size,
-                            node,
-                            DropReason::NoRoute,
-                        );
-                        self.observer.on_dropped(pkt.flow, pkt.id, pkt.size, node);
-                    }
+                    None => self.drop_parked(now, node, packet, DropReason::NoRoute),
                 }
             }
             QuickVerdict::Drop(reason) => {
-                let pkt = self.pool.take(packet);
-                self.stats
-                    .on_dropped(now, pkt.flow, pkt.id, pkt.size, node, reason);
-                self.observer.on_dropped(pkt.flow, pkt.id, pkt.size, node);
+                // A chain port behind the conditioner counted this packet
+                // as travelling toward it, though it never gets there.
+                let dst = self.pool.get_mut(packet).dst.0 as usize;
+                let n = &mut self.nodes[idx];
+                if let Some(port) = n.routes.get(dst).copied().flatten() {
+                    let p = &mut n.ports[port.0 as usize];
+                    if p.chain {
+                        p.pending -= 1;
+                    }
+                }
+                self.drop_parked(now, node, packet, reason);
             }
             QuickVerdict::NeedsSubmit => {
                 let pkt = self.pool.take(packet);
                 self.condition_and_forward(now, node, pkt, queue);
             }
         }
+    }
+
+    /// Account the parked `packet` as dropped at `node` for `reason`.
+    fn drop_parked(&mut self, now: SimTime, node: NodeId, packet: PacketRef, reason: DropReason) {
+        let pkt = self.pool.take(packet);
+        self.stats
+            .on_dropped(now, pkt.flow, pkt.id, pkt.size, node, reason);
+        self.observer.on_dropped(pkt.flow, pkt.id, pkt.size, node);
     }
 
     fn condition_and_forward(
@@ -1200,6 +1262,14 @@ impl<P: 'static, O: Observer> World for Network<P, O> {
             }
             NetEvent::PortReady { node, port } => self.transmit_next(now, node, port, queue),
             NetEvent::CondPoll(node) => self.poll_conditioner(now, node, queue),
+            NetEvent::Drop {
+                node,
+                packet,
+                reason,
+            } => {
+                self.observer.on_arrive(node);
+                self.drop_parked(now, node, packet, reason);
+            }
             NetEvent::Arrive { node, packet } => {
                 let idx = node.0 as usize;
                 self.observer.on_arrive(node);

@@ -27,7 +27,7 @@ use dsv_diffserv::policer::{ExceedAction, Policer};
 use dsv_diffserv::policy::{PolicyAction, PolicyTable};
 use dsv_diffserv::shaper::Shaper;
 use dsv_diffserv::token_bucket::TokenBucket;
-use dsv_media::encoder::{mpeg1, wmv, EncodedClip};
+use dsv_media::encoder::{mpeg1, wmv, EncodedClip, MIN_RATE_BPS};
 use dsv_net::app::{Application, Handle, Shared};
 use dsv_net::conditioner::Conditioner;
 use dsv_net::link::Link;
@@ -297,9 +297,9 @@ impl AppBuilder<'_> {
                 tiers,
             } => {
                 let store = self.store(name)?;
-                let encoded: Vec<EncodedClip> = tiers
+                let encoded = tiers
                     .iter()
-                    .map(|t| (*store.encoding(t.clip, t.codec, t.rate_bps)).clone())
+                    .map(|t| store.encoding(t.clip, t.codec, t.rate_bps))
                     .collect();
                 let (h, app) = Shared::new(AdaptiveServer::new(
                     AdaptiveConfig::new(ids.get(client)?, FlowId(*flow), dscp.to_dscp()),
@@ -628,6 +628,12 @@ pub fn compile(
                 b.add_router(&node.name);
             }
             Some(app) => {
+                if let Some(m) = app.media().iter().find(|m| m.rate_bps < MIN_RATE_BPS) {
+                    return Err(CompileError::new(format!(
+                        "node `{}`: media rate_bps {} is below the encoders' floor of {MIN_RATE_BPS}",
+                        node.name, m.rate_bps
+                    )));
+                }
                 let built = apps.build(&node.name, app, &ids, &mut rng)?;
                 let host = b.add_host(&node.name, built);
                 let peer = app.peer().map(|name| ids.get(name)).transpose()?;
@@ -727,7 +733,7 @@ mod tests {
     use super::*;
     use crate::spec::{
         ActionSpec, AppSpec, BoundSpec, ConditionerSpec, DscpSpec, LinkParams, LinkSpec, MatchSpec,
-        NodeSpec, RuleSpec,
+        MediaRef, NodeSpec, RuleSpec,
     };
     use dsv_net::network::Simulation;
 
@@ -1095,6 +1101,119 @@ mod tests {
         ));
         let err = expect_err(compile(&spec, CompileOptions::default()));
         assert!(err.to_string().contains("ClipStore"), "{err}");
+    }
+
+    /// Encodes each clip it is asked for once and keeps it, so a test can
+    /// count who else holds the encoding.
+    #[derive(Default)]
+    struct KeepingStore {
+        kept: std::cell::RefCell<Vec<(MediaRef, Arc<EncodedClip>)>>,
+    }
+
+    impl ClipStore for KeepingStore {
+        fn encoding(&self, clip: ClipId2, codec: CodecSpec, rate_bps: u64) -> Arc<EncodedClip> {
+            let media = MediaRef {
+                clip,
+                codec,
+                rate_bps,
+            };
+            let mut kept = self.kept.borrow_mut();
+            if let Some((_, e)) = kept.iter().find(|(m, _)| *m == media) {
+                return Arc::clone(e);
+            }
+            let model = dsv_media::scene::ClipId::from(clip).model();
+            let encoded = Arc::new(match codec {
+                CodecSpec::Mpeg1 => mpeg1::encode(&model, rate_bps),
+                CodecSpec::Wmv => wmv::encode(&model, rate_bps),
+            });
+            kept.push((media, Arc::clone(&encoded)));
+            encoded
+        }
+    }
+
+    /// `chain_spec` with a server `app` added on host `server`, streaming
+    /// to `rx`.
+    fn with_server(app: AppSpec) -> ScenarioSpec {
+        let mut spec = chain_spec(20_000_000);
+        spec.nodes.push(NodeSpec::host("server", app));
+        spec.links.push(LinkSpec::simple(
+            "server",
+            "tap",
+            LinkParams::fast_ethernet(),
+        ));
+        spec
+    }
+
+    #[test]
+    fn media_below_the_encoders_floor_is_rejected() {
+        let media = |rate_bps| MediaRef {
+            clip: ClipId2::Lost,
+            codec: CodecSpec::Mpeg1,
+            rate_bps,
+        };
+        let paced = |rate_bps| AppSpec::PacedServer {
+            client: "rx".to_string(),
+            flow: 2,
+            dscp: DscpSpec::Ef,
+            media: media(rate_bps),
+        };
+        let multi = |low_bps| AppSpec::MultiRatePacedServer {
+            client: "rx".to_string(),
+            flow: 2,
+            dscp: DscpSpec::Ef,
+            tiers: vec![media(low_bps), media(1_500_000)],
+            estimate_bps: 1_600_000,
+        };
+        let store = KeepingStore::default();
+        let opts = CompileOptions {
+            store: Some(&store),
+            wrap: None,
+        };
+        for app in [paced(MIN_RATE_BPS - 1), multi(50_000)] {
+            let err = expect_err(compile(&with_server(app), opts)).to_string();
+            assert!(
+                err.contains("node `server`") && err.contains("below the encoders' floor"),
+                "{err}"
+            );
+        }
+        // Nothing was encoded for the rejected specs; the floor compiles.
+        assert!(store.kept.borrow().is_empty());
+        compile(&with_server(paced(MIN_RATE_BPS)), opts).expect("the floor itself compiles");
+    }
+
+    #[test]
+    fn adaptive_server_shares_the_stores_encodings() {
+        let tier = |rate_bps| MediaRef {
+            clip: ClipId2::Lost,
+            codec: CodecSpec::Wmv,
+            rate_bps,
+        };
+        let spec = with_server(AppSpec::AdaptiveServer {
+            client: "rx".to_string(),
+            flow: 2,
+            dscp: DscpSpec::BestEffort,
+            tiers: vec![tier(300_000), tier(1_000_000)],
+        });
+        let store = KeepingStore::default();
+        let compiled = compile(
+            &spec,
+            CompileOptions {
+                store: Some(&store),
+                wrap: None,
+            },
+        )
+        .expect("compiles");
+        let kept = store.kept.borrow();
+        assert_eq!(kept.len(), 2);
+        for (media, encoded) in kept.iter() {
+            assert_eq!(
+                Arc::strong_count(encoded),
+                2,
+                "{media:?}: held by the store and the server, not copied"
+            );
+        }
+        drop(compiled);
+        assert!(kept.iter().all(|(_, e)| Arc::strong_count(e) == 1));
     }
 
     #[test]

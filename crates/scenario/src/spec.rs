@@ -362,6 +362,21 @@ impl AppSpec {
             AppSpec::CountingSink | AppSpec::IdSink => None,
         }
     }
+
+    /// Every encoding the application names: what a server streams (each
+    /// tier of a multi-rate or adaptive one) or a client expects.
+    pub fn media(&self) -> &[MediaRef] {
+        match self {
+            AppSpec::PacedServer { media, .. }
+            | AppSpec::BurstyServer { media, .. }
+            | AppSpec::TcpServer { media, .. }
+            | AppSpec::StreamClient { media, .. } => std::slice::from_ref(media),
+            AppSpec::MultiRatePacedServer { tiers, .. } | AppSpec::AdaptiveServer { tiers, .. } => {
+                tiers
+            }
+            _ => &[],
+        }
+    }
 }
 
 kind_tagged!(AppSpec, "app", {

@@ -19,6 +19,8 @@
 //! break the connection. With multiple encodings available (multi-rate
 //! WMV), collapse also steps the tier down.
 
+use std::sync::Arc;
+
 use dsv_media::encoder::EncodedClip;
 use dsv_net::app::{AppCtx, Application, SendSpec};
 use dsv_net::packet::{Dscp, FlowId, NodeId, Packet, Proto};
@@ -84,8 +86,9 @@ impl AdaptiveConfig {
 /// The adaptive server application.
 pub struct AdaptiveServer {
     cfg: AdaptiveConfig,
-    /// Encoding tiers, lowest rate first.
-    tiers: Vec<EncodedClip>,
+    /// Encoding tiers, lowest rate first, shared with whoever encoded
+    /// them.
+    tiers: Vec<Arc<EncodedClip>>,
     tier: usize,
     pacer: Pacer,
     next_frame: u32,
@@ -113,7 +116,7 @@ pub struct AdaptiveServer {
 
 impl AdaptiveServer {
     /// Create with one or more encoding tiers (lowest rate first).
-    pub fn new(cfg: AdaptiveConfig, tiers: Vec<EncodedClip>) -> AdaptiveServer {
+    pub fn new(cfg: AdaptiveConfig, tiers: Vec<Arc<EncodedClip>>) -> AdaptiveServer {
         assert!(!tiers.is_empty(), "need at least one encoding");
         assert!(
             tiers.windows(2).all(|w| w[0].target_bps <= w[1].target_bps),
@@ -375,7 +378,10 @@ mod tests {
     use dsv_media::scene::ClipId;
 
     fn mk(tiers: Vec<EncodedClip>) -> AdaptiveServer {
-        AdaptiveServer::new(AdaptiveConfig::new(NodeId(0), FlowId(1), Dscp::EF), tiers)
+        AdaptiveServer::new(
+            AdaptiveConfig::new(NodeId(0), FlowId(1), Dscp::EF),
+            tiers.into_iter().map(Arc::new).collect(),
+        )
     }
 
     fn fb(loss: f64, delay_ms: u64) -> FeedbackReport {

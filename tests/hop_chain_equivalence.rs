@@ -1,13 +1,16 @@
 //! Hop chains against per-hop dispatch, and paced servers that wake only
 //! to send against the per-tick loop, byte for byte.
 //!
-//! The network walks a packet through the FIFO relay hops behind a
-//! conditioner arithmetically instead of dispatching one `Arrive` per hop
-//! (DESIGN.md §6b, "Hop chains"), over the traffic the spec declares. The
-//! reference needs no knob: a router with a conditioner is never a chain
-//! hop, so compiling a spec with an empty-rule conditioner (`rules: []`,
-//! which passes every packet) added to every router that has none
-//! dispatches every hop, as the engine did before chains existed.
+//! The network walks a packet through the FIFO relay hops of a path
+//! arithmetically instead of dispatching one `Arrive` per hop (DESIGN.md
+//! §6b, "Hop chains"), over the traffic the spec declares, and crosses a
+//! conditioner for the pairs it decides alone. The reference needs no
+//! knob: a router whose conditioner keeps the default answer to
+//! `Conditioner::decides_alone` is never a chain hop, so compiling a spec
+//! with an empty-rule conditioner (`rules: []`, which passes every packet)
+//! added to every router that has none, and every conditioner wrapped in
+//! an opaque delegate through `CompileOptions::wrap`, dispatches every
+//! hop, as the engine did before chains existed.
 //!
 //! A paced server runs its pacer ahead to the next tick that sends and
 //! wakes only there (§6b, "Paced servers wake only to send"). Its
@@ -38,6 +41,7 @@ use dsv_core::smoothing::{smoothing_spec, SmoothingConfig, SmoothingServer, DEPT
 use dsv_media::encoder::mpeg1;
 use dsv_media::scene::ClipId;
 use dsv_net::app::{AppCtx, Application, SendSpec};
+use dsv_net::conditioner::{ConditionOutcome, Conditioner, QuickVerdict, Released};
 use dsv_net::link::Link;
 use dsv_net::network::{Network, NetworkBuilder, Simulation};
 use dsv_net::packet::{DropReason, Dscp, FlowId, NodeId, Packet, Proto};
@@ -45,17 +49,20 @@ use dsv_net::qdisc::{DropTailQueue, QueueLimits};
 use dsv_net::stats::{TraceEntry, TraceKind};
 use dsv_scenario::apps::Pump;
 use dsv_scenario::spec::{
-    AppSpec, ConditionerSpec, DscpSpec, LimitsSpec, LinkParams, LinkSpec, NodeSpec, QdiscSpec,
+    ActionSpec, AppSpec, ConditionerSpec, DscpSpec, LimitsSpec, LinkParams, LinkSpec, MatchSpec,
+    NodeSpec, QdiscSpec, RuleSpec,
 };
-use dsv_scenario::{compile, ClipStore, CompileOptions, CompiledScenario, ScenarioSpec};
+use dsv_scenario::{
+    compile, BoxConditioner, ClipStore, CompileOptions, CompiledScenario, ScenarioSpec,
+};
 use dsv_sim::{EventQueue, QueueBackend, SimDuration, SimTime};
 use dsv_stream::payload::{ControlMsg, StreamPayload, CONTROL_PACKET_BYTES};
 use dsv_stream::server::paced::{multi_rate_tier, PacedConfig, PacedServer};
 
 use per_tick_server::PerTickPacedServer;
 
-/// The same scenario with an empty-rule conditioner on every router that
-/// has none: no chain can form, so every hop is dispatched.
+/// The same scenario with a conditioner on every router, each with a tap
+/// for [`opaque`] to wrap: an empty-rule one where the spec has none.
 fn per_hop(spec: &ScenarioSpec) -> ScenarioSpec {
     let mut reference = spec.clone();
     for node in spec.nodes.iter().filter(|n| n.app.is_none()) {
@@ -67,7 +74,41 @@ fn per_hop(spec: &ScenarioSpec) -> ScenarioSpec {
             });
         }
     }
+    for cond in &mut reference.conditioners {
+        cond.tap.get_or_insert_with(|| cond.node.clone());
+    }
     reference
+}
+
+/// Delegates every decision to the conditioner it wraps, but keeps the
+/// default answer to [`Conditioner::decides_alone`], so no walk crosses
+/// its router.
+struct Opaque(BoxConditioner);
+
+impl Conditioner<StreamPayload> for Opaque {
+    fn submit(
+        &mut self,
+        now: SimTime,
+        pkt: Packet<StreamPayload>,
+    ) -> ConditionOutcome<StreamPayload> {
+        self.0.submit(now, pkt)
+    }
+
+    fn quick(&mut self, now: SimTime, pkt: &mut Packet<StreamPayload>) -> QuickVerdict {
+        self.0.quick(now, pkt)
+    }
+
+    fn release(&mut self, now: SimTime) -> Released<StreamPayload> {
+        self.0.release(now)
+    }
+
+    fn held(&self) -> usize {
+        self.0.held()
+    }
+}
+
+fn opaque(_tap: &str, inner: BoxConditioner) -> BoxConditioner {
+    Box::new(Opaque(inner))
 }
 
 /// A compiled scenario in its simulation, with every flow traced, and
@@ -104,7 +145,14 @@ impl Run {
 
     /// `spec` with every hop dispatched, on the heap.
     fn per_hop(spec: &ScenarioSpec) -> Run {
-        Run::start(compiled(&per_hop(spec)), on_heap)
+        let opts = CompileOptions {
+            store: Some(&ArtifactStore),
+            wrap: Some(&opaque),
+        };
+        Run::start(
+            compile(&per_hop(spec), opts).expect("spec compiles"),
+            on_heap,
+        )
     }
 
     /// `spec` with every paced server, multi-rate ones included, replaced
@@ -389,11 +437,8 @@ fn qbone_drops_inside_a_chain() {
 }
 
 /// Expedited bursts and a light best-effort stream merge at `edge` and
-/// share `relay`'s 3 Mbps strict-priority port: best-effort packets take
-/// the per-hop path there, and every expedited packet behind one in
-/// flight or queued must too, or it would be served ahead of it.
-#[test]
-fn mixed_classes_on_a_strict_priority_chain_port() {
+/// share `relay`'s 3 Mbps strict-priority port.
+fn mixed_classes() -> ScenarioSpec {
     let mut spec = ScenarioSpec::new("mixed-classes", 11);
     spec.nodes
         .push(NodeSpec::host("rx-ef", AppSpec::CountingSink));
@@ -465,8 +510,53 @@ fn mixed_classes_on_a_strict_priority_chain_port() {
         tap: None,
         rules: Vec::new(),
     });
-    let (walked, dispatched) = assert_equivalent("mixed classes", &spec);
+    spec
+}
+
+/// Best-effort packets take the per-hop path at `relay`'s strict-priority
+/// port, and every expedited packet behind one in flight or queued must
+/// too, or it would be served ahead of it.
+#[test]
+fn mixed_classes_on_a_strict_priority_chain_port() {
+    let (walked, dispatched) = assert_equivalent("mixed classes", &mixed_classes());
     assert!(walked < dispatched, "expedited packets chain through relay");
+}
+
+/// `relay` polices each class's pair, dropping: the expedited packets are
+/// decided inside their walk, and the best-effort ones, left to per-hop
+/// dispatch by the strict-priority port, at their `Arrive`, where a drop
+/// must release the port to the expedited packets behind it.
+#[test]
+fn policers_in_front_of_a_strict_priority_chain_port() {
+    let mut spec = mixed_classes();
+    let police = |src: &str, dst: &str, rate_bps, depth_bytes| RuleSpec {
+        matches: MatchSpec::src_dst(src, dst),
+        action: ActionSpec::Police {
+            rate_bps,
+            depth_bytes,
+            conform_mark: None,
+        },
+    };
+    spec.conditioners.push(ConditionerSpec {
+        node: "relay".to_string(),
+        tap: None,
+        rules: vec![
+            police("src-ef", "rx-ef", 1_500_000, 6_000),
+            police("src-be", "rx-be", 1_000_000, 1_000),
+        ],
+    });
+    let (walked, dispatched) = assert_equivalent("policed mixed classes", &spec);
+    assert!(walked < dispatched, "expedited packets chain through relay");
+    let mut run = Run::new(&spec);
+    run.sim.run_until(horizon(&spec));
+    for flow in [FlowId(1), FlowId(2)] {
+        let c = run.sim.net.stats.flow(flow);
+        assert!(
+            c.drops_for(DropReason::PolicerNonConformant) > 0,
+            "flow {}: the policer at relay must drop",
+            flow.0
+        );
+    }
 }
 
 /// Stopped mid-stream, with packets inside chains, the two agree at the

@@ -18,6 +18,9 @@
 //!   so every packet reaches the policer at the same instant whatever
 //!   (r, b) it enforces. This is what lets the paced server replay one
 //!   pacing plan per encoding at every point of a grid.
+//! * **Policer arithmetic** — a point's policer drops are a pure function
+//!   of that trace: replaying it through a lone token bucket reproduces
+//!   the simulated and the committed counts.
 //!
 //! The live chain and shaping properties run on both event-queue
 //! backends, chosen with `EventQueue::with_backend`; the AF-TCP ones run
@@ -25,16 +28,17 @@
 //! the heap on an AF-TCP workload. The grid properties load the
 //! committed goldens (see `dsv_core::golden`).
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use dsv_check::scenario::{run_policer_chain, ChainConfig};
 use dsv_core::artifacts::ArtifactStore;
 use dsv_core::local::local_spec;
 use dsv_core::prelude::*;
 use dsv_core::qbone::{qbone_spec, MEDIA_FLOW};
+use dsv_diffserv::policer::Policer;
 use dsv_net::conditioner::{ConditionOutcome, Conditioner, Released};
 use dsv_net::network::Simulation;
-use dsv_net::packet::{DropReason, FlowId, Packet, PacketId};
+use dsv_net::packet::{DropReason, Dscp, FlowId, NodeId, Packet, PacketId, Proto};
 use dsv_scenario::{compile, BoxConditioner, CompileOptions};
 use dsv_sim::{EventQueue, QueueBackend, SimDuration, SimTime};
 use dsv_stream::payload::StreamPayload;
@@ -429,26 +433,36 @@ fn ingress_arrivals(rate_bps: u64, depth_bytes: u32) -> (Vec<Arrival>, u64) {
     (arrivals, drops)
 }
 
+/// Two points of the paper grid that drop and two that do not, at both
+/// bucket depths: (token rate, depth, whether the policer drops).
+const INGRESS_POINTS: [(u64, u32, bool); 4] = [
+    (880_000, DEPTH_2MTU, true),
+    (1_140_000, DEPTH_2MTU, false),
+    (880_000, DEPTH_3MTU, true),
+    (1_452_000, DEPTH_3MTU, false),
+];
+
+/// [`ingress_arrivals`] of each of [`INGRESS_POINTS`], simulated once for
+/// every test that reads them.
+fn ingress_runs() -> &'static [(Vec<Arrival>, u64)] {
+    static RUNS: OnceLock<Vec<(Vec<Arrival>, u64)>> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        INGRESS_POINTS
+            .iter()
+            .map(|&(rate, depth, _)| ingress_arrivals(rate, depth))
+            .collect()
+    })
+}
+
 #[test]
 fn ingress_arrivals_do_not_depend_on_the_policer_profile() {
-    // Two points of the paper grid that drop and two that do not, at both
-    // bucket depths.
-    let points = [
-        (880_000, DEPTH_2MTU, true),
-        (1_140_000, DEPTH_2MTU, false),
-        (880_000, DEPTH_3MTU, true),
-        (1_452_000, DEPTH_3MTU, false),
-    ];
-    let runs: Vec<_> = points
-        .iter()
-        .map(|&(rate, depth, _)| ingress_arrivals(rate, depth))
-        .collect();
+    let runs = ingress_runs();
     let reference = &runs[0].0;
     assert!(
         reference.iter().filter(|a| a.1 == MEDIA_FLOW).count() > 6000,
         "the tap sees the whole stream"
     );
-    for ((rate, depth, drops_packets), (arrivals, drops)) in points.iter().zip(&runs) {
+    for ((rate, depth, drops_packets), (arrivals, drops)) in INGRESS_POINTS.iter().zip(runs) {
         assert_eq!(
             *drops > 0,
             *drops_packets,
@@ -457,6 +471,61 @@ fn ingress_arrivals_do_not_depend_on_the_policer_profile() {
         assert!(
             arrivals == reference,
             "({rate} b/s, {depth} B): the ingress tap saw another trace"
+        );
+    }
+}
+
+/// The media packets of `arrivals` that a fresh CAR policer of profile
+/// (`rate_bps`, `depth_bytes`), built as `compile` builds QBone's, drops
+/// when each arrives at its recorded instant.
+fn replayed_drops(arrivals: &[Arrival], rate_bps: u64, depth_bytes: u32) -> u64 {
+    let mut policer = Policer::car_drop(rate_bps, depth_bytes);
+    let mut drops = 0;
+    for &(at, flow, id, size) in arrivals.iter().filter(|a| a.1 == MEDIA_FLOW) {
+        let mut pkt = Packet {
+            id,
+            flow,
+            src: NodeId(0),
+            dst: NodeId(1),
+            size,
+            dscp: Dscp::EF_QBONE,
+            proto: Proto::Udp,
+            fragment: None,
+            sent_at: at,
+            payload: (),
+        };
+        if !policer.police_in_place(at, &mut pkt) {
+            drops += 1;
+        }
+    }
+    drops
+}
+
+/// Claim 2 of the analytic oracle: a point's policer drops are the token
+/// bucket's arithmetic on the ingress trace alone (891 at 880 kb/s and
+/// 3000 B, for one). The recorder keeps
+/// every packet on the per-hop path (it does not decide any pair alone),
+/// so the replay is also an arithmetic reference for the verdicts a hop
+/// chain takes inside its walk, which produced the committed Figure 9.
+#[test]
+fn policer_drops_replay_from_the_ingress_trace() {
+    let committed: SweepResult =
+        serde_json::from_str(include_str!("../results/fig09_qbone_lost_1000k.json"))
+            .expect("the committed Figure 9 parses");
+    for (&(rate, depth, _), (arrivals, drops)) in INGRESS_POINTS.iter().zip(ingress_runs()) {
+        let point = committed
+            .points
+            .iter()
+            .find(|p| p.token_rate_bps == rate && p.bucket_depth_bytes == depth)
+            .unwrap_or_else(|| panic!("Figure 9 has the point ({rate} b/s, {depth} B)"));
+        let replayed = replayed_drops(arrivals, rate, depth);
+        assert_eq!(
+            replayed, *drops,
+            "({rate} b/s, {depth} B): replay against the simulated policer"
+        );
+        assert_eq!(
+            replayed, point.outcome.policer_drops,
+            "({rate} b/s, {depth} B): replay against the committed Figure 9"
         );
     }
 }

@@ -200,9 +200,9 @@ mod legacy {
             LocalTransport::Udp => {
                 let tiers = if cfg.multi_rate {
                     let low = artifacts::encoding(clip_id, Codec::Wmv, 300_000);
-                    vec![(*low).clone(), (*clip).clone()]
+                    vec![low, clip.clone()]
                 } else {
-                    vec![(*clip).clone()]
+                    vec![clip.clone()]
                 };
                 let (h, app) = Shared::new(AdaptiveServer::new(
                     AdaptiveConfig::new(client, MEDIA_FLOW, Dscp::BEST_EFFORT),
