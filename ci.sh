@@ -59,12 +59,18 @@ DSV_CACHE=off ./target/release/fig17_tcp_smoothing > /dev/null
 DSV_CACHE=off ./target/release/fig18_af_tcp > /dev/null
 git diff --exit-code -- results/
 
-echo "==> audited hop-chain gate (conditioned chain hops, DSV_AUDIT=1, cache off)"
+echo "==> audited hop-chain and send-ahead gate (DSV_AUDIT=1, cache off)"
 # Hop chains cross the QBone and smoothing policers and AF-TCP's edge for
 # the pairs they decide alone. The audit's chain-tie, admission-tie and
 # conformance oracles certify that those walked verdicts sort and admit
-# as per-hop dispatch would; a violation panics the figure.
-for fig in fig07_qbone_lost fig17_tcp_smoothing fig18_af_tcp; do
+# as per-hop dispatch would; a violation panics the figure. Paced servers
+# send ahead within their inbound lookahead in every figure that has
+# them; the tick-tie oracle certifies that nothing they file ahead ties
+# another event. Beyond Figure 7 that takes the aggregate's eight servers
+# (Figure 16), the multi-rate server, cross traffic merging at core1 (the
+# hop-jitter ablation) and the AF PHB ablation.
+for fig in fig07_qbone_lost fig17_tcp_smoothing fig18_af_tcp \
+    fig16_aggregate ablation_multirate ablation_hop_jitter ablation_af_phb; do
   DSV_AUDIT=1 DSV_CACHE=off ./target/release/"$fig" > /dev/null
 done
 git diff --exit-code -- results/

@@ -62,9 +62,10 @@ impl Application<()> for Waker {
 }
 
 /// `tx` → `r` → `rx` over 8 Mbps links with no propagation delay, so a
-/// 1000-byte packet takes 1 ms per hop. The second packet is walked
-/// through `r` from 2 ms to 3 ms; the first reaches `rx` at 2 ms, and
-/// `rx` then sets a timer `delay` later.
+/// 1000-byte packet takes 1 ms per hop. The traffic is declared (`rx`
+/// sends nothing), so `r`'s port toward `rx` has one feeder. The second
+/// packet is walked through `r` from 2 ms to 3 ms; the first reaches `rx`
+/// at 2 ms, and `rx` then sets a timer `delay` later.
 fn audited(delay: SimDuration) -> AuditReport {
     let mut b = NetworkBuilder::new();
     let rx = b.add_host(
@@ -86,6 +87,8 @@ fn audited(delay: SimDuration) -> AuditReport {
     let link = Link::new(8_000_000, SimDuration::ZERO);
     b.connect(tx, r, link);
     b.connect(r, rx, link);
+    b.declare_traffic(tx, Some(rx));
+    b.declare_traffic(rx, None);
     let mut sim = Simulation::new(b.build().audited());
     sim.run();
     assert_eq!(sim.net.stats.flow(FlowId(1)).rx_packets, 2);

@@ -124,6 +124,107 @@ fn a_media_rate_below_the_encoders_floor_exits_2() {
     assert_exit_2(&out, "node `client`: media rate_bps 50000");
 }
 
+/// Malformed rate ladders in the ABR example, each of which used to
+/// panic (exit 101): `compile` rejects each, naming the node.
+#[test]
+fn malformed_ladders_and_tiers_exit_2() {
+    let text = std::fs::read_to_string(repo_file("examples/scenario_abr_qbone.json"))
+        .expect("example spec is readable");
+    let spec: ScenarioSpec = serde_json::from_str(&text).expect("example parses");
+    // The example with `node`'s application edited by `edit`, as JSON.
+    let variant = |node: &str, edit: &dyn Fn(&mut AppSpec)| {
+        let mut spec = spec.clone();
+        let app = spec
+            .nodes
+            .iter_mut()
+            .find(|n| n.name == node)
+            .and_then(|n| n.app.as_mut())
+            .expect("the example's node has an app");
+        edit(app);
+        serde_json::to_string(&spec).expect("spec serializes")
+    };
+    let adaptive = |rates: &[u64]| {
+        variant("video-server", &|app| {
+            *app = AppSpec::AdaptiveServer {
+                client: "client".to_string(),
+                flow: 1,
+                dscp: DscpSpec::EfQbone,
+                tiers: rates
+                    .iter()
+                    .map(|&rate_bps| MediaRef {
+                        clip: ClipId2::Lost,
+                        codec: CodecSpec::Wmv,
+                        rate_bps,
+                    })
+                    .collect(),
+            }
+        })
+    };
+    let client = |edit: fn(&mut Vec<u64>, &mut u64, &mut u32)| {
+        variant("client", &|app| match app {
+            AppSpec::AbrClient {
+                rungs_bps,
+                step_us,
+                segments,
+                ..
+            } => edit(rungs_bps, step_us, segments),
+            _ => panic!("the example's client is an ABR client"),
+        })
+    };
+    let server_without_rungs = variant("video-server", &|app| match app {
+        AppSpec::AbrServer { rungs_bps, .. } => rungs_bps.clear(),
+        _ => panic!("the example's server is an ABR server"),
+    });
+    for (name, json, node, why) in [
+        (
+            "no_tiers",
+            adaptive(&[]),
+            "video-server",
+            "at least one rate",
+        ),
+        (
+            "unsorted_tiers",
+            adaptive(&[1_000_000, 300_000]),
+            "video-server",
+            "sorted by rate",
+        ),
+        (
+            "no_rungs",
+            client(|rungs, _, _| rungs.clear()),
+            "client",
+            "at least one rate",
+        ),
+        (
+            "descending_rungs",
+            client(|rungs, _, _| rungs.reverse()),
+            "client",
+            "sorted by rate",
+        ),
+        (
+            "zero_step",
+            client(|_, step, _| *step = 0),
+            "client",
+            "step_us",
+        ),
+        (
+            "no_segments",
+            client(|_, _, segments| *segments = 0),
+            "client",
+            "at least one segment",
+        ),
+        (
+            "server_without_rungs",
+            server_without_rungs,
+            "video-server",
+            "at least one rate",
+        ),
+    ] {
+        let out = dsv_run(&scratch_spec(&format!("ladder_{name}.json"), &json));
+        assert_exit_2(&out, &format!("node `{node}`: "));
+        assert_exit_2(&out, why);
+    }
+}
+
 #[test]
 fn an_audited_run_that_breaks_its_bound_fails() {
     let text = std::fs::read_to_string(repo_file("examples/scenario_policed_chain.json"))

@@ -6,6 +6,11 @@
 //! [`AppCtx`] command buffer — sends and timers are recorded during the
 //! callback and executed by the network afterwards, which keeps borrows
 //! simple and interleavings deterministic.
+//!
+//! An application whose sends are fixed in advance can also send ahead:
+//! nothing reaches its host before [`AppCtx::send_horizon`], so every
+//! packet it would send before then can leave at one callback, each at
+//! its own instant ([`AppCtx::send_at`]).
 
 use dsv_sim::{SimDuration, SimTime};
 
@@ -36,6 +41,17 @@ pub struct SendSpec<P> {
 pub enum AppCommand<P> {
     /// Transmit a packet via this host's access port.
     Send(SendSpec<P>),
+    /// Transmit a packet via this host's access port at `at`, an instant
+    /// from now up to the callback's send horizon.
+    SendAt {
+        /// When the packet is handed to the port.
+        at: SimTime,
+        /// The instant the callback that hands it over at `at` counts as
+        /// filed at.
+        filed: SimTime,
+        /// The packet.
+        spec: SendSpec<P>,
+    },
     /// Request an [`Application::on_timer`] callback after `delay` carrying
     /// `token`.
     SetTimer {
@@ -53,24 +69,33 @@ pub enum AppCommand<P> {
 pub struct AppCtx<P> {
     now: SimTime,
     host: NodeId,
+    horizon: SimTime,
     commands: Vec<AppCommand<P>>,
 }
 
 impl<P> AppCtx<P> {
-    /// Create a context for a callback at `now` on `host`. Exposed so that
-    /// transport/application unit tests can drive state machines directly.
+    /// Create a context for a callback at `now` on `host`, with no send
+    /// horizon beyond `now`. Exposed so that transport/application unit
+    /// tests can drive state machines directly.
     pub fn new(now: SimTime, host: NodeId) -> Self {
-        Self::with_buffer(now, host, Vec::new())
+        Self::with_buffer(now, host, now, Vec::new())
     }
 
-    /// Create a context that records commands into a recycled buffer. The
-    /// network threads one buffer through every callback so steady-state
-    /// dispatch allocates nothing.
-    pub fn with_buffer(now: SimTime, host: NodeId, commands: Vec<AppCommand<P>>) -> Self {
+    /// Create a context with send horizon `horizon` that records commands
+    /// into a recycled buffer. The network threads one buffer through
+    /// every callback so steady-state dispatch allocates nothing.
+    pub fn with_buffer(
+        now: SimTime,
+        host: NodeId,
+        horizon: SimTime,
+        commands: Vec<AppCommand<P>>,
+    ) -> Self {
         debug_assert!(commands.is_empty());
+        debug_assert!(horizon >= now);
         AppCtx {
             now,
             host,
+            horizon,
             commands,
         }
     }
@@ -88,6 +113,34 @@ impl<P> AppCtx<P> {
     /// Queue a packet for transmission.
     pub fn send(&mut self, spec: SendSpec<P>) {
         self.commands.push(AppCommand::Send(spec));
+    }
+
+    /// No packet reaches this host before this instant: none is in flight
+    /// toward it, every route toward it takes at least its inbound
+    /// lookahead, and the run stops before then. An application whose
+    /// next sends depend only on what reaches it may therefore send, with
+    /// [`AppCtx::send_at`], every packet it would send before this instant
+    /// now. It is `now` while a packet toward the host is in flight.
+    pub fn send_horizon(&self) -> SimTime {
+        self.horizon
+    }
+
+    /// Queue a packet to be handed to the host's port at `at`: now, or an
+    /// instant before [`AppCtx::send_horizon`]. The network puts it on the
+    /// wire at its own instant and files its events as a send at `at`
+    /// would have; `filed` is the instant the callback that would hand it
+    /// over then counts as filed at (for a packet due now, this
+    /// callback's), which places its send among the trace entries at `at`.
+    /// Packets sent ahead leave in the order they are queued, so `at`
+    /// never decreases within a host; once a host has sent ahead, an
+    /// ordinary [`AppCtx::send`] before the last such instant panics.
+    pub fn send_at(&mut self, at: SimTime, filed: SimTime, spec: SendSpec<P>) {
+        debug_assert!(
+            at == self.now || (at > self.now && at < self.horizon),
+            "a packet is sent ahead from now to before the send horizon"
+        );
+        debug_assert!(filed <= at, "a send counts as filed by its instant");
+        self.commands.push(AppCommand::SendAt { at, filed, spec });
     }
 
     /// Request a timer callback after `delay` carrying `token`.

@@ -23,10 +23,13 @@
 //! * **chain ties** — no outcome of a walked relay hop (see
 //!   [`crate::network`]) hangs on a same-instant order that per-hop
 //!   dispatch would decide by sequence stamps the walk does not replay;
-//! * **tick ties** — no timer stamped as filed after the instant it was
-//!   set ([`crate::app::AppCtx::set_timer_filed_at`]: a paced server's
-//!   wake-up that skipped idle ticks) falls due with another event filed
-//!   at that same instant, an order the elided ticks would have decided.
+//! * **tick ties** — no event stamped as filed after the instant it was
+//!   drawn — a timer set with [`crate::app::AppCtx::set_timer_filed_at`]
+//!   (a paced server's wake-up that skipped ticks), or the event that ends
+//!   the walk of a packet sent ahead ([`crate::app::AppCtx::send_at`]) —
+//!   falls due with another event filed at that same instant, an order the
+//!   elided ticks would have decided; nor does any event fall due and
+//!   count as filed with the callback a packet sent ahead stands for.
 //!
 //! Violations are collected (capped) rather than panicking at the hook
 //! site, so fault-injection self-tests can assert that a *specific* class
@@ -36,7 +39,7 @@
 //! An unaudited network's observer is `()`: it carries no audit state and
 //! its event path no audit branch.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use dsv_sim::{EventQueue, SimTime, Stamp};
 
@@ -110,12 +113,18 @@ pub struct SimAudit {
     chain_exit_at: Vec<Option<(SimTime, SimTime)>>,
     /// Per chain port, when its last walked transmission began and ends.
     chain_free_at: HashMap<(u32, u16), (SimTime, SimTime)>,
-    /// Timers stamped as filed after they were set, not yet dispatched:
-    /// the stamp and when each falls due.
-    tick_due: Vec<(Stamp, SimTime)>,
-    /// When the last such timer was dispatched and when it counts as
-    /// filed.
-    tick_fired: Option<(SimTime, SimTime)>,
+    /// Events stamped as filed after the instant their stamp was drawn
+    /// (see [`Observer::on_filed_ahead`]), not yet dispatched.
+    ahead_due: HashSet<Stamp>,
+    /// How many of them fall due at each instant and count as filed at
+    /// each instant: `(due, filed)`.
+    ahead_keys: HashMap<(SimTime, SimTime), u32>,
+    /// The instant such events last fired at, and the instants each of
+    /// those counts as filed at.
+    ahead_fired: (SimTime, Vec<SimTime>),
+    /// The callbacks packets sent ahead stand for, not yet reached:
+    /// `(due, filed)`.
+    sent_ahead: BTreeSet<(SimTime, SimTime)>,
     finished: bool,
 }
 
@@ -137,8 +146,10 @@ impl SimAudit {
             chain_due: Vec::new(),
             chain_exit_at: vec![None; node_count],
             chain_free_at: HashMap::new(),
-            tick_due: Vec::new(),
-            tick_fired: None,
+            ahead_due: HashSet::new(),
+            ahead_keys: HashMap::new(),
+            ahead_fired: (SimTime::ZERO, Vec::new()),
+            sent_ahead: BTreeSet::new(),
             finished: false,
         }
     }
@@ -266,12 +277,16 @@ impl Observer for SimAudit {
     /// at a walked packet's node and instant whose actual order breaks
     /// that rule, or hangs on the same-instant case, is reported.
     ///
-    /// A timer stamped as filed after it was set stands for the last of a
-    /// chain of timers that were never dispatched, which would have drawn
-    /// its sequence number at its filing instant. Against another event
-    /// due at the same instant and filed at that same instant, that number
-    /// would have decided the order, so any such pair is reported,
-    /// whichever node the other event is at.
+    /// An event stamped as filed after the instant its stamp was drawn (a
+    /// timer standing for the last of a chain of timers that were never
+    /// dispatched, or the last event of a packet sent ahead) would have
+    /// drawn its sequence number at its filing instant. Against another
+    /// event due at the same instant and filed at that same instant, that
+    /// number would have decided the order, so any such pair is reported,
+    /// whichever node the other event is at. So is an event due and filed
+    /// with the callback a packet sent ahead stands for: it would have
+    /// been dispatched, and its send recorded, in an order only those
+    /// numbers decide.
     fn on_event(&mut self, now: SimTime, event: &NetEvent, queue: &EventQueue<NetEvent>) {
         self.events += 1;
         if now < self.last_event {
@@ -310,32 +325,48 @@ impl Observer for SimAudit {
         if let Some(last_hop) = exit {
             self.chain_exit_at[node.0 as usize] = Some((now, last_hop));
         }
-        let stamp = queue.last_stamp();
-        let tick = self
-            .tick_due
-            .iter()
-            .position(|&(s, _)| Some(s) == stamp)
-            .map(|i| self.tick_due.swap_remove(i));
-        let tied = self.tick_fired == Some((now, filed))
-            || self
-                .tick_due
-                .iter()
-                .any(|&(s, at)| at == now && s.filed() == filed);
+        let own = queue
+            .last_stamp()
+            .is_some_and(|s| self.ahead_due.remove(&s));
+        if own {
+            if let Some(n) = self.ahead_keys.get_mut(&(now, filed)) {
+                *n -= 1;
+                if *n == 0 {
+                    self.ahead_keys.remove(&(now, filed));
+                }
+            }
+        }
+        if self.ahead_fired.0 != now {
+            self.ahead_fired.0 = now;
+            self.ahead_fired.1.clear();
+        }
+        while self.sent_ahead.first().is_some_and(|&(due, _)| due < now) {
+            self.sent_ahead.pop_first();
+        }
+        let tied = self.ahead_fired.1.contains(&filed)
+            || self.ahead_keys.contains_key(&(now, filed))
+            || self.sent_ahead.contains(&(now, filed));
         if tied {
             self.violation(format!(
                 "tick-tie: an event at node {} at {now:?} filed at {filed:?} \
-                 falls due with a wake-up that skipped idle ticks and counts \
-                 as filed at the same instant",
+                 falls due with an event filed ahead (a wake-up that skipped \
+                 ticks, or a packet sent ahead) or with the send of a packet \
+                 sent ahead, either counting as filed at the same instant",
                 node.0
             ));
         }
-        if tick.is_some() {
-            self.tick_fired = Some((now, filed));
+        if own {
+            self.ahead_fired.1.push(filed);
         }
     }
 
-    fn on_timer_filed(&mut self, stamp: Stamp, at: SimTime) {
-        self.tick_due.push((stamp, at));
+    fn on_filed_ahead(&mut self, stamp: Stamp, at: SimTime) {
+        self.ahead_due.insert(stamp);
+        *self.ahead_keys.entry((at, stamp.filed())).or_insert(0) += 1;
+    }
+
+    fn on_sent_ahead(&mut self, at: SimTime, filed: SimTime) {
+        self.sent_ahead.insert((at, filed));
     }
 
     fn on_sent(&mut self, flow: FlowId, id: PacketId, size: u32, node: NodeId) {

@@ -20,7 +20,7 @@
 //! build time off the routes of the traffic the hosts may send: each host
 //! declares the one destination its application sends to, or that it sends
 //! nothing ([`NetworkBuilder::declare_traffic`]), and a host that declares
-//! nothing may send to every host. A declared host that sends anywhere
+//! nothing may send to every host, itself included. A declared host that sends anywhere
 //! else panics at that packet, so every packet that reaches a chain port
 //! arrives over its one feeder and belongs to a pair the port was marked
 //! for.
@@ -55,6 +55,18 @@
 //! port's queue empty is never dispatched at all. Every other event keeps
 //! its exact delivery position (DESIGN.md §6b).
 //!
+//! A host's application may also send ahead ([`AppCtx::send_at`]). Each
+//! callback gets a send horizon: `now` plus the host's inbound lookahead,
+//! the least total propagation over the routes of every host that may send
+//! to it (computed by [`NetworkBuilder::build`]), capped by the run's
+//! horizon ([`EventQueue::horizon`]) and held at `now` while any
+//! packet toward the host is in flight. Nothing can reach the host before
+//! it, so a packet the application would send at any earlier instant can
+//! be sent at once. It takes the Lindley step at the host's own port, as
+//! at a chain hop, and is then walked; every event it files is stamped as
+//! filed where a send at its own instant would have filed it (DESIGN.md
+//! §6b, "Paced servers send ahead within their inbound lookahead").
+//!
 //! A network calls its [`Observer`] at every step of a packet's life; the
 //! one that [`NetworkBuilder::build`] returns is unobserved (`()`), and
 //! [`Network::audited`] hands it to a [`SimAudit`] before the run.
@@ -63,7 +75,7 @@ use std::collections::VecDeque;
 
 use dsv_sim::{EventQueue, SimDuration, SimTime, Stamp, World};
 
-use crate::app::{AppCommand, AppCtx, Application};
+use crate::app::{AppCommand, AppCtx, Application, SendSpec};
 use crate::audit::{AuditReport, SimAudit};
 use crate::conditioner::{ConditionOutcome, Conditioner, QuickVerdict};
 use crate::link::Link;
@@ -199,6 +211,14 @@ struct Node<P> {
     /// Where the node's application may send; any other destination
     /// panics (see [`NetworkBuilder::declare_traffic`]).
     sends: Sends,
+    /// How far ahead of now the host's application may send: the least
+    /// total propagation over the routes of every host that may send to
+    /// it (`MAX` if none may), or zero where its port cannot take a packet
+    /// sent ahead. Zero for routers.
+    lookahead: SimDuration,
+    /// The latest instant the host's application has sent a packet ahead
+    /// to; an ordinary send before it panics.
+    sent_ahead_to: SimTime,
     ports: Vec<Port<P>>,
     /// Next-hop port toward each destination, indexed by destination
     /// node id (`None` for non-host destinations). A flat vector: route
@@ -242,6 +262,27 @@ impl<P> Port<P> {
             self.ser_memo = (size, self.link.serialization(size));
         }
         self.ser_memo.1
+    }
+
+    /// The Lindley step of a `size`-byte packet that joins the port's FIFO
+    /// band at `at`: it starts serializing at `max(at, free_at)`, waiting
+    /// until then, and the port frees one serialization later. Reserves
+    /// the `PortReady` stamp as filed at the start, where the transmission
+    /// begins. Returns the start.
+    #[inline]
+    fn step(&mut self, at: SimTime, size: u32, queue: &mut EventQueue<NetEvent>) -> SimTime {
+        let start = at.max(self.free_at);
+        if start > at {
+            self.waiting.push_back(Waiting {
+                start,
+                size,
+                behind: self.ready.filed(),
+            });
+            self.waiting_bytes += u64::from(size);
+        }
+        self.free_at = start + self.serialization(size);
+        self.ready = queue.reserve_filed_at(start);
+        start
     }
 
     /// Whether `band` admits a `size`-byte packet that reaches the port
@@ -308,6 +349,12 @@ impl Header {
     }
 }
 
+/// The instant the event being dispatched at `now` counts as filed at.
+#[inline]
+fn dispatch_filed(now: SimTime, queue: &EventQueue<NetEvent>) -> SimTime {
+    queue.last_stamp().map_or(now, Stamp::filed)
+}
+
 /// Builds a [`Network`].
 pub struct NetworkBuilder<P> {
     nodes: Vec<Node<P>>,
@@ -342,6 +389,8 @@ impl<P: Send + 'static> NetworkBuilder<P> {
             kind: NodeKind::Host { start_at },
             name: name.to_string(),
             sends: Sends::Anywhere,
+            lookahead: SimDuration::ZERO,
+            sent_ahead_to: SimTime::ZERO,
             ports: Vec::new(),
             routes: Vec::new(),
             relay: false,
@@ -358,6 +407,8 @@ impl<P: Send + 'static> NetworkBuilder<P> {
             kind: NodeKind::Router,
             name: name.to_string(),
             sends: Sends::Nothing,
+            lookahead: SimDuration::ZERO,
+            sent_ahead_to: SimTime::ZERO,
             ports: Vec::new(),
             routes: Vec::new(),
             relay: false,
@@ -401,7 +452,7 @@ impl<P: Send + 'static> NetworkBuilder<P> {
 
     /// Declare where `host`'s application sends: only to `dst`, or
     /// nothing at all when `dst` is `None`. A host that declares nothing
-    /// may send to any host.
+    /// may send to any host, itself included.
     ///
     /// Chain hops are marked from the traffic the hosts may send (see
     /// [`NetworkBuilder::build`]), so a declaration can turn a port that
@@ -510,17 +561,36 @@ impl<P: Send + 'static> NetworkBuilder<P> {
         // declared pair, and every pair from a host that declared nothing.
         // A router port with exactly one feeder is a chain hop, unless the
         // router's conditioner does not decide some pair that leaves by
-        // the port alone.
+        // the port alone. The same walks give each host its inbound
+        // lookahead: the least propagation over the routes toward it.
         let mut feeders: Vec<Vec<Vec<NodeId>>> = nodes
             .iter()
             .map(|n| vec![Vec::new(); n.ports.len()])
             .collect();
         let mut undecided: Vec<Vec<bool>> =
             nodes.iter().map(|n| vec![false; n.ports.len()]).collect();
+        let mut lookahead = vec![SimDuration::MAX; nodes.len()];
         for &src in &host_ids {
             let declared;
             let dsts: &[NodeId] = match nodes[src.0 as usize].sends {
-                Sends::Anywhere => &host_ids,
+                Sends::Anywhere => {
+                    // It may send to itself too: out of its port and back,
+                    // so it feeds its peer's port toward it.
+                    let port = &nodes[src.0 as usize].ports[0];
+                    let (peer, out) = (port.peer.0 as usize, port.link.propagation);
+                    if let Some(back) = nodes[peer].routes[src.0 as usize] {
+                        let back = back.0 as usize;
+                        let own = &mut lookahead[src.0 as usize];
+                        *own = (*own).min(out + nodes[peer].ports[back].link.propagation);
+                        if !feeders[peer][back].contains(&src) {
+                            feeders[peer][back].push(src);
+                        }
+                        if let Some(cond) = &conditioners[peer] {
+                            undecided[peer][back] |= !cond.decides_alone(src, src);
+                        }
+                    }
+                    &host_ids
+                }
                 Sends::To(dst) => {
                     declared = [dst];
                     &declared
@@ -529,8 +599,11 @@ impl<P: Send + 'static> NetworkBuilder<P> {
             };
             for &dst in dsts {
                 let mut u = src;
+                let mut propagation = SimDuration::ZERO;
                 while let Some(out) = nodes[u.0 as usize].routes[dst.0 as usize] {
-                    let v = nodes[u.0 as usize].ports[out.0 as usize].peer;
+                    let link = &nodes[u.0 as usize].ports[out.0 as usize];
+                    propagation += link.link.propagation;
+                    let v = link.peer;
                     if let Some(port) = nodes[v.0 as usize].routes[dst.0 as usize] {
                         let (v, port) = (v.0 as usize, port.0 as usize);
                         let fed = &mut feeders[v][port];
@@ -543,10 +616,27 @@ impl<P: Send + 'static> NetworkBuilder<P> {
                     }
                     u = v;
                 }
+                if src != dst {
+                    let own = &mut lookahead[dst.0 as usize];
+                    *own = (*own).min(propagation);
+                }
             }
         }
         for (i, node) in nodes.iter_mut().enumerate() {
             if !matches!(node.kind, NodeKind::Router) {
+                // A packet sent ahead takes the Lindley step at the host's
+                // port, which needs an unbounded FIFO band for whatever
+                // code point it carries: there no admission can hang on
+                // the instant the send would have been made.
+                let port = &node.ports[0];
+                let steps = (0..64).all(|bits| {
+                    port.qdisc
+                        .fifo_band(Dscp(bits))
+                        .is_some_and(|band| band.limits == QueueLimits::UNBOUNDED)
+                });
+                if steps {
+                    node.lookahead = lookahead[i];
+                }
                 continue;
             }
             for ((port, fed), undecided) in
@@ -563,15 +653,16 @@ impl<P: Send + 'static> NetworkBuilder<P> {
             apps,
             conditioners,
             cond_poll_at: vec![None; node_count],
+            inbound: vec![0; node_count],
             stats: NetStats::new(),
             flow_next_id: Vec::new(),
             // Measured in-flight high-water marks (the benchmark's
-            // `net.pool_high_water`): 8 packets on the paper's QBone grid,
-            // 28 on the aggregate sweep, 165 on the transport runs, with
+            // `net.pool_high_water`): 14 packets on the paper's QBone grid,
+            // 51 on the aggregate sweep, 165 on the transport runs, with
             // packets walked through hop chains held here until their one
-            // `Arrive`. 64 covers the paper's grids without a mid-run
-            // grow; the deep TCP queues grow the pool a couple of times
-            // per run.
+            // `Arrive`, and packets sent ahead from the wake-up that sends
+            // them. 64 covers the paper's grids without a mid-run grow;
+            // the deep TCP queues grow the pool a couple of times per run.
             pool: PacketPool::with_capacity(64),
             cmd_buf: Vec::with_capacity(8),
             observer: (),
@@ -598,6 +689,9 @@ pub struct Network<P, O = ()> {
     /// event-count blowup on starved-profile shaped runs). Only the earliest
     /// request needs a real event — later ones are satisfied by it.
     cond_poll_at: Vec<Option<SimTime>>,
+    /// Per node, the packets sent toward it and not yet delivered or
+    /// dropped: while any is, the host's send horizon is `now`.
+    inbound: Vec<u32>,
     /// Statistics collector (public so experiments can enable tracing before
     /// the run and read counters afterwards).
     pub stats: NetStats,
@@ -625,6 +719,7 @@ impl<P: 'static> Network<P> {
             apps,
             conditioners,
             cond_poll_at,
+            inbound,
             stats,
             flow_next_id,
             pool,
@@ -637,6 +732,7 @@ impl<P: 'static> Network<P> {
             apps,
             conditioners,
             cond_poll_at,
+            inbound,
             stats,
             flow_next_id,
             pool,
@@ -730,12 +826,24 @@ impl<P: 'static, O: Observer> Network<P, O> {
         F: FnOnce(&mut dyn Application<P>, &mut AppCtx<P>),
     {
         let idx = node.0 as usize;
+        // Nothing reaches the host before `now` plus its lookahead, unless
+        // a packet toward it is already in flight; a packet still queued
+        // at its port would have to leave before any sent ahead. Nothing
+        // is sent ahead past the run's last instant, so a run stopped
+        // there has sent exactly what one that sent nothing ahead would.
+        let n = &self.nodes[idx];
+        let horizon = if self.inbound[idx] > 0 || n.ports[0].queued > 0 {
+            now
+        } else {
+            let run_end = queue.horizon() + SimDuration::from_nanos(1);
+            (now + n.lookahead).min(run_end)
+        };
         // Hand the application the network's reusable command buffer;
         // callbacks never nest (commands are executed after the callback
         // returns and only schedule events), so one buffer suffices. The
         // app stays in place — `apps` and `cmd_buf` are disjoint fields,
         // so the callback borrow never conflicts with the buffer move.
-        let mut ctx = AppCtx::with_buffer(now, node, std::mem::take(&mut self.cmd_buf));
+        let mut ctx = AppCtx::with_buffer(now, node, horizon, std::mem::take(&mut self.cmd_buf));
         let app = self.apps[idx].as_mut().expect("event for a router app");
         f(app.as_mut(), &mut ctx);
         let mut commands = ctx.take_commands();
@@ -752,36 +860,161 @@ impl<P: 'static, O: Observer> Network<P, O> {
                     } else {
                         let stamp = queue.reserve_filed_at(filed);
                         queue.schedule_reserved(now + delay, stamp, timer);
-                        self.observer.on_timer_filed(stamp, now + delay);
+                        self.observer.on_filed_ahead(stamp, now + delay);
                     }
                 }
                 AppCommand::Send(spec) => {
-                    match self.nodes[idx].sends {
-                        Sends::To(dst) if dst == spec.dst => {}
-                        Sends::Anywhere => {}
-                        _ => self.undeclared_send(node, spec.dst),
+                    if now < self.nodes[idx].sent_ahead_to {
+                        self.send_behind_ahead(node, now);
                     }
-                    let id = self.next_packet_id(spec.flow);
-                    let pkt = Packet {
-                        id,
-                        flow: spec.flow,
-                        src: node,
-                        dst: spec.dst,
-                        size: spec.size,
-                        dscp: spec.dscp,
-                        proto: spec.proto,
-                        fragment: spec.fragment,
-                        sent_at: now,
-                        payload: spec.payload,
-                    };
-                    self.stats.on_sent(now, pkt.flow, pkt.id, pkt.size, node);
-                    self.observer.on_sent(pkt.flow, pkt.id, pkt.size, node);
+                    let pkt = self.originate(now, dispatch_filed(now, queue), node, spec);
                     // Hosts have exactly one port (asserted at build).
                     self.enqueue_on_port(now, node, PortId(0), pkt, queue);
+                }
+                AppCommand::SendAt { at, filed, spec } => {
+                    let pkt = self.originate(at, filed, node, spec);
+                    if at > now {
+                        self.observer.on_sent_ahead(at, filed);
+                    }
+                    self.send_ahead(now, at, node, pkt, queue);
                 }
             }
         }
         self.cmd_buf = commands;
+    }
+
+    /// The packet `node`'s application hands its port at `at`, by a
+    /// callback filed at `filed`: checked against the host's declared
+    /// traffic, numbered in its flow, and counted as sent and as in flight
+    /// toward its destination.
+    #[inline]
+    fn originate(
+        &mut self,
+        at: SimTime,
+        filed: SimTime,
+        node: NodeId,
+        spec: SendSpec<P>,
+    ) -> Packet<P> {
+        match self.nodes[node.0 as usize].sends {
+            Sends::To(dst) if dst == spec.dst => {}
+            Sends::Anywhere => {}
+            _ => self.undeclared_send(node, spec.dst),
+        }
+        let id = self.next_packet_id(spec.flow);
+        let pkt = Packet {
+            id,
+            flow: spec.flow,
+            src: node,
+            dst: spec.dst,
+            size: spec.size,
+            dscp: spec.dscp,
+            proto: spec.proto,
+            fragment: spec.fragment,
+            sent_at: at,
+            payload: spec.payload,
+        };
+        self.stats.on_sent(filed, &pkt, node);
+        self.observer.on_sent(pkt.flow, pkt.id, pkt.size, node);
+        if let Some(inbound) = self.inbound.get_mut(pkt.dst.0 as usize) {
+            *inbound += 1;
+        }
+        pkt
+    }
+
+    /// A packet toward `dst` was delivered or dropped. (Saturating: a
+    /// faulty conditioner that duplicates packets is the audit's to
+    /// report.)
+    #[inline]
+    fn landed(&mut self, dst: NodeId) {
+        if let Some(inbound) = self.inbound.get_mut(dst.0 as usize) {
+            *inbound = inbound.saturating_sub(1);
+        }
+    }
+
+    /// Account `pkt` as dropped at `node` for `reason` by the event being
+    /// dispatched.
+    fn dropped(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        pkt: &Packet<P>,
+        reason: DropReason,
+        queue: &EventQueue<NetEvent>,
+    ) {
+        self.stats
+            .on_dropped(now, dispatch_filed(now, queue), pkt, node, reason);
+        self.observer.on_dropped(pkt.flow, pkt.id, pkt.size, node);
+        self.landed(pkt.dst);
+    }
+
+    /// Hand `pkt`, which `node`'s application sends ahead from a callback
+    /// at `now`, to the host's port at `at`.
+    ///
+    /// It takes the Lindley step of a chain hop at the port and is walked
+    /// on from there, so the port moves as a send at `at` would have moved
+    /// it — `free_at`, a `PortReady` stamp reserved as filed where the
+    /// transmission starts, the packet in `waiting` until then — and every
+    /// event it files is stamped as filed where that send would have filed
+    /// it. Only the sequence numbers are drawn now; the observer hears of
+    /// every event filed this way. A port that cannot take the step (the
+    /// discipline holds packets, or the band is not an unbounded FIFO)
+    /// gave the host no lookahead, so the packet is due now and takes the
+    /// ordinary path.
+    fn send_ahead(
+        &mut self,
+        now: SimTime,
+        at: SimTime,
+        node: NodeId,
+        pkt: Packet<P>,
+        queue: &mut EventQueue<NetEvent>,
+    ) {
+        let n = &mut self.nodes[node.0 as usize];
+        debug_assert!(at >= n.sent_ahead_to, "packets are sent ahead in order");
+        n.sent_ahead_to = at;
+        let p = &mut n.ports[0];
+        let steps = p.queued == 0
+            && p.qdisc
+                .fifo_band(pkt.dscp)
+                .is_some_and(|band| band.limits == QueueLimits::UNBOUNDED);
+        if !steps {
+            assert_eq!(
+                at, now,
+                "host {} sent a packet ahead through a port that cannot take it",
+                n.name
+            );
+            self.enqueue_on_port(now, node, PortId(0), pkt, queue);
+            return;
+        }
+        // A send after now, or one now while the port is still busy,
+        // would have left at a later dispatch (its tick's, or the port's
+        // wake-up), which draws its own sequence numbers.
+        let ahead = at > now || p.busy(queue);
+        // The band is unbounded, so nothing waiting can refuse the packet:
+        // retire only the ones that have started by `at`.
+        while let Some(w) = p.waiting.front().filter(|w| w.start <= at) {
+            p.waiting_bytes -= u64::from(w.size);
+            p.waiting.pop_front();
+        }
+        let start = p.step(at, pkt.size, queue);
+        let (peer, arrive) = (p.peer, p.free_at + p.link.propagation);
+        self.observer
+            .on_transmit(start, node, PortId(0), pkt.flow, pkt.id, pkt.size);
+        let hdr = Header::of(&pkt);
+        let packet = self.pool.insert(pkt);
+        self.walk(start, ahead, peer, arrive, packet, hdr, queue);
+    }
+
+    /// Abort on an ordinary send from a host that has already sent a
+    /// packet ahead to a later instant: the port's state has moved past
+    /// `now`.
+    #[cold]
+    #[inline(never)]
+    fn send_behind_ahead(&self, node: NodeId, now: SimTime) -> ! {
+        panic!(
+            "host {} sent a packet at {now:?}, before the packet it sent ahead to {:?}",
+            self.node_name(node),
+            self.nodes[node.0 as usize].sent_ahead_to
+        );
     }
 
     /// Abort on a packet a host sends to a destination it did not
@@ -817,11 +1050,7 @@ impl<P: 'static, O: Observer> Network<P, O> {
             .flatten()
         {
             Some(port) => self.enqueue_on_port(now, node, port, pkt, queue),
-            None => {
-                self.stats
-                    .on_dropped(now, pkt.flow, pkt.id, pkt.size, node, DropReason::NoRoute);
-                self.observer.on_dropped(pkt.flow, pkt.id, pkt.size, node);
-            }
+            None => self.dropped(now, node, &pkt, DropReason::NoRoute, queue),
         }
     }
 
@@ -848,7 +1077,7 @@ impl<P: 'static, O: Observer> Network<P, O> {
         let overflow = !p.waiting.is_empty()
             && match p.qdisc.fifo_band(pkt.dscp) {
                 Some(band) => {
-                    let filed = queue.last_stamp().map_or(now, Stamp::filed);
+                    let filed = dispatch_filed(now, queue);
                     let (admitted, tie) = p.admits(band, now, filed, pkt.size);
                     if tie {
                         self.observer.on_admission_tie(now, node, port);
@@ -873,17 +1102,7 @@ impl<P: 'static, O: Observer> Network<P, O> {
                     queue.schedule_reserved(p.free_at, p.ready, NetEvent::PortReady { node, port });
                 }
             }
-            Err(pkt) => {
-                self.stats.on_dropped(
-                    now,
-                    pkt.flow,
-                    pkt.id,
-                    pkt.size,
-                    node,
-                    DropReason::QueueOverflow,
-                );
-                self.observer.on_dropped(pkt.flow, pkt.id, pkt.size, node);
-            }
+            Err(pkt) => self.dropped(now, node, &pkt, DropReason::QueueOverflow, queue),
         }
     }
 
@@ -953,7 +1172,7 @@ impl<P: 'static, O: Observer> Network<P, O> {
         let hdr = Header::of(&pkt);
         let (peer, arrive) = self.occupy(now, node, port, pkt.size, queue);
         let packet = self.pool.insert(pkt);
-        self.walk(now, peer, arrive, packet, hdr, queue);
+        self.walk(now, false, peer, arrive, packet, hdr, queue);
     }
 
     /// Like [`Network::begin_transmit`], but for a packet that never left
@@ -975,7 +1194,7 @@ impl<P: 'static, O: Observer> Network<P, O> {
                 .on_transmit(now, node, port, flow, id, hdr.size);
         }
         let (peer, arrive) = self.occupy(now, node, port, hdr.size, queue);
-        self.walk(now, peer, arrive, packet, hdr, queue);
+        self.walk(now, false, peer, arrive, packet, hdr, queue);
     }
 
     /// `packet`, put on the wire at `sent`, reaches `node` at `at`: walk
@@ -1001,10 +1220,14 @@ impl<P: 'static, O: Observer> Network<P, O> {
     /// a strict-priority port) or when a per-hop packet is queued at or
     /// still travelling toward the port (it may be served first). A packet
     /// the conditioner or drop-tail refuses is dropped by the event filed
-    /// for it, at its own instant.
+    /// for it, at its own instant. A packet sent `ahead` of the callback
+    /// that sent it (see [`Network::send_ahead`]) is walked the same way;
+    /// the event it files is reported to the observer as filed ahead.
+    #[allow(clippy::too_many_arguments)]
     fn walk(
         &mut self,
         sent: SimTime,
+        ahead: bool,
         mut node: NodeId,
         mut at: SimTime,
         packet: PacketRef,
@@ -1060,17 +1283,7 @@ impl<P: 'static, O: Observer> Network<P, O> {
                 dropped = Some(DropReason::QueueOverflow);
                 break;
             }
-            let start = at.max(p.free_at);
-            if start > at {
-                p.waiting.push_back(Waiting {
-                    start,
-                    size: hdr.size,
-                    behind: p.ready.filed(),
-                });
-                p.waiting_bytes += u64::from(hdr.size);
-            }
-            p.free_at = start + p.serialization(hdr.size);
-            p.ready = queue.reserve_filed_at(start);
+            let start = p.step(at, hdr.size, queue);
             if O::ACTIVE {
                 let pkt = self.pool.get_mut(packet);
                 let (flow, id) = (pkt.flow, pkt.id);
@@ -1091,12 +1304,17 @@ impl<P: 'static, O: Observer> Network<P, O> {
         };
         // Every walked hop starts after `sent`, so `filed` moved iff the
         // packet crossed at least one chain hop.
-        if filed == sent {
+        if filed == sent && !ahead {
             queue.schedule(at, event);
-        } else {
-            let stamp = queue.reserve_filed_at(filed);
-            queue.schedule_reserved(at, stamp, event);
+            return;
+        }
+        let stamp = queue.reserve_filed_at(filed);
+        queue.schedule_reserved(at, stamp, event);
+        if filed != sent {
             self.observer.on_chain_filed(packet, node, at, filed);
+        }
+        if ahead {
+            self.observer.on_filed_ahead(stamp, at);
         }
     }
 
@@ -1156,7 +1374,7 @@ impl<P: 'static, O: Observer> Network<P, O> {
                             self.enqueue_on_port(now, node, port, pkt, queue);
                         }
                     }
-                    None => self.drop_parked(now, node, packet, DropReason::NoRoute),
+                    None => self.drop_parked(now, node, packet, DropReason::NoRoute, queue),
                 }
             }
             QuickVerdict::Drop(reason) => {
@@ -1170,7 +1388,7 @@ impl<P: 'static, O: Observer> Network<P, O> {
                         p.pending -= 1;
                     }
                 }
-                self.drop_parked(now, node, packet, reason);
+                self.drop_parked(now, node, packet, reason, queue);
             }
             QuickVerdict::NeedsSubmit => {
                 let pkt = self.pool.take(packet);
@@ -1180,11 +1398,16 @@ impl<P: 'static, O: Observer> Network<P, O> {
     }
 
     /// Account the parked `packet` as dropped at `node` for `reason`.
-    fn drop_parked(&mut self, now: SimTime, node: NodeId, packet: PacketRef, reason: DropReason) {
+    fn drop_parked(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        packet: PacketRef,
+        reason: DropReason,
+        queue: &EventQueue<NetEvent>,
+    ) {
         let pkt = self.pool.take(packet);
-        self.stats
-            .on_dropped(now, pkt.flow, pkt.id, pkt.size, node, reason);
-        self.observer.on_dropped(pkt.flow, pkt.id, pkt.size, node);
+        self.dropped(now, node, &pkt, reason, queue);
     }
 
     fn condition_and_forward(
@@ -1200,11 +1423,7 @@ impl<P: 'static, O: Observer> Network<P, O> {
             self.conditioners[idx] = Some(cond);
             match outcome {
                 ConditionOutcome::Pass(pkt) => self.forward(now, node, pkt, queue),
-                ConditionOutcome::Drop(pkt, reason) => {
-                    self.stats
-                        .on_dropped(now, pkt.flow, pkt.id, pkt.size, node, reason);
-                    self.observer.on_dropped(pkt.flow, pkt.id, pkt.size, node);
-                }
+                ConditionOutcome::Drop(pkt, reason) => self.dropped(now, node, &pkt, reason, queue),
                 ConditionOutcome::Absorbed { poll_at } => {
                     self.schedule_cond_poll(node, poll_at.max(now), queue);
                 }
@@ -1268,7 +1487,7 @@ impl<P: 'static, O: Observer> World for Network<P, O> {
                 reason,
             } => {
                 self.observer.on_arrive(node);
-                self.drop_parked(now, node, packet, reason);
+                self.drop_parked(now, node, packet, reason, queue);
             }
             NetEvent::Arrive { node, packet } => {
                 let idx = node.0 as usize;
@@ -1278,15 +1497,9 @@ impl<P: 'static, O: Observer> World for Network<P, O> {
                     NodeKind::Host { .. } => {
                         let packet = self.pool.take(packet);
                         if packet.dst == node {
-                            let delay = now.saturating_since(packet.sent_at);
-                            self.stats.on_delivered(
-                                now,
-                                packet.flow,
-                                packet.id,
-                                packet.size,
-                                node,
-                                delay,
-                            );
+                            self.landed(node);
+                            let filed = dispatch_filed(now, queue);
+                            self.stats.on_delivered(now, filed, &packet, node);
                             self.observer
                                 .on_delivered(packet.flow, packet.id, packet.size, node);
                             self.dispatch_app(
@@ -1299,16 +1512,7 @@ impl<P: 'static, O: Observer> World for Network<P, O> {
                             // A packet washed up at the wrong host: surface
                             // as a routing drop rather than corrupting app
                             // state.
-                            self.stats.on_dropped(
-                                now,
-                                packet.flow,
-                                packet.id,
-                                packet.size,
-                                node,
-                                DropReason::NoRoute,
-                            );
-                            self.observer
-                                .on_dropped(packet.flow, packet.id, packet.size, node);
+                            self.dropped(now, node, &packet, DropReason::NoRoute, queue);
                         }
                     }
                 }
@@ -1329,10 +1533,11 @@ impl<P: Send + 'static, O: Observer> Simulation<P, O> {
     /// Wrap a built network and schedule host start events.
     pub fn new(net: Network<P, O>) -> Self {
         // Measured pending-event high-water marks (the benchmark's
-        // `sim.queue_high_water`): 9 on the paper's QBone grid, 36 on the
-        // aggregate sweep, 571 on the transport runs (a packet walked
-        // into a hop chain keeps one pending `Arrive`). The capacity
-        // covers all of them without a mid-run grow.
+        // `sim.queue_high_water`): 15 on the paper's QBone grid, 59 on
+        // the aggregate sweep, 571 on the transport runs (a packet walked
+        // into a hop chain, or sent ahead, keeps one pending `Arrive` or
+        // `Drop`). The capacity covers all of them without a mid-run
+        // grow.
         let mut queue = EventQueue::with_capacity(4096);
         net.schedule_starts(&mut queue);
         Simulation { net, queue }
@@ -1343,7 +1548,8 @@ impl<P: Send + 'static, O: Observer> Simulation<P, O> {
         self.run_until(SimTime::MAX)
     }
 
-    /// Run until `horizon` (inclusive).
+    /// Run until `horizon` (inclusive). No application sends ahead past
+    /// it.
     pub fn run_until(&mut self, horizon: SimTime) -> dsv_sim::engine::RunStats {
         dsv_sim::run_until(&mut self.net, &mut self.queue, horizon)
     }
@@ -1581,8 +1787,9 @@ mod tests {
         assert_eq!(sim.net.stats.flow(FlowId(1)).rx_packets, 3);
     }
 
-    /// tx - r1 - r2 - r3 - rx, three 500-byte packets 1 ms apart; `r2`
-    /// optionally carries a pass-through conditioner.
+    /// tx - r1 - r2 - r3 - rx, three 500-byte packets 1 ms apart, with the
+    /// traffic declared (`rx` sends nothing, so not to itself either);
+    /// `r2` optionally carries a pass-through conditioner.
     fn relay_line(condition_r2: bool) -> (Simulation<()>, dsv_sim::engine::RunStats) {
         let mut b = NetworkBuilder::new();
         let rx = b.add_host("rx", Box::new(Recorder::default()));
@@ -1603,6 +1810,8 @@ mod tests {
         b.connect(r[0], r[1], Link::fast_ethernet());
         b.connect(r[1], r[2], Link::fast_ethernet());
         b.connect(r[2], rx, Link::fast_ethernet());
+        b.declare_traffic(tx, Some(rx));
+        b.declare_traffic(rx, None);
         if condition_r2 {
             b.set_conditioner(r[1], Box::new(crate::conditioner::PassThrough));
         }
@@ -1653,6 +1862,253 @@ mod tests {
         assert_eq!(c.tx_packets, 3);
         sim.run();
         assert_eq!(sim.net.stats.flow(FlowId(1)).tx_packets, 10);
+    }
+
+    /// Records the send horizon it starts with, sends one packet ahead to
+    /// `ahead`, and one ordinarily at its timer, `ordinary` after start.
+    struct Ahead {
+        dst: NodeId,
+        ahead: SimDuration,
+        ordinary: SimDuration,
+        horizon: std::sync::Arc<std::sync::Mutex<Option<SimTime>>>,
+    }
+
+    impl Ahead {
+        fn packet(&self) -> SendSpec<()> {
+            SendSpec {
+                dst: self.dst,
+                flow: FlowId(1),
+                size: 500,
+                dscp: Dscp::EF,
+                proto: Proto::Udp,
+                fragment: None,
+                payload: (),
+            }
+        }
+    }
+
+    impl Application<()> for Ahead {
+        fn on_start(&mut self, ctx: &mut AppCtx<()>) {
+            *self.horizon.lock().unwrap() = Some(ctx.send_horizon());
+            let at = ctx.now() + self.ahead;
+            if at < ctx.send_horizon() {
+                ctx.send_at(at, at, self.packet());
+            }
+            ctx.set_timer(self.ordinary, 0);
+        }
+        fn on_packet(&mut self, _ctx: &mut AppCtx<()>, _pkt: Packet<()>) {}
+        fn on_timer(&mut self, ctx: &mut AppCtx<()>, _token: u64) {
+            ctx.send(self.packet());
+        }
+    }
+
+    /// `tx` - `r` - `rx` over fast Ethernet (5 µs propagation a link),
+    /// where `rx` may send back to `tx`: `tx`'s inbound lookahead is
+    /// 10 µs. Returns the simulation and the horizon `tx` starts with.
+    fn ahead_line(
+        ahead: SimDuration,
+        ordinary: SimDuration,
+    ) -> (
+        Simulation<()>,
+        std::sync::Arc<std::sync::Mutex<Option<SimTime>>>,
+    ) {
+        let horizon = std::sync::Arc::new(std::sync::Mutex::new(None));
+        let mut b = NetworkBuilder::new();
+        let rx = b.add_host("rx", Box::new(Recorder::default()));
+        let r = b.add_router("r");
+        let tx = b.add_host(
+            "tx",
+            Box::new(Ahead {
+                dst: rx,
+                ahead,
+                ordinary,
+                horizon: horizon.clone(),
+            }),
+        );
+        b.connect(tx, r, Link::fast_ethernet());
+        b.connect(r, rx, Link::fast_ethernet());
+        b.declare_traffic(tx, Some(rx));
+        b.declare_traffic(rx, Some(tx));
+        let mut net = b.build();
+        net.stats.trace_flow(FlowId(1));
+        (Simulation::new(net), horizon)
+    }
+
+    #[test]
+    fn a_packet_sent_ahead_leaves_at_its_own_instant() {
+        let us = SimDuration::from_micros;
+        let (mut sim, horizon) = ahead_line(us(8), us(20));
+        sim.run();
+        assert_eq!(*horizon.lock().unwrap(), Some(SimTime::ZERO + us(10)));
+        // Two hops of 40 µs serialization and 5 µs propagation: the first
+        // leaves `tx` at 8 µs; the second, sent at 20 µs, waits for it at
+        // `tx` (48 µs) and at `r` (93 µs).
+        assert_eq!(
+            delivered_at(&sim, FlowId(1)),
+            vec![SimTime::ZERO + us(98), SimTime::ZERO + us(138)]
+        );
+        // The trace reads in instant order: sent at 8 µs, then at 20 µs.
+        let sent: Vec<SimTime> = sim.net.stats.trace_of(FlowId(1)).unwrap()[..2]
+            .iter()
+            .map(|e| e.at)
+            .collect();
+        assert_eq!(sent, vec![SimTime::ZERO + us(8), SimTime::ZERO + us(20)]);
+        // A run stopped at 3 µs lets `tx` send ahead only up to the stop.
+        let (mut sim, horizon) = ahead_line(us(8), us(20));
+        sim.run_until(SimTime::ZERO + us(3));
+        assert_eq!(
+            *horizon.lock().unwrap(),
+            Some(SimTime::ZERO + SimDuration::from_nanos(3_001))
+        );
+        assert_eq!(sim.net.stats.flow(FlowId(1)).tx_packets, 0);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "host tx sent a packet at t=0.000005s, before the packet it sent ahead"
+    )]
+    fn an_ordinary_send_before_a_packet_sent_ahead_panics() {
+        let us = SimDuration::from_micros;
+        let (mut sim, _) = ahead_line(us(8), us(5));
+        sim.run();
+    }
+
+    /// Sends two 500-byte packets to `dst` when it starts, ahead or not.
+    struct Two {
+        dst: NodeId,
+        ahead: bool,
+    }
+
+    impl Application<()> for Two {
+        fn on_start(&mut self, ctx: &mut AppCtx<()>) {
+            for _ in 0..2 {
+                let spec = SendSpec {
+                    dst: self.dst,
+                    flow: FlowId(1),
+                    size: 500,
+                    dscp: Dscp::EF,
+                    proto: Proto::Udp,
+                    fragment: None,
+                    payload: (),
+                };
+                if self.ahead {
+                    ctx.send_at(ctx.now(), ctx.now(), spec);
+                } else {
+                    ctx.send(spec);
+                }
+            }
+        }
+        fn on_packet(&mut self, _ctx: &mut AppCtx<()>, _pkt: Packet<()>) {}
+        fn on_timer(&mut self, _ctx: &mut AppCtx<()>, _token: u64) {}
+    }
+
+    /// Wakes at 20 µs and sets a timer for 85 µs; logs what it hears.
+    struct Clock {
+        log: std::sync::Arc<std::sync::Mutex<Vec<&'static str>>>,
+    }
+
+    impl Application<()> for Clock {
+        fn on_start(&mut self, ctx: &mut AppCtx<()>) {
+            ctx.set_timer(SimDuration::from_micros(20), 0);
+        }
+        fn on_packet(&mut self, _ctx: &mut AppCtx<()>, _pkt: Packet<()>) {
+            self.log.lock().unwrap().push("packet");
+        }
+        fn on_timer(&mut self, ctx: &mut AppCtx<()>, token: u64) {
+            if token == 0 {
+                ctx.set_timer(SimDuration::from_micros(65), 1);
+            } else {
+                self.log.lock().unwrap().push("timer");
+            }
+        }
+    }
+
+    /// Two 500-byte packets cross one fast-Ethernet link (40 µs + 5 µs),
+    /// so the second waits at the sender's port until 40 µs and arrives at
+    /// 85 µs, as a timer filed at 20 µs falls due. Its `Arrive` counts as
+    /// filed where its transmission starts, after the timer, whether it
+    /// was sent ahead (the host-port step) or queued in the discipline.
+    #[test]
+    fn a_packet_sent_ahead_behind_another_files_where_it_starts() {
+        for ahead in [false, true] {
+            let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+            let mut b = NetworkBuilder::new();
+            let rx = b.add_host("rx", Box::new(Clock { log: log.clone() }));
+            let tx = b.add_host("tx", Box::new(Two { dst: rx, ahead }));
+            b.connect(tx, rx, Link::fast_ethernet());
+            let mut sim = Simulation::new(b.build());
+            sim.run();
+            assert_eq!(
+                *log.lock().unwrap(),
+                vec!["packet", "timer", "packet"],
+                "sent ahead: {ahead}"
+            );
+        }
+    }
+
+    /// Sends one 1000-byte packet to `dst` on `flow`, `at` after start.
+    struct Once {
+        dst: NodeId,
+        flow: FlowId,
+        at: SimDuration,
+    }
+
+    impl Application<()> for Once {
+        fn on_start(&mut self, ctx: &mut AppCtx<()>) {
+            ctx.set_timer(self.at, 0);
+        }
+        fn on_packet(&mut self, _ctx: &mut AppCtx<()>, _pkt: Packet<()>) {}
+        fn on_timer(&mut self, ctx: &mut AppCtx<()>, _token: u64) {
+            ctx.send(SendSpec {
+                dst: self.dst,
+                flow: self.flow,
+                size: 1000,
+                dscp: Dscp::BEST_EFFORT,
+                proto: Proto::Udp,
+                fragment: None,
+                payload: (),
+            });
+        }
+    }
+
+    /// A host that declares nothing may send to itself, so it feeds its
+    /// router's port back toward it: that port, also fed from `far`, is no
+    /// chain hop. `a`'s packet to itself, sent at 5 ms over 1 µs links,
+    /// is not served behind `far`'s, which reaches `r` only at 10.08 ms.
+    #[test]
+    fn a_host_sending_to_itself_feeds_the_port_back_to_it() {
+        let mut b = NetworkBuilder::new();
+        let a = NodeId(0);
+        let at = |ms| SimDuration::from_millis(ms);
+        let own = Once {
+            dst: a,
+            flow: FlowId(1),
+            at: at(5),
+        };
+        assert_eq!(b.add_host("a", Box::new(own)), a);
+        let r = b.add_router("r");
+        let far = Once {
+            dst: a,
+            flow: FlowId(2),
+            at: at(0),
+        };
+        let far = b.add_host("far", Box::new(far));
+        b.connect(a, r, Link::new(100_000_000, SimDuration::from_micros(1)));
+        b.connect(far, r, Link::new(100_000_000, at(10)));
+        let mut net = b.build();
+        net.stats.trace_flow(FlowId(1));
+        net.stats.trace_flow(FlowId(2));
+        let mut sim = Simulation::new(net);
+        sim.run();
+        // 80 µs serialization and 1 µs propagation each way.
+        assert_eq!(
+            delivered_at(&sim, FlowId(1)),
+            vec![SimTime::ZERO + SimDuration::from_micros(5_162)]
+        );
+        assert_eq!(
+            delivered_at(&sim, FlowId(2)),
+            vec![SimTime::ZERO + SimDuration::from_micros(10_161)]
+        );
     }
 
     /// Sends `count` packets of 1000 bytes the moment it starts.

@@ -35,10 +35,17 @@ pub trait Observer {
     /// `event` is being dispatched at `now` from `queue`.
     fn on_event(&mut self, now: SimTime, event: &NetEvent, queue: &EventQueue<NetEvent>) {}
 
-    /// A timer was filed under `stamp`, counting as filed after the
-    /// instant it was set ([`crate::app::AppCtx::set_timer_filed_at`]),
-    /// and falls due at `at`.
-    fn on_timer_filed(&mut self, stamp: Stamp, at: SimTime) {}
+    /// An event was filed under `stamp`, which counts as filed at a later
+    /// instant than the one it was drawn at, and falls due at `at`: a
+    /// timer set with [`crate::app::AppCtx::set_timer_filed_at`], or the
+    /// event that ends the walk of a packet sent ahead
+    /// ([`crate::app::AppCtx::send_at`]).
+    fn on_filed_ahead(&mut self, stamp: Stamp, at: SimTime) {}
+
+    /// A packet was sent ahead to `at` ([`crate::app::AppCtx::send_at`]),
+    /// standing for a send by a callback at `at` filed at `filed`, which
+    /// is never dispatched.
+    fn on_sent_ahead(&mut self, at: SimTime, filed: SimTime) {}
 
     /// An application at `node` originated packet `id` of `flow`.
     fn on_sent(&mut self, flow: FlowId, id: PacketId, size: u32, node: NodeId) {}

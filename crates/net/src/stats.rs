@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use dsv_sim::{SimDuration, SimTime};
 
 use crate::histogram::DurationHistogram;
-use crate::packet::{DropReason, FlowId, NodeId, PacketId};
+use crate::packet::{DropReason, FlowId, NodeId, Packet, PacketId};
 
 /// Running summary of a sequence of durations.
 #[derive(Debug, Clone, Copy, Default)]
@@ -105,6 +105,11 @@ impl FlowCounters {
 pub struct TraceEntry {
     /// When the event occurred.
     pub at: SimTime,
+    /// The instant the record counts as filed at: that of the event whose
+    /// dispatch made it, or, for a packet sent ahead, of the callback that
+    /// would have handed it over at `at`. Entries at one instant read in
+    /// this order.
+    pub filed: SimTime,
     /// The packet involved.
     pub packet: PacketId,
     /// Wire size in bytes.
@@ -163,87 +168,75 @@ impl NetStats {
         }
     }
 
-    /// Record a transmission by the source application.
-    pub fn on_sent(
-        &mut self,
-        at: SimTime,
-        flow: FlowId,
-        packet: PacketId,
-        size: u32,
-        node: NodeId,
-    ) {
-        let c = self.flow_mut(flow);
+    /// Record `pkt` handed to the network by its source application at
+    /// `node`, at its `sent_at`, by a callback filed at `filed`.
+    pub fn on_sent<P>(&mut self, filed: SimTime, pkt: &Packet<P>, node: NodeId) {
+        let c = self.flow_mut(pkt.flow);
         c.tx_packets += 1;
-        c.tx_bytes += size as u64;
-        self.trace(
-            flow,
-            TraceEntry {
-                at,
-                packet,
-                size,
-                kind: TraceKind::Sent,
-                node,
-            },
-        );
+        c.tx_bytes += pkt.size as u64;
+        self.trace(pkt.sent_at, filed, pkt, TraceKind::Sent, node);
     }
 
-    /// Record a delivery to the destination application.
-    pub fn on_delivered(
-        &mut self,
-        at: SimTime,
-        flow: FlowId,
-        packet: PacketId,
-        size: u32,
-        node: NodeId,
-        delay: SimDuration,
-    ) {
-        let c = self.flow_mut(flow);
+    /// Record `pkt` delivered to its destination application at `node`
+    /// at `at`, by an event filed at `filed`.
+    pub fn on_delivered<P>(&mut self, at: SimTime, filed: SimTime, pkt: &Packet<P>, node: NodeId) {
+        let c = self.flow_mut(pkt.flow);
         c.rx_packets += 1;
-        c.rx_bytes += size as u64;
+        c.rx_bytes += pkt.size as u64;
+        let delay = pkt.age(at);
         c.delay.record(delay);
         c.delay_hist.record(delay);
-        self.trace(
-            flow,
-            TraceEntry {
-                at,
-                packet,
-                size,
-                kind: TraceKind::Delivered,
-                node,
-            },
-        );
+        self.trace(at, filed, pkt, TraceKind::Delivered, node);
     }
 
-    /// Record a drop.
-    pub fn on_dropped(
+    /// Record `pkt` dropped at `node` at `at` for `reason`, by an event
+    /// filed at `filed`.
+    pub fn on_dropped<P>(
         &mut self,
         at: SimTime,
-        flow: FlowId,
-        packet: PacketId,
-        size: u32,
+        filed: SimTime,
+        pkt: &Packet<P>,
         node: NodeId,
         reason: DropReason,
     ) {
-        let c = self.flow_mut(flow);
+        let c = self.flow_mut(pkt.flow);
         *c.drops.entry(reason).or_insert(0) += 1;
-        self.trace(
-            flow,
-            TraceEntry {
-                at,
-                packet,
-                size,
-                kind: TraceKind::Dropped(reason),
-                node,
-            },
-        );
+        self.trace(at, filed, pkt, TraceKind::Dropped(reason), node);
     }
 
-    fn trace(&mut self, flow: FlowId, entry: TraceEntry) {
+    /// Add an entry to `pkt`'s flow trace, if traced, in `(at, filed)`
+    /// order, after every entry with the same key. Entries are recorded as
+    /// events are dispatched, which is that order, except a packet sent
+    /// ahead (`AppCtx::send_at`), whose send is recorded before the events
+    /// up to its instant: it still reads where a send made at its instant,
+    /// by a callback filed where it counts as filed, would have.
+    fn trace<P>(
+        &mut self,
+        at: SimTime,
+        filed: SimTime,
+        pkt: &Packet<P>,
+        kind: TraceKind,
+        node: NodeId,
+    ) {
         if !self.tracing {
             return;
         }
-        if let Some(log) = self.traced.get_mut(&flow) {
-            log.push(entry);
+        if let Some(log) = self.traced.get_mut(&pkt.flow) {
+            let entry = TraceEntry {
+                at,
+                filed,
+                packet: pkt.id,
+                size: pkt.size,
+                kind,
+                node,
+            };
+            let key = (at, filed);
+            if log.last().is_some_and(|last| (last.at, last.filed) > key) {
+                let i = log.partition_point(|e| (e.at, e.filed) <= key);
+                log.insert(i, entry);
+            } else {
+                log.push(entry);
+            }
         }
     }
 
@@ -297,31 +290,39 @@ impl NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::{Dscp, Proto};
 
     const F: FlowId = FlowId(1);
     const N: NodeId = NodeId(0);
 
+    /// Packet `id` of `flow`, `size` bytes, sent at `sent_at`.
+    fn pkt(flow: FlowId, id: u64, size: u32, sent_at: SimTime) -> Packet<()> {
+        Packet {
+            id: PacketId(id),
+            flow,
+            src: N,
+            dst: NodeId(1),
+            size,
+            dscp: Dscp::EF,
+            proto: Proto::Udp,
+            fragment: None,
+            sent_at,
+            payload: (),
+        }
+    }
+
     #[test]
     fn counters_accumulate() {
         let mut s = NetStats::new();
-        s.on_sent(SimTime::ZERO, F, PacketId(1), 1000, N);
-        s.on_sent(SimTime::ZERO, F, PacketId(2), 500, N);
-        s.on_delivered(
-            SimTime::from_millis(10),
-            F,
-            PacketId(1),
-            1000,
-            N,
-            SimDuration::from_millis(10),
+        let (a, b) = (
+            pkt(F, 1, 1000, SimTime::ZERO),
+            pkt(F, 2, 500, SimTime::ZERO),
         );
-        s.on_dropped(
-            SimTime::from_millis(5),
-            F,
-            PacketId(2),
-            500,
-            N,
-            DropReason::PolicerNonConformant,
-        );
+        s.on_sent(SimTime::ZERO, &a, N);
+        s.on_sent(SimTime::ZERO, &b, N);
+        let ms = SimTime::from_millis;
+        s.on_delivered(ms(10), ms(9), &a, N);
+        s.on_dropped(ms(5), ms(4), &b, N, DropReason::PolicerNonConformant);
         let c = s.flow(F);
         assert_eq!(c.tx_packets, 2);
         assert_eq!(c.tx_bytes, 1500);
@@ -355,11 +356,45 @@ mod tests {
     #[test]
     fn tracing_is_opt_in() {
         let mut s = NetStats::new();
-        s.on_sent(SimTime::ZERO, F, PacketId(1), 100, N);
+        s.on_sent(SimTime::ZERO, &pkt(F, 1, 100, SimTime::ZERO), N);
         assert!(s.trace_of(F).is_none());
         s.trace_flow(FlowId(2));
-        s.on_sent(SimTime::ZERO, FlowId(2), PacketId(2), 100, N);
+        s.on_sent(SimTime::ZERO, &pkt(FlowId(2), 2, 100, SimTime::ZERO), N);
         assert_eq!(s.trace_of(FlowId(2)).unwrap().len(), 1);
+    }
+
+    /// A send recorded ahead of its instant reads, among the entries at
+    /// that instant, where the instant it counts as filed at puts it;
+    /// an entry filed at that same instant reads after it.
+    #[test]
+    fn same_instant_entries_read_in_filing_order() {
+        let ms = SimTime::from_millis;
+        let mut s = NetStats::new();
+        s.trace_flow(F);
+        s.on_sent(ms(5), &pkt(F, 3, 100, ms(10)), N);
+        s.on_delivered(ms(10), ms(2), &pkt(F, 1, 100, ms(0)), NodeId(1));
+        s.on_dropped(
+            ms(10),
+            ms(5),
+            &pkt(F, 0, 100, ms(0)),
+            N,
+            DropReason::NoRoute,
+        );
+        s.on_dropped(
+            ms(10),
+            ms(7),
+            &pkt(F, 2, 100, ms(1)),
+            N,
+            DropReason::QueueOverflow,
+        );
+        s.on_sent(ms(5), &pkt(F, 4, 100, ms(11)), N);
+        let read: Vec<(u64, u64)> = s
+            .trace_of(F)
+            .unwrap()
+            .iter()
+            .map(|e| (e.at.as_nanos() / 1_000_000, e.packet.0))
+            .collect();
+        assert_eq!(read, [(10, 1), (10, 3), (10, 0), (10, 2), (11, 4)]);
     }
 
     #[test]
@@ -367,9 +402,10 @@ mod tests {
         let mut s = NetStats::new();
         s.trace_flow(F);
         // 1000 B at t=0.1s, 2000 B at t=0.15s, 500 B at t=1.2s.
-        s.on_sent(SimTime::from_millis(100), F, PacketId(1), 1000, N);
-        s.on_sent(SimTime::from_millis(150), F, PacketId(2), 2000, N);
-        s.on_sent(SimTime::from_millis(1200), F, PacketId(3), 500, N);
+        for (id, size, at) in [(1, 1000, 100), (2, 2000, 150), (3, 500, 1200)] {
+            let at = SimTime::from_millis(at);
+            s.on_sent(at, &pkt(F, id, size, at), N);
+        }
         let series = s.send_rate_series(F, SimDuration::from_secs(1));
         assert_eq!(series.len(), 2);
         assert!((series[0].1 - 24_000.0).abs() < 1e-9); // 3000 B in 1 s

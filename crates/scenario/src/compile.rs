@@ -39,6 +39,7 @@ use dsv_net::wred::WredQueue;
 use dsv_sim::{SimDuration, SimRng, SimTime};
 use dsv_stream::abr::{AbrClient, AbrClientConfig, AbrPolicy, AbrServer, AbrServerConfig};
 use dsv_stream::bulk::{BulkTcpConfig, BulkTcpSender, BulkTcpSink};
+use dsv_stream::check_ladder;
 use dsv_stream::client::{ClientConfig, ClientMode, StreamClient};
 use dsv_stream::payload::StreamPayload;
 use dsv_stream::playback::PlaybackConfig;
@@ -203,6 +204,11 @@ impl<'s> Resolver<'s> {
     }
 }
 
+/// A malformed application of node `name`, for `why`.
+fn app_error(name: &str, why: &str) -> CompileError {
+    CompileError::new(format!("node `{name}`: {why}"))
+}
+
 struct AppBuilder<'a> {
     store: Option<&'a dyn ClipStore>,
     clients: Vec<(String, Handle<StreamClient>)>,
@@ -282,8 +288,8 @@ impl AppBuilder<'_> {
                 estimate_bps,
             } => {
                 let rates: Vec<u64> = tiers.iter().map(|t| t.rate_bps).collect();
-                let chosen = multi_rate_tier(&rates, *estimate_bps)
-                    .map_err(|e| CompileError::new(format!("node `{name}`: {e}")))?;
+                let chosen =
+                    multi_rate_tier(&rates, *estimate_bps).map_err(|e| app_error(name, e))?;
                 Box::new(self.paced_server(
                     name,
                     PacedConfig::new(ids.get(client)?, FlowId(*flow), dscp.to_dscp()),
@@ -296,6 +302,8 @@ impl AppBuilder<'_> {
                 dscp,
                 tiers,
             } => {
+                let rates: Vec<u64> = tiers.iter().map(|t| t.rate_bps).collect();
+                check_ladder(&rates).map_err(|e| app_error(name, e))?;
                 let store = self.store(name)?;
                 let encoded = tiers
                     .iter()
@@ -328,13 +336,16 @@ impl AppBuilder<'_> {
                 dscp,
                 rungs_bps,
                 segment_us,
-            } => Box::new(AbrServer::new(AbrServerConfig {
-                client: ids.get(client)?,
-                flow: FlowId(*flow),
-                dscp: dscp.to_dscp(),
-                rungs: rungs_bps.clone(),
-                segment_us: *segment_us,
-            })),
+            } => {
+                check_ladder(rungs_bps).map_err(|e| app_error(name, e))?;
+                Box::new(AbrServer::new(AbrServerConfig {
+                    client: ids.get(client)?,
+                    flow: FlowId(*flow),
+                    dscp: dscp.to_dscp(),
+                    rungs: rungs_bps.clone(),
+                    segment_us: *segment_us,
+                }))
+            }
             AppSpec::AbrClient {
                 server,
                 up_flow,
@@ -344,10 +355,15 @@ impl AppBuilder<'_> {
                 segments,
                 max_buffer_us,
             } => {
+                let policy = AbrPolicy::try_new(rungs_bps.clone(), *step_us)
+                    .map_err(|e| app_error(name, e))?;
+                if *segments == 0 {
+                    return Err(app_error(name, "a session needs at least one segment"));
+                }
                 let (h, app) = Shared::new(AbrClient::new(AbrClientConfig {
                     server: ids.get(server)?,
                     up_flow: FlowId(*up_flow),
-                    policy: AbrPolicy::new(rungs_bps.clone(), *step_us),
+                    policy,
                     segment_us: *segment_us,
                     segments: *segments,
                     max_buffer_us: *max_buffer_us,
@@ -1214,6 +1230,95 @@ mod tests {
         }
         drop(compiled);
         assert!(kept.iter().all(|(_, e)| Arc::strong_count(e) == 1));
+    }
+
+    /// `compile` of `app` on host `server` fails, naming the node and
+    /// `why`.
+    fn assert_app_rejected(app: AppSpec, why: &str) {
+        let store = KeepingStore::default();
+        let opts = CompileOptions {
+            store: Some(&store),
+            wrap: None,
+        };
+        let err = expect_err(compile(&with_server(app), opts)).to_string();
+        assert!(err.contains("node `server`") && err.contains(why), "{err}");
+        assert!(store.kept.borrow().is_empty(), "nothing was encoded");
+    }
+
+    fn adaptive_server(rates_bps: &[u64]) -> AppSpec {
+        AppSpec::AdaptiveServer {
+            client: "rx".to_string(),
+            flow: 2,
+            dscp: DscpSpec::BestEffort,
+            tiers: rates_bps
+                .iter()
+                .map(|&rate_bps| MediaRef {
+                    clip: ClipId2::Lost,
+                    codec: CodecSpec::Wmv,
+                    rate_bps,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn adaptive_server_without_tiers_is_rejected() {
+        assert_app_rejected(adaptive_server(&[]), "at least one rate");
+    }
+
+    #[test]
+    fn adaptive_server_with_unsorted_tiers_is_rejected() {
+        assert_app_rejected(adaptive_server(&[1_000_000, 300_000]), "sorted by rate");
+    }
+
+    fn abr_client(rungs_bps: &[u64], step_us: u64, segments: u32) -> AppSpec {
+        AppSpec::AbrClient {
+            server: "rx".to_string(),
+            up_flow: 2,
+            rungs_bps: rungs_bps.to_vec(),
+            step_us,
+            segment_us: 2_000_000,
+            segments,
+            max_buffer_us: 10_000_000,
+        }
+    }
+
+    #[test]
+    fn abr_client_without_rungs_is_rejected() {
+        assert_app_rejected(abr_client(&[], 2_000_000, 35), "at least one rate");
+    }
+
+    #[test]
+    fn abr_client_with_descending_rungs_is_rejected() {
+        assert_app_rejected(
+            abr_client(&[750_000, 375_000], 2_000_000, 35),
+            "sorted by rate",
+        );
+    }
+
+    #[test]
+    fn abr_client_with_a_zero_step_is_rejected() {
+        assert_app_rejected(abr_client(&[375_000, 750_000], 0, 35), "step_us");
+    }
+
+    #[test]
+    fn abr_client_without_segments_is_rejected() {
+        assert_app_rejected(
+            abr_client(&[375_000, 750_000], 2_000_000, 0),
+            "at least one segment",
+        );
+    }
+
+    #[test]
+    fn abr_server_without_rungs_is_rejected() {
+        let app = AppSpec::AbrServer {
+            client: "rx".to_string(),
+            flow: 2,
+            dscp: DscpSpec::Ef,
+            rungs_bps: Vec::new(),
+            segment_us: 2_000_000,
+        };
+        assert_app_rejected(app, "at least one rate");
     }
 
     #[test]

@@ -43,7 +43,9 @@ pub fn run<W: World>(world: &mut W, queue: &mut EventQueue<W::Event>) -> RunStat
 /// `horizon`. Events scheduled exactly at the horizon are dispatched.
 ///
 /// The loop uses [`EventQueue::pop_at_or_before`] — a fused peek + pop —
-/// so each dispatched event costs one queue operation, not two.
+/// so each dispatched event costs one queue operation, not two. The queue
+/// holds `horizon` for the run ([`EventQueue::horizon`]), so a world can
+/// tell how far it may act ahead of time.
 pub fn run_until<W: World>(
     world: &mut W,
     queue: &mut EventQueue<W::Event>,
@@ -51,6 +53,7 @@ pub fn run_until<W: World>(
 ) -> RunStats {
     let mut dispatched = 0u64;
     let mut end_time = SimTime::ZERO;
+    queue.horizon = horizon;
     while let Some((now, ev)) = queue.pop_at_or_before(horizon) {
         world.handle(now, ev, queue);
         dispatched += 1;
@@ -150,5 +153,28 @@ mod tests {
         let stats = run(&mut w, &mut q);
         assert_eq!(w.log.len(), 6);
         assert_eq!(stats.end_time, SimTime::from_millis(50));
+    }
+
+    /// A world that records the horizon the queue reports at each event.
+    struct HorizonProbe(Vec<SimTime>);
+
+    impl World for HorizonProbe {
+        type Event = ();
+        fn handle(&mut self, _now: SimTime, _ev: (), q: &mut EventQueue<()>) {
+            self.0.push(q.horizon());
+        }
+    }
+
+    #[test]
+    fn the_queue_holds_the_run_horizon() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.horizon(), SimTime::MAX);
+        q.schedule(SimTime::from_millis(10), ());
+        q.schedule(SimTime::from_millis(30), ());
+        let mut w = HorizonProbe(vec![]);
+        run_until(&mut w, &mut q, SimTime::from_millis(20));
+        assert_eq!(q.horizon(), SimTime::from_millis(20));
+        run(&mut w, &mut q);
+        assert_eq!(w.0, vec![SimTime::from_millis(20), SimTime::MAX]);
     }
 }

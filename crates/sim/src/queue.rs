@@ -111,6 +111,9 @@ pub struct EventQueue<E> {
     /// the statistic that sizes [`EventQueue::with_capacity`] pre-sizing
     /// (surfaced per run through `dsv-core`'s `DSV_PROFILE=1` report).
     high_water: usize,
+    /// The last instant the current run dispatches (see
+    /// [`EventQueue::horizon`]).
+    pub(crate) horizon: SimTime,
 }
 
 impl<E> EventQueue<E> {
@@ -144,6 +147,7 @@ impl<E> EventQueue<E> {
             last: None,
             len: 0,
             high_water: 0,
+            horizon: SimTime::MAX,
         }
     }
 
@@ -270,6 +274,13 @@ impl<E> EventQueue<E> {
     /// [`EventQueue::schedule`] or a reservation (diagnostic).
     pub fn scheduled_count(&self) -> u64 {
         self.next_seq
+    }
+
+    /// The last instant the current run dispatches: the horizon handed to
+    /// [`crate::run_until`] (inclusive), or [`SimTime::MAX`] before any
+    /// run. A world may act ahead of time up to it, never past it.
+    pub fn horizon(&self) -> SimTime {
+        self.horizon
     }
 
     /// Largest number of simultaneously pending events ever observed.

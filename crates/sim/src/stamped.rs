@@ -29,7 +29,10 @@
 //! computes instead of dispatching. Applications reach future-filed
 //! stamps through `AppCtx::set_timer_filed_at`: a paced server that runs
 //! its pacer ahead past idle ticks stamps its one wake-up as filed a tick
-//! before it fires, where the tick chain would have filed it.
+//! before it fires, where the tick chain would have filed it. They also
+//! reach them through `AppCtx::send_at`: every event a packet sent ahead
+//! of its instant files is stamped where a send at that instant would
+//! have filed it.
 
 use crate::queue::EventQueue;
 use crate::time::SimTime;

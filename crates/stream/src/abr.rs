@@ -17,6 +17,7 @@ use dsv_net::app::{AppCtx, Application, SendSpec};
 use dsv_net::packet::{Dscp, FlowId, NodeId, Packet, Proto};
 use dsv_sim::{SimDuration, SimTime};
 
+use crate::check_ladder;
 use crate::payload::{
     ControlMsg, StreamPayload, TcpSegment, ACK_PACKET_BYTES, CONTROL_PACKET_BYTES,
 };
@@ -52,12 +53,22 @@ pub struct AbrPolicy {
 }
 
 impl AbrPolicy {
-    /// Create a policy; `rungs` must be non-empty and ascending.
+    /// Create a policy; `rungs` must obey [`check_ladder`] and `step_us`
+    /// be positive.
+    ///
+    /// # Panics
+    /// Panics where [`AbrPolicy::try_new`] errs.
     pub fn new(rungs: Vec<u64>, step_us: u64) -> AbrPolicy {
-        assert!(!rungs.is_empty(), "ladder needs at least one rung");
-        assert!(rungs.windows(2).all(|w| w[0] <= w[1]), "ladder ascends");
-        assert!(step_us > 0, "step must be positive");
-        AbrPolicy { rungs, step_us }
+        AbrPolicy::try_new(rungs, step_us).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`AbrPolicy::new`], erring on a malformed ladder or a zero step.
+    pub fn try_new(rungs: Vec<u64>, step_us: u64) -> Result<AbrPolicy, &'static str> {
+        check_ladder(&rungs)?;
+        if step_us == 0 {
+            return Err("step_us must be positive");
+        }
+        Ok(AbrPolicy { rungs, step_us })
     }
 
     /// Rung index to request given `buffer_us` of buffered content and an

@@ -62,10 +62,13 @@ pub struct ClientConfig {
     pub media_rate_bps: u64,
 }
 
-/// Per-frame reassembly state (UDP mode).
-#[derive(Debug, Default, Clone)]
+/// Per-frame reassembly state (UDP mode). The frame's chunk flags are
+/// `need` entries of the client's one chunk vector, from `base`.
+#[derive(Debug, Clone, Copy)]
 struct FrameAssembly {
-    chunks_got: Vec<bool>,
+    base: u32,
+    need: u16,
+    got: u16,
     complete_at: Option<SimTime>,
     fidelity: f64,
 }
@@ -77,6 +80,10 @@ pub struct StreamClient {
     /// (UDP mode). A flat vector: the lookup runs once per received media
     /// packet, and the frame count is known up front.
     assemblies: Vec<Option<FrameAssembly>>,
+    /// Which chunks have arrived, for every frame begun so far, each
+    /// frame's flags in one run (see [`FrameAssembly`]): one vector per
+    /// client, not one per frame.
+    chunks: Vec<bool>,
     /// TCP receive state (Tcp mode).
     tcp: TcpReceiver,
     tcp_frame_ends: Vec<u64>,
@@ -121,7 +128,8 @@ impl StreamClient {
         let extractor = FeatureExtractor::new(cfg.media_rate_bps);
         StreamClient {
             cfg,
-            assemblies: std::iter::repeat_with(|| None).take(n).collect(),
+            assemblies: vec![None; n],
+            chunks: Vec::new(),
             tcp: TcpReceiver::new(),
             tcp_frame_ends,
             tcp_complete_at: vec![None; n],
@@ -166,15 +174,26 @@ impl StreamClient {
             // servers never send one).
             self.assemblies.resize_with(idx + 1, || None);
         }
-        let asm = self.assemblies[idx].get_or_insert_with(|| FrameAssembly {
-            chunks_got: vec![false; chunk.chunks_in_frame as usize],
-            complete_at: None,
-            fidelity: chunk.fidelity,
+        let chunks = &mut self.chunks;
+        let asm = self.assemblies[idx].get_or_insert_with(|| {
+            let base = chunks.len();
+            chunks.resize(base + usize::from(chunk.chunks_in_frame), false);
+            FrameAssembly {
+                base: base as u32,
+                need: chunk.chunks_in_frame,
+                got: 0,
+                complete_at: None,
+                fidelity: chunk.fidelity,
+            }
         });
-        if (chunk.chunk as usize) < asm.chunks_got.len() && !asm.chunks_got[chunk.chunk as usize] {
-            asm.chunks_got[chunk.chunk as usize] = true;
-            if asm.complete_at.is_none() && asm.chunks_got.iter().all(|&g| g) {
-                asm.complete_at = Some(now);
+        if chunk.chunk < asm.need {
+            let got = &mut chunks[asm.base as usize + usize::from(chunk.chunk)];
+            if !*got {
+                *got = true;
+                asm.got += 1;
+                if asm.got == asm.need && asm.complete_at.is_none() {
+                    asm.complete_at = Some(now);
+                }
             }
         }
     }
@@ -470,6 +489,24 @@ mod tests {
         c.on_packet(&mut ctx, media_pkt(0, 0, 0, 2));
         c.on_packet(&mut ctx, media_pkt(0, 0, 0, 2));
         assert!(!c.report().received[0]);
+    }
+
+    #[test]
+    fn interleaved_frames_complete_on_their_own_chunks() {
+        let mut c = StreamClient::new(cfg(24));
+        let at = |f| AppCtx::new(presentation_time(f), NodeId(1));
+        // Frame 1 begins before frame 0 ends; frame 0's stray chunk 5 of 2
+        // counts for nothing.
+        c.on_packet(&mut at(0), media_pkt(0, 0, 0, 2));
+        c.on_packet(&mut at(1), media_pkt(1, 1, 0, 3));
+        c.on_packet(&mut at(2), media_pkt(2, 0, 5, 2));
+        c.on_packet(&mut at(3), media_pkt(3, 1, 2, 3));
+        c.on_packet(&mut at(4), media_pkt(4, 0, 1, 2));
+        let r = c.report();
+        assert_eq!(r.arrival[0], Some(presentation_time(4)));
+        assert!(!r.received[1], "frame 1 still lacks chunk 1");
+        c.on_packet(&mut at(5), media_pkt(5, 1, 1, 3));
+        assert_eq!(c.report().arrival[1], Some(presentation_time(5)));
     }
 
     #[test]

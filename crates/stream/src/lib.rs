@@ -28,6 +28,19 @@ pub mod playback;
 pub mod server;
 pub mod tcp;
 
+/// The rule every rate ladder obeys — a multi-rate server's tiers, an
+/// adaptive server's, an ABR ladder: at least one rate, in ascending
+/// order (equal neighbours allowed).
+pub fn check_ladder(rates_bps: &[u64]) -> Result<(), &'static str> {
+    if rates_bps.is_empty() {
+        return Err("the ladder needs at least one rate");
+    }
+    if !rates_bps.windows(2).all(|w| w[0] <= w[1]) {
+        return Err("the ladder must be sorted by rate, lowest first");
+    }
+    Ok(())
+}
+
 /// Convenient re-exports.
 pub mod prelude {
     pub use crate::abr::{

@@ -26,6 +26,7 @@ use dsv_net::app::{AppCtx, Application, SendSpec};
 use dsv_net::packet::{Dscp, FlowId, NodeId, Packet, Proto};
 use dsv_sim::{SimDuration, SimTime};
 
+use crate::check_ladder;
 use crate::packetize::{frame_chunks, ChunkSpec};
 use crate::payload::{ControlMsg, FeedbackReport, MediaChunk, StreamPayload, CONTROL_PACKET_BYTES};
 use crate::server::{read_time, Pacer, TOK_FRAME, TOK_RESUME, TOK_TICK};
@@ -116,12 +117,12 @@ pub struct AdaptiveServer {
 
 impl AdaptiveServer {
     /// Create with one or more encoding tiers (lowest rate first).
+    ///
+    /// # Panics
+    /// Panics if the tiers' rates break [`check_ladder`].
     pub fn new(cfg: AdaptiveConfig, tiers: Vec<Arc<EncodedClip>>) -> AdaptiveServer {
-        assert!(!tiers.is_empty(), "need at least one encoding");
-        assert!(
-            tiers.windows(2).all(|w| w[0].target_bps <= w[1].target_bps),
-            "tiers must be sorted by rate"
-        );
+        let rates: Vec<u64> = tiers.iter().map(|t| t.target_bps).collect();
+        check_ladder(&rates).unwrap_or_else(|e| panic!("{e}"));
         let pacer = Pacer::new(cfg.smoothing, cfg.min_rate_bps);
         let tier = tiers.len() - 1; // start optimistic: highest quality
         AdaptiveServer {

@@ -14,13 +14,19 @@
 //! alone. A [`PacingPlan`] runs the loop once per encoding and records
 //! just that; it holds no packets, because the pacer is FIFO and they are
 //! the encoding's [`frame_chunks`] in order. A server replays a shared
-//! plan: it wakes only at the ticks that send, sends their packets, and
-//! sets its one timer for the next such tick. The timer is stamped as
-//! filed one tick before it falls due ([`AppCtx::set_timer_filed_at`]),
-//! where a timer per tick would have been filed, so it sorts against
-//! every event filed at any other instant exactly as that tick would have
-//! (DESIGN.md §6b, "Paced servers wake only to send"). A `Teardown` ends
-//! the replay, dropping the rest of the send buffer.
+//! plan: it wakes only at the ticks that send, and at each wake-up (and at
+//! `Play`) it sends every packet the plan schedules before its send
+//! horizon ([`AppCtx::send_horizon`]: nothing can reach it before then),
+//! each at its own tick's instant ([`AppCtx::send_at`]). Then it sets its
+//! one timer for the first sending tick past the horizon. The timer is
+//! stamped as filed one tick before it falls due
+//! ([`AppCtx::set_timer_filed_at`]), where a timer per tick would have
+//! been filed, so it sorts against every event filed at any other instant
+//! exactly as that tick would have (DESIGN.md §6b, "Paced servers wake
+//! only to send" and "Paced servers send ahead within their inbound
+//! lookahead"). A `Teardown` ends the replay, dropping the rest of the
+//! send buffer; while one is in flight the horizon is the wake-up itself,
+//! so the server wakes at every sending tick until it lands.
 
 use std::sync::Arc;
 
@@ -29,6 +35,7 @@ use dsv_net::app::{AppCtx, Application, SendSpec};
 use dsv_net::packet::{Dscp, FlowId, NodeId, Packet, Proto};
 use dsv_sim::{SimDuration, SimTime};
 
+use crate::check_ladder;
 use crate::packetize::{frame_chunk, frame_chunks};
 use crate::payload::{ControlMsg, MediaChunk, StreamPayload, CONTROL_PACKET_BYTES};
 use crate::server::{read_time, Pacer, TOK_TICK};
@@ -164,14 +171,9 @@ fn push_steps(steps: &mut Vec<Step>, gap: u64, mut chunks: usize) {
 
 /// The tier a multi-rate server streams, from its tiers' nominal rates
 /// (ascending): the highest that fits within `estimate_bps`, or the lowest
-/// when none fits. Errs on no tiers or unsorted rates.
+/// when none fits. Errs on a ladder that breaks [`check_ladder`].
 pub fn multi_rate_tier(rates_bps: &[u64], estimate_bps: u64) -> Result<usize, &'static str> {
-    if rates_bps.is_empty() {
-        return Err("need at least one encoding");
-    }
-    if !rates_bps.windows(2).all(|w| w[0] <= w[1]) {
-        return Err("tiers must be sorted by rate");
-    }
+    check_ladder(rates_bps)?;
     Ok(rates_bps
         .iter()
         .rposition(|&rate| rate <= estimate_bps)
@@ -183,9 +185,11 @@ pub struct PacedServer {
     cfg: PacedConfig,
     clip: Arc<EncodedClip>,
     plan: Arc<PacingPlan>,
-    /// The plan entry after the pending wake-up's tick.
+    /// The plan entry after the next sending tick.
     step: usize,
-    /// Packets the pending wake-up sends.
+    /// The next sending tick: when it falls due, and the packets it sends
+    /// (none once the plan is spent or torn down).
+    due_at: SimTime,
     due: usize,
     /// The next packet to send: its frame, and its chunk in that frame.
     frame: u32,
@@ -237,6 +241,7 @@ impl PacedServer {
             clip,
             plan,
             step: 0,
+            due_at: SimTime::ZERO,
             due: 0,
             frame: 0,
             chunk: 0,
@@ -253,25 +258,45 @@ impl PacedServer {
     fn begin(&mut self, ctx: &mut AppCtx<StreamPayload>) {
         if !self.started {
             self.started = true;
-            self.arm(ctx);
+            self.due_at = ctx.now();
+            self.advance();
+            self.send_window(ctx);
         }
     }
 
-    /// Set the wake-up for the plan's next sending tick, if any. It is
-    /// stamped where a timer per tick would have been filed: by the tick
-    /// before it.
-    fn arm(&mut self, ctx: &mut AppCtx<StreamPayload>) {
-        if let Some((ticks, chunks, next)) = self.plan.next_send(self.step) {
-            self.step = next;
-            self.due = chunks;
-            let now = ctx.now();
-            let at = now + TICK.saturating_mul(ticks);
-            ctx.set_timer_filed_at(at.saturating_since(now), at - TICK, TOK_TICK);
+    /// Move on to the plan's next sending tick, if any.
+    fn advance(&mut self) {
+        match self.plan.next_send(self.step) {
+            Some((ticks, chunks, next)) => {
+                self.due_at += TICK.saturating_mul(ticks);
+                self.due = chunks;
+                self.step = next;
+            }
+            None => self.due = 0,
         }
     }
 
-    /// Send the next packet of the clip.
-    fn send_next(&mut self, ctx: &mut AppCtx<StreamPayload>) {
+    /// Send the tick due now, if any, and every sending tick before the
+    /// send horizon, each at its own instant; then set the wake-up for the
+    /// first sending tick past it, stamped where a timer per tick would
+    /// have been filed: by the tick before it.
+    fn send_window(&mut self, ctx: &mut AppCtx<StreamPayload>) {
+        let now = ctx.now();
+        let horizon = ctx.send_horizon();
+        while self.due > 0 && (self.due_at == now || self.due_at < horizon) {
+            let at = self.due_at;
+            for _ in 0..self.due {
+                self.send_next(ctx, at);
+            }
+            self.advance();
+        }
+        if self.due > 0 {
+            ctx.set_timer_filed_at(self.due_at - now, self.due_at - TICK, TOK_TICK);
+        }
+    }
+
+    /// Send the next packet of the clip at `at`.
+    fn send_next(&mut self, ctx: &mut AppCtx<StreamPayload>, at: SimTime) {
         let frame = &self.clip.frames[self.frame as usize];
         let c = frame_chunk(frame, self.chunk);
         if c.chunk + 1 == c.chunks_in_frame {
@@ -282,22 +307,28 @@ impl PacedServer {
         }
         let seq = self.seq;
         self.seq += 1;
-        ctx.send(SendSpec {
-            dst: self.cfg.client,
-            flow: self.cfg.flow,
-            size: c.wire_bytes,
-            dscp: self.cfg.dscp,
-            proto: Proto::Udp,
-            fragment: None,
-            payload: StreamPayload::Media(MediaChunk {
-                seq,
-                frame_index: c.frame_index,
-                chunk: c.chunk,
-                chunks_in_frame: c.chunks_in_frame,
-                repair: false,
-                fidelity: frame.fidelity,
-            }),
-        });
+        // A tick counts as filed one tick before it, where the per-tick
+        // loop set its timer.
+        ctx.send_at(
+            at,
+            at - TICK,
+            SendSpec {
+                dst: self.cfg.client,
+                flow: self.cfg.flow,
+                size: c.wire_bytes,
+                dscp: self.cfg.dscp,
+                proto: Proto::Udp,
+                fragment: None,
+                payload: StreamPayload::Media(MediaChunk {
+                    seq,
+                    frame_index: c.frame_index,
+                    chunk: c.chunk,
+                    chunks_in_frame: c.chunks_in_frame,
+                    repair: false,
+                    fidelity: frame.fidelity,
+                }),
+            },
+        );
     }
 }
 
@@ -336,10 +367,7 @@ impl Application<StreamPayload> for PacedServer {
 
     fn on_timer(&mut self, ctx: &mut AppCtx<StreamPayload>, token: u64) {
         if token == TOK_TICK {
-            for _ in 0..std::mem::take(&mut self.due) {
-                self.send_next(ctx);
-            }
-            self.arm(ctx);
+            self.send_window(ctx);
         }
     }
 }

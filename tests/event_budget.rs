@@ -98,6 +98,13 @@ fn budget(spec: &ScenarioSpec) -> Budget {
 /// (21,763 → 10,621 arrivals) and the port's wake-ups behind it (869 → 452)
 /// are gone, and each of the 531 packets the policer refuses costs one
 /// drop event instead.
+///
+/// The server sends every packet due within its 30.01 ms inbound
+/// lookahead at one wake-up: timers 10,688 → 1,999 (one per 7-tick
+/// window), and every packet takes the Lindley step at the server's own
+/// port, so the 452 wake-ups of that port are gone too. Arrivals and drops
+/// do not move. Up to a window of packets sent ahead each hold a pending
+/// `Arrive` or `Drop` (high-water 9 → 14).
 #[test]
 fn qbone_point_event_budget() {
     let cfg = QboneConfig::new(
@@ -109,19 +116,25 @@ fn qbone_point_event_budget() {
         budget(&qbone_spec(&cfg)),
         Budget {
             start: 2,
-            timer: 10_688,
+            timer: 1_999,
             arrive: 10_621,
-            port_ready: 452,
+            port_ready: 0,
             cond_poll: 0,
             drop: 531,
-            total: 22_294,
-            high_water: 9,
+            total: 13_153,
+            high_water: 14,
         }
     );
 }
 
 /// Figure 16's 8-flow aggregate: eight 1 Mbps Lost streams through one
 /// 8.8 Mbps, 2-MTU aggregate EF policer.
+///
+/// Each server sends its 30.01 ms window at one wake-up: timers
+/// 53,376 → 15,128, and the 952 wake-ups of the servers' own ports are
+/// gone (port wake-ups 9,104 → 8,152; the rest queue at `remote-edge`).
+/// Every packet sent ahead holds its `Arrive` at `remote-edge` pending
+/// until then (high-water 31 → 56).
 #[test]
 fn aggregate_point_event_budget() {
     let cfg = AggregateConfig::new(
@@ -134,13 +147,13 @@ fn aggregate_point_event_budget() {
         budget(&aggregate_spec(&cfg)),
         Budget {
             start: 16,
-            timer: 53_376,
+            timer: 15_128,
             arrive: 69_229,
-            port_ready: 9_104,
+            port_ready: 8_152,
             cond_poll: 0,
             drop: 0,
-            total: 131_725,
-            high_water: 31,
+            total: 92_525,
+            high_water: 56,
         }
     );
 }

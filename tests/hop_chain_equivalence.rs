@@ -12,11 +12,13 @@
 //! an opaque delegate through `CompileOptions::wrap`, dispatches every
 //! hop, as the engine did before chains existed.
 //!
-//! A paced server runs its pacer ahead to the next tick that sends and
-//! wakes only there (§6b, "Paced servers wake only to send"). Its
-//! reference is the two-timer loop it replaced, kept in
-//! `support/per_tick_server.rs` and swapped in for every paced server of
-//! the compiled spec.
+//! A paced server wakes only at the ticks that send (§6b, "Paced servers
+//! wake only to send"), and at each sends every packet due before its
+//! send horizon, each at its own instant (§6b, "Paced servers send ahead
+//! within their inbound lookahead"). Its reference is the two-timer loop
+//! it replaced, kept in `support/per_tick_server.rs` and swapped in for
+//! every paced server of the compiled spec. Traces are compared as text,
+//! so the sends recorded ahead must read in instant order.
 //!
 //! Each spec runs both ways and must agree on every flow's counters (sent,
 //! delivered, drops by reason, delay summary and histogram), every flow's
@@ -57,7 +59,7 @@ use dsv_scenario::{
 };
 use dsv_sim::{EventQueue, QueueBackend, SimDuration, SimTime};
 use dsv_stream::payload::{ControlMsg, StreamPayload, CONTROL_PACKET_BYTES};
-use dsv_stream::server::paced::{multi_rate_tier, PacedConfig, PacedServer};
+use dsv_stream::server::paced::{multi_rate_tier, PacedConfig, PacedServer, TICK};
 
 use per_tick_server::PerTickPacedServer;
 
@@ -624,6 +626,89 @@ fn paced_servers_eight_flow_aggregate() {
     assert_wakes_like_per_tick("aggregate x8", &eight_flow_aggregate());
 }
 
+/// Best-effort cross traffic merges at `core1`, so every media packet sent
+/// ahead ends its walk there, and its `Arrive` is dispatched among the
+/// cross traffic's.
+#[test]
+fn paced_server_figure_7_point_with_cross_traffic() {
+    let mut cfg = fig07_point();
+    cfg.cross_traffic = true;
+    assert_wakes_like_per_tick("fig07 cross traffic", &qbone_spec(&cfg));
+}
+
+/// Stopped inside a send-ahead window, at a sending tick the window's
+/// wake-up sent ahead and a nanosecond before it, the paced server has
+/// sent what the per-tick loop has, the tick at the stop included, though
+/// its last event is earlier; resumed to the spec's horizon, the two agree
+/// again. The window is found from the wake-ups of an undisturbed run.
+#[test]
+fn paced_server_stopped_inside_a_window_and_resumed() {
+    let spec = qbone_spec(&fig07_point());
+    let end = horizon(&spec);
+    let mut watched = Run::new(&spec);
+    let wakes = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let host = watched.apps.node("video-server");
+    let media = spec
+        .nodes
+        .iter()
+        .find_map(|n| match &n.app {
+            Some(AppSpec::PacedServer { media, .. }) => Some(media),
+            _ => None,
+        })
+        .expect("a paced server");
+    let clip = ArtifactStore.encoding(media.clip, media.codec, media.rate_bps);
+    let cfg = PacedConfig::new(watched.apps.node("client"), FlowId(1), Dscp::EF_QBONE);
+    watched.sim.net.replace_app(
+        host,
+        Box::new(Wakes {
+            server: PacedServer::unshared(cfg, &clip),
+            at: wakes.clone(),
+        }),
+    );
+    watched.sim.run_until(end);
+    let wakes = wakes.lock().expect("wake-ups").clone();
+    let i = wakes
+        .iter()
+        .position(|&at| at > SimTime::from_secs(20))
+        .expect("a wake-up after 20 s");
+    let window = wakes[i]..wakes[i + 1];
+    let tick = watched
+        .sim
+        .net
+        .stats
+        .trace_of(FlowId(1))
+        .expect("traced")
+        .iter()
+        .find(|e| e.kind == TraceKind::Sent && e.at > window.start && e.at < window.end)
+        .expect("a tick sent ahead inside the window")
+        .at;
+    for stop in [tick, tick - SimDuration::from_nanos(1)] {
+        let mut woken = Run::new(&spec);
+        let mut ticked = Run::per_tick(&spec);
+        for run in [&mut woken, &mut ticked] {
+            assert!(run.sim.run_until(stop).hit_horizon);
+        }
+        assert!(
+            woken.sim.queue.now() < tick,
+            "stopped at {stop:?}: the tick at {tick:?} was sent ahead, with no event at it"
+        );
+        assert_eq!(
+            woken.observed(),
+            ticked.observed(),
+            "stopped at {stop:?}: woken on the wheel vs per tick on the heap"
+        );
+        for run in [&mut woken, &mut ticked] {
+            let span = end.saturating_since(run.sim.queue.now());
+            run.sim.run_for(span);
+        }
+        assert_eq!(
+            woken.observed(),
+            ticked.observed(),
+            "stopped at {stop:?} and resumed: woken on the wheel vs per tick on the heap"
+        );
+    }
+}
+
 /// Stopped mid-stream, with a wake-up pending and its packets held, the
 /// paced server and the per-tick loop agree at the stop and again after
 /// resuming with `run_for` to the spec's horizon.
@@ -691,13 +776,46 @@ impl Application<StreamPayload> for Viewer {
 /// is sent.
 const TO_SERVER: SimDuration = SimDuration::from_micros(7_500);
 
+/// Records the instant of every timer it is woken by, then hands each
+/// callback to the server it wraps.
+struct Wakes<A> {
+    server: A,
+    at: std::sync::Arc<std::sync::Mutex<Vec<SimTime>>>,
+}
+
+impl<A: Application<StreamPayload>> Application<StreamPayload> for Wakes<A> {
+    fn on_start(&mut self, ctx: &mut AppCtx<StreamPayload>) {
+        self.server.on_start(ctx);
+    }
+    fn on_packet(&mut self, ctx: &mut AppCtx<StreamPayload>, pkt: Packet<StreamPayload>) {
+        self.server.on_packet(ctx, pkt);
+    }
+    fn on_timer(&mut self, ctx: &mut AppCtx<StreamPayload>, token: u64) {
+        self.at.lock().expect("wake-ups").push(ctx.now());
+        self.server.on_timer(ctx, token);
+    }
+}
+
+/// One session of [`viewer_session_over`].
+struct Session {
+    /// The media (flow 1) trace.
+    media: Vec<TraceEntry>,
+    /// The control (flow 9) trace.
+    control: Vec<TraceEntry>,
+    /// When the server's timers fired.
+    wakes: Vec<SimTime>,
+}
+
 /// A viewer and a paced server (or the per-tick reference) on one link;
-/// a 64-byte control packet takes [`TO_SERVER`] to cross it. Returns the
-/// media (flow 1) and control (flow 9) traces.
-fn viewer_session(
+/// a 64-byte control packet takes `to_server` to cross it, which is also
+/// the server's inbound lookahead, and media crosses back over
+/// `to_viewer`.
+fn viewer_session_over(
+    to_server: SimDuration,
+    to_viewer: Link,
     per_tick: bool,
     teardown_at: Option<SimDuration>,
-) -> (Vec<TraceEntry>, Vec<TraceEntry>) {
+) -> Session {
     let clip = mpeg1::encode(&ClipId::Lost.model(), 1_000_000);
     let mut b = NetworkBuilder::new();
     let viewer = b.add_host(
@@ -708,10 +826,14 @@ fn viewer_session(
         }),
     );
     let cfg = PacedConfig::new(viewer, FlowId(1), Dscp::EF_QBONE);
+    let wakes = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
     let server: Box<dyn Application<StreamPayload> + Send> = if per_tick {
         Box::new(PerTickPacedServer::new(cfg, &clip))
     } else {
-        Box::new(PacedServer::unshared(cfg, &clip))
+        Box::new(Wakes {
+            server: PacedServer::unshared(cfg, &clip),
+            at: wakes.clone(),
+        })
     };
     let server = b.add_host("server", server);
     assert_eq!(server, NodeId(1));
@@ -720,8 +842,8 @@ fn viewer_session(
     b.connect_with(
         viewer,
         server,
-        Link::new(rate, TO_SERVER - serialization),
-        Link::fast_ethernet(),
+        Link::new(rate, to_server - serialization),
+        to_viewer,
         Box::new(DropTailQueue::new(QueueLimits::UNBOUNDED)),
         Box::new(DropTailQueue::new(QueueLimits::UNBOUNDED)),
     );
@@ -731,7 +853,22 @@ fn viewer_session(
     let mut sim = Simulation::new(net);
     sim.run();
     let trace = |flow| sim.net.stats.trace_of(flow).expect("traced").to_vec();
-    (trace(FlowId(1)), trace(FlowId(9)))
+    let wakes = std::mem::take(&mut *wakes.lock().expect("wake-ups"));
+    Session {
+        media: trace(FlowId(1)),
+        control: trace(FlowId(9)),
+        wakes,
+    }
+}
+
+/// [`viewer_session_over`] a link of [`TO_SERVER`]: the media and control
+/// traces.
+fn viewer_session(
+    per_tick: bool,
+    teardown_at: Option<SimDuration>,
+) -> (Vec<TraceEntry>, Vec<TraceEntry>) {
+    let session = viewer_session_over(TO_SERVER, Link::fast_ethernet(), per_tick, teardown_at);
+    (session.media, session.control)
 }
 
 fn instants(trace: &[TraceEntry], kind: TraceKind) -> Vec<SimTime> {
@@ -776,6 +913,97 @@ fn teardown_at_a_skipping_wake_up_stops_the_paced_server() {
     let (ref_media, ref_control) = viewer_session(true, teardown_at);
     assert_eq!(format!("{media:?}"), format!("{ref_media:?}"));
     assert_eq!(format!("{control:?}"), format!("{ref_control:?}"));
+}
+
+/// A `Teardown` in flight when a window would open holds the server's send
+/// horizon at each wake-up: it sends only the tick due then, and wakes at
+/// every sending tick until the teardown lands. Over a 30 ms link (QBone's
+/// lookahead) the teardown leaves 1 ms before a wake-up of the undisturbed
+/// run, so that wake-up and the ones after it find it in flight.
+#[test]
+fn teardown_in_flight_when_a_window_would_open() {
+    let to_server = SimDuration::from_millis(30);
+    let undisturbed = viewer_session_over(to_server, Link::fast_ethernet(), false, None);
+    let window = *undisturbed
+        .wakes
+        .iter()
+        .find(|&&at| at > SimTime::from_secs(10))
+        .expect("a wake-up mid-stream");
+    let sent_at = window - SimDuration::from_millis(1);
+    let teardown_at = Some(sent_at.saturating_since(SimTime::ZERO));
+
+    let torn = viewer_session_over(to_server, Link::fast_ethernet(), false, teardown_at);
+    let lands = *instants(&torn.control, TraceKind::Delivered)
+        .last()
+        .expect("the teardown arrives");
+    assert_eq!(lands, sent_at + to_server);
+    let held: Vec<SimTime> = torn
+        .wakes
+        .iter()
+        .copied()
+        .filter(|&at| at > sent_at && at < lands)
+        .collect();
+    assert!(
+        held.len() >= 3 && held[0] == window,
+        "per-tick wake-ups while the teardown is in flight: {held:?}"
+    );
+    let sent = instants(&torn.media, TraceKind::Sent);
+    assert!(
+        sent.iter().any(|&at| at > window),
+        "streamed past the window"
+    );
+    assert!(sent.iter().all(|&at| at < lands), "sent after the teardown");
+
+    let reference = viewer_session_over(to_server, Link::fast_ethernet(), true, teardown_at);
+    assert_eq!(
+        format!("{:?}", torn.media),
+        format!("{:?}", reference.media)
+    );
+    assert_eq!(
+        format!("{:?}", torn.control),
+        format!("{:?}", reference.control)
+    );
+}
+
+/// A last hop to the viewer of two ticks (a full 1500-byte packet takes
+/// 1 ms to serialize at 12 Mb/s and 9 ms to propagate) delivers a tick's
+/// first full packet at the tick two ticks later, filed where it left:
+/// before that tick's timer was filed, so the per-tick loop records the
+/// delivery before the send. A 30 ms window sends that tick ahead,
+/// recording its send first; the trace must still read the delivery
+/// first.
+#[test]
+fn paced_server_over_a_last_hop_of_two_ticks() {
+    let to_server = SimDuration::from_millis(30);
+    let to_viewer = Link::new(12_000_000, SimDuration::from_millis(9));
+    let woken = viewer_session_over(to_server, to_viewer, false, None);
+    let ticked = viewer_session_over(to_server, to_viewer, true, None);
+    let delivered_first = ticked
+        .media
+        .windows(2)
+        .filter(|w| {
+            w[0].at == w[1].at
+                && w[0].kind == TraceKind::Delivered
+                && w[1].kind == TraceKind::Sent
+                && w[0].filed + TICK <= w[1].filed
+        })
+        .count();
+    assert!(
+        delivered_first > 100,
+        "deliveries filed a tick or more before a send at their instant: {delivered_first}"
+    );
+    let sent = instants(&woken.media, TraceKind::Sent);
+    let ahead = sent.iter().filter(|at| !woken.wakes.contains(at)).count();
+    assert!(
+        ahead > sent.len() / 3,
+        "{ahead} of {} sent ahead",
+        sent.len()
+    );
+    assert_eq!(format!("{:?}", woken.media), format!("{:?}", ticked.media));
+    assert_eq!(
+        format!("{:?}", woken.control),
+        format!("{:?}", ticked.control)
+    );
 }
 
 /// The builder marks chain hops from the declared traffic, so a host that

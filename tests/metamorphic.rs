@@ -397,12 +397,17 @@ impl Conditioner<StreamPayload> for Recorder {
     }
 }
 
-/// Every packet the `ingress` tap of a Lost 1.0 Mbps QBone point sees,
-/// and the media packets its policer drops.
-fn ingress_arrivals(rate_bps: u64, depth_bytes: u32) -> (Vec<Arrival>, u64) {
+/// Every packet the `ingress` tap of a QBone point of `clip` at
+/// `encoding_bps` sees, and the media packets its policer drops.
+fn ingress_arrivals(
+    clip: ClipId2,
+    encoding_bps: u64,
+    rate_bps: u64,
+    depth_bytes: u32,
+) -> (Vec<Arrival>, u64) {
     let spec = qbone_spec(&QboneConfig::new(
-        ClipId2::Lost,
-        1_000_000,
+        clip,
+        encoding_bps,
         EfProfile::new(rate_bps, depth_bytes),
     ));
     let seen = Arc::new(Mutex::new(Vec::new()));
@@ -433,44 +438,104 @@ fn ingress_arrivals(rate_bps: u64, depth_bytes: u32) -> (Vec<Arrival>, u64) {
     (arrivals, drops)
 }
 
-/// Two points of the paper grid that drop and two that do not, at both
-/// bucket depths: (token rate, depth, whether the policer drops).
-const INGRESS_POINTS: [(u64, u32, bool); 4] = [
-    (880_000, DEPTH_2MTU, true),
-    (1_140_000, DEPTH_2MTU, false),
-    (880_000, DEPTH_3MTU, true),
-    (1_452_000, DEPTH_3MTU, false),
-];
+/// The paper grid's six (clip, encoding) classes, each with its committed
+/// figure: 24 policer profiles apiece.
+fn paper_grid() -> [(ClipId2, u64, SweepResult); 6] {
+    let committed = |json: &str| -> SweepResult {
+        serde_json::from_str(json).expect("a committed figure parses")
+    };
+    [
+        (
+            ClipId2::Lost,
+            1_700_000,
+            committed(include_str!("../results/fig07_qbone_lost_1700k.json")),
+        ),
+        (
+            ClipId2::Lost,
+            1_500_000,
+            committed(include_str!("../results/fig08_qbone_lost_1500k.json")),
+        ),
+        (
+            ClipId2::Lost,
+            1_000_000,
+            committed(include_str!("../results/fig09_qbone_lost_1000k.json")),
+        ),
+        (
+            ClipId2::Dark,
+            1_700_000,
+            committed(include_str!("../results/fig10_qbone_dark_1700k.json")),
+        ),
+        (
+            ClipId2::Dark,
+            1_500_000,
+            committed(include_str!("../results/fig11_qbone_dark_1500k.json")),
+        ),
+        (
+            ClipId2::Dark,
+            1_000_000,
+            committed(include_str!("../results/fig12_qbone_dark_1000k.json")),
+        ),
+    ]
+}
 
-/// [`ingress_arrivals`] of each of [`INGRESS_POINTS`], simulated once for
+/// One class of the paper grid: its committed figure, and the ingress
+/// trace and simulated policer drops of its first and last committed
+/// points.
+struct IngressClass {
+    label: String,
+    committed: SweepResult,
+    first: (Vec<Arrival>, u64),
+    last: (Vec<Arrival>, u64),
+}
+
+/// [`IngressClass`] of each class of [`paper_grid`], simulated once for
 /// every test that reads them.
-fn ingress_runs() -> &'static [(Vec<Arrival>, u64)] {
-    static RUNS: OnceLock<Vec<(Vec<Arrival>, u64)>> = OnceLock::new();
+fn ingress_runs() -> &'static [IngressClass] {
+    static RUNS: OnceLock<Vec<IngressClass>> = OnceLock::new();
     RUNS.get_or_init(|| {
-        INGRESS_POINTS
-            .iter()
-            .map(|&(rate, depth, _)| ingress_arrivals(rate, depth))
+        paper_grid()
+            .into_iter()
+            .map(|(clip, encoding_bps, committed)| {
+                let run = |p: &SweepPoint| {
+                    ingress_arrivals(clip, encoding_bps, p.token_rate_bps, p.bucket_depth_bytes)
+                };
+                let first = run(committed.points.first().expect("a committed point"));
+                let last = run(committed.points.last().expect("a committed point"));
+                IngressClass {
+                    label: committed.label.clone(),
+                    committed,
+                    first,
+                    last,
+                }
+            })
             .collect()
     })
 }
 
+/// Claim 1 of the analytic oracle: in each class of the paper grid the
+/// policer sees the same packets at the same instants at its first
+/// committed point (the lowest rate and depth, which drops) and its last
+/// (the highest, which does not), so its arrivals do not depend on the
+/// profile.
 #[test]
 fn ingress_arrivals_do_not_depend_on_the_policer_profile() {
-    let runs = ingress_runs();
-    let reference = &runs[0].0;
-    assert!(
-        reference.iter().filter(|a| a.1 == MEDIA_FLOW).count() > 6000,
-        "the tap sees the whole stream"
-    );
-    for ((rate, depth, drops_packets), (arrivals, drops)) in INGRESS_POINTS.iter().zip(runs) {
-        assert_eq!(
-            *drops > 0,
-            *drops_packets,
-            "({rate} b/s, {depth} B) policer drops: {drops}"
+    for class in ingress_runs() {
+        let (first, first_drops) = &class.first;
+        let (last, last_drops) = &class.last;
+        assert!(
+            first.iter().filter(|a| a.1 == MEDIA_FLOW).count() > 6000,
+            "{}: the tap sees the whole stream",
+            class.label
         );
         assert!(
-            arrivals == reference,
-            "({rate} b/s, {depth} B): the ingress tap saw another trace"
+            *first_drops > 0 && *last_drops == 0,
+            "{}: drops {first_drops} at the first point, {last_drops} at the last",
+            class.label
+        );
+        assert!(
+            first == last,
+            "{}: the ingress tap saw another trace at the last point",
+            class.label
         );
     }
 }
@@ -501,31 +566,36 @@ fn replayed_drops(arrivals: &[Arrival], rate_bps: u64, depth_bytes: u32) -> u64 
     drops
 }
 
-/// Claim 2 of the analytic oracle: a point's policer drops are the token
-/// bucket's arithmetic on the ingress trace alone (891 at 880 kb/s and
-/// 3000 B, for one). The recorder keeps
+/// Claim 2 of the analytic oracle: every point's policer drops are the
+/// token bucket's arithmetic on its class's ingress trace alone (891 at
+/// 880 kb/s and 3000 B on the Lost 1.0 Mbps encoding, for one): the first
+/// point's trace replays each of the 24 committed points of Figures 7-12,
+/// and the simulated drops of the first and last. The recorder keeps
 /// every packet on the per-hop path (it does not decide any pair alone),
 /// so the replay is also an arithmetic reference for the verdicts a hop
-/// chain takes inside its walk, which produced the committed Figure 9.
+/// chain takes inside its walk, which produced the committed figures.
 #[test]
 fn policer_drops_replay_from_the_ingress_trace() {
-    let committed: SweepResult =
-        serde_json::from_str(include_str!("../results/fig09_qbone_lost_1000k.json"))
-            .expect("the committed Figure 9 parses");
-    for (&(rate, depth, _), (arrivals, drops)) in INGRESS_POINTS.iter().zip(ingress_runs()) {
-        let point = committed
-            .points
-            .iter()
-            .find(|p| p.token_rate_bps == rate && p.bucket_depth_bytes == depth)
-            .unwrap_or_else(|| panic!("Figure 9 has the point ({rate} b/s, {depth} B)"));
-        let replayed = replayed_drops(arrivals, rate, depth);
-        assert_eq!(
-            replayed, *drops,
-            "({rate} b/s, {depth} B): replay against the simulated policer"
-        );
-        assert_eq!(
-            replayed, point.outcome.policer_drops,
-            "({rate} b/s, {depth} B): replay against the committed Figure 9"
-        );
+    for class in ingress_runs() {
+        let (arrivals, _) = &class.first;
+        let points = &class.committed.points;
+        assert_eq!(points.len(), 24, "{}", class.label);
+        for (point, simulated) in [(&points[0], class.first.1), (&points[23], class.last.1)] {
+            let replayed = replayed_drops(arrivals, point.token_rate_bps, point.bucket_depth_bytes);
+            assert_eq!(
+                replayed, simulated,
+                "{}: replay against the simulated policer",
+                class.label
+            );
+        }
+        for point in points {
+            let (rate, depth) = (point.token_rate_bps, point.bucket_depth_bytes);
+            assert_eq!(
+                replayed_drops(arrivals, rate, depth),
+                point.outcome.policer_drops,
+                "{} ({rate} b/s, {depth} B): replay against the committed figure",
+                class.label
+            );
+        }
     }
 }

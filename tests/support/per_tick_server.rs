@@ -5,8 +5,9 @@
 //! public `Pacer` every `tick`, whether or not the tick releases a packet.
 //! At an instant both fall due, the frame timer, filed a frame period
 //! earlier, fires first. `PacedServer` replays its encoding's
-//! `PacingPlan`, waking only at the ticks that send; the tests that
-//! include this file compare the two byte for byte.
+//! `PacingPlan`, waking only at the ticks that send and sending ahead
+//! every tick before its send horizon; the tests that include this file
+//! compare the two byte for byte.
 
 use dsv_media::encoder::EncodedClip;
 use dsv_media::frame::{presentation_time, EncodedFrame};
