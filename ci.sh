@@ -33,6 +33,9 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> benchmark tests (workload and metric tables against BENCHMARK.json)"
+cargo test -q --manifest-path benchmark/Cargo.toml
+
 echo "==> benchmark smoke (every workload once, every point checked against results/)"
 cargo run --release --manifest-path benchmark/Cargo.toml -- --smoke
 

@@ -19,6 +19,15 @@
 //! and the events that send them are exactly those of a server pacing
 //! live (DESIGN.md §6b, "Paced servers wake only to send").
 //!
+//! The VQM reference of an encoding is another: a [`Reference`], the
+//! decoded feature stream with one empty cell per VQM segment for that
+//! segment's score against the reference itself. A session that leaves a
+//! segment intact (its scoring window bit-identical to the reference's)
+//! takes that score, and the first such session fills the cell, so every
+//! point, flow and thread of a class shares the self-scores as it shares
+//! the frames. Fetching a reference builds the frames once and scores no
+//! segment (DESIGN.md §12, "The shared reference").
+//!
 //! The keying rule is the same as the runner's result cache: **the
 //! address is the config fields the artifact depends on**. There is no
 //! other invalidation — a key change is a different artifact, and code
@@ -37,6 +46,7 @@ use dsv_media::encoder::{mpeg1, wmv, EncodedClip};
 use dsv_media::features::FeatureFrame;
 use dsv_media::scene::{ClipId, SceneModel};
 use dsv_stream::server::paced::PacingPlan;
+use dsv_vqm::{Reference, Vqm};
 
 use crate::experiment::encoded_features;
 
@@ -88,7 +98,7 @@ static MODELS: Memo<ClipId, SceneModel> = Memo::new();
 static SOURCE_FEATURES: Memo<ClipId, Vec<FeatureFrame>> = Memo::new();
 static ENCODINGS: Memo<EncodeKey, EncodedClip> = Memo::new();
 static PLANS: Memo<EncodeKey, PacingPlan> = Memo::new();
-static REFERENCES: Memo<EncodeKey, Vec<FeatureFrame>> = Memo::new();
+static REFERENCES: Memo<EncodeKey, Reference> = Memo::new();
 
 /// Key identifying one encoding: `(clip, codec, rate_bps)`.
 type EncodeKey = (ClipId, Codec, u64);
@@ -216,13 +226,18 @@ impl From<dsv_scenario::CodecSpec> for Codec {
 }
 
 /// The decoded feature stream of an encoding — the VQM reference for that
-/// encoding (depends on: clip, codec, rate). This is the artifact that
-/// `score_vs_best` runs share: the 1.7 Mbps reference is computed once,
-/// not once per grid point.
-pub fn reference_features(clip: ClipId, codec: Codec, rate_bps: u64) -> Arc<Vec<FeatureFrame>> {
+/// encoding (depends on: clip, codec, rate), as a [`Reference`] that
+/// dereferences to its frames. Every point, flow and thread scored
+/// against one encoding shares it, and with it each segment's score
+/// against the reference itself: computed the first time a session
+/// leaves that segment intact, never when the reference is fetched. The
+/// `score_vs_best` runs share the 1.7 Mbps one the same way.
+pub fn reference_features(clip: ClipId, codec: Codec, rate_bps: u64) -> Arc<Reference> {
     let m = model(clip);
     let enc = encoding(clip, codec, rate_bps);
-    REFERENCES.get_or((clip, codec, rate_bps), || encoded_features(&m, &enc))
+    REFERENCES.get_or((clip, codec, rate_bps), || {
+        Reference::new(Vqm::default(), encoded_features(&m, &enc))
+    })
 }
 
 #[cfg(test)]

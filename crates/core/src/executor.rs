@@ -212,12 +212,8 @@ impl Execution {
         let scored = read
             .into_iter()
             .map(|(report, media)| {
-                let score = crate::qoe::score_session(
-                    &source,
-                    &reference,
-                    &report,
-                    best.as_ref().map(|b| b.as_slice()),
-                );
+                let score =
+                    crate::qoe::score_session(&source, &reference, &report, best.as_deref());
                 let shaper_drops = media.drops_for(DropReason::ShaperOverflow);
                 let outcome = RunOutcome::assemble(&report, &media, &score, shaper_drops, 0, false);
                 (outcome, report)

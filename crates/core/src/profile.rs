@@ -10,6 +10,10 @@
 //! to the thread that ran the batch when it finishes, so the caller's
 //! totals cover every point it ran, on whichever thread.
 //!
+//! The score stage also counts VQM segments: those the network left
+//! intact, which took the shared reference's own score, and those
+//! aligned ([`add_segments`]).
+//!
 //! [`measure`] brackets a region and returns its own sums and peaks; the
 //! [`Runner`](crate::runner::Runner) prints them after each batch when
 //! `DSV_PROFILE=1` is set. Totals only grow, so a region's sums are also
@@ -55,6 +59,15 @@ pub fn add_score(d: Duration) {
     update(|t| t.score_ns += d.as_nanos() as u64);
 }
 
+/// Record one scoring's VQM segments: `intact` took the shared
+/// reference's own score, `aligned` were aligned and compared.
+pub fn add_segments(intact: usize, aligned: usize) {
+    update(|t| {
+        t.segments_intact += intact as u64;
+        t.segments_aligned += aligned as u64;
+    });
+}
+
 /// Record one run's peak queue population and peak in-flight packet count.
 /// A region's value is the max over its runs — the number that sizes
 /// `EventQueue::with_capacity` / `PacketPool::with_capacity`.
@@ -97,6 +110,11 @@ pub struct ProfileSnapshot {
     pub simulate_ns: u64,
     /// Wall time scoring, nanoseconds.
     pub score_ns: u64,
+    /// Scored VQM segments the network left intact, which took the
+    /// shared reference's own score.
+    pub segments_intact: u64,
+    /// Scored VQM segments that were aligned and compared.
+    pub segments_aligned: u64,
     /// Events dispatched by the simulations.
     pub events: u64,
     /// Simulated points (one per run).
@@ -118,6 +136,8 @@ impl ProfileSnapshot {
             encode_ns: self.encode_ns.saturating_sub(other.encode_ns),
             simulate_ns: self.simulate_ns.saturating_sub(other.simulate_ns),
             score_ns: self.score_ns.saturating_sub(other.score_ns),
+            segments_intact: self.segments_intact.saturating_sub(other.segments_intact),
+            segments_aligned: self.segments_aligned.saturating_sub(other.segments_aligned),
             events: self.events.saturating_sub(other.events),
             points: self.points.saturating_sub(other.points),
             queue_high_water: self.queue_high_water,
@@ -131,6 +151,8 @@ impl ProfileSnapshot {
             encode_ns: self.encode_ns + other.encode_ns,
             simulate_ns: self.simulate_ns + other.simulate_ns,
             score_ns: self.score_ns + other.score_ns,
+            segments_intact: self.segments_intact + other.segments_intact,
+            segments_aligned: self.segments_aligned + other.segments_aligned,
             events: self.events + other.events,
             points: self.points + other.points,
             queue_high_water: self.queue_high_water.max(other.queue_high_water),
@@ -152,12 +174,15 @@ impl ProfileSnapshot {
     pub fn summary(&self) -> String {
         let ms = |ns: u64| ns as f64 / 1e6;
         format!(
-            "{} points | encode {:.1} ms, simulate {:.1} ms, score {:.1} ms | \
+            "{} points | encode {:.1} ms, simulate {:.1} ms, score {:.1} ms \
+             ({} segments intact, {} aligned) | \
              {} events ({:.2} M ev/s) | peak queue {}, peak in-flight {}",
             self.points,
             ms(self.encode_ns),
             ms(self.simulate_ns),
             ms(self.score_ns),
+            self.segments_intact,
+            self.segments_aligned,
             self.events,
             self.event_rate_per_sec() / 1e6,
             self.queue_high_water,
@@ -188,10 +213,12 @@ mod tests {
         add_encode(Duration::from_millis(2));
         add_simulate(Duration::from_millis(5), 1000);
         add_score(Duration::from_millis(1));
+        add_segments(3, 2);
         let delta = snapshot().since(&before);
         assert!(delta.encode_ns >= 2_000_000);
         assert!(delta.simulate_ns >= 5_000_000);
         assert!(delta.score_ns >= 1_000_000);
+        assert!(delta.segments_intact >= 3 && delta.segments_aligned >= 2);
         assert!(delta.events >= 1000);
         assert!(delta.points >= 1);
         assert!(delta.event_rate_per_sec() > 0.0);

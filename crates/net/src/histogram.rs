@@ -3,14 +3,15 @@
 //! The paper's delay discussion (and its conclusion-section concern about
 //! EF burst accumulation across hops) needs more than mean/min/max: the
 //! spread of the delay distribution is the jitter a playback buffer must
-//! absorb. [`DurationHistogram`] keeps 64 logarithmic buckets from 1 µs to
-//! ~2.6 hours with O(1) recording and no allocation, and answers quantile
-//! queries with bucket resolution (≤ ~19 % relative error — ample for
-//! jitter comparisons across configurations).
+//! absorb. [`DurationHistogram`] keeps 128 logarithmic buckets from 1 µs
+//! up (the last starts at ~240 years) with O(1) recording and no
+//! allocation, and answers quantile queries with bucket resolution
+//! (≤ ~19 % relative error — ample for jitter comparisons across
+//! configurations).
 
 use dsv_sim::SimDuration;
 
-/// Number of buckets (eighth-decade spacing covers 1 µs → ~28 minutes).
+/// Number of buckets (eighth-decade spacing from 1 µs).
 const BUCKETS: usize = 128;
 
 /// A fixed-size logarithmic histogram of durations.
@@ -47,15 +48,24 @@ fn bucket_of_float(ns_total: u64) -> usize {
     k.min(BUCKETS - 1)
 }
 
-/// Smallest nanosecond value belonging to each bucket, derived once from
-/// the float formula so the integer classifier reproduces it bit-exactly
-/// (including any floating-point quirks at the decade boundaries).
-fn bucket_thresholds() -> &'static [u64; BUCKETS] {
+/// The bucket classifier's tables, built once from the float formula.
+struct Buckets {
+    /// Smallest nanosecond value belonging to each bucket, derived from
+    /// the float formula so the integer classifier reproduces it
+    /// bit-exactly (including any floating-point quirks at the decade
+    /// boundaries). The source of truth of [`bucket_of`].
+    thresholds: [u64; BUCKETS],
+    /// The bucket of `2^h`, for each highest set bit `h`: the least bucket
+    /// any value with that highest bit can fall in.
+    by_high_bit: [u8; 64],
+}
+
+fn buckets() -> &'static Buckets {
     use std::sync::OnceLock;
-    static THRESHOLDS: OnceLock<[u64; BUCKETS]> = OnceLock::new();
-    THRESHOLDS.get_or_init(|| {
-        let mut t = [0u64; BUCKETS];
-        for (k, slot) in t.iter_mut().enumerate().skip(1) {
+    static BUCKETS_TABLES: OnceLock<Buckets> = OnceLock::new();
+    BUCKETS_TABLES.get_or_init(|| {
+        let mut thresholds = [0u64; BUCKETS];
+        for (k, slot) in thresholds.iter_mut().enumerate().skip(1) {
             // Start from the analytic boundary and walk to the exact
             // integer where the float formula first reports bucket k.
             let mut ns = (1_000.0 * 10f64.powf(k as f64 / 8.0)) as u64;
@@ -67,17 +77,33 @@ fn bucket_thresholds() -> &'static [u64; BUCKETS] {
             }
             *slot = ns;
         }
-        t
+        // Thresholds for buckets 1.. are strictly increasing, so the count
+        // of those at or below a value is its bucket (values below 1 µs
+        // fall into bucket 0).
+        let by_high_bit =
+            std::array::from_fn(|h| thresholds[1..].partition_point(|&b| b <= 1 << h) as u8);
+        Buckets {
+            thresholds,
+            by_high_bit,
+        }
     })
 }
 
 fn bucket_of(d: SimDuration) -> usize {
     let ns = d.as_nanos();
-    let t = bucket_thresholds();
-    // partition_point returns how many thresholds are <= ns; thresholds
-    // for buckets 1.. are strictly increasing, so that count is the
-    // bucket index (values below 1 µs fall into bucket 0).
-    t[1..].partition_point(|&b| b <= ns)
+    let Buckets {
+        thresholds,
+        by_high_bit,
+    } = buckets();
+    // Every value with the same highest set bit lies within a factor of
+    // two of the others, which the eighth-decade buckets split at most
+    // three ways: start at the bucket of that power of two and step up.
+    // (0 shares 1's entry: both lie below 1 µs.)
+    let mut k = by_high_bit[(u64::BITS - 1 - (ns | 1).leading_zeros()) as usize] as usize;
+    while k + 1 < BUCKETS && thresholds[k + 1] <= ns {
+        k += 1;
+    }
+    k
 }
 
 impl DurationHistogram {
@@ -202,29 +228,62 @@ mod tests {
 
     #[test]
     fn integer_thresholds_match_float_formula_exactly() {
-        // Around every bucket boundary the table classifier must agree
-        // with the original float formula bit-for-bit.
-        for &t in bucket_thresholds().iter().skip(1) {
-            for ns in t.saturating_sub(3)..=t + 3 {
-                assert_eq!(
-                    bucket_of(SimDuration::from_nanos(ns)),
-                    bucket_of_float(ns),
-                    "divergence at {ns} ns"
-                );
-            }
-        }
-        // And across a deterministic pseudo-random sweep of magnitudes.
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        for _ in 0..20_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let ns = x % 8_000_000_000_000_000_000;
+        let agrees = |ns: u64| {
             assert_eq!(
                 bucket_of(SimDuration::from_nanos(ns)),
                 bucket_of_float(ns),
                 "divergence at {ns} ns"
             );
+        };
+        // Around every bucket boundary the table classifier must agree
+        // with the original float formula bit-for-bit.
+        for &t in buckets().thresholds.iter().skip(1) {
+            for ns in t.saturating_sub(3)..=t + 3 {
+                agrees(ns);
+            }
+        }
+        // Around every power of two, where the high-bit table starts.
+        for h in 0..64 {
+            let p = 1u64 << h;
+            for ns in [p - 1, p, p + 1] {
+                agrees(ns);
+            }
+        }
+        agrees(0);
+        agrees(u64::MAX);
+        // And across a deterministic pseudo-random sweep of magnitudes,
+        // half of them spread evenly over the bit lengths.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..200_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            agrees(if i % 2 == 0 {
+                x % 8_000_000_000_000_000_000
+            } else {
+                x >> (x % 64)
+            });
+        }
+    }
+
+    #[test]
+    fn the_high_bit_start_is_at_most_three_buckets_short() {
+        // Values sharing a highest set bit span less than a factor of two,
+        // and 2 < G^3: the classifier's walk takes at most three steps.
+        let Buckets {
+            thresholds,
+            by_high_bit,
+        } = buckets();
+        for (h, &start) in by_high_bit.iter().enumerate() {
+            let top = if h == 63 {
+                u64::MAX
+            } else {
+                (1u64 << (h + 1)) - 1
+            };
+            let start = start as usize;
+            let end = bucket_of(SimDuration::from_nanos(top));
+            assert!(end >= start && end - start <= 3, "bit {h}: {start}..{end}");
+            assert!(start == 0 || thresholds[start] <= 1 << h, "bit {h}");
         }
     }
 

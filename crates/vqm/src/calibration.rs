@@ -58,7 +58,13 @@ pub fn correlation(a: &[f64], b: &[f64]) -> Option<f64> {
 /// `[ref_base - uncertainty, ref_base + received.len() + uncertainty)`
 /// (callers clamp at stream edges). `ref_base` is the reference index that
 /// a zero offset maps `received[0]` to. Offsets are searched in
-/// `[-uncertainty, +uncertainty]`.
+/// `[-uncertainty, +uncertainty]`; an offset whose window would leave the
+/// reference is skipped, and on equal correlations the lowest offset wins.
+///
+/// The search runs four offsets at a time ([`correlations`]), each with
+/// its own accumulators summed in index order, exactly as a one-offset
+/// loop sums them, so the result is bit-identical to [`correlation`] at
+/// the chosen offset.
 pub fn align(
     received: &[f64],
     reference: &[f64],
@@ -66,14 +72,12 @@ pub fn align(
     uncertainty: usize,
     threshold: f64,
 ) -> Calibration {
-    let mut best: Option<(i32, f64)> = None;
     let len = received.len();
-    if len == 0 {
+    if len == 0 || len > reference.len() {
         return Calibration::Failed;
     }
     // The received-side mean and variance are the same at every offset;
-    // hoist them out of the search. Each accumulator below sums in the
-    // same index order as `correlation`, so results are bit-identical.
+    // hoist them out of the search.
     let n = len as f64;
     let ma = received.iter().sum::<f64>() / n;
     let mut va = 0.0;
@@ -84,36 +88,88 @@ pub fn align(
         return Calibration::Failed;
     }
     let va_sqrt = va.sqrt();
-    let lo = -(uncertainty as i64);
-    let hi = uncertainty as i64;
-    for off in lo..=hi {
-        let start = ref_base as i64 + off;
-        if start < 0 || (start as usize + len) > reference.len() {
-            continue;
+    // The reference starts whose window lies inside the reference.
+    let first = ref_base.saturating_sub(uncertainty);
+    let last = (ref_base + uncertainty).min(reference.len() - len);
+    let mut best: Option<(usize, f64)> = None;
+    let mut consider = |start: usize, c: Option<f64>| {
+        if let Some(c) = c {
+            if best.is_none_or(|(_, bc)| c > bc) {
+                best = Some((start, c));
+            }
         }
-        let window = &reference[start as usize..start as usize + len];
-        let mb = window.iter().sum::<f64>() / n;
-        let mut cov = 0.0;
-        let mut vb = 0.0;
-        for (x, y) in received.iter().zip(window) {
-            cov += (x - ma) * (y - mb);
-            vb += (y - mb).powi(2);
+    };
+    let mut start = first;
+    while start + LANES <= last + 1 {
+        let window = &reference[start..start + len + LANES - 1];
+        for (j, c) in correlations::<LANES>(received, ma, va_sqrt, window)
+            .into_iter()
+            .enumerate()
+        {
+            consider(start + j, c);
         }
-        if vb < 1e-12 {
-            continue;
-        }
-        let c = cov / (va_sqrt * vb.sqrt());
-        if best.is_none_or(|(_, bc)| c > bc) {
-            best = Some((off as i32, c));
-        }
+        start += LANES;
+    }
+    for start in start..=last {
+        let [c] = correlations::<1>(received, ma, va_sqrt, &reference[start..start + len]);
+        consider(start, c);
     }
     match best {
-        Some((offset, correlation)) if correlation >= threshold => Calibration::Aligned {
-            offset,
+        Some((start, correlation)) if correlation >= threshold => Calibration::Aligned {
+            offset: (start as i64 - ref_base as i64) as i32,
             correlation,
         },
         _ => Calibration::Failed,
     }
+}
+
+/// Offsets [`align`] searches together.
+const LANES: usize = 4;
+
+/// The correlation of `received` (mean `ma`, root of its summed squared
+/// deviations `va_sqrt`) with each of the `L` windows of its length that
+/// start at `window[0]`, …, `window[L - 1]`; `None` where a window is flat.
+///
+/// Each lane keeps its own sums, each added in index order from the same
+/// start value as a one-window loop (`Iterator::sum`'s `-0.0` for the
+/// mean, `0.0` for the products), so lane `j` is bit-identical to
+/// [`correlation`] on `window[j..j + received.len()]`. The lanes are
+/// independent chains the processor can overlap; no sum is reordered.
+fn correlations<const L: usize>(
+    received: &[f64],
+    ma: f64,
+    va_sqrt: f64,
+    window: &[f64],
+) -> [Option<f64>; L] {
+    let len = received.len();
+    let n = len as f64;
+    let window = &window[..len + L - 1];
+    let mut sum = [-0.0f64; L];
+    for i in 0..len {
+        let w = &window[i..i + L];
+        for j in 0..L {
+            sum[j] += w[j];
+        }
+    }
+    let mb = sum.map(|s| s / n);
+    let mut cov = [0.0f64; L];
+    let mut vb = [0.0f64; L];
+    for (i, x) in received.iter().enumerate() {
+        let xa = x - ma;
+        let w = &window[i..i + L];
+        for j in 0..L {
+            let d = w[j] - mb[j];
+            cov[j] += xa * d;
+            vb[j] += d.powi(2);
+        }
+    }
+    std::array::from_fn(|j| {
+        if vb[j] < 1e-12 {
+            None
+        } else {
+            Some(cov[j] / (va_sqrt * vb[j].sqrt()))
+        }
+    })
 }
 
 #[cfg(test)]
@@ -210,6 +266,22 @@ mod tests {
             }
             Calibration::Failed => panic!("must align"),
         }
+    }
+
+    #[test]
+    fn flat_reference_windows_are_skipped() {
+        // Flat stretches of the reference cannot correlate: the search
+        // skips them and aligns where the reference moves.
+        let mut r = vec![4.0; 300];
+        for (i, x) in r.iter_mut().enumerate().skip(180) {
+            *x = (i as f64 * 0.37).sin() * 10.0 + 12.0;
+        }
+        let rec = r[190..250].to_vec();
+        match align(&rec, &r, 150, 50, 0.35) {
+            Calibration::Aligned { offset, .. } => assert_eq!(offset, 40),
+            Calibration::Failed => panic!("must align"),
+        }
+        assert_eq!(align(&rec, &r[..180], 60, 50, 0.35), Calibration::Failed);
     }
 
     #[test]

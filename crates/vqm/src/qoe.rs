@@ -2,7 +2,7 @@
 //! flow features.
 //!
 //! Every run is scored with the full per-frame VQM pipeline
-//! ([`Vqm::score_streams`](crate::Vqm::score_streams), called by
+//! ([`Reference::score`](crate::Reference::score), called by
 //! `dsv-core::qoe::score_session`), and its verdict is a [`QoeEstimate`].
 //!
 //! [`ProxyModel`] is a small linear regression over streaming

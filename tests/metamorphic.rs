@@ -20,7 +20,9 @@
 //!   pacing plan per encoding at every point of a grid.
 //! * **Policer arithmetic** — a point's policer drops are a pure function
 //!   of that trace: replaying it through a lone token bucket reproduces
-//!   the simulated and the committed counts.
+//!   the simulated and the committed counts, and the least rate at which
+//!   that bucket drops nothing brackets where each committed curve stops
+//!   dropping.
 //!
 //! The live chain and shaping properties run on both event-queue
 //! backends, chosen with `EventQueue::with_backend`; the AF-TCP ones run
@@ -597,5 +599,74 @@ fn policer_drops_replay_from_the_ingress_trace() {
                 class.label
             );
         }
+    }
+}
+
+/// The least token rate at which a CAR policer of depth `depth_bytes`
+/// drops none of `arrivals`, found by bisection between a rate that drops
+/// (`drops_at`) and one that does not (`clean_at`). Exact, because a
+/// bucket that never fires is dominated by every larger one: whatever the
+/// smaller one admits, the larger one admits too.
+fn zero_drop_rate(arrivals: &[Arrival], depth_bytes: u32, drops_at: u64, clean_at: u64) -> u64 {
+    let (mut drops_at, mut clean_at) = (drops_at, clean_at);
+    assert!(replayed_drops(arrivals, drops_at, depth_bytes) > 0);
+    assert_eq!(replayed_drops(arrivals, clean_at, depth_bytes), 0);
+    while clean_at - drops_at > 1 {
+        let mid = drops_at + (clean_at - drops_at) / 2;
+        if replayed_drops(arrivals, mid, depth_bytes) == 0 {
+            clean_at = mid;
+        } else {
+            drops_at = mid;
+        }
+    }
+    clean_at
+}
+
+/// Claim 3 of the analytic oracle: for b = 3000 B and b = 4500 B, the
+/// least zero-drop rate r*(b) of each class's ingress trace, searched
+/// from 1 kb/s to 100 Mb/s without looking at the grid, brackets the
+/// first committed grid point that drops nothing: the grid rate just
+/// below it drops, the one at it does not. A 3-MTU bucket never needs a
+/// higher rate than a 2-MTU one.
+#[test]
+fn the_least_zero_drop_rate_brackets_each_curves_first_clean_point() {
+    for class in ingress_runs() {
+        let (arrivals, _) = &class.first;
+        let mut least = Vec::new();
+        for depth in [DEPTH_2MTU, DEPTH_3MTU] {
+            let r_star = zero_drop_rate(arrivals, depth, 1_000, 100_000_000);
+            let mut curve: Vec<&SweepPoint> = class
+                .committed
+                .points
+                .iter()
+                .filter(|p| p.bucket_depth_bytes == depth)
+                .collect();
+            curve.sort_by_key(|p| p.token_rate_bps);
+            assert_eq!(curve.len(), 12, "{} at {depth} B", class.label);
+            let first_clean = curve
+                .iter()
+                .position(|p| p.outcome.policer_drops == 0)
+                .unwrap_or_else(|| panic!("{} at {depth} B never stops dropping", class.label));
+            assert!(first_clean > 0, "{} at {depth} B never drops", class.label);
+            let (below, at) = (curve[first_clean - 1], curve[first_clean]);
+            assert!(
+                below.token_rate_bps < r_star && r_star <= at.token_rate_bps,
+                "{} at {depth} B: r* = {r_star} b/s outside ({}, {}]",
+                class.label,
+                below.token_rate_bps,
+                at.token_rate_bps
+            );
+            for p in &curve {
+                assert_eq!(
+                    p.outcome.policer_drops == 0,
+                    p.token_rate_bps >= r_star,
+                    "{} ({} b/s, {depth} B): r* = {r_star} b/s",
+                    class.label,
+                    p.token_rate_bps
+                );
+            }
+            least.push(r_star);
+        }
+        assert!(least[1] <= least[0], "{}: r* {least:?}", class.label);
     }
 }
