@@ -199,21 +199,13 @@ pub fn af_spec(cfg: &AfConfig) -> ScenarioSpec {
 
 /// Run one AF streaming session and score it.
 pub fn run_af(cfg: &AfConfig) -> RunOutcome {
-    run_af_detailed(cfg).0
-}
-
-/// [`run_af`], also returning the raw client report (delivery detail and
-/// the flow features the QoE proxy consumes).
-pub fn run_af_detailed(cfg: &AfConfig) -> (RunOutcome, dsv_stream::client::ClientReport) {
     try_run_af(cfg).expect("af spec compiles")
 }
 
-/// [`run_af_detailed`], returning the compile error of a configuration the
-/// testbed cannot build (a media rate below the encoders' floor) instead
-/// of panicking.
-pub fn try_run_af(
-    cfg: &AfConfig,
-) -> Result<(RunOutcome, dsv_stream::client::ClientReport), CompileError> {
+/// [`run_af`], returning the compile error of a configuration the testbed
+/// cannot build (a media rate below the encoders' floor) instead of
+/// panicking.
+pub fn try_run_af(cfg: &AfConfig) -> Result<RunOutcome, CompileError> {
     let exec = execute(&af_spec(cfg))?;
     let mut scored = exec.score_clients(
         cfg.clip,
@@ -222,16 +214,53 @@ pub fn try_run_af(
         None,
         [("client", MEDIA_FLOW)],
     );
-    Ok(scored.pop().expect("one client"))
+    Ok(scored.pop().expect("one client").0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One row of the committed AF ablation, `results/ablation_af_phb.json`.
+    #[derive(Deserialize)]
+    struct AblationRow {
+        cross_load_bps: u64,
+        cross_cir_bps: u64,
+        quality: f64,
+        frame_loss: f64,
+        packet_loss: f64,
+    }
+
+    /// Run `cfg` and require its quality, frame loss and packet loss to be
+    /// bit-equal to the committed ablation row with the same cross
+    /// traffic.
+    fn run_committed_row(cfg: &AfConfig) -> RunOutcome {
+        let rows: Vec<AblationRow> =
+            serde_json::from_str(include_str!("../../../results/ablation_af_phb.json"))
+                .expect("the committed AF ablation parses");
+        let row = rows
+            .iter()
+            .find(|r| {
+                (r.cross_load_bps, r.cross_cir_bps) == (cfg.cross_load_bps, cfg.cross_cir_bps)
+            })
+            .expect("the AF ablation commits a row for this cross traffic");
+        let out = run_af(cfg);
+        let bits = |o: [f64; 3]| o.map(f64::to_bits);
+        let live = [out.quality, out.frame_loss, out.packet_loss];
+        let committed = [row.quality, row.frame_loss, row.packet_loss];
+        assert_eq!(
+            bits(live),
+            bits(committed),
+            "cross load {} b/s: live (quality, frame loss, packet loss) {live:?}, \
+             committed {committed:?}",
+            cfg.cross_load_bps
+        );
+        out
+    }
+
     #[test]
     fn unloaded_af_delivers_good_quality() {
-        let out = run_af(&AfConfig::new(ClipId2::Lost, 1_500_000, 0));
+        let out = run_committed_row(&AfConfig::new(ClipId2::Lost, 1_500_000, 0));
         assert!(out.quality < 0.1, "quality {}", out.quality);
         assert!(out.frame_loss < 0.02, "loss {}", out.frame_loss);
     }
@@ -242,10 +271,10 @@ mod tests {
         // stream is isolated by strict priority; with AF it shares the
         // WRED buffer and heavy background load leaks into the green
         // traffic.
-        let light = run_af(&AfConfig::new(ClipId2::Lost, 1_500_000, 1_000_000));
+        let light = run_committed_row(&AfConfig::new(ClipId2::Lost, 1_500_000, 1_000_000));
         let mut heavy_cfg = AfConfig::new(ClipId2::Lost, 1_500_000, 7_000_000);
         heavy_cfg.cross_cir_bps = 5_000_000; // mostly in-profile background
-        let heavy = run_af(&heavy_cfg);
+        let heavy = run_committed_row(&heavy_cfg);
         assert!(
             heavy.quality > light.quality + 0.1,
             "heavy load {:.3} should hurt vs light {:.3}",

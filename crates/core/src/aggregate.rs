@@ -280,14 +280,6 @@ pub fn media_flow_ranks(canon: &dsv_scenario::Canonical, flows: u32) -> Vec<usiz
 
 /// Run one aggregate session and score every flow.
 pub fn run_aggregate(cfg: &AggregateConfig) -> AggregateOutcome {
-    run_aggregate_detailed(cfg).0
-}
-
-/// [`run_aggregate`], also returning every flow's raw client report
-/// (per-flow features for the QoE proxy dataset), in flow-label order.
-pub fn run_aggregate_detailed(
-    cfg: &AggregateConfig,
-) -> (AggregateOutcome, Vec<dsv_stream::client::ClientReport>) {
     let exec = execute(&aggregate_spec(cfg)).expect("aggregate spec compiles");
     assert_eq!(
         exec.clients.len(),
@@ -300,11 +292,12 @@ pub fn run_aggregate_detailed(
     // Every flow scores against the same shared source/reference
     // features — one encode, N scores.
     let clients = (0..cfg.flows).map(|i| (format!("client-{i}"), AggregateConfig::media_flow(i)));
-    let (per_flow, reports) = exec
+    let per_flow = exec
         .score_clients(cfg.clip, Codec::Mpeg1, cfg.encoding_bps, None, clients)
         .into_iter()
-        .unzip();
-    (AggregateOutcome { per_flow }, reports)
+        .map(|(outcome, _)| outcome)
+        .collect();
+    AggregateOutcome { per_flow }
 }
 
 #[cfg(test)]

@@ -297,7 +297,7 @@ fn main() {
             if let Some(_v) = args.value("--cross-cir") {
                 cfg.cross_cir_bps = args.required_u64("--cross-cir");
             }
-            or_exit(try_run_af(&cfg)).0
+            or_exit(try_run_af(&cfg))
         }
         _ => usage(),
     };

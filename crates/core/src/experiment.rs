@@ -8,8 +8,9 @@ use dsv_media::scene::{ClipId, SceneModel};
 use dsv_net::stats::FlowCounters;
 use dsv_sim::SimDuration;
 use dsv_stream::client::ClientReport;
-use dsv_vqm::qoe::QoeEstimate;
 use serde::{Deserialize, Serialize};
+
+use crate::qoe::QoeEstimate;
 
 /// The EF service profile under test: the paper's two independent
 /// variables.

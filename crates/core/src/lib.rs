@@ -36,7 +36,6 @@ pub mod local;
 pub mod profile;
 pub mod qbone;
 pub mod qoe;
-pub mod qoe_dataset;
 pub mod report;
 pub mod runner;
 pub mod smoothing;

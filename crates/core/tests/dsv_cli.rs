@@ -9,7 +9,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use dsv_scenario::{AppSpec, ClipId2, CodecSpec, DscpSpec, MediaRef, ScenarioSpec};
+use dsv_scenario::{AppSpec, ClipId2, CodecSpec, DscpSpec, MediaRef, QdiscSpec, ScenarioSpec};
 
 fn repo_file(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -223,6 +223,25 @@ fn malformed_ladders_and_tiers_exit_2() {
         assert_exit_2(&out, &format!("node `{node}`: "));
         assert_exit_2(&out, why);
     }
+}
+
+/// A WRED queue of zero bytes on the AF-TCP example's shared bottleneck
+/// (link 8, `edge`-`egress`) used to panic in `WredQueue::new` (exit
+/// 101): `compile` rejects it, naming the link.
+#[test]
+fn a_zero_capacity_wred_queue_exits_2() {
+    let text = std::fs::read_to_string(repo_file("examples/scenario_af_tcp.json"))
+        .expect("example spec is readable");
+    let mut spec: ScenarioSpec = serde_json::from_str(&text).expect("example parses");
+    let link = &mut spec.links[8];
+    assert_eq!((link.a.as_str(), link.b.as_str()), ("edge", "egress"));
+    match &mut link.qdisc_ab {
+        QdiscSpec::Wred { capacity_bytes, .. } => *capacity_bytes = 0,
+        _ => panic!("the example's bottleneck is WRED-managed"),
+    }
+    let json = serde_json::to_string(&spec).expect("spec serializes");
+    let out = dsv_run(&scratch_spec("zero_capacity_wred.json", &json));
+    assert_exit_2(&out, "link `edge`-`egress`: qdisc_ab.capacity_bytes");
 }
 
 #[test]

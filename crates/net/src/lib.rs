@@ -46,7 +46,6 @@
 pub mod app;
 pub mod audit;
 pub mod conditioner;
-pub mod features;
 pub mod frame_relay;
 pub mod histogram;
 pub mod link;
@@ -65,7 +64,6 @@ pub mod prelude {
     pub use crate::conditioner::{
         ConditionOutcome, Conditioner, PassThrough, QuickVerdict, Released,
     };
-    pub use crate::features::{FeatureExtractor, FlowFeatures};
     pub use crate::frame_relay::{FrInterfaceType, FrameRelayProfile};
     pub use crate::histogram::DurationHistogram;
     pub use crate::link::Link;

@@ -412,7 +412,6 @@ impl AppBuilder<'_> {
                     playback: PlaybackConfig::default(),
                     feedback_interval: feedback_us.map(SimDuration::from_micros),
                     mode,
-                    media_rate_bps: media.rate_bps,
                 }));
                 self.clients.push((name.to_string(), h));
                 Box::new(app)
@@ -667,10 +666,22 @@ pub fn compile(
                 link.a
             )));
         }
-        for (dir, params) in [("ab", &link.ab), ("ba", &link.ba)] {
+        for (dir, params, qdisc) in [
+            ("ab", &link.ab, &link.qdisc_ab),
+            ("ba", &link.ba, &link.qdisc_ba),
+        ] {
             if params.rate_bps == 0 {
                 return Err(CompileError::new(format!(
                     "link `{}`-`{}`: {dir}.rate_bps must be positive",
+                    link.a, link.b
+                )));
+            }
+            if let QdiscSpec::Wred {
+                capacity_bytes: 0, ..
+            } = qdisc
+            {
+                return Err(CompileError::new(format!(
+                    "link `{}`-`{}`: qdisc_{dir}.capacity_bytes must be positive",
                     link.a, link.b
                 )));
             }
@@ -1085,6 +1096,16 @@ mod tests {
                 "link zero rate b to a",
                 Box::new(|s| s.links[2].ba.rate_bps = 0),
                 &["link `edge`-`out`", "ba.rate_bps"],
+            ),
+            (
+                "WRED zero capacity b to a",
+                Box::new(|s| {
+                    s.links[2].qdisc_ba = QdiscSpec::Wred {
+                        capacity_bytes: 0,
+                        seed: 1,
+                    }
+                }),
+                &["link `edge`-`out`", "qdisc_ba.capacity_bytes"],
             ),
         ];
         for (label, edit, needles) in cases {

@@ -11,7 +11,6 @@
 use dsv_media::decoder::decodable_frames;
 use dsv_media::frame::{EncodedFrame, FrameKind};
 use dsv_net::app::{AppCtx, Application, SendSpec};
-use dsv_net::features::{FeatureExtractor, FlowFeatures};
 use dsv_net::packet::{Dscp, FlowId, NodeId, Packet, Proto};
 use dsv_sim::{SimDuration, SimTime};
 
@@ -57,9 +56,6 @@ pub struct ClientConfig {
     pub feedback_interval: Option<SimDuration>,
     /// Transport mode.
     pub mode: ClientMode,
-    /// Nominal media rate of the session, bps — the normalizer for the
-    /// flow-feature extractor's throughput-deficit signals (0 = unknown).
-    pub media_rate_bps: u64,
 }
 
 /// Per-frame reassembly state (UDP mode). The frame's chunk flags are
@@ -101,9 +97,6 @@ pub struct StreamClient {
     /// Totals.
     packets_received: u64,
     bytes_received: u64,
-    /// Streaming flow-feature accumulator (the QoE proxy's input); rides
-    /// the media delivery path without retaining packets or frames.
-    extractor: FeatureExtractor,
     /// Session state.
     described: bool,
 }
@@ -125,7 +118,6 @@ impl StreamClient {
             ClientMode::Udp => Vec::new(),
         };
         let n = cfg.frames as usize;
-        let extractor = FeatureExtractor::new(cfg.media_rate_bps);
         StreamClient {
             cfg,
             assemblies: vec![None; n],
@@ -142,7 +134,6 @@ impl StreamClient {
             fb_window_delay_sum: SimDuration::ZERO,
             packets_received: 0,
             bytes_received: 0,
-            extractor,
             described: false,
         }
     }
@@ -150,8 +141,6 @@ impl StreamClient {
     fn on_media(&mut self, now: SimTime, chunk: MediaChunk, pkt_size: u32, delay: SimDuration) {
         self.packets_received += 1;
         self.bytes_received += pkt_size as u64;
-        self.extractor
-            .observe(now, Some(chunk.seq), pkt_size, delay);
         // Feedback window accounting (repair packets count as received
         // traffic).
         self.fb_window_received += 1;
@@ -198,23 +187,12 @@ impl StreamClient {
         }
     }
 
-    fn on_tcp(
-        &mut self,
-        ctx: &mut AppCtx<StreamPayload>,
-        now: SimTime,
-        seg: TcpSegment,
-        pkt_size: u32,
-        delay: SimDuration,
-    ) {
+    fn on_tcp(&mut self, ctx: &mut AppCtx<StreamPayload>, now: SimTime, seg: TcpSegment) {
         if seg.is_ack {
             return; // we are the receiver; stray ACK
         }
         self.packets_received += 1;
         self.bytes_received += seg.len as u64;
-        // Mini-TCP retransmits hide network loss from the application, so
-        // the byte stream feeds the sequence-free feature path: loss-run
-        // features stay zero and throughput/jitter/delay still accumulate.
-        self.extractor.observe(now, None, pkt_size, delay);
         let ack = self.tcp.on_segment(seg.seq, seg.len);
         // Mark newly completed frames. The delivered prefix only grows, so
         // the scan resumes at the first frame it left incomplete.
@@ -340,7 +318,6 @@ impl StreamClient {
             playback,
             packets_received: self.packets_received,
             bytes_received: self.bytes_received,
-            features: self.extractor.finish(),
         }
     }
 }
@@ -362,9 +339,6 @@ pub struct ClientReport {
     pub packets_received: u64,
     /// Total media bytes received.
     pub bytes_received: u64,
-    /// Flow-level features extracted on the delivery path — the input to
-    /// the QoE proxy (see `dsv-vqm`'s `qoe` module).
-    pub features: FlowFeatures,
 }
 
 impl ClientReport {
@@ -397,7 +371,7 @@ impl Application<StreamPayload> for StreamClient {
         let delay = pkt.age(now);
         match pkt.payload {
             StreamPayload::Media(chunk) => self.on_media(now, chunk, pkt.size, delay),
-            StreamPayload::Tcp(seg) => self.on_tcp(ctx, now, seg, pkt.size, delay),
+            StreamPayload::Tcp(seg) => self.on_tcp(ctx, now, seg),
             StreamPayload::Control(ControlMsg::DescribeReply { .. }) => {
                 if !self.described {
                     self.described = true;
@@ -441,7 +415,6 @@ mod tests {
             playback: PlaybackConfig::default(),
             feedback_interval: None,
             mode: ClientMode::Udp,
-            media_rate_bps: 1_000_000,
         }
     }
 
@@ -666,22 +639,6 @@ mod tests {
             assert_eq!(c.tcp_complete_at, expected, "after segment {i}");
         }
         assert!(expected.iter().all(Option::is_some));
-    }
-
-    #[test]
-    fn report_carries_flow_features() {
-        let mut c = StreamClient::new(cfg(24));
-        // Deliver seqs 0,1,3 (one lost) as single-chunk frames.
-        for &s in &[0u64, 1, 3] {
-            let mut ctx = AppCtx::new(presentation_time(s as u32), NodeId(1));
-            c.on_packet(&mut ctx, media_pkt(s, s as u32, 0, 1));
-        }
-        let f = c.report().features;
-        assert_eq!(f.packets, 3);
-        assert_eq!(f.target_bps, 1_000_000);
-        assert_eq!(f.lost_packets, 1);
-        assert_eq!(f.loss_runs, 1);
-        assert!((f.loss_fraction - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -195,7 +195,6 @@ mod tests {
                     frame_bytes: frame_bytes.clone(),
                     fidelities,
                 },
-                media_rate_bps: 1_000_000,
             })),
         );
         let server = b.add_host(

@@ -28,7 +28,6 @@
 
 pub mod calibration;
 pub mod params;
-pub mod qoe;
 pub mod score;
 
 use std::ops::Deref;

@@ -70,7 +70,6 @@ mod legacy {
             playback: PlaybackConfig::default(),
             feedback_interval: None,
             mode: ClientMode::Udp,
-            media_rate_bps: cfg.encoding_bps,
         }));
         let client = b.add_host("client", Box::new(client_app));
         let local_edge = b.add_router("local-edge");
@@ -186,7 +185,6 @@ mod legacy {
             playback: PlaybackConfig::default(),
             feedback_interval: feedback,
             mode: client_mode,
-            media_rate_bps: cfg.cap_bps,
         }));
 
         let client = b.add_host("client", Box::new(client_app));
