@@ -33,6 +33,12 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> configuration guard (the environment is read only in dsv_core::config)"
+if grep -rn --include='*.rs' 'env::var' crates examples | grep -v '^crates/core/src/config\.rs:'; then
+  echo "env::var outside crates/core/src/config.rs" >&2
+  exit 1
+fi
+
 echo "==> benchmark tests (workload and metric tables against BENCHMARK.json)"
 cargo test -q --manifest-path benchmark/Cargo.toml
 
@@ -78,38 +84,25 @@ for fig in fig07_qbone_lost fig17_tcp_smoothing fig18_af_tcp \
 done
 git diff --exit-code -- results/
 
-echo "==> transport goldens regeneration gate (cluster modes)"
-# The smoothing and AF-TCP goldens must re-simulate byte-for-byte with
-# exact clustering and with every point simulated individually.
-regen_transport_goldens() {
-  DSV_REGEN=1 DSV_CACHE=off "$@" cargo test -q -p dsv-integration \
-    --test paper_findings_tcp_smoothing --test paper_findings_af_tcp
-  git diff --exit-code -- results/
-}
-regen_transport_goldens env DSV_CLUSTER=exact
-regen_transport_goldens env DSV_CLUSTER=off
-
-echo "==> golden regeneration gate (single-stream and aggregate goldens, cache off)"
-# One writer (dsv_core::golden::golden) publishes every golden; the
-# transport ones are rebuilt above. Here the single-stream and aggregate
-# goldens re-simulate and are rewritten at the default test threads, so
-# tests sharing a golden (metamorphic loads the QBone sweep twice)
-# regenerate and publish the same file concurrently.
+echo "==> golden regeneration gate (every golden re-simulated, cache off)"
+# One writer (dsv_core::golden::golden) publishes every golden. Here each
+# re-simulates and is rewritten at the default test threads, so tests
+# sharing a golden (metamorphic loads the QBone sweep twice) regenerate
+# and publish the same file concurrently.
 DSV_REGEN=1 DSV_CACHE=off cargo test -q -p dsv-integration \
   --test paper_findings_qbone --test paper_findings_local \
-  --test paper_findings_aggregate --test metamorphic
+  --test paper_findings_aggregate --test metamorphic \
+  --test paper_findings_tcp_smoothing --test paper_findings_af_tcp
 git diff --exit-code -- results/
 
-echo "==> cluster regeneration gate (exact mode vs clustering off, cache off)"
-# Exact clustering's contract is byte-identity: the committed figures must
-# regenerate bit-for-bit both with the cluster pre-pass on (the default)
-# and with every point individually simulated.
-for mode in exact off; do
-  DSV_CLUSTER=$mode DSV_CACHE=off ./target/release/fig07_qbone_lost > /dev/null
-  DSV_CLUSTER=$mode DSV_CACHE=off ./target/release/fig16_aggregate > /dev/null
-  DSV_CLUSTER=$mode DSV_CACHE=off ./target/release/fig18_af_tcp > /dev/null
-  git diff --exit-code -- results/
-done
+echo "==> cluster contract gate (every point simulated on its own)"
+# Exact clustering's contract is byte-identity with simulating every point
+# on its own (Runner::serial). The ignored tests re-simulate Figures 7-9
+# and the aggregate, AF-TCP and smoothing goldens behind Figures 16-18
+# that way and require the committed bytes; the gates above regenerate
+# the same grids clustered.
+cargo test -q -p dsv-integration -p dsv-bench -- --ignored
+git diff --exit-code -- results/
 
 echo "==> warm-cache figure gate (every figure replayed from a fresh result cache)"
 # Every lane above runs with the cache off. Here all_figures fills a fresh

@@ -196,45 +196,46 @@ pub fn fig06() {
     emit_json("fig06_instantaneous_rates", &all);
 }
 
-/// One QBone figure: `clip` at `enc` over [`qbone_grid`] and both paper
-/// bucket depths.
-fn qbone_figure(clip: ClipId2, enc: u64, label: String) -> SweepResult {
-    let rates = qbone_grid(enc);
-    let depths = [DEPTH_2MTU, DEPTH_3MTU];
-    let jobs = sweep_jobs(&rates, &depths, |profile| {
-        Job::Qbone(QboneConfig::new(clip, enc, profile))
-    });
-    SweepResult::new(label, &rates, &depths, Runner::from_env().run(&jobs))
+/// The QBone figures of `clip` (Figures 7–9 for Lost, 10–12 for Dark), as
+/// `runner` computes them: for each encoding, 1.7, 1.5 and 1.0 Mbps, its
+/// result name and its sweep over [`qbone_grid`] and both paper bucket
+/// depths.
+fn qbone_figures(
+    clip: ClipId2,
+    runner: &Runner,
+) -> impl Iterator<Item = (String, SweepResult)> + '_ {
+    let first = if clip == ClipId2::Lost { 7 } else { 10 };
+    (first..).zip([1_700_000u64, 1_500_000, 1_000_000]).map(move |(fig, enc)| {
+        let rates = qbone_grid(enc);
+        let depths = [DEPTH_2MTU, DEPTH_3MTU];
+        let jobs = sweep_jobs(&rates, &depths, |profile| {
+            Job::Qbone(QboneConfig::new(clip, enc, profile))
+        });
+        let label = format!(
+            "Figure {fig}. QBone Streaming ({clip:?} clip/{:.1} Mbps encoding): Video Quality & Frame Loss vs Token Rate",
+            enc as f64 / 1e6
+        );
+        let name = format!(
+            "fig{fig:02}_qbone_{}_{}k",
+            format!("{clip:?}").to_lowercase(),
+            enc / 1000
+        );
+        (name, SweepResult::new(label, &rates, &depths, runner.run(&jobs)))
+    })
 }
 
 /// Figures 7–9: QBone, clip Lost at 1.7/1.5/1.0 Mbps — quality and frame
 /// loss versus token rate for both bucket depths.
 pub fn fig07_09() {
-    for (fig, enc) in [(7u32, 1_700_000u64), (8, 1_500_000), (9, 1_000_000)] {
-        let sweep = qbone_figure(
-            ClipId2::Lost,
-            enc,
-            format!(
-                "Figure {fig}. QBone Streaming (Lost clip/{:.1} Mbps encoding): Video Quality & Frame Loss vs Token Rate",
-                enc as f64 / 1e6
-            ),
-        );
-        emit_sweep(&format!("fig{fig:02}_qbone_lost_{}k", enc / 1000), &sweep);
+    for (name, sweep) in qbone_figures(ClipId2::Lost, &Runner::from_env()) {
+        emit_sweep(&name, &sweep);
     }
 }
 
 /// Figures 10–12: same for clip Dark.
 pub fn fig10_12() {
-    for (fig, enc) in [(10u32, 1_700_000u64), (11, 1_500_000), (12, 1_000_000)] {
-        let sweep = qbone_figure(
-            ClipId2::Dark,
-            enc,
-            format!(
-                "Figure {fig}. QBone Streaming (Dark clip/{:.1} Mbps encoding): Video Quality & Frame Loss vs Token Rate",
-                enc as f64 / 1e6
-            ),
-        );
-        emit_sweep(&format!("fig{fig}_qbone_dark_{}k", enc / 1000), &sweep);
+    for (name, sweep) in qbone_figures(ClipId2::Dark, &Runner::from_env()) {
+        emit_sweep(&name, &sweep);
     }
 }
 
@@ -1183,4 +1184,23 @@ pub fn ablation_shape_vs_drop() {
         )
     );
     emit_json("ablation_shape_vs_drop", &all);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Exact clustering's contract on Figures 7–9: every point simulated
+    /// on its own, with no clustering and no cache, gives back the
+    /// committed files byte for byte.
+    #[test]
+    #[ignore = "re-simulates 72 points; ci.sh runs it"]
+    fn figures_7_to_9_reproduce_point_by_point() {
+        for (name, sweep) in qbone_figures(ClipId2::Lost, &Runner::serial()) {
+            let path = crate::results_dir().join(format!("{name}.json"));
+            let committed = std::fs::read_to_string(&path).expect("read committed figure");
+            let simulated = serde_json::to_string_pretty(&sweep).expect("serialize sweep");
+            assert!(simulated == committed, "{} moved", path.display());
+        }
+    }
 }

@@ -21,16 +21,13 @@
 //! [`media_flow_ranks`].
 
 use dsv_net::packet::FlowId;
-use dsv_scenario::{
-    ActionSpec, AppSpec, BoundSpec, ConditionerSpec, DscpSpec, LimitsSpec, LinkParams, LinkSpec,
-    MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec, ScenarioSpec, TransportSpec,
-};
+use dsv_scenario::{AppSpec, DscpSpec, MatchSpec, MediaRef, NodeSpec, ScenarioSpec, TransportSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::artifacts::Codec;
 use crate::executor::execute;
 use crate::experiment::{run_horizon, EfProfile, RunOutcome};
-use crate::qbone::{ClipId2, CodecSpec};
+use crate::qbone::{qbone_path, ClipId2, CodecSpec};
 
 /// Base flow id of client→server control traffic (flow `1000 + i` for
 /// client `i`); media flows are `1 + i`.
@@ -145,112 +142,48 @@ pub fn aggregate_spec(cfg: &AggregateConfig) -> ScenarioSpec {
     };
     let mut spec = ScenarioSpec::new("aggregate", cfg.seed);
 
-    // Clients first, then the backbone, then the servers — the same
-    // shape as the single-flow QBone scenario, looped over names. Each
-    // loop walks declaration *positions*; the label carried at a
+    // The single-flow QBone path with its client/server pair replicated.
+    // The pairs are declared by *position*; the label carried at a
     // position comes from `cfg.rotation` (0 everywhere but the
     // declaration-order fairness sweep).
-    for p in 0..cfg.flows {
-        let i = cfg.label_at(p);
-        spec.nodes.push(NodeSpec::host(
-            &format!("client-{i}"),
-            AppSpec::StreamClient {
-                server: format!("server-{i}"),
-                up_flow: UP_FLOW_BASE + i,
-                media,
-                transport: TransportSpec::Udp,
-                feedback_us: None,
-            },
-        ));
-    }
-    spec.nodes.push(NodeSpec::router("local-edge"));
-    spec.nodes.push(NodeSpec::router("core2"));
-    spec.nodes.push(NodeSpec::router("core1"));
-    spec.nodes.push(NodeSpec::router("remote-edge"));
-    for p in 0..cfg.flows {
-        let i = cfg.label_at(p);
-        spec.nodes.push(NodeSpec::host(
-            &format!("server-{i}"),
-            AppSpec::PacedServer {
-                client: format!("client-{i}"),
-                flow: AggregateConfig::media_flow(i).0,
-                dscp: DscpSpec::EfQbone,
-                media,
-            },
-        ));
-    }
-
-    // Access links (one per pair), then the shared wide-area path.
-    for p in 0..cfg.flows {
-        let i = cfg.label_at(p);
-        spec.links.push(LinkSpec::simple(
-            &format!("client-{i}"),
-            "local-edge",
-            LinkParams::ethernet_10mbps(),
-        ));
-    }
-    for p in 0..cfg.flows {
-        let i = cfg.label_at(p);
-        spec.links.push(LinkSpec::simple(
-            &format!("server-{i}"),
-            "remote-edge",
-            LinkParams::fast_ethernet(),
-        ));
-    }
-    let prio = QdiscSpec::StrictPriorityEf {
-        ef: LimitsSpec::bytes(120_000),
-        be: LimitsSpec::packets(60),
-    };
-    let wan = |rate_bps: u64, ms: u64| LinkParams {
-        rate_bps,
-        propagation_ns: ms * 1_000_000,
-    };
-    spec.links.push(LinkSpec::symmetric(
-        "remote-edge",
-        "core1",
-        wan(45_000_000, 5),
-        prio,
-    ));
-    spec.links.push(LinkSpec::symmetric(
-        "core1",
-        "core2",
-        wan(155_000_000, 20),
-        prio,
-    ));
-    spec.links.push(LinkSpec::symmetric(
-        "core2",
-        "local-edge",
-        wan(45_000_000, 5),
-        prio,
-    ));
-
+    let pairs = (0..cfg.flows)
+        .map(|p| {
+            let i = cfg.label_at(p);
+            let client = NodeSpec::host(
+                &format!("client-{i}"),
+                AppSpec::StreamClient {
+                    server: format!("server-{i}"),
+                    up_flow: UP_FLOW_BASE + i,
+                    media,
+                    transport: TransportSpec::Udp,
+                    feedback_us: None,
+                },
+            );
+            let server = NodeSpec::host(
+                &format!("server-{i}"),
+                AppSpec::PacedServer {
+                    client: format!("client-{i}"),
+                    flow: AggregateConfig::media_flow(i).0,
+                    dscp: DscpSpec::EfQbone,
+                    media,
+                },
+            );
+            (client, server)
+        })
+        .collect();
     // The aggregate policer: one rule, one token bucket, every EF-marked
     // packet — exactly how a border router polices a site's Premium
-    // aggregate. Client control traffic is best-effort and passes.
-    spec.conditioners.push(ConditionerSpec {
-        node: "remote-edge".to_string(),
-        tap: Some("ingress".to_string()),
-        rules: vec![RuleSpec {
-            matches: MatchSpec::dscp(DscpSpec::EfQbone),
-            action: ActionSpec::Police {
-                rate_bps: cfg.profile.token_rate_bps,
-                depth_bytes: cfg.profile.bucket_depth_bytes,
-                conform_mark: None,
-            },
-        }],
-    });
-
-    // Every flow leaving the policed border conforms to the aggregate
-    // bound (a subset of a conformant stream is conformant), so the
-    // audit oracles can check each media flow against the full profile.
-    for i in 0..cfg.flows {
-        spec.bounds.push(BoundSpec {
-            node: "remote-edge".to_string(),
-            flow: AggregateConfig::media_flow(i).0,
-            rate_bps: cfg.profile.token_rate_bps,
-            depth_bytes: cfg.profile.bucket_depth_bytes,
-        });
-    }
+    // aggregate. Client control traffic is best-effort and passes. Every
+    // flow leaving the policed border conforms to the aggregate bound (a
+    // subset of a conformant stream is conformant), so the audit oracles
+    // check each media flow against the full profile.
+    qbone_path(
+        &mut spec,
+        pairs,
+        MatchSpec::dscp(DscpSpec::EfQbone),
+        &cfg.profile,
+        (0..cfg.flows).map(|i| AggregateConfig::media_flow(i).0),
+    );
     spec.horizon_ns = Some(run_horizon(cfg.clip.into()).as_nanos());
     spec
 }

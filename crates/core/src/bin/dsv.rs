@@ -15,7 +15,8 @@
 //! stderr, whichever subcommand built it.
 //!
 //! Prints the run outcome as aligned text and, with `--json`, as a JSON
-//! object on stdout.
+//! object on stdout. An option the subcommand does not take exits with
+//! status 2 and the usage text.
 
 use std::process::exit;
 
@@ -37,7 +38,62 @@ struct Args {
     flags: Vec<String>,
 }
 
+/// The options subcommand `cmd` takes: its flags, then its options that
+/// take a value; `None` for an unknown subcommand.
+fn options(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    Some(match cmd {
+        "qbone" => (
+            &[
+                "--vs-best",
+                "--cross-traffic",
+                "--bursty",
+                "--multirate",
+                "--json",
+            ],
+            &["--clip", "--encoding", "--rate", "--depth", "--seed"],
+        ),
+        "local" => (
+            &[
+                "--tcp",
+                "--shaped",
+                "--cross-traffic",
+                "--multi-rate-tiers",
+                "--json",
+            ],
+            &["--clip", "--rate", "--depth", "--seed"],
+        ),
+        "af" => (
+            &["--json"],
+            &["--clip", "--encoding", "--cross-load", "--cross-cir"],
+        ),
+        "run" => (&["--json"], &["--scenario"]),
+        _ => return None,
+    })
+}
+
 impl Args {
+    /// The arguments of subcommand `cmd`. Exits 2 with the usage text on
+    /// an unknown subcommand, an option it does not take, or an option
+    /// missing its value.
+    fn parse(cmd: &str, argv: Vec<String>) -> Args {
+        let Some((flags, valued)) = options(cmd) else {
+            usage()
+        };
+        let mut rest = argv.iter();
+        while let Some(arg) = rest.next() {
+            if valued.contains(&arg.as_str()) {
+                if rest.next().is_none() {
+                    eprintln!("missing value for {arg}");
+                    usage()
+                }
+            } else if !flags.contains(&arg.as_str()) {
+                eprintln!("dsv {cmd} does not take {arg}");
+                usage()
+            }
+        }
+        Args { flags: argv }
+    }
+
     fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
     }
@@ -235,9 +291,7 @@ fn run_scenario(path: &str, json: bool) {
 fn main() {
     let mut argv = std::env::args().skip(1);
     let Some(cmd) = argv.next() else { usage() };
-    let args = Args {
-        flags: argv.collect(),
-    };
+    let args = Args::parse(&cmd, argv.collect());
     let json = args.flag("--json");
 
     let outcome = match cmd.as_str() {
@@ -299,7 +353,7 @@ fn main() {
             }
             or_exit(try_run_af(&cfg))
         }
-        _ => usage(),
+        _ => unreachable!("Args::parse accepts only the four subcommands"),
     };
     print_outcome(&outcome, json);
 }

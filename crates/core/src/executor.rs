@@ -14,7 +14,7 @@
 //!   plans the spec's media references pull from the artifact store count
 //!   as the encode stage, the event loop as the simulate stage (with its
 //!   event count and high-water marks);
-//! * **the audit** (under `DSV_AUDIT=1`, read once per process): the
+//! * **the audit** (under `DSV_AUDIT=1`, see [`crate::config`]): the
 //!   network runs audited ([`dsv_net::network::Network::audited`]), the
 //!   spec's bounds are registered before the run, the conservation
 //!   equations are closed after it, and any violation panics with the
@@ -22,7 +22,7 @@
 //!   returns the report instead. Unaudited, the network's observer is
 //!   `()`, so the run carries no audit code at all.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use dsv_media::encoder::EncodedClip;
@@ -46,6 +46,7 @@ use dsv_stream::server::adaptive::AdaptiveServer;
 use dsv_stream::server::paced::PacingPlan;
 
 use crate::artifacts::{self, ArtifactStore, Codec};
+use crate::config::RunConfig;
 use crate::experiment::RunOutcome;
 use crate::profile;
 
@@ -98,7 +99,7 @@ impl ClipStore for TimedStore {
 /// # Panics
 /// Under `DSV_AUDIT`, if any audit oracle fired during the run.
 pub fn execute(spec: &ScenarioSpec) -> Result<Execution, CompileError> {
-    if !audit_requested() {
+    if !RunConfig::get().audit {
         return Ok(run(spec, |net, _| net)?.0);
     }
     let (exec, report) = execute_audited(spec)?;
@@ -119,13 +120,6 @@ pub fn execute_audited(spec: &ScenarioSpec) -> Result<(Execution, AuditReport), 
         net
     })?;
     Ok((exec, net.audit_report()))
-}
-
-/// Whether `DSV_AUDIT` asks for every run to be audited, read once per
-/// process.
-fn audit_requested() -> bool {
-    static AUDIT: OnceLock<bool> = OnceLock::new();
-    *AUDIT.get_or_init(|| dsv_sim::env::flag_from_env("DSV_AUDIT").unwrap_or(false))
 }
 
 /// Bounds as the compiler resolves them: node, flow, rate, depth.

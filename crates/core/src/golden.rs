@@ -27,6 +27,7 @@
 use std::fs;
 use std::path::PathBuf;
 
+use crate::config::RunConfig;
 use crate::keys::fnv1a64;
 use crate::runner::{publish, GridJob, Runner};
 
@@ -66,9 +67,8 @@ fn parse_golden<O: serde::Deserialize>(text: &str) -> serde_json::Result<(String
 /// deliberate `DSV_REGEN=1` rerun, never a silent re-bless.
 pub fn golden<J: GridJob>(name: &str, jobs: &[J]) -> Vec<J::Outcome> {
     let path = results_dir().join(format!("{name}.json"));
-    let sum = config_fnv(jobs);
 
-    if !dsv_sim::env::flag_from_env("DSV_REGEN").unwrap_or(false) {
+    if !RunConfig::get().regen {
         if let Ok(text) = fs::read_to_string(&path) {
             let (on_disk, outcomes) = parse_golden(&text).unwrap_or_else(|e| {
                 panic!(
@@ -76,6 +76,7 @@ pub fn golden<J: GridJob>(name: &str, jobs: &[J]) -> Vec<J::Outcome> {
                     path.display()
                 )
             });
+            let sum = config_fnv(jobs);
             assert_eq!(
                 on_disk,
                 sum,
@@ -95,14 +96,36 @@ pub fn golden<J: GridJob>(name: &str, jobs: &[J]) -> Vec<J::Outcome> {
     }
 
     let outcomes = Runner::from_env().run(jobs);
+    publish(&path, &golden_text(jobs, &outcomes)).expect("publish golden file");
+    outcomes
+}
+
+/// The golden file of `jobs` and their `outcomes`.
+fn golden_text<J: GridJob>(jobs: &[J], outcomes: &[J::Outcome]) -> String {
     let file = serde::object_value(&[
-        ("config_fnv", &sum),
+        ("config_fnv", &config_fnv(jobs)),
         ("jobs", &jobs.len()),
         ("outcomes", &outcomes),
     ]);
-    let text = serde_json::to_string_pretty(&file).expect("golden serializes");
-    publish(&path, &text).expect("publish golden file");
-    outcomes
+    serde_json::to_string_pretty(&file).expect("golden serializes")
+}
+
+/// Exact clustering's contract on a golden's grid: `jobs`, every one
+/// simulated on its own ([`Runner::serial`]: no clustering, no cache),
+/// give back the committed `results/<name>.json` byte for byte.
+///
+/// # Panics
+/// If the committed file is missing or any byte differs.
+pub fn assert_reproduced_point_by_point<J: GridJob>(name: &str, jobs: &[J]) {
+    let path = results_dir().join(format!("{name}.json"));
+    let committed = fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("golden {} is unreadable ({e})", path.display()));
+    let simulated = golden_text(jobs, &Runner::serial().run(jobs));
+    assert!(
+        simulated == committed,
+        "golden {} moved when every point was simulated on its own",
+        path.display()
+    );
 }
 
 #[cfg(test)]

@@ -21,8 +21,6 @@ use std::path::{Path, PathBuf};
 
 use serde::{Serialize, Value};
 
-use dsv_scenario::{canonicalize, ScenarioSpec};
-
 /// FNV-1a, 64-bit: tiny, dependency-free, and stable across platforms —
 /// exactly what a content-addressed filename needs.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -61,13 +59,6 @@ pub fn cache_address(spec: Value, scoring: Value) -> String {
     address_json(&spec, &scoring)
 }
 
-/// The address of a grid point: the spec's **symmetry-normal form** plus
-/// its scoring parameters. This is both the cache identity and the
-/// exact-cluster identity.
-pub fn canonical_address(spec: &ScenarioSpec, scoring: Value) -> String {
-    address_json(&canonicalize(spec).spec, &scoring)
-}
-
 /// The content-addressed cache path for `(kind, address)`: the FNV-1a
 /// hash of `kind`, a NUL byte and `address`.
 pub fn cache_path(dir: &Path, kind: &str, address: &str) -> PathBuf {
@@ -80,8 +71,14 @@ pub fn cache_path(dir: &Path, kind: &str, address: &str) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsv_scenario::{AppSpec, LinkParams, LinkSpec, NodeSpec};
+    use dsv_scenario::{canonicalize, AppSpec, LinkParams, LinkSpec, NodeSpec, ScenarioSpec};
     use serde::Num;
+
+    /// A grid point's address as a batch's pre-pass builds it: the spec's
+    /// symmetry-normal form plus its scoring parameters.
+    fn canonical_address(spec: &ScenarioSpec, scoring: Value) -> String {
+        address_json(&canonicalize(spec).spec, &scoring)
+    }
 
     #[test]
     fn fnv_matches_reference_values() {

@@ -27,6 +27,7 @@ pub mod af_tcp;
 pub mod aggregate;
 pub mod analysis;
 pub mod artifacts;
+pub mod config;
 pub mod executor;
 pub mod experiment;
 pub mod flows;

@@ -16,15 +16,16 @@
 //!
 //! [`measure`] brackets a region and returns its own sums and peaks; the
 //! [`Runner`](crate::runner::Runner) prints them after each batch when
-//! `DSV_PROFILE=1` is set. Totals only grow, so a region's sums are also
-//! the difference of two [`snapshot`]s ([`ProfileSnapshot::since`]), as
-//! the benchmark reads its event counts.
+//! `DSV_PROFILE=1` is set ([`crate::config`]). Totals only grow, so a
+//! region's sums are also the difference of two [`snapshot`]s
+//! ([`ProfileSnapshot::since`]), as the benchmark reads its event counts.
 
 use std::cell::Cell;
-use std::sync::OnceLock;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
+
+use crate::config::RunConfig;
 
 thread_local! {
     static TOTALS: Cell<ProfileSnapshot> = Cell::new(ProfileSnapshot::default());
@@ -92,13 +93,6 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, ProfileSnapshot) {
     let out = f();
     let inner = TOTALS.with(|totals| totals.replace(outer.merged(&totals.get())));
     (out, inner)
-}
-
-/// Whether the `DSV_PROFILE` flag asked for stderr stage reports, read
-/// once per process.
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| dsv_sim::env::flag_from_env("DSV_PROFILE").unwrap_or(false))
 }
 
 /// A copy of accumulated stage totals: a thread's, or a region's.
@@ -196,9 +190,10 @@ pub fn snapshot() -> ProfileSnapshot {
     TOTALS.with(Cell::get)
 }
 
-/// Print a labelled stage report of `stages` on stderr when [`enabled`].
+/// Print a labelled stage report of `stages` on stderr when `DSV_PROFILE`
+/// asks for it.
 pub fn report(label: &str, stages: &ProfileSnapshot) {
-    if enabled() {
+    if RunConfig::get().profile {
         eprintln!("[profile] {label}: {}", stages.summary());
     }
 }

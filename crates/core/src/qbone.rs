@@ -106,6 +106,76 @@ pub fn qbone_cross_traffic() -> CrossTrafficSpec {
     }
 }
 
+/// The QBone path (paper Figure 5) for the client/server `pairs`, pushed
+/// onto `spec` in the order every QBone-path scenario declares it (ids
+/// are positional, and a cross-traffic RNG fork consumes the scenario
+/// RNG in node order): every client, the four routers from the local
+/// edge to the remote one, every server; each client's 10 Mb/s access
+/// link, each server's Fast Ethernet one, and the three wide-area links
+/// with EF priority queues on the router ports. At the remote border, one
+/// drop policer with `profile` on the packets `policed` matches (Cisco
+/// CAR, no re-marking: the servers already mark EF), and its admission
+/// bound on each of `media_flows` for the audit oracles.
+pub(crate) fn qbone_path(
+    spec: &mut ScenarioSpec,
+    pairs: Vec<(NodeSpec, NodeSpec)>,
+    policed: MatchSpec,
+    profile: &EfProfile,
+    media_flows: impl IntoIterator<Item = u32>,
+) {
+    let (clients, servers): (Vec<NodeSpec>, Vec<NodeSpec>) = pairs.into_iter().unzip();
+    for (hosts, edge, link) in [
+        (&clients, "local-edge", LinkParams::ethernet_10mbps()),
+        (&servers, "remote-edge", LinkParams::fast_ethernet()),
+    ] {
+        for host in hosts {
+            spec.links.push(LinkSpec::simple(&host.name, edge, link));
+        }
+    }
+    spec.nodes.extend(clients);
+    for router in ["local-edge", "core2", "core1", "remote-edge"] {
+        spec.nodes.push(NodeSpec::router(router));
+    }
+    spec.nodes.extend(servers);
+
+    let prio = QdiscSpec::StrictPriorityEf {
+        ef: LimitsSpec::bytes(120_000),
+        be: LimitsSpec::packets(60),
+    };
+    for (a, b, rate_bps, ms) in [
+        ("remote-edge", "core1", 45_000_000, 5),
+        ("core1", "core2", 155_000_000, 20),
+        ("core2", "local-edge", 45_000_000, 5),
+    ] {
+        let wan = LinkParams {
+            rate_bps,
+            propagation_ns: ms * 1_000_000,
+        };
+        spec.links.push(LinkSpec::symmetric(a, b, wan, prio));
+    }
+
+    spec.conditioners.push(ConditionerSpec {
+        node: "remote-edge".to_string(),
+        tap: Some("ingress".to_string()),
+        rules: vec![RuleSpec {
+            matches: policed,
+            action: ActionSpec::Police {
+                rate_bps: profile.token_rate_bps,
+                depth_bytes: profile.bucket_depth_bytes,
+                conform_mark: None,
+            },
+        }],
+    });
+    for flow in media_flows {
+        spec.bounds.push(BoundSpec {
+            node: "remote-edge".to_string(),
+            flow,
+            rate_bps: profile.token_rate_bps,
+            depth_bytes: profile.bucket_depth_bytes,
+        });
+    }
+}
+
 /// The declarative QBone scenario for `cfg` (paper Figure 5 as data).
 pub fn qbone_spec(cfg: &QboneConfig) -> ScenarioSpec {
     let media = MediaRef {
@@ -114,11 +184,7 @@ pub fn qbone_spec(cfg: &QboneConfig) -> ScenarioSpec {
         rate_bps: cfg.encoding_bps,
     };
     let mut spec = ScenarioSpec::new("qbone", cfg.seed);
-
-    // Hosts and routers, in the historical creation order (ids are
-    // positional, and the cross-traffic RNG fork consumes the scenario
-    // RNG in node order).
-    spec.nodes.push(NodeSpec::host(
+    let client = NodeSpec::host(
         "client",
         AppSpec::StreamClient {
             server: "video-server".to_string(),
@@ -127,11 +193,7 @@ pub fn qbone_spec(cfg: &QboneConfig) -> ScenarioSpec {
             transport: TransportSpec::Udp,
             feedback_us: None,
         },
-    ));
-    spec.nodes.push(NodeSpec::router("local-edge"));
-    spec.nodes.push(NodeSpec::router("core2"));
-    spec.nodes.push(NodeSpec::router("core1"));
-    spec.nodes.push(NodeSpec::router("remote-edge"));
+    );
     let server_app = match cfg.server {
         QboneServer::Paced => AppSpec::PacedServer {
             client: "client".to_string(),
@@ -163,75 +225,18 @@ pub fn qbone_spec(cfg: &QboneConfig) -> ScenarioSpec {
             estimate_bps: (cfg.profile.token_rate_bps as f64 * 0.88) as u64,
         },
     };
-    spec.nodes.push(NodeSpec::host("video-server", server_app));
-
-    // Access links.
-    spec.links.push(LinkSpec::simple(
-        "client",
-        "local-edge",
-        LinkParams::ethernet_10mbps(),
-    ));
-    spec.links.push(LinkSpec::simple(
-        "video-server",
-        "remote-edge",
-        LinkParams::fast_ethernet(),
-    ));
-
-    // Wide-area links with EF priority queues on the router ports.
-    let prio = QdiscSpec::StrictPriorityEf {
-        ef: LimitsSpec::bytes(120_000),
-        be: LimitsSpec::packets(60),
-    };
-    let wan = |rate_bps: u64, ms: u64| LinkParams {
-        rate_bps,
-        propagation_ns: ms * 1_000_000,
-    };
-    spec.links.push(LinkSpec::symmetric(
-        "remote-edge",
-        "core1",
-        wan(45_000_000, 5),
-        prio,
-    ));
-    spec.links.push(LinkSpec::symmetric(
-        "core1",
-        "core2",
-        wan(155_000_000, 20),
-        prio,
-    ));
-    spec.links.push(LinkSpec::symmetric(
-        "core2",
-        "local-edge",
-        wan(45_000_000, 5),
-        prio,
-    ));
-
-    // Ingress policing at the remote border (Cisco CAR, drop; no
-    // re-marking — the server already marks EF).
-    spec.conditioners.push(ConditionerSpec {
-        node: "remote-edge".to_string(),
-        tap: Some("ingress".to_string()),
-        rules: vec![RuleSpec {
-            matches: MatchSpec::src_dst("video-server", "client"),
-            action: ActionSpec::Police {
-                rate_bps: cfg.profile.token_rate_bps,
-                depth_bytes: cfg.profile.bucket_depth_bytes,
-                conform_mark: None,
-            },
-        }],
-    });
+    qbone_path(
+        &mut spec,
+        vec![(client, NodeSpec::host("video-server", server_app))],
+        MatchSpec::src_dst("video-server", "client"),
+        &cfg.profile,
+        [MEDIA_FLOW.0],
+    );
 
     // Optional background load across the backbone (best effort).
     if cfg.cross_traffic {
         qbone_cross_traffic().attach(&mut spec);
     }
-
-    // The CAR policer's admission bound for the audit oracles.
-    spec.bounds.push(BoundSpec {
-        node: "remote-edge".to_string(),
-        flow: MEDIA_FLOW.0,
-        rate_bps: cfg.profile.token_rate_bps,
-        depth_bytes: cfg.profile.bucket_depth_bytes,
-    });
     spec.horizon_ns = Some(run_horizon(cfg.clip.into()).as_nanos());
     spec
 }

@@ -31,16 +31,19 @@
 //!   the benchmark's memory bound (allocator arenas of the extra threads,
 //!   gone under `MALLOC_ARENA_MAX=1`).
 //! * **Clustering** — before simulating, the grid is partitioned into
-//!   equivalence classes by the very same canonical address. In `exact`
-//!   mode (the default) only one representative per class is simulated
-//!   and every other member's outcome is transplanted from it — sound
-//!   because equal canonical forms mean the specs are relabellings of
-//!   one another and the engine's dynamics are label-blind (validated by
+//!   equivalence classes by the very same canonical address. Under
+//!   [`ClusterMode::Exact`] (what [`Runner::from_env`] runs) only one
+//!   representative per class is simulated and every other member's
+//!   outcome is transplanted from it — sound because equal canonical
+//!   forms mean the specs are relabellings of one another and the
+//!   engine's dynamics are label-blind (validated by
 //!   `aggregate::tests::rotated_declarations_permute_per_flow_outcomes_exactly`).
 //!   Aggregate outcomes transplant through per-flow canonical-rank maps
 //!   ([`crate::aggregate::media_flow_ranks`]); single-stream outcomes are
 //!   flow-agnostic and transplant by clone. Each point's [`PointSource`]
-//!   records which of these served it.
+//!   records which of these served it. [`ClusterMode::Off`] simulates
+//!   every point: it is the reference the tests hold exact clustering to,
+//!   not a knob.
 //!
 //! One pipeline serves every testbed. Any [`GridJob`] — [`Job`]
 //! (single-stream, VQM-scored), [`AggregateConfig`] (N flows behind one
@@ -55,18 +58,13 @@
 //! after changing simulation behaviour, delete `results/cache/` (or run
 //! with `DSV_CACHE=0`) to force cold recomputation.
 //!
-//! Environment knobs (read by [`Runner::from_env`]):
-//!
-//! | variable       | effect                                              |
-//! |----------------|-----------------------------------------------------|
-//! | `DSV_THREADS`  | worker count (`1` = serial; default: all cores; `0`/garbage warn on stderr and use the default) |
-//! | `DSV_CACHE`    | `0`/`off` disables; a path overrides the cache dir  |
-//! | `DSV_PROGRESS` | a flag (`1`/`true`/`on` or `0`/`false`/`off`) forcing the progress meter on/off (default: on when stderr is a TTY) |
-//! | `DSV_CLUSTER`  | `off` disables clustering; `exact` (default) merges provably symmetric points |
+//! [`Runner::from_env`] takes its worker count (`DSV_THREADS`), cache
+//! (`DSV_CACHE`) and progress meter (`DSV_PROGRESS`) from the process's
+//! [`RunConfig`]; each batch's stage report prints under `DSV_PROFILE`.
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::{self, IsTerminal, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -79,6 +77,7 @@ use crate::af_tcp::{af_tcp_spec, run_af_tcp, AfTcpConfig};
 use crate::aggregate::{
     aggregate_spec, media_flow_ranks, run_aggregate, AggregateConfig, AggregateOutcome,
 };
+use crate::config::RunConfig;
 use crate::experiment::RunOutcome;
 use crate::flows::FlowsOutcome;
 use crate::keys;
@@ -400,30 +399,6 @@ impl PointSource {
     }
 }
 
-impl PointSource {
-    /// The `"kind"` tag and the fields, in serialized order: the one list
-    /// both serde methods read.
-    fn fields<R>(&self, emit: impl FnOnce(&[serde::Field<'_>]) -> R) -> R {
-        match self {
-            PointSource::Simulated => emit(&[("kind", &"simulated")]),
-            PointSource::Cached => emit(&[("kind", &"cached")]),
-            PointSource::Reused { representative } => {
-                emit(&[("kind", &"reused"), ("representative", representative)])
-            }
-        }
-    }
-}
-
-impl Serialize for PointSource {
-    fn to_value(&self) -> Value {
-        self.fields(serde::object_value)
-    }
-
-    fn write_json(&self, out: &mut String) {
-        self.fields(|fields| serde::write_object(fields, out))
-    }
-}
-
 /// One grid point's outcome plus its provenance.
 #[derive(Debug, Clone)]
 pub struct ClusterPoint<O> {
@@ -605,45 +580,24 @@ pub struct Runner {
     cluster: ClusterMode,
 }
 
-/// Default cache location: `results/cache/` at the repository root.
-pub fn default_cache_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/cache")
-}
+impl Runner {
+    /// A runner configured by the process's [`RunConfig`] (`DSV_THREADS`,
+    /// `DSV_CACHE`, `DSV_PROGRESS`): by default all cores, the persistent
+    /// cache and a progress meter when stderr is a TTY; always exact
+    /// clustering.
+    pub fn from_env() -> Runner {
+        Runner::from_config(RunConfig::get())
+    }
 
-impl Default for Runner {
-    fn default() -> Runner {
+    /// A runner configured by `config`'s `threads`, `cache_dir` and
+    /// `progress`; always exact clustering.
+    pub fn from_config(config: &RunConfig) -> Runner {
         Runner {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            cache_dir: Some(default_cache_dir()),
-            progress: std::io::stderr().is_terminal(),
+            threads: config.threads,
+            cache_dir: config.cache_dir.clone(),
+            progress: config.progress,
             cluster: ClusterMode::Exact,
         }
-    }
-}
-
-impl Runner {
-    /// A runner configured from the environment (`DSV_THREADS`,
-    /// `DSV_CACHE`, `DSV_PROGRESS`, `DSV_CLUSTER`); the defaults are all
-    /// cores, the persistent cache, a progress meter when stderr is a
-    /// TTY, and exact clustering.
-    pub fn from_env() -> Runner {
-        let mut r = Runner::default();
-        r.threads = dsv_sim::env::count_from_env("DSV_THREADS", r.threads);
-        if let Some(v) = dsv_sim::env::text_from_env("DSV_CACHE") {
-            r.cache_dir = match v.as_str() {
-                "0" | "off" | "" => None,
-                path => Some(PathBuf::from(path)),
-            };
-        }
-        if let Some(on) = dsv_sim::env::flag_from_env("DSV_PROGRESS") {
-            r.progress = on;
-        }
-        if let Some(v) = dsv_sim::env::text_from_env("DSV_CLUSTER") {
-            r.cluster = cluster_mode_from_str(&v);
-        }
-        r
     }
 
     /// A single-threaded runner with no cache, no progress output and no
@@ -852,23 +806,6 @@ impl Runner {
     }
 }
 
-/// Parse a `DSV_CLUSTER` value; unrecognized input warns on stderr and
-/// falls back to the exact default rather than silently changing
-/// semantics.
-fn cluster_mode_from_str(v: &str) -> ClusterMode {
-    match v {
-        "off" | "0" => ClusterMode::Off,
-        "" | "exact" | "1" => ClusterMode::Exact,
-        _ => {
-            eprintln!(
-                "[runner] DSV_CLUSTER={v:?} not recognized (expected off or exact); \
-                 using exact clustering"
-            );
-            ClusterMode::Exact
-        }
-    }
-}
-
 /// Map each index to the first index with the same kind and address
 /// (itself for class representatives).
 fn first_seen(addrs: &[Address]) -> Vec<usize> {
@@ -1018,22 +955,6 @@ mod tests {
                 serde_json::to_string(f).unwrap()
             );
         }
-    }
-
-    #[test]
-    fn cluster_mode_parsing_warns_and_defaults() {
-        assert_eq!(cluster_mode_from_str("off"), ClusterMode::Off);
-        assert_eq!(cluster_mode_from_str("0"), ClusterMode::Off);
-        assert_eq!(cluster_mode_from_str("exact"), ClusterMode::Exact);
-        assert_eq!(cluster_mode_from_str("1"), ClusterMode::Exact);
-        assert_eq!(cluster_mode_from_str(""), ClusterMode::Exact);
-        // Anything else, any `approx:<eps>` included, warns and falls
-        // back to the exact default.
-        assert_eq!(cluster_mode_from_str("approx:0.05"), ClusterMode::Exact);
-        assert_eq!(cluster_mode_from_str("approx:"), ClusterMode::Exact);
-        assert_eq!(cluster_mode_from_str("approx:-1"), ClusterMode::Exact);
-        assert_eq!(cluster_mode_from_str("approx:inf"), ClusterMode::Exact);
-        assert_eq!(cluster_mode_from_str("fast"), ClusterMode::Exact);
     }
 
     #[test]
@@ -1271,18 +1192,20 @@ mod tests {
 
     #[test]
     fn thread_count_env_policy_warns_and_defaults() {
-        // `from_env` routes DSV_THREADS through the shared dsv-sim parser:
-        // valid values apply, garbage falls back to the default (with a
-        // stderr warning) instead of being silently ignored.
-        let default_threads = Runner::default().threads;
-        std::env::set_var("DSV_THREADS", "3");
-        assert_eq!(Runner::from_env().threads, 3);
-        std::env::set_var("DSV_THREADS", "0");
-        assert_eq!(Runner::from_env().threads, default_threads);
-        std::env::set_var("DSV_THREADS", "many");
-        assert_eq!(Runner::from_env().threads, default_threads);
-        std::env::remove_var("DSV_THREADS");
-        assert_eq!(Runner::from_env().threads, default_threads);
+        // A runner takes DSV_THREADS as its `RunConfig` parsed it: valid
+        // values apply, garbage falls back to the default (with a stderr
+        // warning) instead of being silently ignored.
+        let threads = |value: Option<&str>| {
+            let config = RunConfig::from_vars(|name| {
+                value.filter(|_| name == "DSV_THREADS").map(str::to_string)
+            });
+            Runner::from_config(&config).threads
+        };
+        let default_threads = threads(None);
+        assert!(default_threads >= 1);
+        assert_eq!(threads(Some("3")), 3);
+        assert_eq!(threads(Some("0")), default_threads);
+        assert_eq!(threads(Some("many")), default_threads);
     }
 
     #[test]

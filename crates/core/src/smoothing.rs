@@ -27,17 +27,14 @@
 //! a specific clip's frame salience.
 
 use dsv_net::packet::DropReason;
-use dsv_scenario::{
-    ActionSpec, AppSpec, BoundSpec, ConditionerSpec, DscpSpec, LimitsSpec, LinkParams, LinkSpec,
-    MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec, ScenarioSpec, TransportSpec,
-};
+use dsv_scenario::{AppSpec, DscpSpec, MatchSpec, MediaRef, NodeSpec, ScenarioSpec, TransportSpec};
 use dsv_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 use crate::executor::execute;
 use crate::experiment::{run_horizon, EfProfile};
 use crate::flows::{FlowOutcome, FlowsOutcome};
-use crate::qbone::{ClipId2, CodecSpec, MEDIA_FLOW, UP_FLOW};
+use crate::qbone::{qbone_path, ClipId2, CodecSpec, MEDIA_FLOW, UP_FLOW};
 
 /// Server disciplines compared by the smoothing sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -152,11 +149,6 @@ pub fn smoothing_spec(cfg: &SmoothingConfig) -> ScenarioSpec {
             max_buffer_us: ABR_MAX_BUFFER_US,
         },
     };
-    spec.nodes.push(NodeSpec::host("client", client_app));
-    spec.nodes.push(NodeSpec::router("local-edge"));
-    spec.nodes.push(NodeSpec::router("core2"));
-    spec.nodes.push(NodeSpec::router("core1"));
-    spec.nodes.push(NodeSpec::router("remote-edge"));
     let server_app = match cfg.server {
         SmoothingServer::Bursty => AppSpec::BurstyServer {
             client: "client".to_string(),
@@ -178,66 +170,19 @@ pub fn smoothing_spec(cfg: &SmoothingConfig) -> ScenarioSpec {
             segment_us: ABR_SEGMENT_US,
         },
     };
-    spec.nodes.push(NodeSpec::host("video-server", server_app));
-
-    // The QBone path: access links, EF-priority wide-area hops.
-    spec.links.push(LinkSpec::simple(
-        "client",
-        "local-edge",
-        LinkParams::ethernet_10mbps(),
-    ));
-    spec.links.push(LinkSpec::simple(
-        "video-server",
-        "remote-edge",
-        LinkParams::fast_ethernet(),
-    ));
-    let prio = QdiscSpec::StrictPriorityEf {
-        ef: LimitsSpec::bytes(120_000),
-        be: LimitsSpec::packets(60),
-    };
-    let wan = |rate_bps: u64, ms: u64| LinkParams {
-        rate_bps,
-        propagation_ns: ms * 1_000_000,
-    };
-    spec.links.push(LinkSpec::symmetric(
-        "remote-edge",
-        "core1",
-        wan(45_000_000, 5),
-        prio,
-    ));
-    spec.links.push(LinkSpec::symmetric(
-        "core1",
-        "core2",
-        wan(155_000_000, 20),
-        prio,
-    ));
-    spec.links.push(LinkSpec::symmetric(
-        "core2",
-        "local-edge",
-        wan(45_000_000, 5),
-        prio,
-    ));
-
-    // The same CAR drop policer the paper's QBone runs face, whatever
-    // the server discipline — that equality is the whole experiment.
-    spec.conditioners.push(ConditionerSpec {
-        node: "remote-edge".to_string(),
-        tap: Some("ingress".to_string()),
-        rules: vec![RuleSpec {
-            matches: MatchSpec::src_dst("video-server", "client"),
-            action: ActionSpec::Police {
-                rate_bps: cfg.profile.token_rate_bps,
-                depth_bytes: cfg.profile.bucket_depth_bytes,
-                conform_mark: None,
-            },
-        }],
-    });
-    spec.bounds.push(BoundSpec {
-        node: "remote-edge".to_string(),
-        flow: MEDIA_FLOW.0,
-        rate_bps: cfg.profile.token_rate_bps,
-        depth_bytes: cfg.profile.bucket_depth_bytes,
-    });
+    // The same path and CAR drop policer the paper's QBone runs face,
+    // whatever the server discipline — that equality is the whole
+    // experiment.
+    qbone_path(
+        &mut spec,
+        vec![(
+            NodeSpec::host("client", client_app),
+            NodeSpec::host("video-server", server_app),
+        )],
+        MatchSpec::src_dst("video-server", "client"),
+        &cfg.profile,
+        [MEDIA_FLOW.0],
+    );
     spec.horizon_ns = Some(run_horizon(cfg.clip.into()).as_nanos());
     spec
 }

@@ -3,13 +3,18 @@
 //! `dsv run --scenario <spec> --json` on each committed example must print
 //! the bytes pinned under `tests/dsv_run/`, and a spec that cannot be
 //! read, parsed or compiled must exit with status 2 and say why, as must
-//! a testbed subcommand whose configuration does not compile. Under
-//! `DSV_AUDIT=1` the same binary audits the run and fails on a violation.
+//! a testbed subcommand whose configuration does not compile or an option
+//! the subcommand does not take. Under `DSV_AUDIT=1` the same binary
+//! audits the run and fails on a violation.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use dsv_scenario::{AppSpec, ClipId2, CodecSpec, DscpSpec, MediaRef, QdiscSpec, ScenarioSpec};
+use dsv_scenario::{
+    ActionSpec, AppSpec, ClipId2, CodecSpec, DscpSpec, MatchSpec, MediaRef, QdiscSpec, RuleSpec,
+    ScenarioSpec,
+};
+use serde::Value;
 
 fn repo_file(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -66,6 +71,35 @@ fn examples_print_their_pinned_json() {
             String::from_utf8_lossy(&out.stdout)
         );
     }
+}
+
+#[test]
+fn an_option_the_subcommand_does_not_take_exits_2() {
+    let dsv = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_dsv"))
+            .args(args)
+            .output()
+            .expect("dsv starts")
+    };
+    let out = dsv(&[
+        "qbone",
+        "--clip",
+        "lost",
+        "--encoding",
+        "1000000",
+        "--rate",
+        "1200000",
+        "--depth",
+        "3000",
+        "--cross-trafic",
+    ]);
+    assert_exit_2(&out, "dsv qbone does not take --cross-trafic");
+    assert_exit_2(&out, "usage:");
+    let spec = repo_file("examples/scenario_policed_chain.json");
+    let spec = spec.to_str().expect("the repository path is Unicode");
+    let out = dsv(&["run", "--scenario", spec, "--jsn"]);
+    assert_exit_2(&out, "dsv run does not take --jsn");
+    assert_exit_2(&out, "usage:");
 }
 
 #[test]
@@ -242,6 +276,55 @@ fn a_zero_capacity_wred_queue_exits_2() {
     let json = serde_json::to_string(&spec).expect("spec serializes");
     let out = dsv_run(&scratch_spec("zero_capacity_wred.json", &json));
     assert_exit_2(&out, "link `edge`-`egress`: qdisc_ab.capacity_bytes");
+}
+
+/// A shaper whose bucket is shallower than a packet refuses that packet
+/// as an overflow, counted as a drop; it used to queue it and panic.
+#[test]
+fn a_shaper_shallower_than_a_packet_drops_it() {
+    let text = std::fs::read_to_string(repo_file("examples/scenario_policed_chain.json"))
+        .expect("example spec is readable");
+    let mut spec: ScenarioSpec = serde_json::from_str(&text).expect("example parses");
+    let edge = spec
+        .conditioners
+        .iter_mut()
+        .find(|c| c.node == "edge")
+        .expect("the example conditions at `edge`");
+    edge.rules.insert(
+        0,
+        RuleSpec {
+            matches: MatchSpec {
+                flow: Some(9),
+                ..MatchSpec::ANY
+            },
+            action: ActionSpec::Shape {
+                rate_bps: 1_500_000,
+                depth_bytes: 1000,
+                max_queue_bytes: 100_000,
+            },
+        },
+    );
+    let json = serde_json::to_string(&spec).expect("spec serializes");
+    let out = dsv_run(&scratch_spec("shallow_shaper.json", &json));
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report =
+        serde_json::parse_value(&String::from_utf8_lossy(&out.stdout)).expect("the report parses");
+    let Some(Value::Array(flows)) = report.get("flows") else {
+        panic!("the report lists its flows: {report:?}");
+    };
+    let count = |flow: &Value, key| serde::de_field::<u64>(flow, key).expect("a count");
+    let flow = flows
+        .iter()
+        .find(|f| count(f, "flow") == 9)
+        .expect("flow 9 is reported");
+    // Every 1500-byte packet of flow 9 is larger than the 1000-byte bucket.
+    assert!(count(flow, "tx_packets") > 0);
+    assert_eq!(count(flow, "drops"), count(flow, "tx_packets"));
+    assert_eq!(count(flow, "rx_packets"), 0);
 }
 
 #[test]

@@ -10,7 +10,9 @@
 //! The shaper preserves order: a newly arriving packet never overtakes
 //! queued ones, even if tokens are momentarily available. Its delay queue is
 //! bounded; overflow becomes a drop (a shaper in front of a sustained
-//! over-rate source must shed load somewhere).
+//! over-rate source must shed load somewhere). A packet larger than the
+//! bucket can never conform, so it overflows too, as Linux `tbf` drops a
+//! packet larger than its burst.
 
 use std::collections::VecDeque;
 
@@ -29,7 +31,8 @@ pub enum ShaperResult<P> {
         /// Earliest time the head of the queue becomes conformant.
         next_release: SimTime,
     },
-    /// The delay queue was full; the packet is returned for drop accounting.
+    /// The delay queue was full, or the packet is larger than the bucket;
+    /// the packet is returned for drop accounting.
     Overflow(Packet<P>),
 }
 
@@ -64,7 +67,9 @@ impl<P> Shaper<P> {
         if self.queue.is_empty() && self.bucket.try_consume(now, pkt.size) {
             return ShaperResult::PassNow(pkt);
         }
-        if self.queued_bytes + pkt.size as u64 > self.max_queue_bytes {
+        if pkt.size > self.bucket.depth_bytes()
+            || self.queued_bytes + pkt.size as u64 > self.max_queue_bytes
+        {
             self.overflows += 1;
             return ShaperResult::Overflow(pkt);
         }
@@ -75,7 +80,7 @@ impl<P> Shaper<P> {
         let next_release = self
             .bucket
             .conformance_time(now, head.size)
-            .expect("packet size exceeds bucket depth: shaper cannot ever release it");
+            .expect("queued packets fit the bucket");
         ShaperResult::Queued { next_release }
     }
 
@@ -229,6 +234,23 @@ mod tests {
         assert_eq!(s.overflows, 1);
         assert_eq!(s.queue_len(), 1);
         assert_eq!(s.queue_bytes(), 1500);
+    }
+
+    #[test]
+    fn a_packet_larger_than_the_bucket_overflows() {
+        // Depth 1000: a 1500-byte packet can never conform, even with the
+        // bucket full and the queue empty. It is refused, not queued, and
+        // a later packet that fits still passes.
+        let mut s: Shaper<()> = Shaper::new(1_500_000, 1000, 100_000);
+        assert!(matches!(
+            s.offer(SimTime::ZERO, pkt(1, 1500)),
+            ShaperResult::Overflow(_)
+        ));
+        assert_eq!((s.overflows, s.delayed, s.queue_len()), (1, 0, 0));
+        assert!(matches!(
+            s.offer(SimTime::ZERO, pkt(2, 1000)),
+            ShaperResult::PassNow(_)
+        ));
     }
 
     #[test]

@@ -75,10 +75,9 @@ pub mod prelude {
     };
     pub use crate::pool::{PacketPool, PacketRef};
     pub use crate::qdisc::{
-        ef_high_priority, DropTailQueue, EnqueueResult, FifoBand, Qdisc, QueueLimits,
-        StrictPriorityQueue,
+        ef_high_priority, DropTailQueue, FifoBand, Qdisc, QueueLimits, StrictPriorityQueue,
     };
     pub use crate::stats::{DelaySummary, FlowCounters, NetStats, TraceEntry, TraceKind};
-    pub use crate::traffic::{CbrSource, CountingSink, OnOffSource, PoissonSource};
+    pub use crate::traffic::{CbrSource, CountingSink, OnOffSource};
     pub use crate::wred::{drop_precedence, WredParams, WredQueue};
 }

@@ -13,23 +13,14 @@ use std::collections::VecDeque;
 
 use crate::packet::{Dscp, Packet};
 
-/// Outcome of an enqueue attempt.
-#[derive(Debug, PartialEq, Eq, Clone, Copy)]
-pub enum EnqueueResult {
-    /// Packet accepted.
-    Queued,
-    /// Packet rejected (queue full); the caller owns the drop accounting.
-    Dropped,
-}
-
 /// A queueing discipline attached to an output port.
 ///
 /// Disciplines are passive containers: the port logic calls
 /// [`Qdisc::enqueue`] on arrival and [`Qdisc::dequeue`] whenever the link
 /// becomes idle.
 pub trait Qdisc<P> {
-    /// Offer a packet. Returns [`EnqueueResult::Dropped`] if rejected; the
-    /// packet is handed back via the return slot in that case.
+    /// Offer a packet. A rejected packet (queue full) is handed back in
+    /// the `Err`; the caller owns the drop accounting.
     fn enqueue(&mut self, pkt: Packet<P>) -> Result<(), Packet<P>>;
 
     /// Take the next packet to transmit, honouring the discipline's order.

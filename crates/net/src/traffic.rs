@@ -3,7 +3,7 @@
 //! The paper's wide-area experiments ran against uncontrolled Internet2
 //! background traffic, and a few local experiments added interfering
 //! cross-traffic explicitly. These applications reproduce that: constant
-//! bit rate, Poisson, and on-off (bursty) sources plus a counting sink.
+//! bit rate and on-off (bursty) sources plus a counting sink.
 //! All randomness comes from a seeded [`SimRng`], so "background Internet
 //! load" is exactly reproducible.
 
@@ -61,58 +61,6 @@ impl<P: Default> Application<P> for CbrSource {
             self.emit(ctx);
             ctx.set_timer(self.interval(), 0);
         }
-    }
-}
-
-/// Poisson source: fixed-size packets with exponential inter-arrivals.
-pub struct PoissonSource {
-    /// Destination host.
-    pub dst: NodeId,
-    /// Flow label.
-    pub flow: FlowId,
-    /// Packet size in bytes.
-    pub packet_size: u32,
-    /// Mean rate in bits per second.
-    pub mean_rate_bps: u64,
-    /// DSCP marking.
-    pub dscp: Dscp,
-    /// Stop time.
-    pub stop_at: SimTime,
-    /// Seeded generator for inter-arrival draws.
-    pub rng: SimRng,
-}
-
-impl PoissonSource {
-    fn next_gap(&mut self) -> SimDuration {
-        let mean = SimDuration::for_bytes_at_bps(self.packet_size as u64, self.mean_rate_bps)
-            .as_secs_f64();
-        SimDuration::from_secs_f64(self.rng.exponential(mean))
-    }
-}
-
-impl<P: Default> Application<P> for PoissonSource {
-    fn on_start(&mut self, ctx: &mut AppCtx<P>) {
-        let gap = self.next_gap();
-        ctx.set_timer(gap, 0);
-    }
-
-    fn on_packet(&mut self, _ctx: &mut AppCtx<P>, _pkt: Packet<P>) {}
-
-    fn on_timer(&mut self, ctx: &mut AppCtx<P>, _token: u64) {
-        if ctx.now() >= self.stop_at {
-            return;
-        }
-        ctx.send(SendSpec {
-            dst: self.dst,
-            flow: self.flow,
-            size: self.packet_size,
-            dscp: self.dscp,
-            proto: Proto::Udp,
-            fragment: None,
-            payload: P::default(),
-        });
-        let gap = self.next_gap();
-        ctx.set_timer(gap, 0);
     }
 }
 
@@ -276,25 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_rate_is_approximate() {
-        let c = run_source(Box::new(PoissonSource {
-            dst: NodeId(0),
-            flow: FlowId(5),
-            packet_size: 500,
-            mean_rate_bps: 1_000_000,
-            dscp: Dscp::BEST_EFFORT,
-            stop_at: SimTime::from_secs(10),
-            rng: SimRng::seed_from_u64(11),
-        }));
-        // 10 s at 250 pkt/s mean = 2500 expected; allow ±10 %.
-        assert!(
-            (2250..=2750).contains(&c.tx_packets),
-            "sent {}",
-            c.tx_packets
-        );
-    }
-
-    #[test]
     fn onoff_duty_cycle_scales_rate() {
         let c = run_source(Box::new(OnOffSource::new(
             NodeId(0),
@@ -319,15 +248,17 @@ mod tests {
     #[test]
     fn sources_are_deterministic() {
         let mk = || {
-            run_source(Box::new(PoissonSource {
-                dst: NodeId(0),
-                flow: FlowId(5),
-                packet_size: 500,
-                mean_rate_bps: 500_000,
-                dscp: Dscp::BEST_EFFORT,
-                stop_at: SimTime::from_secs(3),
-                rng: SimRng::seed_from_u64(99),
-            }))
+            run_source(Box::new(OnOffSource::new(
+                NodeId(0),
+                FlowId(5),
+                500,
+                1_000_000,
+                SimDuration::from_millis(50),
+                SimDuration::from_millis(50),
+                Dscp::BEST_EFFORT,
+                SimTime::from_secs(3),
+                SimRng::seed_from_u64(99),
+            )))
         };
         assert_eq!(mk().tx_packets, mk().tx_packets);
     }

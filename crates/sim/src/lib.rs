@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod env;
 pub mod queue;
 pub mod rng;
 pub mod stamped;

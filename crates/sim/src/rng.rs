@@ -65,8 +65,8 @@ impl SimRng {
         }
     }
 
-    /// Exponential variate with the given mean (used for Poisson
-    /// inter-arrivals). Panics on non-positive mean.
+    /// Exponential variate with the given mean (on-off periods, scene
+    /// lengths). Panics on non-positive mean.
     pub fn exponential(&mut self, mean: f64) -> f64 {
         assert!(mean > 0.0, "exponential mean must be positive");
         // Inverse-CDF with u in (0, 1].

@@ -1,10 +1,10 @@
 //! The symmetry-cluster layer's correctness contract, end to end.
 //!
-//! Exact clustering (`DSV_CLUSTER=exact`, the runner default) merges
-//! grid points only when their compiled specs share a symmetry-normal
-//! form, so its contract is *byte-identity*: for every committed
-//! testbed, a clustered grid's outcomes — including the transplanted
-//! members — must equal the unclustered serial run's exactly.
+//! Exact clustering (what `Runner::from_env` runs) merges grid points
+//! only when their compiled specs share a symmetry-normal form, so its
+//! contract is *byte-identity*: for every committed testbed, a clustered
+//! grid's outcomes — including the transplanted members — must equal the
+//! unclustered serial run's (`Runner::serial()`) exactly.
 //!
 //! Every run here is on the timing wheel, as in every experiment;
 //! `tests/hop_chain_equivalence.rs` holds the wheel to the binary heap

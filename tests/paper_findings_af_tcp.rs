@@ -61,6 +61,14 @@ fn outcomes() -> Vec<FlowsOutcome> {
     golden("findings_af_tcp", &grid())
 }
 
+/// Exact clustering's contract on this grid: every point simulated on its
+/// own reproduces the committed golden byte for byte.
+#[test]
+#[ignore = "re-simulates the whole grid; ci.sh runs it"]
+fn golden_reproduces_point_by_point() {
+    dsv_core::golden::assert_reproduced_point_by_point("findings_af_tcp", &grid());
+}
+
 /// Outcome on the srTCM (`trtcm = false`) provisioning ladder.
 fn srtcm(outs: &[FlowsOutcome], f: usize) -> &FlowsOutcome {
     &outs[f]

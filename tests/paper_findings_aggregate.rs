@@ -48,6 +48,14 @@ fn outcomes() -> Vec<AggregateOutcome> {
     golden("findings_aggregate", &grid())
 }
 
+/// Exact clustering's contract on this grid: every point simulated on its
+/// own reproduces the committed golden byte for byte.
+#[test]
+#[ignore = "re-simulates the whole grid; ci.sh runs it"]
+fn golden_reproduces_point_by_point() {
+    dsv_core::golden::assert_reproduced_point_by_point("findings_aggregate", &grid());
+}
+
 /// Outcome at (depth index, flow-count index, fraction index).
 fn at(outs: &[AggregateOutcome], d: usize, n: usize, f: usize) -> &AggregateOutcome {
     &outs[(d * FLOWS.len() + n) * FRACTIONS.len() + f]

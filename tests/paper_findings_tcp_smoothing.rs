@@ -61,6 +61,14 @@ fn outcomes() -> Vec<FlowsOutcome> {
     golden("findings_tcp_smoothing", &grid())
 }
 
+/// Exact clustering's contract on this grid: every point simulated on its
+/// own reproduces the committed golden byte for byte.
+#[test]
+#[ignore = "re-simulates the whole grid; ci.sh runs it"]
+fn golden_reproduces_point_by_point() {
+    dsv_core::golden::assert_reproduced_point_by_point("findings_tcp_smoothing", &grid());
+}
+
 /// The single flow at (server index, rate index, depth index).
 fn flow(outs: &[FlowsOutcome], s: usize, r: usize, d: usize) -> &FlowOutcome {
     &outs[(s * RATES.len() + r) * DEPTHS.len() + d].per_flow[0]
