@@ -77,9 +77,16 @@ echo "==> audited hop-chain and send-ahead gate (DSV_AUDIT=1, cache off)"
 # them; the tick-tie oracle certifies that nothing they file ahead ties
 # another event. Beyond Figure 7 that takes the aggregate's eight servers
 # (Figure 16), the multi-rate server, cross traffic merging at core1 (the
-# hop-jitter ablation) and the AF PHB ablation.
+# hop-jitter ablation) and the AF PHB ablation. Clients and sinks absorb
+# their media without an event each; the inbox oracle certifies that each
+# host takes them in key order, before any later event of its own. The
+# UDP clients of the local testbed (Figure 15) and the death-spiral
+# ablation read what they absorbed from a report timer every second, the
+# one place a late hand-over would change what their adaptive servers
+# hear.
 for fig in fig07_qbone_lost fig17_tcp_smoothing fig18_af_tcp \
-    fig16_aggregate ablation_multirate ablation_hop_jitter ablation_af_phb; do
+    fig16_aggregate ablation_multirate ablation_hop_jitter ablation_af_phb \
+    fig15_local_testbed ablation_death_spiral; do
   DSV_AUDIT=1 DSV_CACHE=off ./target/release/"$fig" > /dev/null
 done
 git diff --exit-code -- results/

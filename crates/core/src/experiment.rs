@@ -3,7 +3,7 @@
 //! displayed feature streams [`crate::qoe::score_session`] compares.
 
 use dsv_media::encoder::EncodedClip;
-use dsv_media::features::{displayed_stream, encode_features, FeatureFrame};
+use dsv_media::features::{encode_features, FeatureFrame};
 use dsv_media::scene::{ClipId, SceneModel};
 use dsv_net::stats::FlowCounters;
 use dsv_sim::SimDuration;
@@ -117,13 +117,39 @@ pub fn encoded_features(model: &SceneModel, clip: &EncodedClip) -> Vec<FeatureFr
 /// and the clip's source features: what the emulated renderer put on
 /// screen, with each displayed frame carrying the fidelity it was
 /// actually received at.
+///
+/// This is [`dsv_media::features::displayed_stream`] over every source
+/// frame encoded at its received fidelity, built in one pass: it encodes
+/// only the frames shown and the frames whose motion a freeze
+/// accumulates, with the same arithmetic in the same order, so every
+/// frame is bit-identical.
 pub fn received_features_from(source: &[FeatureFrame], report: &ClientReport) -> Vec<FeatureFrame> {
-    let per_frame: Vec<FeatureFrame> = source
-        .iter()
-        .enumerate()
-        .map(|(i, s)| encode_features(*s, report.fidelity.get(i).copied().unwrap_or(1.0)))
-        .collect();
-    displayed_stream(&per_frame, &report.playback.displayed)
+    let encoded =
+        |i: usize| encode_features(source[i], report.fidelity.get(i).copied().unwrap_or(1.0));
+    let displayed = &report.playback.displayed;
+    let mut out = Vec::with_capacity(displayed.len());
+    let mut prev_shown: Option<u32> = None;
+    for &src_idx in displayed {
+        let mut f = encoded(src_idx as usize);
+        match prev_shown {
+            None => {}
+            Some(p) if p == src_idx => f.ti = 0.0,
+            Some(p) => {
+                let lo = (p.min(src_idx) + 1) as usize;
+                let hi = (src_idx.max(p) as usize).min(source.len() - 1);
+                let sum_sq: f64 = (lo..=hi)
+                    .map(|i| {
+                        let ti = encoded(i).ti;
+                        ti * ti
+                    })
+                    .sum();
+                f.ti = sum_sq.sqrt();
+            }
+        }
+        out.push(f);
+        prev_shown = Some(src_idx);
+    }
+    out
 }
 
 /// Standard experiment durations: the clip length plus margin for the
@@ -139,6 +165,7 @@ pub fn run_horizon(clip: ClipId) -> SimDuration {
 mod tests {
     use super::*;
     use dsv_media::encoder::mpeg1;
+    use dsv_media::features::displayed_stream;
     use dsv_vqm::Vqm;
 
     #[test]
@@ -171,6 +198,56 @@ mod tests {
             cross > 0.02 && cross < 0.35,
             "encoding gap should be modest: {cross}"
         );
+    }
+
+    #[test]
+    fn received_features_match_the_displayed_stream_of_every_frame_bit_for_bit() {
+        use dsv_stream::playback::PlaybackResult;
+        let model = ClipId::Lost.model();
+        let source = model.source_features();
+        let n = source.len() as u32;
+        // Fidelities for a prefix of the clip only: the rest default to 1.
+        let fidelity: Vec<f64> = (0..n - 7).map(|i| 0.3 + f64::from(i % 11) * 0.06).collect();
+        let schedules: [Vec<u32>; 4] = [
+            (0..n).collect(),
+            // Freezes (repeats), skips over lost frames, and a step back.
+            [0, 0, 0, 1, 5, 5, 6, 40, 39, 41, n - 2, n - 1, n - 1].to_vec(),
+            (0..n).step_by(3).collect(),
+            Vec::new(),
+        ];
+        for displayed in schedules {
+            let report = ClientReport {
+                received: vec![true; n as usize],
+                decodable: vec![true; n as usize],
+                arrival: vec![None; n as usize],
+                fidelity: fidelity.clone(),
+                playback: PlaybackResult {
+                    displayed: displayed.clone(),
+                    start: dsv_sim::SimTime::ZERO,
+                    repeats: 0,
+                    longest_freeze: 0,
+                    total_failure: false,
+                },
+                packets_received: 0,
+                bytes_received: 0,
+            };
+            let every_frame: Vec<FeatureFrame> = source
+                .iter()
+                .enumerate()
+                .map(|(i, s)| encode_features(*s, fidelity.get(i).copied().unwrap_or(1.0)))
+                .collect();
+            let bits = |frames: &[FeatureFrame]| -> Vec<[u64; 5]> {
+                frames
+                    .iter()
+                    .map(|f| [f.si, f.ti, f.y_mean, f.chroma, f.fidelity].map(f64::to_bits))
+                    .collect()
+            };
+            assert_eq!(
+                bits(&received_features_from(&source, &report)),
+                bits(&displayed_stream(&every_frame, &displayed)),
+                "{displayed:?}"
+            );
+        }
     }
 
     #[test]

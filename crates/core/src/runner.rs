@@ -443,7 +443,9 @@ impl<O: Serialize> Serialize for CacheEntry<'_, O> {
 }
 
 /// Live progress across worker threads: points done, throughput, ETA and
-/// aggregate drop counters, reported on stderr.
+/// aggregate drop counters, reported on stderr (or the sink `W`). Each
+/// point that lands rewrites the line in place; the batch's last line,
+/// `N/N points`, is printed once, by [`Progress::finish`], and ends it.
 ///
 /// The throughput/ETA estimate counts **simulation slots**
 /// (`sims_done / planned_sims`), not grid points: cluster-reused points
@@ -451,7 +453,7 @@ impl<O: Serialize> Serialize for CacheEntry<'_, O> {
 /// overestimate the remaining time (reused points pending at the
 /// simulated points' rate) and then whipsaw the rate upward when they
 /// all land at once.
-struct Progress {
+struct Progress<W: Write = io::Stderr> {
     total: usize,
     planned_sims: usize,
     done: AtomicUsize,
@@ -463,10 +465,17 @@ struct Progress {
     shaper_drops: AtomicU64,
     start: Instant,
     enabled: bool,
+    out: std::sync::Mutex<W>,
 }
 
 impl Progress {
     fn new(total: usize, planned_sims: usize, enabled: bool) -> Progress {
+        Progress::with_sink(total, planned_sims, enabled, io::stderr())
+    }
+}
+
+impl<W: Write> Progress<W> {
+    fn with_sink(total: usize, planned_sims: usize, enabled: bool, out: W) -> Progress<W> {
         Progress {
             total,
             planned_sims,
@@ -479,6 +488,7 @@ impl Progress {
             shaper_drops: AtomicU64::new(0),
             start: Instant::now(),
             enabled,
+            out: std::sync::Mutex::new(out),
         }
     }
 
@@ -498,9 +508,7 @@ impl Progress {
             self.cached.fetch_add(1, Ordering::Relaxed);
         }
         self.add_drops(drops);
-        if self.enabled {
-            self.print(done, false);
-        }
+        self.print_progress(done);
     }
 
     /// Record a point transplanted from its symmetry-class representative.
@@ -508,12 +516,20 @@ impl Progress {
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         self.reused.fetch_add(1, Ordering::Relaxed);
         self.add_drops(drops);
-        if self.enabled {
+        self.print_progress(done);
+    }
+
+    /// Rewrite the line for `done` points, unless that is the batch's last
+    /// line, which [`Progress::finish`] prints.
+    fn print_progress(&self, done: usize) {
+        if self.enabled && done < self.total {
             self.print(done, false);
         }
     }
 
-    fn print(&self, done: usize, final_line: bool) {
+    /// The progress line for `done` points, from the counters as they
+    /// stand.
+    fn line(&self, done: usize) -> String {
         let sims_done = self.sims_done.load(Ordering::Relaxed);
         let cached = self.cached.load(Ordering::Relaxed);
         let reused = self.reused.load(Ordering::Relaxed);
@@ -526,23 +542,25 @@ impl Progress {
             Some(secs) => format!("{secs:.0}s"),
             None => "?".to_string(),
         };
-        let mut err = std::io::stderr().lock();
-        let _ = write!(
-            err,
-            "\r[runner] {done}/{} points ({} simulated, {cached} cached, {reused} reused) | \
+        format!(
+            "[runner] {done}/{} points ({} simulated, {cached} cached, {reused} reused) | \
              {rate:.2} sims/s | ETA {eta} | drops: policer {}, queue {}, shaper {}",
             self.total,
             sims_done.saturating_sub(cached),
             self.policer_drops.load(Ordering::Relaxed),
             self.queue_drops.load(Ordering::Relaxed),
             self.shaper_drops.load(Ordering::Relaxed),
-        );
-        if final_line {
-            let _ = writeln!(err);
-        }
-        let _ = err.flush();
+        )
     }
 
+    fn print(&self, done: usize, final_line: bool) {
+        let line = self.line(done);
+        let mut out = self.out.lock().expect("progress sink poisoned");
+        let _ = write!(out, "\r{line}{}", if final_line { "\n" } else { "" });
+        let _ = out.flush();
+    }
+
+    /// Print the batch's last line and end it.
     fn finish(&self) {
         if self.enabled && self.total > 0 {
             self.print(self.done.load(Ordering::Relaxed), true);
@@ -1227,6 +1245,34 @@ mod tests {
         // to zero remaining rather than going negative.
         let (_, eta) = throughput_eta(5, 3, 1.0);
         assert_eq!(eta, Some(0.0));
+    }
+
+    #[test]
+    fn a_batch_prints_its_last_progress_line_once() {
+        let progress = Progress::with_sink(4, 3, true, Vec::new());
+        progress.record_counts((1, 0, 0), false);
+        progress.record_counts((0, 2, 0), true);
+        progress.record_counts((0, 0, 0), false);
+        progress.record_reused((1, 0, 0));
+        progress.finish();
+        let out = progress.out.into_inner().expect("sink");
+        let out = String::from_utf8(out).expect("utf-8");
+        let lines: Vec<&str> = out.split(['\r', '\n']).filter(|l| !l.is_empty()).collect();
+        let last: Vec<&&str> = lines
+            .iter()
+            .filter(|l| l.starts_with("[runner] 4/4 points"))
+            .collect();
+        assert_eq!(last.len(), 1, "{out:?}");
+        assert!(
+            last[0].starts_with("[runner] 4/4 points (2 simulated, 1 cached, 1 reused)"),
+            "{out:?}"
+        );
+        assert!(
+            last[0].ends_with("drops: policer 2, queue 2, shaper 0"),
+            "{out:?}"
+        );
+        assert_eq!(lines.len(), 4, "one line per point: {out:?}");
+        assert!(out.ends_with('\n'));
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! nothing reaches its host before [`AppCtx::send_horizon`], so every
 //! packet it would send before then can leave at one callback, each at
 //! its own instant ([`AppCtx::send_at`]).
+//!
+//! An application that only updates its own state on some packets
+//! *absorbs* them ([`Application::absorbs`]): the network hands it those
+//! packets without dispatching an event for each.
 
 use dsv_sim::{SimDuration, SimTime};
 
@@ -190,6 +194,17 @@ pub trait Application<P> {
 
     /// Called when a timer set via [`AppCtx::set_timer`] fires.
     fn on_timer(&mut self, ctx: &mut AppCtx<P>, token: u64);
+
+    /// The payloads this application absorbs: those on which
+    /// [`Application::on_packet`] only updates the application's own
+    /// state and issues no command. The network asks once, when it is
+    /// built (or the application is put on its host), and hands such
+    /// packets over without dispatching an event for each; a callback for
+    /// one that issues a command panics. `None`, the default, absorbs
+    /// nothing.
+    fn absorbs(&self) -> Option<fn(&P) -> bool> {
+        None
+    }
 }
 
 /// A keepable handle to an application owned by the network via
@@ -250,6 +265,9 @@ impl<P, T: Application<P>> Application<P> for Shared<T> {
     fn on_timer(&mut self, ctx: &mut AppCtx<P>, token: u64) {
         self.lock().on_timer(ctx, token);
     }
+    fn absorbs(&self) -> Option<fn(&P) -> bool> {
+        self.lock().absorbs()
+    }
 }
 
 /// An application that ignores everything (placeholder for pure sink hosts
@@ -261,6 +279,9 @@ impl<P> Application<P> for NullApp {
     fn on_start(&mut self, _ctx: &mut AppCtx<P>) {}
     fn on_packet(&mut self, _ctx: &mut AppCtx<P>, _pkt: Packet<P>) {}
     fn on_timer(&mut self, _ctx: &mut AppCtx<P>, _token: u64) {}
+    fn absorbs(&self) -> Option<fn(&P) -> bool> {
+        Some(|_| true)
+    }
 }
 
 #[cfg(test)]

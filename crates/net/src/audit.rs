@@ -29,7 +29,11 @@
 //!   the walk of a packet sent ahead ([`crate::app::AppCtx::send_at`]) —
 //!   falls due with another event filed at that same instant, an order the
 //!   elided ticks would have decided; nor does any event fall due and
-//!   count as filed with the callback a packet sent ahead stands for.
+//!   count as filed with the callback a packet sent ahead stands for;
+//! * **inbox order** — a host that absorbs packets (see
+//!   [`crate::network`]) takes them in `(time, stamp)` key order, each
+//!   before any later-keyed event of the host is dispatched, and the
+//!   packets still waiting in its inbox are counted as on the wire.
 //!
 //! Violations are collected (capped) rather than panicking at the hook
 //! site, so fault-injection self-tests can assert that a *specific* class
@@ -39,7 +43,7 @@
 //! An unaudited network's observer is `()`: it carries no audit state and
 //! its event path no audit branch.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use dsv_sim::{EventQueue, SimTime, Stamp};
 
@@ -73,6 +77,25 @@ struct NodeAudit {
     drops: u64,
     /// Packets delivered to this node's application.
     delivered: u64,
+}
+
+/// The last event dispatched, or packet absorbed, at one node.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    /// When it fell due.
+    at: SimTime,
+    /// Its stamp (`None` for an event dispatched before any was popped).
+    stamp: Option<Stamp>,
+    /// Whether it was filed ahead (see [`Observer::on_filed_ahead`]).
+    ahead: bool,
+    /// Whether it was an absorbed packet.
+    absorbed: bool,
+}
+
+impl Step {
+    fn filed(&self) -> SimTime {
+        self.stamp.map_or(self.at, Stamp::filed)
+    }
 }
 
 /// An analytic token-bucket admission bound registered for one policer.
@@ -125,6 +148,11 @@ pub struct SimAudit {
     /// The callbacks packets sent ahead stand for, not yet reached:
     /// `(due, filed)`.
     sent_ahead: BTreeSet<(SimTime, SimTime)>,
+    /// Per node, the keys of the packets waiting in its inbox, each with
+    /// whether it was filed ahead (see [`Observer::on_inbox`]).
+    inbox: Vec<BTreeMap<(SimTime, Stamp), bool>>,
+    /// Per node, the last event dispatched or packet absorbed there.
+    last_step: Vec<Option<Step>>,
     finished: bool,
 }
 
@@ -150,6 +178,8 @@ impl SimAudit {
             ahead_keys: HashMap::new(),
             ahead_fired: (SimTime::ZERO, Vec::new()),
             sent_ahead: BTreeSet::new(),
+            inbox: vec![BTreeMap::new(); node_count],
+            last_step: vec![None; node_count],
             finished: false,
         }
     }
@@ -195,13 +225,27 @@ impl SimAudit {
     }
 
     /// End-of-run conservation closure, once. `pool_live` is the number
-    /// of packets parked in the in-flight pool; `held[i]` is the number of
-    /// packets physically held at node `i` (port queues + conditioner).
-    pub(crate) fn finish(&mut self, pool_live: usize, held: &[u64]) {
+    /// of packets parked in the in-flight pool, those waiting in an inbox
+    /// included; `held[i]` is the number of packets physically held at
+    /// node `i` (port queues + conditioner), and `waiting[i]` the number
+    /// waiting in its inbox.
+    pub(crate) fn finish(&mut self, pool_live: usize, held: &[u64], waiting: &[u64]) {
         if self.finished {
             return;
         }
         self.finished = true;
+
+        // Per inbox: every packet filed there and not yet absorbed still
+        // waits there, parked in the pool with the packets on the wire.
+        for (i, &w) in waiting.iter().enumerate() {
+            let filed = self.inbox[i].len() as u64;
+            if w != filed {
+                self.violation(format!(
+                    "conservation: node {i}'s inbox holds {w} packets, but \
+                     {filed} were filed there and not absorbed"
+                ));
+            }
+        }
 
         // Per node: everything that entered (arrived or was generated)
         // either left (transmit), terminated (delivered / dropped), or is
@@ -256,6 +300,85 @@ impl SimAudit {
         }
     }
 
+    /// Whether `packet`'s arrival at `node` at `now`, filed at `filed`, or
+    /// any other event there (`packet` is `None`), sorts against a walked
+    /// packet's arrival there as per-hop dispatch would have sorted it.
+    fn chain_tie(&mut self, node: NodeId, now: SimTime, filed: SimTime, packet: Option<PacketRef>) {
+        let exit = packet.and_then(|packet| {
+            self.chain_due
+                .iter()
+                .position(|&(p, ..)| p == packet)
+                .map(|i| self.chain_due.swap_remove(i).3)
+        });
+        // Dispatched after a walked arrival, an event must have been filed
+        // after that arrival would have been; dispatched before one, it
+        // must have been filed before.
+        let after = matches!(self.chain_exit_at[node.0 as usize],
+            Some((at, last_hop)) if at == now && filed <= last_hop);
+        let before = self
+            .chain_due
+            .iter()
+            .any(|&(_, due_node, at, last_hop)| due_node == node && at == now && filed >= last_hop);
+        if after || before {
+            self.violation(format!(
+                "chain-tie: an event at node {} at {now:?} filed at {filed:?} \
+                 may sort the other way against a walked packet's arrival",
+                node.0
+            ));
+        }
+        if let Some(last_hop) = exit {
+            self.chain_exit_at[node.0 as usize] = Some((now, last_hop));
+        }
+    }
+
+    /// The inbox oracle, and the host's own half of the tick-tie oracle,
+    /// for `step`, an event dispatched or a packet absorbed at `node`.
+    ///
+    /// A host takes what it absorbs in key order, interleaved with its
+    /// events: no packet may still wait in its inbox keyed before `step`.
+    /// An absorbed packet's order against the events of other nodes moves
+    /// nothing (its callback touches only the host's own state), so it is
+    /// held to the tick-tie rule against its own host's events alone:
+    /// events there at one instant that count as filed at one instant
+    /// come one after another in key order, so a neighbouring pair of them
+    /// with one absorbed and either filed ahead is reported.
+    fn host_step(&mut self, node: NodeId, step: Step) {
+        let n = node.0 as usize;
+        let key = (step.at, step.stamp);
+        if let Some(&(at, stamp)) = self.inbox[n].keys().next() {
+            if (at, Some(stamp)) < key {
+                self.violation(format!(
+                    "inbox: a packet due at {at:?} waits in node {n}'s inbox \
+                     past an event or absorbed packet there due at {:?}",
+                    step.at
+                ));
+            }
+        }
+        if let Some(last) = self.last_step[n] {
+            if (last.at, last.stamp) >= key {
+                self.violation(format!(
+                    "inbox: node {n} took a packet due at {:?} after one keyed \
+                     later, due at {:?}",
+                    step.at, last.at
+                ));
+            }
+            let tied = (last.absorbed || step.absorbed)
+                && (last.ahead || step.ahead)
+                && last.at == step.at
+                && last.filed() == step.filed();
+            if tied {
+                self.violation(format!(
+                    "tick-tie: an absorbed packet and another event at node \
+                     {n} fall due at {:?} counting as filed at {:?}, one of \
+                     them filed ahead",
+                    step.at,
+                    step.filed()
+                ));
+            }
+        }
+        self.last_step[n] = Some(step);
+    }
+
     /// Snapshot the audit outcome.
     pub(crate) fn report(&self) -> AuditReport {
         AuditReport {
@@ -298,33 +421,11 @@ impl Observer for SimAudit {
         self.last_event = now;
         let node = event.node();
         let filed = queue.last_stamp().map_or(now, |s| s.filed());
-        let exit = match *event {
-            NetEvent::Arrive { packet, .. } | NetEvent::Drop { packet, .. } => self
-                .chain_due
-                .iter()
-                .position(|&(p, ..)| p == packet)
-                .map(|i| self.chain_due.swap_remove(i).3),
+        let packet = match *event {
+            NetEvent::Arrive { packet, .. } | NetEvent::Drop { packet, .. } => Some(packet),
             _ => None,
         };
-        // Dispatched after a walked arrival, an event must have been filed
-        // after that arrival would have been; dispatched before one, it
-        // must have been filed before.
-        let after = matches!(self.chain_exit_at[node.0 as usize],
-            Some((at, last_hop)) if at == now && filed <= last_hop);
-        let before = self
-            .chain_due
-            .iter()
-            .any(|&(_, due_node, at, last_hop)| due_node == node && at == now && filed >= last_hop);
-        if after || before {
-            self.violation(format!(
-                "chain-tie: an event at node {} at {now:?} filed at {filed:?} \
-                 may sort the other way against a walked packet's arrival",
-                node.0
-            ));
-        }
-        if let Some(last_hop) = exit {
-            self.chain_exit_at[node.0 as usize] = Some((now, last_hop));
-        }
+        self.chain_tie(node, now, filed, packet);
         let own = queue
             .last_stamp()
             .is_some_and(|s| self.ahead_due.remove(&s));
@@ -358,6 +459,15 @@ impl Observer for SimAudit {
         if own {
             self.ahead_fired.1.push(filed);
         }
+        self.host_step(
+            node,
+            Step {
+                at: now,
+                stamp: queue.last_stamp(),
+                ahead: own,
+                absorbed: false,
+            },
+        );
     }
 
     fn on_filed_ahead(&mut self, stamp: Stamp, at: SimTime) {
@@ -383,6 +493,45 @@ impl Observer for SimAudit {
 
     fn on_arrive(&mut self, node: NodeId) {
         self.nodes[node.0 as usize].arrivals += 1;
+    }
+
+    fn on_inbox(&mut self, node: NodeId, at: SimTime, stamp: Stamp, ahead: bool) {
+        self.checks += 1;
+        if self.inbox[node.0 as usize]
+            .insert((at, stamp), ahead)
+            .is_some()
+        {
+            self.violation(format!(
+                "inbox: node {} filed two packets under one key, due at {at:?}",
+                node.0
+            ));
+        }
+    }
+
+    /// An absorbed packet's tick ties are checked against its host's own
+    /// events only ([`SimAudit::host_step`]), so a packet filed ahead in an
+    /// inbox never enters the global tick-tie ledger.
+    fn on_absorbed(&mut self, at: SimTime, stamp: Stamp, node: NodeId, packet: PacketRef) {
+        self.checks += 1;
+        self.nodes[node.0 as usize].arrivals += 1;
+        let Some(ahead) = self.inbox[node.0 as usize].remove(&(at, stamp)) else {
+            self.violation(format!(
+                "inbox: node {} absorbed a packet due at {at:?} that was never \
+                 filed in its inbox",
+                node.0
+            ));
+            return;
+        };
+        self.chain_tie(node, at, stamp.filed(), Some(packet));
+        self.host_step(
+            node,
+            Step {
+                at,
+                stamp: Some(stamp),
+                ahead,
+                absorbed: true,
+            },
+        );
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -584,5 +733,143 @@ impl AuditReport {
     /// this to pin a fault class to the oracle that must catch it.
     pub fn has_violation_matching(&self, needle: &str) -> bool {
         self.violations.iter().any(|v| v.contains(needle))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::packet::{Dscp, Packet, Proto};
+    use crate::pool::PacketPool;
+    use dsv_sim::SimDuration;
+
+    const HOST: NodeId = NodeId(1);
+
+    fn at(ms: u64) -> SimTime {
+        SimTime::from_millis(ms)
+    }
+
+    /// A parked packet to name in the hooks.
+    fn packet(pool: &mut PacketPool<()>, id: u64) -> PacketRef {
+        pool.insert(Packet {
+            id: PacketId(id),
+            flow: FlowId(1),
+            src: NodeId(0),
+            dst: HOST,
+            size: 100,
+            dscp: Dscp::BEST_EFFORT,
+            proto: Proto::Udp,
+            fragment: None,
+            sent_at: SimTime::ZERO,
+            payload: (),
+        })
+    }
+
+    /// A queue whose last dispatched event, a timer at `HOST`, fell due
+    /// at `due` filed at `filed`, and that event.
+    fn dispatched_timer(
+        queue: &mut EventQueue<NetEvent>,
+        due: SimTime,
+        filed: SimTime,
+    ) -> NetEvent {
+        let stamp = queue.reserve_filed_at(filed);
+        let timer = NetEvent::Timer {
+            node: HOST,
+            token: 0,
+        };
+        queue.schedule_reserved(due, stamp, timer);
+        queue.pop().expect("the timer is due").1
+    }
+
+    #[test]
+    fn packets_absorbed_in_key_order_between_their_hosts_events_are_clean() {
+        let mut audit = SimAudit::new(2);
+        let mut pool = PacketPool::with_capacity(2);
+        let mut queue = EventQueue::new();
+        let early = queue.reserve();
+        let late = queue.reserve();
+        audit.on_inbox(HOST, at(5), late, false);
+        audit.on_inbox(HOST, at(3), early, false);
+        audit.on_absorbed(at(3), early, HOST, packet(&mut pool, 0));
+        let timer = dispatched_timer(&mut queue, at(4), SimTime::ZERO);
+        audit.on_event(at(4), &timer, &queue);
+        audit.on_absorbed(at(5), late, HOST, packet(&mut pool, 1));
+        assert!(!audit.report().has_violation_matching("inbox:"));
+        assert!(!audit.report().has_violation_matching("tick-tie:"));
+    }
+
+    #[test]
+    fn a_packet_absorbed_out_of_key_order_is_reported() {
+        let mut audit = SimAudit::new(2);
+        let mut pool = PacketPool::with_capacity(2);
+        let mut queue = EventQueue::<NetEvent>::new();
+        let (early, late) = (queue.reserve(), queue.reserve());
+        audit.on_inbox(HOST, at(3), early, false);
+        audit.on_inbox(HOST, at(5), late, false);
+        audit.on_absorbed(at(5), late, HOST, packet(&mut pool, 1));
+        audit.on_absorbed(at(3), early, HOST, packet(&mut pool, 0));
+        let report = audit.report();
+        assert!(
+            report.has_violation_matching("inbox:"),
+            "{:?}",
+            report.violations
+        );
+    }
+
+    #[test]
+    fn a_packet_still_waiting_at_a_later_event_of_its_host_is_reported() {
+        let mut audit = SimAudit::new(2);
+        let mut queue = EventQueue::new();
+        audit.on_inbox(HOST, at(3), queue.reserve(), false);
+        let timer = dispatched_timer(&mut queue, at(4), SimTime::ZERO);
+        audit.on_event(at(4), &timer, &queue);
+        let report = audit.report();
+        assert!(
+            report.has_violation_matching("inbox:"),
+            "{:?}",
+            report.violations
+        );
+    }
+
+    #[test]
+    fn an_inbox_holding_other_than_what_was_filed_is_a_conservation_violation() {
+        let mut audit = SimAudit::new(2);
+        let mut pool = PacketPool::with_capacity(1);
+        let mut queue = EventQueue::<NetEvent>::new();
+        audit.on_inbox(HOST, at(3), queue.reserve(), false);
+        packet(&mut pool, 0);
+        // The packet is still parked (so the global equation holds), but
+        // the network reports an empty inbox.
+        audit.on_sent(FlowId(1), PacketId(0), 100, NodeId(0));
+        audit.finish(pool.live(), &[0, 0], &[0, 0]);
+        let report = audit.report();
+        assert!(
+            report.has_violation_matching("inbox holds 0 packets, but 1 were filed"),
+            "{:?}",
+            report.violations
+        );
+    }
+
+    #[test]
+    fn an_absorbed_packet_filed_ahead_due_and_filed_with_its_hosts_event_is_a_tick_tie() {
+        for (filed, tied) in [(at(2), true), (at(2) + SimDuration::from_nanos(1), false)] {
+            let mut audit = SimAudit::new(2);
+            let mut pool = PacketPool::with_capacity(1);
+            let mut queue = EventQueue::new();
+            let ahead = queue.reserve_filed_at(at(2));
+            audit.on_inbox(HOST, at(4), ahead, true);
+            // The packet's key is the earlier: it is absorbed first.
+            audit.on_absorbed(at(4), ahead, HOST, packet(&mut pool, 0));
+            let timer = dispatched_timer(&mut queue, at(4), filed);
+            audit.on_event(at(4), &timer, &queue);
+            let report = audit.report();
+            assert!(!report.has_violation_matching("inbox:"));
+            assert_eq!(
+                report.has_violation_matching("tick-tie:"),
+                tied,
+                "{:?}",
+                report.violations
+            );
+        }
     }
 }

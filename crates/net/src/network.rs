@@ -67,13 +67,25 @@
 //! filed where a send at its own instant would have filed it (DESIGN.md
 //! §6b, "Paced servers send ahead within their inbound lookahead").
 //!
+//! A host whose application absorbs a packet ([`Application::absorbs`]:
+//! it only updates its own state, issuing no command) takes it without a
+//! dispatch. Where the walk would file the packet's `Arrive` there, it
+//! draws the same stamp and files the packet in the host's *inbox*, which
+//! hands it to the application in `(time, stamp)` order, each at its own
+//! instant: before any other event of the host is dispatched, whenever a
+//! packet is filed there (everything keyed before the event being
+//! dispatched, so the inbox holds only packets still in flight), and when
+//! the run stops ([`World::settle`]). A packet of a traced flow keeps its
+//! `Arrive`, so its trace records it in dispatch order (DESIGN.md §6b,
+//! "Absorbed packets").
+//!
 //! A network calls its [`Observer`] at every step of a packet's life; the
 //! one that [`NetworkBuilder::build`] returns is unobserved (`()`), and
 //! [`Network::audited`] hands it to a [`SimAudit`] before the run.
 
 use std::collections::VecDeque;
 
-use dsv_sim::{EventQueue, SimDuration, SimTime, Stamp, World};
+use dsv_sim::{EventQueue, Settled, SimDuration, SimTime, Stamp, World};
 
 use crate::app::{AppCommand, AppCtx, Application, SendSpec};
 use crate::audit::{AuditReport, SimAudit};
@@ -227,6 +239,9 @@ struct Node<P> {
     /// Whether any of the node's ports is a chain hop: the one test a
     /// transmission toward a node that is not a relay pays.
     relay: bool,
+    /// Which payloads the host's application absorbs, read off it when the
+    /// network is built ([`Application::absorbs`]). `None` for routers.
+    absorbs: Option<fn(&P) -> bool>,
 }
 
 impl<P> Port<P> {
@@ -330,6 +345,14 @@ struct Waiting {
     behind: SimTime,
 }
 
+/// A packet filed in its host's inbox: due at `at`, under the stamp its
+/// `Arrive` would have taken.
+struct Absorbed {
+    at: SimTime,
+    stamp: Stamp,
+    packet: PacketRef,
+}
+
 /// What the chain walk reads of a packet, copied out so the walk holds no
 /// borrow of the pool.
 #[derive(Clone, Copy)]
@@ -394,6 +417,7 @@ impl<P: Send + 'static> NetworkBuilder<P> {
             ports: Vec::new(),
             routes: Vec::new(),
             relay: false,
+            absorbs: None,
         });
         self.apps.push(Some(app));
         self.conditioners.push(None);
@@ -412,6 +436,7 @@ impl<P: Send + 'static> NetworkBuilder<P> {
             ports: Vec::new(),
             routes: Vec::new(),
             relay: false,
+            absorbs: None,
         });
         self.apps.push(None);
         self.conditioners.push(None);
@@ -624,6 +649,7 @@ impl<P: Send + 'static> NetworkBuilder<P> {
         }
         for (i, node) in nodes.iter_mut().enumerate() {
             if !matches!(node.kind, NodeKind::Router) {
+                node.absorbs = apps[i].as_ref().and_then(|app| app.absorbs());
                 // A packet sent ahead takes the Lindley step at the host's
                 // port, which needs an unbounded FIFO band for whatever
                 // code point it carries: there no admission can hang on
@@ -654,14 +680,16 @@ impl<P: Send + 'static> NetworkBuilder<P> {
             conditioners,
             cond_poll_at: vec![None; node_count],
             inbound: vec![0; node_count],
+            inbox: (0..node_count).map(|_| VecDeque::new()).collect(),
             stats: NetStats::new(),
             flow_next_id: Vec::new(),
             // Measured in-flight high-water marks (the benchmark's
-            // `net.pool_high_water`): 14 packets on the paper's QBone grid,
-            // 51 on the aggregate sweep, 165 on the transport runs, with
+            // `net.pool_high_water`): 15 packets on the paper's QBone grid,
+            // 59 on the aggregate sweep, 165 on the transport runs, with
             // packets walked through hop chains held here until their one
-            // `Arrive`, and packets sent ahead from the wake-up that sends
-            // them. 64 covers the paper's grids without a mid-run grow;
+            // `Arrive`, packets sent ahead from the wake-up that sends
+            // them, and absorbed packets until their inbox hands them
+            // over. 64 covers the paper's grids without a mid-run grow;
             // the deep TCP queues grow the pool a couple of times per run.
             pool: PacketPool::with_capacity(64),
             cmd_buf: Vec::with_capacity(8),
@@ -692,6 +720,10 @@ pub struct Network<P, O = ()> {
     /// Per node, the packets sent toward it and not yet delivered or
     /// dropped: while any is, the host's send horizon is `now`.
     inbound: Vec<u32>,
+    /// Per node, the packets its application absorbs that were filed in
+    /// its inbox and not yet handed over, in `(time, stamp)` order. They
+    /// stay parked in the pool until then.
+    inbox: Vec<VecDeque<Absorbed>>,
     /// Statistics collector (public so experiments can enable tracing before
     /// the run and read counters afterwards).
     pub stats: NetStats,
@@ -720,6 +752,7 @@ impl<P: 'static> Network<P> {
             conditioners,
             cond_poll_at,
             inbound,
+            inbox,
             stats,
             flow_next_id,
             pool,
@@ -733,6 +766,7 @@ impl<P: 'static> Network<P> {
             conditioners,
             cond_poll_at,
             inbound,
+            inbox,
             stats,
             flow_next_id,
             pool,
@@ -750,9 +784,9 @@ impl<P: 'static> Network<P, SimAudit> {
     /// Close the audit's end-of-run conservation equations and report.
     ///
     /// Counts the packets still physically held at each node (port queues
-    /// and conditioner backlog) and on the wire, and checks them against
-    /// the lifecycle ledger. Call after the run; a second call reports
-    /// without closing again.
+    /// and conditioner backlog), waiting in each inbox, and on the wire,
+    /// and checks them against the lifecycle ledger. Call after the run; a
+    /// second call reports without closing again.
     pub fn audit_report(&mut self) -> AuditReport {
         let held: Vec<u64> = self
             .nodes
@@ -764,7 +798,8 @@ impl<P: 'static> Network<P, SimAudit> {
                 queued + absorbed
             })
             .collect();
-        self.observer.finish(self.pool.live(), &held);
+        let waiting: Vec<u64> = self.inbox.iter().map(|i| i.len() as u64).collect();
+        self.observer.finish(self.pool.live(), &held, &waiting);
         self.observer.report()
     }
 }
@@ -792,14 +827,19 @@ impl<P: 'static, O: Observer> Network<P, O> {
             .expect("node is not a host")
     }
 
-    /// Put `app` on `host` in place of its application. Call before the
-    /// run: tests drive a reference implementation through a compiled
-    /// topology this way. The new application sends under the host's
-    /// declared traffic.
-    pub fn replace_app(&mut self, host: NodeId, app: Box<dyn Application<P> + Send>) {
-        *self.apps[host.0 as usize]
-            .as_mut()
-            .expect("node is not a host") = app;
+    /// Put `app` on `host` in place of its application, and return the
+    /// one it replaces. Call before the run: tests drive a reference
+    /// implementation through a compiled topology this way. The new
+    /// application sends under the host's declared traffic and absorbs
+    /// what it answers it absorbs.
+    pub fn replace_app(
+        &mut self,
+        host: NodeId,
+        app: Box<dyn Application<P> + Send>,
+    ) -> Box<dyn Application<P> + Send> {
+        let idx = host.0 as usize;
+        self.nodes[idx].absorbs = app.absorbs();
+        std::mem::replace(self.apps[idx].as_mut().expect("node is not a host"), app)
     }
 
     fn next_packet_id(&mut self, flow: FlowId) -> PacketId {
@@ -1201,7 +1241,9 @@ impl<P: 'static, O: Observer> Network<P, O> {
     /// it through every chain hop ahead of it, then file its `Arrive` at
     /// the first node that is not one, or at a chain hop it cannot cross
     /// without dispatch, or file its [`NetEvent::Drop`] where the walk
-    /// discards it.
+    /// discards it. A packet its destination absorbs is filed in the
+    /// destination's inbox under the stamp its `Arrive` would have taken
+    /// (see the module docs).
     ///
     /// At each chain port the walk is the Lindley step of the FIFO band
     /// the packet joins: service starts at `max(at, free_at)`, the port
@@ -1294,6 +1336,17 @@ impl<P: 'static, O: Observer> Network<P, O> {
             at = p.free_at + p.link.propagation;
             node = p.peer;
         }
+        if dropped.is_none() && self.absorbs(node, packet) {
+            // Unless the packet crossed a chain hop or was sent ahead,
+            // `filed` is now: the stamp `schedule` would have drawn.
+            let stamp = queue.reserve_filed_at(filed);
+            if filed != sent {
+                self.observer.on_chain_filed(packet, node, at, filed);
+            }
+            self.observer.on_inbox(node, at, stamp, ahead);
+            self.file_absorbed(node, Absorbed { at, stamp, packet }, queue);
+            return;
+        }
         let event = match dropped {
             None => NetEvent::Arrive { node, packet },
             Some(reason) => NetEvent::Drop {
@@ -1316,6 +1369,76 @@ impl<P: 'static, O: Observer> Network<P, O> {
         if ahead {
             self.observer.on_filed_ahead(stamp, at);
         }
+    }
+
+    /// Whether `packet`, due at `node`, is absorbed there: delivered to an
+    /// application that absorbs its payload, in a flow no trace records.
+    #[inline]
+    fn absorbs(&mut self, node: NodeId, packet: PacketRef) -> bool {
+        let Some(absorbs) = self.nodes[node.0 as usize].absorbs else {
+            return false;
+        };
+        let pkt = self.pool.get_mut(packet);
+        pkt.dst == node && absorbs(&pkt.payload) && !self.stats.is_traced(pkt.flow)
+    }
+
+    /// File `entry` in `node`'s inbox in key order, then hand the host
+    /// every packet there keyed before the event being dispatched, so the
+    /// inbox holds only packets still in flight.
+    fn file_absorbed(&mut self, node: NodeId, entry: Absorbed, queue: &EventQueue<NetEvent>) {
+        let inbox = &mut self.inbox[node.0 as usize];
+        let key = (entry.at, entry.stamp);
+        // Entries are mostly filed in key order.
+        if inbox.back().is_none_or(|e| (e.at, e.stamp) < key) {
+            inbox.push_back(entry);
+        } else {
+            let i = inbox.partition_point(|e| (e.at, e.stamp) < key);
+            inbox.insert(i, entry);
+        }
+        self.deliver_absorbed(node, |at, stamp| !queue.is_ahead(at, stamp));
+    }
+
+    /// Hand `node`'s application, in key order, each packet at the head of
+    /// its inbox whose `(time, stamp)` key is `due`, at the packet's own
+    /// instant and filing stamp, as its `Arrive` would have. Returns the
+    /// key of the last one handed over.
+    fn deliver_absorbed(
+        &mut self,
+        node: NodeId,
+        due: impl Fn(SimTime, Stamp) -> bool,
+    ) -> Option<(SimTime, Stamp)> {
+        let idx = node.0 as usize;
+        let mut last = None;
+        while let Some(&Absorbed { at, stamp, packet }) = self.inbox[idx].front() {
+            if !due(at, stamp) {
+                break;
+            }
+            self.inbox[idx].pop_front();
+            let pkt = self.pool.take(packet);
+            self.landed(node);
+            self.stats.on_delivered(at, stamp.filed(), &pkt, node);
+            self.observer.on_absorbed(at, stamp, node, packet);
+            self.observer.on_delivered(pkt.flow, pkt.id, pkt.size, node);
+            let mut ctx = AppCtx::new(at, node);
+            let app = self.apps[idx].as_mut().expect("only hosts absorb");
+            app.on_packet(&mut ctx, pkt);
+            if ctx.pending_commands() > 0 {
+                self.absorbed_command(node);
+            }
+            last = Some((at, stamp));
+        }
+        last
+    }
+
+    /// Abort on a command issued by a callback for an absorbed packet: its
+    /// event was never filed, so nothing it would do can be placed.
+    #[cold]
+    #[inline(never)]
+    fn absorbed_command(&self, node: NodeId) -> ! {
+        panic!(
+            "host {} absorbs the packet it was handed, but its callback issued a command",
+            self.node_name(node)
+        );
     }
 
     /// Peak number of simultaneously in-flight packets observed so far
@@ -1471,6 +1594,12 @@ impl<P: 'static, O: Observer> World for Network<P, O> {
     type Event = NetEvent;
 
     fn handle(&mut self, now: SimTime, event: NetEvent, queue: &mut EventQueue<NetEvent>) {
+        // The host takes every absorbed packet keyed before this event
+        // first.
+        let node = event.node();
+        if !self.inbox[node.0 as usize].is_empty() {
+            self.deliver_absorbed(node, |at, stamp| !queue.is_ahead(at, stamp));
+        }
         self.observer.on_event(now, &event, queue);
         match event {
             NetEvent::Start(node) => {
@@ -1519,6 +1648,17 @@ impl<P: 'static, O: Observer> World for Network<P, O> {
             }
         }
     }
+
+    /// Hand every host the absorbed packets due by `horizon`.
+    fn settle(&mut self, horizon: SimTime, _queue: &mut EventQueue<NetEvent>) -> Settled {
+        let mut settled = Settled::default();
+        for idx in 0..self.inbox.len() {
+            let last = self.deliver_absorbed(NodeId(idx as u32), |at, _| at <= horizon);
+            settled.last = settled.last.max(last);
+            settled.pending |= !self.inbox[idx].is_empty();
+        }
+        settled
+    }
 }
 
 /// A network bundled with its event queue: the convenient top-level runner.
@@ -1533,11 +1673,11 @@ impl<P: Send + 'static, O: Observer> Simulation<P, O> {
     /// Wrap a built network and schedule host start events.
     pub fn new(net: Network<P, O>) -> Self {
         // Measured pending-event high-water marks (the benchmark's
-        // `sim.queue_high_water`): 15 on the paper's QBone grid, 59 on
-        // the aggregate sweep, 571 on the transport runs (a packet walked
+        // `sim.queue_high_water`): 4 on the paper's QBone grid, 48 on the
+        // aggregate sweep, 571 on the transport runs (a packet walked
         // into a hop chain, or sent ahead, keeps one pending `Arrive` or
-        // `Drop`). The capacity covers all of them without a mid-run
-        // grow.
+        // `Drop`, unless its host absorbs it). The capacity covers all of
+        // them without a mid-run grow.
         let mut queue = EventQueue::with_capacity(4096);
         net.schedule_starts(&mut queue);
         Simulation { net, queue }
@@ -2301,5 +2441,140 @@ mod tests {
                 whole.net.stats.flow(flow).delay.mean()
             );
         }
+    }
+
+    /// Records each packet's id and instant, and absorbs every packet
+    /// unless `answers_back`, when it also answers each one.
+    struct Sink {
+        got: Vec<(SimTime, u64)>,
+        answers_back: Option<NodeId>,
+    }
+
+    impl Application<()> for Sink {
+        fn on_start(&mut self, _ctx: &mut AppCtx<()>) {}
+        fn on_packet(&mut self, ctx: &mut AppCtx<()>, pkt: Packet<()>) {
+            self.got.push((ctx.now(), pkt.id.0));
+            if let Some(dst) = self.answers_back {
+                ctx.send(SendSpec {
+                    dst,
+                    flow: FlowId(9),
+                    size: 40,
+                    dscp: Dscp::BEST_EFFORT,
+                    proto: Proto::Udp,
+                    fragment: None,
+                    payload: (),
+                });
+            }
+        }
+        fn on_timer(&mut self, _ctx: &mut AppCtx<()>, _token: u64) {}
+        fn absorbs(&self) -> Option<fn(&()) -> bool> {
+            Some(|_| true)
+        }
+    }
+
+    /// `tx` sends three 500-byte packets 1 ms apart to a [`Sink`] one
+    /// router away.
+    fn to_sink(answers_back: bool) -> (Simulation<()>, dsv_sim::engine::RunStats) {
+        let mut b = NetworkBuilder::new();
+        let tx_id = NodeId(2);
+        let rx = b.add_host(
+            "rx",
+            Box::new(Sink {
+                got: Vec::new(),
+                answers_back: answers_back.then_some(tx_id),
+            }),
+        );
+        let r = b.add_router("r");
+        let tx = b.add_host(
+            "tx",
+            Box::new(Blaster {
+                dst: rx,
+                flow: FlowId(1),
+                count: 3,
+                size: 500,
+                gap: SimDuration::from_millis(1),
+                sent: 0,
+                dscp: Dscp::BEST_EFFORT,
+            }),
+        );
+        assert_eq!(tx, tx_id);
+        b.connect(tx, r, Link::fast_ethernet());
+        b.connect(r, rx, Link::fast_ethernet());
+        let mut sim = Simulation::new(b.build());
+        let stats = sim.run();
+        (sim, stats)
+    }
+
+    #[test]
+    fn an_absorbing_host_takes_its_packets_without_a_dispatch() {
+        let (sim, stats) = to_sink(false);
+        // Two starts, three timers, one arrival at `r` per packet and the
+        // timer the blaster sets after its last send: none at `rx`.
+        assert_eq!(stats.dispatched, 2 + 3 + 3 + 1);
+        assert_eq!(sim.net.stats.flow(FlowId(1)).rx_packets, 3);
+        // The last packet lands after the last dispatch, when the run
+        // settles, and counts as the run's end.
+        assert_eq!(stats.end_time, sim.queue.now());
+        assert!(stats.end_time > SimTime::from_millis(2));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "absorbs the packet it was handed, but its callback issued a command"
+    )]
+    fn a_command_from_an_absorbed_packets_callback_panics() {
+        to_sink(true);
+    }
+
+    #[test]
+    fn an_inbox_hands_packets_over_in_key_order_whatever_order_they_are_filed_in() {
+        let mut b = NetworkBuilder::new();
+        let (sink, app) = crate::app::Shared::new(Sink {
+            got: Vec::new(),
+            answers_back: None,
+        });
+        let rx = b.add_host("rx", Box::new(app));
+        let r = b.add_router("r");
+        b.connect(rx, r, Link::fast_ethernet());
+        let mut net = b.build();
+        let mut queue = EventQueue::new();
+        let at = SimTime::from_millis;
+        // Filed out of key order: by instant, and at one instant by stamp.
+        let keys = [(at(5), 0), (at(3), 1), (at(4), 2), (at(3), 3)];
+        let stamps: Vec<Stamp> = (0..4).map(|_| queue.reserve()).collect();
+        for &(due, id) in &keys {
+            let packet = net.pool.insert(Packet {
+                id: PacketId(id),
+                flow: FlowId(1),
+                src: r,
+                dst: rx,
+                size: 100,
+                dscp: Dscp::BEST_EFFORT,
+                proto: Proto::Udp,
+                fragment: None,
+                sent_at: SimTime::ZERO,
+                payload: (),
+            });
+            let stamp = stamps[id as usize];
+            net.file_absorbed(
+                rx,
+                Absorbed {
+                    at: due,
+                    stamp,
+                    packet,
+                },
+                &queue,
+            );
+        }
+        let settled = net.settle(at(4), &mut queue);
+        assert!(settled.pending, "the packet due at 5 ms waits");
+        assert_eq!(settled.last, Some((at(4), stamps[2])));
+        net.settle(SimTime::MAX, &mut queue);
+        assert_eq!(net.pool.live(), 0);
+        assert_eq!(net.stats.flow(FlowId(1)).rx_packets, 4);
+        assert_eq!(
+            sink.borrow().got,
+            [(at(3), 1), (at(3), 3), (at(4), 2), (at(5), 0)]
+        );
     }
 }

@@ -100,6 +100,16 @@ pub trait Observer {
     /// A packet fully arrived at `node` (router or host).
     fn on_arrive(&mut self, node: NodeId) {}
 
+    /// A packet `node` absorbs was filed in its inbox, due at `at` under
+    /// `stamp`, which counts as filed after the instant it was drawn at
+    /// if `ahead` (see [`Observer::on_filed_ahead`]). No event is filed.
+    fn on_inbox(&mut self, node: NodeId, at: SimTime, stamp: Stamp, ahead: bool) {}
+
+    /// The absorbed `packet`, filed in `node`'s inbox due at `at` under
+    /// `stamp`, arrived and is handed to the host's application now;
+    /// [`Observer::on_delivered`] follows.
+    fn on_absorbed(&mut self, at: SimTime, stamp: Stamp, node: NodeId, packet: PacketRef) {}
+
     /// Packet `id` of `flow` reached its destination application at
     /// `node`.
     fn on_delivered(&mut self, flow: FlowId, id: PacketId, size: u32, node: NodeId) {}

@@ -158,6 +158,12 @@ impl NetStats {
         self.tracing = true;
     }
 
+    /// Whether `flow`'s packets are traced.
+    #[inline]
+    pub(crate) fn is_traced(&self, flow: FlowId) -> bool {
+        self.tracing && self.traced.contains_key(&flow)
+    }
+
     fn flow_mut(&mut self, flow: FlowId) -> &mut FlowCounters {
         match self.flows.iter().position(|(f, _)| *f == flow) {
             Some(i) => &mut self.flows[i].1,

@@ -188,6 +188,9 @@ impl<P> Application<P> for CountingSink {
         self.bytes += pkt.size as u64;
     }
     fn on_timer(&mut self, _ctx: &mut AppCtx<P>, _token: u64) {}
+    fn absorbs(&self) -> Option<fn(&P) -> bool> {
+        Some(|_| true)
+    }
 }
 
 #[cfg(test)]

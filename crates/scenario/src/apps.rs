@@ -62,4 +62,7 @@ impl<P> Application<P> for IdSink {
         self.ids.push(pkt.id.0);
     }
     fn on_timer(&mut self, _ctx: &mut AppCtx<P>, _token: u64) {}
+    fn absorbs(&self) -> Option<fn(&P) -> bool> {
+        Some(|_| true)
+    }
 }

@@ -10,6 +10,7 @@
 //! interleaving is explicit in the queue.
 
 use crate::queue::EventQueue;
+use crate::stamped::Stamp;
 use crate::time::SimTime;
 
 /// A simulation world: the owner of all component state.
@@ -20,6 +21,27 @@ pub trait World {
     /// Handle one event at its scheduled time. New events may be scheduled
     /// on `queue` at any time `>= now`.
     fn handle(&mut self, now: SimTime, event: Self::Event, queue: &mut EventQueue<Self::Event>);
+
+    /// The run stops at `horizon`: make every delivery due at or before it
+    /// that the world keeps outside the queue. [`run_until`] calls this
+    /// once, after its last dispatch; a world that wraps another forwards
+    /// it. The default keeps nothing outside the queue.
+    fn settle(&mut self, horizon: SimTime, queue: &mut EventQueue<Self::Event>) -> Settled {
+        let _ = (horizon, queue);
+        Settled::default()
+    }
+}
+
+/// What a world delivered outside the queue when its run stopped (see
+/// [`World::settle`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Settled {
+    /// The `(time, stamp)` key of the latest delivery made while settling,
+    /// if any. The queue takes it as delivered, as it would have if the
+    /// delivery had been an event.
+    pub last: Option<(SimTime, Stamp)>,
+    /// Whether the world still keeps deliveries due after the horizon.
+    pub pending: bool,
 }
 
 /// Statistics returned by the dispatch loop.
@@ -27,10 +49,12 @@ pub trait World {
 pub struct RunStats {
     /// Number of events dispatched.
     pub dispatched: u64,
-    /// Virtual time of the last dispatched event (or `ZERO` if none).
+    /// Virtual time of the last dispatched event, or of a later delivery
+    /// the world made while settling (`ZERO` if neither).
     pub end_time: SimTime,
     /// True if the run stopped because the horizon was reached rather than
-    /// because the queue drained.
+    /// because the queue drained: events, or deliveries the world keeps
+    /// outside the queue, remain after it.
     pub hit_horizon: bool,
 }
 
@@ -45,7 +69,9 @@ pub fn run<W: World>(world: &mut W, queue: &mut EventQueue<W::Event>) -> RunStat
 /// The loop uses [`EventQueue::pop_at_or_before`] — a fused peek + pop —
 /// so each dispatched event costs one queue operation, not two. The queue
 /// holds `horizon` for the run ([`EventQueue::horizon`]), so a world can
-/// tell how far it may act ahead of time.
+/// tell how far it may act ahead of time. After the last dispatch the
+/// world settles ([`World::settle`]); a delivery it makes then counts in
+/// `end_time` and in the queue's delivery key as a dispatched event would.
 pub fn run_until<W: World>(
     world: &mut W,
     queue: &mut EventQueue<W::Event>,
@@ -59,12 +85,21 @@ pub fn run_until<W: World>(
         dispatched += 1;
         end_time = now;
     }
+    let settled = world.settle(horizon, queue);
+    if let Some((at, stamp)) = settled
+        .last
+        .filter(|&(at, stamp)| queue.is_ahead(at, stamp))
+    {
+        queue.watermark = at;
+        queue.last = Some(stamp);
+        end_time = at;
+    }
     RunStats {
         dispatched,
         end_time,
         // The loop exits either because the queue drained or because the
         // remaining events are all after the horizon.
-        hit_horizon: !queue.is_empty(),
+        hit_horizon: !queue.is_empty() || settled.pending,
     }
 }
 
@@ -163,6 +198,51 @@ mod tests {
         fn handle(&mut self, _now: SimTime, _ev: (), q: &mut EventQueue<()>) {
             self.0.push(q.horizon());
         }
+    }
+
+    /// A world that delivers its payloads outside the queue, each due at
+    /// its own instant, and settles them when a run stops.
+    struct Outbox {
+        due: Vec<(SimTime, Stamp)>,
+        delivered: Vec<SimTime>,
+    }
+
+    impl World for Outbox {
+        type Event = ();
+        fn handle(&mut self, _now: SimTime, _ev: (), _q: &mut EventQueue<()>) {}
+        fn settle(&mut self, horizon: SimTime, _q: &mut EventQueue<()>) -> Settled {
+            let mut settled = Settled::default();
+            for &(at, stamp) in self.due.iter().filter(|&&(at, _)| at <= horizon) {
+                self.delivered.push(at);
+                settled.last = Some((at, stamp));
+            }
+            self.due.retain(|&(at, _)| at > horizon);
+            settled.pending = !self.due.is_empty();
+            settled
+        }
+    }
+
+    #[test]
+    fn a_settled_delivery_counts_as_delivered() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(10), ());
+        let due = [SimTime::from_millis(20), SimTime::from_millis(40)]
+            .map(|at| (at, q.reserve()))
+            .to_vec();
+        let mut w = Outbox {
+            due,
+            delivered: vec![],
+        };
+        let stats = run_until(&mut w, &mut q, SimTime::from_millis(30));
+        assert_eq!(stats.dispatched, 1);
+        assert_eq!(stats.end_time, SimTime::from_millis(20));
+        assert!(stats.hit_horizon, "a delivery is still due");
+        assert_eq!(q.now(), SimTime::from_millis(20));
+        let stats = run(&mut w, &mut q);
+        assert_eq!(stats.dispatched, 0);
+        assert_eq!(stats.end_time, SimTime::from_millis(40));
+        assert!(!stats.hit_horizon);
+        assert_eq!(w.delivered, [20, 40].map(SimTime::from_millis));
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod stamped;
 pub mod time;
 mod wheel;
 
-pub use engine::{run, run_until, World};
+pub use engine::{run, run_until, Settled, World};
 pub use queue::{EventQueue, QueueBackend};
 pub use rng::SimRng;
 pub use stamped::Stamp;

@@ -398,6 +398,13 @@ impl Application<StreamPayload> for StreamClient {
             }
         }
     }
+
+    /// A UDP media chunk only feeds reassembly and the feedback window,
+    /// which the feedback timer reads; TCP segments are acknowledged, and
+    /// the describe reply starts the session.
+    fn absorbs(&self) -> Option<fn(&StreamPayload) -> bool> {
+        Some(|payload| matches!(payload, StreamPayload::Media(_)))
+    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,10 @@
 //! with an empty-rule conditioner (`rules: []`, which passes every packet)
 //! added to every router that has none, and every conditioner wrapped in
 //! an opaque delegate through `CompileOptions::wrap`, dispatches every
-//! hop, as the engine did before chains existed.
+//! hop, as the engine did before chains existed. It also puts every
+//! application behind a delegate that keeps the default answer to
+//! `Application::absorbs`, so every packet reaches its host by an
+//! `Arrive` (§6b, "Absorbed packets").
 //!
 //! A paced server wakes only at the ticks that send (§6b, "Paced servers
 //! wake only to send"), and at each sends every packet due before its
@@ -23,7 +26,10 @@
 //! Each spec runs both ways and must agree on every flow's counters (sent,
 //! delivered, drops by reason, delay summary and histogram), every flow's
 //! full packet trace (each send, delivery and drop with its instant and
-//! node), and every client and sink report.
+//! node), and every client and sink report. A traced flow keeps its
+//! `Arrive`s, so each chained spec also runs with no flow traced, its
+//! hosts absorbing what they may, and must agree on everything but the
+//! traces.
 //!
 //! The run under test is the one every experiment makes: chains and
 //! woken servers on the timing wheel. Both references run on the
@@ -42,7 +48,7 @@ use dsv_core::qbone::qbone_spec;
 use dsv_core::smoothing::{smoothing_spec, SmoothingConfig, SmoothingServer, DEPTH_10MTU};
 use dsv_media::encoder::mpeg1;
 use dsv_media::scene::ClipId;
-use dsv_net::app::{AppCtx, Application, SendSpec};
+use dsv_net::app::{AppCtx, Application, NullApp, SendSpec};
 use dsv_net::conditioner::{ConditionOutcome, Conditioner, QuickVerdict, Released};
 use dsv_net::link::Link;
 use dsv_net::network::{Network, NetworkBuilder, Simulation};
@@ -113,8 +119,28 @@ fn opaque(_tap: &str, inner: BoxConditioner) -> BoxConditioner {
     Box::new(Opaque(inner))
 }
 
-/// A compiled scenario in its simulation, with every flow traced, and
-/// the handles that read its applications back.
+/// Delegates every callback to the application it wraps, but keeps the
+/// default answer to [`Application::absorbs`], so every packet to its
+/// host is dispatched.
+struct Dispatched(Box<dyn Application<StreamPayload> + Send>);
+
+impl Application<StreamPayload> for Dispatched {
+    fn on_start(&mut self, ctx: &mut AppCtx<StreamPayload>) {
+        self.0.on_start(ctx);
+    }
+
+    fn on_packet(&mut self, ctx: &mut AppCtx<StreamPayload>, pkt: Packet<StreamPayload>) {
+        self.0.on_packet(ctx, pkt);
+    }
+
+    fn on_timer(&mut self, ctx: &mut AppCtx<StreamPayload>, token: u64) {
+        self.0.on_timer(ctx, token);
+    }
+}
+
+/// A compiled scenario in its simulation, with every flow traced unless
+/// it is built to absorb, and the handles that read its applications
+/// back.
 struct Run {
     sim: Simulation<StreamPayload>,
     apps: CompiledScenario,
@@ -142,19 +168,29 @@ fn on_heap(net: Network<StreamPayload>) -> Simulation<StreamPayload> {
 impl Run {
     /// `spec` as every experiment runs it, on the timing wheel.
     fn new(spec: &ScenarioSpec) -> Run {
-        Run::start(compiled(spec), Simulation::new)
+        Run::start(compiled(spec), Simulation::new, true)
     }
 
-    /// `spec` with every hop dispatched, on the heap.
+    /// `spec` as every experiment runs it, with no flow traced, so its
+    /// hosts absorb every packet they may.
+    fn absorbing(spec: &ScenarioSpec) -> Run {
+        Run::start(compiled(spec), Simulation::new, false)
+    }
+
+    /// `spec` with every hop and every packet to a host dispatched, on
+    /// the heap.
     fn per_hop(spec: &ScenarioSpec) -> Run {
         let opts = CompileOptions {
             store: Some(&ArtifactStore),
             wrap: Some(&opaque),
         };
-        Run::start(
-            compile(&per_hop(spec), opts).expect("spec compiles"),
-            on_heap,
-        )
+        let mut compiled = compile(&per_hop(spec), opts).expect("spec compiles");
+        for node in spec.nodes.iter().filter(|n| n.app.is_some()) {
+            let host = compiled.node(&node.name);
+            let app = compiled.net.replace_app(host, Box::new(NullApp));
+            compiled.net.replace_app(host, Box::new(Dispatched(app)));
+        }
+        Run::start(compiled, on_heap, true)
     }
 
     /// `spec` with every paced server, multi-rate ones included, replaced
@@ -190,15 +226,16 @@ impl Run {
                 .net
                 .replace_app(host, Box::new(PerTickPacedServer::new(cfg, &clip)));
         }
-        Run::start(compiled, on_heap)
+        Run::start(compiled, on_heap, true)
     }
 
     fn start(
         mut compiled: CompiledScenario,
         simulation: fn(Network<StreamPayload>) -> Simulation<StreamPayload>,
+        traced: bool,
     ) -> Run {
         // Flow labels in the committed scenarios stay below 2048.
-        for flow in 0..2048 {
+        for flow in (0..2048).filter(|_| traced) {
             compiled.net.stats.trace_flow(FlowId(flow));
         }
         // Keep the handles; the network moves into the simulation.
@@ -211,6 +248,12 @@ impl Run {
 
     /// Everything a run reports, one line per item.
     fn observed(&self) -> Vec<String> {
+        self.report(true)
+    }
+
+    /// Everything a run reports, one line per item, flow traces only if
+    /// `traces`.
+    fn report(&self, traces: bool) -> Vec<String> {
         let stats = &self.sim.net.stats;
         let mut flows: Vec<_> = stats.flows().collect();
         flows.sort_by_key(|(flow, _)| flow.0);
@@ -226,7 +269,9 @@ impl Run {
                 "flow {}: tx {} {} rx {} {} drops {drops:?} delay {:?} hist {:?}",
                 flow.0, c.tx_packets, c.tx_bytes, c.rx_packets, c.rx_bytes, c.delay, c.delay_hist
             ));
-            out.push(format!("flow {} trace {:?}", flow.0, stats.trace_of(*flow)));
+            if traces {
+                out.push(format!("flow {} trace {:?}", flow.0, stats.trace_of(*flow)));
+            }
         }
         let a = &self.apps;
         for (name, h) in &a.clients {
@@ -257,21 +302,32 @@ fn horizon(spec: &ScenarioSpec) -> SimTime {
 }
 
 /// Run `spec` with chains on the wheel and per hop on the heap, to its
-/// horizon, and require the same observations. Returns the events each
+/// horizon, and require the same observations; then with chains and no
+/// flow traced, so its hosts absorb what they may, and require the same
+/// observations but the traces. Returns the events the traced runs
 /// dispatched.
 fn assert_equivalent(label: &str, spec: &ScenarioSpec) -> (u64, u64) {
     let mut chained = Run::new(spec);
     let mut reference = Run::per_hop(spec);
+    let mut absorbing = Run::absorbing(spec);
     let a = chained.sim.run_until(horizon(spec));
     let b = reference.sim.run_until(horizon(spec));
+    let c = absorbing.sim.run_until(horizon(spec));
     assert_eq!(
         chained.observed(),
         reference.observed(),
         "{label}: chains on the wheel vs per hop on the heap"
     );
+    assert_eq!(
+        absorbing.report(false),
+        reference.report(false),
+        "{label}: absorbing chains on the wheel vs per hop on the heap"
+    );
     assert!(
-        a.dispatched <= b.dispatched,
-        "{label}: chains on the wheel dispatched {} events, per hop on the heap {}",
+        a.dispatched <= b.dispatched && c.dispatched <= a.dispatched,
+        "{label}: absorbing chains on the wheel dispatched {} events, chains {}, \
+         per hop on the heap {}",
+        c.dispatched,
         a.dispatched,
         b.dispatched
     );
