@@ -113,15 +113,19 @@ git diff --exit-code -- results/
 
 echo "==> warm-cache figure gate (every figure replayed from a fresh result cache)"
 # Every lane above runs with the cache off. Here all_figures fills a fresh
-# cache, then replays from it: both passes must leave results/ unchanged,
-# every progress line of the replay must report 0 simulated points, and
-# the replay must write no cache file.
+# cache, then replays from it: both passes must leave results/ unchanged
+# and print exactly the committed results/all_figures.log, every progress
+# line of the replay must report 0 simulated points, and the replay must
+# write no cache file.
 warm_cache=$(mktemp -d)
-DSV_CACHE="$warm_cache" DSV_PROGRESS=1 ./target/release/all_figures > /dev/null 2> /dev/null
+replay_stdout=$(mktemp)
+DSV_CACHE="$warm_cache" DSV_PROGRESS=1 ./target/release/all_figures 2> /dev/null \
+  | cmp - results/all_figures.log
 git diff --exit-code -- results/
 filled=$(ls -A "$warm_cache")
-replay=$(DSV_CACHE="$warm_cache" DSV_PROGRESS=1 ./target/release/all_figures 2>&1 > /dev/null \
+replay=$(DSV_CACHE="$warm_cache" DSV_PROGRESS=1 ./target/release/all_figures 2>&1 > "$replay_stdout" \
   | tr '\r' '\n' | grep '^\[runner\]' || true)
+cmp "$replay_stdout" results/all_figures.log
 git diff --exit-code -- results/
 if [[ -z "$replay" ]] || grep -qv ' (0 simulated, ' <<< "$replay"; then
   echo "warm-cache replay simulated points (or printed no progress):" >&2
@@ -132,7 +136,7 @@ if [[ "$(ls -A "$warm_cache")" != "$filled" ]]; then
   echo "warm-cache replay wrote cache files" >&2
   exit 1
 fi
-rm -rf "$warm_cache"
+rm -rf "$warm_cache" "$replay_stdout"
 
 if [[ "$AUDIT" == 1 ]]; then
   echo "==> audited test suites (DSV_AUDIT=1)"

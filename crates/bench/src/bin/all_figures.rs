@@ -1,4 +1,5 @@
-//! Runs every table/figure regeneration in paper order.
+//! Runs every table/figure regeneration in paper order. What it prints is
+//! committed as `results/all_figures.log`, which `ci.sh` compares with it.
 use dsv_bench::figures as f;
 
 fn main() {

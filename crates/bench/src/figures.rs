@@ -6,7 +6,7 @@ use dsv_media::encoder::{mpeg1, wmv};
 use dsv_media::stats::{rate_series, ClipStats};
 use serde::Serialize;
 
-use crate::{emit_json, emit_sweep};
+use crate::{emit_json, emit_rows, emit_sweep};
 
 pub use dsv_core::sweep::qbone_grid;
 
@@ -49,24 +49,12 @@ struct Table2Row {
 /// Table 2: MPEG encoding properties of clips Lost and Dark.
 pub fn table2() {
     println!("Table 2. MPEG Encoding Properties of Clips Lost and Dark.\n");
-    let mut all = Vec::new();
+    let mut rows = Vec::new();
     for clip in [ClipId::Lost, ClipId::Dark] {
         let model = clip.model();
-        let mut rows = Vec::new();
         for rate in [1_700_000u64, 1_500_000, 1_000_000] {
-            let enc = mpeg1::encode(&model, rate);
-            let s = ClipStats::of(&enc);
-            rows.push(vec![
-                format!("{:.1}M", rate as f64 / 1e6),
-                s.total_bytes.to_string(),
-                s.frames.to_string(),
-                format!("{:.2} s", s.length_secs),
-                format!("{:.0} bytes", s.avg_frame_bytes),
-                format!("{:.0}", s.max_rate_bps),
-                format!("{:.2}", s.avg_rate_bps),
-                format!("{:.0}", s.min_rate_bps),
-            ]);
-            all.push(Table2Row {
+            let s = ClipStats::of(&mpeg1::encode(&model, rate));
+            rows.push(Table2Row {
                 clip: clip.name().to_string(),
                 encoding_bps: rate,
                 bytes: s.total_bytes,
@@ -78,26 +66,8 @@ pub fn table2() {
                 min_rate_bps: s.min_rate_bps,
             });
         }
-        println!("Clip {}:", clip.name());
-        print!(
-            "{}",
-            format_table(
-                &[
-                    "Encoding rate",
-                    "Bytes read",
-                    "Frames",
-                    "Length",
-                    "Avg. frame size",
-                    "Max rate (bps)",
-                    "Avg rate (bps)",
-                    "Min rate (bps)",
-                ],
-                &rows
-            )
-        );
-        println!();
     }
-    emit_json("table2_mpeg_properties", &all);
+    emit_rows("table2_mpeg_properties", &rows);
 }
 
 #[derive(Serialize)]
@@ -114,44 +84,22 @@ struct Table3Row {
 /// Table 3: properties of the Windows-Media encoded clips.
 pub fn table3() {
     println!("Table 3. Properties of Windows Media Encoded Clips.\n");
-    let mut all = Vec::new();
-    let mut rows = Vec::new();
-    for clip in [ClipId::Lost, ClipId::Dark] {
-        let model = clip.model();
-        let enc = wmv::encode(&model, wmv::PAPER_CAP_BPS);
-        rows.push(vec![
-            clip.name().to_string(),
-            enc.total_bytes().to_string(),
-            format!("{:.1} kbps", wmv::PAPER_CAP_BPS as f64 / 1e3),
-            format!("{:.1} kbps", enc.average_bps() / 1e3),
-            enc.frames.len().to_string(),
-            format!("{:.1}", dsv_media::frame::fps()),
-        ]);
-        all.push(Table3Row {
-            clip: clip.name().to_string(),
-            cap_bps: wmv::PAPER_CAP_BPS,
-            bytes_encoded: enc.total_bytes(),
-            expected_kbps: wmv::PAPER_CAP_BPS as f64 / 1e3,
-            average_kbps: enc.average_bps() / 1e3,
-            frames: enc.frames.len() as u32,
-            fps: dsv_media::frame::fps(),
-        });
-    }
-    print!(
-        "{}",
-        format_table(
-            &[
-                "Clip",
-                "Bytes encoded",
-                "Bit rate (expected)",
-                "Bit rate (average)",
-                "Frames",
-                "Frames/s",
-            ],
-            &rows
-        )
-    );
-    emit_json("table3_wmv_properties", &all);
+    let rows: Vec<Table3Row> = [ClipId::Lost, ClipId::Dark]
+        .into_iter()
+        .map(|clip| {
+            let enc = wmv::encode(&clip.model(), wmv::PAPER_CAP_BPS);
+            Table3Row {
+                clip: clip.name().to_string(),
+                cap_bps: wmv::PAPER_CAP_BPS,
+                bytes_encoded: enc.total_bytes(),
+                expected_kbps: wmv::PAPER_CAP_BPS as f64 / 1e3,
+                average_kbps: enc.average_bps() / 1e3,
+                frames: enc.frames.len() as u32,
+                fps: dsv_media::frame::fps(),
+            }
+        })
+        .collect();
+    emit_rows("table3_wmv_properties", &rows);
 }
 
 /// Table 4: summary of experimental configurations.
@@ -244,6 +192,7 @@ pub fn fig10_12() {
 /// reference** for all three encodings — the "is a lower encoding with
 /// fewer losses better?" question.
 pub fn fig13_relative() {
+    println!("Relative quality vs token rate (reference = 1.7 Mbps encoding, depth 4500).\n");
     #[derive(Serialize)]
     struct Row {
         clip: String,
@@ -253,16 +202,12 @@ pub fn fig13_relative() {
         quality_vs_best: f64,
         frame_loss: f64,
     }
-    let mut all = Vec::new();
+    let rates: Vec<u64> = (0..10)
+        .map(|i| (1_000_000.0 + i as f64 * 150_000.0) as u64)
+        .collect();
     let runner = Runner::from_env();
+    let mut rows = Vec::new();
     for clip in [ClipId2::Lost, ClipId2::Dark] {
-        println!(
-            "\n# Relative quality (reference = 1.7 Mbps encoding), clip {:?}",
-            clip
-        );
-        let rates: Vec<u64> = (0..10)
-            .map(|i| (1_000_000.0 + i as f64 * 150_000.0) as u64)
-            .collect();
         for enc in [1_000_000u64, 1_500_000, 1_700_000] {
             let jobs: Vec<Job> = rates
                 .iter()
@@ -272,34 +217,19 @@ pub fn fig13_relative() {
                     Job::Qbone(cfg)
                 })
                 .collect();
-            let mut rows = Vec::new();
             for (&r, out) in rates.iter().zip(runner.run(&jobs)) {
-                let q = out.quality_vs_best.expect("requested");
-                rows.push(vec![
-                    format!("{:.2}", r as f64 / 1e6),
-                    format!("{q:.3}"),
-                    format!("{:.4}", out.frame_loss),
-                ]);
-                all.push(Row {
+                rows.push(Row {
                     clip: format!("{clip:?}"),
                     encoding_bps: enc,
                     token_rate_bps: r,
                     depth: DEPTH_3MTU,
-                    quality_vs_best: q,
+                    quality_vs_best: out.quality_vs_best.expect("requested"),
                     frame_loss: out.frame_loss,
                 });
             }
-            println!("\n## encoding {:.1} Mbps (depth 4500)", enc as f64 / 1e6);
-            print!(
-                "{}",
-                format_table(
-                    &["token rate (Mbps)", "quality vs 1.7M ref", "frame loss"],
-                    &rows
-                )
-            );
         }
     }
-    emit_json("fig13_relative_quality", &all);
+    emit_rows("fig13_relative_quality", &rows);
 }
 
 /// The local-testbed figures (§4.2): WMT-style server, quality versus
@@ -334,10 +264,10 @@ pub fn fig15_local() {
 
 /// Figure 16 (beyond the paper): N paced video flows behind one
 /// aggregate EF policer at the edge — per-flow quality and loss versus
-/// the aggregate token rate, for both paper bucket depths. The grid is
-/// the one the `paper_findings_aggregate` suite pins as a golden: rate
-/// alone cannot keep aggregates watchable because the N in-phase
-/// server bursts outgrow any fixed bucket depth.
+/// the aggregate token rate, for both paper bucket depths, on the grid
+/// the `paper_findings_aggregate` suite pins as a golden: rate alone
+/// cannot keep aggregates watchable because the N in-phase server bursts
+/// outgrow any fixed bucket depth.
 pub fn fig16_aggregate() {
     println!("Figure 16. Aggregate EF policing: per-flow quality vs aggregate token rate.\n");
     #[derive(Serialize)]
@@ -351,75 +281,33 @@ pub fn fig16_aggregate() {
         mean_packet_loss: f64,
         policer_drops: u64,
     }
-    const ENC: u64 = 1_000_000;
-    let fractions = [0.9, 1.0, 1.1, 1.25, 1.4];
-    let mut cfgs = Vec::new();
-    for &depth in &[DEPTH_2MTU, DEPTH_3MTU] {
-        for &n in &[1u32, 2, 4, 8] {
-            for &frac in &fractions {
-                let rate = (ENC as f64 * n as f64 * frac) as u64;
-                cfgs.push(AggregateConfig::new(
-                    ClipId2::Lost,
-                    ENC,
-                    n,
-                    EfProfile::new(rate, depth),
-                ));
-            }
-        }
-    }
+    let cfgs = dsv_core::aggregate::committed_grid();
     let outs = Runner::from_env().run(&cfgs);
-    let mut all = Vec::new();
-    let mut rows = Vec::new();
-    for (cfg, out) in cfgs.iter().zip(&outs) {
-        let frac = cfg.profile.token_rate_bps as f64 / (ENC as f64 * cfg.flows as f64);
-        rows.push(vec![
-            cfg.flows.to_string(),
-            cfg.profile.bucket_depth_bytes.to_string(),
-            format!("{frac:.2}"),
-            cfg.profile.token_rate_bps.to_string(),
-            format!("{:.3}", out.mean_quality()),
-            format!("{:.3}", out.worst_quality()),
-            format!("{:.3}", out.mean_packet_loss()),
-            out.total_policer_drops().to_string(),
-        ]);
-        all.push(Out {
+    let rows: Vec<Out> = cfgs
+        .iter()
+        .zip(&outs)
+        .map(|(cfg, out)| Out {
             flows: cfg.flows,
             depth_bytes: cfg.profile.bucket_depth_bytes,
-            rate_fraction: frac,
+            rate_fraction: cfg.profile.token_rate_bps as f64
+                / (cfg.encoding_bps as f64 * cfg.flows as f64),
             aggregate_rate_bps: cfg.profile.token_rate_bps,
             mean_quality: out.mean_quality(),
             worst_quality: out.worst_quality(),
             mean_packet_loss: out.mean_packet_loss(),
             policer_drops: out.total_policer_drops(),
-        });
-    }
-    print!(
-        "{}",
-        format_table(
-            &[
-                "flows",
-                "depth",
-                "rate/N·enc",
-                "agg rate (bps)",
-                "mean VQM",
-                "worst VQM",
-                "pkt loss",
-                "policer drops"
-            ],
-            &rows
-        )
-    );
+        })
+        .collect();
+    emit_rows("fig16_aggregate", &rows);
     println!("\n(Provisioning the aggregate at N × the single-flow profile is not");
     println!("enough: the bucket depth must scale with N too, or the policer");
     println!("clips every in-phase burst no matter how generous the token rate.)");
-    emit_json("fig16_aggregate", &all);
 }
 
 /// Figure 17 (beyond the paper): the §5 self-smoothing conjecture —
 /// bursty vs TCP vs ABR goodput and loss versus bucket depth, on the
 /// same grid the `paper_findings_tcp_smoothing` suite pins as a golden.
 pub fn fig17_tcp_smoothing() {
-    use dsv_core::smoothing::{DEPTH_10MTU, DEPTH_40MTU};
     println!("Figure 17. Server discipline vs EF profile: goodput, loss, and the ABR ladder.\n");
     #[derive(Serialize)]
     struct Out {
@@ -433,77 +321,32 @@ pub fn fig17_tcp_smoothing() {
         stall_s: f64,
         broken: bool,
     }
-    const ENC: u64 = 1_500_000;
-    let mut jobs = Vec::new();
-    for &server in &[
-        SmoothingServer::Bursty,
-        SmoothingServer::Tcp,
-        SmoothingServer::Abr,
-    ] {
-        for &rate in &[800_000u64, 1_650_000, 5_000_000] {
-            for &depth in &[DEPTH_2MTU, DEPTH_10MTU, DEPTH_40MTU] {
-                jobs.push(FlowJob::Smoothing(SmoothingConfig::new(
-                    ClipId2::Lost,
-                    ENC,
-                    server,
-                    EfProfile::new(rate, depth),
-                )));
-            }
-        }
-    }
+    let cfgs = dsv_core::smoothing::committed_grid();
+    let jobs: Vec<FlowJob> = cfgs.iter().cloned().map(FlowJob::Smoothing).collect();
     let outs = Runner::from_env().run(&jobs);
-    let mut all = Vec::new();
-    let mut rows = Vec::new();
-    for (job, out) in jobs.iter().zip(&outs) {
-        let FlowJob::Smoothing(cfg) = job else {
-            unreachable!()
-        };
-        let f = &out.per_flow[0];
-        rows.push(vec![
-            format!("{:?}", cfg.server),
-            cfg.profile.token_rate_bps.to_string(),
-            cfg.profile.bucket_depth_bytes.to_string(),
-            format!("{:.0}", f.achieved_bps),
-            format!("{:.3}", f.packet_loss),
-            f.policer_drops.to_string(),
-            format!("{:.2}", f.mean_rung),
-            format!("{:.2}", f.stall_s),
-            if f.broken { "yes" } else { "" }.to_string(),
-        ]);
-        all.push(Out {
-            server: format!("{:?}", cfg.server),
-            token_rate_bps: cfg.profile.token_rate_bps,
-            depth_bytes: cfg.profile.bucket_depth_bytes,
-            achieved_bps: f.achieved_bps,
-            packet_loss: f.packet_loss,
-            policer_drops: f.policer_drops,
-            mean_rung: f.mean_rung,
-            stall_s: f.stall_s,
-            broken: f.broken,
-        });
-    }
-    print!(
-        "{}",
-        format_table(
-            &[
-                "server",
-                "token rate",
-                "depth",
-                "goodput (bps)",
-                "pkt loss",
-                "policer drops",
-                "mean rung",
-                "stall (s)",
-                "broken"
-            ],
-            &rows
-        )
-    );
+    let rows: Vec<Out> = cfgs
+        .iter()
+        .zip(&outs)
+        .map(|(cfg, out)| {
+            let f = &out.per_flow[0];
+            Out {
+                server: format!("{:?}", cfg.server),
+                token_rate_bps: cfg.profile.token_rate_bps,
+                depth_bytes: cfg.profile.bucket_depth_bytes,
+                achieved_bps: f.achieved_bps,
+                packet_loss: f.packet_loss,
+                policer_drops: f.policer_drops,
+                mean_rung: f.mean_rung,
+                stall_s: f.stall_s,
+                broken: f.broken,
+            }
+        })
+        .collect();
+    emit_rows("fig17_tcp_smoothing", &rows);
     println!("\n(TCP self-smooths only in loss terms at the paper's shallow buckets —");
     println!("its goodput is capped by the bucket depth, not the token rate. Deep");
     println!("buckets invert the ranking, and the ABR ladder turns the residual");
     println!("loss story into a rung/stall story.)");
-    emit_json("fig17_tcp_smoothing", &all);
 }
 
 /// Figure 18 (beyond the paper): the Lochin & Anelli AF reproduction —
@@ -523,93 +366,39 @@ pub fn fig18_af_tcp() {
         ratio: f64,
         mean_delay_ms: f64,
     }
-    const BOTTLENECK: u64 = 6_000_000;
-    let mut jobs = Vec::new();
-    let mut labels = Vec::new();
-    for &trtcm in &[false, true] {
-        for &frac in &[0.3, 0.5, 0.7, 0.85, 0.95] {
-            let per_flow = (BOTTLENECK as f64 * frac / 4.0) as u64;
-            let mut cfg = AfTcpConfig::new(vec![per_flow; 4], vec![0; 4]);
-            cfg.trtcm = trtcm;
-            jobs.push(FlowJob::AfTcp(cfg));
-            labels.push("equal".to_string());
-        }
-    }
-    jobs.push(FlowJob::AfTcp(AfTcpConfig::new(
-        vec![1_050_000; 4],
-        vec![0, 0, 40, 40],
-    )));
-    labels.push("rtt-pair".to_string());
-    jobs.push(FlowJob::AfTcp(AfTcpConfig::new(
-        vec![250_000, 500_000, 750_000, 1_350_000],
-        vec![0; 4],
-    )));
-    labels.push("hetero-low".to_string());
-    jobs.push(FlowJob::AfTcp(AfTcpConfig::new(
-        vec![500_000, 1_000_000, 1_500_000, 2_700_000],
-        vec![0; 4],
-    )));
-    labels.push("hetero-near".to_string());
-
+    let grid = dsv_core::af_tcp::committed_grid();
+    let jobs: Vec<FlowJob> = grid
+        .iter()
+        .map(|(_, cfg)| FlowJob::AfTcp(cfg.clone()))
+        .collect();
     let outs = Runner::from_env().run(&jobs);
-    let mut all = Vec::new();
     let mut rows = Vec::new();
-    for ((job, label), out) in jobs.iter().zip(&labels).zip(&outs) {
-        let FlowJob::AfTcp(cfg) = job else {
-            unreachable!()
-        };
-        let meter = if cfg.trtcm { "trTCM" } else { "srTCM" };
+    for ((label, cfg), out) in grid.iter().zip(&outs) {
         for (i, f) in out.per_flow.iter().enumerate() {
-            let ratio = f.achieved_bps / f.target_bps as f64;
-            rows.push(vec![
-                label.clone(),
-                meter.to_string(),
-                format!("{:.2}", cfg.provisioning()),
-                i.to_string(),
-                cfg.rtt_extra_ms[i].to_string(),
-                f.target_bps.to_string(),
-                format!("{:.0}", f.achieved_bps),
-                format!("{ratio:.2}"),
-                format!("{:.1}", f.mean_delay_ms),
-            ]);
-            all.push(Out {
-                scenario: label.clone(),
-                meter: meter.to_string(),
+            rows.push(Out {
+                scenario: label.to_string(),
+                meter: if cfg.trtcm { "trTCM" } else { "srTCM" }.to_string(),
                 provisioning: cfg.provisioning(),
                 flow: i,
                 rtt_extra_ms: cfg.rtt_extra_ms[i],
                 target_bps: f.target_bps,
                 achieved_bps: f.achieved_bps,
-                ratio,
+                ratio: f.achieved_bps / f.target_bps as f64,
                 mean_delay_ms: f.mean_delay_ms,
             });
         }
     }
-    print!(
-        "{}",
-        format_table(
-            &[
-                "scenario",
-                "meter",
-                "prov",
-                "flow",
-                "rtt+ms",
-                "target (bps)",
-                "achieved (bps)",
-                "ach/tgt",
-                "delay (ms)"
-            ],
-            &rows
-        )
-    );
+    emit_rows("fig18_af_tcp", &rows);
     println!("\n(The committed rate is honored only while the aggregate stays well");
     println!("below the bottleneck; near capacity every flow undershoots, long-RTT");
     println!("flows undershoot first, and the trTCM's peak band rescues nothing.)");
-    emit_json("fig18_af_tcp", &all);
 }
 
 /// Ablation: the large-datagram servers' bi-modal behaviour (paper §4).
 pub fn ablation_bimodal() {
+    println!(
+        "Ablation: paced vs large-datagram (bi-modal) server under EF policing (depth 3000)\n"
+    );
     #[derive(Serialize)]
     struct Row {
         server: String,
@@ -618,13 +407,12 @@ pub fn ablation_bimodal() {
         frame_loss: f64,
         packet_loss: f64,
     }
-    println!("Ablation: paced vs large-datagram (bi-modal) server under EF policing\n");
-    let mut all = Vec::new();
     let enc = 1_500_000u64;
     let rates: Vec<u64> = (0..10)
         .map(|i| (enc as f64 * (0.9 + i as f64 * 0.55)) as u64)
         .collect();
     let runner = Runner::from_env();
+    let mut rows = Vec::new();
     for (name, server) in [
         ("paced", QboneServer::Paced),
         ("bursty", QboneServer::Bursty),
@@ -637,15 +425,8 @@ pub fn ablation_bimodal() {
                 Job::Qbone(cfg)
             })
             .collect();
-        let mut rows = Vec::new();
         for (&r, out) in rates.iter().zip(runner.run(&jobs)) {
-            rows.push(vec![
-                format!("{:.2}", r as f64 / 1e6),
-                format!("{:.3}", out.quality),
-                format!("{:.4}", out.frame_loss),
-                format!("{:.4}", out.packet_loss),
-            ]);
-            all.push(Row {
+            rows.push(Row {
                 server: name.into(),
                 token_rate_bps: r,
                 quality: out.quality,
@@ -653,16 +434,8 @@ pub fn ablation_bimodal() {
                 packet_loss: out.packet_loss,
             });
         }
-        println!("\n## {name} server (depth 3000)");
-        print!(
-            "{}",
-            format_table(
-                &["token rate (Mbps)", "quality", "frame loss", "packet loss"],
-                &rows
-            )
-        );
     }
-    emit_json("ablation_bimodal", &all);
+    emit_rows("ablation_bimodal", &rows);
 }
 
 /// Ablation: the WMT mis-adaptation death spiral (paper §4).
@@ -676,8 +449,6 @@ pub fn ablation_death_spiral() {
         broken: bool,
         frame_loss: f64,
     }
-    let mut all = Vec::new();
-    let mut rows = Vec::new();
     let rates = [
         600_000u64, 800_000, 1_000_000, 1_200_000, 1_600_000, 2_000_000,
     ];
@@ -693,36 +464,18 @@ pub fn ablation_death_spiral() {
             Job::Local(cfg)
         })
         .collect();
-    for (&r, out) in rates.iter().zip(Runner::from_env().run(&jobs)) {
-        rows.push(vec![
-            format!("{:.2}", r as f64 / 1e6),
-            format!("{:.3}", out.quality),
-            out.collapses.to_string(),
-            out.broken.to_string(),
-            format!("{:.4}", out.frame_loss),
-        ]);
-        all.push(Out {
+    let rows: Vec<Out> = rates
+        .iter()
+        .zip(Runner::from_env().run(&jobs))
+        .map(|(&r, out)| Out {
             token_rate_bps: r,
             quality: out.quality,
             collapses: out.collapses,
             broken: out.broken,
             frame_loss: out.frame_loss,
-        });
-    }
-    print!(
-        "{}",
-        format_table(
-            &[
-                "token rate (Mbps)",
-                "quality",
-                "collapses",
-                "broken",
-                "frame loss"
-            ],
-            &rows
-        )
-    );
-    emit_json("ablation_death_spiral", &all);
+        })
+        .collect();
+    emit_rows("ablation_death_spiral", &rows);
 }
 
 /// Ablation: fine bucket-depth sweep at a fixed token rate (extends the
@@ -735,8 +488,6 @@ pub fn ablation_bucket_depth() {
         quality: f64,
         frame_loss: f64,
     }
-    let mut all = Vec::new();
-    let mut rows = Vec::new();
     let enc = 1_500_000u64;
     let depths = [1500u32, 2250, 3000, 3750, 4500, 5250, 6000];
     let jobs: Vec<Job> = depths
@@ -749,23 +500,16 @@ pub fn ablation_bucket_depth() {
             ))
         })
         .collect();
-    for (&depth, out) in depths.iter().zip(Runner::from_env().run(&jobs)) {
-        rows.push(vec![
-            depth.to_string(),
-            format!("{:.3}", out.quality),
-            format!("{:.4}", out.frame_loss),
-        ]);
-        all.push(Out {
+    let rows: Vec<Out> = depths
+        .iter()
+        .zip(Runner::from_env().run(&jobs))
+        .map(|(&depth, out)| Out {
             depth_bytes: depth,
             quality: out.quality,
             frame_loss: out.frame_loss,
-        });
-    }
-    print!(
-        "{}",
-        format_table(&["depth (bytes)", "quality", "frame loss"], &rows)
-    );
-    emit_json("ablation_bucket_depth", &all);
+        })
+        .collect();
+    emit_rows("ablation_bucket_depth", &rows);
 }
 
 /// Ablation: content dependence — the same QBone sweep on three clips
@@ -782,38 +526,27 @@ pub fn ablation_content() {
         quality: f64,
         frame_loss: f64,
     }
-    let mut all = Vec::new();
     let enc = 1_500_000u64;
     let rates: Vec<u64> = (0..8)
         .map(|i| (enc as f64 * (0.9 + i as f64 * 0.07)) as u64)
         .collect();
     let runner = Runner::from_env();
+    let mut rows = Vec::new();
     for clip in [ClipId2::Lost, ClipId2::Dark, ClipId2::Talk] {
         let jobs: Vec<Job> = rates
             .iter()
             .map(|&r| Job::Qbone(QboneConfig::new(clip, enc, EfProfile::new(r, DEPTH_3MTU))))
             .collect();
-        let mut rows = Vec::new();
         for (&r, out) in rates.iter().zip(runner.run(&jobs)) {
-            rows.push(vec![
-                format!("{:.2}", r as f64 / 1e6),
-                format!("{:.3}", out.quality),
-                format!("{:.4}", out.frame_loss),
-            ]);
-            all.push(Out {
+            rows.push(Out {
                 clip: format!("{clip:?}"),
                 token_rate_bps: r,
                 quality: out.quality,
                 frame_loss: out.frame_loss,
             });
         }
-        println!("\n## clip {clip:?}");
-        print!(
-            "{}",
-            format_table(&["token rate (Mbps)", "quality", "frame loss"], &rows)
-        );
     }
-    emit_json("ablation_content", &all);
+    emit_rows("ablation_content", &rows);
 }
 
 /// Ablation: the "future MPEG server" — multi-rate content selection
@@ -827,8 +560,6 @@ pub fn ablation_multirate() {
         fixed_quality: f64,
         multirate_quality: f64,
     }
-    let mut all = Vec::new();
-    let mut rows = Vec::new();
     let rates = [
         1_000_000u64,
         1_200_000,
@@ -851,34 +582,18 @@ pub fn ablation_multirate() {
         })
         .collect();
     let outs = Runner::from_env().run(&jobs);
-    for (&r, pair) in rates.iter().zip(outs.chunks(2)) {
-        let f = pair[0].quality_vs_best.expect("requested");
-        let m = pair[1].quality_vs_best.expect("requested");
-        rows.push(vec![
-            format!("{:.1}", r as f64 / 1e6),
-            format!("{f:.3}"),
-            format!("{m:.3}"),
-        ]);
-        all.push(Out {
+    let rows: Vec<Out> = rates
+        .iter()
+        .zip(outs.chunks(2))
+        .map(|(&r, pair)| Out {
             token_rate_bps: r,
-            fixed_quality: f,
-            multirate_quality: m,
-        });
-    }
-    print!(
-        "{}",
-        format_table(
-            &[
-                "token rate (Mbps)",
-                "fixed 1.7M quality",
-                "multi-rate quality"
-            ],
-            &rows
-        )
-    );
+            fixed_quality: pair[0].quality_vs_best.expect("requested"),
+            multirate_quality: pair[1].quality_vs_best.expect("requested"),
+        })
+        .collect();
+    emit_rows("ablation_multirate", &rows);
     println!("\n(The multi-rate server trades encoding fidelity for loss immunity —");
     println!("the winning trade everywhere the profile can't carry 1.7 Mbps.)");
-    emit_json("ablation_multirate", &all);
 }
 
 /// Ablation: EF delay and jitter accumulation across hops — the
@@ -900,7 +615,6 @@ pub fn ablation_hop_jitter() {
         jitter_ms: f64,
         frame_loss: f64,
     }
-    let mut all = Vec::new();
     let mut rows = Vec::new();
     for hops in [1usize, 2, 4, 6, 8] {
         let media = MediaRef {
@@ -1025,14 +739,7 @@ pub fn ablation_hop_jitter() {
             .jitter()
             .map(|d| d.as_millis_f64())
             .unwrap_or(0.0);
-        rows.push(vec![
-            hops.to_string(),
-            format!("{p50:.1}"),
-            format!("{p99:.1}"),
-            format!("{jit:.1}"),
-            format!("{:.4}", rep.frame_loss_fraction()),
-        ]);
-        all.push(Out {
+        rows.push(Out {
             hops,
             p50_ms: p50,
             p99_ms: p99,
@@ -1040,23 +747,10 @@ pub fn ablation_hop_jitter() {
             frame_loss: rep.frame_loss_fraction(),
         });
     }
-    print!(
-        "{}",
-        format_table(
-            &[
-                "hops",
-                "p50 delay (ms)",
-                "p99 delay (ms)",
-                "jitter p99-p50 (ms)",
-                "frame loss"
-            ],
-            &rows
-        )
-    );
+    emit_rows("ablation_hop_jitter", &rows);
     println!("\n(EF jitter grows with hop count but stays bounded by per-hop");
     println!("one-packet preemption delays — the accumulation the paper weighs");
     println!("against larger bucket depths.)");
-    emit_json("ablation_hop_jitter", &all);
 }
 
 /// Ablation: the AF PHB experiment the paper excluded — video quality as
@@ -1071,8 +765,6 @@ pub fn ablation_af_phb() {
         frame_loss: f64,
         packet_loss: f64,
     }
-    let mut all = Vec::new();
-    let mut rows = Vec::new();
     let loads = [
         (0u64, 0u64),
         (1_000_000, 500_000),
@@ -1089,39 +781,21 @@ pub fn ablation_af_phb() {
             Job::Af(cfg)
         })
         .collect();
-    for (&(load, cir), out) in loads.iter().zip(Runner::from_env().run(&jobs)) {
-        rows.push(vec![
-            format!("{:.1}", load as f64 / 1e6),
-            format!("{:.1}", cir as f64 / 1e6),
-            format!("{:.3}", out.quality),
-            format!("{:.4}", out.frame_loss),
-            format!("{:.4}", out.packet_loss),
-        ]);
-        all.push(Out {
+    let rows: Vec<Out> = loads
+        .iter()
+        .zip(Runner::from_env().run(&jobs))
+        .map(|(&(load, cir), out)| Out {
             cross_load_bps: load,
             cross_cir_bps: cir,
             quality: out.quality,
             frame_loss: out.frame_loss,
             packet_loss: out.packet_loss,
-        });
-    }
-    print!(
-        "{}",
-        format_table(
-            &[
-                "cross load (Mbps)",
-                "cross CIR (Mbps)",
-                "quality",
-                "frame loss",
-                "packet loss"
-            ],
-            &rows
-        )
-    );
+        })
+        .collect();
+    emit_rows("ablation_af_phb", &rows);
     println!("\n(EF isolates the stream from all of this — see the cross-traffic");
     println!("tests; the load-dependence above is why the paper's AF results were");
     println!("excluded as 'heavily dependent on the level of cross traffic'.)");
-    emit_json("ablation_af_phb", &all);
 }
 
 /// Ablation: shaping versus policing at identical (rate, depth) — the
@@ -1135,8 +809,6 @@ pub fn ablation_shape_vs_drop() {
         quality_drop: f64,
         quality_shaped: f64,
     }
-    let mut all = Vec::new();
-    let mut rows = Vec::new();
     let grid: Vec<(u64, u32)> = [900_000u64, 1_100_000, 1_300_000, 1_600_000]
         .into_iter()
         .flat_map(|r| [(r, DEPTH_2MTU), (r, DEPTH_3MTU)])
@@ -1154,36 +826,17 @@ pub fn ablation_shape_vs_drop() {
         })
         .collect();
     let outs = Runner::from_env().run(&jobs);
-    for (&(r, depth), pair) in grid.iter().zip(outs.chunks(2)) {
-        let (dropped, shaped) = (&pair[0], &pair[1]);
-        {
-            rows.push(vec![
-                format!("{:.2}", r as f64 / 1e6),
-                depth.to_string(),
-                format!("{:.3}", dropped.quality),
-                format!("{:.3}", shaped.quality),
-            ]);
-            all.push(Out {
-                token_rate_bps: r,
-                depth,
-                quality_drop: dropped.quality,
-                quality_shaped: shaped.quality,
-            });
-        }
-    }
-    print!(
-        "{}",
-        format_table(
-            &[
-                "token rate (Mbps)",
-                "depth",
-                "quality (drop)",
-                "quality (shaped)"
-            ],
-            &rows
-        )
-    );
-    emit_json("ablation_shape_vs_drop", &all);
+    let rows: Vec<Out> = grid
+        .iter()
+        .zip(outs.chunks(2))
+        .map(|(&(r, depth), pair)| Out {
+            token_rate_bps: r,
+            depth,
+            quality_drop: pair[0].quality,
+            quality_shaped: pair[1].quality,
+        })
+        .collect();
+    emit_rows("ablation_shape_vs_drop", &rows);
 }
 
 #[cfg(test)]
@@ -1197,7 +850,7 @@ mod tests {
     #[ignore = "re-simulates 72 points; ci.sh runs it"]
     fn figures_7_to_9_reproduce_point_by_point() {
         for (name, sweep) in qbone_figures(ClipId2::Lost, &Runner::serial()) {
-            let path = crate::results_dir().join(format!("{name}.json"));
+            let path = dsv_core::runner::results_dir().join(format!("{name}.json"));
             let committed = std::fs::read_to_string(&path).expect("read committed figure");
             let simulated = serde_json::to_string_pretty(&sweep).expect("serialize sweep");
             assert!(simulated == committed, "{} moved", path.display());

@@ -117,6 +117,47 @@ impl AfTcpConfig {
     }
 }
 
+/// Flows on every point of the committed grid ([`committed_grid`]).
+pub const GRID_FLOWS: usize = 4;
+/// The committed grid's provisioning ladder: aggregate committed rate as
+/// a fraction of the 6 Mbit/s bottleneck, split equally over the flows.
+pub const GRID_FRACTIONS: [f64; 5] = [0.3, 0.5, 0.7, 0.85, 0.95];
+
+/// The committed AF-TCP grid, behind Figure 18 and the `findings_af_tcp`
+/// golden, each point with its scenario label: the srTCM provisioning
+/// ladder, the same ladder re-metered with trTCM (both `equal`), then RTT
+/// heterogeneity at comfortable provisioning (`rtt-pair`: two paths with
+/// 40 ms extra) and target heterogeneity, underprovisioned
+/// (`hetero-low`) and near capacity (`hetero-near`).
+pub fn committed_grid() -> Vec<(&'static str, AfTcpConfig)> {
+    const BOTTLENECK: u64 = 6_000_000;
+    let mut grid = Vec::new();
+    for trtcm in [false, true] {
+        for frac in GRID_FRACTIONS {
+            let per_flow = (BOTTLENECK as f64 * frac / GRID_FLOWS as f64) as u64;
+            let mut cfg = AfTcpConfig::new(vec![per_flow; GRID_FLOWS], vec![0; GRID_FLOWS]);
+            cfg.trtcm = trtcm;
+            grid.push(("equal", cfg));
+        }
+    }
+    for (label, targets, rtts) in [
+        ("rtt-pair", vec![1_050_000; GRID_FLOWS], vec![0, 0, 40, 40]),
+        (
+            "hetero-low",
+            vec![250_000, 500_000, 750_000, 1_350_000],
+            vec![0; GRID_FLOWS],
+        ),
+        (
+            "hetero-near",
+            vec![500_000, 1_000_000, 1_500_000, 2_700_000],
+            vec![0; GRID_FLOWS],
+        ),
+    ] {
+        grid.push((label, AfTcpConfig::new(targets, rtts)));
+    }
+    grid
+}
+
 /// The declarative AF-TCP scenario: N bulk-TCP pairs, per-flow tricolor
 /// marking at the shared edge, one WRED AF-PHB bottleneck.
 pub fn af_tcp_spec(cfg: &AfTcpConfig) -> ScenarioSpec {

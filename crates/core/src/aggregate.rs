@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::artifacts::Codec;
 use crate::executor::execute;
-use crate::experiment::{run_horizon, EfProfile, RunOutcome};
+use crate::experiment::{run_horizon, EfProfile, RunOutcome, DEPTH_2MTU, DEPTH_3MTU};
 use crate::qbone::{qbone_path, ClipId2, CodecSpec};
 
 /// Base flow id of client→server control traffic (flow `1000 + i` for
@@ -94,6 +94,36 @@ impl AggregateConfig {
     fn label_at(&self, p: u32) -> u32 {
         (p + self.rotation) % self.flows.max(1)
     }
+}
+
+/// Flow counts of the committed grid ([`committed_grid`]).
+pub const GRID_FLOWS: [u32; 4] = [1, 2, 4, 8];
+/// Aggregate token rates of the committed grid, as fractions of N × the
+/// 1 Mbit/s encoding rate.
+pub const GRID_FRACTIONS: [f64; 5] = [0.9, 1.0, 1.1, 1.25, 1.4];
+/// Bucket depths of the committed grid: the paper's two.
+pub const GRID_DEPTHS: [u32; 2] = [DEPTH_2MTU, DEPTH_3MTU];
+
+/// The committed aggregate grid, behind Figure 16 and the
+/// `findings_aggregate` golden: *Lost* at 1 Mbit/s, depth-major, then flow
+/// count, then rate fraction.
+pub fn committed_grid() -> Vec<AggregateConfig> {
+    const ENC: u64 = 1_000_000;
+    let mut cfgs = Vec::new();
+    for depth in GRID_DEPTHS {
+        for n in GRID_FLOWS {
+            for frac in GRID_FRACTIONS {
+                let rate = (ENC as f64 * n as f64 * frac) as u64;
+                cfgs.push(AggregateConfig::new(
+                    ClipId2::Lost,
+                    ENC,
+                    n,
+                    EfProfile::new(rate, depth),
+                ));
+            }
+        }
+    }
+    cfgs
 }
 
 /// Per-flow outcomes of one aggregate run, in flow order.

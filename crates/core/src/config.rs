@@ -74,7 +74,7 @@ impl RunConfig {
             }),
         };
         let cache_dir = match var("DSV_CACHE").as_deref().map(str::trim) {
-            None => Some(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/cache")),
+            None => Some(crate::runner::results_dir().join("cache")),
             Some("0" | "off" | "") => None,
             Some(path) => Some(PathBuf::from(path)),
         };

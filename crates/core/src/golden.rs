@@ -25,15 +25,10 @@
 //! so the tests of one binary regenerating one golden at once all succeed.
 
 use std::fs;
-use std::path::PathBuf;
 
 use crate::config::RunConfig;
 use crate::keys::fnv1a64;
-use crate::runner::{publish, GridJob, Runner};
-
-fn results_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
-}
+use crate::runner::{publish, results_dir, GridJob, Runner};
 
 /// Checksum over the jobs that generate a golden file: FNV-1a (hex) over
 /// each job's kind, a `0` byte, its config JSON and a `0xff` byte.

@@ -882,12 +882,19 @@ fn store_cached<O: Serialize>(path: &Path, entry: &CacheEntry<'_, O>) {
     let _ = publish(path, &json);
 }
 
+/// The repository's `results/` directory: figure files, goldens and the
+/// default result cache (`results/cache/`).
+pub fn results_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
+}
+
 /// Write `text` to `path` atomically, creating its directory: into a temp
 /// file beside it, named uniquely per process and per write, then renamed
 /// over `path`. A reader sees the old file or the new one, and concurrent
 /// writers of one path (figure binaries sharing a cache, tests
-/// regenerating one golden) each publish a whole file.
-pub(crate) fn publish(path: &Path, text: &str) -> io::Result<()> {
+/// regenerating one golden) each publish a whole file. Every file under
+/// [`results_dir`] is written this way.
+pub fn publish(path: &Path, text: &str) -> io::Result<()> {
     static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().unwrap_or(Path::new("."));
     fs::create_dir_all(dir)?;

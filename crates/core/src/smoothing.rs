@@ -32,7 +32,7 @@ use dsv_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 use crate::executor::execute;
-use crate::experiment::{run_horizon, EfProfile};
+use crate::experiment::{run_horizon, EfProfile, DEPTH_2MTU};
 use crate::flows::{FlowOutcome, FlowsOutcome};
 use crate::qbone::{qbone_path, ClipId2, CodecSpec, MEDIA_FLOW, UP_FLOW};
 
@@ -90,6 +90,39 @@ pub const DEPTH_10MTU: u32 = 15_000;
 /// A deep bucket (40 MTU) that admits full windows — the "generous"
 /// end of the smoothing sweep.
 pub const DEPTH_40MTU: u32 = 60_000;
+
+/// Server disciplines of the committed grid ([`committed_grid`]).
+pub const GRID_SERVERS: [SmoothingServer; 3] = [
+    SmoothingServer::Bursty,
+    SmoothingServer::Tcp,
+    SmoothingServer::Abr,
+];
+/// Token rates of the committed grid, spanning under-, at- and
+/// over-provisioned profiles relative to the 1.5 Mbit/s encoding.
+pub const GRID_RATES: [u64; 3] = [800_000, 1_650_000, 5_000_000];
+/// Bucket depths of the committed grid: the paper's shallow bucket, a
+/// one-window bucket and a deep one.
+pub const GRID_DEPTHS: [u32; 3] = [DEPTH_2MTU, DEPTH_10MTU, DEPTH_40MTU];
+
+/// The committed smoothing grid, behind Figure 17 and the
+/// `findings_tcp_smoothing` golden: *Lost* at 1.5 Mbit/s, server-major,
+/// then token rate, then bucket depth.
+pub fn committed_grid() -> Vec<SmoothingConfig> {
+    let mut cfgs = Vec::new();
+    for server in GRID_SERVERS {
+        for rate in GRID_RATES {
+            for depth in GRID_DEPTHS {
+                cfgs.push(SmoothingConfig::new(
+                    ClipId2::Lost,
+                    1_500_000,
+                    server,
+                    EfProfile::new(rate, depth),
+                ));
+            }
+        }
+    }
+    cfgs
+}
 
 /// ABR segment length (and the buffer step of the rate ladder).
 pub const ABR_SEGMENT_US: u64 = 2_000_000;

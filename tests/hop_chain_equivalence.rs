@@ -36,6 +36,8 @@
 //! binary-heap event queue, so each comparison also holds the wheel to
 //! the heap on a whole workload.
 
+#[path = "support/dispatched.rs"]
+mod dispatched;
 #[path = "support/per_tick_server.rs"]
 mod per_tick_server;
 
@@ -48,7 +50,7 @@ use dsv_core::qbone::qbone_spec;
 use dsv_core::smoothing::{smoothing_spec, SmoothingConfig, SmoothingServer, DEPTH_10MTU};
 use dsv_media::encoder::mpeg1;
 use dsv_media::scene::ClipId;
-use dsv_net::app::{AppCtx, Application, NullApp, SendSpec};
+use dsv_net::app::{AppCtx, Application, SendSpec};
 use dsv_net::conditioner::{ConditionOutcome, Conditioner, QuickVerdict, Released};
 use dsv_net::link::Link;
 use dsv_net::network::{Network, NetworkBuilder, Simulation};
@@ -67,6 +69,7 @@ use dsv_sim::{EventQueue, QueueBackend, SimDuration, SimTime};
 use dsv_stream::payload::{ControlMsg, StreamPayload, CONTROL_PACKET_BYTES};
 use dsv_stream::server::paced::{multi_rate_tier, PacedConfig, PacedServer, TICK};
 
+use dispatched::dispatch_every_packet;
 use per_tick_server::PerTickPacedServer;
 
 /// The same scenario with a conditioner on every router, each with a tap
@@ -119,25 +122,6 @@ fn opaque(_tap: &str, inner: BoxConditioner) -> BoxConditioner {
     Box::new(Opaque(inner))
 }
 
-/// Delegates every callback to the application it wraps, but keeps the
-/// default answer to [`Application::absorbs`], so every packet to its
-/// host is dispatched.
-struct Dispatched(Box<dyn Application<StreamPayload> + Send>);
-
-impl Application<StreamPayload> for Dispatched {
-    fn on_start(&mut self, ctx: &mut AppCtx<StreamPayload>) {
-        self.0.on_start(ctx);
-    }
-
-    fn on_packet(&mut self, ctx: &mut AppCtx<StreamPayload>, pkt: Packet<StreamPayload>) {
-        self.0.on_packet(ctx, pkt);
-    }
-
-    fn on_timer(&mut self, ctx: &mut AppCtx<StreamPayload>, token: u64) {
-        self.0.on_timer(ctx, token);
-    }
-}
-
 /// A compiled scenario in its simulation, with every flow traced unless
 /// it is built to absorb, and the handles that read its applications
 /// back.
@@ -185,11 +169,13 @@ impl Run {
             wrap: Some(&opaque),
         };
         let mut compiled = compile(&per_hop(spec), opts).expect("spec compiles");
-        for node in spec.nodes.iter().filter(|n| n.app.is_some()) {
-            let host = compiled.node(&node.name);
-            let app = compiled.net.replace_app(host, Box::new(NullApp));
-            compiled.net.replace_app(host, Box::new(Dispatched(app)));
-        }
+        let hosts: Vec<NodeId> = spec
+            .nodes
+            .iter()
+            .filter(|n| n.app.is_some())
+            .map(|n| compiled.node(&n.name))
+            .collect();
+        dispatch_every_packet(&mut compiled.net, &hosts);
         Run::start(compiled, on_heap, true)
     }
 

@@ -16,15 +16,18 @@
 //! * a traced flow, which keeps its `Arrive`s beside an absorbed one at
 //!   the same host.
 
+#[path = "support/dispatched.rs"]
+mod dispatched;
+
 use dsv_core::artifacts::ArtifactStore;
 use dsv_core::local::{local_spec, LocalConfig, LocalTransport};
 use dsv_core::prelude::*;
 use dsv_core::qbone::qbone_spec;
-use dsv_net::app::{AppCtx, Application, Handle, NullApp, Shared};
+use dsv_net::app::{Handle, Shared};
 use dsv_net::audit::SimAudit;
 use dsv_net::link::Link;
-use dsv_net::network::{Network, NetworkBuilder, Simulation};
-use dsv_net::packet::{FlowId, NodeId, Packet};
+use dsv_net::network::{NetworkBuilder, Simulation};
+use dsv_net::packet::{FlowId, NodeId};
 use dsv_net::stats::NetStats;
 use dsv_scenario::apps::{IdSink, Pump};
 use dsv_scenario::{compile, CompileOptions, CompiledScenario, ScenarioSpec};
@@ -32,31 +35,7 @@ use dsv_sim::engine::RunStats;
 use dsv_sim::{SimDuration, SimTime};
 use dsv_stream::payload::StreamPayload;
 
-/// Delegates every callback to the application it wraps, but keeps the
-/// default answer to [`Application::absorbs`].
-struct Dispatched<P>(Box<dyn Application<P> + Send>);
-
-impl<P> Application<P> for Dispatched<P> {
-    fn on_start(&mut self, ctx: &mut AppCtx<P>) {
-        self.0.on_start(ctx);
-    }
-
-    fn on_packet(&mut self, ctx: &mut AppCtx<P>, pkt: Packet<P>) {
-        self.0.on_packet(ctx, pkt);
-    }
-
-    fn on_timer(&mut self, ctx: &mut AppCtx<P>, token: u64) {
-        self.0.on_timer(ctx, token);
-    }
-}
-
-/// Put the application on each of `hosts` behind [`Dispatched`].
-fn dispatch_every_packet<P: Send + 'static>(net: &mut Network<P>, hosts: &[NodeId]) {
-    for &host in hosts {
-        let app = net.replace_app(host, Box::new(NullApp));
-        net.replace_app(host, Box::new(Dispatched(app)));
-    }
-}
+use dispatched::dispatch_every_packet;
 
 /// Every flow's counters and trace, one line each.
 fn flows(stats: &NetStats) -> Vec<String> {
@@ -95,7 +74,7 @@ struct Run {
 
 impl Run {
     /// `spec` with its applications as built (`absorb`), or each behind
-    /// [`Dispatched`].
+    /// [`dispatched::Dispatched`].
     fn new(spec: &ScenarioSpec, absorb: bool) -> Run {
         let mut apps = compile(
             spec,

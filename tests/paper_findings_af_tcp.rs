@@ -15,46 +15,16 @@
 //! generating configs fails loudly if the tested grid drifts from the
 //! committed one, and `DSV_REGEN=1` re-simulates and rewrites the file.
 
+use dsv_core::af_tcp::{committed_grid, GRID_FLOWS as FLOWS, GRID_FRACTIONS as FRACTIONS};
 use dsv_core::prelude::*;
-
-/// Aggregate committed rate as a fraction of the 6 Mbit/s bottleneck.
-const FRACTIONS: [f64; 5] = [0.3, 0.5, 0.7, 0.85, 0.95];
-const BOTTLENECK: u64 = 6_000_000;
-const FLOWS: usize = 4;
-
-/// Four equal committed rates summing to `frac` of the bottleneck.
-fn equal(frac: f64, trtcm: bool) -> AfTcpConfig {
-    let per_flow = (BOTTLENECK as f64 * frac / FLOWS as f64) as u64;
-    let mut cfg = AfTcpConfig::new(vec![per_flow; FLOWS], vec![0; FLOWS]);
-    cfg.trtcm = trtcm;
-    cfg
-}
 
 /// The committed grid: the srTCM provisioning ladder, the same ladder
 /// re-metered with trTCM, then the heterogeneity probes.
 fn grid() -> Vec<FlowJob> {
-    let mut jobs = Vec::new();
-    for &trtcm in &[false, true] {
-        for &frac in &FRACTIONS {
-            jobs.push(FlowJob::AfTcp(equal(frac, trtcm)));
-        }
-    }
-    // RTT heterogeneity at comfortable provisioning: two short paths,
-    // two with 40 ms extra, all with the same committed rate.
-    jobs.push(FlowJob::AfTcp(AfTcpConfig::new(
-        vec![1_050_000; FLOWS],
-        vec![0, 0, 40, 40],
-    )));
-    // Target heterogeneity, underprovisioned and near capacity.
-    jobs.push(FlowJob::AfTcp(AfTcpConfig::new(
-        vec![250_000, 500_000, 750_000, 1_350_000],
-        vec![0; FLOWS],
-    )));
-    jobs.push(FlowJob::AfTcp(AfTcpConfig::new(
-        vec![500_000, 1_000_000, 1_500_000, 2_700_000],
-        vec![0; FLOWS],
-    )));
-    jobs
+    committed_grid()
+        .into_iter()
+        .map(|(_, cfg)| FlowJob::AfTcp(cfg))
+        .collect()
 }
 
 fn outcomes() -> Vec<FlowsOutcome> {

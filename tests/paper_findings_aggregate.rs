@@ -17,35 +17,13 @@
 //! generating configs fails loudly if the tested grid drifts from the
 //! committed one, and `DSV_REGEN=1` re-simulates and rewrites the file.
 
+use dsv_core::aggregate::{
+    committed_grid, GRID_DEPTHS as DEPTHS, GRID_FLOWS as FLOWS, GRID_FRACTIONS as FRACTIONS,
+};
 use dsv_core::prelude::*;
 
-const ENC: u64 = 1_000_000;
-const FLOWS: [u32; 4] = [1, 2, 4, 8];
-/// Aggregate token rate as a fraction of N × encoding rate.
-const FRACTIONS: [f64; 5] = [0.9, 1.0, 1.1, 1.25, 1.4];
-const DEPTHS: [u32; 2] = [DEPTH_2MTU, DEPTH_3MTU];
-
-/// The committed grid, depth-major, then flow count, then rate fraction.
-fn grid() -> Vec<AggregateConfig> {
-    let mut cfgs = Vec::new();
-    for &depth in &DEPTHS {
-        for &n in &FLOWS {
-            for &frac in &FRACTIONS {
-                let rate = (ENC as f64 * n as f64 * frac) as u64;
-                cfgs.push(AggregateConfig::new(
-                    ClipId2::Lost,
-                    ENC,
-                    n,
-                    EfProfile::new(rate, depth),
-                ));
-            }
-        }
-    }
-    cfgs
-}
-
 fn outcomes() -> Vec<AggregateOutcome> {
-    golden("findings_aggregate", &grid())
+    golden("findings_aggregate", &committed_grid())
 }
 
 /// Exact clustering's contract on this grid: every point simulated on its
@@ -53,7 +31,7 @@ fn outcomes() -> Vec<AggregateOutcome> {
 #[test]
 #[ignore = "re-simulates the whole grid; ci.sh runs it"]
 fn golden_reproduces_point_by_point() {
-    dsv_core::golden::assert_reproduced_point_by_point("findings_aggregate", &grid());
+    dsv_core::golden::assert_reproduced_point_by_point("findings_aggregate", &committed_grid());
 }
 
 /// Outcome at (depth index, flow-count index, fraction index).
@@ -74,7 +52,7 @@ fn rotation_sweep_collapses_to_the_committed_grid() {
     use std::collections::HashSet;
     let mut members = 0usize;
     let mut classes: HashSet<String> = HashSet::new();
-    for cfg in grid() {
+    for cfg in committed_grid() {
         for rot in 0..cfg.flows.min(4) {
             members += 1;
             let canon = dsv_scenario::canonicalize(&dsv_core::aggregate::aggregate_spec(
@@ -89,7 +67,7 @@ fn rotation_sweep_collapses_to_the_committed_grid() {
     );
     assert_eq!(
         classes.len(),
-        grid().len(),
+        committed_grid().len(),
         "every rotation must collapse onto its unrotated config's class"
     );
     assert_eq!(

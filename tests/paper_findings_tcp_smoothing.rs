@@ -25,36 +25,16 @@
 //! one, and `DSV_REGEN=1` re-simulates and rewrites the file.
 
 use dsv_core::prelude::*;
-use dsv_core::smoothing::{DEPTH_10MTU, DEPTH_40MTU};
-
-const ENC: u64 = 1_500_000;
-const SERVERS: [SmoothingServer; 3] = [
-    SmoothingServer::Bursty,
-    SmoothingServer::Tcp,
-    SmoothingServer::Abr,
-];
-/// Token rates spanning under-, at-, and over-provisioned profiles
-/// relative to the 1.5 Mbit/s encoding.
-const RATES: [u64; 3] = [800_000, 1_650_000, 5_000_000];
-/// The paper's shallow bucket, a one-window bucket, and a deep one.
-const DEPTHS: [u32; 3] = [DEPTH_2MTU, DEPTH_10MTU, DEPTH_40MTU];
+use dsv_core::smoothing::{
+    committed_grid, GRID_DEPTHS as DEPTHS, GRID_RATES as RATES, GRID_SERVERS as SERVERS,
+};
 
 /// The committed grid, server-major, then token rate, then bucket depth.
 fn grid() -> Vec<FlowJob> {
-    let mut jobs = Vec::new();
-    for &server in &SERVERS {
-        for &rate in &RATES {
-            for &depth in &DEPTHS {
-                jobs.push(FlowJob::Smoothing(SmoothingConfig::new(
-                    ClipId2::Lost,
-                    ENC,
-                    server,
-                    EfProfile::new(rate, depth),
-                )));
-            }
-        }
-    }
-    jobs
+    committed_grid()
+        .into_iter()
+        .map(FlowJob::Smoothing)
+        .collect()
 }
 
 fn outcomes() -> Vec<FlowsOutcome> {
